@@ -23,7 +23,6 @@ from repro.harness.kernelbench import (
     SEED_BASELINE_EVENTS_PER_SEC,
     emit_bench_json,
     kernel_events_per_sec,
-    run_kernel_bench,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -57,23 +56,3 @@ def test_kernel_events_per_sec(benchmark, report):
         f"seed baseline ~{SEED_BASELINE_EVENTS_PER_SEC:,})"
     )
 
-
-@pytest.mark.benchmark(group="kernel")
-def test_kernel_pooling_off_matches_sim_results(benchmark, report):
-    """Pooling must be a pure wall-clock knob: identical simulated outcome."""
-
-    def run():
-        return run_kernel_bench(pooling=True), run_kernel_bench(pooling=False)
-
-    on, off = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    report(
-        "Kernel pooling on/off parity\n"
-        f"  pooling on   {on.events_per_sec:>12,.0f} ev/s  "
-        f"(recycled {on.events_recycled:,})\n"
-        f"  pooling off  {off.events_per_sec:>12,.0f} ev/s  "
-        f"(recycled {off.events_recycled:,})"
-    )
-    assert on.events_processed == off.events_processed
-    assert on.sim_seconds == off.sim_seconds
-    assert on.events_recycled > 0
-    assert off.events_recycled == 0

@@ -354,12 +354,7 @@ def _cmd_kernelbench(args) -> int:
         emit_bench_json, kernel_events_per_sec, traced_kernel_bench,
     )
 
-    kwargs = dict(
-        procs=args.procs,
-        timeouts_per_proc=args.timeouts,
-        pooling=not args.no_pooling,
-        scheduler=args.scheduler,
-    )
+    kwargs = dict(procs=args.procs, timeouts_per_proc=args.timeouts)
     prof = _ProfileRun(args, "kernelbench")
     with prof, prof.scope("kernelbench.run"):
         if args.trace or args.metrics_out:
@@ -376,7 +371,7 @@ def _cmd_kernelbench(args) -> int:
     # Emission is opt-in: the committed BENCH_kernel.json carries the
     # reference machine's wall numbers, and every casual run rewriting it
     # dirtied unrelated PRs.  Pass --emit to update it deliberately.
-    if args.emit and not args.no_emit:
+    if args.emit:
         print(f"wrote {emit_bench_json(rep, args.emit)}")
     prof.emit()
     if args.trace:
@@ -930,20 +925,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="timeouts per process")
     pk.add_argument("--repeats", type=int, default=3,
                     help="take the best of N runs")
-    pk.add_argument("--no-pooling", action="store_true",
-                    help="disable the event free-list pool")
-    pk.add_argument("--scheduler", choices=["calendar", "heap"],
-                    default="calendar",
-                    help="far-lane event structure (identical event order; "
-                         "only wall throughput differs)")
     pk.add_argument("--emit", nargs="?", const="BENCH_kernel.json",
                     default=None, metavar="PATH",
                     help="write the reported run as JSON (default "
                          "BENCH_kernel.json).  Opt-in: wall throughput is "
                          "machine-specific, so the committed baseline only "
                          "changes when asked to")
-    pk.add_argument("--no-emit", action="store_true",
-                    help="(deprecated no-op: emission is opt-in via --emit)")
     pk.add_argument("--trace", nargs="?", const="kernel_trace",
                     default=None, metavar="PREFIX",
                     help="record wall-clock spans per repeat; write "

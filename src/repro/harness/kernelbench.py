@@ -46,8 +46,6 @@ class KernelBenchReport:
 
     procs: int
     timeouts_per_proc: int
-    pooling: bool
-    scheduler: str
     events_processed: int
     events_recycled: int
     wall_seconds: float
@@ -58,8 +56,6 @@ class KernelBenchReport:
     def rows(self):
         return [
             ["workload", f"{self.procs} procs x {self.timeouts_per_proc} timeouts"],
-            ["pooling", "on" if self.pooling else "off"],
-            ["scheduler", self.scheduler],
             ["events processed", f"{self.events_processed:,}"],
             ["events recycled", f"{self.events_recycled:,}"],
             ["wall time", f"{self.wall_seconds:.3f} s"],
@@ -71,9 +67,7 @@ class KernelBenchReport:
 def run_kernel_bench(
     procs: int = REFERENCE_PROCS,
     timeouts_per_proc: int = REFERENCE_TIMEOUTS,
-    pooling: bool = True,
     delay: float = 1e-6,
-    scheduler: str = "calendar",
     registry=None,
 ) -> KernelBenchReport:
     """Run the reference workload once and report wall-clock throughput.
@@ -83,13 +77,10 @@ def run_kernel_bench(
     near-future lane, the timeout pool, and the inlined resume loop — the
     same three paths every fabric charge rides.
 
-    ``scheduler`` selects the far-lane event structure ("calendar" or
-    "heap"); both retire events in bit-identical order, so only wall
-    throughput differs between the two variants.  Pass a
-    :class:`~repro.obs.MetricsRegistry` as ``registry`` to receive the
-    post-run ``scheduler/*`` gauges.
+    Pass a :class:`~repro.obs.MetricsRegistry` as ``registry`` to receive
+    the post-run ``scheduler/*`` gauges.
     """
-    sim = Simulator(pooling=pooling, scheduler=scheduler)
+    sim = Simulator()
 
     def worker():
         timeout = sim.timeout
@@ -112,8 +103,6 @@ def run_kernel_bench(
     return KernelBenchReport(
         procs=procs,
         timeouts_per_proc=timeouts_per_proc,
-        pooling=pooling,
-        scheduler=scheduler,
         events_processed=events,
         events_recycled=stats["events_recycled"],
         wall_seconds=wall,

@@ -238,8 +238,8 @@ def publish_scheduler_metrics(sim, registry: MetricsRegistry = None
 
     The fused batch-charge counters (``scheduler/batch_charge_hits`` /
     ``_fallbacks``) are live counters bumped by the RPC clients; this adds
-    the scheduler-structure side — lane/far depth and, on the calendar
-    queue, bucket occupancy and the adaptive-width resize/refill counts —
+    the scheduler-structure side — lane/far depth and the calendar
+    queue's bucket occupancy and adaptive-width resize/refill counts —
     so one ``--metrics-out`` snapshot covers the whole namespace.
     """
     if registry is None:
@@ -247,13 +247,11 @@ def publish_scheduler_metrics(sim, registry: MetricsRegistry = None
     stats = sim.kernel_stats()
     registry.gauge("scheduler/lane_depth").set(stats["lane_depth"])
     registry.gauge("scheduler/far_depth").set(stats["far_depth"])
-    cal = stats.get("calendar")
-    if cal is not None:
-        registry.gauge("scheduler/bucket_width").set(cal["width"])
-        registry.gauge("scheduler/buckets").set(cal["buckets"])
-        registry.gauge("scheduler/bucket_occupancy").set(
-            cal["bucket_occupancy"])
-        registry.gauge("scheduler/max_bucket").set(cal["max_bucket"])
-        registry.gauge("scheduler/refills").set(cal["refills"])
-        registry.gauge("scheduler/resizes").set(cal["resizes"])
+    cal = stats["calendar"]
+    registry.gauge("scheduler/bucket_width").set(cal["width"])
+    registry.gauge("scheduler/buckets").set(cal["buckets"])
+    registry.gauge("scheduler/bucket_occupancy").set(cal["bucket_occupancy"])
+    registry.gauge("scheduler/max_bucket").set(cal["max_bucket"])
+    registry.gauge("scheduler/refills").set(cal["refills"])
+    registry.gauge("scheduler/resizes").set(cal["resizes"])
     return registry

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs.registry import MetricsRegistry, registry_of
 from repro.simnet.stats import Counter, Gauge, Histogram
-from repro.simnet.trace import EventLog, TimeSeries
+from repro.simnet.trace import EventLog, TimeSeries, pump_samples
 
 __all__ = ["FlightRecorder", "select_matches"]
 
@@ -153,41 +153,23 @@ class FlightRecorder:
         """Run the simulation, sampling every ``interval`` sim-seconds.
 
         Same zero-perturbation contract as
-        :meth:`~repro.simnet.trace.Sampler.pump`, with a continuous
-        cadence instead of a pre-armed sample list: the clock advances
-        only through real events or idle-gap jumps the unrecorded run
-        would cross anyway, and in drain mode a pending sample with no
-        real event left simply lapses (or waits for a later ``pump``
-        call in multi-phase workloads).  After a long inter-phase gap the
-        cadence re-anchors at the current time rather than replaying
-        every missed nominal tick.
+        :func:`~repro.simnet.trace.pump_samples`, with a continuous
+        cadence instead of a pre-armed sample list.  After a long
+        inter-phase gap the cadence re-anchors at the current time rather
+        than replaying every missed nominal tick.
         """
         sim = self.sim
-        inf = float("inf")
         if self._next is None:
             self._next = sim.now + self.interval
-        while True:
-            nxt = self._next
-            if until is not None and nxt > until:
-                break
-            if sim.now >= nxt:
-                self.tick()
-                nxt += self.interval
-                if nxt <= sim.now:  # re-anchor after an inter-phase gap
-                    nxt = sim.now + self.interval
-                self._next = nxt
-                continue
-            p = sim.peek()
-            if p <= nxt:
-                sim.step()
-            elif p != inf or until is not None:
-                # Idle gap the unrecorded clock crosses anyway — a later
-                # real event exists, or ``run(until=...)`` pads past it.
-                sim.run(until=nxt)
-            else:
-                break  # drain mode, nothing pending: the sample lapses
-        sim.run(until=until)
-        return sim.now
+
+        def fire():
+            self.tick()
+            nxt = self._next + self.interval
+            if nxt <= sim.now:  # re-anchor after an inter-phase gap
+                nxt = sim.now + self.interval
+            self._next = nxt
+
+        return pump_samples(sim, until, lambda: self._next, fire)
 
     # -- views & export -------------------------------------------------------
     def rate(self, name: str) -> TimeSeries:

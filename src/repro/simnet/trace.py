@@ -14,7 +14,41 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.simnet.core import Simulator
 
-__all__ = ["TimeSeries", "Sampler", "EventLog"]
+__all__ = ["TimeSeries", "Sampler", "EventLog", "pump_samples"]
+
+
+def pump_samples(sim: Simulator, until: Optional[float],
+                 next_due: Callable[[], Optional[float]],
+                 fire: Callable[[], None]) -> float:
+    """Run ``sim`` like ``sim.run(until)``, firing samples at exact times.
+
+    ``next_due()`` returns the sim time of the next pending sample (or
+    ``None`` when there is none) and ``fire()`` takes it once the clock
+    has reached that time.  The contract is **zero perturbation**: the
+    clock only advances by processing real events, or by jumping across an
+    idle gap the unsampled run would cross anyway (a later real event
+    exists, or ``until`` pads the clock past it).  In drain mode a sample
+    with no real event pending is left for a later call (multi-phase
+    workloads) or lapses when the workload ends — it never keeps the
+    simulation alive.
+    """
+    inf = float("inf")
+    while True:
+        nxt = next_due()
+        if nxt is None or (until is not None and nxt > until):
+            break
+        if sim.now >= nxt:
+            fire()
+            continue
+        p = sim.peek()
+        if p <= nxt:
+            sim.step()
+        elif p != inf or until is not None:
+            sim.run(until=nxt)  # idle gap: jump to the sample point
+        else:
+            break  # drain mode, nothing pending: never advance an idle clock
+    sim.run(until=until)
+    return sim.now
 
 
 class TimeSeries:
@@ -138,39 +172,17 @@ class Sampler:
         """Run the simulation, taking armed samples at exact times.
 
         Drop-in replacement for ``Cluster.run`` / ``Simulator.run`` that
-        interleaves armed sample points with real event processing while
-        guaranteeing **zero perturbation**: the clock only advances by
-        processing real events, or by jumping across an idle gap the
-        untraced run would cross anyway (a later real event exists, or
-        ``until`` pads the clock past it).  In drain mode an armed sample
-        with no real event pending simply waits for a later ``pump`` call
-        (multi-phase workloads) or lapses when the workload ends — it
-        never keeps the simulation alive.
+        interleaves armed sample points with real event processing under
+        the zero-perturbation contract of :func:`pump_samples`.
         """
-        sim = self.sim
         armed = self._armed
-        inf = float("inf")
-        while armed:
-            nxt = armed[0]
-            if until is not None and nxt > until:
-                break
-            if sim.now >= nxt:
-                armed.popleft()
-                self.sample_once()
-                continue
-            p = sim.peek()
-            if p <= nxt:
-                sim.step()
-            elif p != inf or until is not None:
-                # Idle gap the untraced clock crosses anyway — a later
-                # real event exists, or ``run(until=...)`` pads past it
-                # — so jump to the sample point and record there.
-                sim.run(until=nxt)
-            else:
-                break  # drain mode, nothing pending: never advance an
-                #        idle clock; remaining samples wait or lapse
-        sim.run(until=until)
-        return sim.now
+
+        def fire():
+            armed.popleft()
+            self.sample_once()
+
+        return pump_samples(self.sim, until,
+                            lambda: armed[0] if armed else None, fire)
 
     def stop(self) -> None:
         self._stopped = True

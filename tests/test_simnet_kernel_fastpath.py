@@ -5,8 +5,9 @@ and the ``Resource.use`` no-contention path.
 These are the invariants the perf work in this PR relies on: recycling
 must never leak a stale value or callback across reuses, the two-lane
 scheduler must retire events in exactly the order a pure binary heap
-would, and pooling must be a wall-clock-only knob (``pooling=False``
-yields bit-identical simulated results).
+would, and pooling must be wall-clock-only: a platform without
+``sys.getrefcount`` never recycles and yields bit-identical simulated
+results (simulated here by patching ``repro.simnet.core._getrefcount``).
 """
 
 from __future__ import annotations
@@ -15,8 +16,18 @@ import random
 
 import pytest
 
+from repro.simnet import core
 from repro.simnet.core import Event, Interrupt, Simulator
 from repro.simnet.resources import Resource
+
+
+def _unpooled_sim(monkeypatch):
+    """A Simulator on a 'platform' with no refcounts: the unpooled reference."""
+    monkeypatch.setattr(core, "_getrefcount", None)
+    sim = Simulator()
+    assert sim.kernel_stats()["pooling"] is False
+    return sim
+
 
 # ---------------------------------------------------------------------------
 # Event / timeout pooling
@@ -25,7 +36,7 @@ from repro.simnet.resources import Resource
 
 class TestEventPooling:
     def test_timeouts_are_recycled(self):
-        sim = Simulator(pooling=True)
+        sim = Simulator()
 
         def proc():
             for _ in range(50):
@@ -37,7 +48,7 @@ class TestEventPooling:
         assert stats["timeout_pool"] > 0
 
     def test_recycled_timeout_carries_no_stale_state(self):
-        sim = Simulator(pooling=True)
+        sim = Simulator()
         seen = []
 
         def proc():
@@ -58,7 +69,7 @@ class TestEventPooling:
         assert sim.kernel_stats()["events_recycled"] >= 1
 
     def test_externally_held_timeout_is_not_recycled(self):
-        sim = Simulator(pooling=True)
+        sim = Simulator()
         held = []
 
         def proc():
@@ -86,8 +97,8 @@ class TestEventPooling:
 
         sim.run_process(proc())
 
-    def test_pooling_off_recycles_nothing(self):
-        sim = Simulator(pooling=False)
+    def test_without_refcounts_nothing_is_recycled(self, monkeypatch):
+        sim = _unpooled_sim(monkeypatch)
 
         def proc():
             for _ in range(20):
@@ -99,7 +110,7 @@ class TestEventPooling:
         assert stats["timeout_pool"] == 0
         assert stats["event_pool"] == 0
 
-    def test_pooling_toggle_is_wall_clock_only(self):
+    def test_pooling_is_wall_clock_only(self, monkeypatch):
         def workload(sim):
             res = Resource(sim, capacity=2)
             done = []
@@ -116,9 +127,14 @@ class TestEventPooling:
             sim.run()
             return sim.now, sim.events_processed, done
 
-        on = workload(Simulator(pooling=True))
-        off = workload(Simulator(pooling=False))
+        pooled = Simulator()
+        assert pooled.kernel_stats()["pooling"] is True
+        on = workload(pooled)
+        unpooled = _unpooled_sim(monkeypatch)
+        off = workload(unpooled)
         assert on == off
+        assert pooled.kernel_stats()["events_recycled"] > 0
+        assert unpooled.kernel_stats()["events_recycled"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +219,82 @@ class TestLaneHeapOrdering:
 
 
 # ---------------------------------------------------------------------------
+# run(until=): the bounded drain puts the first past-the-bound entry back
+# ---------------------------------------------------------------------------
+
+
+def _reference_run_until(sim, until):
+    """``run(until=)`` spelled with the public one-event primitives."""
+    while sim.peek() <= until:
+        sim.step()
+    if sim.now < until:
+        sim.now = until
+
+
+class TestRunUntilBound:
+    @staticmethod
+    def _build(sim, fired):
+        def cb(tag):
+            return lambda: fired.append((sim.now, tag))
+
+        # Near lane: 1.0, 4.0, 5.0 (monotone appends).  Calendar: 2.0 and
+        # 3.0, scheduled after the 5.0 tail so they cannot ride the lane.
+        for t in (1.0, 4.0, 5.0):
+            sim.schedule_callback(cb(f"lane-{t}"), t)
+        for t in (2.0, 3.0):
+            sim.schedule_callback(cb(f"far-{t}"), t)
+        return cb
+
+    def test_bound_between_calendar_head_and_lane_head(self):
+        sim = Simulator()
+        fired = []
+        self._build(sim, fired)
+        sim.run(until=2.5)
+        assert [tag for _t, tag in fired] == ["lane-1.0", "far-2.0"]
+        assert sim.now == 2.5 and sim.events_processed == 2
+        # far-3.0 was popped from the calendar (it beats lane-4.0), found
+        # past the bound, and put back on the head of the near lane.
+        stats = sim.kernel_stats()
+        assert (stats["lane_depth"], stats["far_depth"]) == (3, 0)
+        assert sim.peek() == 3.0
+        sim.step()
+        assert fired[-1] == (3.0, "far-3.0")
+
+    def test_bound_between_two_same_lane_events(self):
+        sim = Simulator()
+        fired = []
+        cb = self._build(sim, fired)
+        sim.run(until=4.5)
+        assert fired[-1] == (4.0, "lane-4.0")
+        assert sim.now == 4.5 and sim.events_processed == 4
+        assert sim.kernel_stats()["lane_depth"] == 1  # lane-5.0, put back
+        # Pushes after the put-back still merge in (time, prio, seq) order:
+        # one earlier than the put-back entry, one tying with it.
+        sim.schedule_callback(cb("early"), 0.25)
+        sim.schedule_callback(cb("tie"), 0.5)
+        sim.run()
+        assert fired[-3:] == [(4.75, "early"), (5.0, "lane-5.0"),
+                              (5.0, "tie")]
+
+    def test_matches_peek_step_reference_at_every_bound(self):
+        runs = []
+        for drive in (lambda sim, u: sim.run(until=u), _reference_run_until):
+            sim = Simulator()
+            fired = []
+            cb = self._build(sim, fired)
+            seen = []
+            for bound in (0.5, 1.0, 2.5, 2.5, 3.5, 4.5, 9.0):
+                drive(sim, bound)
+                seen.append((bound, sim.now, sim.events_processed,
+                             sim.peek(), list(fired)))
+                if bound == 2.5:  # re-arm traffic around a put-back entry
+                    sim.schedule_callback(cb("mid"), 0.25)
+            runs.append(seen)
+        assert runs[0] == runs[1]
+        assert runs[0][-1][2] == 7  # five built + two "mid" callbacks
+
+
+# ---------------------------------------------------------------------------
 # schedule_callback
 # ---------------------------------------------------------------------------
 
@@ -229,7 +321,7 @@ class TestScheduleCallback:
             sim.schedule_callback(lambda: None, -0.1)
 
     def test_wrappers_are_recycled_without_leaking_fn(self):
-        sim = Simulator(pooling=True)
+        sim = Simulator()
         ran = []
         sim.schedule_callback(lambda: ran.append(1), 0.1)
         sim.run()

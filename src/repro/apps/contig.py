@@ -168,24 +168,21 @@ def _verify(contigs: List[str], data: GenomeData) -> bool:
 def run_contig_generation(backend: str, spec: ClusterSpec,
                           data: GenomeData, aggregation: int = 0,
                           read_cache: bool = False,
-                          instrument=None,
-                          batch_charge: bool = False) -> ContigResult:
+                          instrument=None) -> ContigResult:
     """Run the contig kernel.
 
     HCL-only knobs: ``aggregation`` write-combines the build phase's
     extension merges (commutative ExtensionPair unions — identical final
     graph) into one invocation per flush; ``read_cache`` serves repeated
     traversal lookups (every interior k-mer is read by the seed filter AND
-    the walk) from the epoch-validated locality cache; ``batch_charge``
-    fuses uncontended flush transport into closed-form charges.
+    the walk) from the epoch-validated locality cache.
 
     There is deliberately no ``sim_only`` knob here: the traversal phase
     reads the stored ExtensionPair values back, so stubbing payloads would
     break the walk — contig always runs with real data.
     """
     if backend == "hcl":
-        return _run_hcl(spec, data, aggregation, read_cache, instrument,
-                        batch_charge=batch_charge)
+        return _run_hcl(spec, data, aggregation, read_cache, instrument)
     if backend == "bcl":
         return _run_bcl(spec, data)
     raise ValueError(f"unknown backend {backend!r}")
@@ -204,13 +201,11 @@ def _rank_kmers(data: GenomeData, rank: int, total: int) -> List[str]:
 
 
 def _run_hcl(spec: ClusterSpec, data: GenomeData, aggregation: int = 0,
-             read_cache: bool = False, instrument=None,
-             batch_charge: bool = False) -> ContigResult:
+             read_cache: bool = False, instrument=None) -> ContigResult:
     hcl = HCL(spec)
     graph = hcl.unordered_map("debruijn", partitions=hcl.num_nodes,
                               initial_buckets=1024, aggregation=aggregation,
-                              read_cache=read_cache,
-                              batch_charge=batch_charge)
+                              read_cache=read_cache)
     if instrument is not None:
         instrument(hcl)
     total = spec.total_procs

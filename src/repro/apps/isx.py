@@ -62,7 +62,6 @@ def run_isx(
     seed: int = 1,
     aggregation: int = 0,
     instrument=None,
-    batch_charge: bool = False,
     sim_only: bool = False,
 ) -> IsxResult:
     """Run the ISx kernel on ``backend`` ("hcl" or "bcl").
@@ -76,9 +75,6 @@ def run_isx(
     runtime after the containers are built but before the workload runs —
     the attach point for tracers and telemetry samplers.
 
-    ``batch_charge`` (HCL only): fused closed-form charging of uncontended
-    coalescer flush transport (see ``DistributedContainer``).
-
     ``sim_only`` (HCL only): timing-only mode — containers stub opaque
     payloads and verification drops the full O(N log N) merge-sort check
     in favor of cheap invariants (per-bucket sortedness, bucket routing,
@@ -87,8 +83,7 @@ def run_isx(
     """
     if backend == "hcl":
         return _run_hcl(spec, keys_per_rank, batch, seed, aggregation,
-                        instrument, batch_charge=batch_charge,
-                        sim_only=sim_only)
+                        instrument, sim_only=sim_only)
     if backend == "bcl":
         return _run_bcl(spec, keys_per_rank, seed)
     raise ValueError(f"unknown backend {backend!r}")
@@ -126,14 +121,13 @@ def _verify_cheap(per_node: List[List[int]], all_keys: List[int],
 
 def _run_hcl(spec: ClusterSpec, keys_per_rank: int, batch: int,
              seed: int, aggregation: int = 0, instrument=None,
-             batch_charge: bool = False, sim_only: bool = False) -> IsxResult:
+             sim_only: bool = False) -> IsxResult:
     hcl = HCL(spec)
     nodes = hcl.num_nodes
     # Priority-queue coordinate space must cover MAX_KEY.
     buckets = [
         hcl.priority_queue(f"isx.bucket{i}", home_node=i, dims=9, base=8,
-                           aggregation=aggregation,
-                           batch_charge=batch_charge, sim_only=sim_only)
+                           aggregation=aggregation, sim_only=sim_only)
         for i in range(nodes)
     ]
     if instrument is not None:

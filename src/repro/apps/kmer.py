@@ -57,8 +57,8 @@ def _reads_for_rank(data: GenomeData, rank: int, total: int):
 def run_kmer_counting(backend: str, spec: ClusterSpec, data: GenomeData,
                       min_count: int = 1,
                       aggregation: Union[int, str] = 0,
-                      instrument=None, batch_charge: bool = False,
-                      sim_only: bool = False, async_api: bool = False,
+                      instrument=None, sim_only: bool = False,
+                      async_api: bool = False,
                       window=None) -> KmerResult:
     """Count k-mers on ``backend``.
 
@@ -70,9 +70,6 @@ def run_kmer_counting(backend: str, spec: ClusterSpec, data: GenomeData,
     destination partition into one invocation.  Upserts are commutative,
     so the final histogram is identical; 0 keeps the classic
     one-invocation-per-k-mer behavior.
-
-    ``batch_charge`` (HCL only): fused closed-form charging of uncontended
-    coalescer flush transport (see ``DistributedContainer``).
 
     ``sim_only`` (HCL only): timing-only mode — skips the exact sequential
     reference histogram (which re-counts every k-mer single-threaded) in
@@ -89,8 +86,8 @@ def run_kmer_counting(backend: str, spec: ClusterSpec, data: GenomeData,
     """
     if backend == "hcl":
         return _run_hcl(spec, data, min_count, aggregation, instrument,
-                        batch_charge=batch_charge, sim_only=sim_only,
-                        async_api=async_api, window=window)
+                        sim_only=sim_only, async_api=async_api,
+                        window=window)
     if backend == "bcl":
         return _run_bcl(spec, data, min_count)
     raise ValueError(f"unknown backend {backend!r}")
@@ -121,15 +118,14 @@ def _apply_filter(counts: dict, min_count: int):
 
 def _run_hcl(spec: ClusterSpec, data: GenomeData,
              min_count: int = 1, aggregation: Union[int, str] = 0,
-             instrument=None, batch_charge: bool = False,
-             sim_only: bool = False, async_api: bool = False,
-             window=None) -> KmerResult:
+             instrument=None, sim_only: bool = False,
+             async_api: bool = False, window=None) -> KmerResult:
     if async_api and not aggregation:
         aggregation = "auto"
     hcl = HCL(spec, window=window)
     table = hcl.unordered_map("kmers", partitions=hcl.num_nodes,
                               initial_buckets=1024, aggregation=aggregation,
-                              batch_charge=batch_charge, sim_only=sim_only)
+                              sim_only=sim_only)
     if instrument is not None:
         instrument(hcl)
     total_procs = spec.total_procs

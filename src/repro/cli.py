@@ -265,7 +265,6 @@ def _cmd_fig7(args) -> int:
             if app == "isx":
                 h = run_isx("hcl", spec, keys_per_rank=sc(args.ops),
                             aggregation=args.aggregation,
-                            batch_charge=args.batch_charge,
                             sim_only=args.container_sim_only)
                 if not hcl_only:
                     b = run_isx("bcl", spec, keys_per_rank=sc(args.ops))
@@ -277,7 +276,6 @@ def _cmd_fig7(args) -> int:
                 if app == "kmer":
                     h = run_kmer_counting(
                         "hcl", spec, data, aggregation=args.aggregation,
-                        batch_charge=args.batch_charge,
                         sim_only=args.container_sim_only,
                     )
                     if not hcl_only:
@@ -287,7 +285,6 @@ def _cmd_fig7(args) -> int:
                     h = run_contig_generation(
                         "hcl", spec, data, aggregation=args.aggregation,
                         read_cache=bool(args.aggregation),
-                        batch_charge=args.batch_charge,
                     )
                     if not hcl_only:
                         b = run_contig_generation("bcl", spec, data)
@@ -400,7 +397,6 @@ def _cmd_aggbench(args) -> int:
             sim_only=args.sim_only,
             trace=bool(args.trace),
             collector=collector,
-            batch_charge=args.batch_charge,
             container_sim_only=args.container_sim_only,
         )
     print(render_table(
@@ -912,8 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the BCL comparison runs (full-paper-scale "
                          "sweeps where the client-driven baseline is "
                          "prohibitive)")
-    p7.add_argument("--batch-charge", action="store_true",
-                    help="fused charging of uncontended coalescer flushes")
     p7.add_argument("--container-sim-only", action="store_true",
                     help="container timing-only mode for isx/kmer")
     p7.set_defaults(fn=_cmd_fig7)
@@ -959,9 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="wall time takes the best of N runs")
     pa.add_argument("--sim-only", action="store_true",
                     help="omit wall-clock fields (deterministic JSON)")
-    pa.add_argument("--batch-charge", action="store_true",
-                    help="fused closed-form charging of uncontended "
-                         "coalescer flushes (results still verified)")
     pa.add_argument("--container-sim-only", action="store_true",
                     help="container timing-only mode for isx/kmer: stubbed "
                          "payloads + cheap invariant verification; sim "

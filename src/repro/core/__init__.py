@@ -34,6 +34,7 @@ from repro.core.collectives import Collectives
 from repro.core.p2p import Comm, ANY_SOURCE, ANY_TAG
 from repro.core.container import DistributedContainer, Partition
 from repro.core.costs import CostLedger
+from repro.core.policy import ContainerPolicy
 from repro.core.hash_container import HCLUnorderedMap, HCLUnorderedSet
 from repro.core.ordered_container import HCLMap, HCLSet
 from repro.core.queue import HCLQueue
@@ -47,6 +48,7 @@ __all__ = [
     "ANY_TAG",
     "DistributedContainer",
     "Partition",
+    "ContainerPolicy",
     "CostLedger",
     "HCLUnorderedMap",
     "HCLUnorderedSet",

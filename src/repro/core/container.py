@@ -5,6 +5,17 @@ A container owns one partition per hosting node slot.  Each
 queue / mdlist) with a :class:`~repro.memory.segment.MemorySegment` for
 memory accounting and optional persistence.
 
+Every container is one idea — route a key, then run one bound function at
+the target (Section III-C/D, Fig 3) — so it is written down once:
+
+* :data:`OP_TABLES` declares, per family, what each operation is;
+* :meth:`DistributedContainer._issue` is the client-side prefix of every
+  operation (stub, route, payload size), handing to one of four issue
+  stages that differ only in *when* the op leaves the node;
+* :meth:`DistributedContainer._apply` is the one place an operation meets
+  a partition, whether it arrived by RPC, through the same-node bypass or
+  as a replica copy.
+
 The **hybrid data access model** (Section III-C5) lives in
 :meth:`DistributedContainer._execute`: if the target partition's node equals
 the calling rank's node, the operation bypasses the RPC machinery entirely
@@ -23,17 +34,83 @@ the partition's mmap-backed log and charge the device sync cost
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import (Any, Callable, Dict, Deque, Hashable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from repro.core.costs import CostLedger, charge
+from repro.core.policy import ContainerPolicy
+from repro.fabric.node import NodeDownError
 from repro.memory.segment import MemorySegment
 from repro.obs.registry import registry_of
-from repro.rpc.coalesce import MISS, OpCoalescer, ReadCache
+from repro.rpc.coalesce import AUTO_INITIAL, MISS, OpCoalescer, ReadCache
 from repro.rpc.future import RPCFuture
 from repro.serialization.databox import DataBox, SizedStub, estimate_size
+from repro.simnet.sync import SimLock
 from repro.structures.stats import OpStats
 
-__all__ = ["Partition", "DistributedContainer"]
+__all__ = ["Op", "OP_TABLES", "Partition", "DistributedContainer",
+           "KeyedContainer"]
+
+
+class Op(NamedTuple):
+    """One row of a container family's op table.
+
+    The row's ``name`` is the RPC operation name, and ``_do_<name>`` on the
+    container is its bound function: ``(part, *args) -> (result, OpStats,
+    entry_bytes)``.
+    """
+
+    name: str
+    #: number of arguments after the partition
+    arity: int
+    #: mutates the partition: bumps its write epoch and is persisted,
+    #: replicated and failed over.  Reads skip all four.
+    write: bool = True
+    #: single-key mutation whose ``args[0]`` is the key — eligible for
+    #: write-through read-cache invalidation (epoch checks remain the
+    #: correctness authority; this is eager cleanup)
+    keyed: bool = False
+    #: index into ``args`` of the opaque value ``sim_only`` may swap for a
+    #: size stub.  Only values stored/forwarded verbatim and never
+    #: interpreted server-side are eligible.
+    value_index: Optional[int] = None
+    #: a single remote read of ``args[0]`` may be served from the read cache
+    cached: bool = False
+
+
+def _keyed_ops(values: bool, cached: bool, *family: Op) -> Tuple[Op, ...]:
+    """The rows every keyed container has; maps carry a value, sets do not."""
+    return (
+        Op("insert", 2 if values else 1, keyed=True,
+           value_index=1 if values else None),
+        Op("find", 1, write=False, cached=cached),
+        Op("erase", 1, keyed=True),
+        Op("resize", 1),
+        Op("batch", 1),
+        Op("size", 0, write=False),
+        *family,
+    )
+
+
+# Upsert deltas are added server-side, so they must stay real under sim_only.
+_HASH = (Op("upsert", 2, keyed=True), Op("scan", 2, write=False))
+_ORDERED = (Op("range_find", 3, write=False), Op("min_key", 0, write=False),
+            Op("max_key", 0, write=False))
+_QUEUE = (Op("pop", 0), Op("push_many", 1), Op("pop_many", 1),
+          Op("size", 0, write=False))
+
+#: family (the ``HCL.<family>`` factory name) -> its operations.  Ordered
+#: ``find`` does not consult the read cache; only its ``batch`` does.
+OP_TABLES: Dict[str, Tuple[Op, ...]] = {
+    "unordered_map": _keyed_ops(True, True, *_HASH),
+    "unordered_set": _keyed_ops(False, True, *_HASH),
+    "map": _keyed_ops(True, False, *_ORDERED),
+    "set": _keyed_ops(False, False, *_ORDERED),
+    "queue": (Op("push", 1, value_index=0), *_QUEUE),
+    "priority_queue": (Op("push", 2, value_index=1), *_QUEUE,
+                       Op("peek", 0, write=False), Op("batch", 1)),
+}
 
 
 class Partition:
@@ -66,96 +143,52 @@ class Partition:
 class DistributedContainer:
     """Common behaviour for all HCL DDSs."""
 
-    #: subclasses list their operation names, e.g. ("insert", "find", ...)
+    #: this family's rows of :data:`OP_TABLES`; set by every concrete class
+    OPS: Tuple[Op, ...] = ()
+    #: queue families live on one node and have nowhere to replicate to
+    SINGLE_PARTITION = False
+
+    #: derived views of the op tables.  Whether an op mutates is a property
+    #: of its name across all families, so the base class answers for all.
     OPERATIONS: Tuple[str, ...] = ()
+    READ_ONLY_OPS = frozenset(
+        row.name for table in OP_TABLES.values() for row in table
+        if not row.write
+    )
+    KEYED_MUTATIONS = frozenset(
+        row.name for table in OP_TABLES.values() for row in table if row.keyed
+    )
 
-    #: concurrency-control levels (Section III-D: "HCL allows its users to
-    #: tune the level of atomicity by setting the appropriate concurrency
-    #: control parameter").  ``lockfree`` relies on the lock-free local
-    #: structures (default); ``mutex`` serializes every operation on a
-    #: partition behind one lock — stronger isolation, lower concurrency.
-    CONCURRENCY_LEVELS = ("lockfree", "mutex")
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.OPERATIONS = tuple(row.name for row in cls.OPS)
 
-    def __init__(
-        self,
-        runtime,
-        name: str,
-        partitions: Sequence[Partition],
-        codec: str = "msgpack",
-        replication: int = 0,
-        persistence: bool = False,
-        concurrency: str = "lockfree",
-        write_failover: bool = False,
-        aggregation: int = 0,
-        aggregation_bytes: int = 32 * 1024,
-        read_cache: bool = False,
-        batch_charge: bool = False,
-        sim_only: bool = False,
-    ):
-        if concurrency not in self.CONCURRENCY_LEVELS:
-            raise ValueError(
-                f"concurrency must be one of {self.CONCURRENCY_LEVELS}"
-            )
-        if write_failover and replication <= 0:
-            raise ValueError("write_failover requires replication >= 1")
-        auto_aggregation = aggregation == "auto"
-        if not auto_aggregation and (not isinstance(aggregation, int)
-                                     or aggregation < 0):
-            raise ValueError(
-                'aggregation must be >= 0 (0 disables buffering) or "auto"'
-            )
-        if sim_only and persistence:
-            raise ValueError(
-                "sim_only replaces payloads with size stubs; incompatible "
-                "with persistence (the log must hold real values)"
-            )
+    def __init__(self, runtime, name: str, partitions: Sequence[Partition],
+                 policy: ContainerPolicy):
         self.runtime = runtime
         self.name = name
         self.partitions: List[Partition] = list(partitions)
-        self.codec = codec
-        self.replication = replication
-        self.persistence = persistence
-        self.concurrency = concurrency
-        #: opt-in: redirect acked writes to a replica while the primary is
-        #: down, then replay them onto the primary when it restarts.  Off by
-        #: default — the classic contract is that mutations to a dead
-        #: primary fail loudly.
-        self.write_failover = write_failover
-        #: request aggregation (Section III-C3 / Table I amortization):
-        #: ``aggregation=N`` write-combines buffered ops into per-(node,
-        #: partition) buffers of up to N ops, flushed as ONE ``batch``
-        #: invocation.  ``aggregation="auto"`` starts small and self-tunes
-        #: the threshold from observed flush efficiency against the Table-I
-        #: cost model.  0 (default) keeps the classic one-invocation-per-op
-        #: behavior, bit-identical to an unaggregated build.
-        if auto_aggregation:
-            from repro.rpc.coalesce import AUTO_INITIAL
-
+        self.policy = policy
+        #: op name -> (bound ``_do_*`` function, table row)
+        self._ops: Dict[str, Tuple[Callable, Op]] = {
+            row.name: (getattr(self, f"_do_{row.name}"), row)
+            for row in self.OPS
+        }
+        if policy.aggregation == "auto":
+            self._coalescer: Optional[OpCoalescer] = OpCoalescer(
+                self, AUTO_INITIAL, policy.aggregation_bytes, auto=True
+            )
+        elif policy.aggregation:
             self._coalescer = OpCoalescer(
-                self, AUTO_INITIAL, aggregation_bytes, auto=True
+                self, policy.aggregation, policy.aggregation_bytes
             )
         else:
-            self._coalescer = (
-                OpCoalescer(self, aggregation, aggregation_bytes)
-                if aggregation else None
-            )
-        #: locality-aware read cache for read-mostly data; epoch-validated
-        #: so a cached read can never observe a stale value.
-        self._cache = ReadCache(runtime.sim, name) if read_cache else None
-        #: batch-charged transport (perf): coalescer flush batches ask the
-        #: RPC layer for closed-form fused charging of uncontended SENDs and
-        #: response pulls.  Off by default — fused transport collapses the
-        #: per-stage event train, so results are semantically equivalent but
-        #: same-instant interleaving is not bit-identical to per-packet runs.
-        self.batch_charge = batch_charge
-        #: sim-only mode (perf): declared opaque value arguments are swapped
-        #: for size-preserving stubs before storage and marshalling, so
-        #: benches that only need timing skip real payload movement.  Every
-        #: simulated cost derives from the same sizes (bit-identical
-        #: timeline); keyed reads return stubs instead of real data.
-        self.sim_only = sim_only
+            self._coalescer = None
+        self._cache = (
+            ReadCache(runtime.sim, name) if policy.read_cache else None
+        )
         #: rank -> home node, precomputed (rank placement is static) so the
-        #: pipelined per-op path skips two calls per operation
+        #: per-op paths skip two calls per operation
         cluster = runtime.cluster
         self._rank_home = [
             cluster.node_of_rank(r) for r in range(cluster.total_procs)
@@ -167,116 +200,151 @@ class DistributedContainer:
         self.failover_reads = metrics.counter(f"{name}/failover_reads")
         self.failover_writes = metrics.counter(f"{name}/failover_writes")
         self.replayed_writes = metrics.counter(f"{name}/replayed_writes")
-        #: node_id -> [(part_index, op, args, token), ...] awaiting replay
-        self._replay: Dict[int, List[tuple]] = {}
+        #: node_id -> (part_index, op, args, token) records awaiting replay
+        self._replay: Dict[int, Deque[tuple]] = {}
         self._replay_hooked: set = set()
         self._replaying: set = set()
-        if concurrency == "mutex":
-            from repro.simnet.sync import SimLock
-
-            self._mutexes = {
-                part.index: SimLock(runtime.sim, name=f"{name}.{part.index}")
-                for part in self.partitions
-            }
-        else:
-            self._mutexes = {}
-        self._bind_handlers()
+        #: part.index -> SimLock, created on first use (``mutex`` only)
+        self._mutexes: Dict[int, SimLock] = {}
+        self._bound: set = set()
+        for part in self.partitions:
+            self._bind(part.node_id)
 
     def _mutex_of(self, part: "Partition"):
-        if self.concurrency != "mutex":
+        if self.policy.concurrency != "mutex":
             return None
         lock = self._mutexes.get(part.index)
-        if lock is None:  # partitions added dynamically
-            from repro.simnet.sync import SimLock
-
+        if lock is None:
             lock = SimLock(self.runtime.sim, name=f"{self.name}.{part.index}")
             self._mutexes[part.index] = lock
         return lock
 
     # -- wiring -------------------------------------------------------------
-    def _bind_handlers(self) -> None:
-        """Bind one handler per (operation, hosting node)."""
-        bound_nodes = set()
-        for part in self.partitions:
-            if part.node_id in bound_nodes:
-                continue
-            bound_nodes.add(part.node_id)
-            server = self.runtime.server(part.node_id)
-            for op in self.OPERATIONS:
-                server.bind(f"{self.name}.{op}", self._make_handler(op))
+    def _bind(self, node_id: int) -> None:
+        """Bind every op on ``node_id``'s server, once per hosting node.
 
-    def _make_handler(self, op: str) -> Callable:
-        method = getattr(self, f"_do_{op}")
+        A replicated container also binds each mutation's ``:replica``
+        variant — the no-fan-out handler replication targets run.
+        """
+        if node_id in self._bound:
+            return
+        self._bound.add(node_id)
+        server = self.runtime.server(node_id)
+        for op, (_fn, row) in self._ops.items():
+            server.bind(f"{self.name}.{op}", self._handler(op))
+            if self.policy.replication and row.write:
+                server.bind(f"{self.name}.{op}:replica",
+                            self._handler(op, replica=True))
 
+    def _handler(self, op: str, replica: bool = False) -> Callable:
         def handler(ctx, part_index, *args):
-            part = self.partitions[part_index]
-            mutex = self._mutex_of(part)
-            if mutex is not None:
-                yield mutex.acquire()
-                # lock/unlock themselves are atomic RMWs on the NIC core
-                yield ctx.sim.timeout(
-                    2 * ctx.cost.cas_local * ctx.cost.nic_compute_factor
-                )
-            try:
-                result, stats, entry_bytes = method(part, *args)
-                if op != "batch" and self._is_mutation(op):
-                    part.write_epoch += 1  # _do_batch bumps per sub-op
-                if stats is not None:
-                    # Executed on the NIC core: compute terms run slower.
-                    yield from charge(ctx.node, stats, entry_bytes,
-                                      cpu_factor=ctx.cost.nic_compute_factor)
-            finally:
-                if mutex is not None:
-                    mutex.release()
-            self.ledger.record(f"{op}", stats, remote=True)
-            part.ops.add(1)
-            if self.persistence and self._is_mutation(op):
-                yield from self._persist(part, op, args, ctx.node)
-            if self.replication and self._is_mutation(op):
-                self._replicate(part, op, args)
-            return result
+            return self._apply(self.partitions[part_index], op, args,
+                               ctx.node, True, replica)
 
         return handler
 
-    #: operations that never mutate (skip persistence/replication fan-out)
-    READ_ONLY_OPS = frozenset(
-        {"find", "contains", "size", "peek", "range_find", "min_key",
-         "max_key", "scan"}
-    )
+    # -- where an op meets a partition -----------------------------------------
+    def _run(self, part: Partition, op: str, args: tuple):
+        """The bound function itself plus its epoch bump; no simulated cost."""
+        fn, row = self._ops[op]
+        out = fn(part, *args)
+        if row.write and op != "batch":
+            part.write_epoch += 1  # _do_batch bumps per sub-op
+        return out
 
-    @classmethod
-    def _is_mutation(cls, op: str) -> bool:
-        return op not in cls.READ_ONLY_OPS
+    def _apply(self, part: Partition, op: str, args: tuple, node,
+               remote: bool, replica: bool = False):
+        """Generator: run ``op`` on ``part`` and charge it to ``node``.
 
-    #: single-key mutations whose ``args[0]`` is the key — the ops eligible
-    #: for write-through read-cache invalidation (epoch checks remain the
-    #: correctness authority; this is eager cleanup).
-    KEYED_MUTATIONS = frozenset({"insert", "erase", "upsert"})
+        Three callers: the RPC handler (``remote=True`` — executed on the
+        NIC core, so compute terms run slower), the same-node bypass of
+        :meth:`_execute` (``remote=False`` — host CPU over shared memory)
+        and the ``:replica`` handler (``replica=True`` — a copy being
+        applied: no mutex, no ledger row, no log record, no further
+        fan-out).
+        """
+        cpu_factor = node.cost.nic_compute_factor if remote else 1.0
+        mutex = None if replica else self._mutex_of(part)
+        if mutex is not None:
+            yield mutex.acquire()
+            if remote:
+                # lock/unlock themselves are atomic RMWs on the NIC core
+                yield node.sim.timeout(2 * node.cost.cas_local * cpu_factor)
+        try:
+            result, stats, entry_bytes = self._run(part, op, args)
+            if stats is not None:
+                yield from charge(node, stats, entry_bytes,
+                                  cpu_factor=cpu_factor)
+        finally:
+            if mutex is not None:
+                mutex.release()
+        if replica:
+            return result
+        self.ledger.record(op, stats, remote=remote)
+        part.ops.add(1)
+        if self._ops[op][1].write:
+            if self.policy.persistence:
+                yield from self._persist(part, op, args, node)
+            if self.policy.replication:
+                self._replicate(part, op, args)
+        return result
 
-    #: ``sim_only`` declaration: op -> index (into ``args``) of the opaque
-    #: value argument.  Only ops whose value is stored/forwarded verbatim
-    #: and never interpreted server-side are eligible; subclasses override.
-    SIM_ONLY_VALUE_ARGS: Dict[str, int] = {}
+    # -- the client-side prefix of every op ----------------------------------
+    def _issue(self, rank: int, op: str, args: tuple, stage,
+               part: Optional[Partition] = None,
+               payload: Optional[int] = None):
+        """Look up, check, route, size and stub ``op``; hand it to ``stage``.
 
-    def _stub_args(self, op: str, args: tuple) -> tuple:
-        """Swap a declared opaque value for a size-preserving stub.
+        ``stage`` is one of the four issue stages — :meth:`_execute`
+        (drained, synchronous), :meth:`_execute_async` (fold into a pending
+        buffer or invoke directly), :meth:`_pipeline_op` (always buffer),
+        :meth:`_buffer_op` (buffer without a future) — or a read-cache
+        front for the first two (:meth:`_read`, :meth:`_read_async`).  They
+        stay separate because they produce different simulated schedules.
+        Returns what the stage returns: a generator or an
+        :class:`RPCFuture`.
+
+        Keyed ops route on ``args[0]`` and are sized as an entry;
+        partition-addressed ops pass ``part`` and a fixed ``payload``.
+        """
+        row = self._ops[op][1]
+        if len(args) != row.arity:
+            raise TypeError(
+                f"{self.name}.{op} takes {row.arity} argument(s), "
+                f"got {len(args)}"
+            )
+        if part is None:
+            part = self.partition_for(args[0])
+        if payload is None:
+            payload = self._entry_bytes(*args)
+        if self.policy.sim_only and row.value_index is not None:
+            args = self._stub_value(args, row.value_index)
+        return stage(rank, part, op, args, payload)
+
+    @staticmethod
+    def _stub_value(args: tuple, idx: int) -> tuple:
+        """Swap the opaque value at ``args[idx]`` for a size-preserving stub.
 
         ``estimate_size`` of the stub equals that of the original, so every
         downstream size computation (payload charge, server-side
         ``entry_bytes``, response sizing) is bit-identical; only the real
         Python payload stops moving.
         """
-        idx = self.SIM_ONLY_VALUE_ARGS.get(op)
-        if idx is None or idx >= len(args):
-            return args
         value = args[idx]
         if value is None or type(value) is SizedStub:
             return args
-        out = list(args)
-        out[idx] = SizedStub(estimate_size(value))
-        return tuple(out)
+        return (*args[:idx], SizedStub(estimate_size(value)), *args[idx + 1:])
 
-    # -- the hybrid access core -------------------------------------------------
+    def _invalidate(self, caller_node: int, part: Partition, op: str,
+                    args: tuple) -> None:
+        """Write-through read-cache cleanup for a keyed mutation."""
+        cache = self._cache
+        # ``_entries`` empty means nothing can need invalidating — write
+        # storms skip the per-op tuple build + lookup entirely.
+        if cache is not None and cache._entries and self._ops[op][1].keyed:
+            cache.invalidate_key(caller_node, part.index, args[0])
+
+    # -- stage 1: the hybrid access core ---------------------------------------
     def _execute(self, rank: int, part: Partition, op: str, args: tuple,
                  payload_bytes: int, _drain: bool = True, trace_parent=None):
         """Generator: run ``op`` on ``part`` from ``rank`` — local or remote.
@@ -290,46 +358,27 @@ class DistributedContainer:
         program order per rank is preserved.  ``_drain=False`` is reserved
         for the coalescer's own flush batches.
         """
-        if self.sim_only:
-            args = self._stub_args(op, args)
-        caller_node = self.runtime.cluster.node_of_rank(rank)
+        caller_node = self._rank_home[rank]
         if self._coalescer is not None and _drain:
             yield from self._coalescer.drain(rank, part.index)
-        if (self._cache is not None and self._cache._entries and args
-                and op in self.KEYED_MUTATIONS):
-            self._cache.invalidate_key(caller_node, part.index, args[0])
+        self._invalidate(caller_node, part, op, args)
+        cluster = self.runtime.cluster
         if caller_node == part.node_id:
             self.local_hits.add(1)
-            node = self.runtime.cluster.node(caller_node)
-            method = getattr(self, f"_do_{op}")
-            mutex = self._mutex_of(part)
-            if mutex is not None:
-                yield mutex.acquire()
-            try:
-                result, stats, entry_bytes = method(part, *args)
-                if op != "batch" and self._is_mutation(op):
-                    part.write_epoch += 1
-                if stats is not None:
-                    yield from charge(node, stats, entry_bytes)
-            finally:
-                if mutex is not None:
-                    mutex.release()
-            self.ledger.record(op, stats, remote=False)
-            part.ops.add(1)
-            if self.persistence and self._is_mutation(op):
-                yield from self._persist(part, op, args, node)
-            if self.replication and self._is_mutation(op):
-                self._replicate(part, op, args)
+            result = yield from self._apply(
+                part, op, args, cluster.node(caller_node), False
+            )
             return result
         self.remote_calls.add(1)
         client = self.runtime.client(caller_node)
-        mutation = self._is_mutation(op)
+        mutation = self._ops[op][1].write
+        policy = self.policy
         token = None
         if (
             mutation
-            and self.write_failover
-            and (self.runtime.cluster.faults is not None
-                 or not self.runtime.cluster.node(part.node_id).alive)
+            and policy.write_failover
+            and (cluster.faults is not None
+                 or not cluster.node(part.node_id).alive)
         ):
             # Pre-assign the idempotency token so a write replayed onto the
             # restarted primary dedups against a late execution of this
@@ -343,7 +392,6 @@ class DistributedContainer:
                 payload_size=payload_bytes,
                 token=token,
                 trace_parent=trace_parent,
-                fused=(self.batch_charge and op == "batch"),
                 stream=part.index,
             )
             if self._cache is not None:
@@ -353,89 +401,85 @@ class DistributedContainer:
             return result
         except ConnectionError:
             # Primary down: replicated containers serve reads from the
-            # next replica(s) in the hash chain (Section III-A4).
-            if self.replication <= 0:
+            # next replica(s) in the hash chain (Section III-A4), and with
+            # ``write_failover`` take mutations there too.
+            if policy.replication <= 0 or (
+                    mutation and not policy.write_failover):
                 raise
-            if mutation:
-                if not self.write_failover:
-                    raise
-                result = yield from self._failover_write(
-                    client, part, op, args, payload_bytes, token
-                )
-                return result
-            result = yield from self._read_from_replica(
-                client, part, op, args, payload_bytes
+            result = yield from self._on_replica(
+                client, part, op, args, payload_bytes, mutation
             )
-            self.failover_reads.add(1)
+            if mutation:
+                # Acked to the caller now; replayed onto the primary as
+                # soon as it restarts.  The replay reuses ``token`` — the
+                # *original* request's — so if the primary executed that
+                # request late (completion lost, budget exhausted) the
+                # replay is suppressed server-side, not double-applied.
+                self.failover_writes.add(1)
+                self._queue_replay(part, op, args, token)
+            else:
+                self.failover_reads.add(1)
             return result
 
-    def _read_from_replica(self, client, part, op, args, payload_bytes):
-        from repro.fabric.node import NodeDownError
-
+    # -- replication and failover ------------------------------------------------
+    def _replicas_of(self, part: Partition) -> Iterator[Partition]:
+        """The next ``replication`` partitions in ``part``'s hash chain."""
         nparts = len(self.partitions)
-        last_error: Optional[BaseException] = None
-        for step in range(1, self.replication + 1):
+        for step in range(1, self.policy.replication + 1):
             replica = self.partitions[(part.index + step) % nparts]
+            if replica is not part:
+                yield replica
+
+    def _on_replica(self, client, part, op, args, payload_bytes,
+                    mutation: bool):
+        """Generator: run ``op`` on the first live replica of ``part``.
+
+        Mutations go to the ``:replica`` handler: the copy must not fan
+        out again.
+        """
+        name = f"{self.name}.{op}:replica" if mutation else f"{self.name}.{op}"
+        last_error: Optional[BaseException] = None
+        for replica in self._replicas_of(part):
             if not self.runtime.cluster.node(replica.node_id).alive:
                 continue
             try:
                 result = yield from client.call(
-                    replica.node_id,
-                    f"{self.name}.{op}",
-                    (replica.index, *args),
+                    replica.node_id, name, (replica.index, *args),
                     payload_size=payload_bytes,
                 )
                 return result
             except ConnectionError as err:  # replica died too; keep going
                 last_error = err
         raise last_error or NodeDownError(
-            f"{self.name}.{op}: primary and all {self.replication} "
+            f"{self.name}.{op}: primary and all {self.policy.replication} "
             "replicas are down"
         )
 
-    # -- write failover + replay ------------------------------------------------
-    def _failover_write(self, client, part, op, args, payload_bytes, token):
-        """Apply a mutation to a live replica while the primary is down.
+    def _replicate(self, part: Partition, op: str, args: tuple) -> None:
+        """Asynchronously re-execute a mutation on the next partitions.
 
-        The write is acked to the caller once one replica accepts it; the
-        operation is then queued for replay onto the primary, which runs as
-        soon as the primary restarts.  The replay reuses ``token`` — the
-        *original* request's idempotency token — so if the primary executed
-        the original request late (completion lost, budget exhausted) the
-        replay is suppressed server-side rather than double-applied.
+        "Replication occurs asynchronously at the server side, where the
+        target process will further hash an operation to more servers."
         """
-        from repro.fabric.node import NodeDownError
-
-        nparts = len(self.partitions)
-        last_error: Optional[BaseException] = None
-        for step in range(1, self.replication + 1):
-            replica = self.partitions[(part.index + step) % nparts]
-            if replica.index == part.index:
-                continue
-            if not self.runtime.cluster.node(replica.node_id).alive:
-                continue
-            try:
-                result = yield from client.call(
+        replicas = list(self._replicas_of(part))
+        if not replicas:
+            return
+        client = self.runtime.client(part.node_id)
+        for replica in replicas:
+            if replica.node_id == part.node_id:
+                # Same node: apply directly (no network), zero-cost async.
+                self._run(replica, op, args)
+            else:
+                client.invoke(
                     replica.node_id,
                     f"{self.name}.{op}:replica",
                     (replica.index, *args),
-                    payload_size=payload_bytes,
                 )
-            except ConnectionError as err:  # replica died too; keep going
-                last_error = err
-                continue
-            self.failover_writes.add(1)
-            self._queue_replay(part, op, args, token)
-            return result
-        raise last_error or NodeDownError(
-            f"{self.name}.{op}: primary and all {self.replication} "
-            "replicas are down"
-        )
 
     def _queue_replay(self, part, op, args, token) -> None:
         """Remember an acked-on-replica write for replay onto the primary."""
         node_id = part.node_id
-        self._replay.setdefault(node_id, []).append(
+        self._replay.setdefault(node_id, deque()).append(
             (part.index, op, args, token)
         )
         if node_id not in self._replay_hooked:
@@ -473,11 +517,12 @@ class DistributedContainer:
                     # Crashed again mid-replay; the remaining records stay
                     # queued and the next recovery hook resumes the drain.
                     return
-                records.pop(0)
+                records.popleft()
                 self.replayed_writes.add(1)
         finally:
             self._replaying.discard(node_id)
 
+    # -- stage 2: asynchronous, fold-or-direct -----------------------------------
     def _execute_async(self, rank: int, part: Partition, op: str, args: tuple,
                        payload_bytes: int) -> RPCFuture:
         """Asynchronous variant: returns a future immediately.
@@ -485,49 +530,31 @@ class DistributedContainer:
         Local operations still complete through a spawned process so that
         their memory cost lands on the timeline.
         """
-        if self.sim_only:
-            args = self._stub_args(op, args)
-        caller_node = self.runtime.cluster.node_of_rank(rank)
+        caller_node = self._rank_home[rank]
         if caller_node == part.node_id:
-            fut = RPCFuture(self.runtime.sim, f"{self.name}.{op}")
-
-            def local_body():
-                try:
-                    value = yield from self._execute(
-                        rank, part, op, args, payload_bytes
-                    )
-                    fut._complete(value)
-                except BaseException as err:  # noqa: BLE001
-                    fut._error(err)
-
-            self.runtime.sim.process(local_body(), name=f"local-{op}")
-            return fut
-        if self._coalescer is not None and op != "batch":
-            if (self._cache is not None and self._cache._entries and args
-                    and op in self.KEYED_MUTATIONS):
-                self._cache.invalidate_key(caller_node, part.index, args[0])
+            return self._spawn_call(rank, part, op, args, payload_bytes)
+        coal = self._coalescer
+        if coal is not None and op != "batch":
+            self._invalidate(caller_node, part, op, args)
             # Program order vs. buffered ops: fold this op into a pending
             # buffer (it rides the flush batch, same single invocation)...
-            folded = self._coalescer.fold(
-                rank, caller_node, part, op, args, payload_bytes
-            )
+            folded = coal.fold(rank, caller_node, part, op, args, payload_bytes)
             if folded is not None:
                 return folded
             # ...or, with a flush still in flight to this partition, run
             # through a drained _execute so it cannot overtake the flush.
-            if self._coalescer.inflight_for(caller_node, part.index):
+            if coal.inflight_for(caller_node, part.index):
                 return self._spawn_call(rank, part, op, args, payload_bytes)
         self.remote_calls.add(1)
-        client = self.runtime.client(caller_node)
-        return client.invoke(
+        return self.runtime.client(caller_node).invoke(
             part.node_id,
             f"{self.name}.{op}",
             (part.index, *args),
             payload_size=payload_bytes,
-            fused=(self.batch_charge and op == "batch"),
             stream=part.index,
         )
 
+    # -- stage 3: pipelined, always buffer ---------------------------------------
     def _pipeline_op(self, rank: int, part: Partition, op: str, args: tuple,
                      payload_bytes: int) -> RPCFuture:
         """Pipelined async mutation: always buffer when a coalescer exists.
@@ -545,28 +572,43 @@ class DistributedContainer:
         coal = self._coalescer
         if coal is None:
             return self._execute_async(rank, part, op, args, payload_bytes)
-        if self.sim_only and op in self.SIM_ONLY_VALUE_ARGS:
-            args = self._stub_args(op, args)
         caller_node = self._rank_home[rank]
-        cache = self._cache
-        # ``_entries`` empty means nothing can need invalidating — write
-        # storms skip the per-op tuple build + lookup entirely.
-        if (cache is not None and cache._entries and args
-                and op in self.KEYED_MUTATIONS):
-            cache.invalidate_key(caller_node, part.index, args[0])
+        self._invalidate(caller_node, part, op, args)
         return coal.append_async(
             rank, caller_node, part, op, args, payload_bytes
         )
 
-    # -- client-side aggregation (Section III-C3, Table I amortization) ----------
+    # -- stage 4: buffer without a future (Section III-C3, Table I) --------------
+    def _buffer_op(self, rank: int, part: Partition, op: str, args: tuple,
+                   payload_bytes: int):
+        """Generator: write-combine ``op`` when aggregation is on.
+
+        With aggregation off — or for a same-node partition, where the
+        hybrid access model already bypasses the RPC machinery — this is
+        exactly ``_execute``.  Otherwise the op lands in the destination
+        buffer (returning None immediately); it is applied by the next
+        threshold or sync-point flush.
+        """
+        caller_node = self._rank_home[rank]
+        if self._coalescer is None or caller_node == part.node_id:
+            result = yield from self._execute(
+                rank, part, op, args, payload_bytes
+            )
+            return result
+        self._invalidate(caller_node, part, op, args)
+        self._coalescer.append(
+            rank, caller_node, part, op, args, payload_bytes
+        )
+        return None
+
     def _spawn_call(self, rank: int, part: Partition, op: str, args: tuple,
                     payload_bytes: int, _drain: bool = True,
                     trace_parent=None) -> RPCFuture:
         """Run a full-semantics ``_execute`` behind a future.
 
-        Used for coalescer flushes and ordering-sensitive async ops: the
-        spawned process gets the drain/failover/idempotency-token behavior
-        of the synchronous path.
+        Used for same-node async ops, coalescer flushes and
+        ordering-sensitive async ops: the spawned process gets the
+        drain/failover/idempotency-token behavior of the synchronous path.
         """
         fut = RPCFuture(self.runtime.sim, f"{self.name}.{op}")
 
@@ -580,7 +622,7 @@ class DistributedContainer:
             except BaseException as err:  # noqa: BLE001
                 fut._error(err)
 
-        self.runtime.sim.process(body(), name=f"{self.name}-{op}-agg")
+        self.runtime.sim.process(body(), name=f"{self.name}-{op}")
         return fut
 
     def _spawn_batch(self, rank: int, part: Partition, subops,
@@ -591,32 +633,70 @@ class DistributedContainer:
             _drain=False, trace_parent=trace_parent,
         )
 
-    def _buffer_op(self, rank: int, part: Partition, op: str, args: tuple,
-                   payload_bytes: int):
-        """Generator: write-combine ``op`` when aggregation is on.
+    # -- locality-aware cached reads (fronts for stages 1 and 2) -----------------
+    def _caches(self, caller_node: int, part: Partition, op: str) -> bool:
+        """Only remote partitions cache: same-node reads are already direct
+        shared-memory accesses."""
+        return (self._cache is not None and self._ops[op][1].cached
+                and caller_node != part.node_id)
 
-        With aggregation off — or for a same-node partition, where the
-        hybrid access model already bypasses the RPC machinery — this is
-        exactly ``_execute``.  Otherwise the op lands in the destination
-        buffer (returning None immediately); it is applied by the next
-        threshold or sync-point flush.
+    def _read(self, rank: int, part: Partition, op: str, args: tuple,
+              payload_bytes: int):
+        """Generator: :meth:`_execute` via the read cache when possible.
+
+        Any pending buffered ops for the target partition flush first, then
+        the pre-read epoch is captured so a racing write voids the fill.
         """
-        if self.sim_only:
-            args = self._stub_args(op, args)
-        caller_node = self.runtime.cluster.node_of_rank(rank)
-        if self._coalescer is None or caller_node == part.node_id:
+        caller_node = self._rank_home[rank]
+        if not self._caches(caller_node, part, op):
             result = yield from self._execute(
                 rank, part, op, args, payload_bytes
             )
             return result
-        if (self._cache is not None and self._cache._entries and args
-                and op in self.KEYED_MUTATIONS):
-            self._cache.invalidate_key(caller_node, part.index, args[0])
-        self._coalescer.append(
-            rank, caller_node, part, op, args, payload_bytes
-        )
-        return None
+        if self._coalescer is not None:
+            yield from self._coalescer.drain(rank, part.index)
+        key = args[0]
+        hit = self._cache.lookup(caller_node, part, key)
+        if hit is not MISS:
+            return hit
+        epoch_before = part.write_epoch
+        result = yield from self._execute(rank, part, op, args, payload_bytes)
+        self._cache.fill(caller_node, part, key, result, epoch_before)
+        return result
 
+    def _read_async(self, rank: int, part: Partition, op: str, args: tuple,
+                    payload_bytes: int) -> RPCFuture:
+        """Async variant of :meth:`_read`; hits complete instantly."""
+        caller_node = self._rank_home[rank]
+        if not self._caches(caller_node, part, op):
+            return self._execute_async(rank, part, op, args, payload_bytes)
+        key = args[0]
+        coal = self._coalescer
+        if (coal is None
+                or not (coal.pending_for(caller_node, part.index)
+                        or coal.inflight_for(caller_node, part.index))):
+            hit = self._cache.lookup(caller_node, part, key)
+            if hit is not MISS:
+                fut = RPCFuture(self.runtime.sim, f"{self.name}.{op}")
+                # Materialize the event first: the settle then occupies a
+                # scheduler slot at the hit instant, keeping same-timestamp
+                # ordering identical to the eager-event design.
+                fut.wait()
+                fut._complete(hit)
+                return fut
+        epoch_before = part.write_epoch
+        fut = self._execute_async(rank, part, op, args, payload_bytes)
+
+        def _fill(event):
+            if event.ok:
+                self._cache.fill(
+                    caller_node, part, key, event.value, epoch_before
+                )
+
+        fut._event.add_callback(_fill)
+        return fut
+
+    # -- sync points and reports --------------------------------------------------
     def flush(self, rank: int):
         """Generator: mandatory sync point — flush and await buffered ops."""
         if self._coalescer is not None:
@@ -631,37 +711,47 @@ class DistributedContainer:
             report["read_cache"] = self._cache.report()
         return report
 
-    # -- batched multi-ops -------------------------------------------------------
+    def _fan_out(self, rank: int, op: str, args: tuple, payload: int):
+        """Generator: ``op`` on every partition in parallel; results in
+        partition order."""
+        futures = [
+            self._issue(rank, op, args, self._execute_async, part, payload)
+            for part in self.partitions
+        ]
+        results = []
+        for fut in futures:
+            yield fut.wait()
+            results.append(fut.result)
+        return results
+
+    # -- bound functions every family shares --------------------------------------
+    def _do_size(self, part: Partition):
+        return len(part.structure), OpStats(local_ops=1), 8
+
     # "Callbacks ... are extremely powerful in cases where we want to
     # aggregate multiple data-local operations together ... mapping several
     # spatially located updates to be performed with one call" (III-C3).
     # ``_do_batch`` executes a list of sub-operations against one partition
-    # under a single invocation; subclasses expose a keyed ``batch`` API.
-
+    # under a single invocation.
     def _do_batch(self, part: "Partition", subops):
-        from repro.structures.stats import OpStats
-
         results = []
         append = results.append
         worst_bytes = 16
-        dispatch: dict = {}
+        ops = self._ops
         # Plain-int accumulation: one OpStats at the end instead of an
         # absorb call per sub-op — this loop runs once per buffered op on
         # every aggregated hot path.
         local_ops = reads = writes = cas = reloc = rentries = 0
         resized = False
         for op, args in subops:
-            entry = dispatch.get(op)
+            entry = ops.get(op)
             if entry is None:
-                if op == "batch":
-                    raise ValueError("nested batches are not allowed")
-                method = getattr(self, f"_do_{op}", None)
-                if method is None:
-                    raise KeyError(f"unknown sub-operation {op!r}")
-                entry = dispatch[op] = (method, self._is_mutation(op))
-            method, is_mutation = entry
-            result, stats, entry_bytes = method(part, *args)
-            if is_mutation:
+                raise KeyError(f"unknown sub-operation {op!r}")
+            if op == "batch":
+                raise ValueError("nested batches are not allowed")
+            fn, row = entry
+            result, stats, entry_bytes = fn(part, *args)
+            if row.write:
                 part.write_epoch += 1
             append(result)
             if stats is not None:
@@ -678,143 +768,6 @@ class DistributedContainer:
         total = OpStats(local_ops, reads, writes, cas, reloc, resized,
                         rentries)
         return results, total, worst_bytes
-
-    def _keyed_batch(self, rank: int, ops):
-        """Generator: group keyed sub-ops by partition, one invocation each.
-
-        Shared by every container with a ``partition_for`` (hash and
-        ordered); results return in the callers' original order.
-
-        With a read cache, ``find`` sub-ops bound for remote partitions are
-        served from cache when the epoch still matches, and misses fill the
-        cache on return.  With ``write_failover``, each per-partition batch
-        runs through the full ``_execute`` semantics so a dead primary
-        fails over to a replica exactly like a single op.
-        """
-        from repro.serialization.databox import estimate_size
-
-        caller_node = self.runtime.cluster.node_of_rank(rank)
-        if self._coalescer is not None:
-            # A keyed batch is a sync point: buffered ops land first.
-            yield from self._coalescer.drain(rank)
-        groups = {}
-        for idx, entry in enumerate(ops):
-            op, key, *rest = entry
-            args = (key, *rest)
-            if self.sim_only:
-                args = self._stub_args(op, args)
-            part = self.partition_for(key)
-            groups.setdefault(part.index, (part, []))[1].append(
-                (idx, op, args)
-            )
-        results = [None] * len(ops)
-        futures = []
-        for part, members in groups.values():
-            epoch_before = part.write_epoch
-            if self._cache is not None and caller_node != part.node_id:
-                pending = []
-                for idx, op, args in members:
-                    if op == "find":
-                        hit = self._cache.lookup(caller_node, part, args[0])
-                        if hit is not MISS:
-                            results[idx] = hit
-                            continue
-                    elif op in self.KEYED_MUTATIONS:
-                        self._cache.invalidate_key(
-                            caller_node, part.index, args[0]
-                        )
-                    pending.append((idx, op, args))
-                members = pending
-                if not members:
-                    continue
-            subops = [(op, args) for _idx, op, args in members]
-            payload = sum(
-                sum(estimate_size(a) for a in args)
-                for _i, _op, args in members
-            )
-            if self.write_failover:
-                fut = self._spawn_call(
-                    rank, part, "batch", (subops,), payload, _drain=False
-                )
-            else:
-                fut = self._execute_async(
-                    rank, part, "batch", (subops,), payload
-                )
-            futures.append((fut, members, part, epoch_before))
-        for fut, members, part, epoch_before in futures:
-            yield fut.wait()
-            cache_remote = (
-                self._cache is not None and caller_node != part.node_id
-            )
-            for (idx, op, args), result in zip(members, fut.result):
-                results[idx] = result
-                if cache_remote and op == "find":
-                    self._cache.fill(
-                        caller_node, part, args[0], result, epoch_before
-                    )
-            if cache_remote:
-                self._cache.observe(
-                    caller_node, part.index, part.write_epoch
-                )
-        return results
-
-    # -- replication ----------------------------------------------------------------
-    def _replicate(self, part: Partition, op: str, args: tuple) -> None:
-        """Asynchronously re-execute a mutation on the next partitions.
-
-        "Replication occurs asynchronously at the server side, where the
-        target process will further hash an operation to more servers."
-        """
-        nparts = len(self.partitions)
-        if nparts < 2:
-            return
-        client = self.runtime.client(part.node_id)
-        for step in range(1, self.replication + 1):
-            replica = self.partitions[(part.index + step) % nparts]
-            if replica.index == part.index:
-                continue
-            if replica.node_id == part.node_id:
-                # Same node: apply directly (no network), zero-cost async.
-                method = getattr(self, f"_do_{op}")
-                method(replica, *args)
-                if op != "batch":
-                    replica.write_epoch += 1
-            else:
-                client.invoke(
-                    replica.node_id,
-                    f"{self.name}.{op}:replica",
-                    (replica.index, *args),
-                )
-
-    def _bind_replica_handlers(self) -> None:
-        """Bind no-fanout variants used as replication targets."""
-        bound_nodes = set()
-        for part in self.partitions:
-            if part.node_id in bound_nodes:
-                continue
-            bound_nodes.add(part.node_id)
-            server = self.runtime.server(part.node_id)
-            for op in self.OPERATIONS:
-                if not self._is_mutation(op):
-                    continue
-                server.bind(
-                    f"{self.name}.{op}:replica", self._make_replica_handler(op)
-                )
-
-    def _make_replica_handler(self, op: str) -> Callable:
-        method = getattr(self, f"_do_{op}")
-
-        def handler(ctx, part_index, *args):
-            part = self.partitions[part_index]
-            result, stats, entry_bytes = method(part, *args)
-            if op != "batch":
-                part.write_epoch += 1  # replica handlers are all mutations
-            if stats is not None:
-                yield from charge(ctx.node, stats, entry_bytes,
-                                  cpu_factor=ctx.cost.nic_compute_factor)
-            return result
-
-        return handler
 
     # -- persistence -------------------------------------------------------------------
     def recover_from_logs(self) -> int:
@@ -836,22 +789,19 @@ class DistributedContainer:
             if log is None:
                 continue
             for record in log.records():
-                op, args = DataBox.decode(record.payload, self.codec).value
-                method = getattr(self, f"_do_{op}", None)
-                if method is None:
+                op, args = DataBox.decode(record.payload, self.policy.codec).value
+                if op not in self._ops:
                     raise ValueError(
                         f"log for {self.name!r} contains unknown op {op!r}"
                     )
-                method(part, *args)
-                if op != "batch":
-                    part.write_epoch += 1
+                self._run(part, op, args)
                 replayed += 1
         return replayed
 
     def _persist(self, part: Partition, op: str, args: tuple, node):
         if part.segment.log is None:
             return
-        box = DataBox([op, list(args)], codec=self.codec)
+        box = DataBox([op, list(args)], codec=self.policy.codec)
         payload = box.encode()
         part.segment.persist(payload)
         if not part.segment.log.relaxed:
@@ -920,3 +870,172 @@ class DistributedContainer:
             f"<{type(self).__name__} {self.name!r} "
             f"partitions={len(self.partitions)} entries={self.total_entries()}>"
         )
+
+
+class KeyedContainer(DistributedContainer):
+    """What the four keyed containers share — hash or ordered, map or set.
+
+    A family supplies ``partition_for(key)`` and the per-partition
+    structure (``insert`` / ``find`` / ``contains`` / ``remove``); the
+    bound functions and the client API are the same for all four.
+    Client methods take the calling ``rank`` first; the synchronous and
+    ``*_buffered`` spellings are generators, the two async spellings
+    return an :class:`RPCFuture`.
+    """
+
+    #: maps store ``(key, value)`` entries, sets key-only ones
+    STORES_VALUES = True
+
+    def partition_for(self, key: Hashable) -> Partition:
+        raise NotImplementedError
+
+    # -- bound functions: (result, stats, entry_bytes) -------------------------
+    def _do_insert(self, part: Partition, key, value=True):
+        entry_bytes = (self._entry_bytes(key, value) if self.STORES_VALUES
+                       else self._entry_bytes(key))
+        _new, stats = part.structure.insert(key, value)
+        self._grow_segment_if_resized(part, stats, entry_bytes)
+        return True, stats, entry_bytes
+
+    def _do_find(self, part: Partition, key):
+        if not self.STORES_VALUES:
+            found, stats = part.structure.contains(key)
+            return found, stats, self._entry_bytes(key)
+        value, found, stats = part.structure.find(key)
+        entry_bytes = self._entry_bytes(key, value) if found else 16
+        return (value if found else None, found), stats, entry_bytes
+
+    def _do_erase(self, part: Partition, key):
+        ok, stats = part.structure.remove(key)
+        return ok, stats, 16
+
+    # -- client API: one op, four issue modes -----------------------------------
+    def insert(self, rank: int, key: Hashable, *value: Any):
+        """``bool insert(const K&[, const V&])`` — Table I: F + L + W on the
+        hash family, F + L·log(N) + W on the ordered one.  Maps pass the
+        value, sets the key alone."""
+        return self._issue(rank, "insert", (key, *value), self._execute)
+
+    def insert_async(self, rank: int, key: Hashable, *value: Any) -> RPCFuture:
+        return self._issue(rank, "insert", (key, *value), self._execute_async)
+
+    def async_insert(self, rank: int, key: Hashable, *value: Any) -> RPCFuture:
+        """Pipelined insert: write-combined, with a per-op result future."""
+        return self._issue(rank, "insert", (key, *value), self._pipeline_op)
+
+    def insert_buffered(self, rank: int, key: Hashable, *value: Any):
+        """Generator: insert through the aggregation buffer.
+
+        With ``aggregation=0`` this is exactly :meth:`insert`; otherwise a
+        remote-bound insert is write-combined and applied at the next
+        threshold or sync-point flush (returning None immediately).
+        """
+        return self._issue(rank, "insert", (key, *value), self._buffer_op)
+
+    def find(self, rank: int, key: Hashable):
+        """``bool find(const K&[, V&])`` — Table I: F + L + R (hash),
+        F + L·log(N) + R (ordered).  Maps return ``(value, found)``, sets
+        the membership boolean."""
+        result = yield from self._issue(rank, "find", (key,), self._read)
+        return tuple(result) if self.STORES_VALUES else result
+
+    def find_async(self, rank: int, key: Hashable) -> RPCFuture:
+        """Future of the raw :meth:`find` result; cached hits complete
+        instantly."""
+        return self._issue(rank, "find", (key,), self._read_async)
+
+    async_find = find_async
+
+    def erase(self, rank: int, key: Hashable):
+        return self._issue(rank, "erase", (key,), self._execute)
+
+    def resize(self, rank: int, partition_id: int, new_size: int):
+        """Generator: explicit per-partition resize (localized, no global
+        synchronization — Section III-D, Table I row 3)."""
+        return self._issue(rank, "resize", (new_size,), self._execute,
+                           self.partitions[partition_id], 16)
+
+    def count(self, rank: int):
+        """Generator: total entries across all partitions (fan-out reads)."""
+        sizes = yield from self._fan_out(rank, "size", (), 8)
+        return sum(sizes)
+
+    def batch(self, rank: int, ops: "list"):
+        """Generator: execute many keyed operations in few invocations.
+
+        ``ops`` is a sequence of tuples — ``("insert", key, value)``,
+        ``("find", key)``, ``("erase", key)``, ``("upsert", key, delta)``.
+        Operations are grouped by target partition and shipped as ONE
+        invocation per partition (the spatial-aggregation win of
+        Section III-C3); results come back in the original order.
+
+        With a read cache, ``find`` sub-ops bound for remote partitions are
+        served from cache when the epoch still matches, and misses fill the
+        cache on return.  With ``write_failover``, each per-partition batch
+        runs through the full ``_execute`` semantics so a dead primary
+        fails over to a replica exactly like a single op.
+        """
+        caller_node = self._rank_home[rank]
+        if self._coalescer is not None:
+            # A keyed batch is a sync point: buffered ops land first.
+            yield from self._coalescer.drain(rank)
+        groups = {}
+        for idx, (op, *args) in enumerate(ops):
+            entry = self._ops.get(op)  # unknown ops fail at the target
+            if (self.policy.sim_only and entry is not None
+                    and entry[1].value_index is not None):
+                args = self._stub_value(args, entry[1].value_index)
+            part = self.partition_for(args[0])
+            groups.setdefault(part.index, (part, []))[1].append(
+                (idx, op, tuple(args))
+            )
+        results = [None] * len(ops)
+        futures = []
+        for part, members in groups.values():
+            epoch_before = part.write_epoch
+            if self._cache is not None and caller_node != part.node_id:
+                pending = []
+                for idx, op, args in members:
+                    if op == "find":
+                        hit = self._cache.lookup(caller_node, part, args[0])
+                        if hit is not MISS:
+                            results[idx] = hit
+                            continue
+                    elif op in self.KEYED_MUTATIONS:
+                        self._cache.invalidate_key(
+                            caller_node, part.index, args[0]
+                        )
+                    pending.append((idx, op, args))
+                members = pending
+                if not members:
+                    continue
+            subops = [(op, args) for _idx, op, args in members]
+            payload = sum(
+                sum(estimate_size(a) for a in args)
+                for _i, _op, args in members
+            )
+            if self.policy.write_failover:
+                fut = self._spawn_call(
+                    rank, part, "batch", (subops,), payload, _drain=False
+                )
+            else:
+                fut = self._execute_async(
+                    rank, part, "batch", (subops,), payload
+                )
+            futures.append((fut, members, part, epoch_before))
+        for fut, members, part, epoch_before in futures:
+            yield fut.wait()
+            cache_remote = (
+                self._cache is not None and caller_node != part.node_id
+            )
+            for (idx, op, args), result in zip(members, fut.result):
+                results[idx] = result
+                if cache_remote and op == "find":
+                    self._cache.fill(
+                        caller_node, part, args[0], result, epoch_before
+                    )
+            if cache_remote:
+                self._cache.observe(
+                    caller_node, part.index, part.write_epoch
+                )
+        return results

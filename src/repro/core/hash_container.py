@@ -16,10 +16,11 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable, Hashable, Iterator, Optional, Tuple
 
-from repro.core.container import DistributedContainer, Partition
-from repro.rpc.coalesce import MISS
+from repro.core.container import OP_TABLES, KeyedContainer, Partition
+from repro.memory.segment import MemorySegment
 from repro.rpc.future import RPCFuture
 from repro.structures.cuckoo import CuckooHash
+from repro.structures.stats import OpStats
 
 __all__ = ["HCLUnorderedMap", "HCLUnorderedSet", "stable_hash"]
 
@@ -38,28 +39,18 @@ def stable_hash(key: Hashable) -> int:
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
-class _HashContainerBase(DistributedContainer):
+class _HashContainerBase(KeyedContainer):
     """Shared two-level-hashing machinery."""
 
-    OPERATIONS = ("insert", "find", "erase", "resize", "upsert", "batch",
-                  "scan", "size")
-
-    def _do_size(self, part: Partition):
-        from repro.structures.stats import OpStats
-
-        return len(part.structure), OpStats(local_ops=1), 8
-
-    def count(self, rank: int):
-        """Generator: total entries across all partitions (fan-out reads)."""
-        futures = [
-            self._execute_async(rank, part, "size", (), 8)
-            for part in self.partitions
-        ]
-        total = 0
-        for fut in futures:
-            yield fut.wait()
-            total += fut.result
-        return total
+    def __init__(self, runtime, name, partitions, policy, hash_fn=None):
+        self._hash_fn: Callable[[Any], int] = hash_fn or stable_hash
+        #: key -> winning Partition, memoizing the HRW sweep (pure host-side
+        #: work, so caching cannot perturb simulated time); cleared whenever
+        #: partition membership changes.
+        self._route_cache: dict = {}
+        self._route_len: int = -1
+        self._route_tail_uid: int = -1
+        super().__init__(runtime, name, partitions, policy)
 
     # -- distributed iteration (STL-like traversal, batched) -----------------
     def _do_scan(self, part: Partition, cursor: int, count: int):
@@ -70,31 +61,28 @@ class _HashContainerBase(DistributedContainer):
         flattened slot array, so a scan is a sequential sweep of the
         partition memory (cheap reads, no per-item hashing).
         """
-        from repro.structures.stats import OpStats
-
         table: CuckooHash = part.structure
-        slots = [*table._t0, *table._t1]
+        t0, t1 = table._t0, table._t1
+        split = len(t0)
+        total = split + len(t1)
         items = []
         pos = cursor
-        visited = 0
-        while pos < len(slots) and len(items) < count:
-            slot = slots[pos]
+        while pos < total and len(items) < count:
+            slot = t0[pos] if pos < split else t1[pos - split]
             if slot is not None:
                 items.append(slot)
             pos += 1
-            visited += 1
-        next_cursor = pos if pos < len(slots) else -1
-        stats = OpStats(local_ops=visited, reads=len(items))
+        next_cursor = pos if pos < total else -1
+        stats = OpStats(local_ops=pos - cursor, reads=len(items))
         return (items, next_cursor), stats, 64
 
     def scan(self, rank: int, partition_id: int, cursor: int = 0,
              count: int = 64):
         """Generator: one batched read of a partition's entries."""
-        part = self.partitions[partition_id]
-        result = yield from self._execute(
-            rank, part, "scan", (cursor, count), payload_bytes=16
+        items, next_cursor = yield from self._issue(
+            rank, "scan", (cursor, count), self._execute,
+            self.partitions[partition_id], 16,
         )
-        items, next_cursor = result
         return [tuple(kv) for kv in items], next_cursor
 
     def collect_all(self, rank: int, batch: int = 64):
@@ -110,18 +98,7 @@ class _HashContainerBase(DistributedContainer):
                 out.extend(items)
         return out
 
-    def batch(self, rank: int, ops: "list"):
-        """Generator: execute many keyed operations in few invocations.
-
-        ``ops`` is a sequence of tuples — ``("insert", key, value)``,
-        ``("find", key)``, ``("erase", key)``, ``("upsert", key, delta)``.
-        Operations are grouped by target partition and shipped as ONE
-        invocation per partition (the spatial-aggregation win of
-        Section III-C3); results come back in the original order.
-        """
-        results = yield from self._keyed_batch(rank, ops)
-        return results
-
+    # -- read-modify-write at the target -------------------------------------
     def _do_upsert(self, part: Partition, key, delta):
         """Read-modify-write executed *at the target* — one invocation.
 
@@ -137,44 +114,14 @@ class _HashContainerBase(DistributedContainer):
 
     def upsert(self, rank: int, key: Hashable, delta: Any = 1):
         """Generator: atomic increment-or-insert; returns the new value."""
-        part = self.partition_for(key)
-        result = yield from self._execute(
-            rank, part, "upsert", (key, delta),
-            payload_bytes=self._entry_bytes(key, delta),
-        )
-        return result
-
-    def upsert_async(self, rank: int, key: Hashable, delta: Any = 1):
-        part = self.partition_for(key)
-        return self._execute_async(
-            rank, part, "upsert", (key, delta), self._entry_bytes(key, delta)
-        )
+        return self._issue(rank, "upsert", (key, delta), self._execute)
 
     def upsert_buffered(self, rank: int, key: Hashable, delta: Any = 1):
-        """Generator: upsert through the aggregation buffer.
+        """Generator: upsert through the aggregation buffer (the contract
+        of :meth:`insert_buffered`).  The k-mer/contig build storms' hot
+        path."""
+        return self._issue(rank, "upsert", (key, delta), self._buffer_op)
 
-        With ``aggregation=0`` this is exactly :meth:`upsert`; otherwise a
-        remote-bound upsert is write-combined and applied at the next
-        threshold or sync-point flush (returning None immediately).  The
-        k-mer/contig build storms' hot path.
-        """
-        part = self.partition_for(key)
-        result = yield from self._buffer_op(
-            rank, part, "upsert", (key, delta),
-            payload_bytes=self._entry_bytes(key, delta),
-        )
-        return result
-
-    def erase_buffered(self, rank: int, key: Hashable):
-        """Generator: erase through the aggregation buffer."""
-        part = self.partition_for(key)
-        result = yield from self._buffer_op(
-            rank, part, "erase", (key,),
-            payload_bytes=self._entry_bytes(key),
-        )
-        return result
-
-    # -- pipelined async API (per-op futures over the write combiner) --------
     def async_rmw(self, rank: int, key: Hashable, delta: Any = 1) -> RPCFuture:
         """Pipelined atomic increment-or-insert; future of the new value.
 
@@ -184,91 +131,7 @@ class _HashContainerBase(DistributedContainer):
         per-op completions.  Remote issues ride the AIMD congestion window
         when the runtime has one armed.
         """
-        part = self.partition_for(key)
-        return self._pipeline_op(
-            rank, part, "upsert", (key, delta),
-            self._entry_bytes(key, delta),
-        )
-
-    def async_find(self, rank: int, key: Hashable) -> RPCFuture:
-        """Pipelined cached read; future of the raw find result."""
-        return self._cached_find_async(rank, key)
-
-    # -- locality-aware cached reads ---------------------------------------
-    def _cached_find(self, rank: int, key: Hashable):
-        """Generator: ``_do_find`` result via the read cache when possible.
-
-        Only remote partitions cache (same-node reads are already direct
-        shared-memory accesses).  Any pending buffered ops for the target
-        partition flush first, then the pre-read epoch is captured so a
-        racing write voids the fill.  Returns the raw find result.
-        """
-        part = self.partition_for(key)
-        caller_node = self.runtime.cluster.node_of_rank(rank)
-        if self._cache is None or caller_node == part.node_id:
-            result = yield from self._execute(
-                rank, part, "find", (key,),
-                payload_bytes=self._entry_bytes(key),
-            )
-            return result
-        if self._coalescer is not None:
-            yield from self._coalescer.drain(rank, part.index)
-        hit = self._cache.lookup(caller_node, part, key)
-        if hit is not MISS:
-            return hit
-        epoch_before = part.write_epoch
-        result = yield from self._execute(
-            rank, part, "find", (key,), payload_bytes=self._entry_bytes(key)
-        )
-        self._cache.fill(caller_node, part, key, result, epoch_before)
-        return result
-
-    def _cached_find_async(self, rank: int, key: Hashable) -> RPCFuture:
-        """Async variant of :meth:`_cached_find`; hits complete instantly."""
-        part = self.partition_for(key)
-        caller_node = self.runtime.cluster.node_of_rank(rank)
-        if self._cache is None or caller_node == part.node_id:
-            return self._execute_async(
-                rank, part, "find", (key,), self._entry_bytes(key)
-            )
-        if (self._coalescer is None
-                or not (self._coalescer.pending_for(caller_node, part.index)
-                        or self._coalescer.inflight_for(caller_node,
-                                                        part.index))):
-            hit = self._cache.lookup(caller_node, part, key)
-            if hit is not MISS:
-                fut = RPCFuture(self.runtime.sim, f"{self.name}.find")
-                # Materialize the event first: the settle then occupies a
-                # scheduler slot at the hit instant, keeping same-timestamp
-                # ordering identical to the eager-event design.
-                fut.wait()
-                fut._complete(hit)
-                return fut
-        epoch_before = part.write_epoch
-        fut = self._execute_async(
-            rank, part, "find", (key,), self._entry_bytes(key)
-        )
-
-        def _fill(event):
-            if event.ok:
-                self._cache.fill(
-                    caller_node, part, key, event.value, epoch_before
-                )
-
-        fut._event.add_callback(_fill)
-        return fut
-
-    def __init__(self, runtime, name, partitions, hash_fn=None, **kwargs):
-        self._hash_fn: Callable[[Any], int] = hash_fn or stable_hash
-        #: key -> winning Partition, memoizing the HRW sweep (pure host-side
-        #: work, so caching cannot perturb simulated time); cleared whenever
-        #: partition membership changes.
-        self._route_cache: dict = {}
-        self._route_len: int = -1
-        self._route_tail_uid: int = -1
-        super().__init__(runtime, name, partitions, **kwargs)
-        if self.replication:
-            self._bind_replica_handlers()
+        return self._issue(rank, "upsert", (key, delta), self._pipeline_op)
 
     # -- level-1 hash: key -> partition ------------------------------------
     # Rendezvous (highest-random-weight) hashing: each key scores every
@@ -315,22 +178,11 @@ class _HashContainerBase(DistributedContainer):
         table: CuckooHash = part.structure
         if new_buckets <= table.bucket_count:
             return False, None, 0
-        from repro.structures.stats import OpStats
-
         stats = OpStats(resized=True, resize_entries=len(table))
         while table.bucket_count < new_buckets:
             table._resize(stats)
         self._grow_segment_if_resized(part, stats, 128)
         return True, stats, 128
-
-    def resize(self, rank: int, partition_id: int, new_buckets: int):
-        """Generator: explicit per-partition resize (localized, no global
-        synchronization — Section III-D)."""
-        part = self.partitions[partition_id]
-        result = yield from self._execute(
-            rank, part, "resize", (new_buckets,), payload_bytes=16
-        )
-        return result
 
     # -- dynamic partition membership (Section III-D: "heterogeneous
     # partitions within PGAS ... dynamic addition/removal of partitions") --
@@ -343,10 +195,6 @@ class _HashContainerBase(DistributedContainer):
         expensive — here it is localized to moved keys, no all-to-all
         synchronization).  Returns the number of migrated entries.
         """
-        from repro.core.container import Partition
-        from repro.memory.segment import MemorySegment
-        from repro.structures.cuckoo import CuckooHash
-
         node = self.runtime.cluster.node(node_id)
         index = len(self.partitions)
         uid = max(p.uid for p in self.partitions) + 1
@@ -358,11 +206,7 @@ class _HashContainerBase(DistributedContainer):
         )
         part = Partition(index, node_id, structure, seg, uid=uid)
         # Bind handlers for the (possibly new) hosting node before routing.
-        server = self.runtime.server(node_id)
-        for op in self.OPERATIONS:
-            name = f"{self.name}.{op}"
-            if name not in server.registry:
-                server.bind(name, self._make_handler(op))
+        self._bind(node_id)
         if self._coalescer is not None:
             # Buffered ops routed under the old membership must land first.
             yield from self._coalescer.drain(rank)
@@ -389,21 +233,12 @@ class _HashContainerBase(DistributedContainer):
         for i, part in enumerate(self.partitions):
             part.index = i
         evicted = list(victim.structure.items())
-        moved = 0
         for key, value in evicted:
-            target = self.partition_for(key)
-            args = (key, value) if self._stores_values() else (key,)
-            yield from self._execute(
-                rank, target, "insert", args,
-                payload_bytes=self._entry_bytes(*args),
-            )
-            moved += 1
+            entry = (key, value) if self.STORES_VALUES else (key,)
+            yield from self.insert(rank, *entry)
         victim.segment.close()
         self.runtime.gas.deregister(victim.segment)
-        return moved
-
-    def _stores_values(self) -> bool:
-        return isinstance(self, HCLUnorderedMap)
+        return len(evicted)
 
     def _migrate_misplaced(self, rank: int):
         """Move entries whose partition changed after a membership change.
@@ -421,10 +256,8 @@ class _HashContainerBase(DistributedContainer):
                     continue
                 part.structure.remove(key)
                 part.write_epoch += 1
-                if self._stores_values():
-                    ops.append(("insert", key, value))
-                else:
-                    ops.append(("insert", key))
+                ops.append(("insert", key, value) if self.STORES_VALUES
+                           else ("insert", key))
         if ops:
             yield from self.batch(rank, ops)
         return len(ops)
@@ -438,136 +271,11 @@ class _HashContainerBase(DistributedContainer):
 class HCLUnorderedMap(_HashContainerBase):
     """Distributed hash map: ``insert(k, v)``, ``find(k)``, ``erase(k)``."""
 
-    #: mapped values are stored verbatim; keys (and upsert deltas, which
-    #: the server adds) must stay real.
-    SIM_ONLY_VALUE_ARGS = {"insert": 1}
-
-    # -- server-side ops: (result, stats, entry_bytes) ------------------------
-    def _do_insert(self, part: Partition, key, value):
-        entry_bytes = self._entry_bytes(key, value)
-        _new, stats = part.structure.insert(key, value)
-        self._grow_segment_if_resized(part, stats, entry_bytes)
-        return True, stats, entry_bytes
-
-    def _do_find(self, part: Partition, key):
-        value, found, stats = part.structure.find(key)
-        entry_bytes = self._entry_bytes(key, value) if found else 16
-        return (value if found else None, found), stats, entry_bytes
-
-    def _do_erase(self, part: Partition, key):
-        ok, stats = part.structure.remove(key)
-        return ok, stats, 16
-
-    # -- client API (generators; ``rank`` identifies the caller) ---------------
-    def insert(self, rank: int, key: Hashable, value: Any):
-        """bool insert(const K&, const V&) — Table I: F + L + W."""
-        part = self.partition_for(key)
-        payload = self._entry_bytes(key, value)
-        result = yield from self._execute(
-            rank, part, "insert", (key, value), payload_bytes=payload
-        )
-        return result
-
-    def insert_async(self, rank: int, key: Hashable, value: Any) -> RPCFuture:
-        part = self.partition_for(key)
-        payload = self._entry_bytes(key, value)
-        return self._execute_async(rank, part, "insert", (key, value), payload)
-
-    def async_insert(self, rank: int, key: Hashable, value: Any) -> RPCFuture:
-        """Pipelined insert: write-combined, with a per-op result future."""
-        part = self.partition_for(key)
-        return self._pipeline_op(
-            rank, part, "insert", (key, value),
-            self._entry_bytes(key, value),
-        )
-
-    def find(self, rank: int, key: Hashable):
-        """bool find(const K&, V&) — Table I: F + L + R.
-
-        Returns ``(value, found)``.
-        """
-        result = yield from self._cached_find(rank, key)
-        return tuple(result)
-
-    def find_async(self, rank: int, key: Hashable) -> RPCFuture:
-        return self._cached_find_async(rank, key)
-
-    def insert_buffered(self, rank: int, key: Hashable, value: Any):
-        """Generator: insert through the aggregation buffer (see
-        :meth:`_HashContainerBase.upsert_buffered` for the contract)."""
-        part = self.partition_for(key)
-        result = yield from self._buffer_op(
-            rank, part, "insert", (key, value),
-            payload_bytes=self._entry_bytes(key, value),
-        )
-        return result
-
-    def erase(self, rank: int, key: Hashable):
-        part = self.partition_for(key)
-        result = yield from self._execute(
-            rank, part, "erase", (key,), payload_bytes=self._entry_bytes(key)
-        )
-        return result
+    OPS = OP_TABLES["unordered_map"]
 
 
 class HCLUnorderedSet(_HashContainerBase):
     """Distributed hash set: key-only buckets."""
 
-    def _do_insert(self, part: Partition, key):
-        entry_bytes = self._entry_bytes(key)
-        _new, stats = part.structure.insert(key, True)
-        self._grow_segment_if_resized(part, stats, entry_bytes)
-        return True, stats, entry_bytes
-
-    def _do_find(self, part: Partition, key):
-        found, stats = part.structure.contains(key)
-        return found, stats, self._entry_bytes(key)
-
-    def _do_erase(self, part: Partition, key):
-        ok, stats = part.structure.remove(key)
-        return ok, stats, 16
-
-    def insert(self, rank: int, key: Hashable):
-        """bool insert(const K&) — Table I: F + L + W."""
-        part = self.partition_for(key)
-        result = yield from self._execute(
-            rank, part, "insert", (key,), payload_bytes=self._entry_bytes(key)
-        )
-        return result
-
-    def insert_async(self, rank: int, key: Hashable) -> RPCFuture:
-        part = self.partition_for(key)
-        return self._execute_async(
-            rank, part, "insert", (key,), self._entry_bytes(key)
-        )
-
-    def async_insert(self, rank: int, key: Hashable) -> RPCFuture:
-        """Pipelined insert: write-combined, with a per-op result future."""
-        part = self.partition_for(key)
-        return self._pipeline_op(
-            rank, part, "insert", (key,), self._entry_bytes(key)
-        )
-
-    def find(self, rank: int, key: Hashable):
-        """bool find(const K&) — membership test."""
-        result = yield from self._cached_find(rank, key)
-        return result
-
-    def find_async(self, rank: int, key: Hashable) -> RPCFuture:
-        return self._cached_find_async(rank, key)
-
-    def insert_buffered(self, rank: int, key: Hashable):
-        """Generator: insert through the aggregation buffer."""
-        part = self.partition_for(key)
-        result = yield from self._buffer_op(
-            rank, part, "insert", (key,),
-            payload_bytes=self._entry_bytes(key),
-        )
-        return result
-
-    def erase(self, rank: int, key: Hashable):
-        part = self.partition_for(key)
-        result = yield from self._execute(
-            rank, part, "erase", (key,), payload_bytes=self._entry_bytes(key)
-        )
-        return result
+    OPS = OP_TABLES["unordered_set"]
+    STORES_VALUES = False

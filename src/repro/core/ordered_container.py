@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple
 
-from repro.core.container import DistributedContainer, Partition
-from repro.rpc.future import RPCFuture
+from repro.core.container import OP_TABLES, KeyedContainer, Partition
 from repro.structures.rbtree import RedBlackTree
+from repro.structures.stats import OpStats
 
 __all__ = ["HCLMap", "HCLSet", "range_partitioner", "keylen_partitioner"]
 
@@ -46,43 +46,13 @@ def keylen_partitioner(key, nparts: int) -> int:
         return int(key) % nparts
 
 
-class _OrderedContainerBase(DistributedContainer):
-    OPERATIONS = ("insert", "find", "erase", "resize", "range_find",
-                  "min_key", "max_key", "batch", "size")
-
-    def _do_size(self, part: Partition):
-        from repro.structures.stats import OpStats
-
-        return len(part.structure), OpStats(local_ops=1), 8
-
-    def count(self, rank: int):
-        """Generator: total entries across all partitions (fan-out reads)."""
-        futures = [
-            self._execute_async(rank, part, "size", (), 8)
-            for part in self.partitions
-        ]
-        total = 0
-        for fut in futures:
-            yield fut.wait()
-            total += fut.result
-        return total
-
-    def batch(self, rank: int, ops: "list"):
-        """Generator: keyed multi-op (same contract as the hash containers):
-        ``("insert", key, value)`` / ``("find", key)`` / ``("erase", key)``
-        grouped into one invocation per partition."""
-        results = yield from self._keyed_batch(rank, ops)
-        return results
-
-    def __init__(self, runtime, name, partitions,
+class _OrderedContainerBase(KeyedContainer):
+    def __init__(self, runtime, name, partitions, policy,
                  partitioner: Optional[Callable[[Any, int], int]] = None,
-                 less: Optional[Callable[[Any, Any], bool]] = None,
-                 **kwargs):
+                 less: Optional[Callable[[Any, Any], bool]] = None):
         self._partitioner = partitioner or keylen_partitioner
         self._less = less or (lambda a, b: a < b)
-        super().__init__(runtime, name, partitions, **kwargs)
-        if self.replication:
-            self._bind_replica_handlers()
+        super().__init__(runtime, name, partitions, policy)
 
     def partition_for(self, key: Hashable) -> Partition:
         idx = self._partitioner(key, len(self.partitions))
@@ -95,8 +65,6 @@ class _OrderedContainerBase(DistributedContainer):
 
     # -- resize: Table I gives F + N log(N) (R + W) for the ordered case -----
     def _do_resize(self, part: Partition, new_bytes: int):
-        from repro.structures.stats import OpStats
-
         tree: RedBlackTree = part.structure
         n = len(tree)
         stats = OpStats(resized=True, resize_entries=n,
@@ -105,17 +73,8 @@ class _OrderedContainerBase(DistributedContainer):
             part.segment.grow(new_bytes)
         return True, stats, 128
 
-    def resize(self, rank: int, partition_id: int, new_bytes: int):
-        part = self.partitions[partition_id]
-        result = yield from self._execute(
-            rank, part, "resize", (new_bytes,), payload_bytes=16
-        )
-        return result
-
     # -- range queries (the ordered containers' reason to exist) -------------
     def _do_range_find(self, part: Partition, lo, hi, limit):
-        from repro.structures.stats import OpStats
-
         tree: RedBlackTree = part.structure
         out = []
         for k, v in tree.range_items(lo, hi):
@@ -128,15 +87,11 @@ class _OrderedContainerBase(DistributedContainer):
         return out, stats, 64
 
     def _do_min_key(self, part: Partition):
-        from repro.structures.stats import OpStats
-
         tree: RedBlackTree = part.structure
         k = tree.min_key()
         return k, OpStats(local_ops=max(1, len(tree)).bit_length()), 16
 
     def _do_max_key(self, part: Partition):
-        from repro.structures.stats import OpStats
-
         tree: RedBlackTree = part.structure
         k = tree.max_key()
         return k, OpStats(local_ops=max(1, len(tree)).bit_length()), 16
@@ -149,17 +104,12 @@ class _OrderedContainerBase(DistributedContainer):
         order-preserving partitioner the merge is a concatenation; with a
         scattering partitioner the results are merge-sorted client-side.
         """
-        futures = [
-            self._execute_async(rank, part, "range_find", (lo, hi, limit), 32)
-            for part in self.partitions
+        chunks = yield from self._fan_out(
+            rank, "range_find", (lo, hi, limit), 32
+        )
+        merged: List[Tuple[Hashable, Any]] = [
+            tuple(item) for chunk in chunks for item in chunk
         ]
-        chunks = []
-        for fut in futures:
-            yield fut.wait()
-            chunks.append([tuple(item) for item in fut.result])
-        merged: List[Tuple[Hashable, Any]] = []
-        for chunk in chunks:
-            merged.extend(chunk)
         merged.sort(key=lambda kv: _SortKey(kv[0], self._less))
         if limit is not None:
             merged = merged[:limit]
@@ -167,28 +117,16 @@ class _OrderedContainerBase(DistributedContainer):
 
     def min_key(self, rank: int):
         """Generator: the smallest key across all partitions (or None)."""
-        futures = [
-            self._execute_async(rank, part, "min_key", (), 16)
-            for part in self.partitions
-        ]
         best = None
-        for fut in futures:
-            yield fut.wait()
-            k = fut.result
+        for k in (yield from self._fan_out(rank, "min_key", (), 16)):
             if k is not None and (best is None or self._less(k, best)):
                 best = k
         return best
 
     def max_key(self, rank: int):
         """Generator: the largest key across all partitions (or None)."""
-        futures = [
-            self._execute_async(rank, part, "max_key", (), 16)
-            for part in self.partitions
-        ]
         best = None
-        for fut in futures:
-            yield fut.wait()
-            k = fut.result
+        for k in (yield from self._fan_out(rank, "max_key", (), 16)):
             if k is not None and (best is None or self._less(best, k)):
                 best = k
         return best
@@ -221,118 +159,11 @@ class _SortKey:
 class HCLMap(_OrderedContainerBase):
     """Distributed ordered map over red-black trees."""
 
-    #: mapped values are stored verbatim; ordering uses keys alone.
-    SIM_ONLY_VALUE_ARGS = {"insert": 1}
-
-    def _do_insert(self, part: Partition, key, value):
-        entry_bytes = self._entry_bytes(key, value)
-        _new, stats = part.structure.insert(key, value)
-        self._grow_segment_if_resized(part, stats, entry_bytes)
-        return True, stats, entry_bytes
-
-    def _do_find(self, part: Partition, key):
-        value, found, stats = part.structure.find(key)
-        entry_bytes = self._entry_bytes(key, value) if found else 16
-        return (value if found else None, found), stats, entry_bytes
-
-    def _do_erase(self, part: Partition, key):
-        ok, stats = part.structure.remove(key)
-        return ok, stats, 16
-
-    def insert(self, rank: int, key, value):
-        """Table I: F + L·log(N) + W."""
-        part = self.partition_for(key)
-        payload = self._entry_bytes(key, value)
-        result = yield from self._execute(
-            rank, part, "insert", (key, value), payload_bytes=payload
-        )
-        return result
-
-    def insert_async(self, rank: int, key, value) -> RPCFuture:
-        part = self.partition_for(key)
-        return self._execute_async(
-            rank, part, "insert", (key, value), self._entry_bytes(key, value)
-        )
-
-    def async_insert(self, rank: int, key, value) -> RPCFuture:
-        """Pipelined insert: write-combined, with a per-op result future."""
-        part = self.partition_for(key)
-        return self._pipeline_op(
-            rank, part, "insert", (key, value),
-            self._entry_bytes(key, value),
-        )
-
-    def find(self, rank: int, key):
-        """Table I: F + L·log(N) + R.  Returns ``(value, found)``."""
-        part = self.partition_for(key)
-        result = yield from self._execute(
-            rank, part, "find", (key,), payload_bytes=self._entry_bytes(key)
-        )
-        return tuple(result)
-
-    def async_find(self, rank: int, key) -> RPCFuture:
-        """Pipelined find; future of ``(value, found)``."""
-        part = self.partition_for(key)
-        return self._execute_async(
-            rank, part, "find", (key,), self._entry_bytes(key)
-        ).then(tuple)
-
-    def erase(self, rank: int, key):
-        part = self.partition_for(key)
-        result = yield from self._execute(
-            rank, part, "erase", (key,), payload_bytes=self._entry_bytes(key)
-        )
-        return result
+    OPS = OP_TABLES["map"]
 
 
 class HCLSet(_OrderedContainerBase):
     """Distributed ordered set."""
 
-    def _do_insert(self, part: Partition, key):
-        entry_bytes = self._entry_bytes(key)
-        _new, stats = part.structure.insert(key, True)
-        self._grow_segment_if_resized(part, stats, entry_bytes)
-        return True, stats, entry_bytes
-
-    def _do_find(self, part: Partition, key):
-        found, stats = part.structure.contains(key)
-        return found, stats, self._entry_bytes(key)
-
-    def _do_erase(self, part: Partition, key):
-        ok, stats = part.structure.remove(key)
-        return ok, stats, 16
-
-    def insert(self, rank: int, key):
-        part = self.partition_for(key)
-        result = yield from self._execute(
-            rank, part, "insert", (key,), payload_bytes=self._entry_bytes(key)
-        )
-        return result
-
-    def async_insert(self, rank: int, key) -> RPCFuture:
-        """Pipelined insert: write-combined, with a per-op result future."""
-        part = self.partition_for(key)
-        return self._pipeline_op(
-            rank, part, "insert", (key,), self._entry_bytes(key)
-        )
-
-    def find(self, rank: int, key):
-        part = self.partition_for(key)
-        result = yield from self._execute(
-            rank, part, "find", (key,), payload_bytes=self._entry_bytes(key)
-        )
-        return result
-
-    def async_find(self, rank: int, key) -> RPCFuture:
-        """Pipelined membership test; future of the boolean."""
-        part = self.partition_for(key)
-        return self._execute_async(
-            rank, part, "find", (key,), self._entry_bytes(key)
-        )
-
-    def erase(self, rank: int, key):
-        part = self.partition_for(key)
-        result = yield from self._execute(
-            rank, part, "erase", (key,), payload_bytes=self._entry_bytes(key)
-        )
-        return result
+    OPS = OP_TABLES["set"]
+    STORES_VALUES = False

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple
 
-from repro.core.container import DistributedContainer, Partition
+from repro.core.container import OP_TABLES, DistributedContainer, Partition
 from repro.rpc.future import RPCFuture
 from repro.structures.mdlist import MDListPriorityQueue, PriorityQueueEmpty
 from repro.structures.stats import OpStats
@@ -24,15 +24,11 @@ __all__ = ["HCLPriorityQueue"]
 class HCLPriorityQueue(DistributedContainer):
     """Distributed min-priority queue."""
 
-    OPERATIONS = ("push", "pop", "push_many", "pop_many", "peek", "size",
-                  "batch")
+    OPS = OP_TABLES["priority_queue"]
+    SINGLE_PARTITION = True
 
-    #: push values ride along the priority and are never interpreted
-    #: server-side (ordering uses the priority alone).
-    SIM_ONLY_VALUE_ARGS = {"push": 1}
-
-    def __init__(self, runtime, name, partitions, **kwargs):
-        super().__init__(runtime, name, partitions, **kwargs)
+    def __init__(self, runtime, name, partitions, policy):
+        super().__init__(runtime, name, partitions, policy)
         if len(self.partitions) != 1:
             raise ValueError("HCL::priority_queue is single-partitioned")
 
@@ -94,23 +90,15 @@ class HCLPriorityQueue(DistributedContainer):
             return (None, False), OpStats(local_ops=1), 16
         return ((priority, value), True), OpStats(local_ops=1, reads=1), 64
 
-    def _do_size(self, part: Partition):
-        return len(part.structure), OpStats(local_ops=1), 8
-
     # -- client API -----------------------------------------------------------------
     def push(self, rank: int, priority: int, value: Any = None):
         """Table I: F + L·log(N) + W."""
-        result = yield from self._execute(
-            rank, self.home, "push", (priority, value),
-            payload_bytes=self._entry_bytes(priority, value),
-        )
-        return result
+        return self._issue(rank, "push", (priority, value), self._execute,
+                           self.home)
 
     def push_async(self, rank: int, priority: int, value: Any = None) -> RPCFuture:
-        return self._execute_async(
-            rank, self.home, "push", (priority, value),
-            self._entry_bytes(priority, value),
-        )
+        return self._issue(rank, "push", (priority, value),
+                           self._execute_async, self.home)
 
     def push_buffered(self, rank: int, priority: int, value: Any = None):
         """Generator: push through the aggregation buffer.
@@ -119,48 +107,35 @@ class HCLPriorityQueue(DistributedContainer):
         remote pushes write-combine into one ``batch`` invocation per
         flush (the ISx key-scatter hot path).
         """
-        result = yield from self._buffer_op(
-            rank, self.home, "push", (priority, value),
-            payload_bytes=self._entry_bytes(priority, value),
-        )
-        return result
+        return self._issue(rank, "push", (priority, value), self._buffer_op,
+                           self.home)
 
     def pop(self, rank: int):
         """Table I: F + L + R.  Returns ``((priority, value), ok)``."""
-        result = yield from self._execute(
-            rank, self.home, "pop", (), payload_bytes=16
-        )
-        entry, ok = result
+        entry, ok = yield from self._issue(rank, "pop", (), self._execute,
+                                           self.home, 16)
         return (tuple(entry) if ok else None), ok
 
     def pop_async(self, rank: int) -> RPCFuture:
-        return self._execute_async(rank, self.home, "pop", (), 16)
+        return self._issue(rank, "pop", (), self._execute_async, self.home, 16)
 
     def push_many(self, rank: int, entries: Sequence[Tuple[int, Any]]):
         """Vector push — Table I: F + L·log(N) + E·W."""
         entries = [tuple(e) for e in entries]
         payload = sum(self._entry_bytes(p, v) for p, v in entries) or 16
-        result = yield from self._execute(
-            rank, self.home, "push_many", (entries,), payload_bytes=payload
-        )
-        return result
+        return self._issue(rank, "push_many", (entries,), self._execute,
+                           self.home, payload)
 
     def pop_many(self, rank: int, count: int):
         """Vector pop — Table I: F + L + E·R."""
-        result = yield from self._execute(
-            rank, self.home, "pop_many", (count,), payload_bytes=16
-        )
+        result = yield from self._issue(rank, "pop_many", (count,),
+                                        self._execute, self.home, 16)
         return [tuple(e) for e in result]
 
     def peek(self, rank: int):
-        result = yield from self._execute(
-            rank, self.home, "peek", (), payload_bytes=16
-        )
-        entry, ok = result
+        entry, ok = yield from self._issue(rank, "peek", (), self._execute,
+                                           self.home, 16)
         return (tuple(entry) if ok else None), ok
 
     def size(self, rank: int):
-        result = yield from self._execute(
-            rank, self.home, "size", (), payload_bytes=8
-        )
-        return result
+        return self._issue(rank, "size", (), self._execute, self.home, 8)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.core.container import DistributedContainer, Partition
+from repro.core.container import OP_TABLES, DistributedContainer, Partition
 from repro.rpc.future import RPCFuture
 from repro.structures.lfqueue import OptimisticQueue, QueueEmpty
 from repro.structures.stats import OpStats
@@ -27,13 +27,11 @@ __all__ = ["HCLQueue"]
 class HCLQueue(DistributedContainer):
     """Distributed lock-free FIFO queue."""
 
-    OPERATIONS = ("push", "pop", "push_many", "pop_many", "size")
+    OPS = OP_TABLES["queue"]
+    SINGLE_PARTITION = True
 
-    #: FIFO values are stored verbatim and never interpreted server-side.
-    SIM_ONLY_VALUE_ARGS = {"push": 0}
-
-    def __init__(self, runtime, name, partitions, **kwargs):
-        super().__init__(runtime, name, partitions, **kwargs)
+    def __init__(self, runtime, name, partitions, policy):
+        super().__init__(runtime, name, partitions, policy)
         if len(self.partitions) != 1:
             raise ValueError("HCL::queue is single-partitioned")
         self._migrating = False
@@ -84,51 +82,37 @@ class HCLQueue(DistributedContainer):
         per = self._entry_bytes(*values) // len(values) if values else 16
         return values, stats, max(16, per)
 
-    def _do_size(self, part: Partition):
-        return len(part.structure), OpStats(local_ops=1), 8
-
     # -- client API ------------------------------------------------------------
     def push(self, rank: int, value: Any):
         """bool push(const T&) — Table I: F + L + W."""
-        result = yield from self._execute(
-            rank, self.home, "push", (value,),
-            payload_bytes=self._entry_bytes(value),
-        )
-        return result
+        return self._issue(rank, "push", (value,), self._execute, self.home)
 
     def push_async(self, rank: int, value: Any) -> RPCFuture:
-        return self._execute_async(
-            rank, self.home, "push", (value,), self._entry_bytes(value)
-        )
+        return self._issue(rank, "push", (value,), self._execute_async,
+                           self.home)
 
     def pop(self, rank: int):
         """bool pop(T&) — Table I: F + L + R.  Returns ``(value, ok)``."""
-        result = yield from self._execute(
-            rank, self.home, "pop", (), payload_bytes=16
-        )
+        result = yield from self._issue(rank, "pop", (), self._execute,
+                                        self.home, 16)
         return tuple(result)
 
     def pop_async(self, rank: int) -> RPCFuture:
-        return self._execute_async(rank, self.home, "pop", (), 16)
+        return self._issue(rank, "pop", (), self._execute_async, self.home, 16)
 
     def push_many(self, rank: int, values: Sequence[Any]):
         """Vector push — Table I: F + L + E·W (one invocation for E items)."""
         values = list(values)
-        result = yield from self._execute(
-            rank, self.home, "push_many", (values,),
-            payload_bytes=self._entry_bytes(*values) if values else 16,
+        return self._issue(
+            rank, "push_many", (values,), self._execute, self.home,
+            self._entry_bytes(*values) if values else 16,
         )
-        return result
 
     def pop_many(self, rank: int, count: int):
         """Vector pop — Table I: F + L + E·R.  Returns a list (possibly short)."""
-        result = yield from self._execute(
-            rank, self.home, "pop_many", (count,), payload_bytes=16
-        )
+        result = yield from self._issue(rank, "pop_many", (count,),
+                                        self._execute, self.home, 16)
         return list(result)
 
     def size(self, rank: int):
-        result = yield from self._execute(
-            rank, self.home, "size", (), payload_bytes=8
-        )
-        return result
+        return self._issue(rank, "size", (), self._execute, self.home, 8)

@@ -21,6 +21,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 
 from repro.config import ClusterSpec
 from repro.core.container import Partition
+from repro.core.policy import ContainerPolicy
 from repro.core.hash_container import (
     HCLUnorderedMap,
     HCLUnorderedSet,
@@ -115,281 +116,113 @@ class HCL:
         os.makedirs(self.persist_dir, exist_ok=True)
         return os.path.join(self.persist_dir, f"{name}.part{index}.hcl")
 
-    def _make_partitions(
-        self,
-        name: str,
-        structure_factory: Callable[[], object],
-        count: int,
-        nodes: Optional[Sequence[int]] = None,
-        segment_bytes: int = _DEFAULT_SEGMENT,
-        persistence: bool = False,
-        relaxed_persistence: bool = False,
-    ) -> List[Partition]:
-        if name in self.containers:
-            raise KeyError(f"container {name!r} already exists")
+    def _placement(self, partitions: Optional[int],
+                   nodes: Optional[Sequence[int]]) -> List[int]:
+        """Hosting node per partition: explicit, else round-robin."""
+        count = partitions if partitions is not None else self.num_nodes
         if count < 1:
             raise ValueError("need at least one partition")
-        placements = (
-            list(nodes)
-            if nodes is not None
-            else [i % self.num_nodes for i in range(count)]
-        )
-        if len(placements) != count:
+        if nodes is None:
+            return [i % self.num_nodes for i in range(count)]
+        if len(nodes) != count:
             raise ValueError("nodes list must have one entry per partition")
+        return list(nodes)
+
+    # -- container construction ------------------------------------------------------
+    def _build(self, cls, name: str, structure_factory: Callable[[], object],
+               placement: Sequence[int], recover: bool, policy: dict,
+               **family):
+        """The one place a container is constructed.
+
+        ``policy`` holds the factory's :class:`ContainerPolicy` keywords
+        (validated here, before anything is allocated); ``family`` the
+        constructor arguments only that container family takes.
+        """
+        if name in self.containers:
+            raise KeyError(f"container {name!r} already exists")
+        policy = ContainerPolicy(**policy).validate(
+            single_partition=cls.SINGLE_PARTITION, recover=recover
+        )
         parts = []
-        for index, node_id in enumerate(placements):
-            node = self.cluster.node(node_id)
+        for index, node_id in enumerate(placement):
             seg = MemorySegment(
-                node,
-                segment_bytes,
+                self.cluster.node(node_id),
+                _DEFAULT_SEGMENT,
                 name=f"{name}.{index}",
-                backing_path=self._persist_path(name, index) if persistence else None,
-                relaxed_persistence=relaxed_persistence,
+                backing_path=(self._persist_path(name, index)
+                              if policy.persistence else None),
+                relaxed_persistence=policy.relaxed_persistence,
             )
             self.gas.register(seg)
             parts.append(Partition(index, node_id, structure_factory(), seg))
-        return parts
+        container = cls(self, name, parts, policy, **family)
+        self.containers[name] = container
+        if recover:
+            container.recover_from_logs()
+        return container
 
-    # -- container factories --------------------------------------------------------
-    def unordered_map(
-        self,
-        name: str,
-        partitions: Optional[int] = None,
-        nodes: Optional[Sequence[int]] = None,
-        hash_fn=None,
-        initial_buckets: int = CuckooHash.DEFAULT_BUCKETS,
-        codec: str = "msgpack",
-        replication: int = 0,
-        persistence: bool = False,
-        relaxed_persistence: bool = False,
-        concurrency: str = "lockfree",
-        write_failover: bool = False,
-        aggregation: int = 0,
-        aggregation_bytes: int = 32 * 1024,
-        read_cache: bool = False,
-        batch_charge: bool = False,
-        sim_only: bool = False,
-        recover: bool = False,
-    ) -> HCLUnorderedMap:
+    # Every factory takes the :class:`ContainerPolicy` fields as ``**policy``
+    # keywords, and ``recover=True`` to replay a persisted log at construction.
+    def unordered_map(self, name: str, partitions: Optional[int] = None,
+                      nodes: Optional[Sequence[int]] = None, hash_fn=None,
+                      initial_buckets: int = CuckooHash.DEFAULT_BUCKETS,
+                      recover: bool = False, **policy) -> HCLUnorderedMap:
         """An ``HCL::unordered_map`` distributed over ``partitions`` nodes."""
         # Resolve the hash default here so BOTH hashing levels (partition
         # routing and the cuckoo tables) are PYTHONHASHSEED-independent.
         hash_fn = hash_fn or stable_hash
-        count = partitions if partitions is not None else self.num_nodes
-        parts = self._make_partitions(
-            name, lambda: CuckooHash(initial_buckets, hash_fn=hash_fn), count,
-            nodes=nodes, persistence=persistence,
-            relaxed_persistence=relaxed_persistence,
+        return self._build(
+            HCLUnorderedMap, name,
+            lambda: CuckooHash(initial_buckets, hash_fn=hash_fn),
+            self._placement(partitions, nodes), recover, policy,
+            hash_fn=hash_fn,
         )
-        container = HCLUnorderedMap(
-            self, name, parts, hash_fn=hash_fn, codec=codec,
-            replication=replication, persistence=persistence,
-            concurrency=concurrency, write_failover=write_failover,
-            aggregation=aggregation, aggregation_bytes=aggregation_bytes,
-            read_cache=read_cache, batch_charge=batch_charge,
-            sim_only=sim_only,
-        )
-        self.containers[name] = container
-        if recover:
-            if not persistence:
-                raise ValueError("recover=True requires persistence=True")
-            container.recover_from_logs()
-        return container
 
-    def unordered_set(
-        self,
-        name: str,
-        partitions: Optional[int] = None,
-        nodes: Optional[Sequence[int]] = None,
-        hash_fn=None,
-        initial_buckets: int = CuckooHash.DEFAULT_BUCKETS,
-        codec: str = "msgpack",
-        replication: int = 0,
-        persistence: bool = False,
-        relaxed_persistence: bool = False,
-        concurrency: str = "lockfree",
-        write_failover: bool = False,
-        aggregation: int = 0,
-        aggregation_bytes: int = 32 * 1024,
-        read_cache: bool = False,
-        batch_charge: bool = False,
-        sim_only: bool = False,
-        recover: bool = False,
-    ) -> HCLUnorderedSet:
+    def unordered_set(self, name: str, partitions: Optional[int] = None,
+                      nodes: Optional[Sequence[int]] = None, hash_fn=None,
+                      initial_buckets: int = CuckooHash.DEFAULT_BUCKETS,
+                      recover: bool = False, **policy) -> HCLUnorderedSet:
         hash_fn = hash_fn or stable_hash
-        count = partitions if partitions is not None else self.num_nodes
-        parts = self._make_partitions(
-            name, lambda: CuckooHash(initial_buckets, hash_fn=hash_fn), count,
-            nodes=nodes, persistence=persistence,
-            relaxed_persistence=relaxed_persistence,
+        return self._build(
+            HCLUnorderedSet, name,
+            lambda: CuckooHash(initial_buckets, hash_fn=hash_fn),
+            self._placement(partitions, nodes), recover, policy,
+            hash_fn=hash_fn,
         )
-        container = HCLUnorderedSet(
-            self, name, parts, hash_fn=hash_fn, codec=codec,
-            replication=replication, persistence=persistence,
-            concurrency=concurrency, write_failover=write_failover,
-            aggregation=aggregation, aggregation_bytes=aggregation_bytes,
-            read_cache=read_cache, batch_charge=batch_charge,
-            sim_only=sim_only,
-        )
-        self.containers[name] = container
-        if recover:
-            if not persistence:
-                raise ValueError("recover=True requires persistence=True")
-            container.recover_from_logs()
-        return container
 
-    def map(
-        self,
-        name: str,
-        partitions: Optional[int] = None,
-        nodes: Optional[Sequence[int]] = None,
-        partitioner=None,
-        less=None,
-        codec: str = "msgpack",
-        replication: int = 0,
-        persistence: bool = False,
-        relaxed_persistence: bool = False,
-        concurrency: str = "lockfree",
-        write_failover: bool = False,
-        aggregation: int = 0,
-        aggregation_bytes: int = 32 * 1024,
-        read_cache: bool = False,
-        batch_charge: bool = False,
-        sim_only: bool = False,
-        recover: bool = False,
-    ) -> HCLMap:
+    def map(self, name: str, partitions: Optional[int] = None,
+            nodes: Optional[Sequence[int]] = None, partitioner=None,
+            less=None, recover: bool = False, **policy) -> HCLMap:
         """An ``HCL::map`` (ordered) distributed by key-space partitioning."""
-        count = partitions if partitions is not None else self.num_nodes
-        parts = self._make_partitions(
-            name, lambda: RedBlackTree(less=less), count,
-            nodes=nodes, persistence=persistence,
-            relaxed_persistence=relaxed_persistence,
+        return self._build(
+            HCLMap, name, lambda: RedBlackTree(less=less),
+            self._placement(partitions, nodes), recover, policy,
+            partitioner=partitioner, less=less,
         )
-        container = HCLMap(
-            self, name, parts, partitioner=partitioner, less=less, codec=codec,
-            replication=replication, persistence=persistence,
-            concurrency=concurrency, write_failover=write_failover,
-            aggregation=aggregation, aggregation_bytes=aggregation_bytes,
-            read_cache=read_cache, batch_charge=batch_charge,
-            sim_only=sim_only,
-        )
-        self.containers[name] = container
-        if recover:
-            if not persistence:
-                raise ValueError("recover=True requires persistence=True")
-            container.recover_from_logs()
-        return container
 
-    def set(
-        self,
-        name: str,
-        partitions: Optional[int] = None,
-        nodes: Optional[Sequence[int]] = None,
-        partitioner=None,
-        less=None,
-        codec: str = "msgpack",
-        replication: int = 0,
-        persistence: bool = False,
-        relaxed_persistence: bool = False,
-        concurrency: str = "lockfree",
-        write_failover: bool = False,
-        aggregation: int = 0,
-        aggregation_bytes: int = 32 * 1024,
-        read_cache: bool = False,
-        batch_charge: bool = False,
-        sim_only: bool = False,
-        recover: bool = False,
-    ) -> HCLSet:
-        count = partitions if partitions is not None else self.num_nodes
-        parts = self._make_partitions(
-            name, lambda: RedBlackTree(less=less), count,
-            nodes=nodes, persistence=persistence,
-            relaxed_persistence=relaxed_persistence,
+    def set(self, name: str, partitions: Optional[int] = None,
+            nodes: Optional[Sequence[int]] = None, partitioner=None,
+            less=None, recover: bool = False, **policy) -> HCLSet:
+        return self._build(
+            HCLSet, name, lambda: RedBlackTree(less=less),
+            self._placement(partitions, nodes), recover, policy,
+            partitioner=partitioner, less=less,
         )
-        container = HCLSet(
-            self, name, parts, partitioner=partitioner, less=less, codec=codec,
-            replication=replication, persistence=persistence,
-            concurrency=concurrency, write_failover=write_failover,
-            aggregation=aggregation, aggregation_bytes=aggregation_bytes,
-            read_cache=read_cache, batch_charge=batch_charge,
-            sim_only=sim_only,
-        )
-        self.containers[name] = container
-        if recover:
-            if not persistence:
-                raise ValueError("recover=True requires persistence=True")
-            container.recover_from_logs()
-        return container
 
-    def queue(
-        self,
-        name: str,
-        home_node: int = 0,
-        codec: str = "msgpack",
-        persistence: bool = False,
-        relaxed_persistence: bool = False,
-        concurrency: str = "lockfree",
-        aggregation: int = 0,
-        aggregation_bytes: int = 32 * 1024,
-        read_cache: bool = False,
-        batch_charge: bool = False,
-        sim_only: bool = False,
-        recover: bool = False,
-    ) -> HCLQueue:
+    def queue(self, name: str, home_node: int = 0, recover: bool = False,
+              **policy) -> HCLQueue:
         """An ``HCL::queue`` hosted on ``home_node`` (single partition)."""
-        parts = self._make_partitions(
-            name, OptimisticQueue, 1, nodes=[home_node],
-            persistence=persistence, relaxed_persistence=relaxed_persistence,
-        )
-        container = HCLQueue(
-            self, name, parts, codec=codec, persistence=persistence,
-            concurrency=concurrency,
-            aggregation=aggregation, aggregation_bytes=aggregation_bytes,
-            read_cache=read_cache, batch_charge=batch_charge,
-            sim_only=sim_only,
-        )
-        self.containers[name] = container
-        if recover:
-            if not persistence:
-                raise ValueError("recover=True requires persistence=True")
-            container.recover_from_logs()
-        return container
+        return self._build(HCLQueue, name, OptimisticQueue, [home_node],
+                           recover, policy)
 
-    def priority_queue(
-        self,
-        name: str,
-        home_node: int = 0,
-        dims: int = 8,
-        base: int = 16,
-        codec: str = "msgpack",
-        persistence: bool = False,
-        relaxed_persistence: bool = False,
-        concurrency: str = "lockfree",
-        aggregation: int = 0,
-        aggregation_bytes: int = 32 * 1024,
-        read_cache: bool = False,
-        batch_charge: bool = False,
-        sim_only: bool = False,
-        recover: bool = False,
-    ) -> HCLPriorityQueue:
-        parts = self._make_partitions(
-            name, lambda: MDListPriorityQueue(dims=dims, base=base), 1,
-            nodes=[home_node],
-            persistence=persistence, relaxed_persistence=relaxed_persistence,
+    def priority_queue(self, name: str, home_node: int = 0, dims: int = 8,
+                       base: int = 16, recover: bool = False,
+                       **policy) -> HCLPriorityQueue:
+        return self._build(
+            HCLPriorityQueue, name,
+            lambda: MDListPriorityQueue(dims=dims, base=base), [home_node],
+            recover, policy,
         )
-        container = HCLPriorityQueue(
-            self, name, parts, codec=codec, persistence=persistence,
-            concurrency=concurrency,
-            aggregation=aggregation, aggregation_bytes=aggregation_bytes,
-            read_cache=read_cache, batch_charge=batch_charge,
-            sim_only=sim_only,
-        )
-        self.containers[name] = container
-        if recover:
-            if not persistence:
-                raise ValueError("recover=True requires persistence=True")
-            container.recover_from_logs()
-        return container
 
     # -- aggregation sync points ---------------------------------------------------------
     def flush_containers(self, rank: int):

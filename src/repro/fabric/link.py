@@ -52,30 +52,6 @@ class Link:
     def wire_time(self, msg: Message) -> float:
         return self.cost.transfer_time(msg.wire_size)
 
-    # -- batch-charged (fused) transfers ------------------------------------
-    def is_idle(self) -> bool:
-        """True when the whole link is free — the fused-transfer guard.
-
-        Stricter than "a lane is free": a fused charge pins the analytic
-        timeline at claim time, so any in-flight or queued traffic on this
-        link disqualifies it and the caller must simulate per-packet.
-        """
-        ch = self.channel
-        return ch.in_use == 0 and not ch._queue
-
-    def reserve(self) -> None:
-        """Claim one lane synchronously for a fused transfer.
-
-        Only valid immediately after :meth:`is_idle` with no intervening
-        yield; the claim lands exactly like ``transfer``'s inline grant.
-        The caller releases via ``channel.release_slot()`` at the analytic
-        wire-end instant (a scheduled callback), so concurrent traffic
-        observes the same busy window as the per-packet hold.
-        """
-        ch = self.channel
-        ch._note_change()
-        ch.in_use += 1
-
 
 def transfer(egress: Link, ingress: Link, msg: Message, switch=None):
     """Generator: move ``msg`` across ``egress`` -> switch -> ``ingress``.

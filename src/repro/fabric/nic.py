@@ -136,28 +136,6 @@ class Nic:
         self.recv_queue._items.clear()
         return lost
 
-    # -- batch-charged (fused) verb service ----------------------------------
-    def core_free(self) -> bool:
-        """True when a NIC core could be claimed without queueing."""
-        cores = self.cores
-        return cores.in_use < cores.capacity and not cores._queue
-
-    def reserve_core(self) -> None:
-        """Claim one core synchronously for a fused (batch-charged) verb.
-
-        Only valid right after :meth:`core_free` with no intervening yield.
-        Pair with :meth:`release_core_fused` scheduled at the analytic
-        service-end instant.
-        """
-        cores = self.cores
-        cores._note_change()
-        cores.in_use += 1
-
-    def release_core_fused(self) -> None:
-        """Free a fused-claimed core and tally the verb it served."""
-        self.cores.release_slot()
-        self.verbs_processed.add(1)
-
     # -- service-time helpers (generators run by verbs layer) -----------------
     def serve_verb(self, service_time: Optional[float] = None):
         """Occupy one NIC core for a verb's processing time."""

@@ -38,8 +38,8 @@ class Message:
     ``payload`` carries the *real* Python data so upper layers stay
     functional, not just timed.
 
-    Slotted: one Message is allocated per remote op (plus one per fused
-    response), so the dict-free layout is measurable at full-paper scale —
+    Slotted: one Message is allocated per remote op, so the dict-free
+    layout is measurable at full-paper scale —
     see ``benchmarks/test_alloc_micro.py``.
     """
 

@@ -34,26 +34,10 @@ class Switch:
         self.channels = Resource(sim, capacity=channels, name="switch")
         metrics = registry_of(sim)
         self.transits = metrics.counter("switch/transits")
-        self.fused_transits = metrics.counter("switch/fused_transits")
 
     @property
     def is_full_bisection(self) -> bool:
         return self.oversubscription <= 1.0
-
-    @property
-    def admits_fused(self) -> bool:
-        """Whether transfers may be batch-charged through this backplane.
-
-        Only a full-bisection fabric qualifies: an oversubscribed switch
-        can serialize transfers in its limited channel pool, which a
-        closed-form charge cannot reproduce.
-        """
-        return self.oversubscription <= 1.0
-
-    def fused_transit(self) -> None:
-        """Tally one transit charged analytically instead of per-packet."""
-        self.transits.add(1)
-        self.fused_transits.add(1)
 
     def traverse(self, wire_time: float):
         """Generator: occupy one backplane channel for the message's

@@ -87,67 +87,6 @@ class QueuePair:
                 yield dst_node.nic.recv_queue.put(msg)
         return msg.msg_id
 
-    def try_send_fused(self, dst: int, payload: Any, size: int):
-        """Closed-form batch charge for an uncontended SEND.
-
-        When the whole doorbell -> NIC core -> wire -> latency pipeline is
-        guaranteed contention-free, the coalescer's flush SEND can be
-        charged with one analytic completion event instead of ~7 per-stage
-        events.  Returns ``(completion, msg)`` — the caller yields
-        ``completion`` (fires at the exact instant the per-packet path
-        would return) and then enqueues ``msg`` on the destination recv
-        queue, mirroring the sequential ordering.  Returns ``None`` when
-        any stage might contend; the caller falls back to :meth:`send`.
-
-        Guard: fair-weather fabric (no fault plan), inter-node, alive
-        target, full-bisection switch, idle egress/ingress links, and a
-        free source NIC core.  The claimed resources are released by
-        scheduled callbacks at the same instants the per-packet holds end,
-        so concurrent traffic arriving mid-flight queues exactly as it
-        would against the sequential transfer.  (Claims start at call time
-        rather than at the doorbell/wire stage boundaries — a slightly
-        wider busy window, which is why batch charging is opt-in and not
-        bit-identical to per-packet interleaving.)
-        """
-        cluster = self.cluster
-        if cluster.faults is not None or dst == self.src_node:
-            return None
-        switch = cluster.switch
-        if not switch.admits_fused:
-            return None
-        src_node, dst_node = self._nodes(dst)
-        if not dst_node.alive:
-            return None
-        egress, ingress = src_node.egress, dst_node.ingress
-        nic = src_node.nic
-        if not (nic.core_free() and egress.is_idle() and ingress.is_idle()):
-            return None
-        # No simulated time passes between the checks above and the claims
-        # below, so the claims cannot race another process.
-        nic.reserve_core()
-        egress.reserve()
-        ingress.reserve()
-        msg = Message(Verb.SEND, self.src_node, dst, size, payload=payload)
-        sim = self.sim
-        cost = self.cost
-        # Stage boundaries in the identical float-add order the sequential
-        # path produces (doorbell, verb service, wire, propagation+switch).
-        t1 = sim.now + cost.nic_doorbell
-        t2 = t1 + cost.nic_verb_service
-        t3 = t2 + egress.wire_time(msg)
-        t4 = t3 + (2 * cost.link_latency + cost.switch_latency)
-        sim.schedule_callback_at(nic.release_core_fused, t2)
-
-        def _wire_done():
-            switch.fused_transit()
-            egress.account(msg)
-            ingress.account(msg)
-            ingress.channel.release_slot()
-            egress.channel.release_slot()
-
-        sim.schedule_callback_at(_wire_done, t3)
-        return sim.timeout_at(t4), msg
-
     # -- one-sided data -----------------------------------------------------------
     def rdma_write(self, dst: int, region: str, offset: int, payload: Any, size: int):
         """One-sided write of ``payload`` into ``region`` at ``offset``."""
@@ -187,86 +126,6 @@ class QueuePair:
         resp = Message(Verb.READ, dst, self.src_node, size, payload=payload)
         yield from self._wire_back(dst, resp)
         return payload
-
-    def try_rdma_read_fused(self, dst: int, region: str, offset: int, size: int):
-        """Closed-form batch charge for an uncontended RDMA_READ.
-
-        The read pipeline touches six resources (source core, source
-        egress + destination ingress for the request, destination core,
-        destination egress + source ingress for the response); when every
-        one is idle the whole round trip collapses to one analytic
-        completion plus four release callbacks at the exact per-packet
-        hold-end instants.  Returns ``(completion, payload)`` — the caller
-        yields ``completion``, which fires when the per-packet path would
-        return — or ``None`` to fall back to :meth:`rdma_read`.
-
-        The payload is snapshotted at call time; that is sound for the RPC
-        response pull because the server deposits the envelope *before*
-        signalling the completion the client waits on, and response slots
-        are never rewritten.
-        """
-        cluster = self.cluster
-        if cluster.faults is not None or dst == self.src_node:
-            return None
-        switch = cluster.switch
-        if not switch.admits_fused:
-            return None
-        src_node, dst_node = self._nodes(dst)
-        if not dst_node.alive:
-            return None
-        target = dst_node.nic.region(region)
-        if offset < 0 or offset >= target.size:
-            raise IndexError(
-                f"rdma_read offset {offset} outside region {region!r} "
-                f"(size {target.size})"
-            )
-        src_nic, dst_nic = src_node.nic, dst_node.nic
-        if not (src_nic.core_free() and dst_nic.core_free()
-                and src_node.egress.is_idle() and dst_node.ingress.is_idle()
-                and dst_node.egress.is_idle() and src_node.ingress.is_idle()):
-            return None
-        # Claims cannot race: no simulated time passes since the checks.
-        src_nic.reserve_core()
-        dst_nic.reserve_core()
-        src_node.egress.reserve()
-        dst_node.ingress.reserve()
-        dst_node.egress.reserve()
-        src_node.ingress.reserve()
-        payload = target.get_object(offset)
-        req = Message(Verb.READ, self.src_node, dst, ACK_WIRE_BYTES,
-                      region=region, offset=offset)
-        resp = Message(Verb.READ, dst, self.src_node, size, payload=payload)
-        sim = self.sim
-        cost = self.cost
-        latency = 2 * cost.link_latency + cost.switch_latency
-        t1 = sim.now + cost.nic_doorbell
-        t2 = t1 + cost.nic_verb_service          # source core done
-        t3 = t2 + src_node.egress.wire_time(req)  # request off the wire
-        t4 = t3 + latency                         # request delivered
-        t5 = t4 + cost.nic_verb_service           # target core done
-        t6 = t5 + dst_node.egress.wire_time(resp)  # response off the wire
-        t7 = t6 + latency                         # response delivered
-        sim.schedule_callback_at(src_nic.release_core_fused, t2)
-
-        def _request_done():
-            switch.fused_transit()
-            src_node.egress.account(req)
-            dst_node.ingress.account(req)
-            dst_node.ingress.channel.release_slot()
-            src_node.egress.channel.release_slot()
-
-        sim.schedule_callback_at(_request_done, t3)
-        sim.schedule_callback_at(dst_nic.release_core_fused, t5)
-
-        def _response_done():
-            switch.fused_transit()
-            dst_node.egress.account(resp)
-            src_node.ingress.account(resp)
-            src_node.ingress.channel.release_slot()
-            dst_node.egress.channel.release_slot()
-
-        sim.schedule_callback_at(_response_done, t6)
-        return sim.timeout_at(t7), payload
 
     def _wire_back(self, dst: int, msg: Message):
         src_node, dst_node = self._nodes(dst)

@@ -142,14 +142,12 @@ class AggBenchReport:
 
 
 def _run_app(app: str, spec: ClusterSpec, scale: float, aggregation: int,
-             instrument=None, batch_charge: bool = False,
-             container_sim_only: bool = False):
+             instrument=None, container_sim_only: bool = False):
     """Run one HCL app once; returns (ops, sim_seconds, verified, agg).
 
-    ``batch_charge`` and ``container_sim_only`` thread the container fast
-    modes through to the apps.  Contig never gets ``container_sim_only``
-    (its traversal reads stored values back), so sim-only sweeps keep it
-    on real data.
+    ``container_sim_only`` threads the containers' timing-only mode through
+    to the apps.  Contig never gets it (its traversal reads stored values
+    back), so sim-only sweeps keep it on real data.
     """
     from repro.apps import (
         run_contig_generation, run_isx, run_kmer_counting, synthesize_genome,
@@ -161,7 +159,7 @@ def _run_app(app: str, spec: ClusterSpec, scale: float, aggregation: int,
     if app == "isx":
         res = run_isx("hcl", spec, keys_per_rank=sc(192),
                       aggregation=aggregation, instrument=instrument,
-                      batch_charge=batch_charge, sim_only=container_sim_only)
+                      sim_only=container_sim_only)
         return res.total_keys, res.time_seconds, res.verified, res.agg_report
     data = synthesize_genome(
         genome_length=sc(600 * spec.nodes), num_reads=sc(48 * spec.nodes),
@@ -170,14 +168,12 @@ def _run_app(app: str, spec: ClusterSpec, scale: float, aggregation: int,
     if app == "kmer":
         res = run_kmer_counting("hcl", spec, data, aggregation=aggregation,
                                 instrument=instrument,
-                                batch_charge=batch_charge,
                                 sim_only=container_sim_only)
         return res.total_kmers, res.time_seconds, res.verified, res.agg_report
     if app == "contig":
         res = run_contig_generation(
             "hcl", spec, data, aggregation=aggregation,
             read_cache=bool(aggregation), instrument=instrument,
-            batch_charge=batch_charge,
         )
         ops = sum(max(0, len(r) - data.k + 1) for r in data.reads)
         return ops, res.time_seconds, res.verified, res.agg_report
@@ -194,7 +190,6 @@ def run_agg_bench(
     sim_only: bool = False,
     trace: bool = False,
     collector: Optional[List[Tuple[str, object]]] = None,
-    batch_charge: bool = False,
     container_sim_only: bool = False,
 ) -> AggBenchReport:
     """Sweep aggregation buffer sizes over the Fig-7 apps.
@@ -204,15 +199,11 @@ def run_agg_bench(
     repeats).  ``sim_only`` drops the wall-clock fields entirely so the
     emitted JSON is bit-reproducible for the CI determinism diff.
 
-    ``batch_charge`` turns on fused closed-form charging of uncontended
-    coalescer flushes; every row still verifies its application results.
     ``container_sim_only`` runs isx/kmer in the containers' timing-only
     mode (stubbed opaque payloads, cheap invariant verification) — the
-    simulated timelines are bit-identical to full-data runs, so neither
-    flag is recorded in the report: a ``container_sim_only`` sweep must
+    simulated timelines are bit-identical to full-data runs, so the flag
+    is not recorded in the report: a ``container_sim_only`` sweep must
     byte-diff clean against a full-data sweep in ``sim_only`` JSON mode.
-    (``batch_charge`` rows DO shift ``sim_seconds`` — fused charging is
-    semantically equivalent, not event-identical, under contention.)
 
     Observability: pass a list as ``collector`` to receive one
     ``(label, sim)`` pair per (app, aggregation) combination — the CLI
@@ -242,7 +233,6 @@ def run_agg_bench(
                 t0 = time.perf_counter()
                 ops, sim_s, verified, agg = _run_app(
                     app, spec, scale, aggregation, instrument,
-                    batch_charge=batch_charge,
                     container_sim_only=container_sim_only,
                 )
                 wall = time.perf_counter() - t0

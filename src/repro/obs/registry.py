@@ -236,11 +236,9 @@ def publish_scheduler_metrics(sim, registry: MetricsRegistry = None
                               ) -> MetricsRegistry:
     """Mirror the kernel's event-core stats into ``scheduler/*`` gauges.
 
-    The fused batch-charge counters (``scheduler/batch_charge_hits`` /
-    ``_fallbacks``) are live counters bumped by the RPC clients; this adds
-    the scheduler-structure side — lane/far depth and the calendar
-    queue's bucket occupancy and adaptive-width resize/refill counts —
-    so one ``--metrics-out`` snapshot covers the whole namespace.
+    Lane/far depth and the calendar queue's bucket occupancy and
+    adaptive-width resize/refill counts, so one ``--metrics-out`` snapshot
+    covers the kernel too.
     """
     if registry is None:
         registry = registry_of(sim)

@@ -61,8 +61,7 @@ class RpcClient:
     __slots__ = (
         "cluster", "sim", "cost", "src_node", "servers", "qp",
         "invocations", "latency", "retries", "timeouts", "exhausted",
-        "shed_seen", "fused_hits", "fused_fallbacks", "_token_seq",
-        "windows",
+        "shed_seen", "_token_seq", "windows",
     )
 
     def __init__(self, cluster, src_node: int, servers: Dict[int, RpcServer],
@@ -81,9 +80,6 @@ class RpcClient:
         self.timeouts = metrics.counter(f"rpcc{src_node}/timeouts")
         self.exhausted = metrics.counter(f"rpcc{src_node}/exhausted")
         self.shed_seen = metrics.counter(f"rpcc{src_node}/shed_seen")
-        # -- batch-charge observability (shared, cluster-wide counters) ------
-        self.fused_hits = metrics.counter("scheduler/batch_charge_hits")
-        self.fused_fallbacks = metrics.counter("scheduler/batch_charge_fallbacks")
         self._token_seq = 0
         #: AIMD congestion windows (None = unbounded issue, classic behavior)
         self.windows = (
@@ -106,7 +102,6 @@ class RpcClient:
         callbacks: Optional[List[Tuple[str, Sequence[Any]]]] = None,
         token: Optional[Tuple[int, int]] = None,
         trace_parent=None,
-        fused: bool = False,
         stream: Optional[int] = None,
     ) -> RPCFuture:
         """Fire-and-return: asynchronous invocation of ``op`` on ``dst_node``.
@@ -124,12 +119,6 @@ class RpcClient:
         invocation a child of an enclosing span (e.g. the coalescer's
         buffer span); ignored when tracing is off.
 
-        ``fused`` requests batch-charged transport: on the fair-weather
-        path the SEND and the response RDMA_READ each try the closed-form
-        fused charge (:meth:`~repro.fabric.verbs.QueuePair.try_send_fused`)
-        and fall back to per-packet simulation whenever the contention
-        guard declines.  Containers set it for coalescer flush batches.
-
         ``stream`` selects the congestion window when the client was built
         with one (containers pass the target partition index, giving the
         per-(node, partition) window); ignored when windows are off.
@@ -137,15 +126,15 @@ class RpcClient:
         if self.windows is not None:
             return self._invoke_windowed(
                 dst_node, op, args, payload_size, callbacks, token,
-                trace_parent, fused, stream,
+                trace_parent, stream,
             )
         return self._invoke_direct(
             dst_node, op, args, payload_size, callbacks, token,
-            trace_parent, fused, stream,
+            trace_parent, stream,
         )
 
     def _invoke_windowed(self, dst_node, op, args, payload_size, callbacks,
-                         token, trace_parent, fused, stream) -> RPCFuture:
+                         token, trace_parent, stream) -> RPCFuture:
         """Route one invocation through its AIMD window.
 
         The caller's future settles with the final outcome; individual
@@ -163,7 +152,7 @@ class RpcClient:
         def launch(seq):
             inner = self._invoke_direct(
                 dst_node, op, args, payload_size, callbacks, token,
-                trace_parent, fused, stream,
+                trace_parent, stream,
             )
             issued = self.sim.now
 
@@ -204,7 +193,6 @@ class RpcClient:
         callbacks: Optional[List[Tuple[str, Sequence[Any]]]] = None,
         token: Optional[Tuple[int, int]] = None,
         trace_parent=None,
-        fused: bool = False,
         stream: Optional[int] = None,
     ) -> RPCFuture:
         """One unwindowed attempt (the classic invoke body)."""
@@ -236,7 +224,7 @@ class RpcClient:
             )
         self.invocations.add(1)
         self.sim.process(
-            self._protocol(dst_node, server, req, size, completion, fut, fused),
+            self._protocol(dst_node, server, req, size, completion, fut),
             name=f"rpc-{op}-{self.src_node}->{dst_node}",
         )
         return fut
@@ -250,12 +238,11 @@ class RpcClient:
         callbacks: Optional[List[Tuple[str, Sequence[Any]]]] = None,
         token: Optional[Tuple[int, int]] = None,
         trace_parent=None,
-        fused: bool = False,
         stream: Optional[int] = None,
     ):
         """Generator: synchronous invoke — yields until the result arrives."""
         fut = self.invoke(dst_node, op, args, payload_size, callbacks, token,
-                          trace_parent, fused, stream)
+                          trace_parent, stream)
         yield fut.wait()
         return fut.result
 
@@ -269,8 +256,7 @@ class RpcClient:
         return [self.invoke(t, op, args_of(t)) for t in targets]
 
     # -- the wire protocol ---------------------------------------------------
-    def _protocol(self, dst_node, server, req, size, completion, fut,
-                  fused=False):
+    def _protocol(self, dst_node, server, req, size, completion, fut):
         # Tracing is pure observation: ``mark`` captures ``sim.now`` at each
         # stage boundary and the spans are recorded after the fact, so the
         # yielded event sequence is identical with tracing on or off.
@@ -293,22 +279,7 @@ class RpcClient:
                 # no timers, no retransmission — bit-identical to the
                 # pre-chaos stub.
                 # 1-2. RDMA_SEND into the request buffer / NIC work queue.
-                fused_send = (
-                    self.qp.try_send_fused(dst_node, req, size)
-                    if fused else None
-                )
-                if fused_send is not None:
-                    self.fused_hits.add(1)
-                    send_done, msg = fused_send
-                    yield send_done
-                    nic = target.nic
-                    if nic.admit(msg):
-                        if not nic.recv_queue.try_put(msg):
-                            yield nic.recv_queue.put(msg)
-                else:
-                    if fused:
-                        self.fused_fallbacks.add(1)
-                    yield from self.qp.send(dst_node, req, size)
+                yield from self.qp.send(dst_node, req, size)
                 if tracer is not None:
                     # The client resumes before the server worker does, so
                     # ``sent`` lands on the envelope ahead of execution.
@@ -321,24 +292,10 @@ class RpcClient:
                     mark = tracer.record("server.wait", mark, self.sim.now,
                                          parent=trace, node=node).end
                 # 7. client pull: RDMA_READ from the response buffer.
-                fused_read = (
-                    self.qp.try_rdma_read_fused(
-                        dst_node, RpcServer.RESPONSE_REGION, req.slot,
-                        response_size,
-                    )
-                    if fused else None
+                envelope = yield from self.qp.rdma_read(
+                    dst_node, RpcServer.RESPONSE_REGION, req.slot,
+                    response_size,
                 )
-                if fused_read is not None:
-                    self.fused_hits.add(1)
-                    read_done, envelope = fused_read
-                    yield read_done
-                else:
-                    if fused:
-                        self.fused_fallbacks.add(1)
-                    envelope = yield from self.qp.rdma_read(
-                        dst_node, RpcServer.RESPONSE_REGION, req.slot,
-                        response_size,
-                    )
             else:
                 if req.token is None:
                     req.token = self.next_token()

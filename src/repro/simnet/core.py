@@ -562,10 +562,11 @@ class Simulator:
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """Timeout firing at *absolute* sim time ``when``.
 
-        Exists so fused charges can reproduce the exact floating-point
-        timestamps of the sequential charges they replace (``(now + a) + b``
-        is not ``now + (a + b)`` in floats): the caller does the additions
-        in the original order and schedules the result directly.
+        Exists so a closed-form charge can reproduce the exact
+        floating-point timestamps of the sequential charges it replaces
+        (``(now + a) + b`` is not ``now + (a + b)`` in floats): the caller
+        does the additions in the original order and schedules the result
+        directly.
         """
         if when < self.now:
             raise ValueError(f"timeout_at {when} is in the past (now={self.now})")
@@ -619,9 +620,9 @@ class Simulator:
                              priority: int = 0) -> None:
         """Run bare ``fn()`` at *absolute* sim time ``when``.
 
-        The ``timeout_at`` of callbacks: fused fabric charges use it to
-        schedule resource releases at exactly the floating-point timestamp
-        the per-packet path would have produced.
+        The ``timeout_at`` of callbacks: schedules e.g. a resource release
+        at exactly the floating-point timestamp a sequence of relative
+        charges would have produced.
         """
         if when < self.now:
             raise ValueError(

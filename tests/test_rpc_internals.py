@@ -158,10 +158,11 @@ class TestContainerMisc:
     def test_read_only_ops_registry(self):
         from repro.core.container import DistributedContainer
 
-        assert "find" in DistributedContainer.READ_ONLY_OPS
-        assert not DistributedContainer._is_mutation("range_find")
-        assert DistributedContainer._is_mutation("insert")
-        assert DistributedContainer._is_mutation("pop")
+        read_only = DistributedContainer.READ_ONLY_OPS
+        assert "find" in read_only
+        assert "range_find" in read_only
+        assert "insert" not in read_only
+        assert "pop" not in read_only
 
     def test_memory_footprint_reported(self, hcl):
         m = hcl.unordered_map("m", partitions=2)

@@ -190,10 +190,10 @@ class TestWindowedInvoke:
         direct = RpcClient._invoke_direct
 
         def spy(self, dst, op, args=(), payload_size=None, callbacks=None,
-                token=None, trace_parent=None, fused=False, stream=None):
+                token=None, trace_parent=None, stream=None):
             seen.append(token)
             return direct(self, dst, op, args, payload_size, callbacks,
-                          token, trace_parent, fused, stream)
+                          token, trace_parent, stream)
 
         monkeypatch.setattr(RpcClient, "_invoke_direct", spy)
         futs = [client.invoke(1, "slow", (i,), stream=0, token=(0, 100 + i))
@@ -213,10 +213,10 @@ class TestWindowedInvoke:
         direct = RpcClient._invoke_direct
 
         def spy(self, dst, op, args=(), payload_size=None, callbacks=None,
-                token=None, trace_parent=None, fused=False, stream=None):
+                token=None, trace_parent=None, stream=None):
             seen.append(token)
             return direct(self, dst, op, args, payload_size, callbacks,
-                          token, trace_parent, fused, stream)
+                          token, trace_parent, stream)
 
         monkeypatch.setattr(RpcClient, "_invoke_direct", spy)
         futs = [client.invoke(1, "slow", (i,), stream=0) for i in range(20)]

@@ -16,7 +16,9 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.harness.serving import check_serving, render_serving, run_serving
+from repro.harness.serving import (
+    HARNESS, check_serving, render_serving, run_serving,
+)
 
 #: the CI smoke configuration (mirrored by the serving-smoke workflow job)
 SMOKE = dict(nodes=4, procs_per_node=4, clients=500, tenants=4, theta=0.99,
@@ -28,13 +30,12 @@ SMOKE = dict(nodes=4, procs_per_node=4, clients=500, tenants=4, theta=0.99,
 CLIFF_FACTOR = 3.0
 
 
-def _monitor_lines(sink) -> str:
+def _monitor_lines(flights) -> str:
     """Skew + burn-rate rows for the bench report, one line per config."""
     lines = []
-    for entry in sink:
-        bound = "off" if entry["queue_bound"] is None else entry["queue_bound"]
-        skew = entry["flight"]["skew"]
-        slo = entry["flight"]["slo"]
+    for bound, flight in flights:
+        skew = flight["skew"]
+        slo = flight["slo"]
         parts = "  ".join(f"{p['partition']} {p['share']:.1%}"
                           for p in skew["top_partitions"][:3])
         key = skew["top_keys"][0]
@@ -53,10 +54,12 @@ def test_serving_overload_cliff(benchmark, report):
     # Monitors armed: the observability stack (flight recorder + skew
     # detector + burn-rate SLO monitor) is pure observation, so the report
     # is identical with it on (tests/test_serving.py asserts that
-    # byte-for-byte) and the sink gives the bench its skew/alert rows.
-    sink = []
+    # byte-for-byte) and the recorder payloads give the bench its
+    # skew/alert rows.
+    recorded = HARNESS.attach(flight=True)
     rep = run_once(benchmark, lambda: run_serving(
-        **SMOKE, monitors=True, monitors_sink=sink))
+        **SMOKE, instrument=recorded))
+    flights = [(run.label, run.recorder.payload()) for run in recorded.runs]
     failures = check_serving(rep, require_cliff=True,
                              cliff_factor=CLIFF_FACTOR)
     cliff = rep["cliff"]
@@ -65,7 +68,7 @@ def test_serving_overload_cliff(benchmark, report):
         + f"\n  unbounded p99 {cliff['p99_shedding_off'] * 1e6:.0f}us vs "
           f"shed {cliff['p99_shedding_on'] * 1e6:.0f}us "
           f"({cliff['p99_ratio']:.1f}x; floor {CLIFF_FACTOR}x)\n"
-        + _monitor_lines(sink)
+        + _monitor_lines(flights)
     )
     assert not failures, failures
     unbounded, bounded = rep["configs"]
@@ -74,9 +77,9 @@ def test_serving_overload_cliff(benchmark, report):
     assert bounded["shed_gaveup"] == bounded["shed"]  # retries disabled
     assert unbounded["shed"] == 0
     # One flight per admission-control config, each with live monitors.
-    assert [e["queue_bound"] for e in sink] == list(SMOKE["bounds"])
-    for entry in sink:
-        skew = entry["flight"]["skew"]
+    assert [label for label, _flight in flights] == ["off", "b16"]
+    for _label, flight in flights:
+        skew = flight["skew"]
         assert skew["imbalance"] >= 1.0
         assert skew["top_keys"] and skew["keys_offered"] > 0
-        assert entry["flight"]["slo"]["ticks"] > 0
+        assert flight["slo"]["ticks"] > 0

@@ -3,8 +3,9 @@
 Every table and figure bench in ``benchmarks/`` builds on this package:
 
 * :mod:`repro.harness.workload` — sized payloads, key streams, op mixes;
-* :mod:`repro.harness.experiment` — run descriptors, sweep runner,
-  result rows with derived metrics (ops/s, MB/s);
+* :mod:`repro.harness.driver` — the one row loop (repeats, best-of-wall,
+  instrument-the-first-repeat) and the ``run_bench(harness, args)`` driver
+  behind every ``repro.cli`` bench subcommand;
 * :mod:`repro.harness.report` — fixed-width text tables comparing
   paper-reported values against measured ones, and CSV-ish dumps;
 * :mod:`repro.harness.kernelbench` — wall-clock throughput of the DES
@@ -20,19 +21,17 @@ Every table and figure bench in ``benchmarks/`` builds on this package:
 """
 
 from repro.harness.workload import Blob, key_stream, WorkloadSpec
-from repro.harness.experiment import ExperimentResult, run_trials, throughput
 from repro.harness.report import render_table, render_series, ratio
+from repro.harness.driver import Harness, run_bench, run_rows
 from repro.harness.kernelbench import (
     KernelBenchReport,
     kernel_events_per_sec,
     run_kernel_bench,
-    traced_kernel_bench,
 )
 from repro.harness.aggbench import AggBenchReport, run_agg_bench
 from repro.harness.telemetry import (
     TELEMETRY_APPS,
     check_telemetry,
-    emit_telemetry_json,
     run_telemetry,
 )
 from repro.harness.serving import (
@@ -54,19 +53,17 @@ __all__ = [
     "KernelBenchReport",
     "kernel_events_per_sec",
     "run_kernel_bench",
-    "traced_kernel_bench",
     "AggBenchReport",
     "run_agg_bench",
     "TELEMETRY_APPS",
     "run_telemetry",
-    "emit_telemetry_json",
     "check_telemetry",
     "Blob",
     "key_stream",
     "WorkloadSpec",
-    "ExperimentResult",
-    "run_trials",
-    "throughput",
+    "Harness",
+    "run_bench",
+    "run_rows",
     "render_table",
     "render_series",
     "ratio",

@@ -16,12 +16,13 @@ at ``--scale 0.25``).
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ClusterSpec, ares_like
+from repro.harness.driver import Harness, flag, positive_float, run_rows
+from repro.harness.report import render_table
+from repro.obs.exporters import write_json
 
 __all__ = [
     "AggBenchRow",
@@ -188,9 +189,8 @@ def run_agg_bench(
     apps: Sequence[str] = BENCH_APPS,
     repeats: int = 2,
     sim_only: bool = False,
-    trace: bool = False,
-    collector: Optional[List[Tuple[str, object]]] = None,
     container_sim_only: bool = False,
+    instrument=None,
 ) -> AggBenchReport:
     """Sweep aggregation buffer sizes over the Fig-7 apps.
 
@@ -205,66 +205,93 @@ def run_agg_bench(
     is not recorded in the report: a ``container_sim_only`` sweep must
     byte-diff clean against a full-data sweep in ``sim_only`` JSON mode.
 
-    Observability: pass a list as ``collector`` to receive one
-    ``(label, sim)`` pair per (app, aggregation) combination — the CLI
-    exports span logs and metrics snapshots from those simulators.
-    ``trace=True`` additionally installs a span tracer on each collected
-    run.  Both leave the report's content untouched: traced and untraced
-    sweeps emit bit-identical ``BENCH_agg.json`` in ``sim_only`` mode.
+    ``instrument`` is handed to the first repeat of every (app, buffer)
+    row, labelled ``<app>-agg<N>``; it never changes the report —
+    instrumented and plain sweeps emit bit-identical ``BENCH_agg.json``
+    in ``sim_only`` mode.
     """
+    def run_row(row, hook):
+        app, aggregation = row
+        spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
+        return _run_app(app, spec, scale, aggregation, hook,
+                        container_sim_only=container_sim_only)
+
+    rows = [(f"{app}-agg{aggregation}", (app, aggregation))
+            for app in apps for aggregation in sweep]
+    results = run_rows(rows, run_row, instrument, repeats, sim_only)
     report = AggBenchReport(scale, nodes, procs_per_node, list(sweep),
                             sim_only)
-    for app in apps:
-        for aggregation in sweep:
-            best_wall: Optional[float] = None
-            collected = False
-            for _ in range(max(1, repeats) if not sim_only else 1):
-                spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
-                instrument = None
-                if collector is not None and not collected:
-                    sim_box: Dict[str, object] = {}
-
-                    def instrument(hcl, box=sim_box):
-                        box["sim"] = hcl.sim
-                        if trace:
-                            from repro.obs import install_tracer
-
-                            install_tracer(hcl.sim)
-                t0 = time.perf_counter()
-                ops, sim_s, verified, agg = _run_app(
-                    app, spec, scale, aggregation, instrument,
-                    container_sim_only=container_sim_only,
-                )
-                wall = time.perf_counter() - t0
-                if instrument is not None and "sim" in sim_box:
-                    collector.append(
-                        (f"{app}-agg{aggregation}", sim_box["sim"])
-                    )
-                    collected = True
-                if best_wall is None or wall < best_wall:
-                    best_wall = wall
-            report.rows.append(AggBenchRow(
-                app=app,
-                aggregation=aggregation,
-                read_cache=bool(aggregation) and app == "contig",
-                ops=ops,
-                sim_seconds=sim_s,
-                wall_seconds=None if sim_only else best_wall,
-                ops_per_sec=None if sim_only else ops / best_wall,
-                verified=verified,
-                agg=agg,
-            ))
+    for (_label, (app, aggregation)), (fields, wall) in zip(rows, results):
+        ops, sim_s, verified, agg = fields
+        report.rows.append(AggBenchRow(
+            app=app,
+            aggregation=aggregation,
+            read_cache=bool(aggregation) and app == "contig",
+            ops=ops,
+            sim_seconds=sim_s,
+            wall_seconds=wall,
+            ops_per_sec=None if wall is None else ops / wall,
+            verified=verified,
+            agg=agg,
+        ))
     return report
 
 
-def emit_agg_json(report: AggBenchReport, path: str = "BENCH_agg.json") -> str:
-    """Write the sweep + speedup summary next to the repo for CI diffing."""
-    payload = {
+def _payload(report: AggBenchReport) -> Dict:
+    return {
         "benchmark": "aggregation_sweep",
         "speedups": report.speedups(),
         **asdict(report),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+
+
+def emit_agg_json(report: AggBenchReport, path: str = "BENCH_agg.json") -> str:
+    """Write the sweep + speedup summary next to the repo for CI diffing."""
+    return write_json(_payload(report), path)
+
+
+def _render(report: AggBenchReport, args) -> str:
+    lines = [render_table(
+        f"Aggregation sweep (scale={report.scale}, "
+        f"{report.nodes}x{report.procs_per_node} ranks)",
+        ["app", "buffer", "sim (s)", "wall (s)", "ops/s",
+         "ops/flush", "hit rate"],
+        report.table_rows(),
+    )]
+    metric = "sim" if report.sim_only else "wall"
+    for app, entry in sorted(report.speedups().items()):
+        lines.append(f"  {app}: best {metric} speedup "
+                     f"{entry.get(f'{metric}_speedup', 0):.2f}x "
+                     f"(buffer={entry['aggregation']})")
+    return "\n".join(lines)
+
+
+HARNESS = Harness(
+    name="aggbench",
+    help="A/B the op-coalescing buffers over the Fig-7 apps",
+    stem="agg",
+    shared=dict(scale=1.0, nodes=4, procs=3, repeats=2, sim_only=False,
+                emit="BENCH_agg.json"),
+    flags=(
+        flag("--sweep", nargs="+", type=int, default=list(AGG_SWEEP),
+             help="aggregation buffer sizes (0 = off baseline)"),
+        flag("--apps", nargs="+", choices=list(BENCH_APPS),
+             default=list(BENCH_APPS)),
+        flag("--container-sim-only", action="store_true",
+             help="container timing-only mode for isx/kmer: stubbed "
+                  "payloads + cheap invariant verification; sim times "
+                  "are bit-identical to full-data runs"),
+        flag("--min-speedup", type=positive_float, default=1.0,
+             help="--check fails unless contig+kmer clear this speedup "
+                  "(default 1.0)"),
+    ),
+    run=lambda a, instrument: run_agg_bench(
+        scale=a.scale, nodes=a.nodes, procs_per_node=a.procs, sweep=a.sweep,
+        apps=a.apps, repeats=a.repeats, sim_only=a.sim_only,
+        container_sim_only=a.container_sim_only, instrument=instrument),
+    render=_render,
+    emit=lambda report: {"": _payload(report)},
+    check=lambda report, a: report.check(min_speedup=a.min_speedup),
+    flight_interval=1e-5,
+    flight_select=("rpc/", "/ops", "coalesce/", "rpcc*"),
+)

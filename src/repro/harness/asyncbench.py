@@ -28,12 +28,13 @@ Used by ``python -m repro.cli asyncbench`` and the CI async-smoke job;
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ares_like
+from repro.harness.driver import Harness, flag, positive_float, run_rows
+from repro.harness.report import render_table
+from repro.obs.exporters import write_json
 from repro.obs.registry import registry_of
 
 __all__ = [
@@ -188,39 +189,22 @@ class AsyncBenchReport:
 
 
 def _run_once(spec, data, aggregation, async_api: bool, window,
-              flight: Optional[Dict] = None,
-              flight_box: Optional[Dict] = None):
-    """One k-mer run; returns (result, sim, p99, stalls, auto_thr).
-
-    With a ``flight`` options dict the run is driven through a
-    :class:`~repro.obs.series.FlightRecorder` (zero perturbation —
-    identical simulated results); the recorder lands in ``flight_box``.
-    """
+              instrument=None):
+    """One k-mer run; returns (result, p99, stalls, auto_thr)."""
     from repro.apps import run_kmer_counting
 
     box: Dict[str, object] = {}
 
-    def instrument(hcl):
+    def hook(hcl):
         box["sim"] = hcl.sim
-        if flight is not None:
-            from repro.obs.series import FlightRecorder
-            recorder = FlightRecorder(
-                hcl.sim,
-                interval=float(flight.get("interval", 1e-3)),
-                maxlen=int(flight.get("maxlen", 512)),
-                select=list(flight.get(
-                    "select", ("rpc/", "/ops", "coalesce/", "rpcc*"))),
-            )
-            recorder.install(hcl.cluster)
-            if flight_box is not None:
-                flight_box["recorder"] = recorder
+        if instrument is not None:
+            instrument(hcl)
 
     res = run_kmer_counting(
         "hcl", spec, data, aggregation=aggregation, sim_only=True,
-        async_api=async_api, window=window, instrument=instrument,
+        async_api=async_api, window=window, instrument=hook,
     )
-    sim = box["sim"]
-    metrics = registry_of(sim)
+    metrics = registry_of(box["sim"])
     qw = metrics.merged_histogram("/queue_wait", "rpc")
     p99 = qw.quantile(0.99) if qw.n else 0.0
     stalls = int(metrics.counter("rpc/window_stalls").value)
@@ -228,7 +212,7 @@ def _run_once(spec, data, aggregation, async_api: bool, window,
     agg = (res.agg_report or {}).get("aggregation") or {}
     if agg.get("auto"):
         auto_thr = int(agg["auto_threshold"])
-    return res, sim, p99, stalls, auto_thr
+    return res, p99, stalls, auto_thr
 
 
 def run_async_bench(
@@ -238,9 +222,7 @@ def run_async_bench(
     static_sweep: Sequence[int] = ASYNC_STATIC_SWEEP,
     repeats: int = 3,
     sim_only: bool = False,
-    collector: Optional[List[Tuple[str, object]]] = None,
-    flight: Optional[Dict] = None,
-    flight_sink: Optional[List[Tuple[str, Dict]]] = None,
+    instrument=None,
 ) -> AsyncBenchReport:
     """A/B the pipelined async client against the aggregated sync path.
 
@@ -251,62 +233,44 @@ def run_async_bench(
     Wall time takes the best of ``repeats``; ``sim_only`` drops the wall
     fields so same-seed reruns emit byte-identical JSON.
 
-    Pass a list as ``collector`` to receive one ``(label, sim)`` pair per
-    row — the CLI exports metrics snapshots (``rpc/cwnd/*``,
-    ``rpc/window_stalls``, ``coalesce/auto_threshold``) from those
-    simulators.
-
-    ``flight`` (an options dict, or ``{}`` for defaults) arms a
-    zero-perturbation flight recorder on each row's *first* repeat;
-    per-row ``(label, payload)`` pairs land in ``flight_sink``.
-    Recording never changes simulated results — it only adds a little
-    wall overhead to the one recorded repeat.
+    ``instrument`` is handed to each row's *first* repeat, labelled
+    ``<mode>-<aggregation>`` (``sync-512``, ``async-auto``, ...).  It
+    never changes simulated results — it only adds a little wall overhead
+    to the one instrumented repeat.
     """
     from repro.apps import synthesize_genome
 
     def sc(n: float) -> int:
         return max(1, round(n * scale))
 
-    report = AsyncBenchReport(scale, nodes, procs_per_node, sim_only)
     data = synthesize_genome(
         genome_length=sc(600 * nodes), num_reads=sc(48 * nodes),
         read_length=60, k=15, seed=nodes,
     )
+
+    def run_row(row, hook):
+        _mode, aggregation, async_api, window = row
+        spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
+        return _run_once(spec, data, aggregation, async_api, window, hook)
+
     #: (mode, aggregation, async_api, window)
     plan = [("sync", SYNC_BASELINE_AGG, False, None)]
     plan += [("async", agg, True, True) for agg in static_sweep]
     plan += [("async", "auto", True, True)]
-    for mode, aggregation, async_api, window in plan:
-        best_wall: Optional[float] = None
-        collected = False
-        for _ in range(max(1, repeats) if not sim_only else 1):
-            spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
-            flight_box: Dict[str, object] = {}
-            t0 = time.perf_counter()
-            res, sim, p99, stalls, auto_thr = _run_once(
-                spec, data, aggregation, async_api, window,
-                flight=flight if not collected else None,
-                flight_box=flight_box,
-            )
-            wall = time.perf_counter() - t0
-            if collector is not None and not collected:
-                collector.append((f"{mode}-{aggregation}", sim))
-            if (flight_sink is not None and not collected
-                    and "recorder" in flight_box):
-                flight_sink.append((f"{mode}-{aggregation}",
-                                    flight_box["recorder"].payload()))
-            if not collected:
-                collected = True
-            if best_wall is None or wall < best_wall:
-                best_wall = wall
+    rows = [(f"{row[0]}-{row[1]}", row) for row in plan]
+    results = run_rows(rows, run_row, instrument, repeats, sim_only)
+    report = AsyncBenchReport(scale, nodes, procs_per_node, sim_only)
+    for (mode, aggregation, _api, window), (fields, wall) in zip(plan,
+                                                                results):
+        res, p99, stalls, auto_thr = fields
         report.rows.append(AsyncBenchRow(
             mode=mode,
             aggregation=str(aggregation),
             windows=bool(window),
             ops=res.total_kmers,
             sim_seconds=res.time_seconds,
-            wall_seconds=None if sim_only else best_wall,
-            ops_per_sec=None if sim_only else res.total_kmers / best_wall,
+            wall_seconds=wall,
+            ops_per_sec=None if wall is None else res.total_kmers / wall,
             verified=res.verified,
             digest=res.digest,
             queue_wait_p99=p99,
@@ -317,15 +281,60 @@ def run_async_bench(
     return report
 
 
-def emit_async_json(report: AsyncBenchReport,
-                    path: str = "BENCH_async.json") -> str:
-    """Write rows + summary (sorted keys, trailing newline: CI-diffable)."""
-    payload = {
+def _payload(report: AsyncBenchReport) -> Dict:
+    return {
         "benchmark": "async_pipeline",
         "summary": report.summary(),
         **asdict(report),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+
+
+def emit_async_json(report: AsyncBenchReport,
+                    path: str = "BENCH_async.json") -> str:
+    """Write rows + summary (sorted keys, trailing newline: CI-diffable)."""
+    return write_json(_payload(report), path)
+
+
+def _render(report: AsyncBenchReport, args) -> str:
+    lines = [render_table(
+        f"Async pipeline A/B (scale={report.scale}, "
+        f"{report.nodes}x{report.procs_per_node} ranks)",
+        ["mode", "buffer", "windows", "sim (s)", "wall (s)",
+         "qw p99 (us)", "stalls", "auto_thr", "digest"],
+        report.table_rows(),
+    )]
+    metric = "sim" if report.sim_only else "wall"
+    summary = report.summary()
+    speedup = summary.get(f"async_{metric}_speedup")
+    if speedup is not None:
+        lines.append(f"  async-auto over sync baseline: "
+                     f"{speedup:.2f}x {metric}")
+    ratio = summary.get("auto_vs_best_static")
+    if ratio is not None:
+        lines.append(f"  auto vs best static (buffer="
+                     f"{summary['best_static_aggregation']}): {ratio:.2f}x")
+    return "\n".join(lines)
+
+
+HARNESS = Harness(
+    name="asyncbench",
+    help="A/B the pipelined async-futures client (AIMD windows + "
+         "self-tuning coalescer) against the aggregated sync path",
+    stem="async",
+    shared=dict(scale=1.0, nodes=4, procs=3, repeats=3, sim_only=False,
+                emit="BENCH_async.json"),
+    flags=(
+        flag("--min-speedup", type=positive_float, default=1.5,
+             help="--check fails unless async-auto clears this wall "
+                  "speedup with identical digests and matches the best "
+                  "static threshold within 10%% (default 1.5)"),
+    ),
+    run=lambda a, instrument: run_async_bench(
+        scale=a.scale, nodes=a.nodes, procs_per_node=a.procs,
+        repeats=a.repeats, sim_only=a.sim_only, instrument=instrument),
+    render=_render,
+    emit=lambda report: {"": _payload(report)},
+    check=lambda report, a: report.check(min_speedup=a.min_speedup),
+    flight_interval=1e-5,
+    flight_select=("rpc/", "/ops", "coalesce/", "rpcc*"),
+)

@@ -17,7 +17,6 @@ whose ack was lost, which are tracked separately as *indeterminate*).
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from typing import Dict, Optional
 
@@ -26,6 +25,7 @@ from repro.core.hash_container import stable_hash
 from repro.core.runtime import HCL
 from repro.fabric.faults import PLAN_NAMES, make_plan
 from repro.fabric.topology import Cluster
+from repro.harness.driver import Harness, flag, positive_float, run_rows
 from repro.obs.registry import percentile_summary, registry_of
 
 __all__ = ["run_chaos_soak", "SOAK_PLANS"]
@@ -81,8 +81,8 @@ def run_chaos_soak(
     state, asserting that no cached read is ever stale.
 
     ``instrument`` is invoked with the :class:`HCL` runtime after the
-    containers are built but before the storm — the attach point for span
-    tracers (``install_tracer(h.sim)``) and telemetry samplers.
+    containers are built but before the storm — the attach point for
+    :class:`~repro.obs.Instruments` (tracer, flight recorder, metrics).
 
     ``windows`` arms per-(node, partition) AIMD congestion windows on every
     client (``True`` for defaults, or a
@@ -342,7 +342,49 @@ def render_report(report: Dict) -> str:
     return "\n".join(lines)
 
 
-def emit_report(report: Dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+HARNESS = Harness(
+    name="chaos-soak",
+    help="fault-injection soak: paper workloads under a chaos plan, "
+         "asserting no acked write is lost",
+    stem="chaos",
+    shared=dict(nodes=3, procs=2, emit="chaos_soak.json"),
+    flags=(
+        flag("--plans", nargs="+", choices=list(PLAN_NAMES),
+             default=["mixed"], help="fault plans to run"),
+        flag("--seed", type=int, default=0),
+        flag("--keys", type=int, default=24,
+             help="ISx-style inserts per rank"),
+        flag("--kmers", type=int, default=16, help="k-mer upserts per rank"),
+        flag("--horizon", type=positive_float, default=2e-3,
+             help="sim-time horizon the fault windows scale to (s)"),
+        flag("--aggregation", type=int, default=0,
+             help="run upserts through N-op write-combining buffers and "
+                  "the read cache, asserting never-stale reads"),
+        flag("--windows", action="store_true",
+             help="arm per-(node, partition) AIMD congestion windows on "
+                  "every client; the report asserts they shrink under "
+                  "faults without losing acked writes"),
+    ),
+    # one row per fault plan, labelled by it
+    run=lambda a, instrument: [report for report, _wall in run_rows(
+        [(plan, plan) for plan in a.plans],
+        lambda plan, hook: run_chaos_soak(
+            plan=plan, seed=a.seed, nodes=a.nodes, procs_per_node=a.procs,
+            keys_per_rank=a.keys, kmers_per_rank=a.kmers, horizon=a.horizon,
+            aggregation=a.aggregation, windows=a.windows, instrument=hook),
+        instrument,
+    )],
+    render=lambda reports, a: "\n".join(map(render_report, reports)),
+    emit=lambda reports: {r["plan"]: r for r in reports},
+    # The verdict is the point of a soak: enforced without a --check flag.
+    check=lambda reports, a: [
+        f"plan {r['plan']}: lost_acked={r['lost_acked_writes']} "
+        f"double_applied={r['duplicate_mutations']} "
+        f"stale_cached={r['stale_cached_reads']} "
+        f"injected={r['injected_total']}"
+        for r in reports if not r["ok"]],
+    gate=(),
+    flight_interval=1e-4,
+    flight_select=("faults/", "rpc/", "/ops", "rpcc*"),
+    pid_stride=0,   # every plan's Chrome trace keeps its node-id pids
+)

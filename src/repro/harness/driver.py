@@ -1,0 +1,149 @@
+"""One row loop and one bench driver for every harness.
+
+A bench is a list of labelled rows (aggregation sizes, admission bounds,
+fault plans, ...), each run one or more times.  :func:`run_rows` is the
+only place that repeats a row, keeps the fastest repeat, drops wall time
+in ``sim_only`` mode and decides which repeat carries the instruments;
+the public ``run_*`` functions and the CLI both go through it.
+
+A :class:`Harness` record declares what one ``repro.cli`` bench
+subcommand is — its name, flags, how to run / render / emit / check a
+report, and which instruments apply — and :func:`run_bench` is the single
+code path that executes one: instruments, profiler scope, rendering,
+``--emit``, every artifact write, and ``--check`` -> ``CHECK FAILED`` ->
+exit code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from dataclasses import dataclass
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
+
+from repro.obs.exporters import write_json
+from repro.obs.instruments import Instruments, row_path
+
+__all__ = ["Harness", "INSTRUMENTS", "flag", "positive_float", "run_bench",
+           "run_rows"]
+
+
+def flag(option: str, **kwargs) -> Tuple[str, Dict]:
+    """One of a harness's own flags, spelled like ``add_argument``."""
+    return option, kwargs
+
+
+#: every instrument a harness can declare, in artifact order
+INSTRUMENTS: Tuple[str, ...] = ("trace", "metrics", "flight", "profile")
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def run_rows(rows: Sequence[Tuple[str, object]],
+             run_row: Callable[[object, Optional[Callable]], object],
+             instrument: Optional[Callable] = None,
+             repeats: int = 1, sim_only: bool = False) -> List[Tuple]:
+    """Run every ``(label, row)``; returns one ``(fields, wall)`` per row.
+
+    ``run_row(row, instrument)`` runs the row once.  Wall clock is noisy
+    and simulated results are not, so a row runs ``repeats`` times and
+    the fastest repeat is the one reported; ``sim_only`` runs once and
+    reports ``wall=None`` so emitted JSON is bit-reproducible.  Only the
+    first repeat is handed ``instrument`` — the others stay clean wall
+    measurements.
+    """
+    out: List[Tuple] = []
+    for label, row in rows:
+        best = None
+        for rep in range(1 if sim_only else max(1, repeats)):
+            hook = instrument if rep == 0 else None
+            if isinstance(hook, Instruments):
+                hook.label = label
+            t0 = time.perf_counter()
+            fields = run_row(row, hook)
+            wall = time.perf_counter() - t0
+            if best is None or wall < best[1]:
+                best = (fields, wall)
+        out.append((best[0], None if sim_only else best[1]))
+    return out
+
+
+@dataclass(frozen=True)
+class Harness:
+    """What one bench subcommand is (see the module docstring)."""
+
+    name: str                       # repro.cli subcommand
+    help: str
+    stem: str                       # default artifact names: <stem>_trace, ...
+    #: defaults of the shared flags this bench takes, by dest — any of
+    #: nodes / procs / scale / repeats / sim_only, plus ``emit`` (the
+    #: default ``--emit`` path)
+    shared: Mapping[str, object]
+    flags: Sequence[Tuple[str, Dict]]  # its own: flag(...) entries
+    run: Callable                   # (args, instrument) -> report
+    render: Callable                # (report, args) -> text
+    emit: Callable                  # report -> {row label: JSON payload}
+    check: Optional[Callable] = None  # (report, args) -> failure strings
+    #: args any of which turns ``check`` on; empty = always enforced
+    gate: Tuple[str, ...] = ("check",)
+    instruments: Tuple[str, ...] = INSTRUMENTS
+    flight_interval: float = 1e-3   # flight-recorder cadence, sim seconds
+    flight_select: Tuple[str, ...] = ()
+    pid_stride: int = 1000          # Chrome-trace pid offset between rows
+
+    def attach(self, **outputs) -> Instruments:
+        """An :class:`Instruments` with this bench's recorder settings."""
+        outputs.setdefault("flight_interval", self.flight_interval)
+        return Instruments(flight_select=self.flight_select,
+                           pid_stride=self.pid_stride, **outputs)
+
+
+def _instruments(harness: Harness, args) -> Optional[Instruments]:
+    """The instruments ``args`` ask for; None (nothing built) when none."""
+    outputs = {
+        "trace": getattr(args, "trace", None),
+        "metrics": getattr(args, "metrics_out", None),
+        "flight": getattr(args, "flight_recorder", None),
+        "profile": getattr(args, "profile", False),
+        "profile_out": getattr(args, "profile_out", None),
+        "profile_folded": getattr(args, "profile_folded", None),
+    }
+    if not any(outputs.values()):
+        return None
+    if outputs["flight"]:
+        outputs["flight_interval"] = args.flight_interval
+    return harness.attach(**outputs)
+
+
+def run_bench(harness: Harness, args) -> int:
+    """Execute one bench subcommand; returns the process exit code."""
+    ins = _instruments(harness, args)
+    if ins is None:
+        report = harness.run(args, None)
+    else:
+        with ins.profiling(f"{harness.name}.run"):
+            report = harness.run(args, ins)
+    print(harness.render(report, args))
+    if args.emit:
+        payloads = harness.emit(report)
+        for label, payload in payloads.items():
+            path = row_path(args.emit, label, len(payloads))
+            print(f"wrote {write_json(payload, path)}")
+    if ins is not None:
+        for line in ins.write(harness.name):
+            print(line)
+    failures: List[str] = []
+    if harness.check is not None and (
+            not harness.gate or any(getattr(args, g) for g in harness.gate)):
+        failures = harness.check(report, args)
+    for failure in failures:
+        print(f"CHECK FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0

@@ -14,18 +14,19 @@ Used by ``python -m repro.cli kernelbench`` and
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Dict
 
+from repro.harness.driver import Harness, flag, run_rows
+from repro.harness.report import render_table
+from repro.obs.exporters import write_json
 from repro.simnet.core import Simulator
 
 __all__ = [
     "KernelBenchReport",
     "run_kernel_bench",
     "kernel_events_per_sec",
-    "traced_kernel_bench",
     "emit_bench_json",
     "SEED_BASELINE_EVENTS_PER_SEC",
     "REFERENCE_PROCS",
@@ -68,7 +69,7 @@ def run_kernel_bench(
     procs: int = REFERENCE_PROCS,
     timeouts_per_proc: int = REFERENCE_TIMEOUTS,
     delay: float = 1e-6,
-    registry=None,
+    instrument=None,
 ) -> KernelBenchReport:
     """Run the reference workload once and report wall-clock throughput.
 
@@ -77,10 +78,12 @@ def run_kernel_bench(
     near-future lane, the timeout pool, and the inlined resume loop — the
     same three paths every fabric charge rides.
 
-    Pass a :class:`~repro.obs.MetricsRegistry` as ``registry`` to receive
-    the post-run ``scheduler/*`` gauges.
+    There is no cluster here, so ``instrument`` is handed the bare
+    :class:`Simulator` (before the clock starts).
     """
     sim = Simulator()
+    if instrument is not None:
+        instrument(sim)
 
     def worker():
         timeout = sim.timeout
@@ -93,10 +96,6 @@ def run_kernel_bench(
     sim.run()
     wall = time.perf_counter() - t0
 
-    if registry is not None:
-        from repro.obs import publish_scheduler_metrics
-
-        publish_scheduler_metrics(sim, registry)
     stats = sim.kernel_stats()
     events = stats["events_processed"]
     evps = events / wall if wall > 0 else float("inf")
@@ -112,58 +111,48 @@ def run_kernel_bench(
     )
 
 
-def kernel_events_per_sec(repeats: int = 3, **kwargs) -> KernelBenchReport:
+def kernel_events_per_sec(repeats: int = 3, instrument=None,
+                          **kwargs) -> KernelBenchReport:
     """Best-of-``repeats`` measurement (wall clock is noisy; sim is not)."""
-    best: Optional[KernelBenchReport] = None
-    for _ in range(max(1, repeats)):
-        rep = run_kernel_bench(**kwargs)
-        if best is None or rep.events_per_sec > best.events_per_sec:
-            best = rep
+    [(best, _wall)] = run_rows(
+        [("kernel", None)],
+        lambda _row, hook: run_kernel_bench(instrument=hook, **kwargs),
+        instrument, repeats,
+    )
     return best
 
 
-def traced_kernel_bench(repeats: int = 3, **kwargs):
-    """Best-of-``repeats`` run with wall-clock spans and a metrics registry.
-
-    The kernel microbenchmark has no RPC pipeline to trace, so the spans
-    here use a *wall-clock* tracer (``time.perf_counter``): one root
-    ``kernelbench`` span with a ``kernel.repeat`` child per run, each
-    annotated with its event count and throughput.  The registry mirrors
-    the kernel stats (``kernel/events_processed`` etc.) so ``--metrics-out``
-    works uniformly across the bench commands.
-
-    Returns ``(best_report, tracer, registry)``.
-    """
-    from repro.obs import MetricsRegistry, Tracer
-
-    tracer = Tracer(clock=time.perf_counter)
-    registry = MetricsRegistry()
-    root = tracer.begin("kernelbench", attrs={"repeats": max(1, repeats)})
-    best: Optional[KernelBenchReport] = None
-    for i in range(max(1, repeats)):
-        span = tracer.begin("kernel.repeat", parent=root, attrs={"repeat": i})
-        rep = run_kernel_bench(registry=registry, **kwargs)
-        tracer.finish(span)
-        span.attrs["events"] = rep.events_processed
-        span.attrs["events_per_sec"] = round(rep.events_per_sec)
-        registry.counter("kernel/events_processed").add(rep.events_processed)
-        registry.counter("kernel/events_recycled").add(rep.events_recycled)
-        registry.histogram("kernel/wall_seconds").observe(rep.wall_seconds)
-        if best is None or rep.events_per_sec > best.events_per_sec:
-            best = rep
-    tracer.finish(root)
-    registry.gauge("kernel/best_events_per_sec").set(best.events_per_sec)
-    return best, tracer, registry
-
-
-def emit_bench_json(report: KernelBenchReport, path: str = "BENCH_kernel.json") -> str:
-    """Write the measurement next to the repo so CI and future PRs can diff it."""
-    payload = {
+def _payload(report: KernelBenchReport) -> Dict:
+    return {
         "benchmark": "kernel_events_per_sec",
         "seed_baseline_events_per_sec": SEED_BASELINE_EVENTS_PER_SEC,
         **asdict(report),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+
+
+def emit_bench_json(report: KernelBenchReport, path: str = "BENCH_kernel.json") -> str:
+    """Write the measurement next to the repo so CI and future PRs can diff it."""
+    return write_json(_payload(report), path)
+
+
+HARNESS = Harness(
+    name="kernelbench",
+    help="DES kernel event-throughput microbenchmark",
+    stem="kernel",
+    # --emit is opt-in: the committed BENCH_kernel.json carries the
+    # reference machine's wall numbers, so it only changes when asked to.
+    shared=dict(procs=REFERENCE_PROCS, repeats=3, emit="BENCH_kernel.json"),
+    flags=(
+        flag("--timeouts", type=int, default=REFERENCE_TIMEOUTS,
+             help="timeouts per process"),
+    ),
+    run=lambda a, instrument: kernel_events_per_sec(
+        repeats=a.repeats, instrument=instrument, procs=a.procs,
+        timeouts_per_proc=a.timeouts),
+    render=lambda report, a: render_table(
+        f"DES kernel throughput (wall clock; best of {a.repeats} runs)",
+        ["metric", "value"], report.rows()),
+    emit=lambda report: {"": _payload(report)},
+    # no cluster to record and no RPC to trace
+    instruments=("metrics", "profile"),
+)

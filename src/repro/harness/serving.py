@@ -49,15 +49,17 @@ reruns emit byte-identical ``BENCH_serving.json`` files.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ares_like
 from repro.core.runtime import HCL
+from repro.harness.driver import Harness, flag, positive_float, run_rows
+from repro.harness.report import render_table
+from repro.obs.exporters import write_json
 from repro.obs.registry import SLO_QUANTILES, percentile_summary, registry_of
-from repro.obs.series import FlightRecorder
+from repro.obs.series import FlightRecorder, recorder_of
 from repro.obs.skew import SkewDetector
 from repro.obs.slo import SLOMonitor, SLORule, counter_sli, latency_sli
 from repro.rpc.future import ServerOverloaded
@@ -72,12 +74,9 @@ __all__ = [
     "MONITOR_DEFAULTS",
 ]
 
-#: default knobs for ``run_serving(monitors=...)`` — all sim-time scaled
+#: the skew/SLO rules a recorded serving run hangs on its flight recorder
+#: (windows scale with the recorder's cadence)
 MONITOR_DEFAULTS: Dict = {
-    "interval": 2.5e-4,        # flight-recorder cadence (sim s)
-    "maxlen": 512,             # ring-buffer bound per series
-    "select": ("serving/", "/ops", "rpc/"),
-    "quantiles": (0.5, 0.99),
     "hot_factor": 2.0,         # x fair share -> skew.hot_partition
     "sketch_capacity": 64,
     "top_k": 5,
@@ -151,30 +150,23 @@ def _jain_fairness(xs: Sequence[float]) -> float:
     return (total * total) / (len(xs) * sum(x * x for x in xs))
 
 
-def _arm_monitors(h: HCL, store, queues, opts: Dict) -> Dict:
-    """Arm the flight recorder + skew detector + SLO monitor on one run.
+def _arm_monitors(recorder: FlightRecorder, store, queues) -> Tuple:
+    """Hang the skew detector + SLO monitor on a run's flight recorder.
 
-    Pure observation: the recorder's ``pump`` replaces ``cluster.run``
-    under the zero-perturbation contract, and the per-tick skew/SLO hooks
-    only read registry metrics — a monitored run keeps identical
-    simulated results, which the obs benchmarks assert field-by-field.
+    Pure observation: the per-tick skew/SLO hooks only read registry
+    metrics — a monitored run keeps identical simulated results, which
+    the obs benchmarks assert field-by-field.  Returns ``(skew, slo)``.
     """
-    cfg = dict(MONITOR_DEFAULTS)
-    cfg.update(opts)
-    sim = h.sim
-    registry = registry_of(sim)
-    interval = float(cfg["interval"])
-    recorder = FlightRecorder(
-        sim, interval=interval, maxlen=int(cfg["maxlen"]),
-        select=list(cfg["select"]), quantiles=tuple(cfg["quantiles"]),
-    )
+    cfg = MONITOR_DEFAULTS
+    registry = recorder.registry
+    interval = recorder.interval
     sources = [(p.ops.name, p.node_id) for p in store.partitions]
     for q in queues:
         sources.extend((p.ops.name, p.node_id) for p in q.partitions)
     skew = SkewDetector(
-        registry, sources, hot_factor=float(cfg["hot_factor"]),
-        sketch_capacity=int(cfg["sketch_capacity"]),
-        event_log=recorder.events, top_k=int(cfg["top_k"]),
+        registry, sources, hot_factor=cfg["hot_factor"],
+        sketch_capacity=cfg["sketch_capacity"],
+        event_log=recorder.events, top_k=cfg["top_k"],
     )
     slo = SLOMonitor(
         rules=[
@@ -183,27 +175,26 @@ def _arm_monitors(h: HCL, store, queues, opts: Dict) -> Dict:
                 counter_sli(registry,
                             bad=("serving/shed_gaveup", "serving/errors"),
                             total=("serving/completed",)),
-                target=float(cfg["availability_target"]),
+                target=cfg["availability_target"],
                 short_window=cfg["short_windows"] * interval,
                 long_window=cfg["long_windows"] * interval,
-                threshold=float(cfg["burn_threshold"]),
+                threshold=cfg["burn_threshold"],
             ),
             SLORule(
                 "latency",
                 latency_sli(registry, "serving/latency",
-                            float(cfg["latency_slo"])),
-                target=float(cfg["latency_target"]),
+                            cfg["latency_slo"]),
+                target=cfg["latency_target"],
                 short_window=cfg["short_windows"] * interval,
                 long_window=cfg["long_windows"] * interval,
-                threshold=float(cfg["latency_burn_threshold"]),
+                threshold=cfg["latency_burn_threshold"],
             ),
         ],
         event_log=recorder.events,
     )
     recorder.add_listener(skew.tick)
     recorder.add_listener(slo.tick)
-    recorder.install(h.cluster)
-    return {"recorder": recorder, "skew": skew, "slo": slo}
+    return skew, slo
 
 
 def _run_one_config(
@@ -224,8 +215,7 @@ def _run_one_config(
     retry_backoff: float,
     rpc_batch_size: int,
     windows=None,
-    monitors=None,
-    monitors_sink: Optional[List[Dict]] = None,
+    instrument=None,
 ) -> Dict:
     """One full serving run under one admission-control setting."""
     spec = ares_like(nodes=nodes, procs_per_node=procs_per_node, seed=seed)
@@ -260,11 +250,14 @@ def _run_one_config(
     errors = metrics.counter("serving/errors")
     key_counts: Dict[str, int] = {}
 
-    mon = None
-    if monitors:
-        mon = _arm_monitors(h, store, queues,
-                            monitors if isinstance(monitors, dict) else {})
-    skew_det = mon["skew"] if mon is not None else None
+    # A flight recorder the instrument installed also carries the serving
+    # skew/SLO rules; any other instrument is just attached.
+    recorder = skew_det = None
+    if instrument is not None:
+        instrument(h)
+        recorder = recorder_of(h.cluster)
+        if recorder is not None:
+            skew_det, slo_mon = _arm_monitors(recorder, store, queues)
 
     read_cut, write_cut = mix[0], mix[0] + mix[1]
 
@@ -391,11 +384,9 @@ def _run_one_config(
         "top_key_share": (max(key_counts.values()) / total_keyed
                           if total_keyed else 0.0),
     }
-    if mon is not None and monitors_sink is not None:
-        flight = mon["recorder"].payload()
-        flight["skew"] = mon["skew"].summary()
-        flight["slo"] = mon["slo"].summary()
-        monitors_sink.append({"queue_bound": queue_bound, "flight": flight})
+    if recorder is not None:
+        recorder.extra["skew"] = skew_det.summary()
+        recorder.extra["slo"] = slo_mon.summary()
     h.close()
     return row
 
@@ -418,8 +409,7 @@ def run_serving(
     retry_backoff: float = 1e-3,
     rpc_batch_size: int = 1,
     windows=None,
-    monitors=None,
-    monitors_sink: Optional[List[Dict]] = None,
+    instrument=None,
 ) -> Dict:
     """Run the serving bench once per admission-control bound; return the
     report dict (simulated/deterministic fields only — no wall clock).
@@ -429,13 +419,13 @@ def run_serving(
     :class:`~repro.rpc.window.WindowConfig`); shed ops are then retried by
     the window itself before the harness-level backoff sees them.
 
-    ``monitors`` arms the observability stack per config (``True`` for
-    :data:`MONITOR_DEFAULTS`, or a dict of overrides): flight recorder,
-    skew detector and SLO burn-rate monitor.  Monitoring never changes
-    the report — simulated results are identical with monitors on or off
-    — so per-config flight payloads (series + events + skew/slo
-    summaries) are appended to the caller's ``monitors_sink`` list
-    instead of the report dict."""
+    ``instrument`` is called with each config's runtime (labelled ``off``
+    / ``b<N>``) once its containers exist.  When it installs a flight
+    recorder (``HARNESS.attach(flight=...)``), the run also hangs the
+    skew detector and SLO burn-rate monitor (:data:`MONITOR_DEFAULTS`) on
+    it, and the recorder's payload gains ``skew`` / ``slo`` sections.
+    Instruments never change the report — simulated results are identical
+    with them on or off."""
     if not 0.999 <= sum(mix) <= 1.001:
         raise ValueError(f"mix must sum to 1.0, got {mix}")
     if not 0.0 <= queue_frac < 1.0:
@@ -444,15 +434,16 @@ def run_serving(
         raise ValueError("queue_home must be 'packed' or 'spread'")
     if rate <= 0 or ops_per_client <= 0:
         raise ValueError("rate and ops_per_client must be positive")
-    configs = [
-        _run_one_config(
+    configs = [config for config, _wall in run_rows(
+        [("off" if bound is None else f"b{bound}", bound)
+         for bound in bounds],
+        lambda bound, hook: _run_one_config(
             nodes, procs_per_node, clients, tenants, theta, keys, mix,
             queue_frac, queue_home, rate, ops_per_client, seed, bound,
-            shed_retries, retry_backoff, rpc_batch_size, windows,
-            monitors, monitors_sink,
-        )
-        for bound in bounds
-    ]
+            shed_retries, retry_backoff, rpc_batch_size, windows, hook,
+        ),
+        instrument,
+    )]
     report = {
         "benchmark": "serving_zipf",
         "nodes": nodes,
@@ -487,16 +478,11 @@ def run_serving(
 
 def emit_serving_json(report: Dict, path: str = "BENCH_serving.json") -> str:
     """Write the report (sorted keys + trailing newline: byte-reproducible)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(report, path)
 
 
 def render_serving(report: Dict) -> str:
     """Fixed-width table of the per-bound serving SLOs."""
-    from repro.harness.report import render_table
-
     rows = []
     for cfg in report["configs"]:
         lat = cfg["latency"]
@@ -574,3 +560,79 @@ def check_serving(report: Dict, require_cliff: bool = False,
                 f"(need >= {cliff_factor}x)"
             )
     return failures
+
+
+def _bound(text: str) -> Optional[int]:
+    """``--bounds`` item: ``off``/``none`` = unbounded, else the queue cap."""
+    return None if text.lower() in ("off", "none") else int(text)
+
+
+def _render(report: Dict, args) -> str:
+    text = render_serving(report)
+    cliff = report.get("cliff")
+    if cliff:
+        text += (f"\n  overload cliff: p99 "
+                 f"{cliff['p99_shedding_off'] * 1e6:.0f}us unbounded vs "
+                 f"{cliff['p99_shedding_on'] * 1e6:.0f}us shed "
+                 f"({cliff['p99_ratio']:.2f}x)")
+    return text
+
+
+HARNESS = Harness(
+    name="serving",
+    help="Zipfian serving bench: SLO percentiles + backpressure A/B",
+    stem="serving",
+    shared=dict(nodes=64, procs=4, emit="BENCH_serving.json"),
+    flags=(
+        flag("--clients", type=int, default=100_000,
+             help="simulated open-loop clients (Poisson superposed)"),
+        flag("--tenants", type=int, default=8),
+        flag("--theta", type=float, default=0.99,
+             help="Zipf skew (0 = uniform)"),
+        flag("--keys", type=int, default=16_384,
+             help="keys per tenant namespace"),
+        flag("--mix", nargs=3, type=float, default=list(DEFAULT_MIX),
+             metavar=("READ", "WRITE", "RMW"),
+             help="map-op mix fractions (must sum to 1)"),
+        flag("--queue-frac", type=float, default=0.10,
+             help="fraction of ops hitting the tenant FIFO queues"),
+        flag("--queue-home", choices=["packed", "spread"], default="packed",
+             help="tenant-queue placement: packed = all on node 0 "
+                  "(the serving hotspot), spread = round-robin"),
+        flag("--rate", type=float, default=100.0,
+             help="per-client Poisson arrival rate (ops/s)"),
+        flag("--ops-per-client", type=float, default=1.0),
+        flag("--seed", type=int, default=7),
+        flag("--bounds", nargs="+", type=_bound, default=[None, 64],
+             metavar="BOUND",
+             help="admission-control settings to A/B ('off' = "
+                  "unbounded; integers arm load shedding)"),
+        flag("--shed-retries", type=int, default=1,
+             help="client retries per shed op (0 = surface the error)"),
+        flag("--retry-backoff", type=positive_float, default=1e-3,
+             help="base retry backoff in sim seconds (doubles per "
+                  "attempt)"),
+        flag("--batch", type=int, default=1,
+             help="server request-aggregation batch size"),
+        flag("--require-cliff", action="store_true",
+             help="also fail unless unbounded p99 >= cliff-factor x "
+                  "the bounded p99"),
+        flag("--cliff-factor", type=positive_float, default=3.0),
+    ),
+    run=lambda a, instrument: run_serving(
+        nodes=a.nodes, procs_per_node=a.procs, clients=a.clients,
+        tenants=a.tenants, theta=a.theta, keys=a.keys, mix=tuple(a.mix),
+        queue_frac=a.queue_frac, queue_home=a.queue_home, rate=a.rate,
+        ops_per_client=a.ops_per_client, seed=a.seed, bounds=a.bounds,
+        shed_retries=a.shed_retries, retry_backoff=a.retry_backoff,
+        rpc_batch_size=a.batch, instrument=instrument),
+    render=_render,
+    emit=lambda report: {"": report},
+    check=lambda report, a: check_serving(
+        report, require_cliff=a.require_cliff, cliff_factor=a.cliff_factor),
+    gate=("check", "require_cliff"),
+    # One flight JSON per bound (PATH_off / PATH_b<N>), each carrying the
+    # skew + SLO sections.
+    flight_interval=2.5e-4,
+    flight_select=("serving/", "/ops", "rpc/"),
+)

@@ -11,8 +11,8 @@ three series for the simulated cluster: a
   (Fig 4b),
 * ``packet_rate`` — cluster-wide packets per simulated second (Fig 4c),
 
-while an application kernel runs, and ``emit_telemetry_json`` writes the
-series to ``BENCH_telemetry.json``.
+while an application kernel runs; ``repro.cli telemetry --emit`` writes
+the series to ``BENCH_telemetry.json``.
 
 Sampling is **two-pass** so it cannot perturb the measured run: a dry run
 learns the workload's simulated duration, then an identical second run
@@ -31,17 +31,17 @@ sample time.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Sequence, Tuple
 
 from repro.config import ares_like
+from repro.harness.driver import Harness, flag, run_rows
+from repro.harness.report import render_table
 from repro.obs.registry import percentile_summary
 
 __all__ = [
     "TELEMETRY_APPS",
     "FIG4_SERIES",
     "run_telemetry",
-    "emit_telemetry_json",
     "check_telemetry",
 ]
 
@@ -69,14 +69,20 @@ def run_telemetry(
     samples: int = 32,
     aggregation: int = 8,
     apps: Sequence[str] = TELEMETRY_APPS,
+    instrument=None,
 ) -> Dict:
-    """Run the Fig-4 apps with telemetry sampling; returns the report dict."""
+    """Run the Fig-4 apps with telemetry sampling; returns the report dict.
+
+    ``instrument`` is called on each app's *sampled* run (labelled by the
+    app) after the sampler has taken over ``cluster.run`` — so a second
+    pump (a flight recorder) is refused rather than starving the sampler.
+    """
     from repro.harness.aggbench import _run_app
 
     if samples < 2:
         raise ValueError("telemetry needs at least 2 samples")
-    runs: List[Dict] = []
-    for app in apps:
+
+    def run_row(app, hook):
         # Pass 1: dry run — learn the workload's simulated duration.
         spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
         _ops, duration, _verified, _agg = _run_app(app, spec, scale,
@@ -86,7 +92,7 @@ def run_telemetry(
         spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
         box: Dict = {}
 
-        def instrument(hcl, box=box, duration=duration):
+        def arm(hcl):
             cluster = hcl.cluster
             sampler = cluster.sampler()
             _attach_probes(cluster, sampler)
@@ -95,9 +101,11 @@ def run_telemetry(
             )
             cluster.run = sampler.pump  # zero-perturbation sample driver
             box["sampler"] = sampler
+            if hook is not None:
+                hook(hcl)
 
         ops, sim_s, verified, _agg = _run_app(app, spec, scale, aggregation,
-                                              instrument)
+                                              arm)
         sampler = box["sampler"]
         # Summary stats ride the shared obs quantile path; ``mean``/``max``
         # keep their historical spellings alongside the summary block.
@@ -111,7 +119,7 @@ def run_telemetry(
             }
             for name, ts in sampler.series.items()
         }
-        runs.append({
+        return {
             "app": app,
             "ops": ops,
             "sim_seconds": sim_s,
@@ -120,7 +128,10 @@ def run_telemetry(
             "samples": len(sampler.series[FIG4_SERIES[0]]),
             "probe_errors": sampler.probe_errors,
             "series": series,
-        })
+        }
+
+    runs = [run for run, _wall in run_rows([(app, app) for app in apps],
+                                           run_row, instrument)]
     return {
         "benchmark": "telemetry_fig4",
         "scale": scale,
@@ -131,15 +142,6 @@ def run_telemetry(
         "series_names": list(FIG4_SERIES),
         "runs": runs,
     }
-
-
-def emit_telemetry_json(report: Dict,
-                        path: str = "BENCH_telemetry.json") -> str:
-    """Write the telemetry report (sorted keys, bit-reproducible)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def check_telemetry(report: Dict) -> List[str]:
@@ -157,3 +159,43 @@ def check_telemetry(report: Dict) -> List[str]:
                 f"{run['app']}: {run['probe_errors']} probe error(s)"
             )
     return failures
+
+
+def _render(report: Dict, args) -> str:
+    tables = []
+    for run in report["runs"]:
+        rows = [[name, len(ts["values"]), f"{ts['mean']:.4g}",
+                 f"{ts['max']:.4g}"]
+                for name, ts in sorted(run["series"].items())]
+        tables.append(render_table(
+            f"Fig 4 telemetry — {run['app']} "
+            f"({run['ops']} ops in {run['sim_seconds']:.6f}s sim)",
+            ["series", "samples", "mean", "max"], rows,
+        ) + "\n")
+    return "\n".join(tables)
+
+
+HARNESS = Harness(
+    name="telemetry",
+    help="Fig-4-style time series: NIC %%, memory %%, packet rate",
+    stem="telemetry",
+    shared=dict(scale=1.0, nodes=4, procs=3, emit="BENCH_telemetry.json"),
+    flags=(
+        flag("--samples", type=int, default=32,
+             help="sample points across the run (default 32)"),
+        flag("--aggregation", type=int, default=8,
+             help="write-combining buffer size (0 = off)"),
+        flag("--apps", nargs="+", choices=["isx", "kmer", "contig"],
+             default=list(TELEMETRY_APPS),
+             help="apps to sample (default: isx contig)"),
+    ),
+    run=lambda a, instrument: run_telemetry(
+        scale=a.scale, nodes=a.nodes, procs_per_node=a.procs,
+        samples=a.samples, aggregation=a.aggregation, apps=a.apps,
+        instrument=instrument),
+    render=_render,
+    emit=lambda report: {"": report},
+    check=lambda report, a: check_telemetry(report),
+    # the armed Sampler already owns cluster.run: no flight recorder
+    instruments=("trace", "metrics", "profile"),
+)

@@ -30,15 +30,14 @@ from repro.obs.span import (
 from repro.obs.exporters import (
     SPAN_SCHEMA,
     chrome_trace,
-    metrics_snapshot,
     span_record,
     validate_chrome_trace,
     validate_span_log,
     write_chrome_trace,
-    write_metrics_json,
+    write_json,
     write_span_jsonl,
 )
-from repro.obs.series import FlightRecorder, select_matches
+from repro.obs.series import FlightRecorder, recorder_of, select_matches
 from repro.obs.skew import SkewDetector, SpaceSavingSketch
 from repro.obs.slo import SLOMonitor, SLORule, counter_sli, latency_sli
 from repro.obs.critpath import analyze as critpath_analyze
@@ -61,6 +60,7 @@ from repro.obs.diff import (
     render_diff,
     write_diff_json,
 )
+from repro.obs.instruments import Instruments, suffixed
 from repro.obs.report import (
     render_dashboard,
     validate_dashboard,
@@ -80,15 +80,17 @@ __all__ = [
     "tracer_of",
     "SPAN_SCHEMA",
     "chrome_trace",
-    "metrics_snapshot",
     "span_record",
     "validate_chrome_trace",
     "validate_span_log",
     "write_chrome_trace",
-    "write_metrics_json",
+    "write_json",
     "write_span_jsonl",
     "FlightRecorder",
+    "recorder_of",
     "select_matches",
+    "Instruments",
+    "suffixed",
     "SkewDetector",
     "SpaceSavingSketch",
     "SLOMonitor",

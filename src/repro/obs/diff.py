@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.exporters import write_json
 from repro.obs.registry import SLO_QUANTILES, percentile_summary
 
 __all__ = [
@@ -897,7 +898,4 @@ def render_diff(diff: Dict, max_rows: int = 20) -> str:
 
 
 def write_diff_json(diff: Dict, path: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(diff, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(diff, path)

@@ -1,4 +1,4 @@
-"""Exporters: span JSON-lines, Chrome ``trace_event``, metrics snapshots.
+"""Exporters: span JSON-lines, Chrome ``trace_event``, plain JSON.
 
 Three output formats, all plain JSON so nothing outside the standard
 library is needed:
@@ -10,8 +10,10 @@ library is needed:
   array format.  Load it at https://ui.perfetto.dev ("Open trace file")
   to see the per-stage timeline; each simulated node renders as a
   process, each RPC trace as a track.
-* **Metrics snapshot** (``write_metrics_json``) — the registry's flat
-  ``snapshot()`` dict, sorted keys.
+* **JSON artifact** (``write_json``) — utf-8, ``indent=2``, sorted
+  keys, trailing newline.  Every other JSON file in the tree (bench
+  reports, registry ``snapshot()`` dicts, flight payloads, profiles,
+  run diffs) goes through it, so same-seed reruns byte-diff clean.
 
 ``SPAN_SCHEMA`` is a JSON-Schema-style description of one span-log line,
 and ``validate_span_log`` / ``validate_chrome_trace`` check real output
@@ -22,24 +24,32 @@ against it with a small pure-Python validator (the container has no
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs.span import Span
 
 __all__ = [
     "SPAN_SCHEMA",
     "chrome_trace",
-    "metrics_snapshot",
     "span_record",
     "validate_chrome_trace",
     "validate_span_log",
     "write_chrome_trace",
-    "write_metrics_json",
+    "write_json",
     "write_span_jsonl",
 ]
 
 #: seconds -> microseconds (Chrome trace_event timestamps are in µs)
 _US = 1e6
+
+
+def write_json(payload, path: str) -> str:
+    """Write one JSON artifact in the repo's diffable form; returns ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
 
 # -- span JSON-lines ----------------------------------------------------------
 
@@ -154,23 +164,6 @@ def write_chrome_trace(spans: Iterable[Span], path: str,
                    "displayTimeUnit": "ms"}, fh, indent=1)
         fh.write("\n")
     return len(events)
-
-
-# -- metrics snapshot ---------------------------------------------------------
-
-def metrics_snapshot(registry, prefixes: Optional[Sequence[str]] = None) -> Dict:
-    """The registry's flat snapshot (passthrough for symmetry with writers)."""
-    return registry.snapshot(prefixes)
-
-
-def write_metrics_json(registry, path: str,
-                       prefixes: Optional[Sequence[str]] = None) -> int:
-    """Dump the registry snapshot as sorted JSON; returns metric count."""
-    snap = registry.snapshot(prefixes)
-    with open(path, "w") as fh:
-        json.dump(snap, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return len(snap)
 
 
 # -- validation ---------------------------------------------------------------

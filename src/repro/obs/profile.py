@@ -31,18 +31,19 @@ Three views come out of one run:
 bracketing (setup vs run vs report); scopes are coarse by design and
 never sit on per-event paths.
 
-Exposed as ``--profile`` / ``--profile-out`` on the ``kernelbench``,
-``aggbench``, ``serving`` and ``asyncbench`` CLI commands, and consumed
-by :mod:`repro.obs.diff` for wall-share regression forensics.
+Exposed as ``--profile`` / ``--profile-out`` on every bench CLI command
+(through :class:`~repro.obs.instruments.Instruments`), and consumed by
+:mod:`repro.obs.diff` for wall-share regression forensics.
 """
 
 from __future__ import annotations
 
 import cProfile
-import json
 import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.exporters import write_json
 
 __all__ = [
     "PROFILE_SCHEMA_KIND",
@@ -341,10 +342,7 @@ def render_profile(payload: Dict, top_n: int = 15) -> str:
 
 def write_profile_json(payload: Dict, path: str) -> str:
     """Write the profile payload as sorted JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(payload, path)
 
 
 def write_folded(payload: Dict, path: str) -> int:

@@ -232,16 +232,14 @@ def registry_of(sim) -> MetricsRegistry:
     return registry
 
 
-def publish_scheduler_metrics(sim, registry: MetricsRegistry = None
-                              ) -> MetricsRegistry:
+def publish_scheduler_metrics(sim) -> MetricsRegistry:
     """Mirror the kernel's event-core stats into ``scheduler/*`` gauges.
 
     Lane/far depth and the calendar queue's bucket occupancy and
     adaptive-width resize/refill counts, so one ``--metrics-out`` snapshot
     covers the kernel too.
     """
-    if registry is None:
-        registry = registry_of(sim)
+    registry = registry_of(sim)
     stats = sim.kernel_stats()
     registry.gauge("scheduler/lane_depth").set(stats["lane_depth"])
     registry.gauge("scheduler/far_depth").set(stats["far_depth"])

@@ -12,15 +12,16 @@ It reuses the :meth:`~repro.simnet.trace.Sampler.pump` driving discipline
 (PR 5) for the same **zero-perturbation** guarantee: the clock only
 advances by processing real events, or by jumping across an idle gap the
 unrecorded run would cross anyway.  ``recorder.pump`` is a drop-in
-replacement for ``Cluster.run`` — harnesses install it with
-``cluster.run = recorder.pump`` exactly like the telemetry sampler — so
-a recorded run retires the identical event sequence (identical simulated
-results) as an unrecorded one; only the sampled series differ from
-nothing at all.
+replacement for ``Cluster.run`` — :meth:`FlightRecorder.install` is the
+one place a recorder takes it over, exactly like the telemetry sampler —
+so a recorded run retires the identical event sequence (identical
+simulated results) as an unrecorded one; only the sampled series differ
+from nothing at all.
 
 Per-tick listeners (the skew detector and SLO monitor) hang off
 :meth:`add_listener` and share the recorder's :class:`EventLog`, so one
-pump drives the whole monitoring stack.
+pump drives the whole monitoring stack; a harness finds the recorder its
+``instrument`` installed with :func:`recorder_of`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.obs.registry import MetricsRegistry, registry_of
 from repro.simnet.stats import Counter, Gauge, Histogram
 from repro.simnet.trace import EventLog, TimeSeries, pump_samples
 
-__all__ = ["FlightRecorder", "select_matches"]
+__all__ = ["FlightRecorder", "recorder_of", "select_matches"]
 
 
 def select_matches(name: str, selectors: Optional[Sequence[str]]) -> bool:
@@ -103,6 +104,8 @@ class FlightRecorder:
         self.quantiles = tuple(quantiles)
         self.series: Dict[str, TimeSeries] = {}
         self.events = EventLog(sim, limit=event_limit)
+        #: harness-specific payload sections (serving: ``skew``, ``slo``)
+        self.extra: Dict[str, Dict] = {}
         self.samples = 0
         self._listeners: List[Callable[[float], None]] = []
         self._next: Optional[float] = None
@@ -113,7 +116,13 @@ class FlightRecorder:
         self._listeners.append(fn)
 
     def install(self, cluster) -> "FlightRecorder":
-        """Route ``cluster.run`` through :meth:`pump` (instance attr)."""
+        """Route ``cluster.run`` through :meth:`pump` (instance attr).
+
+        One pump per cluster: a second driver (another recorder, the
+        telemetry sampler) would silently starve the first, so refuse.
+        """
+        if "run" in vars(cluster):
+            raise RuntimeError("cluster.run is already driven by a sample pump")
         cluster.run = self.pump
         return self
 
@@ -203,4 +212,11 @@ class FlightRecorder:
             "events": [[t, kind, payload]
                        for (t, kind, payload) in self.events.entries],
             "events_dropped": self.events.dropped,
+            **self.extra,
         }
+
+
+def recorder_of(cluster) -> Optional[FlightRecorder]:
+    """The recorder whose pump drives ``cluster.run`` (None when unrecorded)."""
+    owner = getattr(vars(cluster).get("run"), "__self__", None)
+    return owner if isinstance(owner, FlightRecorder) else None

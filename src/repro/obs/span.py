@@ -27,9 +27,8 @@ draws — so a traced run retires the identical event sequence (and
 therefore identical simulated results) as an untraced one, and an
 untraced run pays only a ``None``-check per RPC.
 
-The tracer's clock is pluggable (any zero-arg float callable), so the
-same machinery traces wall-clock phases of host-side benchmarks
-(``kernelbench --trace``) with ``time.perf_counter``.
+The tracer's clock is pluggable (any zero-arg float callable);
+:func:`install_tracer` binds it to the simulation clock.
 """
 
 from __future__ import annotations

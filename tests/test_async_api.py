@@ -14,7 +14,6 @@ import pytest
 from repro.apps import run_kmer_counting, synthesize_genome
 from repro.config import ares_like
 from repro.core import HCL
-from repro.obs import metrics_snapshot
 from repro.obs.registry import registry_of
 from repro.rpc.coalesce import AUTO_FLOOR, AUTO_INITIAL
 
@@ -270,7 +269,7 @@ class TestAdaptiveMetricsVisibility:
             instrument=lambda h: box.setdefault("sim", h.sim),
         )
         assert res.verified
-        snap = metrics_snapshot(registry_of(box["sim"]))
+        snap = registry_of(box["sim"]).snapshot()
         assert "rpc/window_stalls" in snap
         assert "coalesce/auto_threshold" in snap
         assert any(k.startswith("rpc/cwnd/") for k in snap)

@@ -1,0 +1,257 @@
+"""The bench subcommands' CLI glue, as one harness x instrument matrix.
+
+Every bench command runs through ``run_bench`` and every instrument
+through ``Instruments``, so one parametrised test covers each cell the
+harness records declare: instruments never change the report, every
+artifact is one the repo's own tools can read, and same-seed reruns write
+the same bytes.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+
+import pytest
+
+from repro.cli import BENCHES, build_parser, main
+from repro.obs import (
+    Instruments,
+    load_artifact,
+    suffixed,
+    validate_chrome_trace,
+    validate_profile,
+    validate_span_log,
+)
+
+#: tiny shape + the row labels it produces, per bench command
+TINY = {
+    "kernelbench": (["--procs", "10", "--timeouts", "100", "--repeats", "1"],
+                    [""]),
+    "aggbench": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
+                  "--sweep", "0", "8", "--apps", "kmer", "--sim-only"],
+                 ["kmer-agg0", "kmer-agg8"]),
+    "asyncbench": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
+                    "--sim-only"],
+                   ["sync-512", "async-64", "async-512", "async-auto"]),
+    "serving": (["--nodes", "2", "--procs", "2", "--clients", "100",
+                 "--tenants", "2", "--keys", "64", "--rate", "2400",
+                 "--ops-per-client", "5", "--bounds", "off", "16"],
+                ["off", "b16"]),
+    "chaos-soak": (["--plans", "mixed", "calm", "--keys", "8", "--kmers", "8"],
+                   ["mixed", "calm"]),
+    "telemetry": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
+                   "--samples", "4"],
+                  ["isx", "contig"]),
+}
+
+#: instrument -> (flags writing into the cell's directory, files per row)
+INSTRUMENT_FLAGS = {
+    "trace": (["--trace", "t"], ["t{}.jsonl", "t{}_chrome.json"]),
+    "metrics": (["--metrics-out", "m.json"], ["m{}.json"]),
+    "flight": (["--flight-recorder", "f.json"], ["f{}.json"]),
+    "profile": (["--profile-out", "p.json", "--profile-folded", "p.folded"],
+                []),
+}
+
+#: kernelbench has no --sim-only: its wall-clock fields are not comparable
+WALL_FIELDS = ("wall_seconds", "events_per_sec", "speedup_vs_seed")
+
+HARNESSES = {h.name: h for h in BENCHES}
+
+CELLS = [(h.name, (ins,)) for h in BENCHES for ins in h.instruments] \
+    + [(h.name, tuple(h.instruments)) for h in BENCHES]
+
+
+def _run(name, instruments, where):
+    """One CLI run of ``name`` inside ``where``; returns {file: bytes}."""
+    argv = [name] + TINY[name][0] + ["--emit", "report.json"]
+    for ins in instruments:
+        argv += INSTRUMENT_FLAGS[ins][0]
+    os.makedirs(where)
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.chdir(cwd)
+    files = {}
+    for fname in os.listdir(where):
+        with open(os.path.join(where, fname), "rb") as fh:
+            files[fname] = fh.read()
+    return files
+
+
+def _reports(files, name):
+    """The ``--emit`` JSONs of one run: raw bytes, except kernelbench's
+    (parsed, wall-clock fields dropped)."""
+    out = {f: data for f, data in files.items() if f.startswith("report")}
+    if name == "kernelbench":
+        out = {f: {k: v for k, v in json.loads(data).items()
+                   if k not in WALL_FIELDS} for f, data in out.items()}
+    return out
+
+
+@pytest.fixture(scope="module")
+def plain(tmp_path_factory):
+    """Instruments-off reports, one run per command (lazily cached)."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            where = tmp_path_factory.mktemp("plain") / name
+            cache[name] = _reports(_run(name, (), str(where)), name)
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name,instruments", CELLS,
+                         ids=[f"{n}-{'+'.join(i)}" for n, i in CELLS])
+def test_matrix_cell(name, instruments, plain, tmp_path):
+    files = _run(name, instruments, str(tmp_path / "a"))
+
+    # (a) instruments never change the report
+    reports = _reports(files, name)
+    assert reports == plain(name)
+
+    # the one naming rule: PATH_<label> per row, plain PATH for one row
+    labels = TINY[name][1]
+    expected = set(reports)
+    for ins in instruments:
+        for pattern in INSTRUMENT_FLAGS[ins][1]:
+            expected |= {pattern.format(f"_{label}" if len(labels) > 1
+                                        else "") for label in labels}
+    if "profile" in instruments:
+        expected |= {"p.json", "p.folded"}
+    assert set(files) == expected
+
+    # (b) every artifact is a kind the repo's own tools recognise
+    kinds = {"m": "metrics", "f": "flight", "p": "wall_profile"}
+    for fname in sorted(set(files) - set(reports)):
+        path = str(tmp_path / "a" / fname)
+        if fname.endswith(".jsonl"):
+            assert validate_span_log(path) == []
+            assert files[fname], "span log is empty"
+        elif fname.endswith("_chrome.json"):
+            assert validate_chrome_trace(path) == []
+        elif fname.endswith(".folded"):
+            assert re.fullmatch(rb"(\S.* \d+\n)+", files[fname])
+        else:
+            kind, doc = load_artifact(path)
+            assert kind == kinds[fname[0]], (fname, kind)
+            if kind == "wall_profile":
+                assert validate_profile(doc) == []
+
+    # (c) same-seed reruns write byte-identical span and flight files
+    # (checked on the single-instrument cells; cProfile makes the
+    # all-together cell the slow one)
+    if instruments in (("trace",), ("flight",)):
+        again = _run(name, instruments, str(tmp_path / "b"))
+        for fname in files:
+            if fname[0] in "tf":
+                assert files[fname] == again[fname], fname
+
+
+class TestCheck:
+    """(d) one place turns check failures into CHECK FAILED + exit 1."""
+
+    FAILING = [
+        ["aggbench", *TINY["aggbench"][0], "--check", "--min-speedup", "1e6"],
+        ["asyncbench", "--scale", "0.1", "--nodes", "2", "--procs", "2",
+         "--repeats", "1", "--check", "--min-speedup", "1e6"],
+        # --require-cliff gates on its own, without --check
+        ["serving", *TINY["serving"][0], "--require-cliff",
+         "--cliff-factor", "1e6"],
+        # a soak that injects nothing fails its verdict: no --check needed
+        ["chaos-soak", "--plans", "drop-heavy", "--nodes", "2", "--procs", "1",
+         "--keys", "1", "--kmers", "1", "--horizon", "1e-9"],
+    ]
+
+    @pytest.mark.parametrize("argv", FAILING, ids=[a[0] for a in FAILING])
+    def test_failure_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "CHECK FAILED: " in capsys.readouterr().err
+
+    def test_telemetry_failure_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr("repro.harness.telemetry.check_telemetry",
+                            lambda report: ["isx: probe failed"])
+        assert main(["telemetry", *TINY["telemetry"][0], "--check"]) == 1
+        assert "CHECK FAILED: isx: probe failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["serving", "telemetry"])
+    def test_passing_check_exits_0(self, name, capsys):
+        assert main([name, *TINY[name][0], "--check"]) == 0
+        assert "CHECK FAILED" not in capsys.readouterr().err
+
+    def test_unchecked_run_ignores_failures(self, capsys):
+        argv = [a for a in self.FAILING[0] if a != "--check"]
+        assert main(argv) == 0
+        assert "CHECK FAILED" not in capsys.readouterr().err
+
+
+class TestParser:
+    def test_list_equals_the_subcommand_table(self, capsys):
+        """(e) ``list`` reads the parser's table, not a hand-kept string."""
+        assert main(["list"]) == 0
+        listed = capsys.readouterr().out.splitlines()[0].split()[1:]
+        sub = next(a for a in build_parser()._actions if a.choices)
+        assert listed == list(sub.choices)
+        assert {h.name for h in BENCHES} < set(listed)
+
+    @pytest.mark.parametrize("name", HARNESSES)
+    def test_only_declared_instruments_parse(self, name, capsys):
+        declared = HARNESSES[name].instruments
+        for ins, (flags, _files) in INSTRUMENT_FLAGS.items():
+            if ins not in declared:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([name] + flags)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--flight-maxlen", "--profile-top"])
+    def test_single_valued_knobs_are_constants(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serving", flag, "8"])
+        capsys.readouterr()
+
+    def test_docs_matrix_matches_the_records(self):
+        """docs/OBSERVABILITY.md's harness x instrument table is generated
+        from the records' declarations."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        with open(os.path.join(here, "..", "docs", "OBSERVABILITY.md"),
+                  encoding="utf-8") as fh:
+            doc = fh.read()
+        for h in BENCHES:
+            cells = " | ".join("yes" if ins in h.instruments else "—"
+                               for ins in INSTRUMENT_FLAGS)
+            assert f"| `{h.name}` | {cells} |" in doc, h.name
+
+
+class TestSeam:
+    def test_suffixed_splits_on_the_basename(self):
+        assert suffixed("./out/chaos_trace", "mixed") == \
+            "./out/chaos_trace_mixed"
+        assert suffixed("artifacts.d/flight", "b16") == \
+            "artifacts.d/flight_b16"
+        assert suffixed("flight.json", "b16") == "flight_b16.json"
+        assert suffixed("/tmp/run.1/serving_flight.json", "off") == \
+            "/tmp/run.1/serving_flight_off.json"
+
+    def test_second_pump_is_refused(self):
+        """Telemetry's armed sampler owns ``cluster.run``: a flight
+        recorder on top raises instead of silently replacing it."""
+        from repro.harness.telemetry import run_telemetry
+
+        with pytest.raises(RuntimeError, match="already driven"):
+            run_telemetry(scale=0.1, nodes=2, procs_per_node=2, samples=4,
+                          apps=("isx",), instrument=Instruments(flight=True))
+
+    def test_runs_remember_row_labels(self):
+        from repro.harness.aggbench import run_agg_bench
+
+        ins = Instruments(metrics=True)
+        run_agg_bench(scale=0.1, nodes=2, procs_per_node=2, sweep=(0, 8),
+                      apps=("kmer",), repeats=2, instrument=ins)
+        # one instrumented repeat per row, however many repeats ran
+        assert [run.label for run in ins.runs] == ["kmer-agg0", "kmer-agg8"]

@@ -1,16 +1,14 @@
-"""Tests for workloads, experiment runner, and reporting."""
+"""Tests for workloads and reporting."""
 
 import pytest
 
 from repro.harness import (
     Blob,
-    ExperimentResult,
     WorkloadSpec,
     key_stream,
     ratio,
     render_series,
     render_table,
-    run_trials,
 )
 from repro.harness.report import fmt_si
 from repro.serialization.databox import estimate_size
@@ -63,32 +61,6 @@ class TestWorkloadSpec:
             WorkloadSpec(insert_fraction=1.5)
         with pytest.raises(ValueError):
             WorkloadSpec(ops_per_client=0)
-
-
-class TestExperiment:
-    def test_derived_metrics(self):
-        r = ExperimentResult("x", elapsed=2.0, total_ops=1000,
-                             total_bytes=4 << 20)
-        assert r.ops_per_second == 500
-        assert r.mb_per_second == 2.0
-
-    def test_zero_elapsed(self):
-        r = ExperimentResult("x", elapsed=0.0, total_ops=10)
-        assert r.ops_per_second == 0.0
-
-    def test_run_trials_averages(self):
-        def factory(seed):
-            return ExperimentResult("t", elapsed=float(seed),
-                                    total_ops=100, extra={"m": seed * 2.0})
-
-        avg = run_trials(factory, trials=3, base_seed=1)
-        assert avg.elapsed == pytest.approx(2.0)  # mean of 1,2,3
-        assert avg.extra["m"] == pytest.approx(4.0)
-        assert avg.extra["trials"] == 3
-
-    def test_run_trials_validation(self):
-        with pytest.raises(ValueError):
-            run_trials(lambda s: None, trials=0)
 
 
 class TestReport:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.config import ares_like
 from repro.fabric import Cluster
+from repro.harness.serving import HARNESS as SERVING
 from repro.harness.serving import (
     ZipfKeyGenerator,
     check_serving,
@@ -15,6 +16,7 @@ from repro.harness.serving import (
     render_serving,
     run_serving,
 )
+from repro.obs import FlightRecorder
 from repro.rpc import RpcClient, RpcServer, ServerOverloaded
 from repro.rpc.server import RpcRequest
 
@@ -277,11 +279,17 @@ class TestServingRuntimeWiring:
 class TestServingMonitors:
     """Monitors-on runs must keep identical simulated results."""
 
+    @staticmethod
+    def _record():
+        """Run TINY with the flight recorder on; (report, [(label, flight)])."""
+        recorded = SERVING.attach(flight=True)
+        report = run_serving(**TINY, instrument=recorded)
+        return report, [(run.label, run.recorder.payload())
+                        for run in recorded.runs]
+
     @pytest.fixture(scope="class")
     def monitored(self):
-        sink = []
-        report = run_serving(**TINY, monitors=True, monitors_sink=sink)
-        return report, sink
+        return self._record()
 
     def test_report_identical_with_monitors_on(self, monitored):
         import json
@@ -293,9 +301,9 @@ class TestServingMonitors:
 
     def test_sink_holds_one_flight_per_bound(self, monitored):
         _report, sink = monitored
-        assert [e["queue_bound"] for e in sink] == list(TINY["bounds"])
-        for entry in sink:
-            flight = entry["flight"]
+        assert [label for label, _flight in sink] == [
+            "off" if b is None else f"b{b}" for b in TINY["bounds"]]
+        for _label, flight in sink:
             assert flight["kind"] == "flight_recorder"
             assert flight["samples"] > 0
             assert flight["series"]
@@ -303,7 +311,7 @@ class TestServingMonitors:
 
     def test_skew_section_covers_all_partitions(self, monitored):
         _report, sink = monitored
-        skew = sink[0]["flight"]["skew"]
+        skew = sink[0][1]["skew"]
         assert skew["partitions"] > 0
         assert skew["total_ops"] > 0
         assert skew["keys_offered"] > 0
@@ -314,28 +322,35 @@ class TestServingMonitors:
         """The sketch's #1 key share equals the report's exact
         ``top_key_share`` (computed from full per-key counts)."""
         report, sink = monitored
-        skew = sink[0]["flight"]["skew"]
+        skew = sink[0][1]["skew"]
         top = skew["top_keys"][0]
         assert top["error"] == 0  # namespace fits: counts are exact
         assert top["count"] / skew["keys_offered"] == pytest.approx(
             report["configs"][0]["top_key_share"])
 
     def test_monitor_option_overrides(self):
-        sink = []
-        run_serving(**TINY, monitors={"interval": 1e-3, "maxlen": 7},
-                    monitors_sink=sink)
-        flight = sink[0]["flight"]
+        """Any instrument that installs a recorder gets the serving rules:
+        cadence and ring bound are the recorder's own."""
+        recorders = []
+
+        def instrument(h):
+            recorders.append(FlightRecorder(
+                h.sim, interval=1e-3, maxlen=7,
+                select=SERVING.flight_select).install(h.cluster))
+
+        run_serving(**TINY, instrument=instrument)
+        flight = recorders[0].payload()
         assert flight["interval"] == 1e-3
         assert flight["maxlen"] == 7
         assert all(len(s["times"]) <= 7
                    for s in flight["series"].values())
+        assert "skew" in flight and "slo" in flight
 
     def test_flight_payload_deterministic(self):
         import json
 
         def one():
-            sink = []
-            run_serving(**TINY, monitors=True, monitors_sink=sink)
-            return json.dumps([e["flight"] for e in sink], sort_keys=True)
+            _report, sink = self._record()
+            return json.dumps(sink, sort_keys=True)
 
         assert one() == one()

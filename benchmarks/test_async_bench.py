@@ -1,9 +1,8 @@
 """Async-pipeline bench: the sync-vs-async k-mer A/B at CI smoke scale.
 
-The committed wall-clock numbers live in ``BENCH_async.json`` (regenerated
-by ``python -m repro.cli asyncbench --emit``); this bench runs the sim-only
-analogue — deterministic, so it can assert hard invariants rather than
-noisy wall ratios:
+The committed full-shape report lives in ``BENCH_async.json`` (regenerated
+by ``python -m repro.cli asyncbench --emit``); this bench runs the same A/B
+on 2x2 ranks.  Every number is simulated, so it asserts hard invariants:
 
 * every mode (sync baseline, async static sweep, async auto) verifies and
   produces the SAME application digest — the pipeline reorders work, never
@@ -12,8 +11,7 @@ noisy wall ratios:
   sync baseline;
 * the self-tuned coalescer threshold lands within tolerance of the best
   hand-tuned static run;
-* the emitted JSON round-trips through the ``check_regression`` async gate
-  cleanly against itself.
+* two same-shape runs emit byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -22,11 +20,10 @@ import json
 
 import pytest
 
-from benchmarks.check_regression import compare_async
 from benchmarks.conftest import run_once
 from repro.harness.asyncbench import emit_async_json, run_async_bench
 
-SMOKE = dict(scale=1.0, nodes=2, procs_per_node=2, repeats=1, sim_only=True)
+SMOKE = dict(scale=1.0, nodes=2, procs_per_node=2)
 
 
 @pytest.mark.benchmark(group="async")
@@ -49,10 +46,9 @@ def test_async_pipeline_ab(benchmark, report, tmp_path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     assert payload["benchmark"] == "async_pipeline"
-    assert compare_async(payload, payload) == []
 
     report(
-        "Async pipeline A/B (sim-only smoke)\n"
+        "Async pipeline A/B (smoke)\n"
         + "\n".join(
             f"  {r.mode:<5} agg={r.aggregation:<5} sim={r.sim_seconds:.6f}s "
             f"rpc/window_stalls={r.window_stalls} digest={r.digest}"
@@ -66,7 +62,7 @@ def test_async_pipeline_ab(benchmark, report, tmp_path):
 
 @pytest.mark.benchmark(group="async")
 def test_async_bench_deterministic(benchmark, tmp_path):
-    """Same seed, same scale -> byte-identical sim-only JSON."""
+    """Same seed, same scale -> byte-identical JSON."""
 
     def emit(path):
         rep = run_async_bench(**SMOKE)

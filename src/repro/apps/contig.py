@@ -176,10 +176,6 @@ def run_contig_generation(backend: str, spec: ClusterSpec,
     graph) into one invocation per flush; ``read_cache`` serves repeated
     traversal lookups (every interior k-mer is read by the seed filter AND
     the walk) from the epoch-validated locality cache.
-
-    There is deliberately no ``sim_only`` knob here: the traversal phase
-    reads the stored ExtensionPair values back, so stubbing payloads would
-    break the walk — contig always runs with real data.
     """
     if backend == "hcl":
         return _run_hcl(spec, data, aggregation, read_cache, instrument)

@@ -62,7 +62,6 @@ def run_isx(
     seed: int = 1,
     aggregation: int = 0,
     instrument=None,
-    sim_only: bool = False,
 ) -> IsxResult:
     """Run the ISx kernel on ``backend`` ("hcl" or "bcl").
 
@@ -74,16 +73,10 @@ def run_isx(
     ``instrument`` (HCL only): callable invoked with the :class:`HCL`
     runtime after the containers are built but before the workload runs —
     the attach point for tracers and telemetry samplers.
-
-    ``sim_only`` (HCL only): timing-only mode — containers stub opaque
-    payloads and verification drops the full O(N log N) merge-sort check
-    in favor of cheap invariants (per-bucket sortedness, bucket routing,
-    key-count and key-sum conservation).  The simulated timeline is
-    bit-identical to the full-data run.
     """
     if backend == "hcl":
         return _run_hcl(spec, keys_per_rank, batch, seed, aggregation,
-                        instrument, sim_only=sim_only)
+                        instrument)
     if backend == "bcl":
         return _run_bcl(spec, keys_per_rank, seed)
     raise ValueError(f"unknown backend {backend!r}")
@@ -100,34 +93,16 @@ def _verify(per_node: List[List[int]], all_keys: List[int], nodes: int) -> bool:
     return sorted(merged) == sorted(all_keys)
 
 
-def _verify_cheap(per_node: List[List[int]], all_keys: List[int],
-                  nodes: int) -> bool:
-    """O(N) invariants for ``sim_only`` runs: per-bucket sortedness and
-    routing, plus key-count and key-sum conservation — every key scattered
-    came back out of exactly one bucket, unmodified in aggregate."""
-    total = 0
-    checksum = 0
-    for node_id, chunk in enumerate(per_node):
-        if any(a > b for a, b in zip(chunk, chunk[1:])):
-            return False
-        if any(_bucket_of(k, nodes) != node_id for k in chunk):
-            return False
-        total += len(chunk)
-        checksum += sum(chunk)
-    return total == len(all_keys) and checksum == sum(all_keys)
-
-
 # -- HCL ----------------------------------------------------------------------
 
 def _run_hcl(spec: ClusterSpec, keys_per_rank: int, batch: int,
-             seed: int, aggregation: int = 0, instrument=None,
-             sim_only: bool = False) -> IsxResult:
+             seed: int, aggregation: int = 0, instrument=None) -> IsxResult:
     hcl = HCL(spec)
     nodes = hcl.num_nodes
     # Priority-queue coordinate space must cover MAX_KEY.
     buckets = [
         hcl.priority_queue(f"isx.bucket{i}", home_node=i, dims=9, base=8,
-                           aggregation=aggregation, sim_only=sim_only)
+                           aggregation=aggregation)
         for i in range(nodes)
     ]
     if instrument is not None:
@@ -194,12 +169,8 @@ def _run_hcl(spec: ClusterSpec, keys_per_rank: int, batch: int,
         agg["aggregation"]["ops_per_flush"] = (
             agg["aggregation"]["flushed_ops"] / flushes if flushes else 0.0
         )
-    verified = (
-        _verify_cheap(per_node, all_keys, nodes) if sim_only
-        else _verify(per_node, all_keys, nodes)
-    )
-    return IsxResult("hcl", nodes, len(all_keys), elapsed, verified,
-                     agg_report=agg)
+    return IsxResult("hcl", nodes, len(all_keys), elapsed,
+                     _verify(per_node, all_keys, nodes), agg_report=agg)
 
 
 # -- BCL ----------------------------------------------------------------------

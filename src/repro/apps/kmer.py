@@ -57,8 +57,7 @@ def _reads_for_rank(data: GenomeData, rank: int, total: int):
 def run_kmer_counting(backend: str, spec: ClusterSpec, data: GenomeData,
                       min_count: int = 1,
                       aggregation: Union[int, str] = 0,
-                      instrument=None, sim_only: bool = False,
-                      async_api: bool = False,
+                      instrument=None, async_api: bool = False,
                       window=None) -> KmerResult:
     """Count k-mers on ``backend``.
 
@@ -71,12 +70,6 @@ def run_kmer_counting(backend: str, spec: ClusterSpec, data: GenomeData,
     so the final histogram is identical; 0 keeps the classic
     one-invocation-per-k-mer behavior.
 
-    ``sim_only`` (HCL only): timing-only mode — skips the exact sequential
-    reference histogram (which re-counts every k-mer single-threaded) in
-    favor of O(distinct) conservation checks.  Upsert deltas are semantic
-    and never stubbed, so the histogram itself is still exact and the
-    simulated timeline is bit-identical to the full-data run.
-
     ``async_api`` (HCL only): count through the pipelined-futures API
     (``async_rmw``) instead of per-op generators.  ``aggregation``
     defaults to ``"auto"`` (the self-tuning coalescer) when left unset.
@@ -86,8 +79,7 @@ def run_kmer_counting(backend: str, spec: ClusterSpec, data: GenomeData,
     """
     if backend == "hcl":
         return _run_hcl(spec, data, min_count, aggregation, instrument,
-                        sim_only=sim_only, async_api=async_api,
-                        window=window)
+                        async_api=async_api, window=window)
     if backend == "bcl":
         return _run_bcl(spec, data, min_count)
     raise ValueError(f"unknown backend {backend!r}")
@@ -100,17 +92,6 @@ def _verify(counts: dict, data: GenomeData, min_count: int) -> bool:
     return counts == reference
 
 
-def _verify_cheap(raw_counts: dict, data: GenomeData, seen: int) -> bool:
-    """Conservation invariants for ``sim_only`` runs (pre-filter counts):
-    every upsert landed exactly once, every stored k-mer has the right
-    width, and no count is non-positive."""
-    if sum(raw_counts.values()) != seen:
-        return False
-    return all(
-        len(k) == data.k and c > 0 for k, c in raw_counts.items()
-    )
-
-
 def _apply_filter(counts: dict, min_count: int):
     kept = {k: c for k, c in counts.items() if c >= min_count}
     return kept, len(counts) - len(kept)
@@ -118,14 +99,13 @@ def _apply_filter(counts: dict, min_count: int):
 
 def _run_hcl(spec: ClusterSpec, data: GenomeData,
              min_count: int = 1, aggregation: Union[int, str] = 0,
-             instrument=None, sim_only: bool = False,
-             async_api: bool = False, window=None) -> KmerResult:
+             instrument=None, async_api: bool = False,
+             window=None) -> KmerResult:
     if async_api and not aggregation:
         aggregation = "auto"
     hcl = HCL(spec, window=window)
     table = hcl.unordered_map("kmers", partitions=hcl.num_nodes,
-                              initial_buckets=1024, aggregation=aggregation,
-                              sim_only=sim_only)
+                              initial_buckets=1024, aggregation=aggregation)
     if instrument is not None:
         instrument(hcl)
     total_procs = spec.total_procs
@@ -169,11 +149,10 @@ def _run_hcl(spec: ClusterSpec, data: GenomeData,
 
     hcl.run_ranks(rank_body)
     counts = {k: v for part in table.partitions for k, v in part.structure.items()}
-    verified_cheap = _verify_cheap(counts, data, seen) if sim_only else False
     counts, filtered = _apply_filter(counts, min_count)
-    verified = verified_cheap if sim_only else _verify(counts, data, min_count)
     return KmerResult("hcl", hcl.num_nodes, seen, len(counts), hcl.now,
-                      verified, filtered_kmers=filtered,
+                      _verify(counts, data, min_count),
+                      filtered_kmers=filtered,
                       agg_report=table.aggregation_report() or None,
                       digest=_counts_digest(counts))
 

@@ -22,14 +22,12 @@ from typing import List
 
 from repro.config import KB, MB, ares_like
 from repro.harness import Harness, render_series, render_table, run_bench
-from repro.harness import (
-    aggbench, asyncbench, chaos, kernelbench, serving, telemetry,
-)
+from repro.harness import aggbench, asyncbench, chaos, serving, telemetry
 from repro.harness.driver import positive_float as _positive_float
 
 #: the bench subcommands: one declared record each, all run by run_bench
-BENCHES = (kernelbench.HARNESS, aggbench.HARNESS, asyncbench.HARNESS,
-           chaos.HARNESS, telemetry.HARNESS, serving.HARNESS)
+BENCHES = (aggbench.HARNESS, asyncbench.HARNESS, chaos.HARNESS,
+           telemetry.HARNESS, serving.HARNESS)
 
 
 def _cmd_fig1(args) -> int:
@@ -71,16 +69,20 @@ def _cmd_fig6(args) -> int:
     from benchmarks import conftest as bench_conf
     from benchmarks import test_fig6_scaling as f6
 
-    bench_conf.set_scale(args.scale)
     series = {"hcl_umap_ins": [], "hcl_map_ins": [], "bcl_umap_ins": []}
     parts = args.partitions or f6.PART_SWEEP
-    for p in parts:
-        ui, _uf = f6._hcl_map_run(p, ordered=False)
-        oi, _of = f6._hcl_map_run(p, ordered=True)
-        bi, _bf = f6._bcl_map_run(p)
-        series["hcl_umap_ins"].append(ui)
-        series["hcl_map_ins"].append(oi)
-        series["bcl_umap_ins"].append(bi)
+    saved = bench_conf.get_scale()
+    bench_conf.set_scale(args.scale)
+    try:
+        for p in parts:
+            ui, _uf = f6._hcl_map_run(p, ordered=False)
+            oi, _of = f6._hcl_map_run(p, ordered=True)
+            bi, _bf = f6._bcl_map_run(p)
+            series["hcl_umap_ins"].append(ui)
+            series["hcl_map_ins"].append(oi)
+            series["bcl_umap_ins"].append(bi)
+    finally:
+        bench_conf.set_scale(saved)
     print(render_series("Fig 6a — insert throughput op/s", "partitions",
                         parts, series))
     if args.emit:
@@ -109,8 +111,7 @@ def _cmd_fig7(args) -> int:
             b = None
             if app == "isx":
                 h = run_isx("hcl", spec, keys_per_rank=sc(args.ops),
-                            aggregation=args.aggregation,
-                            sim_only=args.container_sim_only)
+                            aggregation=args.aggregation)
                 if not hcl_only:
                     b = run_isx("bcl", spec, keys_per_rank=sc(args.ops))
             else:
@@ -120,13 +121,10 @@ def _cmd_fig7(args) -> int:
                 )
                 if app == "kmer":
                     h = run_kmer_counting(
-                        "hcl", spec, data, aggregation=args.aggregation,
-                        sim_only=args.container_sim_only,
-                    )
+                        "hcl", spec, data, aggregation=args.aggregation)
                     if not hcl_only:
                         b = run_kmer_counting("bcl", spec, data)
                 else:
-                    # contig traverses stored values: no sim-only mode.
                     h = run_contig_generation(
                         "hcl", spec, data, aggregation=args.aggregation,
                         read_cache=bool(args.aggregation),
@@ -388,16 +386,6 @@ def _cluster_flags(p, shared) -> None:
                        help="work multiplier (default %(default)s)")
 
 
-def _repeat_flags(p, shared) -> None:
-    """Wall-clock handling: ``--repeats`` / ``--sim-only``."""
-    if "repeats" in shared:
-        p.add_argument("--repeats", type=int, default=shared["repeats"],
-                       help="wall time takes the best of N runs")
-    if "sim_only" in shared:
-        p.add_argument("--sim-only", action="store_true",
-                       help="omit wall-clock fields (deterministic JSON)")
-
-
 def _output_flags(p, harness: Harness) -> None:
     """Report output: ``--emit`` / ``--check``."""
     default = harness.shared["emit"]
@@ -419,7 +407,7 @@ def _instrument_flags(p, harness: Harness) -> None:
     if "trace" in have:
         p.add_argument("--trace", nargs="?", const=f"{stem}_trace",
                        default=None, metavar="PREFIX",
-                       help="trace every RPC of each row's first repeat; "
+                       help="trace every RPC of each row; "
                             "write PREFIX.jsonl + PREFIX_chrome.json")
     if "metrics" in have:
         p.add_argument("--metrics-out", nargs="?",
@@ -453,10 +441,9 @@ def _instrument_flags(p, harness: Harness) -> None:
 
 
 def _add_bench(sub, harness: Harness) -> None:
-    """One bench subcommand: the four shared flag groups + its own flags."""
+    """One bench subcommand: the three shared flag groups + its own flags."""
     p = sub.add_parser(harness.name, help=harness.help)
     _cluster_flags(p, harness.shared)
-    _repeat_flags(p, harness.shared)
     _output_flags(p, harness)
     _instrument_flags(p, harness)
     for flag, kwargs in harness.flags:
@@ -501,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the BCL comparison runs (full-paper-scale "
                          "sweeps where the client-driven baseline is "
                          "prohibitive)")
-    p7.add_argument("--container-sim-only", action="store_true",
-                    help="container timing-only mode for isx/kmer")
     p7.set_defaults(fn=_cmd_fig7)
 
     ps = sub.add_parser("sweep", help="free-form throughput sweep")

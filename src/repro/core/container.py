@@ -45,7 +45,7 @@ from repro.memory.segment import MemorySegment
 from repro.obs.registry import registry_of
 from repro.rpc.coalesce import AUTO_INITIAL, MISS, OpCoalescer, ReadCache
 from repro.rpc.future import RPCFuture
-from repro.serialization.databox import DataBox, SizedStub, estimate_size
+from repro.serialization.databox import DataBox, estimate_size
 from repro.simnet.sync import SimLock
 from repro.structures.stats import OpStats
 
@@ -71,10 +71,6 @@ class Op(NamedTuple):
     #: write-through read-cache invalidation (epoch checks remain the
     #: correctness authority; this is eager cleanup)
     keyed: bool = False
-    #: index into ``args`` of the opaque value ``sim_only`` may swap for a
-    #: size stub.  Only values stored/forwarded verbatim and never
-    #: interpreted server-side are eligible.
-    value_index: Optional[int] = None
     #: a single remote read of ``args[0]`` may be served from the read cache
     cached: bool = False
 
@@ -82,8 +78,7 @@ class Op(NamedTuple):
 def _keyed_ops(values: bool, cached: bool, *family: Op) -> Tuple[Op, ...]:
     """The rows every keyed container has; maps carry a value, sets do not."""
     return (
-        Op("insert", 2 if values else 1, keyed=True,
-           value_index=1 if values else None),
+        Op("insert", 2 if values else 1, keyed=True),
         Op("find", 1, write=False, cached=cached),
         Op("erase", 1, keyed=True),
         Op("resize", 1),
@@ -93,7 +88,6 @@ def _keyed_ops(values: bool, cached: bool, *family: Op) -> Tuple[Op, ...]:
     )
 
 
-# Upsert deltas are added server-side, so they must stay real under sim_only.
 _HASH = (Op("upsert", 2, keyed=True), Op("scan", 2, write=False))
 _ORDERED = (Op("range_find", 3, write=False), Op("min_key", 0, write=False),
             Op("max_key", 0, write=False))
@@ -107,8 +101,8 @@ OP_TABLES: Dict[str, Tuple[Op, ...]] = {
     "unordered_set": _keyed_ops(False, True, *_HASH),
     "map": _keyed_ops(True, False, *_ORDERED),
     "set": _keyed_ops(False, False, *_ORDERED),
-    "queue": (Op("push", 1, value_index=0), *_QUEUE),
-    "priority_queue": (Op("push", 2, value_index=1), *_QUEUE,
+    "queue": (Op("push", 1), *_QUEUE),
+    "priority_queue": (Op("push", 2), *_QUEUE,
                        Op("peek", 0, write=False), Op("batch", 1)),
 }
 
@@ -317,23 +311,7 @@ class DistributedContainer:
             part = self.partition_for(args[0])
         if payload is None:
             payload = self._entry_bytes(*args)
-        if self.policy.sim_only and row.value_index is not None:
-            args = self._stub_value(args, row.value_index)
         return stage(rank, part, op, args, payload)
-
-    @staticmethod
-    def _stub_value(args: tuple, idx: int) -> tuple:
-        """Swap the opaque value at ``args[idx]`` for a size-preserving stub.
-
-        ``estimate_size`` of the stub equals that of the original, so every
-        downstream size computation (payload charge, server-side
-        ``entry_bytes``, response sizing) is bit-identical; only the real
-        Python payload stops moving.
-        """
-        value = args[idx]
-        if value is None or type(value) is SizedStub:
-            return args
-        return (*args[:idx], SizedStub(estimate_size(value)), *args[idx + 1:])
 
     def _invalidate(self, caller_node: int, part: Partition, op: str,
                     args: tuple) -> None:
@@ -981,10 +959,6 @@ class KeyedContainer(DistributedContainer):
             yield from self._coalescer.drain(rank)
         groups = {}
         for idx, (op, *args) in enumerate(ops):
-            entry = self._ops.get(op)  # unknown ops fail at the target
-            if (self.policy.sim_only and entry is not None
-                    and entry[1].value_index is not None):
-                args = self._stub_value(args, entry[1].value_index)
             part = self.partition_for(args[0])
             groups.setdefault(part.index, (part, []))[1].append(
                 (idx, op, tuple(args))

@@ -48,12 +48,6 @@ class ContainerPolicy:
     #: epoch-validated read cache for read-mostly data; a cached read can
     #: never observe a stale value
     read_cache: bool = False
-    #: declared opaque value arguments are swapped for size-preserving
-    #: stubs before storage and marshalling, so benches that only need
-    #: timing skip real payload movement.  Every simulated cost derives
-    #: from the same sizes (bit-identical timeline); keyed reads return
-    #: stubs instead of real data.
-    sim_only: bool = False
 
     def validate(self, single_partition: bool = False,
                  recover: bool = False) -> "ContainerPolicy":
@@ -78,11 +72,6 @@ class ContainerPolicy:
         if agg != "auto" and (not isinstance(agg, int) or agg < 0):
             raise ValueError(
                 'aggregation must be >= 0 (0 disables buffering) or "auto"'
-            )
-        if self.sim_only and self.persistence:
-            raise ValueError(
-                "sim_only replaces payloads with size stubs; incompatible "
-                "with persistence (the log must hold real values)"
             )
         if recover and not self.persistence:
             raise ValueError("recover=True requires persistence=True")

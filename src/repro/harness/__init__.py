@@ -2,15 +2,13 @@
 
 Every table and figure bench in ``benchmarks/`` builds on this package:
 
-* :mod:`repro.harness.workload` — sized payloads, key streams, op mixes;
-* :mod:`repro.harness.driver` — the one row loop (repeats, best-of-wall,
-  instrument-the-first-repeat) and the ``run_bench(harness, args)`` driver
-  behind every ``repro.cli`` bench subcommand;
+* :mod:`repro.harness.workload` — sized payloads and key streams;
+* :mod:`repro.harness.driver` — the one row loop and the
+  ``run_bench(harness, args)`` driver behind every ``repro.cli`` bench
+  subcommand;
 * :mod:`repro.harness.report` — fixed-width text tables comparing
   paper-reported values against measured ones, and CSV-ish dumps;
-* :mod:`repro.harness.kernelbench` — wall-clock throughput of the DES
-  kernel itself (the number every figure's runtime is bounded by);
-* :mod:`repro.harness.aggbench` — wall-clock A/B of the transparent
+* :mod:`repro.harness.aggbench` — simulated-time A/B of the transparent
   op-coalescing buffers across the Fig-7 apps;
 * :mod:`repro.harness.telemetry` — Fig-4-style time-series telemetry
   (NIC utilization, memory, packet rate) sampled over the app kernels;
@@ -20,14 +18,9 @@ Every table and figure bench in ``benchmarks/`` builds on this package:
   SLO percentiles, fairness, and the load-shedding overload A/B.
 """
 
-from repro.harness.workload import Blob, key_stream, WorkloadSpec
-from repro.harness.report import render_table, render_series, ratio
+from repro.harness.workload import Blob, key_stream
+from repro.harness.report import render_table, render_series
 from repro.harness.driver import Harness, run_bench, run_rows
-from repro.harness.kernelbench import (
-    KernelBenchReport,
-    kernel_events_per_sec,
-    run_kernel_bench,
-)
 from repro.harness.aggbench import AggBenchReport, run_agg_bench
 from repro.harness.telemetry import (
     TELEMETRY_APPS,
@@ -50,9 +43,6 @@ __all__ = [
     "emit_serving_json",
     "render_serving",
     "run_serving",
-    "KernelBenchReport",
-    "kernel_events_per_sec",
-    "run_kernel_bench",
     "AggBenchReport",
     "run_agg_bench",
     "TELEMETRY_APPS",
@@ -60,11 +50,9 @@ __all__ = [
     "check_telemetry",
     "Blob",
     "key_stream",
-    "WorkloadSpec",
     "Harness",
     "run_bench",
     "run_rows",
     "render_table",
     "render_series",
-    "ratio",
 ]

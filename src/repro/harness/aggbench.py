@@ -1,13 +1,13 @@
-"""Wall-clock A/B benchmark of the transparent op-coalescing buffers.
+"""A/B benchmark of the transparent op-coalescing buffers.
 
-The DES spends wall time in proportion to the kernel events it retires,
-and every remote invocation costs a fixed event cascade (request timeout,
-resource grants, response timeout).  Destination-coalescing therefore
-shows up directly as wall-clock speedup: N buffered ops ride ONE batch
+Every remote invocation costs a fixed cascade (request, resource grants,
+response); with destination-coalescing N buffered ops ride ONE batch
 invocation instead of N.  This harness runs the Fig-7 application kernels
 (k-mer counting, contig generation, ISx) with aggregation off and across
-a sweep of buffer sizes, and records wall time, sim time, app-ops/sec and
-the coalescer/cache counters into ``BENCH_agg.json``.
+a sweep of buffer sizes, and records simulated time and the
+coalescer/cache counters into ``BENCH_agg.json``.  Every field is
+simulated, so same-argv runs emit the same bytes; what the coalescer buys
+in host time is the ledger's ``smallops_rpc`` vs ``smallops_agg`` rows.
 
 Used by ``python -m repro.cli aggbench`` and the CI benchmark smoke job
 (which asserts that the aggregated contig run beats the unaggregated one
@@ -49,8 +49,6 @@ class AggBenchRow:
     read_cache: bool
     ops: int  # app-level operations (k-mers merged / keys scattered)
     sim_seconds: float
-    wall_seconds: Optional[float]  # None in --sim-only mode
-    ops_per_sec: Optional[float]   # app ops per wall second
     verified: bool
     agg: Optional[Dict] = None     # coalescer/cache counters (aggregated runs)
 
@@ -61,7 +59,6 @@ class AggBenchReport:
     nodes: int
     procs_per_node: int
     sweep: List[int]
-    sim_only: bool
     rows: List[AggBenchRow] = field(default_factory=list)
 
     def baseline(self, app: str) -> Optional[AggBenchRow]:
@@ -71,15 +68,12 @@ class AggBenchReport:
         return None
 
     def best_aggregated(self, app: str) -> Optional[AggBenchRow]:
-        """The aggregated row with the lowest time (wall, or sim in
-        ``sim_only`` mode) for ``app``."""
+        """The aggregated row with the lowest simulated time for ``app``."""
         agg_rows = [r for r in self.rows
                     if r.app == app and r.aggregation > 0]
         if not agg_rows:
             return None
-        key = ((lambda r: r.sim_seconds) if self.sim_only
-               else (lambda r: r.wall_seconds))
-        return min(agg_rows, key=key)
+        return min(agg_rows, key=lambda r: r.sim_seconds)
 
     def speedups(self) -> Dict[str, Dict[str, float]]:
         """Per-app best-aggregated-vs-baseline speedups."""
@@ -88,13 +82,10 @@ class AggBenchReport:
             base, best = self.baseline(app), self.best_aggregated(app)
             if base is None or best is None:
                 continue
-            entry = {
+            out[app] = {
                 "aggregation": best.aggregation,
                 "sim_speedup": base.sim_seconds / best.sim_seconds,
             }
-            if not self.sim_only:
-                entry["wall_speedup"] = base.wall_seconds / best.wall_seconds
-            out[app] = entry
         return out
 
     def table_rows(self) -> List[List]:
@@ -106,8 +97,6 @@ class AggBenchReport:
                 row.app,
                 row.aggregation or "off",
                 f"{row.sim_seconds:.6f}",
-                "-" if row.wall_seconds is None else f"{row.wall_seconds:.3f}",
-                "-" if row.ops_per_sec is None else f"{row.ops_per_sec:,.0f}",
                 f"{agg.get('ops_per_flush', 0):.1f}" if agg else "-",
                 f"{cache.get('hit_rate', 0):.2f}" if cache else "-",
             ])
@@ -115,23 +104,18 @@ class AggBenchReport:
 
     def check(self, apps: Sequence[str] = ("contig", "kmer"),
               min_speedup: float = 1.0) -> List[str]:
-        """Failures (empty when every checked app cleared ``min_speedup``).
-
-        The comparison metric is wall time (sim time in ``sim_only`` mode):
-        the acceptance bar for this optimization is real elapsed time, not
-        just the modeled timeline.
-        """
+        """Failures (empty when every checked app's simulated speedup
+        cleared ``min_speedup``)."""
         failures: List[str] = []
         speedups = self.speedups()
-        metric = "sim_speedup" if self.sim_only else "wall_speedup"
         for app in apps:
             entry = speedups.get(app)
             if entry is None:
                 failures.append(f"{app}: no measurement")
                 continue
-            if entry[metric] < min_speedup:
+            if entry["sim_speedup"] < min_speedup:
                 failures.append(
-                    f"{app}: {metric}={entry[metric]:.2f}x "
+                    f"{app}: sim_speedup={entry['sim_speedup']:.2f}x "
                     f"< required {min_speedup:.2f}x"
                 )
         for row in self.rows:
@@ -143,13 +127,8 @@ class AggBenchReport:
 
 
 def _run_app(app: str, spec: ClusterSpec, scale: float, aggregation: int,
-             instrument=None, container_sim_only: bool = False):
-    """Run one HCL app once; returns (ops, sim_seconds, verified, agg).
-
-    ``container_sim_only`` threads the containers' timing-only mode through
-    to the apps.  Contig never gets it (its traversal reads stored values
-    back), so sim-only sweeps keep it on real data.
-    """
+             instrument=None):
+    """Run one HCL app once; returns (ops, sim_seconds, verified, agg)."""
     from repro.apps import (
         run_contig_generation, run_isx, run_kmer_counting, synthesize_genome,
     )
@@ -159,8 +138,7 @@ def _run_app(app: str, spec: ClusterSpec, scale: float, aggregation: int,
 
     if app == "isx":
         res = run_isx("hcl", spec, keys_per_rank=sc(192),
-                      aggregation=aggregation, instrument=instrument,
-                      sim_only=container_sim_only)
+                      aggregation=aggregation, instrument=instrument)
         return res.total_keys, res.time_seconds, res.verified, res.agg_report
     data = synthesize_genome(
         genome_length=sc(600 * spec.nodes), num_reads=sc(48 * spec.nodes),
@@ -168,8 +146,7 @@ def _run_app(app: str, spec: ClusterSpec, scale: float, aggregation: int,
     )
     if app == "kmer":
         res = run_kmer_counting("hcl", spec, data, aggregation=aggregation,
-                                instrument=instrument,
-                                sim_only=container_sim_only)
+                                instrument=instrument)
         return res.total_kmers, res.time_seconds, res.verified, res.agg_report
     if app == "contig":
         res = run_contig_generation(
@@ -187,50 +164,31 @@ def run_agg_bench(
     procs_per_node: int = 3,
     sweep: Sequence[int] = AGG_SWEEP,
     apps: Sequence[str] = BENCH_APPS,
-    repeats: int = 2,
-    sim_only: bool = False,
-    container_sim_only: bool = False,
     instrument=None,
 ) -> AggBenchReport:
     """Sweep aggregation buffer sizes over the Fig-7 apps.
 
-    Wall time takes the best of ``repeats`` runs (wall clock is noisy; sim
-    time and the coalescer counters are deterministic and identical across
-    repeats).  ``sim_only`` drops the wall-clock fields entirely so the
-    emitted JSON is bit-reproducible for the CI determinism diff.
-
-    ``container_sim_only`` runs isx/kmer in the containers' timing-only
-    mode (stubbed opaque payloads, cheap invariant verification) — the
-    simulated timelines are bit-identical to full-data runs, so the flag
-    is not recorded in the report: a ``container_sim_only`` sweep must
-    byte-diff clean against a full-data sweep in ``sim_only`` JSON mode.
-
-    ``instrument`` is handed to the first repeat of every (app, buffer)
-    row, labelled ``<app>-agg<N>``; it never changes the report —
-    instrumented and plain sweeps emit bit-identical ``BENCH_agg.json``
-    in ``sim_only`` mode.
+    ``instrument`` is handed to every (app, buffer) row, labelled
+    ``<app>-agg<N>``; it never changes the report — instrumented and
+    plain sweeps emit bit-identical ``BENCH_agg.json``.
     """
     def run_row(row, hook):
         app, aggregation = row
         spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
-        return _run_app(app, spec, scale, aggregation, hook,
-                        container_sim_only=container_sim_only)
+        return _run_app(app, spec, scale, aggregation, hook)
 
     rows = [(f"{app}-agg{aggregation}", (app, aggregation))
             for app in apps for aggregation in sweep]
-    results = run_rows(rows, run_row, instrument, repeats, sim_only)
-    report = AggBenchReport(scale, nodes, procs_per_node, list(sweep),
-                            sim_only)
-    for (_label, (app, aggregation)), (fields, wall) in zip(rows, results):
-        ops, sim_s, verified, agg = fields
+    results = run_rows(rows, run_row, instrument)
+    report = AggBenchReport(scale, nodes, procs_per_node, list(sweep))
+    for (_label, (app, aggregation)), (ops, sim_s, verified, agg) in zip(
+            rows, results):
         report.rows.append(AggBenchRow(
             app=app,
             aggregation=aggregation,
             read_cache=bool(aggregation) and app == "contig",
             ops=ops,
             sim_seconds=sim_s,
-            wall_seconds=wall,
-            ops_per_sec=None if wall is None else ops / wall,
             verified=verified,
             agg=agg,
         ))
@@ -254,14 +212,12 @@ def _render(report: AggBenchReport, args) -> str:
     lines = [render_table(
         f"Aggregation sweep (scale={report.scale}, "
         f"{report.nodes}x{report.procs_per_node} ranks)",
-        ["app", "buffer", "sim (s)", "wall (s)", "ops/s",
-         "ops/flush", "hit rate"],
+        ["app", "buffer", "sim (s)", "ops/flush", "hit rate"],
         report.table_rows(),
     )]
-    metric = "sim" if report.sim_only else "wall"
     for app, entry in sorted(report.speedups().items()):
-        lines.append(f"  {app}: best {metric} speedup "
-                     f"{entry.get(f'{metric}_speedup', 0):.2f}x "
+        lines.append(f"  {app}: best sim speedup "
+                     f"{entry['sim_speedup']:.2f}x "
                      f"(buffer={entry['aggregation']})")
     return "\n".join(lines)
 
@@ -270,25 +226,19 @@ HARNESS = Harness(
     name="aggbench",
     help="A/B the op-coalescing buffers over the Fig-7 apps",
     stem="agg",
-    shared=dict(scale=1.0, nodes=4, procs=3, repeats=2, sim_only=False,
-                emit="BENCH_agg.json"),
+    shared=dict(scale=1.0, nodes=4, procs=3, emit="BENCH_agg.json"),
     flags=(
         flag("--sweep", nargs="+", type=int, default=list(AGG_SWEEP),
              help="aggregation buffer sizes (0 = off baseline)"),
         flag("--apps", nargs="+", choices=list(BENCH_APPS),
              default=list(BENCH_APPS)),
-        flag("--container-sim-only", action="store_true",
-             help="container timing-only mode for isx/kmer: stubbed "
-                  "payloads + cheap invariant verification; sim times "
-                  "are bit-identical to full-data runs"),
         flag("--min-speedup", type=positive_float, default=1.0,
-             help="--check fails unless contig+kmer clear this speedup "
-                  "(default 1.0)"),
+             help="--check fails unless contig+kmer clear this simulated "
+                  "speedup (default 1.0)"),
     ),
     run=lambda a, instrument: run_agg_bench(
         scale=a.scale, nodes=a.nodes, procs_per_node=a.procs, sweep=a.sweep,
-        apps=a.apps, repeats=a.repeats, sim_only=a.sim_only,
-        container_sim_only=a.container_sim_only, instrument=instrument),
+        apps=a.apps, instrument=instrument),
     render=_render,
     emit=lambda report: {"": _payload(report)},
     check=lambda report, a: report.check(min_speedup=a.min_speedup),

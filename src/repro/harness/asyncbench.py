@@ -1,12 +1,13 @@
-"""Wall-clock A/B benchmark of the pipelined async-futures client.
+"""A/B benchmark of the pipelined async-futures client.
 
 ``aggbench`` measures what destination-coalescing buys over one-op-per-
 invocation; this harness measures what the *pipelined programming model*
 buys on top of the best aggregated configuration.  The k-mer storm is run
 three ways over identical input:
 
-* **sync baseline** — the committed ``BENCH_agg`` winner: generator-based
-  ``upsert_buffered`` with the best hand-tuned static threshold.
+* **sync baseline** — ``BENCH_agg``'s buffer-512 k-mer row: generator-based
+  ``upsert_buffered`` at the hand-tuned static threshold the ledger's
+  aggregated rows also run at.
 * **async static sweep** — the ``async_rmw`` futures API over the same
   static thresholds, with AIMD congestion windows armed.  Per-op futures
   ride the write combiner (including same-node partitions), so a rank
@@ -17,13 +18,15 @@ three ways over identical input:
 
 Every row records the application-result digest; the bench *asserts* all
 digests are equal (the async pipeline reorders work, never results) and
-that every run verified.  Alongside wall time the rows capture the serving
-SLO the windows protect — the p99 of the servers' receive-queue wait — and
-the adaptive-state counters (``rpc/window_stalls``, ``auto_threshold``).
+that every run verified.  Alongside simulated time the rows capture the
+serving SLO the windows protect — the p99 of the servers' receive-queue
+wait — and the adaptive-state counters (``rpc/window_stalls``,
+``auto_threshold``).  Every field is simulated, so same-argv runs emit a
+byte-identical ``BENCH_async.json``; the host-time side of the same A/B
+is the ledger's ``smallops_agg`` rows (``agg_kmer_sync512`` vs
+``agg_kmer_auto``).
 
-Used by ``python -m repro.cli asyncbench`` and the CI async-smoke job;
-``--sim-only`` drops the wall-clock fields so the emitted
-``BENCH_async.json`` is bit-reproducible for the determinism diff.
+Used by ``python -m repro.cli asyncbench`` and the CI async-smoke job.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ __all__ = [
 #: static thresholds swept through the async API (windows armed)
 ASYNC_STATIC_SWEEP: Tuple[int, ...] = (64, 512)
 
-#: the sync baseline's hand-tuned threshold (BENCH_agg's kmer winner)
+#: the sync baseline's hand-tuned threshold (BENCH_agg's largest buffer)
 SYNC_BASELINE_AGG: int = 512
 
 
@@ -62,8 +65,6 @@ class AsyncBenchRow:
     windows: bool
     ops: int                       # k-mers counted
     sim_seconds: float
-    wall_seconds: Optional[float]  # None in --sim-only mode
-    ops_per_sec: Optional[float]
     verified: bool
     digest: str                    # crc32 of the final histogram
     queue_wait_p99: float          # p99 server receive-queue wait (sim s)
@@ -77,7 +78,6 @@ class AsyncBenchReport:
     scale: float
     nodes: int
     procs_per_node: int
-    sim_only: bool
     rows: List[AsyncBenchRow] = field(default_factory=list)
 
     def baseline(self) -> Optional[AsyncBenchRow]:
@@ -97,27 +97,22 @@ class AsyncBenchReport:
                   if r.mode == "async" and r.aggregation != "auto"]
         if not static:
             return None
-        key = ((lambda r: r.sim_seconds) if self.sim_only
-               else (lambda r: r.wall_seconds))
-        return min(static, key=key)
-
-    def _time(self, row: AsyncBenchRow) -> float:
-        return row.sim_seconds if self.sim_only else row.wall_seconds
+        return min(static, key=lambda r: r.sim_seconds)
 
     def summary(self) -> Dict[str, float]:
-        """Headline ratios: async-auto over the sync baseline, and the
-        self-tuned threshold against the best hand-tuned static one."""
+        """Headline simulated-time ratios: async-auto over the sync
+        baseline, and the self-tuned threshold against the best hand-tuned
+        static one."""
         out: Dict[str, float] = {}
         base, auto, static = (self.baseline(), self.auto_row(),
                               self.best_static_async())
-        metric = "sim" if self.sim_only else "wall"
         if base and auto:
-            out[f"async_{metric}_speedup"] = self._time(base) / self._time(auto)
+            out["async_sim_speedup"] = base.sim_seconds / auto.sim_seconds
             out["queue_wait_p99_async"] = auto.queue_wait_p99
             out["queue_wait_p99_sync"] = base.queue_wait_p99
         if auto and static:
             # <= 1 + tolerance means self-tuning matched the hand-tuned knob
-            out["auto_vs_best_static"] = self._time(auto) / self._time(static)
+            out["auto_vs_best_static"] = auto.sim_seconds / static.sim_seconds
             out["best_static_aggregation"] = int(static.aggregation)
         return out
 
@@ -129,7 +124,6 @@ class AsyncBenchReport:
                 row.aggregation,
                 "on" if row.windows else "off",
                 f"{row.sim_seconds:.6f}",
-                "-" if row.wall_seconds is None else f"{row.wall_seconds:.3f}",
                 f"{row.queue_wait_p99 * 1e6:.2f}",
                 row.window_stalls,
                 row.auto_threshold if row.auto_threshold is not None else "-",
@@ -137,16 +131,15 @@ class AsyncBenchReport:
             ])
         return out
 
-    def check(self, min_speedup: float = 1.5,
+    def check(self, min_speedup: float = 1.0,
               auto_tolerance: float = 0.10) -> List[str]:
         """Failures (empty = pass).
 
         * every row verified, all digests identical (results, not just
           timings, must survive the reordering pipeline);
-        * async-auto beats the sync baseline by ``min_speedup`` on wall
-          time (on sim time the pipeline must at least not regress —
-          the modeled timeline gains come from batch amortization, the
-          wall gains from not parking a generator per op);
+        * async-auto beats the sync baseline by ``min_speedup`` in
+          simulated time (by default the pipeline must at least not
+          regress the modeled timeline);
         * the self-tuned threshold lands within ``auto_tolerance`` of the
           best hand-tuned static run.
         """
@@ -166,19 +159,12 @@ class AsyncBenchReport:
             failures.append("missing sync baseline or async-auto row")
             return failures
         summary = self.summary()
-        if self.sim_only:
-            speedup = summary["async_sim_speedup"]
-            if speedup < 1.0:
-                failures.append(
-                    f"async sim timeline regressed: {speedup:.2f}x < 1.0x"
-                )
-        else:
-            speedup = summary["async_wall_speedup"]
-            if speedup < min_speedup:
-                failures.append(
-                    f"async wall_speedup={speedup:.2f}x "
-                    f"< required {min_speedup:.2f}x"
-                )
+        speedup = summary["async_sim_speedup"]
+        if speedup < min_speedup:
+            failures.append(
+                f"async sim_speedup={speedup:.2f}x "
+                f"< required {min_speedup:.2f}x"
+            )
         ratio = summary.get("auto_vs_best_static")
         if ratio is not None and ratio > 1.0 + auto_tolerance:
             failures.append(
@@ -201,7 +187,7 @@ def _run_once(spec, data, aggregation, async_api: bool, window,
             instrument(hcl)
 
     res = run_kmer_counting(
-        "hcl", spec, data, aggregation=aggregation, sim_only=True,
+        "hcl", spec, data, aggregation=aggregation,
         async_api=async_api, window=window, instrument=hook,
     )
     metrics = registry_of(box["sim"])
@@ -220,23 +206,17 @@ def run_async_bench(
     nodes: int = 4,
     procs_per_node: int = 3,
     static_sweep: Sequence[int] = ASYNC_STATIC_SWEEP,
-    repeats: int = 3,
-    sim_only: bool = False,
     instrument=None,
 ) -> AsyncBenchReport:
     """A/B the pipelined async client against the aggregated sync path.
 
-    All rows run the container timing-only mode over the exact workload
-    ``aggbench`` uses (same genome synthesis, same topology), so the sync
-    baseline's ``sim_seconds`` must match the committed ``BENCH_agg.json``
-    row bit-for-bit — drift there means a behavior change, not noise.
-    Wall time takes the best of ``repeats``; ``sim_only`` drops the wall
-    fields so same-seed reruns emit byte-identical JSON.
+    All rows run the exact workload ``aggbench`` uses (same genome
+    synthesis, same topology), so the sync baseline's ``sim_seconds`` must
+    match the committed ``BENCH_agg.json`` row bit-for-bit — drift there
+    means a behavior change, not noise.
 
-    ``instrument`` is handed to each row's *first* repeat, labelled
-    ``<mode>-<aggregation>`` (``sync-512``, ``async-auto``, ...).  It
-    never changes simulated results — it only adds a little wall overhead
-    to the one instrumented repeat.
+    ``instrument`` is handed to each row, labelled ``<mode>-<aggregation>``
+    (``sync-512``, ``async-auto``, ...).  It never changes the report.
     """
     from repro.apps import synthesize_genome
 
@@ -258,19 +238,16 @@ def run_async_bench(
     plan += [("async", agg, True, True) for agg in static_sweep]
     plan += [("async", "auto", True, True)]
     rows = [(f"{row[0]}-{row[1]}", row) for row in plan]
-    results = run_rows(rows, run_row, instrument, repeats, sim_only)
-    report = AsyncBenchReport(scale, nodes, procs_per_node, sim_only)
-    for (mode, aggregation, _api, window), (fields, wall) in zip(plan,
-                                                                results):
-        res, p99, stalls, auto_thr = fields
+    results = run_rows(rows, run_row, instrument)
+    report = AsyncBenchReport(scale, nodes, procs_per_node)
+    for (mode, aggregation, _api, window), (res, p99, stalls, auto_thr) in zip(
+            plan, results):
         report.rows.append(AsyncBenchRow(
             mode=mode,
             aggregation=str(aggregation),
             windows=bool(window),
             ops=res.total_kmers,
             sim_seconds=res.time_seconds,
-            wall_seconds=wall,
-            ops_per_sec=None if wall is None else res.total_kmers / wall,
             verified=res.verified,
             digest=res.digest,
             queue_wait_p99=p99,
@@ -299,16 +276,14 @@ def _render(report: AsyncBenchReport, args) -> str:
     lines = [render_table(
         f"Async pipeline A/B (scale={report.scale}, "
         f"{report.nodes}x{report.procs_per_node} ranks)",
-        ["mode", "buffer", "windows", "sim (s)", "wall (s)",
+        ["mode", "buffer", "windows", "sim (s)",
          "qw p99 (us)", "stalls", "auto_thr", "digest"],
         report.table_rows(),
     )]
-    metric = "sim" if report.sim_only else "wall"
     summary = report.summary()
-    speedup = summary.get(f"async_{metric}_speedup")
+    speedup = summary.get("async_sim_speedup")
     if speedup is not None:
-        lines.append(f"  async-auto over sync baseline: "
-                     f"{speedup:.2f}x {metric}")
+        lines.append(f"  async-auto over sync baseline: {speedup:.2f}x sim")
     ratio = summary.get("auto_vs_best_static")
     if ratio is not None:
         lines.append(f"  auto vs best static (buffer="
@@ -321,17 +296,16 @@ HARNESS = Harness(
     help="A/B the pipelined async-futures client (AIMD windows + "
          "self-tuning coalescer) against the aggregated sync path",
     stem="async",
-    shared=dict(scale=1.0, nodes=4, procs=3, repeats=3, sim_only=False,
-                emit="BENCH_async.json"),
+    shared=dict(scale=1.0, nodes=4, procs=3, emit="BENCH_async.json"),
     flags=(
-        flag("--min-speedup", type=positive_float, default=1.5,
-             help="--check fails unless async-auto clears this wall "
+        flag("--min-speedup", type=positive_float, default=1.0,
+             help="--check fails unless async-auto clears this simulated "
                   "speedup with identical digests and matches the best "
-                  "static threshold within 10%% (default 1.5)"),
+                  "static threshold within 10%% (default 1.0)"),
     ),
     run=lambda a, instrument: run_async_bench(
         scale=a.scale, nodes=a.nodes, procs_per_node=a.procs,
-        repeats=a.repeats, sim_only=a.sim_only, instrument=instrument),
+        instrument=instrument),
     render=_render,
     emit=lambda report: {"": _payload(report)},
     check=lambda report, a: report.check(min_speedup=a.min_speedup),

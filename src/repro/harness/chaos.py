@@ -366,14 +366,14 @@ HARNESS = Harness(
                   "faults without losing acked writes"),
     ),
     # one row per fault plan, labelled by it
-    run=lambda a, instrument: [report for report, _wall in run_rows(
+    run=lambda a, instrument: run_rows(
         [(plan, plan) for plan in a.plans],
         lambda plan, hook: run_chaos_soak(
             plan=plan, seed=a.seed, nodes=a.nodes, procs_per_node=a.procs,
             keys_per_rank=a.keys, kmers_per_rank=a.kmers, horizon=a.horizon,
             aggregation=a.aggregation, windows=a.windows, instrument=hook),
         instrument,
-    )],
+    ),
     render=lambda reports, a: "\n".join(map(render_report, reports)),
     emit=lambda reports: {r["plan"]: r for r in reports},
     # The verdict is the point of a soak: enforced without a --check flag.

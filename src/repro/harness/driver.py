@@ -1,10 +1,10 @@
 """One row loop and one bench driver for every harness.
 
 A bench is a list of labelled rows (aggregation sizes, admission bounds,
-fault plans, ...), each run one or more times.  :func:`run_rows` is the
-only place that repeats a row, keeps the fastest repeat, drops wall time
-in ``sim_only`` mode and decides which repeat carries the instruments;
-the public ``run_*`` functions and the CLI both go through it.
+fault plans, ...).  :func:`run_rows` runs each row once and tells the
+instruments which row they are recording; the public ``run_*`` functions
+and the CLI both go through it.  Harnesses report simulated time only —
+host time is the ledger's job (``benchmarks/ledger``).
 
 A :class:`Harness` record declares what one ``repro.cli`` bench
 subcommand is — its name, flags, how to run / render / emit / check a
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
@@ -49,30 +48,17 @@ def positive_float(text: str) -> float:
 
 def run_rows(rows: Sequence[Tuple[str, object]],
              run_row: Callable[[object, Optional[Callable]], object],
-             instrument: Optional[Callable] = None,
-             repeats: int = 1, sim_only: bool = False) -> List[Tuple]:
-    """Run every ``(label, row)``; returns one ``(fields, wall)`` per row.
+             instrument: Optional[Callable] = None) -> List:
+    """Run every ``(label, row)`` once; returns one fields object per row.
 
-    ``run_row(row, instrument)`` runs the row once.  Wall clock is noisy
-    and simulated results are not, so a row runs ``repeats`` times and
-    the fastest repeat is the one reported; ``sim_only`` runs once and
-    reports ``wall=None`` so emitted JSON is bit-reproducible.  Only the
-    first repeat is handed ``instrument`` — the others stay clean wall
-    measurements.
+    ``run_row(row, instrument)`` runs the row; an :class:`Instruments`
+    is told the row's label first, so its artifacts are named per row.
     """
-    out: List[Tuple] = []
+    out: List = []
     for label, row in rows:
-        best = None
-        for rep in range(1 if sim_only else max(1, repeats)):
-            hook = instrument if rep == 0 else None
-            if isinstance(hook, Instruments):
-                hook.label = label
-            t0 = time.perf_counter()
-            fields = run_row(row, hook)
-            wall = time.perf_counter() - t0
-            if best is None or wall < best[1]:
-                best = (fields, wall)
-        out.append((best[0], None if sim_only else best[1]))
+        if isinstance(instrument, Instruments):
+            instrument.label = label
+        out.append(run_row(row, instrument))
     return out
 
 
@@ -84,8 +70,7 @@ class Harness:
     help: str
     stem: str                       # default artifact names: <stem>_trace, ...
     #: defaults of the shared flags this bench takes, by dest — any of
-    #: nodes / procs / scale / repeats / sim_only, plus ``emit`` (the
-    #: default ``--emit`` path)
+    #: nodes / procs / scale, plus ``emit`` (the default ``--emit`` path)
     shared: Mapping[str, object]
     flags: Sequence[Tuple[str, Dict]]  # its own: flag(...) entries
     run: Callable                   # (args, instrument) -> report

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-__all__ = ["render_table", "render_series", "ratio", "fmt_si"]
+__all__ = ["render_table", "render_series", "fmt_si"]
 
 
 def fmt_si(value: float, unit: str = "") -> str:
@@ -19,11 +19,6 @@ def fmt_si(value: float, unit: str = "") -> str:
         if abs(value) >= thresh:
             return f"{value / thresh:.2f}{suffix}{unit}"
     return f"{value:.2f}{unit}"
-
-
-def ratio(a: float, b: float) -> float:
-    """Safe a/b."""
-    return a / b if b else float("inf")
 
 
 def render_table(title: str, headers: Sequence[str],

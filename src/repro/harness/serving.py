@@ -434,7 +434,7 @@ def run_serving(
         raise ValueError("queue_home must be 'packed' or 'spread'")
     if rate <= 0 or ops_per_client <= 0:
         raise ValueError("rate and ops_per_client must be positive")
-    configs = [config for config, _wall in run_rows(
+    configs = run_rows(
         [("off" if bound is None else f"b{bound}", bound)
          for bound in bounds],
         lambda bound, hook: _run_one_config(
@@ -443,7 +443,7 @@ def run_serving(
             shed_retries, retry_backoff, rpc_batch_size, windows, hook,
         ),
         instrument,
-    )]
+    )
     report = {
         "benchmark": "serving_zipf",
         "nodes": nodes,

@@ -130,8 +130,7 @@ def run_telemetry(
             "series": series,
         }
 
-    runs = [run for run, _wall in run_rows([(app, app) for app in apps],
-                                           run_row, instrument)]
+    runs = run_rows([(app, app) for app in apps], run_row, instrument)
     return {
         "benchmark": "telemetry_fig4",
         "scale": scale,

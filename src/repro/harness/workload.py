@@ -9,14 +9,13 @@ its ``nbytes`` without materializing megabytes per op.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
 from repro.serialization.databox import register_custom_type
 
-__all__ = ["Blob", "key_stream", "WorkloadSpec"]
+__all__ = ["Blob", "key_stream"]
 
 
 class Blob:
@@ -63,30 +62,3 @@ def key_stream(rank: int, count: int, seed: int = 0,
     rng = np.random.default_rng((seed << 24) ^ (rank * 2654435761 % (1 << 31)))
     for v in rng.integers(0, key_space, size=count):
         yield int(v)
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """One synthetic benchmark configuration."""
-
-    ops_per_client: int = 128
-    op_bytes: int = 4096
-    insert_fraction: float = 1.0  # 1.0 = all inserts, 0.0 = all finds
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.insert_fraction <= 1.0:
-            raise ValueError("insert_fraction must be in [0, 1]")
-        if self.ops_per_client < 1:
-            raise ValueError("ops_per_client must be positive")
-
-    def ops_for(self, rank: int) -> Iterator[Tuple[str, int, Blob]]:
-        """Yield (op, key, payload) tuples for one rank."""
-        rng = np.random.default_rng((self.seed << 16) ^ rank)
-        payload = Blob(self.op_bytes)
-        keys = list(key_stream(rank, self.ops_per_client, seed=self.seed))
-        for i, key in enumerate(keys):
-            if rng.random() < self.insert_fraction:
-                yield "insert", key, payload
-            else:
-                yield "find", key, payload

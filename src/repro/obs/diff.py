@@ -1,10 +1,10 @@
 """Differential run forensics: *what changed between two runs, and why?*
 
-The regression gate (``benchmarks/check_regression.py``) can say a
-metric moved past tolerance; this module answers the next question.
+CI's baseline gates (``cmp <fresh> BENCH_<x>.json``) can say a report
+moved; this module answers the next question.
 Feed it any two observability artifacts the repo produces —
 
-* BENCH JSON (kernel / agg / serving / async reports),
+* BENCH JSON (agg / serving / async reports),
 * flight-recorder payloads (``kind: "flight_recorder"``),
 * span JSON-lines logs,
 * metrics snapshots (``MetricsRegistry.snapshot()`` dumps),
@@ -22,7 +22,7 @@ grew", ...) so a failing gate ships its own root-cause hypothesis.
 
 Direction convention: **A is the reference (baseline), B the candidate
 (fresh run)** — relative changes are ``(b - a) / |a|``.  Wall-clock
-fields (``wall_seconds``, ``events_per_sec``) are inherently noisy on
+fields (a wall profile's ``wall_seconds``) are inherently noisy on
 shared machines, so they only count as significant past a much wider
 threshold; everything simulated uses ``rel_threshold`` directly, and a
 same-seed self-diff of any deterministic artifact reports zero
@@ -61,7 +61,7 @@ NOISY_REL_THRESHOLD = 0.50
 SHARE_THRESHOLD = 0.05
 
 #: key fragments marking wall-clock (machine-noisy) metrics
-_NOISY_FRAGMENTS = ("wall", "events_per_sec", "elapsed")
+_NOISY_FRAGMENTS = ("wall", "elapsed")
 
 #: config keys that define workload shape — differing values mean the two
 #: runs measured different experiments, which trumps every other signal.
@@ -70,8 +70,7 @@ _NOISY_FRAGMENTS = ("wall", "events_per_sec", "elapsed")
 #: the fingerprinter exists to explain.
 _WORKLOAD_KEYS = (
     "scale", "nodes", "procs_per_node", "procs", "clients", "tenants",
-    "ops_per_client", "keys_per_tenant", "events_processed", "seed",
-    "theta", "sim_only", "scheduler",
+    "ops_per_client", "keys_per_tenant", "seed", "theta", "scheduler",
 )
 
 #: tuning knobs: config keys an A/B experiment deliberately varies.  A
@@ -104,7 +103,6 @@ def detect_kind(doc) -> str:
     bench = doc.get("benchmark")
     if isinstance(bench, str):
         return {
-            "kernel_events_per_sec": "bench_kernel",
             "aggregation_sweep": "bench_agg",
             "serving_zipf": "bench_serving",
             "async_pipeline": "bench_async",
@@ -671,8 +669,8 @@ def fingerprint(diff: Dict) -> Dict:
     if mag:
         candidates.append((5.0 * mag, "latency-tail-grew", ev))
 
-    mag, ev = _counter_signal(counters, ("ops_per_sim_sec", "events_per_sec",
-                                         "speedup", "throughput"), -1)
+    mag, ev = _counter_signal(counters, ("ops_per_sim_sec", "speedup",
+                                         "throughput"), -1)
     if mag:
         candidates.append((4.0 * mag, "throughput-dropped", ev))
 

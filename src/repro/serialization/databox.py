@@ -28,38 +28,12 @@ from repro.serialization.msgpack_like import MsgpackCodec
 __all__ = [
     "DataBox",
     "SerializationError",
-    "SizedStub",
     "get_codec",
     "list_codecs",
     "register_custom_type",
     "clear_custom_types",
     "estimate_size",
 ]
-
-
-class SizedStub:
-    """A size-preserving placeholder for an opaque payload value.
-
-    Containers in ``sim_only`` mode swap declared value arguments for a
-    stub carrying only the original's estimated size, so benches that need
-    timing but not data skip real payload storage and movement.
-    :func:`estimate_size` returns exactly the recorded size, keeping every
-    charged wire/marshal cost bit-identical to the full-data run.
-    """
-
-    __slots__ = ("_size",)
-
-    def __init__(self, size: int):
-        self._size = int(size)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SizedStub({self._size})"
-
-    def __eq__(self, other: Any) -> bool:
-        return type(other) is SizedStub and other._size == self._size
-
-    def __hash__(self) -> int:
-        return hash(("SizedStub", self._size))
 
 
 class SerializationError(ValueError):
@@ -158,8 +132,6 @@ def estimate_size(obj: Any) -> int:
     t = type(obj)
     if t in _FIXED_SIZES:
         return _FIXED_SIZES[t]
-    if t is SizedStub:
-        return obj._size
     if t is str:
         return 4 + len(obj)
     if t in (bytes, bytearray, memoryview):

@@ -25,7 +25,7 @@ from repro.simnet.resources import Resource, PriorityResource, Store, Container
 from repro.simnet.sync import SimLock, Semaphore, Barrier, Signal
 from repro.simnet.rng import RngRegistry
 from repro.simnet.trace import TimeSeries, Sampler, EventLog
-from repro.simnet.stats import Counter, Gauge, UtilizationMeter, Histogram, summarize
+from repro.simnet.stats import Counter, Gauge, Histogram
 
 __all__ = [
     "Event",
@@ -50,7 +50,5 @@ __all__ = [
     "EventLog",
     "Counter",
     "Gauge",
-    "UtilizationMeter",
     "Histogram",
-    "summarize",
 ]

@@ -1,4 +1,4 @@
-"""Lightweight metric primitives: counters, gauges, histograms, utilization.
+"""Lightweight metric primitives: counters, gauges, histograms.
 
 Every fabric/RPC/container layer exposes these so that benchmarks can report
 the same observables the paper does (ops/s, MB/s, packets/s, utilization %).
@@ -7,9 +7,9 @@ the same observables the paper does (ops/s, MB/s, packets/s, utilization %).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-__all__ = ["Counter", "Gauge", "UtilizationMeter", "Histogram", "summarize"]
+__all__ = ["Counter", "Gauge", "Histogram"]
 
 
 class Counter:
@@ -47,50 +47,6 @@ class Gauge:
 
     def add(self, delta: float) -> None:
         self.set(self.value + delta)
-
-
-class UtilizationMeter:
-    """Tracks the busy fraction of a multi-server station over sim time.
-
-    Call ``begin(now)`` when a server starts work and ``end(now)`` when it
-    finishes.  ``utilization(now)`` is busy-server-seconds / (capacity * t).
-    """
-
-    def __init__(self, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.name = name
-        self._busy = 0
-        self._integral = 0.0
-        self._last = 0.0
-        self._started = None  # first activity timestamp
-
-    def _advance(self, now: float) -> None:
-        self._integral += self._busy * (now - self._last)
-        self._last = now
-
-    def begin(self, now: float) -> None:
-        self._advance(now)
-        self._busy += 1
-        if self._started is None:
-            self._started = now
-
-    def end(self, now: float) -> None:
-        self._advance(now)
-        if self._busy <= 0:
-            raise ValueError("UtilizationMeter.end without matching begin")
-        self._busy -= 1
-
-    def busy_servers(self) -> int:
-        return self._busy
-
-    def utilization(self, now: float, since: float = 0.0) -> float:
-        self._advance(now)
-        span = now - since
-        if span <= 0:
-            return 0.0
-        return self._integral / (span * self.capacity)
 
 
 class Histogram:
@@ -187,23 +143,3 @@ class Histogram:
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
         return self
-
-
-def summarize(values: List[float]) -> Dict[str, float]:
-    """Mean / min / max / stdev / p50-ish summary of a sample list."""
-    if not values:
-        return {"n": 0, "mean": 0.0, "min": 0.0, "max": 0.0, "stdev": 0.0, "median": 0.0}
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    ordered = sorted(values)
-    mid = n // 2
-    median = ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
-    return {
-        "n": n,
-        "mean": mean,
-        "min": ordered[0],
-        "max": ordered[-1],
-        "stdev": math.sqrt(var),
-        "median": median,
-    }

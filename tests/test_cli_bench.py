@@ -3,12 +3,14 @@
 Every bench command runs through ``run_bench`` and every instrument
 through ``Instruments``, so one parametrised test covers each cell the
 harness records declare: instruments never change the report, every
-artifact is one the repo's own tools can read, and same-seed reruns write
-the same bytes.
+artifact is one the repo's own tools can read, and same-argv reruns write
+the same bytes.  Reports carry simulated fields only, so "the same" means
+byte for byte.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import re
@@ -27,13 +29,10 @@ from repro.obs import (
 
 #: tiny shape + the row labels it produces, per bench command
 TINY = {
-    "kernelbench": (["--procs", "10", "--timeouts", "100", "--repeats", "1"],
-                    [""]),
     "aggbench": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
-                  "--sweep", "0", "8", "--apps", "kmer", "--sim-only"],
+                  "--sweep", "0", "8", "--apps", "kmer"],
                  ["kmer-agg0", "kmer-agg8"]),
-    "asyncbench": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
-                    "--sim-only"],
+    "asyncbench": (["--scale", "0.1", "--nodes", "2", "--procs", "2"],
                    ["sync-512", "async-64", "async-512", "async-auto"]),
     "serving": (["--nodes", "2", "--procs", "2", "--clients", "100",
                  "--tenants", "2", "--keys", "64", "--rate", "2400",
@@ -54,9 +53,6 @@ INSTRUMENT_FLAGS = {
     "profile": (["--profile-out", "p.json", "--profile-folded", "p.folded"],
                 []),
 }
-
-#: kernelbench has no --sim-only: its wall-clock fields are not comparable
-WALL_FIELDS = ("wall_seconds", "events_per_sec", "speedup_vs_seed")
 
 HARNESSES = {h.name: h for h in BENCHES}
 
@@ -83,14 +79,9 @@ def _run(name, instruments, where):
     return files
 
 
-def _reports(files, name):
-    """The ``--emit`` JSONs of one run: raw bytes, except kernelbench's
-    (parsed, wall-clock fields dropped)."""
-    out = {f: data for f, data in files.items() if f.startswith("report")}
-    if name == "kernelbench":
-        out = {f: {k: v for k, v in json.loads(data).items()
-                   if k not in WALL_FIELDS} for f, data in out.items()}
-    return out
+def _reports(files):
+    """The ``--emit`` JSONs of one run, as raw bytes."""
+    return {f: data for f, data in files.items() if f.startswith("report")}
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +92,7 @@ def plain(tmp_path_factory):
     def get(name):
         if name not in cache:
             where = tmp_path_factory.mktemp("plain") / name
-            cache[name] = _reports(_run(name, (), str(where)), name)
+            cache[name] = _reports(_run(name, (), str(where)))
         return cache[name]
 
     return get
@@ -113,7 +104,7 @@ def test_matrix_cell(name, instruments, plain, tmp_path):
     files = _run(name, instruments, str(tmp_path / "a"))
 
     # (a) instruments never change the report
-    reports = _reports(files, name)
+    reports = _reports(files)
     assert reports == plain(name)
 
     # the one naming rule: PATH_<label> per row, plain PATH for one row
@@ -154,13 +145,44 @@ def test_matrix_cell(name, instruments, plain, tmp_path):
                 assert files[fname] == again[fname], fname
 
 
+@pytest.mark.parametrize("name", HARNESSES)
+def test_same_argv_reruns_emit_identical_bytes(name, plain, tmp_path):
+    again = _reports(_run(name, (), str(tmp_path / "again")))
+    assert again and again == plain(name)
+
+
+def test_committed_baselines_carry_no_host_clock():
+    """Every ``BENCH_*.json`` is an exact simulated baseline: CI gates them
+    with ``cmp``, which a wall-clock field would break on every run.
+    Host time is the ledger's."""
+    host_clock = ("wall", "ops_per_sec", "events_per_sec")
+
+    def keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from keys(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from keys(value)
+
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            bad = sorted({key for key in keys(json.load(fh))
+                          if any(f in key for f in host_clock)})
+        assert not bad, (os.path.basename(path), bad)
+
+
 class TestCheck:
     """(d) one place turns check failures into CHECK FAILED + exit 1."""
 
     FAILING = [
         ["aggbench", *TINY["aggbench"][0], "--check", "--min-speedup", "1e6"],
-        ["asyncbench", "--scale", "0.1", "--nodes", "2", "--procs", "2",
-         "--repeats", "1", "--check", "--min-speedup", "1e6"],
+        ["asyncbench", *TINY["asyncbench"][0], "--check",
+         "--min-speedup", "1e6"],
         # --require-cliff gates on its own, without --check
         ["serving", *TINY["serving"][0], "--require-cliff",
          "--cliff-factor", "1e6"],
@@ -215,6 +237,14 @@ class TestParser:
             build_parser().parse_args(["serving", flag, "8"])
         capsys.readouterr()
 
+    def test_rows_run_once(self, capsys):
+        """No bench times its rows, so none takes a best-of-N knob."""
+        for name in HARNESSES:
+            with pytest.raises(SystemExit) as exit_:
+                build_parser().parse_args([name, "--repeats", "1"])
+            assert exit_.value.code == 2
+        capsys.readouterr()
+
     def test_docs_matrix_matches_the_records(self):
         """docs/OBSERVABILITY.md's harness x instrument table is generated
         from the records' declarations."""
@@ -252,6 +282,5 @@ class TestSeam:
 
         ins = Instruments(metrics=True)
         run_agg_bench(scale=0.1, nodes=2, procs_per_node=2, sweep=(0, 8),
-                      apps=("kmer",), repeats=2, instrument=ins)
-        # one instrumented repeat per row, however many repeats ran
+                      apps=("kmer",), instrument=ins)
         assert [run.label for run in ins.runs] == ["kmer-agg0", "kmer-agg8"]

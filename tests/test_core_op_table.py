@@ -46,8 +46,6 @@ class TestOpTable:
             assert row.keyed == (row.name in cls.KEYED_MUTATIONS)
             if row.keyed:
                 assert row.write and row.arity >= 1
-            if row.value_index is not None:
-                assert row.write and row.value_index < row.arity
             if row.cached:
                 assert not row.write and row.arity >= 1
 
@@ -81,7 +79,6 @@ class TestOpTable:
 
 
 BAD_POLICIES = [
-    dict(sim_only=True, persistence=True),
     dict(write_failover=True),
     dict(concurrency="optimistic"),
     dict(aggregation=-1),

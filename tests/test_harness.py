@@ -4,9 +4,7 @@ import pytest
 
 from repro.harness import (
     Blob,
-    WorkloadSpec,
     key_stream,
-    ratio,
     render_series,
     render_table,
 )
@@ -39,30 +37,6 @@ class TestKeyStream:
         assert all(0 <= k < 100 for k in key_stream(0, 50, key_space=100))
 
 
-class TestWorkloadSpec:
-    def test_insert_fraction(self):
-        spec = WorkloadSpec(ops_per_client=100, insert_fraction=1.0)
-        ops = list(spec.ops_for(0))
-        assert len(ops) == 100
-        assert all(op == "insert" for op, _k, _p in ops)
-
-    def test_mixed_ops(self):
-        spec = WorkloadSpec(ops_per_client=200, insert_fraction=0.5, seed=3)
-        kinds = [op for op, _k, _p in spec.ops_for(1)]
-        assert 40 < kinds.count("insert") < 160
-
-    def test_payload_size(self):
-        spec = WorkloadSpec(op_bytes=64 * 1024)
-        _op, _key, payload = next(iter(spec.ops_for(0)))
-        assert payload.nbytes == 64 * 1024
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkloadSpec(insert_fraction=1.5)
-        with pytest.raises(ValueError):
-            WorkloadSpec(ops_per_client=0)
-
-
 class TestReport:
     def test_render_table(self):
         out = render_table("T1", ["a", "b"], [[1, 2.5], ["x", "y"]])
@@ -83,7 +57,3 @@ class TestReport:
         assert fmt_si(2_500_000) == "2.50M"
         assert fmt_si(3.2e9) == "3.20G"
         assert fmt_si(12.0) == "12.00"
-
-    def test_ratio(self):
-        assert ratio(10, 4) == 2.5
-        assert ratio(1, 0) == float("inf")

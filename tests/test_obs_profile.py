@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 
 from repro.harness.aggbench import emit_agg_json, run_agg_bench
-from repro.harness.kernelbench import run_kernel_bench
 from repro.obs import (
     WallProfiler,
     classify_function,
@@ -22,6 +21,7 @@ from repro.obs import (
     write_profile_json,
 )
 from repro.obs.profile import PROFILE_SCHEMA_KIND
+from repro.simnet import Simulator
 
 
 class TestClassification:
@@ -39,7 +39,7 @@ class TestClassification:
             "src/repro/memory/segment.py": "memory",
             "src/repro/apps/kmer.py": "app",
             "src/repro/harness/aggbench.py": "harness",
-            "benchmarks/check_regression.py": "harness",
+            "benchmarks/conftest.py": "harness",
         }
         for path, expected in cases.items():
             assert classify_function(path) == expected, path
@@ -166,8 +166,7 @@ class TestProfilingPurity:
     """Profiling must never change simulated results."""
 
     def test_profiled_agg_bench_is_byte_identical(self, tmp_path):
-        kwargs = dict(scale=0.25, sweep=[0, 64], apps=["kmer"],
-                      repeats=1, sim_only=True)
+        kwargs = dict(scale=0.25, sweep=[0, 64], apps=["kmer"])
         plain = run_agg_bench(**kwargs)
         prof = WallProfiler()
         with prof.profile():
@@ -182,9 +181,19 @@ class TestProfilingPurity:
         assert payload["profiled_seconds"] > 0
 
     def test_profiled_kernel_bench_matches_sim_fields(self):
-        plain = run_kernel_bench(procs=10, timeouts_per_proc=200)
-        prof = WallProfiler()
-        with prof.profile():
-            profiled = run_kernel_bench(procs=10, timeouts_per_proc=200)
-        assert profiled.events_processed == plain.events_processed
-        assert profiled.sim_seconds == plain.sim_seconds
+        def timeouts():
+            sim = Simulator()
+
+            def worker():
+                for _ in range(200):
+                    yield sim.timeout(1e-6)
+
+            for _ in range(10):
+                sim.process(worker())
+            sim.run()
+            return sim.events_processed, sim.now
+
+        plain = timeouts()
+        with WallProfiler().profile():
+            profiled = timeouts()
+        assert profiled == plain

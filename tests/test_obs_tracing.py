@@ -288,8 +288,8 @@ class TestAsyncCoalescedPath:
 
         res = run_kmer_counting(
             "hcl", ares_like(nodes=2, procs_per_node=2), data,
-            aggregation="auto", sim_only=True, async_api=True,
-            window=True, instrument=instrument,
+            aggregation="auto", async_api=True, window=True,
+            instrument=instrument,
         )
         assert res.verified
         tracer = box["tracer"]

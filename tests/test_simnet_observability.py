@@ -1,7 +1,5 @@
 """Tests for RNG streams, tracing, and statistics primitives."""
 
-import math
-
 import pytest
 
 from repro.simnet import (
@@ -12,8 +10,6 @@ from repro.simnet import (
     RngRegistry,
     Sampler,
     TimeSeries,
-    UtilizationMeter,
-    summarize,
 )
 
 
@@ -131,27 +127,6 @@ class TestCounters:
         assert g.peak == 8.0
 
 
-class TestUtilizationMeter:
-    def test_utilization(self):
-        m = UtilizationMeter(capacity=2)
-        m.begin(0.0)
-        m.begin(0.0)
-        m.end(5.0)
-        m.end(5.0)
-        assert m.utilization(10.0) == pytest.approx(0.5)
-
-    def test_end_without_begin(self):
-        m = UtilizationMeter()
-        with pytest.raises(ValueError):
-            m.end(1.0)
-
-    def test_busy_servers(self):
-        m = UtilizationMeter(capacity=3)
-        m.begin(0.0)
-        m.begin(1.0)
-        assert m.busy_servers() == 2
-
-
 class TestHistogram:
     def test_observe_and_mean(self):
         h = Histogram("lat")
@@ -216,18 +191,3 @@ class TestHistogram:
         assert p["p50"] <= p["p90"] <= p["p99"]
         custom = h.percentiles(qs=(0.0, 1.0))
         assert custom == {"p0": 1.0, "p100": 100.0}
-
-
-class TestSummarize:
-    def test_basic(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s["mean"] == pytest.approx(2.5)
-        assert s["median"] == pytest.approx(2.5)
-        assert s["min"] == 1.0 and s["max"] == 4.0
-        assert s["stdev"] == pytest.approx(math.sqrt(1.25))
-
-    def test_odd_median(self):
-        assert summarize([3.0, 1.0, 2.0])["median"] == 2.0
-
-    def test_empty(self):
-        assert summarize([])["n"] == 0

@@ -76,7 +76,6 @@ class CostModel:
 
     # --- network ----------------------------------------------------------
     link_bandwidth: float = 4.5 * GB  # bytes/s, matches OSU number in paper
-    link_lanes: int = 1  # rails per node (Ares: 1x40GbE QSFP+)
     link_latency: float = 3.0e-6  # one-way propagation, RoCE-class
     switch_latency: float = 0.5e-6  # per hop through the crossbar
     mtu: int = 4096  # packetization unit (RoCE jumbo-ish)
@@ -140,7 +139,6 @@ class ClusterSpec:
 
     nodes: int = 2
     procs_per_node: int = 40
-    cores_per_node: int = 40
     memory_per_node: int = 96 * GB
     cost: CostModel = field(default_factory=CostModel)
     seed: int = 0
@@ -169,7 +167,6 @@ def ares_like(nodes: int, procs_per_node: int = 40, seed: int = 0,
     return ClusterSpec(
         nodes=nodes,
         procs_per_node=procs_per_node,
-        cores_per_node=40,
         memory_per_node=96 * GB,
         cost=cost or DEFAULT_COST_MODEL,
         seed=seed,

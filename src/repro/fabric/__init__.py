@@ -10,7 +10,7 @@ paper's HCL-vs-BCL argument.
 Layering::
 
     topology.Cluster            # nodes + links + switch + RNG
-      node.Node                 # cores, memory container, NIC
+      node.Node                 # memory budget, NIC, links
         nic.Nic                 # NIC cores, work/completion queues, regions
           verbs.QueuePair       # the verbs API used by rpc/ and bcl/
     link.Link                   # bandwidth + latency, cut-through

@@ -279,8 +279,7 @@ class FaultInjector:
         dst = self.cluster.node(msg.dst_node)
         if not dst.alive:
             return
-        if not dst.nic.recv_queue.try_put(msg):
-            yield dst.nic.recv_queue.put(msg)
+        dst.nic.recv_queue.try_put(msg)
 
     # -- control / observability ----------------------------------------------
     def heal(self) -> None:

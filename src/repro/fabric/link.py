@@ -30,12 +30,12 @@ __all__ = ["Link"]
 class Link:
     """One direction of a node's connection to the switch fabric."""
 
-    def __init__(self, sim: Simulator, cost: CostModel, name: str, lanes: int = 1):
+    def __init__(self, sim: Simulator, cost: CostModel, name: str):
         self.sim = sim
         self.cost = cost
         self.name = name
-        # ``lanes`` > 1 models multi-rail NICs; the paper's testbed is 1x40GbE.
-        self.channel = Resource(sim, capacity=lanes, name=name)
+        # One rail per direction: the paper's testbed is 1x40GbE.
+        self.channel = Resource(sim, capacity=1, name=name)
         metrics = registry_of(sim)
         self.bytes_total = metrics.counter(name + "/bytes")
         self.packets_total = metrics.counter(name + "/packets")
@@ -63,38 +63,19 @@ def transfer(egress: Link, ingress: Link, msg: Message, switch=None):
     An oversubscribed ``switch`` additionally bounds how many transfers can
     stream through the backplane at once.
 
-    **Allocation-elided charging:** each hop that is free at its claim
-    point skips the :class:`~repro.simnet.resources.Request` allocation —
-    the slot is claimed synchronously (exactly when ``request``'s immediate
-    grant would claim it) and a pooled zero-delay timeout stands in for the
-    grant event, scheduling with the identical ``(time, priority, seq)``.
-    The hops are still claimed *in sequence* (egress, then ingress, then
-    backplane), one event apart, exactly as the request/grant path orders
-    them, so contention windows — and every simulated result — are
-    unchanged; only the per-hop Event/Request allocations go away.  A busy
-    hop falls back to the queued request path for that hop alone.
+    The hops are claimed *in sequence* (egress, then ingress, then
+    backplane), one kernel event apart — each
+    :meth:`~repro.simnet.resources.Resource.claim` costs exactly one event
+    whether the hop was free or busy, so contention windows do not depend
+    on which branch a claim took.
     """
     cost = egress.cost
     sim = egress.sim
     e_ch = egress.channel
-    e_req = None
-    if e_ch.in_use < e_ch.capacity:
-        e_ch._note_change()
-        e_ch.in_use += 1
-        yield sim.timeout(0.0)
-    else:
-        e_req = e_ch.request()
-        yield e_req
+    i_ch = ingress.channel
+    yield e_ch.claim()
     try:
-        i_ch = ingress.channel
-        i_req = None
-        if i_ch.in_use < i_ch.capacity:
-            i_ch._note_change()
-            i_ch.in_use += 1
-            yield sim.timeout(0.0)
-        else:
-            i_req = i_ch.request()
-            yield i_req
+        yield i_ch.claim()
         try:
             wire = egress.wire_time(msg)
             if switch is not None and not switch.is_full_bisection:
@@ -108,13 +89,7 @@ def transfer(egress: Link, ingress: Link, msg: Message, switch=None):
             egress.account(msg)
             ingress.account(msg)
         finally:
-            if i_req is None:
-                i_ch.release_slot()
-            else:
-                i_ch.release(i_req)
+            i_ch.release_slot()
     finally:
-        if e_req is None:
-            e_ch.release_slot()
-        else:
-            e_ch.release(e_req)
+        e_ch.release_slot()
     yield sim.timeout(2 * cost.link_latency + cost.switch_latency)

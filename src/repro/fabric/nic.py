@@ -132,9 +132,7 @@ class Nic:
         "just before" the crash in the warm-memory fail-stop model); only
         work still sitting in the receive queue is lost.  Clients retry.
         """
-        lost = len(self.recv_queue)
-        self.recv_queue._items.clear()
-        return lost
+        return self.recv_queue.clear()
 
     # -- service-time helpers (generators run by verbs layer) -----------------
     def serve_verb(self, service_time: Optional[float] = None):
@@ -149,34 +147,29 @@ class Nic:
         Holding the region lock while the atomic executes is the
         serialization effect the paper's motivating test quantifies.
 
-        When both the core and the lock are free at entry they are claimed
-        inline at the same instant (exactly when the classic path's
-        immediate grants would land) and the whole atomic rides one
-        timeout; contention falls back to the request/acquire path, whose
-        queueing is unchanged.
+        The general sequence is core claim, lock acquire, service time:
+        three kernel events.  The one fused exception in the transport:
+        when the code observes *both* free at entry it takes them inline
+        (``try_acquire``: no event) and the whole atomic rides the service
+        timeout alone.  That is a selection from observed state, not a
+        second algorithm — the grants land at the same instant either way —
+        and the ``bcl_umap`` ledger row pins the event count it produces.
         """
         cores = self.cores
         lock = region.atomic_lock
-        if cores.in_use < cores.capacity and lock.try_acquire():
-            cores._note_change()
-            cores.in_use += 1
-            try:
-                yield self.sim.timeout(self.cost.nic_atomic_service)
-            finally:
-                lock.release()
-                cores.release_slot()
-            self.verbs_processed.add(1)
-            return
-        req = cores.request()
-        yield req
+        fused = (not lock.locked and cores.try_acquire()
+                 and lock.try_acquire())
+        if not fused:
+            yield cores.claim()
         try:
-            yield lock.acquire()
+            if not fused:
+                yield lock.acquire()
             try:
                 yield self.sim.timeout(self.cost.nic_atomic_service)
             finally:
                 lock.release()
         finally:
-            cores.release(req)
+            cores.release_slot()
         self.verbs_processed.add(1)
 
     # -- observability ----------------------------------------------------------

@@ -1,10 +1,10 @@
-"""A compute node: CPU cores, a memory budget, a NIC, and fabric links.
+"""A compute node: a memory budget, a NIC, and fabric links.
 
-The memory budget is a :class:`~repro.simnet.resources.Container`; region
-registration and BCL's exclusive per-client buffers draw from it, which is
-how the simulation reproduces the paper's observation that BCL runs out of
-memory above 1 MB operation sizes (Section IV-B2) and the Fig 4(b) memory
-ramp.
+The memory budget is a registry gauge checked against the node's capacity;
+region registration and BCL's exclusive per-client buffers draw from it,
+which is how the simulation reproduces the paper's observation that BCL
+runs out of memory above 1 MB operation sizes (Section IV-B2) and the
+Fig 4(b) memory ramp.
 """
 
 from __future__ import annotations
@@ -39,12 +39,9 @@ class Node:
         self.spec = spec
         cost = spec.cost
         self.cost = cost
-        self.cpu = Resource(sim, capacity=spec.cores_per_node, name=f"n{node_id}/cpu")
         self.nic = Nic(sim, node_id, cost)
-        self.egress = Link(sim, cost, name=f"n{node_id}/egress",
-                           lanes=cost.link_lanes)
-        self.ingress = Link(sim, cost, name=f"n{node_id}/ingress",
-                            lanes=cost.link_lanes)
+        self.egress = Link(sim, cost, name=f"n{node_id}/egress")
+        self.ingress = Link(sim, cost, name=f"n{node_id}/ingress")
         self.memory_capacity = spec.memory_per_node
         self.memory_used = registry_of(sim).gauge(f"n{node_id}/mem")
         # Local (intra-node) shared-memory bandwidth: a single station so

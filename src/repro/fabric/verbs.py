@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.fabric.link import transfer
+from repro.fabric.nic import MemoryRegion
 from repro.fabric.packet import Message, Verb
 
 __all__ = ["QueuePair", "ATOMIC_WIRE_BYTES", "ACK_WIRE_BYTES"]
@@ -37,34 +38,57 @@ class QueuePair:
     def __init__(self, cluster, src_node: int):
         self.cluster = cluster
         self.src_node = src_node
+        self.src = cluster.node(src_node)
         self.sim = cluster.sim
         self.cost = cluster.spec.cost
 
-    # -- internal helpers ------------------------------------------------------
-    def _nodes(self, dst: int):
-        return self.cluster.node(self.src_node), self.cluster.node(dst)
+    # -- the traversal, written once ------------------------------------------
+    def _post(self, dst_node, verb: Verb, size: int, **fields):
+        """Post one work request and carry it to ``dst_node``: build the
+        message, ring the doorbell, occupy a source NIC core, cross the wire."""
+        msg = Message(verb, self.src_node, dst_node.node_id, size, **fields)
+        yield self.sim.timeout(self.cost.nic_doorbell)
+        yield from self.src.nic.serve_verb()
+        yield from self._wire(self.src, dst_node, msg)
+        return msg
 
-    def _wire(self, dst: int, msg: Message):
-        """Move a message src -> dst, or charge loopback for intra-node."""
-        src_node, dst_node = self._nodes(dst)
-        if dst == self.src_node:
+    def _wire(self, src, dst, msg: Message):
+        """Move ``msg`` from node ``src`` to node ``dst`` (either direction)."""
+        if src is dst:
             # NIC loopback: no switch traversal, but the transfer still
             # crosses the NIC's internal path at link-class bandwidth.
-            yield from src_node.nic_loopback.use(
-                self.cost.transfer_time(msg.wire_size)
-            )
-            src_node.egress.account(msg)
-            src_node.ingress.account(msg)
+            yield from src.nic_loopback.use(self.cost.transfer_time(msg.wire_size))
+            src.egress.account(msg)
+            src.ingress.account(msg)
         else:
             faults = self.cluster.faults
             if faults is not None:
                 # May delay, schedule a duplicate, or raise FabricDropped.
                 yield from faults.outbound(msg)
-            yield from transfer(src_node.egress, dst_node.ingress, msg,
+            yield from transfer(src.egress, dst.ingress, msg,
                                 switch=self.cluster.switch)
 
-    def _doorbell(self):
-        yield self.sim.timeout(self.cost.nic_doorbell)
+    def _region(self, dst: int, name: str, offset: int):
+        """The target node and its registered region, ``offset`` in bounds."""
+        dst_node = self.cluster.node(dst)
+        region = dst_node.nic.region(name)
+        if offset < 0 or offset >= region.size:
+            raise IndexError(
+                f"offset {offset} outside region {name!r} (size {region.size})"
+            )
+        return dst_node, region
+
+    def _atomic(self, verb: Verb, dst: int, name: str, offset: int, op, *args):
+        """Remote atomic: request out, ``op(region, offset, *args)`` under
+        the region's atomic lock on the target NIC, acknowledgement back."""
+        dst_node, region = self._region(dst, name, offset)
+        yield from self._post(dst_node, verb, ATOMIC_WIRE_BYTES,
+                              region=name, offset=offset)
+        yield from dst_node.nic.serve_atomic(region)
+        old = op(region, offset, *args)
+        ack = Message(verb, dst, self.src_node, ATOMIC_WIRE_BYTES)
+        yield from self._wire(dst_node, self.src, ack)
+        return old
 
     # -- two-sided -----------------------------------------------------------
     def send(self, dst: int, payload: Any, size: int):
@@ -73,74 +97,35 @@ class QueuePair:
         Returns after the message is enqueued remotely (reliable delivery);
         matching of sends to receivers is the upper layer's business.
         """
-        src_node, dst_node = self._nodes(dst)
-        msg = Message(Verb.SEND, self.src_node, dst, size, payload=payload)
-        yield from self._doorbell()
-        yield from src_node.nic.serve_verb()
-        yield from self._wire(dst, msg)
+        dst_node = self.cluster.node(dst)
+        msg = yield from self._post(dst_node, Verb.SEND, size, payload=payload)
         # Admission control: a bounded-RPC-queue target may shed the message
         # here instead of accepting it (the hook deposits the rejection).
         if dst_node.nic.admit(msg):
-            # Unbounded (or non-full) work queues accept the message without
-            # a scheduler round-trip; only a *full* bounded queue blocks the QP.
-            if not dst_node.nic.recv_queue.try_put(msg):
-                yield dst_node.nic.recv_queue.put(msg)
+            dst_node.nic.recv_queue.try_put(msg)
         return msg.msg_id
 
     # -- one-sided data -----------------------------------------------------------
     def rdma_write(self, dst: int, region: str, offset: int, payload: Any, size: int):
         """One-sided write of ``payload`` into ``region`` at ``offset``."""
-        src_node, dst_node = self._nodes(dst)
-        target = dst_node.nic.region(region)
-        if offset < 0 or offset >= target.size:
-            raise IndexError(
-                f"rdma_write offset {offset} outside region {region!r} "
-                f"(size {target.size})"
-            )
-        msg = Message(Verb.WRITE, self.src_node, dst, size,
-                      payload=payload, region=region, offset=offset)
-        yield from self._doorbell()
-        yield from src_node.nic.serve_verb()
-        yield from self._wire(dst, msg)
+        dst_node, target = self._region(dst, region, offset)
+        yield from self._post(dst_node, Verb.WRITE, size,
+                              payload=payload, region=region, offset=offset)
         yield from dst_node.nic.serve_verb()
         target.put_object(offset, payload)
         return True
 
     def rdma_read(self, dst: int, region: str, offset: int, size: int):
         """One-sided read; returns the payload stored at ``offset``."""
-        src_node, dst_node = self._nodes(dst)
-        target = dst_node.nic.region(region)
-        if offset < 0 or offset >= target.size:
-            raise IndexError(
-                f"rdma_read offset {offset} outside region {region!r} "
-                f"(size {target.size})"
-            )
+        dst_node, target = self._region(dst, region, offset)
         # Request goes out small; the data comes back at ``size``.
-        req = Message(Verb.READ, self.src_node, dst, ACK_WIRE_BYTES,
-                      region=region, offset=offset)
-        yield from self._doorbell()
-        yield from src_node.nic.serve_verb()
-        yield from self._wire(dst, req)
+        yield from self._post(dst_node, Verb.READ, ACK_WIRE_BYTES,
+                              region=region, offset=offset)
         yield from dst_node.nic.serve_verb()
         payload = target.get_object(offset)
         resp = Message(Verb.READ, dst, self.src_node, size, payload=payload)
-        yield from self._wire_back(dst, resp)
+        yield from self._wire(dst_node, self.src, resp)
         return payload
-
-    def _wire_back(self, dst: int, msg: Message):
-        src_node, dst_node = self._nodes(dst)
-        if dst == self.src_node:
-            yield from src_node.nic_loopback.use(
-                self.cost.transfer_time(msg.wire_size)
-            )
-            src_node.egress.account(msg)
-            src_node.ingress.account(msg)
-        else:
-            faults = self.cluster.faults
-            if faults is not None:
-                yield from faults.outbound(msg)
-            yield from transfer(dst_node.egress, src_node.ingress, msg,
-                                switch=self.cluster.switch)
 
     # -- atomics -------------------------------------------------------------------
     def cas(self, dst: int, region: str, offset: int, expected: int, desired: int):
@@ -150,30 +135,10 @@ class QueuePair:
         lock — concurrent CASes to one region serialize, the effect the
         paper's motivating test (Fig 1) measures.
         """
-        src_node, dst_node = self._nodes(dst)
-        target = dst_node.nic.region(region)
-        msg = Message(Verb.CAS, self.src_node, dst, ATOMIC_WIRE_BYTES,
-                      region=region, offset=offset)
-        yield from self._doorbell()
-        yield from src_node.nic.serve_verb()
-        yield from self._wire(dst, msg)
-        yield from dst_node.nic.serve_atomic(target)
-        old = target.compare_and_swap(offset, expected, desired)
-        ack = Message(Verb.CAS, dst, self.src_node, ATOMIC_WIRE_BYTES)
-        yield from self._wire_back(dst, ack)
-        return old
+        return self._atomic(Verb.CAS, dst, region, offset,
+                            MemoryRegion.compare_and_swap, expected, desired)
 
     def fetch_add(self, dst: int, region: str, offset: int, delta: int):
         """Remote fetch-and-add.  Returns the pre-add value."""
-        src_node, dst_node = self._nodes(dst)
-        target = dst_node.nic.region(region)
-        msg = Message(Verb.FETCH_ADD, self.src_node, dst, ATOMIC_WIRE_BYTES,
-                      region=region, offset=offset)
-        yield from self._doorbell()
-        yield from src_node.nic.serve_verb()
-        yield from self._wire(dst, msg)
-        yield from dst_node.nic.serve_atomic(target)
-        old = target.fetch_add(offset, delta)
-        ack = Message(Verb.FETCH_ADD, dst, self.src_node, ATOMIC_WIRE_BYTES)
-        yield from self._wire_back(dst, ack)
-        return old
+        return self._atomic(Verb.FETCH_ADD, dst, region, offset,
+                            MemoryRegion.fetch_add, delta)

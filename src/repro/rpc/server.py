@@ -26,6 +26,7 @@ from repro.fabric.node import Node
 from repro.obs.registry import registry_of
 from repro.obs.span import tracer_of
 from repro.serialization.databox import estimate_size
+from repro.simnet.core import Event
 
 __all__ = ["RpcServer", "RpcContext", "RpcRequest"]
 
@@ -159,13 +160,26 @@ class RpcServer:
 
     # -- slots / completions ------------------------------------------------------
     def allocate_slot(self):
-        """Reserve a response slot; returns ``(slot, completion_event)``."""
-        slot = self._next_slot
-        self._next_slot = (self._next_slot + 1) % self.RESPONSE_SLOTS
-        from repro.simnet.core import Event
+        """Reserve a response slot; returns ``(slot, completion_event)``.
 
-        ev = Event(self.sim)
-        self._completions[slot] = ev
+        Slots whose completion is still pending are skipped, so a wrapped
+        counter never overwrites an older caller's completion; it is an
+        error only when every slot is pending.  (A client that gives up —
+        ``TargetUnavailable`` — never returns its slot, so long chaos runs
+        carry a few leaked pending slots; skipping absorbs them.)
+        """
+        slots = self.RESPONSE_SLOTS
+        pending = self._completions
+        if len(pending) >= slots:
+            raise RuntimeError(
+                f"RPC server on node {self.node.node_id}: all {slots} "
+                f"response slots have a pending invocation"
+            )
+        slot = self._next_slot
+        while slot in pending:
+            slot = (slot + 1) % slots
+        self._next_slot = (slot + 1) % slots
+        ev = pending[slot] = Event(self.sim)
         return slot, ev
 
     def stop(self) -> None:
@@ -237,8 +251,7 @@ class RpcServer:
                     if not ok:
                         break
                     batch.append(extra)
-                core = cores.request()
-                yield core
+                yield cores.claim()
                 try:
                     # One de-marshal/dispatch charge per batch (aggregation win).
                     yield sim.timeout(dispatch)
@@ -246,7 +259,7 @@ class RpcServer:
                     for m in batch:
                         yield from self._execute(m.payload)
                 finally:
-                    cores.release(core)
+                    cores.release_slot()
                 ok, msg = recv.try_get()
                 if not ok:
                     break

@@ -21,8 +21,8 @@ from repro.simnet.core import (
     SimulationError,
 )
 from repro.simnet.process import Process
-from repro.simnet.resources import Resource, PriorityResource, Store, Container
-from repro.simnet.sync import SimLock, Semaphore, Barrier, Signal
+from repro.simnet.resources import Resource, Store
+from repro.simnet.sync import SimLock, Barrier
 from repro.simnet.rng import RngRegistry
 from repro.simnet.trace import TimeSeries, Sampler, EventLog
 from repro.simnet.stats import Counter, Gauge, Histogram
@@ -37,13 +37,9 @@ __all__ = [
     "SimulationError",
     "Process",
     "Resource",
-    "PriorityResource",
     "Store",
-    "Container",
     "SimLock",
-    "Semaphore",
     "Barrier",
-    "Signal",
     "RngRegistry",
     "TimeSeries",
     "Sampler",

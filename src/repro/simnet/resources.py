@@ -1,47 +1,32 @@
-"""Counted resources, priority resources, stores, and containers.
+"""Counted resources and stores.
 
 These model contention points in the simulated cluster:
 
 * :class:`Resource` — ``capacity`` identical servers with a FIFO queue.  NIC
-  cores, CPU cores, and DMA engines are Resources.
-* :class:`PriorityResource` — like Resource but the wait queue is ordered by
-  a caller-supplied priority (lower first).
-* :class:`Store` — an unbounded or bounded FIFO of Python objects with
-  blocking ``get``.  RDMA work queues and request buffers are Stores.
-* :class:`Container` — a continuous level (e.g. bytes of memory) with
-  blocking ``put``/``get``.
+  cores, link channels, the switch backplane and the memory bus are
+  Resources.
+* :class:`Store` — an unbounded FIFO of Python objects with blocking
+  ``get``.  The NIC receive work queue and completion queues are Stores.
 
 Usage from a process::
 
-    req = resource.request()
-    yield req
+    yield resource.claim()
     try:
         yield sim.timeout(service_time)
     finally:
-        resource.release(req)
+        resource.release_slot()
 
 or the one-liner ``yield from resource.use(service_time)``.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
-from repro.simnet.core import Event, SimulationError, Simulator
+from repro.simnet.core import Event, Simulator
 
-__all__ = ["Request", "Resource", "PriorityResource", "Store", "Container"]
-
-
-class Request(Event):
-    """A pending claim on a :class:`Resource` slot."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
-        self.resource = resource
+__all__ = ["Resource", "Store"]
 
 
 class Resource:
@@ -54,7 +39,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._queue: Deque[Request] = deque()
+        self._queue: Deque[Event] = deque()
         # Busy-time accounting for utilization meters.
         self._busy_integral = 0.0
         self._last_change = sim.now
@@ -77,9 +62,39 @@ class Resource:
             return 0.0
         return self.busy_time() / (span * self.capacity)
 
-    # -- slot-level API (no Request allocation; fabric fast paths) -------------
+    # -- the one acquire, the one release ---------------------------------------
+    def claim(self) -> Event:
+        """Event that fires once the caller holds a slot.
+
+        A free slot is taken *now*, inline, and a pooled zero-delay timeout
+        is returned; a busy resource queues a pooled plain event FIFO, which
+        :meth:`release_slot` triggers when it hands a slot over.  Either way
+        the grant is scheduled with the ``(time, priority, seq)`` of the
+        moment the slot changed hands — the one invariant every hop of the
+        transport relies on: the claim costs exactly one kernel event, at
+        the instant of the grant, whether or not the caller had to wait.
+
+        Pair every claim with one :meth:`release_slot` in a ``finally``
+        *after* the yield.  A process interrupted while still queued
+        strands its grant (the slot is handed to an event nobody waits on);
+        nothing under ``src/`` interrupts a process, so there is no
+        cancellation path.
+        """
+        if self.in_use < self.capacity:
+            self._note_change()
+            self.in_use += 1
+            return self.sim.timeout(0.0)
+        ev = self.sim.event()
+        self._queue.append(ev)
+        return ev
+
     def try_acquire(self) -> bool:
-        """Claim a slot immediately if one is free; no Request, no event."""
+        """Take a free slot with no event at all, or return False.
+
+        For the one caller that fuses two grants into a single charge (the
+        uncontended remote atomic, ``Nic.serve_atomic``); everything else
+        goes through :meth:`claim`.
+        """
         if self.in_use < self.capacity:
             self._note_change()
             self.in_use += 1
@@ -87,70 +102,21 @@ class Resource:
         return False
 
     def release_slot(self) -> None:
-        """Release a slot claimed with :meth:`try_acquire`."""
+        """Give a slot back: hand it to the oldest waiter, else free it."""
         self._note_change()
         if self._queue:
-            self._queue.popleft().succeed(self)
-        else:
-            self.in_use -= 1
-
-    # -- API --------------------------------------------------------------------
-    def request(self) -> Request:
-        req = Request(self)
-        if self.in_use < self.capacity:
-            self._note_change()
-            self.in_use += 1
-            req.succeed(self)
-        else:
-            self._queue.append(req)
-        return req
-
-    def release(self, req: Request) -> None:
-        if not req.triggered:
-            # Cancelled while queued.
-            try:
-                self._queue.remove(req)
-            except ValueError:
-                raise SimulationError("releasing a request not held or queued")
-            return
-        self._note_change()
-        if self._queue:
-            nxt = self._queue.popleft()
-            nxt.succeed(self)
-            # in_use unchanged: slot handed over.
+            # in_use unchanged: the slot changes hands without a dip.
+            self._queue.popleft().succeed()
         else:
             self.in_use -= 1
 
     def use(self, duration: float):
-        """Generator helper: acquire, hold for ``duration``, release.
-
-        Uncontended holds skip the :class:`Request` allocation: the slot is
-        claimed synchronously (exactly when ``request``'s immediate
-        ``req.succeed`` would claim it) and a pooled zero-delay timeout
-        stands in for the grant event.  The timeout schedules with the same
-        ``(time, priority, seq)`` the grant would get, so same-instant
-        ordering — and therefore every simulated result — is unchanged; only
-        the allocations go away.  The release runs inline.
-        """
-        if self.in_use < self.capacity:
-            self._note_change()
-            self.in_use += 1
-            yield self.sim.timeout(0.0)
-            try:
-                yield self.sim.timeout(duration)
-            finally:
-                self._note_change()
-                if self._queue:
-                    self._queue.popleft().succeed(self)
-                else:
-                    self.in_use -= 1
-        else:
-            req = self.request()
-            yield req
-            try:
-                yield self.sim.timeout(duration)
-            finally:
-                self.release(req)
+        """Generator helper: claim, hold for ``duration``, release."""
+        yield self.claim()
+        try:
+            yield self.sim.timeout(duration)
+        finally:
+            self.release_slot()
 
     @property
     def queue_length(self) -> int:
@@ -163,188 +129,49 @@ class Resource:
         )
 
 
-class PriorityResource(Resource):
-    """Resource whose waiters are served lowest-priority-value first."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        super().__init__(sim, capacity, name)
-        self._pqueue: list[tuple[float, int, Request]] = []
-        self._pseq = 0
-
-    def request(self, priority: float = 0.0) -> Request:  # type: ignore[override]
-        req = Request(self)
-        if self.in_use < self.capacity:
-            self._note_change()
-            self.in_use += 1
-            req.succeed(self)
-        else:
-            self._pseq += 1
-            heapq.heappush(self._pqueue, (priority, self._pseq, req))
-        return req
-
-    def release(self, req: Request) -> None:  # type: ignore[override]
-        if not req.triggered:
-            self._pqueue = [(p, s, r) for (p, s, r) in self._pqueue if r is not req]
-            heapq.heapify(self._pqueue)
-            return
-        self._note_change()
-        if self._pqueue:
-            _p, _s, nxt = heapq.heappop(self._pqueue)
-            nxt.succeed(self)
-        else:
-            self.in_use -= 1
-
-    def release_slot(self) -> None:  # type: ignore[override]
-        self._note_change()
-        if self._pqueue:
-            _p, _s, nxt = heapq.heappop(self._pqueue)
-            nxt.succeed(self)
-        else:
-            self.in_use -= 1
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pqueue)
-
-    def use(self, duration: float, priority: float = 0.0):
-        if self.in_use < self.capacity:
-            self._note_change()
-            self.in_use += 1
-            yield self.sim.timeout(0.0)
-            try:
-                yield self.sim.timeout(duration)
-            finally:
-                self._note_change()
-                if self._pqueue:
-                    _p, _s, nxt = heapq.heappop(self._pqueue)
-                    nxt.succeed(self)
-                else:
-                    self.in_use -= 1
-        else:
-            req = self.request(priority)
-            yield req
-            try:
-                yield self.sim.timeout(duration)
-            finally:
-                self.release(req)
-
-
 class Store:
-    """FIFO buffer of items with blocking ``get`` and optional bound on ``put``."""
+    """Unbounded FIFO buffer of items with blocking ``get``."""
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
-        if capacity is not None and capacity < 1:
-            raise ValueError("Store capacity must be positive or None")
+    def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
 
     def put(self, item: Any) -> Event:
-        ev = self.sim.event()
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed(None)
-        else:
-            self._putters.append((ev, item))
-        return ev
+        """Deposit ``item``; the returned event fires in the same instant."""
+        self.try_put(item)
+        return self.sim.event().succeed(None)
 
     def get(self) -> Event:
         ev = self.sim.event()
         if self._items:
-            item = self._items.popleft()
-            ev.succeed(item)
-            if self._putters:
-                putter, pitem = self._putters.popleft()
-                self._items.append(pitem)
-                putter.succeed(None)
+            ev.succeed(self._items.popleft())
         else:
             self._getters.append(ev)
         return ev
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put: deliver/enqueue and return True, or False if full."""
+    def try_put(self, item: Any) -> None:
+        """:meth:`put` without the acknowledgement event: hand ``item`` to
+        the oldest waiting getter, else enqueue it.  Never fails — the
+        store is unbounded; admission control lives above it
+        (``RpcServer._admit``)."""
         if self._getters:
             self._getters.popleft().succeed(item)
-            return True
-        if self.capacity is None or len(self._items) < self.capacity:
+        else:
             self._items.append(item)
-            return True
-        return False
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking pop: returns ``(True, item)`` or ``(False, None)``."""
         if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                putter, pitem = self._putters.popleft()
-                self._items.append(pitem)
-                putter.succeed(None)
-            return True, item
+            return True, self._items.popleft()
         return False, None
+
+    def clear(self) -> int:
+        """Discard every queued item; returns how many were dropped."""
+        dropped = len(self._items)
+        self._items.clear()
+        return dropped
 
     def __len__(self) -> int:
         return len(self._items)
-
-
-class Container:
-    """A continuous quantity (bytes, tokens) with blocking put/get."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "",
-    ):
-        if init < 0 or init > capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = init
-        self.name = name
-        self._getters: Deque[tuple[Event, float]] = deque()
-        self._putters: Deque[tuple[Event, float]] = deque()
-        self.peak_level = init
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        ev = self.sim.event()
-        self._putters.append((ev, amount))
-        self._drain()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        ev = self.sim.event()
-        self._getters.append((ev, amount))
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self.level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self.level += amount
-                    self.peak_level = max(self.peak_level, self.level)
-                    ev.succeed(None)
-                    progressed = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if self.level >= amount:
-                    self._getters.popleft()
-                    self.level -= amount
-                    ev.succeed(None)
-                    progressed = True

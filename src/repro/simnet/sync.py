@@ -12,7 +12,7 @@ from typing import Deque
 
 from repro.simnet.core import Event, SimulationError, Simulator
 
-__all__ = ["SimLock", "Semaphore", "Barrier", "Signal"]
+__all__ = ["SimLock", "Barrier"]
 
 
 class SimLock:
@@ -66,45 +66,6 @@ class SimLock:
     def locked(self) -> bool:
         return self._locked
 
-    def holding(self, duration: float):
-        """Generator helper: acquire, hold ``duration``, release."""
-        yield self.acquire()
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            self.release()
-
-
-class Semaphore:
-    """Counting semaphore."""
-
-    def __init__(self, sim: Simulator, value: int = 1, name: str = ""):
-        if value < 0:
-            raise ValueError("semaphore value must be >= 0")
-        self.sim = sim
-        self.name = name
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        ev = self.sim.event()
-        if self._value > 0:
-            self._value -= 1
-            ev.succeed(None)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().succeed(None)
-        else:
-            self._value += 1
-
-    @property
-    def value(self) -> int:
-        return self._value
-
 
 class Barrier:
     """Reusable barrier for a fixed party count.
@@ -132,30 +93,3 @@ class Barrier:
             for waiter in batch:
                 waiter.succeed(gen)
         return ev
-
-
-class Signal:
-    """A broadcast condition: many waiters, one ``fire`` wakes them all.
-
-    Unlike a bare Event, a Signal is reusable: each ``wait()`` gets a fresh
-    event attached to the *current* generation.
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._waiters: list[Event] = []
-        self.fire_count = 0
-
-    def wait(self) -> Event:
-        ev = self.sim.event()
-        self._waiters.append(ev)
-        return ev
-
-    def fire(self, value=None) -> int:
-        """Wake all current waiters; returns how many were woken."""
-        batch, self._waiters = self._waiters, []
-        self.fire_count += 1
-        for waiter in batch:
-            waiter.succeed(value)
-        return len(batch)

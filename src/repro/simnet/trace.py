@@ -145,26 +145,13 @@ class Sampler:
         self._running = True
         self.sim.process(self._run(), name="sampler")
 
-    def schedule_at(self, times) -> None:
-        """Arm one-shot samples at absolute sim times (no re-arming process).
-
-        Unlike :meth:`start`, this never keeps the simulation alive: each
-        sample is a pre-scheduled callback, so the sim still drains when
-        the workload finishes.  The telemetry harness uses this to take a
-        fixed number of Fig-4 samples across a run of known duration.
-        """
-        now = self.sim.now
-        for t in times:
-            self.sim.schedule_callback(self.sample_once,
-                                       delay=max(0.0, t - now))
-
     def arm(self, times) -> None:
         """Arm one-shot samples at absolute sim times for :meth:`pump`.
 
-        Unlike :meth:`schedule_at`, armed samples are *not* simulator
-        events: they fire only while :meth:`pump` drives the simulation,
-        so they cannot advance the clock past the workload's natural end
-        or stretch a phase whose events drain before the sample times.
+        Armed samples are *not* simulator events: they fire only while
+        :meth:`pump` drives the simulation, so they cannot advance the
+        clock past the workload's natural end or stretch a phase whose
+        events drain before the sample times.
         """
         self._armed = deque(sorted(float(t) for t in times))
 

@@ -206,6 +206,39 @@ class TestVerbs:
         with pytest.raises(IndexError):
             drive(cluster, body())
 
+    def test_out_of_bounds_read_rejected(self, cluster, drive):
+        cluster.node(1).register_region("data", 1024)
+
+        def body():
+            yield from cluster.qp(0).rdma_read(1, "data", 1024, 10)
+
+        with pytest.raises(IndexError):
+            drive(cluster, body())
+
+    @pytest.mark.parametrize("offset", [1024, -1])
+    def test_out_of_bounds_cas_rejected(self, cluster, drive, offset):
+        """An atomic obeys the bounds a read of the same offset does — it
+        must not mint a word outside the region."""
+        region = cluster.node(1).register_region("data", 1024)
+
+        def body():
+            yield from cluster.qp(0).cas(1, "data", offset, 0, 1)
+
+        with pytest.raises(IndexError):
+            drive(cluster, body())
+        assert region.words == {}
+
+    @pytest.mark.parametrize("offset", [1024, -1])
+    def test_out_of_bounds_fetch_add_rejected(self, cluster, drive, offset):
+        region = cluster.node(1).register_region("data", 1024)
+
+        def body():
+            yield from cluster.qp(0).fetch_add(1, "data", offset, 1)
+
+        with pytest.raises(IndexError):
+            drive(cluster, body())
+        assert region.words == {}
+
     def test_cas_returns_old_value(self, cluster, drive):
         cluster.node(1).register_region("data", 1024)
 

@@ -1,55 +1,10 @@
-"""Tests for multi-rail links, the shm provider, and BCL queue flush."""
-
-from dataclasses import replace
+"""Tests for the shm provider and BCL queue flush."""
 
 import pytest
 
 from repro.bcl import BCL
 from repro.config import ares_like
 from repro.fabric import Cluster
-
-
-class TestMultiRail:
-    def _two_flow_time(self, lanes: int) -> float:
-        spec = ares_like(nodes=2, procs_per_node=2)
-        spec = spec.scaled(cost=replace(spec.cost, link_lanes=lanes))
-        cluster = Cluster(spec)
-        cluster.node(1).register_region("d", 1 << 22)
-
-        def flow(offset):
-            def body():
-                qp = cluster.qp(0)
-                for i in range(4):
-                    yield from qp.rdma_write(1, "d", offset + i, None, 1 << 20)
-            return body()
-
-        cluster.sim.process(flow(0))
-        cluster.sim.process(flow(100))
-        cluster.run()
-        return cluster.sim.now
-
-    def test_second_rail_doubles_concurrent_bandwidth(self):
-        t1 = self._two_flow_time(lanes=1)
-        t2 = self._two_flow_time(lanes=2)
-        assert t2 < 0.65 * t1  # two rails carry the two flows in parallel
-
-    def test_single_flow_unaffected(self):
-        """One flow cannot exceed one rail's rate either way."""
-        def single(lanes):
-            spec = ares_like(nodes=2, procs_per_node=1)
-            spec = spec.scaled(cost=replace(spec.cost, link_lanes=lanes))
-            cluster = Cluster(spec)
-            cluster.node(1).register_region("d", 1 << 22)
-
-            def body():
-                qp = cluster.qp(0)
-                for i in range(4):
-                    yield from qp.rdma_write(1, "d", i, None, 1 << 20)
-
-            cluster.sim.run_process(body())
-            return cluster.sim.now
-
-        assert single(2) == pytest.approx(single(1))
 
 
 class TestShmProvider:

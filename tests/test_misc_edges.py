@@ -65,13 +65,12 @@ class TestSimnetEdges:
 
         def failing():
             try:
-                req = res.request()
-                yield req
+                yield res.claim()
                 try:
                     yield sim.timeout(1.0)
                     raise RuntimeError("boom")
                 finally:
-                    res.release(req)
+                    res.release_slot()
             except RuntimeError:
                 return "handled"
 
@@ -85,7 +84,11 @@ class TestSimnetEdges:
 
         def holder():
             try:
-                yield from lock.holding(100.0)
+                yield lock.acquire()
+                try:
+                    yield sim.timeout(100.0)
+                finally:
+                    lock.release()
             except Interrupt:
                 return "interrupted"
 
@@ -114,28 +117,6 @@ class TestSimnetEdges:
         ev = store.get()
         sim.run()
         assert not ev.triggered
-
-    def test_priority_resource_use_helper(self, sim):
-        from repro.simnet import PriorityResource
-
-        res = PriorityResource(sim, capacity=1)
-        order = []
-
-        def worker(name, prio):
-            yield from res.use(1.0, priority=prio)
-            order.append(name)
-
-        def spawn():
-            req = res.request(0)
-            yield req
-            sim.process(worker("low", 9))
-            sim.process(worker("high", 1))
-            yield sim.timeout(0.5)
-            res.release(req)
-
-        sim.process(spawn())
-        sim.run()
-        assert order == ["high", "low"]
 
     def test_gauge_negative_values(self):
         from repro.simnet import Gauge

@@ -38,6 +38,33 @@ class TestServerInternals:
 
         assert cluster.sim.run_process(body()) == [0, 1, 2, 3, 4]
 
+    def test_pending_slots_are_skipped_not_overwritten(self, cluster,
+                                                       monkeypatch):
+        """A wrapped slot counter must not hand out a slot whose invocation
+        is still outstanding (the older caller's future would never
+        settle): pending slots are skipped, and only a server with every
+        slot pending refuses."""
+        monkeypatch.setattr(RpcServer, "RESPONSE_SLOTS", 4)
+        server = RpcServer(cluster.node(1))
+        gates = [cluster.sim.event() for _ in range(4)]
+
+        def held(ctx, i):
+            yield gates[i]
+            return i
+
+        server.bind("held", held)
+        client = RpcClient(cluster, 0, {1: server})
+        futs = [client.invoke(1, "held", (i,)) for i in range(4)]
+        assert sorted(server._completions) == [0, 1, 2, 3]
+        with pytest.raises(RuntimeError, match="node 1: all 4 response slots"):
+            client.invoke(1, "held", (4,))
+        gates[1].succeed()
+        cluster.run()
+        assert [f.done for f in futs] == [False, True, False, False]
+        assert futs[1].result == 1
+        slot, _completion = server.allocate_slot()
+        assert slot == 1  # counter wrapped to 0, still pending: skipped
+
     def test_exec_histogram_populated(self, cluster):
         server = RpcServer(cluster.node(1))
         server.bind("op", lambda ctx: None)

@@ -491,12 +491,13 @@ class TestTombstoneInterrupt:
 
 
 # ---------------------------------------------------------------------------
-# Resource.use fast path
+# Resource.use on claim(): the inline and the queued branch
 # ---------------------------------------------------------------------------
 
 
 class TestResourceUseFastPath:
     def test_uncontended_use_timing_matches_request_release(self, sim):
+        """``use`` is exactly claim + hold + release_slot, event for event."""
         res = Resource(sim, capacity=1)
         times = []
 
@@ -504,8 +505,19 @@ class TestResourceUseFastPath:
             yield from res.use(0.5)
             times.append(sim.now)
 
+        def via_claim():
+            yield res.claim()
+            try:
+                yield sim.timeout(0.5)
+            finally:
+                res.release_slot()
+            times.append(sim.now)
+
         sim.run_process(via_use())
-        assert times == [0.5]
+        used = sim.events_processed
+        sim.run_process(via_claim())
+        assert times == [0.5, 1.0]
+        assert sim.events_processed == 2 * used  # same events either way
         assert res.in_use == 0
 
     def test_contended_use_is_fifo(self, sim):
@@ -527,20 +539,22 @@ class TestResourceUseFastPath:
         log = []
 
         def fast():
-            yield from res.use(1.0)  # takes the no-contention path
-            log.append(("fast", sim.now))
+            yield from res.use(1.0)  # free slot: claimed inline
+            log.append(("fast", sim.now, res.in_use))
 
         def queued():
             yield sim.timeout(0.1)
-            req = res.request()  # classic request while fast() holds
-            yield req
-            log.append(("queued", sim.now))
-            res.release(req)
+            yield res.claim()  # queues while fast() holds
+            log.append(("queued", sim.now, res.in_use))
+            res.release_slot()
 
         sim.process(fast())
         sim.process(queued())
         sim.run()
-        assert log == [("fast", 1.0), ("queued", 1.0)]
+        # in_use stays 1 across the hand-over: no dip another claimant
+        # could slip into.
+        assert log == [("fast", 1.0, 1), ("queued", 1.0, 1)]
+        assert res.in_use == 0
 
     def test_interrupt_during_fast_path_hold_releases_slot(self, sim):
         res = Resource(sim, capacity=1)

@@ -1,9 +1,8 @@
-"""Tests for Resource, PriorityResource, Store, and Container."""
+"""Tests for Resource and Store."""
 
 import pytest
 
-from repro.simnet import Resource, PriorityResource, Store, Container
-from repro.simnet.core import SimulationError
+from repro.simnet import Interrupt, Resource, Store
 
 
 class TestResource:
@@ -13,36 +12,66 @@ class TestResource:
 
     def test_immediate_grant_within_capacity(self, sim):
         res = Resource(sim, capacity=2)
-        r1, r2 = res.request(), res.request()
-        assert r1.triggered and r2.triggered
+        c1, c2 = res.claim(), res.claim()
+        assert c1.triggered and c2.triggered
         assert res.in_use == 2
 
     def test_queueing_and_handover(self, sim):
         res = Resource(sim, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        assert r1.triggered and not r2.triggered
+        c1 = res.claim()
+        c2 = res.claim()
+        assert c1.triggered and not c2.triggered
         assert res.queue_length == 1
-        res.release(r1)
-        assert r2.triggered
-        assert res.in_use == 1
+        res.release_slot()
+        assert c2.triggered
+        assert res.in_use == 1  # handed over: no dip
+        assert res.queue_length == 0
+        res.release_slot()
+        assert res.in_use == 0
 
     def test_fifo_order(self, sim):
         res = Resource(sim, capacity=1)
         order = []
 
         def worker(i):
-            req = res.request()
-            yield req
+            yield res.claim()
             order.append(i)
             yield sim.timeout(1.0)
-            res.release(req)
+            res.release_slot()
 
         for i in range(4):
             sim.process(worker(i))
         sim.run()
         assert order == [0, 1, 2, 3]
         assert sim.now == 4.0
+
+    def test_claim_costs_one_event_on_either_branch(self, sim):
+        """The invariant ``claim`` owns: one kernel event at the instant of
+        the grant, whether the slot was free (inline) or handed over."""
+        res = Resource(sim, capacity=1)
+        granted = []
+
+        def worker(i):
+            yield res.claim()
+            granted.append((i, sim.now))
+            yield sim.timeout(1.0)
+            res.release_slot()
+
+        sim.process(worker(0))
+        sim.process(worker(1))
+        sim.run()
+        assert granted == [(0, 0.0), (1, 1.0)]
+        # per worker: process start + grant + hold + process end
+        assert sim.events_processed == 8
+
+    def test_try_acquire_takes_a_free_slot_without_an_event(self, sim):
+        res = Resource(sim, capacity=1)
+        assert res.try_acquire() and res.in_use == 1
+        assert not res.try_acquire()
+        res.release_slot()
+        assert res.in_use == 0
+        sim.run()
+        assert sim.events_processed == 0
 
     def test_use_helper_serializes(self, sim):
         res = Resource(sim, capacity=1)
@@ -66,25 +95,32 @@ class TestResource:
         sim.run()
         assert sim.now == 2.0
 
-    def test_cancel_queued_request(self, sim):
+    def test_interrupt_while_queued_strands_the_grant(self, sim):
+        """Documented in ``claim``: there is no cancellation path.  The
+        interrupted waiter's event stays queued and the next release hands
+        the slot to it, where nobody is waiting."""
         res = Resource(sim, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        res.release(r2)  # cancel while queued
-        assert res.queue_length == 0
-        res.release(r1)
-        assert res.in_use == 0
 
-    def test_release_unknown_raises(self, sim):
-        res = Resource(sim, capacity=1)
-        other = Resource(sim, capacity=1)
-        req = other.request()
-        other.release(req)
-        from repro.simnet.resources import Request
+        def holder():
+            yield from res.use(2.0)
 
-        stray = Request(res)
-        with pytest.raises(SimulationError):
-            res.release(stray)
+        def waiter():
+            try:
+                yield res.claim()
+            except Interrupt:
+                return "interrupted"
+
+        sim.process(holder())
+        w = sim.process(waiter())
+
+        def interrupter():
+            yield sim.timeout(1.0)
+            w.interrupt()
+
+        sim.process(interrupter())
+        sim.run()
+        assert w.result == "interrupted"
+        assert res.in_use == 1 and res.queue_length == 0  # stranded
 
     def test_utilization_accounting(self, sim):
         res = Resource(sim, capacity=2)
@@ -97,41 +133,6 @@ class TestResource:
         # one of two servers busy for the whole window
         assert res.utilization() == pytest.approx(0.5)
         assert res.busy_time() == pytest.approx(4.0)
-
-
-class TestPriorityResource:
-    def test_priority_order(self, sim):
-        res = PriorityResource(sim, capacity=1)
-        order = []
-
-        def worker(name, prio):
-            req = res.request(prio)
-            yield req
-            order.append(name)
-            yield sim.timeout(1.0)
-            res.release(req)
-
-        def spawn_all():
-            # Occupy, then queue out-of-order priorities.
-            req = res.request(0)
-            yield req
-            sim.process(worker("low", 5))
-            sim.process(worker("high", 1))
-            sim.process(worker("mid", 3))
-            yield sim.timeout(1.0)
-            res.release(req)
-
-        sim.process(spawn_all())
-        sim.run()
-        assert order == ["high", "mid", "low"]
-
-    def test_cancel_queued(self, sim):
-        res = PriorityResource(sim, capacity=1)
-        r1 = res.request(0)
-        r2 = res.request(1)
-        res.release(r2)
-        assert res.queue_length == 0
-        res.release(r1)
 
 
 class TestStore:
@@ -164,27 +165,6 @@ class TestStore:
         sim.run()
         assert got == [(5.0, "late")]
 
-    def test_bounded_put_blocks(self, sim):
-        store = Store(sim, capacity=1)
-        events = []
-
-        def producer():
-            yield store.put(1)
-            events.append(("put1", sim.now))
-            yield store.put(2)
-            events.append(("put2", sim.now))
-
-        def consumer():
-            yield sim.timeout(3.0)
-            item = yield store.get()
-            events.append(("got", item, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert ("put1", 0.0) in events
-        assert ("put2", 3.0) in events
-
     def test_try_get(self, sim):
         store = Store(sim)
         ok, item = store.try_get()
@@ -194,63 +174,22 @@ class TestStore:
         assert ok and item == "x"
         assert len(store) == 0
 
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
+    def test_try_put_hands_to_waiting_getter(self, sim):
+        store = Store(sim)
+        got = []
 
+        def consumer():
+            got.append((yield store.get()))
 
-class TestContainer:
-    def test_level_tracking(self, sim):
-        c = Container(sim, capacity=100, init=10)
-
-        def body():
-            yield c.put(40)
-            yield c.get(25)
-
-        sim.process(body())
+        sim.process(consumer())
         sim.run()
-        assert c.level == 25
-        assert c.peak_level == 50
-
-    def test_get_blocks_until_available(self, sim):
-        c = Container(sim, capacity=100)
-        times = []
-
-        def getter():
-            yield c.get(10)
-            times.append(sim.now)
-
-        def putter():
-            yield sim.timeout(2.0)
-            yield c.put(10)
-
-        sim.process(getter())
-        sim.process(putter())
+        store.try_put("x")
         sim.run()
-        assert times == [2.0]
+        assert got == ["x"] and len(store) == 0
 
-    def test_put_blocks_at_capacity(self, sim):
-        c = Container(sim, capacity=10, init=10)
-        times = []
-
-        def putter():
-            yield c.put(5)
-            times.append(sim.now)
-
-        def getter():
-            yield sim.timeout(1.0)
-            yield c.get(5)
-
-        sim.process(putter())
-        sim.process(getter())
-        sim.run()
-        assert times == [1.0]
-
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            Container(sim, capacity=10, init=20)
-        c = Container(sim, capacity=10)
-        with pytest.raises(ValueError):
-            c.put(-1)
-        with pytest.raises(ValueError):
-            c.get(-1)
+    def test_clear_drops_queued_items(self, sim):
+        store = Store(sim)
+        for item in "abc":
+            store.try_put(item)
+        assert store.clear() == 3
+        assert len(store) == 0 and store.try_get() == (False, None)

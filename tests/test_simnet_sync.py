@@ -1,8 +1,8 @@
-"""Tests for SimLock, Semaphore, Barrier, and Signal."""
+"""Tests for SimLock and Barrier."""
 
 import pytest
 
-from repro.simnet import Barrier, Semaphore, Signal, SimLock
+from repro.simnet import Barrier, SimLock
 from repro.simnet.core import SimulationError
 
 
@@ -35,7 +35,9 @@ class TestSimLock:
         lock = SimLock(sim)
 
         def worker():
-            yield from lock.holding(1.0)
+            yield lock.acquire()
+            yield sim.timeout(1.0)
+            lock.release()
 
         for _ in range(4):
             sim.process(worker())
@@ -58,48 +60,6 @@ class TestSimLock:
             sim.process(worker(i))
         sim.run()
         assert order == [0, 1, 2, 3, 4]
-
-
-class TestSemaphore:
-    def test_counting(self, sim):
-        sem = Semaphore(sim, value=2)
-        active = []
-        peak = []
-
-        def worker():
-            yield sem.acquire()
-            active.append(1)
-            peak.append(len(active))
-            yield sim.timeout(1.0)
-            active.pop()
-            sem.release()
-
-        for _ in range(5):
-            sim.process(worker())
-        sim.run()
-        assert max(peak) == 2
-        assert sem.value == 2
-
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            Semaphore(sim, value=-1)
-
-    def test_release_wakes_waiter(self, sim):
-        sem = Semaphore(sim, value=0)
-        woke = []
-
-        def waiter():
-            yield sem.acquire()
-            woke.append(sim.now)
-
-        def releaser():
-            yield sim.timeout(2.0)
-            sem.release()
-
-        sim.process(waiter())
-        sim.process(releaser())
-        sim.run()
-        assert woke == [2.0]
 
 
 class TestBarrier:
@@ -135,51 +95,3 @@ class TestBarrier:
     def test_validation(self, sim):
         with pytest.raises(ValueError):
             Barrier(sim, parties=0)
-
-
-class TestSignal:
-    def test_broadcast(self, sim):
-        signal = Signal(sim)
-        got = []
-
-        def waiter(i):
-            value = yield signal.wait()
-            got.append((i, value))
-
-        for i in range(3):
-            sim.process(waiter(i))
-
-        def firer():
-            yield sim.timeout(1.0)
-            n = signal.fire("go")
-            assert n == 3
-
-        sim.process(firer())
-        sim.run()
-        assert sorted(got) == [(0, "go"), (1, "go"), (2, "go")]
-
-    def test_fire_with_no_waiters(self, sim):
-        signal = Signal(sim)
-        assert signal.fire() == 0
-        assert signal.fire_count == 1
-
-    def test_new_waiters_need_new_fire(self, sim):
-        signal = Signal(sim)
-        got = []
-
-        def round1():
-            v = yield signal.wait()
-            got.append(("r1", v))
-            v = yield signal.wait()
-            got.append(("r2", v))
-
-        def firer():
-            yield sim.timeout(1.0)
-            signal.fire(1)
-            yield sim.timeout(1.0)
-            signal.fire(2)
-
-        sim.process(round1())
-        sim.process(firer())
-        sim.run()
-        assert got == [("r1", 1), ("r2", 2)]

@@ -1,7 +1,7 @@
 """Tests for the Sampler / TimeSeries / EventLog tracing layer.
 
 Satellite coverage for :mod:`repro.simnet.trace`: interval behavior over
-long runs, probe-exception isolation, one-shot ``schedule_at`` sampling
+long runs, probe-exception isolation, one-shot ``arm`` / ``pump`` sampling
 (the telemetry harness's mechanism), empty-series reductions, and the
 EventLog bound.
 """
@@ -85,33 +85,6 @@ class TestSamplerProbeErrors:
         sampler.stop()
         assert sampler.probe_errors == 1
         assert len(series) == len(calls) - 1  # only the raising call skipped
-
-
-class TestScheduleAt:
-    def test_one_shot_samples_at_absolute_times(self, sim):
-        sampler = Sampler(sim, interval=1.0)
-        clock = sampler.add_probe("t", lambda: sim.now)
-        sampler.schedule_at([0.5, 1.5, 2.5])
-        sim.timeout(5.0)
-        sim.run(until=5.0)
-        assert clock.times == [0.5, 1.5, 2.5]
-
-    def test_does_not_keep_sim_alive(self, sim):
-        """Pre-scheduled one-shot samples drain with the sim — no re-arm."""
-        sampler = Sampler(sim, interval=1.0)
-        sampler.add_probe("x", lambda: 1.0)
-        sampler.schedule_at([0.25, 0.75])
-        sim.run()  # must terminate: no process re-arms itself
-        assert sim.now == pytest.approx(0.75)
-
-    def test_past_times_fire_immediately(self, sim):
-        sim.timeout(2.0)
-        sim.run(until=2.0)
-        sampler = Sampler(sim, interval=1.0)
-        clock = sampler.add_probe("t", lambda: sim.now)
-        sampler.schedule_at([1.0])  # already in the past -> delay clamped to 0
-        sim.run()
-        assert clock.times == [2.0]
 
 
 class TestPump:

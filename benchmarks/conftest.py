@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.driver import positive_float
+
 SEPARATOR = "\n" + "=" * 72
 
 # -- scale multiplier ---------------------------------------------------------
@@ -25,49 +27,25 @@ SEPARATOR = "\n" + "=" * 72
 # op counts of the Fig 6/7 benches so larger fractions of paper scale can be
 # re-run without editing code:
 #
-#     PYTHONPATH=src:. pytest benchmarks/test_fig6_scaling.py --scale 4
+#     PYTHONPATH=src pytest benchmarks/test_fig6_scaling.py --scale 4
 #     python -m repro.cli fig6 --scale 4
 #
-# ``scaled(n)`` is what the benches call; 1.0 reproduces the defaults bit
-# for bit.
-_SCALE = 1.0
-
-
-def set_scale(value: float) -> None:
-    """Set the global work multiplier (also used by ``repro.cli``)."""
-    global _SCALE
-    if value <= 0:
-        raise ValueError(f"--scale must be positive, got {value}")
-    _SCALE = float(value)
-
-
-def get_scale() -> float:
-    return _SCALE
-
-
-def scaled(n: int) -> int:
-    """Multiply a default op count by the active ``--scale``."""
-    return max(1, round(n * _SCALE))
-
-
+# The benches take it as the ``scale`` fixture and hand it to the figure
+# functions; 1.0 reproduces the defaults bit for bit.
 def pytest_addoption(parser):
     parser.addoption(
         "--scale",
-        type=float,
+        type=positive_float,
         default=1.0,
         help="work multiplier for the Fig 6/7 benches (default 1.0)",
     )
 
 
-def pytest_configure(config):
-    # Default of None covers the conftest being loaded non-initially
-    # (e.g. ``pytest`` from the repo root), where --scale is unregistered.
-    value = config.getoption("--scale", default=None)
-    if value is not None:
-        try:
-            set_scale(value)
-        except ValueError as exc:
-            raise pytest.UsageError(str(exc))
+@pytest.fixture
+def scale(request) -> float:
+    # The default covers the conftest being loaded non-initially (e.g.
+    # ``pytest`` from the repo root), where --scale is unregistered.
+    return request.config.getoption("--scale", default=1.0)
 
 
 def emit(text: str) -> None:

@@ -339,10 +339,7 @@ def test_ablation_rebalancing_cost(benchmark, report):
             for i in range(ENTRIES // spec.total_procs):
                 yield from old.insert(rank, (rank, i), Blob(1024))
 
-        procs = bcl.cluster.spawn_ranks(bcl_fill)
-        bcl.cluster.run()
-        for p in procs:
-            p.result
+        bcl.run_ranks(bcl_fill)
         t0 = bcl.sim.now
         barrier = bcl.barrier()
 
@@ -356,10 +353,7 @@ def test_ablation_rebalancing_cost(benchmark, report):
                 yield from new.insert(rank, (rank, i), value)
             yield barrier.wait()
 
-        procs = bcl.cluster.spawn_ranks(bcl_rehash)
-        bcl.cluster.run()
-        for p in procs:
-            p.result
+        bcl.run_ranks(bcl_rehash)
         bcl_time = bcl.sim.now - t0
         return hcl_time, bcl_time, moved
 

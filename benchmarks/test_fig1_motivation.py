@@ -10,8 +10,10 @@ against a hashmap partition on a *different* node.  Three strategies:
 3. **RPC lock-free** — the RPC server mutates a lock-free structure, no CAS
    at all; paper: ~0.42 s, 2.5x faster.
 
-Scaled: 16 clients x 512 ops (x16 fewer ops than the paper; absolute times
-are reported both raw and extrapolated to paper scale).
+Scaled: 40 clients x 256 ops (x32 fewer ops than the paper; absolute times
+are reported both raw and extrapolated to paper scale).  The experiment is
+``repro.harness.figures.fig1``; this file holds the paper's numbers and the
+shape assertions.
 """
 
 from __future__ import annotations
@@ -19,109 +21,23 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.config import ares_like
-from repro.fabric import Cluster
-from repro.harness import Blob, render_table
-from repro.rpc import RpcClient, RpcServer
-from repro.structures.stats import OpStats
-
-NCLIENTS = 40  # as in the paper — contention level drives the CAS cost
-OPS = 256
-SIZE = 4096
-SCALE = (40 * 8192) / (NCLIENTS * OPS)  # op-count ratio vs the paper
-
-
-def _spec():
-    return ares_like(nodes=2, procs_per_node=NCLIENTS)
-
-
-def run_bcl():
-    """Strategy 1: client-side CAS protocol, with per-stage timing."""
-    cluster = Cluster(_spec())
-    node1 = cluster.node(1)
-    node1.register_region("part", 1 << 30)
-    stages = {"reserve": 0.0, "write": 0.0, "ready": 0.0}
-
-    def client(rank):
-        qp = cluster.qp(0)
-        for i in range(OPS):
-            off = (rank * OPS + i) * 8
-            t0 = cluster.sim.now
-            yield from qp.cas(1, "part", off, 0, 1)
-            t1 = cluster.sim.now
-            yield from qp.rdma_write(1, "part", off + 1, Blob(SIZE), SIZE)
-            t2 = cluster.sim.now
-            yield from qp.cas(1, "part", off, 1, 2)
-            t3 = cluster.sim.now
-            stages["reserve"] += t1 - t0
-            stages["write"] += t2 - t1
-            stages["ready"] += t3 - t2
-
-    cluster.spawn_ranks(client, ranks=range(NCLIENTS))
-    cluster.run()
-    per_client = {k: v / NCLIENTS for k, v in stages.items()}
-    return cluster.sim.now, per_client
-
-
-#: Cost of one *contended* CAS executed by a NIC core: the cache line is
-#: shared by every concurrent handler, so the CASes serialize behind the
-#: same memory region (cheaper than a remote CAS, but not free).
-CAS_LOCKED_COST = 0.5e-6
-
-
-def _run_rpc(lock_free: bool):
-    """Strategies 2/3: one RPC per insert; CAS (or not) executed locally."""
-    from repro.simnet.sync import SimLock
-
-    cluster = Cluster(_spec())
-    servers = {i: RpcServer(cluster.node(i)) for i in range(2)}
-    client = RpcClient(cluster, 0, servers)
-    store = {}
-    bucket_lock = SimLock(cluster.sim, name="bucket-line")
-
-    def handler(ctx, key, value):
-        if not lock_free:
-            # reserve + ready CAS, serialized on the shared bucket line.
-            yield bucket_lock.acquire()
-            try:
-                yield ctx.sim.timeout(2 * CAS_LOCKED_COST)
-            finally:
-                bucket_lock.release()
-        from repro.core.costs import charge
-
-        yield from charge(ctx.node, OpStats(local_ops=2, writes=1), SIZE,
-                          cpu_factor=ctx.cost.nic_compute_factor)
-        store[key] = value
-        return True
-
-    servers[1].bind("insert", handler)
-
-    def body(rank):
-        for i in range(OPS):
-            yield from client.call(1, "insert", ((rank, i), Blob(SIZE)),
-                                   payload_size=SIZE)
-
-    cluster.spawn_ranks(body, ranks=range(NCLIENTS))
-    cluster.run()
-    assert len(store) == NCLIENTS * OPS
-    return cluster.sim.now
+from repro.harness import render_table
+from repro.harness.figures import fig1
 
 
 @pytest.mark.benchmark(group="fig1")
 def test_fig1_motivating_case(benchmark, report):
-    def run_all():
-        t_bcl, stages = run_bcl()
-        t_rpc_cas = _run_rpc(lock_free=False)
-        t_rpc_lf = _run_rpc(lock_free=True)
-        return t_bcl, stages, t_rpc_cas, t_rpc_lf
-
-    t_bcl, stages, t_rpc_cas, t_rpc_lf = run_once(benchmark, run_all)
+    series, failures = run_once(benchmark, fig1)
+    assert not failures, failures
+    t_bcl, t_rpc_cas, t_rpc_lf = (series["bcl"], series["rpc_cas"],
+                                  series["rpc_lockfree"])
+    stages, scale = series["stages"], series["paper_scale"]
 
     rows = [
-        ["BCL (client-side)", t_bcl, t_bcl * SCALE, 1.062, 1.0],
-        ["RPC with CAS", t_rpc_cas, t_rpc_cas * SCALE, 0.53,
+        ["BCL (client-side)", t_bcl, t_bcl * scale, 1.062, 1.0],
+        ["RPC with CAS", t_rpc_cas, t_rpc_cas * scale, 0.53,
          t_bcl / t_rpc_cas],
-        ["RPC lock-free", t_rpc_lf, t_rpc_lf * SCALE, 0.42,
+        ["RPC lock-free", t_rpc_lf, t_rpc_lf * scale, 0.42,
          t_bcl / t_rpc_lf],
     ]
     cas_fraction = (stages["reserve"] + stages["ready"]) / max(
@@ -130,7 +46,7 @@ def test_fig1_motivating_case(benchmark, report):
     report(
         render_table(
             "Fig 1 — motivating test (scaled x%.0f; paper values at full "
-            "scale)" % SCALE,
+            "scale)" % scale,
             ["approach", "sim time (s)", "extrapolated (s)", "paper (s)",
              "speedup vs BCL"],
             rows,

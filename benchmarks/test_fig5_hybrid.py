@@ -14,7 +14,8 @@ one operation size, swept 4KB -> 8MB; bandwidth in MB/s.
 
 Scaled: 8 clients x 48 ops per size point.  BCL's >1MB OOM is checked at
 the paper's op-count scale analytically (the allocation math is exact) and
-reported in the table.
+reported in the table.  The sweep is ``repro.harness.figures.fig5``; this
+file holds the sizes, the paper's numbers and the shape assertions.
 """
 
 from __future__ import annotations
@@ -22,22 +23,16 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.bcl import BCL
-from repro.config import KB, MB, ares_like
-from repro.core import HCL
-from repro.harness import Blob, render_series
+from repro.config import KB, MB
+from repro.harness import render_series
+from repro.harness.figures import fig5, size_label
 
-NCLIENTS = 8
-OPS = 48
 SIZES = [4 * KB, 16 * KB, 64 * KB, 256 * KB, 1 * MB, 4 * MB, 8 * MB]
+LABELS = [size_label(s) for s in SIZES]
 
 # Paper-scale parameters for the analytic OOM check.
 PAPER_CLIENTS = 40
 PAPER_OPS = 8192
-
-
-def _mb_per_s(nbytes: float, seconds: float) -> float:
-    return nbytes / seconds / MB if seconds > 0 else 0.0
 
 
 def _bcl_paper_scale_footprint(size: int) -> int:
@@ -55,84 +50,13 @@ def _bcl_paper_scale_footprint(size: int) -> int:
     return static + buffers
 
 
-def _run_hcl(size: int, local: bool, op: str) -> float:
-    spec = ares_like(nodes=1 if local else 2, procs_per_node=NCLIENTS)
-    hcl = HCL(spec)
-    node = 0 if local else 1
-    m = hcl.unordered_map("m", partitions=1, nodes=[node],
-                          initial_buckets=8 * NCLIENTS * OPS)
-
-    def insert_body(rank):
-        for i in range(OPS):
-            yield from m.insert(rank, (rank, i), Blob(size))
-
-    def find_body(rank):
-        for i in range(OPS):
-            yield from m.find(rank, (rank, i))
-
-    hcl.run_ranks(insert_body)
-    t_insert = hcl.now
-    hcl.run_ranks(find_body)
-    t_find = hcl.now - t_insert
-    total = NCLIENTS * OPS * size
-    return {
-        "insert": _mb_per_s(total, t_insert),
-        "find": _mb_per_s(total, t_find),
-    }[op]
-
-
-def _run_bcl(size: int, local: bool, op: str) -> float:
-    spec = ares_like(nodes=1 if local else 2, procs_per_node=NCLIENTS)
-    bcl = BCL(spec)
-    m = bcl.hashmap("m", capacity_per_partition=4 * NCLIENTS * OPS,
-                    entry_size=size, partitions=1, inflight_slots=64)
-    if not local:
-        m._partition_nodes = [1]
-
-    def insert_body(rank):
-        for i in range(OPS):
-            yield from m.insert(rank, (rank, i), Blob(size))
-
-    procs = bcl.cluster.spawn_ranks(insert_body)
-    bcl.cluster.run()
-    for p in procs:
-        p.result
-    t_insert = bcl.sim.now
-
-    def find_body(rank):
-        for i in range(OPS):
-            yield from m.find(rank, (rank, i))
-
-    procs = bcl.cluster.spawn_ranks(find_body)
-    bcl.cluster.run()
-    for p in procs:
-        p.result
-    t_find = bcl.sim.now - t_insert
-    total = NCLIENTS * OPS * size
-    return {
-        "insert": _mb_per_s(total, t_insert),
-        "find": _mb_per_s(total, t_find),
-    }[op]
-
-
-def _sweep(local: bool):
-    out = {"hcl_insert": [], "hcl_find": [], "bcl_insert": [], "bcl_find": []}
-    for size in SIZES:
-        out["hcl_insert"].append(_run_hcl(size, local, "insert"))
-        out["hcl_find"].append(_run_hcl(size, local, "find"))
-        out["bcl_insert"].append(_run_bcl(size, local, "insert"))
-        out["bcl_find"].append(_run_bcl(size, local, "find"))
-    return out
-
-
 @pytest.mark.benchmark(group="fig5")
 def test_fig5a_intra_node(benchmark, report):
-    sweep = run_once(benchmark, lambda: _sweep(local=True))
-    labels = [f"{s // KB}KB" if s < MB else f"{s // MB}MB" for s in SIZES]
+    sweep = run_once(benchmark, lambda: fig5(SIZES, local=True))
     report(render_series(
         "Fig 5a — intra-node bandwidth MB/s "
         "(paper: HCL 45-55 GB/s; BCL ~4 GB/s ins / ~12 GB/s find)",
-        "op size", labels, sweep,
+        "op size", LABELS, sweep,
     ))
     for i, size in enumerate(SIZES):
         # HCL's shared-memory bypass must beat BCL's loopback-verb path.
@@ -147,20 +71,18 @@ def test_fig5a_intra_node(benchmark, report):
 @pytest.mark.benchmark(group="fig5")
 def test_fig5b_inter_node(benchmark, report):
     def run():
-        sweep = _sweep(local=False)
+        sweep = fig5(SIZES, local=False)
         oom = ["OOM" if _bcl_paper_scale_footprint(s) >
                int(0.6 * 96 * 1024 * MB) else "ok" for s in SIZES]
         return sweep, oom
 
     sweep, oom = run_once(benchmark, run)
-    labels = [f"{s // KB}KB" if s < MB else f"{s // MB}MB" for s in SIZES]
-    series = dict(sweep)
     report(render_series(
         "Fig 5b — inter-node bandwidth MB/s "
         "(paper: HCL ~4-4.2 GB/s; BCL 1.3 ins / 4.0 find; OOM > 1MB)",
-        "op size", labels, series,
+        "op size", LABELS, sweep,
     ) + "\nBCL at paper scale (40 clients x 8192 ops): " + ", ".join(
-        f"{label}={o}" for label, o in zip(labels, oom)))
+        f"{label}={o}" for label, o in zip(LABELS, oom)))
 
     for i, size in enumerate(SIZES):
         assert sweep["hcl_insert"][i] > sweep["bcl_insert"][i], size

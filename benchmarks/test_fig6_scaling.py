@@ -15,141 +15,27 @@ Paper setup: 2560 processes (64 client nodes) issue 8192 ops of 64KB.
 Scaled: fixed 8-node cluster with 6 procs/node (48 clients, mirroring the
 paper's fixed 2560-rank client population), partitions swept 1 -> 8 (x8
 fewer than the paper's 8 -> 64), 24 ops of 64KB; queue clients swept
-8 -> 64.
+8 -> 64.  The sweeps are ``repro.harness.figures.fig6_maps`` / ``fig6_sets``
+/ ``fig6_queues``; this file holds the sweep points, the paper's numbers and
+the shape assertions.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import run_once, scaled
-from repro.bcl import BCL
-from repro.config import KB, ares_like
-from repro.core import HCL
-from repro.harness import Blob, key_stream, render_series
+from benchmarks.conftest import run_once
+from repro.harness import render_series
+from repro.harness.figures import fig6_maps, fig6_queues, fig6_sets
 
-CLUSTER_NODES = 8
 PART_SWEEP = [1, 2, 4, 8]
-PROCS = 6
-OPS = 24
-SIZE = 64 * KB  # the paper's Fig 6 operation size
 CLIENT_SWEEP = [8, 16, 32, 64]
-QOPS = 16
-
-
-def _hcl_map_run(partitions: int, ordered: bool):
-    ops = scaled(OPS)
-    spec = ares_like(nodes=CLUSTER_NODES, procs_per_node=PROCS)
-    hcl = HCL(spec)
-    if ordered:
-        c = hcl.map("c", partitions=partitions,
-                    partitioner=lambda k, n: k * n // (1 << 30))
-    else:
-        c = hcl.unordered_map("c", partitions=partitions,
-                              initial_buckets=8 * PROCS * ops)
-    blob = Blob(SIZE)
-
-    def insert_body(rank):
-        for key in key_stream(rank, ops, seed=3):
-            yield from c.insert(rank, key, blob)
-
-    def find_body(rank):
-        for key in key_stream(rank, ops, seed=3):
-            yield from c.find(rank, key)
-
-    hcl.run_ranks(insert_body)
-    t_ins = hcl.now
-    hcl.run_ranks(find_body)
-    t_fnd = hcl.now - t_ins
-    total = spec.total_procs * ops
-    return total / t_ins, total / t_fnd
-
-
-def _hcl_set_run(partitions: int, ordered: bool):
-    ops = scaled(OPS)
-    spec = ares_like(nodes=CLUSTER_NODES, procs_per_node=PROCS)
-    hcl = HCL(spec)
-    if ordered:
-        c = hcl.set("c", partitions=partitions,
-                    partitioner=lambda k, n: k.tag * n // (1 << 30),
-                    less=lambda a, b: a.tag < b.tag)
-    else:
-        c = hcl.unordered_set("c", partitions=partitions,
-                              initial_buckets=8 * PROCS * ops)
-
-    # Set elements are the full-size keys themselves: the 7-14% gap to
-    # maps comes from dropping the value/bucket overhead, not the payload.
-    def insert_body(rank):
-        for key in key_stream(rank, ops, seed=3):
-            yield from c.insert(rank, Blob(SIZE, tag=key))
-
-    def find_body(rank):
-        for key in key_stream(rank, ops, seed=3):
-            yield from c.find(rank, Blob(SIZE, tag=key))
-
-    hcl.run_ranks(insert_body)
-    t_ins = hcl.now
-    hcl.run_ranks(find_body)
-    t_fnd = hcl.now - t_ins
-    total = spec.total_procs * ops
-    return total / t_ins, total / t_fnd
-
-
-def _bcl_map_run(partitions: int):
-    ops = scaled(OPS)
-    spec = ares_like(nodes=CLUSTER_NODES, procs_per_node=PROCS)
-    bcl = BCL(spec)
-    # Static sizing at ~0.75 load factor (the operating point a loaded
-    # BCL table runs at): linear-probe chains on finds read whole
-    # fixed-size buckets — BCL's find penalty in Fig 6a.
-    capacity = int(CLUSTER_NODES * PROCS * ops / partitions / 0.75) + 2
-    m = bcl.hashmap("c", capacity_per_partition=capacity,
-                    entry_size=SIZE, partitions=partitions, inflight_slots=64,
-                    max_probes=capacity)
-    blob = Blob(SIZE)
-
-    def insert_body(rank):
-        for key in key_stream(rank, ops, seed=3):
-            yield from m.insert(rank, key, blob)
-
-    procs = bcl.cluster.spawn_ranks(insert_body)
-    bcl.cluster.run()
-    for p in procs:
-        p.result
-    t_ins = bcl.sim.now
-
-    def find_body(rank):
-        for key in key_stream(rank, ops, seed=3):
-            yield from m.find(rank, key)
-
-    procs = bcl.cluster.spawn_ranks(find_body)
-    bcl.cluster.run()
-    for p in procs:
-        p.result
-    t_fnd = bcl.sim.now - t_ins
-    total = spec.total_procs * ops
-    return total / t_ins, total / t_fnd
 
 
 @pytest.mark.benchmark(group="fig6")
-def test_fig6a_map_scaling(benchmark, report):
-    def run():
-        series = {"hcl_umap_ins": [], "hcl_umap_find": [],
-                  "hcl_map_ins": [], "hcl_map_find": [],
-                  "bcl_umap_ins": [], "bcl_umap_find": []}
-        for parts in PART_SWEEP:
-            ui, uf = _hcl_map_run(parts, ordered=False)
-            oi, of = _hcl_map_run(parts, ordered=True)
-            bi, bf = _bcl_map_run(parts)
-            series["hcl_umap_ins"].append(ui)
-            series["hcl_umap_find"].append(uf)
-            series["hcl_map_ins"].append(oi)
-            series["hcl_map_find"].append(of)
-            series["bcl_umap_ins"].append(bi)
-            series["bcl_umap_find"].append(bf)
-        return series
-
-    s = run_once(benchmark, run)
+def test_fig6a_map_scaling(benchmark, report, scale):
+    s, failures = run_once(benchmark, lambda: fig6_maps(PART_SWEEP, scale))
+    assert not failures, failures
     report(render_series(
         "Fig 6a — map throughput op/s vs partitions "
         "(paper: BCL 9.1x slower ins / 4.5x find; ordered map 54% slower)",
@@ -175,22 +61,9 @@ def test_fig6a_map_scaling(benchmark, report):
 
 
 @pytest.mark.benchmark(group="fig6")
-def test_fig6b_set_scaling(benchmark, report):
-    def run():
-        series = {"uset_ins": [], "uset_find": [], "oset_ins": [],
-                  "oset_find": [], "umap_ins": []}
-        for parts in PART_SWEEP:
-            ui, uf = _hcl_set_run(parts, ordered=False)
-            oi, of = _hcl_set_run(parts, ordered=True)
-            mi, _mf = _hcl_map_run(parts, ordered=False)
-            series["uset_ins"].append(ui)
-            series["uset_find"].append(uf)
-            series["oset_ins"].append(oi)
-            series["oset_find"].append(of)
-            series["umap_ins"].append(mi)
-        return series
-
-    s = run_once(benchmark, run)
+def test_fig6b_set_scaling(benchmark, report, scale):
+    s, failures = run_once(benchmark, lambda: fig6_sets(PART_SWEEP, scale))
+    assert not failures, failures
     report(render_series(
         "Fig 6b — set throughput op/s vs partitions "
         "(paper: sets 7-14% faster than maps; ordered set slower)",
@@ -207,86 +80,9 @@ def test_fig6b_set_scaling(benchmark, report):
     assert s["oset_ins"][last] <= 1.05 * s["uset_ins"][last]
 
 
-def _queue_run(clients: int, kind: str):
-    qops = scaled(QOPS)
-    nodes = max(2, clients // 16 + 1)
-    spec = ares_like(nodes=nodes, procs_per_node=-(-clients // nodes))
-    if kind == "bcl":
-        bcl = BCL(spec)
-        q = bcl.queue("q", capacity=4 * clients * qops, entry_size=SIZE,
-                      home_node=0, inflight_slots=16)
-        blob = Blob(SIZE)
-
-        def push_body(rank):
-            for _ in range(qops):
-                yield from q.push(rank, blob)
-
-        procs = bcl.cluster.spawn_ranks(push_body, ranks=range(clients))
-        bcl.cluster.run()
-        for p in procs:
-            p.result
-        t_push = bcl.sim.now
-
-        def pop_body(rank):
-            for _ in range(qops):
-                yield from q.pop(rank)
-
-        procs = bcl.cluster.spawn_ranks(pop_body, ranks=range(clients))
-        bcl.cluster.run()
-        for p in procs:
-            p.result
-        t_pop = bcl.sim.now - t_push
-        total = clients * qops
-        return total / t_push, total / t_pop
-
-    hcl = HCL(spec)
-    if kind == "fifo":
-        q = hcl.queue("q", home_node=0)
-
-        def push_body(rank):
-            for i in range(qops):
-                yield from q.push(rank, Blob(SIZE))
-
-        def pop_body(rank):
-            for _ in range(qops):
-                yield from q.pop(rank)
-    else:  # priority
-        q = hcl.priority_queue("q", home_node=0, dims=8, base=16)
-
-        def push_body(rank):
-            for i in range(qops):
-                yield from q.push(rank, rank * qops + i, Blob(SIZE))
-
-        def pop_body(rank):
-            for _ in range(qops):
-                yield from q.pop(rank)
-
-    hcl.run_ranks(push_body, ranks=range(clients))
-    t_push = hcl.now
-    hcl.run_ranks(pop_body, ranks=range(clients))
-    t_pop = hcl.now - t_push
-    total = clients * qops
-    return total / t_push, total / t_pop
-
-
 @pytest.mark.benchmark(group="fig6")
-def test_fig6c_queue_scaling(benchmark, report):
-    def run():
-        series = {"fifo_push": [], "fifo_pop": [], "prio_push": [],
-                  "prio_pop": [], "bcl_push": [], "bcl_pop": []}
-        for clients in CLIENT_SWEEP:
-            fp, fo = _queue_run(clients, "fifo")
-            pp, po = _queue_run(clients, "priority")
-            bp, bo = _queue_run(clients, "bcl")
-            series["fifo_push"].append(fp)
-            series["fifo_pop"].append(fo)
-            series["prio_push"].append(pp)
-            series["prio_pop"].append(po)
-            series["bcl_push"].append(bp)
-            series["bcl_pop"].append(bo)
-        return series
-
-    s = run_once(benchmark, run)
+def test_fig6c_queue_scaling(benchmark, report, scale):
+    s = run_once(benchmark, lambda: fig6_queues(CLIENT_SWEEP, scale))
     report(render_series(
         "Fig 6c — queue throughput op/s vs clients "
         "(paper: plateau ~1280 clients; priority ~30% slower; BCL caps at "

@@ -9,54 +9,51 @@
 
 Scaled: nodes 2 -> 8 with 3 procs/node, weak-scaled inputs (keys/reads
 grow with nodes).  All runs *verify their outputs* (sortedness, exact
-histogram, genome-substring contigs) before timing is reported.
+histogram, genome-substring contigs) before timing is reported.  The sweep
+is ``repro.harness.figures.fig7`` over its ``FIG7_SHAPES`` inputs; this file
+holds the sweep points, the paper's numbers and the shape assertions.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import run_once, scaled
-from repro.apps import (
-    run_contig_generation,
-    run_isx,
-    run_kmer_counting,
-    synthesize_genome,
-)
-from repro.config import ares_like
+from benchmarks.conftest import run_once
 from repro.harness import render_series
+from repro.harness.figures import fig7
 
 NODE_SWEEP = [2, 4, 8]
 PROCS = 3
-KEYS_PER_RANK = 48  # ISx weak scaling: total keys grow with nodes
+
+PAPER = {
+    "isx": "Fig 7a — ISx time (s), weak scaling "
+           "(paper at 64 nodes: BCL 686 s vs HCL 57 s = 12x)",
+    "contig": "Fig 7b — contig generation time (s), weak scaling "
+              "(paper: HCL 1.8x faster at 8 nodes to 12x at 64)",
+    "kmer": "Fig 7c — k-mer counting time (s), weak scaling "
+            "(paper: HCL 2.17x to 8x faster)",
+}
 
 
-def _spec(nodes):
-    return ares_like(nodes=nodes, procs_per_node=PROCS)
-
-
-@pytest.mark.benchmark(group="fig7")
-def test_fig7a_isx(benchmark, report):
-    def run():
-        keys = scaled(KEYS_PER_RANK)
-        hcl_t, bcl_t = [], []
-        for nodes in NODE_SWEEP:
-            h = run_isx("hcl", _spec(nodes), keys_per_rank=keys)
-            b = run_isx("bcl", _spec(nodes), keys_per_rank=keys)
-            assert h.verified and b.verified
-            hcl_t.append(h.time_seconds)
-            bcl_t.append(b.time_seconds)
-        return hcl_t, bcl_t
-
-    hcl_t, bcl_t = run_once(benchmark, run)
+def _run(app, benchmark, report, scale):
+    """One asserted Fig 7 sweep: every run verified (and, for contig, the
+    same contigs either way); returns (hcl seconds, speedups)."""
+    series, failures = run_once(
+        benchmark, lambda: fig7(app, NODE_SWEEP, PROCS, scale))
+    assert not failures, failures
+    hcl_t, bcl_t = series["hcl_s"], series["bcl_s"]
     ratios = [b / h for h, b in zip(hcl_t, bcl_t)]
     report(render_series(
-        "Fig 7a — ISx time (s), weak scaling "
-        "(paper at 64 nodes: BCL 686 s vs HCL 57 s = 12x)",
-        "nodes", NODE_SWEEP,
+        PAPER[app], "nodes", NODE_SWEEP,
         {"bcl (s)": bcl_t, "hcl (s)": hcl_t, "speedup": ratios},
         y_format=lambda v: f"{v:.4g}",
     ))
+    return hcl_t, ratios
+
+
+@pytest.mark.benchmark(group="fig7")
+def test_fig7a_isx(benchmark, report, scale):
+    hcl_t, ratios = _run("isx", benchmark, report, scale)
     # HCL wins at every scale; gap in the paper's order of magnitude.
     assert all(r > 2.0 for r in ratios), ratios
     assert ratios[-1] > 5.0, f"largest-scale speedup {ratios[-1]:.1f}x"
@@ -66,36 +63,8 @@ def test_fig7a_isx(benchmark, report):
 
 
 @pytest.mark.benchmark(group="fig7")
-def test_fig7b_contig_generation(benchmark, report):
-    def run():
-        hcl_t, bcl_t = [], []
-        for nodes in NODE_SWEEP:
-            # Weak scaling: genome and reads grow together with the node
-            # count so coverage (and thus contig length) stays constant.
-            data = synthesize_genome(
-                genome_length=scaled(300 * nodes),
-                num_reads=scaled(24 * nodes),
-                read_length=60,
-                k=15,
-                seed=nodes,
-            )
-            h = run_contig_generation("hcl", _spec(nodes), data)
-            b = run_contig_generation("bcl", _spec(nodes), data)
-            assert h.verified and b.verified
-            assert h.contigs == b.contigs  # identical output either way
-            hcl_t.append(h.time_seconds)
-            bcl_t.append(b.time_seconds)
-        return hcl_t, bcl_t
-
-    hcl_t, bcl_t = run_once(benchmark, run)
-    ratios = [b / h for h, b in zip(hcl_t, bcl_t)]
-    report(render_series(
-        "Fig 7b — contig generation time (s), weak scaling "
-        "(paper: HCL 1.8x faster at 8 nodes to 12x at 64)",
-        "nodes", NODE_SWEEP,
-        {"bcl (s)": bcl_t, "hcl (s)": hcl_t, "speedup": ratios},
-        y_format=lambda v: f"{v:.4g}",
-    ))
+def test_fig7b_contig_generation(benchmark, report, scale):
+    _hcl_t, ratios = _run("contig", benchmark, report, scale)
     # HCL wins clearly at every scale.  (Paper's gap *grows* 1.8x -> 12x
     # with node count; ours stays in the 1.4-2.2x band — the simulated
     # fabric doesn't reproduce the congestion collapse BCL suffered at 64
@@ -104,31 +73,6 @@ def test_fig7b_contig_generation(benchmark, report):
 
 
 @pytest.mark.benchmark(group="fig7")
-def test_fig7c_kmer_counting(benchmark, report):
-    def run():
-        hcl_t, bcl_t = [], []
-        for nodes in NODE_SWEEP:
-            data = synthesize_genome(
-                genome_length=scaled(400 + 120 * nodes),
-                num_reads=scaled(20 * nodes),
-                read_length=50,
-                k=13,
-                seed=nodes + 10,
-            )
-            h = run_kmer_counting("hcl", _spec(nodes), data)
-            b = run_kmer_counting("bcl", _spec(nodes), data)
-            assert h.verified and b.verified
-            hcl_t.append(h.time_seconds)
-            bcl_t.append(b.time_seconds)
-        return hcl_t, bcl_t
-
-    hcl_t, bcl_t = run_once(benchmark, run)
-    ratios = [b / h for h, b in zip(hcl_t, bcl_t)]
-    report(render_series(
-        "Fig 7c — k-mer counting time (s), weak scaling "
-        "(paper: HCL 2.17x to 8x faster)",
-        "nodes", NODE_SWEEP,
-        {"bcl (s)": bcl_t, "hcl (s)": hcl_t, "speedup": ratios},
-        y_format=lambda v: f"{v:.4g}",
-    ))
+def test_fig7c_kmer_counting(benchmark, report, scale):
+    _hcl_t, ratios = _run("kmer", benchmark, report, scale)
     assert all(r > 1.5 for r in ratios), ratios

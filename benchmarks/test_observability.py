@@ -21,8 +21,8 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.config import ares_like
 from repro.harness import render_table
-from repro.harness.aggbench import _run_app
 from repro.harness.chaos import run_chaos_soak
+from repro.harness.figures import AGG_SHAPES, run_app
 from repro.harness.telemetry import FIG4_SERIES, check_telemetry, run_telemetry
 from repro.obs import install_tracer, registry_of, tracer_of
 
@@ -96,11 +96,12 @@ def test_span_tracing_overhead_bound(benchmark, report):
                 install_tracer(hcl.sim)
 
         t0 = time.perf_counter()
-        ops, sim_s, verified, _ = _run_app(
-            "kmer", ares_like(nodes=2, procs_per_node=2), 0.5, 0, instrument
+        _ops, res = run_app(
+            "kmer", "hcl", ares_like(nodes=2, procs_per_node=2),
+            AGG_SHAPES["kmer"], 0.5, instrument=instrument,
         )
         wall = time.perf_counter() - t0
-        return sim_s, verified, wall, box["sim"]
+        return res.time_seconds, res.verified, wall, box["sim"]
 
     def run():
         return timed(False), timed(True)

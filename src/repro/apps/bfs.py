@@ -204,8 +204,7 @@ def _run_bcl(spec: ClusterSpec, graph: nx.Graph, source: int) -> BfsResult:
             level += 1
         return level
 
-    procs = bcl.cluster.spawn_ranks(body)
-    bcl.cluster.run()
+    procs = bcl.run_ranks(body)
     levels = max(p.result for p in procs)
     distances = dict(dist.stored_items())
     expected = _reference(graph, source)

@@ -276,10 +276,7 @@ def _run_bcl(spec: ClusterSpec, data: GenomeData) -> ContigResult:
                     initial=0,
                 )
 
-    procs = bcl.cluster.spawn_ranks(build_body)
-    bcl.cluster.run()
-    for p in procs:
-        p.result
+    bcl.run_ranks(build_body)
 
     def traverse_body(rank):
         def find(kmer):

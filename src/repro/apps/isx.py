@@ -194,10 +194,7 @@ def _run_bcl(spec: ClusterSpec, keys_per_rank: int, seed: int) -> IsxResult:
             yield from queues[bucket].push(rank, int(key))
         return len(keys)
 
-    procs = bcl.cluster.spawn_ranks(rank_body)
-    bcl.cluster.run()
-    for p in procs:
-        p.result
+    bcl.run_ranks(rank_body)
 
     per_node: List[List[int]] = [[] for _ in range(nodes)]
 

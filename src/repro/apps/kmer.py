@@ -187,10 +187,7 @@ def _run_bcl(spec: ClusterSpec, data: GenomeData,
         seen += count
         return count
 
-    procs = bcl.cluster.spawn_ranks(rank_body)
-    bcl.cluster.run()
-    for p in procs:
-        p.result
+    bcl.run_ranks(rank_body)
     counts = dict(table.stored_items())
     counts, filtered = _apply_filter(counts, min_count)
     return KmerResult("bcl", bcl.cluster.num_nodes, seen, len(counts),

@@ -7,7 +7,7 @@ allocated up front, at init, with clients agreeing on a static layout.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Generator, List, Optional, Union
 
 from repro.config import ClusterSpec
 from repro.fabric.node import Node, OutOfMemoryError
@@ -70,6 +70,26 @@ class BCL:
         if self._barrier is None or self._barrier.parties != self.cluster.total_procs:
             self._barrier = Barrier(self.sim, self.cluster.total_procs)
         return self._barrier
+
+    # -- running ranks --------------------------------------------------------------
+    def run_ranks(
+        self,
+        body: Callable[[int], Generator],
+        ranks: Optional[range] = None,
+        until: Optional[float] = None,
+    ) -> List:
+        """Spawn ``body(rank)`` for all ranks, run the sim, return processes.
+
+        The twin of :meth:`repro.core.HCL.run_ranks`, same contract: raises
+        if any rank failed; the processes' ``result`` carries each rank's
+        return value.
+        """
+        procs = self.cluster.spawn_ranks(body, ranks=ranks)
+        self.cluster.run(until=until)
+        for proc in procs:
+            if proc.done and not proc.ok:
+                raise proc.value
+        return procs
 
     # -- container factories -------------------------------------------------------
     def hashmap(self, name: str, capacity_per_partition: int,

@@ -9,9 +9,12 @@
     python -m repro.cli sweep --nodes 2 4 8 --ops 64 --size 65536
 
 Each command builds the same scaled experiment as the corresponding bench
-in ``benchmarks/`` and prints the paper-style table.  The pytest benches
-remain the canonical, asserted versions; the CLI is for interactive
-exploration (changing sizes, node counts, providers) without editing code.
+in ``benchmarks/`` and prints the paper-style table — both call the one
+definition of the figure in :mod:`repro.harness.figures`, the bench with
+the sweep it asserts on, the CLI with its flags.  The pytest benches remain
+the canonical, asserted versions; the CLI is for interactive exploration
+(changing sizes, node counts, providers) without editing code, and runs
+from any directory with only ``src`` on the path.
 """
 
 from __future__ import annotations
@@ -20,173 +23,33 @@ import argparse
 import sys
 from typing import List
 
-from repro.config import KB, MB, ares_like
-from repro.harness import Harness, render_series, render_table, run_bench
-from repro.harness import aggbench, asyncbench, chaos, serving, telemetry
+from repro.config import ares_like
+from repro.harness import Harness, render_table, run_bench
+from repro.harness import (
+    aggbench, asyncbench, chaos, figures, microbench, serving, telemetry,
+)
 from repro.harness.driver import positive_float as _positive_float
 
 #: the bench subcommands: one declared record each, all run by run_bench
 BENCHES = (aggbench.HARNESS, asyncbench.HARNESS, chaos.HARNESS,
            telemetry.HARNESS, serving.HARNESS)
 
-
-def _cmd_fig1(args) -> int:
-    from benchmarks.test_fig1_motivation import _run_rpc, run_bcl, SCALE
-
-    t_bcl, stages = run_bcl()
-    t_cas = _run_rpc(lock_free=False)
-    t_lf = _run_rpc(lock_free=True)
-    print(render_table(
-        "Fig 1 — motivating test",
-        ["approach", "sim (s)", "extrapolated (s)", "speedup"],
-        [["BCL", t_bcl, t_bcl * SCALE, 1.0],
-         ["RPC with CAS", t_cas, t_cas * SCALE, t_bcl / t_cas],
-         ["RPC lock-free", t_lf, t_lf * SCALE, t_bcl / t_lf]],
-    ))
-    return 0
+#: the paper-figure and fabric subcommands: records too, with no
+#: instruments and their verification always enforced
+FIGURES = figures.FIGURES + (microbench.HARNESS,)
 
 
-def _cmd_fig5(args) -> int:
-    from benchmarks import test_fig5_hybrid as f5
-
-    sizes = args.sizes or f5.SIZES
-    saved = f5.SIZES
-    f5.SIZES = sizes
-    try:
-        for local, label in ((True, "intra-node"), (False, "inter-node")):
-            sweep = f5._sweep(local=local)
-            labels = [f"{s // KB}KB" if s < MB else f"{s // MB}MB"
-                      for s in sizes]
-            print(render_series(f"Fig 5 {label} bandwidth MB/s", "op size",
-                                labels, sweep))
-            print()
-    finally:
-        f5.SIZES = saved
-    return 0
-
-
-def _cmd_fig6(args) -> int:
-    from benchmarks import conftest as bench_conf
-    from benchmarks import test_fig6_scaling as f6
-
-    series = {"hcl_umap_ins": [], "hcl_map_ins": [], "bcl_umap_ins": []}
-    parts = args.partitions or f6.PART_SWEEP
-    saved = bench_conf.get_scale()
-    bench_conf.set_scale(args.scale)
-    try:
-        for p in parts:
-            ui, _uf = f6._hcl_map_run(p, ordered=False)
-            oi, _of = f6._hcl_map_run(p, ordered=True)
-            bi, _bf = f6._bcl_map_run(p)
-            series["hcl_umap_ins"].append(ui)
-            series["hcl_map_ins"].append(oi)
-            series["bcl_umap_ins"].append(bi)
-    finally:
-        bench_conf.set_scale(saved)
-    print(render_series("Fig 6a — insert throughput op/s", "partitions",
-                        parts, series))
-    if args.emit:
-        from repro.obs import write_json
-
-        write_json({"partitions": list(parts), "series": series}, args.emit)
-        print(f"wrote {args.emit}")
-    return 0
-
-
-def _cmd_fig7(args) -> int:
-    from repro.apps import (
-        run_contig_generation, run_isx, run_kmer_counting, synthesize_genome,
-    )
-
-    def sc(n: int) -> int:
-        return max(1, round(n * args.scale))
-
-    apps = args.apps or ["isx", "kmer", "contig"]
-    nodes_sweep = args.nodes or [2, 4, 8]
-    hcl_only = args.hcl_only
-    for app in apps:
-        rows = []
-        for nodes in nodes_sweep:
-            spec = ares_like(nodes=nodes, procs_per_node=args.procs)
-            b = None
-            if app == "isx":
-                h = run_isx("hcl", spec, keys_per_rank=sc(args.ops),
-                            aggregation=args.aggregation)
-                if not hcl_only:
-                    b = run_isx("bcl", spec, keys_per_rank=sc(args.ops))
-            else:
-                data = synthesize_genome(
-                    genome_length=sc(300 * nodes), num_reads=sc(24 * nodes),
-                    read_length=60, k=15, seed=nodes,
-                )
-                if app == "kmer":
-                    h = run_kmer_counting(
-                        "hcl", spec, data, aggregation=args.aggregation)
-                    if not hcl_only:
-                        b = run_kmer_counting("bcl", spec, data)
-                else:
-                    h = run_contig_generation(
-                        "hcl", spec, data, aggregation=args.aggregation,
-                        read_cache=bool(args.aggregation),
-                    )
-                    if not hcl_only:
-                        b = run_contig_generation("bcl", spec, data)
-            assert h.verified, f"{app} (hcl) failed verification"
-            if b is None:
-                rows.append([nodes, "-", h.time_seconds, "-"])
-            else:
-                assert b.verified, f"{app} (bcl) failed verification"
-                rows.append([nodes, b.time_seconds, h.time_seconds,
-                             b.time_seconds / h.time_seconds])
-        print(render_table(
-            f"Fig 7 — {app} weak scaling",
-            ["nodes", "bcl (s)", "hcl (s)", "speedup"], rows,
-        ))
-        print()
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    """Free-form insert-throughput sweep over nodes/ops/size/provider."""
-    from repro.core import HCL
-    from repro.harness import Blob
-
-    rows = []
-    for nodes in args.nodes:
-        spec = ares_like(nodes=nodes, procs_per_node=args.procs)
-        hcl = HCL(spec, provider=args.provider)
-        m = hcl.unordered_map("m", partitions=nodes,
-                              initial_buckets=8 * args.procs * args.ops)
-
-        def body(rank):
-            for i in range(args.ops):
-                yield from m.insert(rank, (rank, i), Blob(args.size))
-
-        hcl.run_ranks(body)
-        total = spec.total_procs * args.ops
-        rows.append([nodes, spec.total_procs, hcl.now,
-                     total / hcl.now,
-                     total * args.size / hcl.now / MB])
-    print(render_table(
-        f"unordered_map insert sweep ({args.size} B ops, "
-        f"provider={args.provider})",
-        ["nodes", "clients", "sim time (s)", "op/s", "MB/s"], rows,
-    ))
-    return 0
-
-
-def _cmd_microbench(args) -> int:
-    from repro.harness.microbench import run_microbench
-
-    report = run_microbench(
-        ares_like(nodes=2, procs_per_node=4), provider=args.provider
-    )
-    print(render_table(
-        f"Simulated fabric microbenchmarks (provider={args.provider}; "
-        "paper calibration: OSU ~4.5 GB/s, STREAM ~65 GB/s)",
-        ["metric", "value"], report.rows(),
-    ))
-    return 0
+def _invalid(path: str, errors: List[str], generated: bool = False) -> bool:
+    """Report a validator's ``errors`` on ``path`` — the verdict line (on
+    stderr, as "generated but INVALID", for a file this command just
+    wrote) and the first 20 errors; True when there are any."""
+    if errors:
+        print(f"{path}: {'generated but ' if generated else ''}INVALID "
+              f"({len(errors)} error(s))",
+              file=sys.stderr if generated else sys.stdout)
+        for err in errors[:20]:
+            print(f"  {err}", file=sys.stderr)
+    return bool(errors)
 
 
 def _cmd_trace(args) -> int:
@@ -197,24 +60,20 @@ def _cmd_trace(args) -> int:
         for path in args.validate:
             validator = (validate_span_log if path.endswith(".jsonl")
                          else validate_chrome_trace)
-            errors = validator(path)
-            if errors:
+            if _invalid(path, validator(path)):
                 worst = 1
-                print(f"{path}: INVALID ({len(errors)} error(s))")
-                for err in errors[:20]:
-                    print(f"  {err}", file=sys.stderr)
             else:
                 print(f"{path}: OK")
         return worst
 
     # Demo mode: one traced app run, stage breakdown + tiling check.
-    from repro.harness.aggbench import _run_app
     from repro.obs import STAGE_NAMES, Instruments, tracer_of
 
     instrument = Instruments(trace=args.emit or True)
     spec = ares_like(nodes=args.nodes, procs_per_node=args.procs)
-    ops, sim_s, verified, _agg = _run_app(
-        args.app, spec, args.scale, args.aggregation, instrument
+    ops, res = figures.run_app(
+        args.app, "hcl", spec, figures.AGG_SHAPES[args.app], args.scale,
+        args.aggregation, instrument
     )
     tracer = tracer_of(instrument.runs[0].sim)
     rows = [[name, int(row["n"]), f"{row['total'] * 1e6:.1f}",
@@ -230,11 +89,12 @@ def _cmd_trace(args) -> int:
     worst = max((abs(sum(c.duration for c in tracer.stage_children(r))
                      - r.duration) for r in rpcs), default=0.0)
     print(f"  {len(tracer)} spans over {len(rpcs)} rpcs; "
-          f"sim time {sim_s:.6f}s, {ops} app ops, verified={verified}")
+          f"sim time {res.time_seconds:.6f}s, {ops} app ops, "
+          f"verified={res.verified}")
     print(f"  stage tiling: max |sum(stages) - e2e| = {worst:.3g}s")
     for line in instrument.write():
         print(line)
-    return 0 if (verified and worst < 1e-9) else 1
+    return 0 if (res.verified and worst < 1e-9) else 1
 
 
 def _cmd_obs_report(args) -> int:
@@ -245,11 +105,7 @@ def _cmd_obs_report(args) -> int:
     )
 
     if args.validate:
-        errors = validate_dashboard(args.validate)
-        if errors:
-            print(f"{args.validate}: INVALID ({len(errors)} error(s))")
-            for err in errors[:20]:
-                print(f"  {err}", file=sys.stderr)
+        if _invalid(args.validate, validate_dashboard(args.validate)):
             return 1
         print(f"{args.validate}: OK")
         return 0
@@ -288,12 +144,7 @@ def _cmd_obs_report(args) -> int:
     size = write_dashboard(args.out, flight=flight, critpath=critpath,
                            metrics=metrics, compare=compare, diff=diff,
                            title=args.title)
-    errors = validate_dashboard(args.out)
-    if errors:
-        print(f"{args.out}: generated but INVALID "
-              f"({len(errors)} error(s))", file=sys.stderr)
-        for err in errors[:20]:
-            print(f"  {err}", file=sys.stderr)
+    if _invalid(args.out, validate_dashboard(args.out), generated=True):
         return 1
     print(f"wrote {args.out} ({size} bytes, valid)")
 
@@ -352,12 +203,8 @@ def _cmd_obs_diff(args) -> int:
             args.html, flight=flight, compare=compare, diff=diff,
             title=f"A/B: {args.a} vs {args.b}",
         )
-        errors = validate_dashboard(args.html)
-        if errors:
-            print(f"{args.html}: generated but INVALID "
-                  f"({len(errors)} error(s))", file=sys.stderr)
-            for err in errors[:20]:
-                print(f"  {err}", file=sys.stderr)
+        if _invalid(args.html, validate_dashboard(args.html),
+                    generated=True):
             return 1
         print(f"wrote {args.html} ({size} bytes, valid)")
     if args.fail_on_significant and diff["significant"]:
@@ -458,52 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("fig1", help="motivating test").set_defaults(fn=_cmd_fig1)
-
-    p5 = sub.add_parser("fig5", help="hybrid access bandwidth sweep")
-    p5.add_argument("--sizes", nargs="+", type=int, default=None)
-    p5.set_defaults(fn=_cmd_fig5)
-
-    p6 = sub.add_parser("fig6", help="container scaling")
-    p6.add_argument("--partitions", nargs="+", type=int, default=None)
-    p6.add_argument("--scale", type=_positive_float, default=1.0,
-                    help="work multiplier (ops per rank; default 1.0)")
-    p6.add_argument("--emit", nargs="?", const="BENCH_fig6.json",
-                    default=None, metavar="PATH",
-                    help="write the series as JSON (default BENCH_fig6.json)")
-    p6.set_defaults(fn=_cmd_fig6)
-
-    p7 = sub.add_parser("fig7", help="application kernels")
-    p7.add_argument("--apps", nargs="+",
-                    choices=["isx", "kmer", "contig"], default=None)
-    p7.add_argument("--nodes", nargs="+", type=int, default=None)
-    p7.add_argument("--procs", type=int, default=3)
-    p7.add_argument("--ops", type=int, default=48,
-                    help="ISx keys per rank")
-    p7.add_argument("--scale", type=_positive_float, default=1.0,
-                    help="work multiplier (keys/reads; default 1.0)")
-    p7.add_argument("--aggregation", type=int, default=0,
-                    help="HCL write-combining buffer size (0 = off)")
-    p7.add_argument("--hcl-only", action="store_true",
-                    help="skip the BCL comparison runs (full-paper-scale "
-                         "sweeps where the client-driven baseline is "
-                         "prohibitive)")
-    p7.set_defaults(fn=_cmd_fig7)
-
-    ps = sub.add_parser("sweep", help="free-form throughput sweep")
-    ps.add_argument("--nodes", nargs="+", type=int, default=[2, 4, 8])
-    ps.add_argument("--procs", type=int, default=6)
-    ps.add_argument("--ops", type=int, default=32)
-    ps.add_argument("--size", type=int, default=4 * KB)
-    ps.add_argument("--provider", default="roce",
-                    choices=["roce", "verbs", "tcp"])
-    ps.set_defaults(fn=_cmd_sweep)
-    pm = sub.add_parser("microbench", help="OSU-style fabric microbenchmarks")
-    pm.add_argument("--provider", default="roce",
-                    choices=["roce", "verbs", "tcp"])
-    pm.set_defaults(fn=_cmd_microbench)
-
-    for harness in BENCHES:
+    for harness in FIGURES + BENCHES:
         _add_bench(sub, harness)
 
     pt = sub.add_parser(
@@ -513,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--validate", nargs="+", default=None, metavar="PATH",
                     help="validate span logs (.jsonl) / Chrome traces "
                          "(.json) instead of running a demo")
-    pt.add_argument("--app", choices=["isx", "kmer", "contig"],
+    pt.add_argument("--app", choices=figures.FIG7_APPS,
                     default="isx", help="demo app to trace")
     pt.add_argument("--scale", type=_positive_float, default=0.25,
                     help="work multiplier for the demo run")

@@ -5,9 +5,14 @@ Every table and figure bench in ``benchmarks/`` builds on this package:
 * :mod:`repro.harness.workload` — sized payloads and key streams;
 * :mod:`repro.harness.driver` — the one row loop and the
   ``run_bench(harness, args)`` driver behind every ``repro.cli`` bench
-  subcommand;
+  and figure subcommand;
 * :mod:`repro.harness.report` — fixed-width text tables comparing
   paper-reported values against measured ones, and CSV-ish dumps;
+* :mod:`repro.harness.figures` — Figs 1, 5, 6 and 7 as functions of their
+  scale, plus ``run_app`` / ``run_phases``, which the harnesses below and
+  the asserted benches share;
+* :mod:`repro.harness.microbench` — OSU-style measurements of the
+  simulated fabric;
 * :mod:`repro.harness.aggbench` — simulated-time A/B of the transparent
   op-coalescing buffers across the Fig-7 apps;
 * :mod:`repro.harness.telemetry` — Fig-4-style time-series telemetry

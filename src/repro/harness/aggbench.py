@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import ClusterSpec, ares_like
+from repro.config import ares_like
 from repro.harness.driver import Harness, flag, positive_float, run_rows
+from repro.harness.figures import AGG_SHAPES, run_app
 from repro.harness.report import render_table
 from repro.obs.exporters import write_json
 
@@ -126,38 +127,6 @@ class AggBenchReport:
         return failures
 
 
-def _run_app(app: str, spec: ClusterSpec, scale: float, aggregation: int,
-             instrument=None):
-    """Run one HCL app once; returns (ops, sim_seconds, verified, agg)."""
-    from repro.apps import (
-        run_contig_generation, run_isx, run_kmer_counting, synthesize_genome,
-    )
-
-    def sc(n: float) -> int:
-        return max(1, round(n * scale))
-
-    if app == "isx":
-        res = run_isx("hcl", spec, keys_per_rank=sc(192),
-                      aggregation=aggregation, instrument=instrument)
-        return res.total_keys, res.time_seconds, res.verified, res.agg_report
-    data = synthesize_genome(
-        genome_length=sc(600 * spec.nodes), num_reads=sc(48 * spec.nodes),
-        read_length=60, k=15, seed=spec.nodes,
-    )
-    if app == "kmer":
-        res = run_kmer_counting("hcl", spec, data, aggregation=aggregation,
-                                instrument=instrument)
-        return res.total_kmers, res.time_seconds, res.verified, res.agg_report
-    if app == "contig":
-        res = run_contig_generation(
-            "hcl", spec, data, aggregation=aggregation,
-            read_cache=bool(aggregation), instrument=instrument,
-        )
-        ops = sum(max(0, len(r) - data.k + 1) for r in data.reads)
-        return ops, res.time_seconds, res.verified, res.agg_report
-    raise ValueError(f"unknown app {app!r}")
-
-
 def run_agg_bench(
     scale: float = 1.0,
     nodes: int = 4,
@@ -175,22 +144,22 @@ def run_agg_bench(
     def run_row(row, hook):
         app, aggregation = row
         spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
-        return _run_app(app, spec, scale, aggregation, hook)
+        return run_app(app, "hcl", spec, AGG_SHAPES[app], scale, aggregation,
+                       hook)
 
     rows = [(f"{app}-agg{aggregation}", (app, aggregation))
             for app in apps for aggregation in sweep]
     results = run_rows(rows, run_row, instrument)
     report = AggBenchReport(scale, nodes, procs_per_node, list(sweep))
-    for (_label, (app, aggregation)), (ops, sim_s, verified, agg) in zip(
-            rows, results):
+    for (_label, (app, aggregation)), (ops, res) in zip(rows, results):
         report.rows.append(AggBenchRow(
             app=app,
             aggregation=aggregation,
             read_cache=bool(aggregation) and app == "contig",
             ops=ops,
-            sim_seconds=sim_s,
-            verified=verified,
-            agg=agg,
+            sim_seconds=res.time_seconds,
+            verified=res.verified,
+            agg=res.agg_report,
         ))
     return report
 

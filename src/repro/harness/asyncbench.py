@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ares_like
 from repro.harness.driver import Harness, flag, positive_float, run_rows
+from repro.harness.figures import AGG_SHAPES, app_input
 from repro.harness.report import render_table
 from repro.obs.exporters import write_json
 from repro.obs.registry import registry_of
@@ -210,23 +211,15 @@ def run_async_bench(
 ) -> AsyncBenchReport:
     """A/B the pipelined async client against the aggregated sync path.
 
-    All rows run the exact workload ``aggbench`` uses (same genome
-    synthesis, same topology), so the sync baseline's ``sim_seconds`` must
-    match the committed ``BENCH_agg.json`` row bit-for-bit — drift there
-    means a behavior change, not noise.
+    All rows run the exact workload ``aggbench`` uses (the same
+    ``AGG_SHAPES`` genome, same topology), so the sync baseline's
+    ``sim_seconds`` must match the committed ``BENCH_agg.json`` row
+    bit-for-bit — drift there means a behavior change, not noise.
 
     ``instrument`` is handed to each row, labelled ``<mode>-<aggregation>``
     (``sync-512``, ``async-auto``, ...).  It never changes the report.
     """
-    from repro.apps import synthesize_genome
-
-    def sc(n: float) -> int:
-        return max(1, round(n * scale))
-
-    data = synthesize_genome(
-        genome_length=sc(600 * nodes), num_reads=sc(48 * nodes),
-        read_length=60, k=15, seed=nodes,
-    )
+    data = app_input("kmer", AGG_SHAPES["kmer"], nodes, scale)
 
     def run_row(row, hook):
         _mode, aggregation, async_api, window = row

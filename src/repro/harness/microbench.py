@@ -14,10 +14,12 @@ Used by ``python -m repro.cli microbench`` and the calibration tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.config import ClusterSpec, MB, ares_like
 from repro.fabric import Cluster
+from repro.harness.driver import Harness, flag
+from repro.harness.report import render_table
 
 __all__ = ["MicrobenchReport", "run_microbench"]
 
@@ -154,3 +156,21 @@ def run_microbench(spec: ClusterSpec = None,
         rpc_null_latency_us=rpc_lat * 1e6,
         stream_gbs=stream_bw,
     )
+
+
+HARNESS = Harness(
+    name="microbench",
+    help="OSU-style fabric microbenchmarks",
+    stem="microbench",
+    shared=dict(emit="BENCH_microbench.json"),
+    flags=(flag("--provider", default="roce",
+                choices=["roce", "verbs", "tcp"]),),
+    run=lambda a, _instrument: run_microbench(provider=a.provider),
+    render=lambda report, a: render_table(
+        f"Simulated fabric microbenchmarks (provider={a.provider}; "
+        "paper calibration: OSU ~4.5 GB/s, STREAM ~65 GB/s)",
+        ["metric", "value"], report.rows()),
+    emit=lambda report: {"": asdict(report)},
+    gate=(),
+    instruments=(),
+)

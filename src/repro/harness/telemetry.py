@@ -35,6 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.config import ares_like
 from repro.harness.driver import Harness, flag, run_rows
+from repro.harness.figures import AGG_SHAPES, FIG7_APPS, run_app
 from repro.harness.report import render_table
 from repro.obs.registry import percentile_summary
 
@@ -77,16 +78,15 @@ def run_telemetry(
     app) after the sampler has taken over ``cluster.run`` — so a second
     pump (a flight recorder) is refused rather than starving the sampler.
     """
-    from repro.harness.aggbench import _run_app
-
     if samples < 2:
         raise ValueError("telemetry needs at least 2 samples")
 
     def run_row(app, hook):
         # Pass 1: dry run — learn the workload's simulated duration.
         spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
-        _ops, duration, _verified, _agg = _run_app(app, spec, scale,
-                                                   aggregation)
+        _ops, dry = run_app(app, "hcl", spec, AGG_SHAPES[app], scale,
+                            aggregation)
+        duration = dry.time_seconds
         # Pass 2: identical run, with samples armed across the learned
         # duration and the cluster's run loop driven by the sampler pump.
         spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
@@ -104,8 +104,8 @@ def run_telemetry(
             if hook is not None:
                 hook(hcl)
 
-        ops, sim_s, verified, _agg = _run_app(app, spec, scale, aggregation,
-                                              arm)
+        ops, res = run_app(app, "hcl", spec, AGG_SHAPES[app], scale,
+                           aggregation, arm)
         sampler = box["sampler"]
         # Summary stats ride the shared obs quantile path; ``mean``/``max``
         # keep their historical spellings alongside the summary block.
@@ -122,9 +122,9 @@ def run_telemetry(
         return {
             "app": app,
             "ops": ops,
-            "sim_seconds": sim_s,
+            "sim_seconds": res.time_seconds,
             "dry_run_seconds": duration,
-            "verified": verified,
+            "verified": res.verified,
             "samples": len(sampler.series[FIG4_SERIES[0]]),
             "probe_errors": sampler.probe_errors,
             "series": series,
@@ -184,7 +184,7 @@ HARNESS = Harness(
              help="sample points across the run (default 32)"),
         flag("--aggregation", type=int, default=8,
              help="write-combining buffer size (0 = off)"),
-        flag("--apps", nargs="+", choices=["isx", "kmer", "contig"],
+        flag("--apps", nargs="+", choices=list(FIG7_APPS),
              default=list(TELEMETRY_APPS),
              help="apps to sample (default: isx contig)"),
     ),

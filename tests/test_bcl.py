@@ -262,6 +262,26 @@ class TestEnvironment:
         assert barrier.parties == bcl.cluster.total_procs
         assert bcl.barrier() is barrier
 
+    def test_run_ranks_is_the_twin_of_hcls(self, bcl):
+        """Spawn, run, hand back the processes; a failed rank re-raises."""
+        q = bcl.queue("q", capacity=64, entry_size=8)
+
+        def body(rank):
+            yield from q.push(rank, rank)
+            return rank * 2
+
+        procs = bcl.run_ranks(body, ranks=range(3))
+        assert [p.result for p in procs] == [0, 2, 4]
+        assert q.pushes.value == 3
+
+        def failing(rank):
+            yield from q.push(rank, rank)
+            if rank == 1:
+                raise ValueError("rank 1 broke")
+
+        with pytest.raises(ValueError, match="rank 1 broke"):
+            bcl.run_ranks(failing)
+
     def test_shared_cluster_with_hcl(self, small_spec):
         """BCL can run on an existing cluster object (comparison harness)."""
         cluster = Cluster(small_spec)

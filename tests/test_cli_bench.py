@@ -5,7 +5,9 @@ through ``Instruments``, so one parametrised test covers each cell the
 harness records declare: instruments never change the report, every
 artifact is one the repo's own tools can read, and same-argv reruns write
 the same bytes.  Reports carry simulated fields only, so "the same" means
-byte for byte.
+byte for byte.  The figure subcommands (``repro.cli.FIGURES``) are records
+run by the same driver: they declare no instrument, so each has the one
+empty cell, and their verification is checked without ``--check``.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import glob
 import json
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
-from repro.cli import BENCHES, build_parser, main
+from repro.cli import BENCHES, FIGURES, build_parser, main
 from repro.obs import (
     Instruments,
     load_artifact,
@@ -43,6 +46,14 @@ TINY = {
     "telemetry": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
                    "--samples", "4"],
                   ["isx", "contig"]),
+    # the FIGURES records: one report each, whatever the sweep
+    "fig1": ([], [""]),
+    "fig5": (["--sizes", "4096"], [""]),
+    "fig6": (["--scale", "0.1", "--partitions", "1", "2"], [""]),
+    "fig7": (["--apps", "isx", "kmer", "--nodes", "2", "--procs", "2",
+              "--ops", "16", "--scale", "0.25"], [""]),
+    "sweep": (["--nodes", "2", "--ops", "8", "--procs", "2"], [""]),
+    "microbench": ([], [""]),
 }
 
 #: instrument -> (flags writing into the cell's directory, files per row)
@@ -54,10 +65,11 @@ INSTRUMENT_FLAGS = {
                 []),
 }
 
-HARNESSES = {h.name: h for h in BENCHES}
+HARNESSES = {h.name: h for h in BENCHES + FIGURES}
 
+#: the figures declare no instrument: their one cell is the empty one
 CELLS = [(h.name, (ins,)) for h in BENCHES for ins in h.instruments] \
-    + [(h.name, tuple(h.instruments)) for h in BENCHES]
+    + [(h.name, tuple(h.instruments)) for h in BENCHES + FIGURES]
 
 
 def _run(name, instruments, where):
@@ -145,7 +157,8 @@ def test_matrix_cell(name, instruments, plain, tmp_path):
                 assert files[fname] == again[fname], fname
 
 
-@pytest.mark.parametrize("name", HARNESSES)
+# (a figure's rerun is its one, empty, matrix cell)
+@pytest.mark.parametrize("name", [h.name for h in BENCHES])
 def test_same_argv_reruns_emit_identical_bytes(name, plain, tmp_path):
     again = _reports(_run(name, (), str(tmp_path / "again")))
     assert again and again == plain(name)
@@ -202,6 +215,43 @@ class TestCheck:
         assert main(["telemetry", *TINY["telemetry"][0], "--check"]) == 1
         assert "CHECK FAILED: isx: probe failed" in capsys.readouterr().err
 
+    def test_fig7_failed_verification_exits_1(self, monkeypatch, capsys):
+        """A figure's verification is its always-on check, not an
+        ``assert`` that ``python -O`` drops."""
+        import repro.apps
+
+        real = repro.apps.run_isx
+        monkeypatch.setattr(
+            repro.apps, "run_isx", lambda backend, *a, **kw: replace(
+                real(backend, *a, **kw), verified=backend != "bcl"))
+        assert main(["fig7", *TINY["fig7"][0]]) == 1
+        assert ("CHECK FAILED: isx (bcl) nodes=2: verification failed"
+                in capsys.readouterr().err)
+
+    def test_fig6_find_miss_exits_1(self, monkeypatch, capsys):
+        from repro.bcl import BCLHashMap
+
+        real = BCLHashMap.find
+
+        def find(self, rank, key):
+            value, _found = yield from real(self, rank, key)
+            return value, False
+
+        monkeypatch.setattr(BCLHashMap, "find", find)
+        assert main(["fig6", "--scale", "0.1", "--partitions", "1"]) == 1
+        assert ("CHECK FAILED: bcl hashmap partitions=1: 96 find(s) missed "
+                "an inserted key" in capsys.readouterr().err)
+
+    def test_fig1_lost_insert_exits_1(self, monkeypatch, capsys):
+        from repro.harness import figures
+
+        monkeypatch.setattr(figures, "_fig1_bcl", lambda: (1.0, {}))
+        monkeypatch.setattr(figures, "_fig1_rpc",
+                            lambda lock_free: (1.0, 7 if lock_free else 10240))
+        assert main(["fig1"]) == 1
+        assert ("CHECK FAILED: rpc_lockfree: server stored 7 of 10240 inserts"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("name", ["serving", "telemetry"])
     def test_passing_check_exits_0(self, name, capsys):
         assert main([name, *TINY[name][0], "--check"]) == 0
@@ -220,7 +270,7 @@ class TestParser:
         listed = capsys.readouterr().out.splitlines()[0].split()[1:]
         sub = next(a for a in build_parser()._actions if a.choices)
         assert listed == list(sub.choices)
-        assert {h.name for h in BENCHES} < set(listed)
+        assert {h.name for h in BENCHES + FIGURES} < set(listed)
 
     @pytest.mark.parametrize("name", HARNESSES)
     def test_only_declared_instruments_parse(self, name, capsys):

@@ -125,17 +125,6 @@ class TestCliFigures:
         out = capsys.readouterr().out
         assert "insert throughput" in out
 
-    def test_fig6_scale_does_not_leak(self, capsys):
-        """``--scale`` applies to that one command, not to every later
-        Fig 6/7 bench in the same interpreter."""
-        from benchmarks.conftest import get_scale
-        from repro.cli import main
-
-        before = get_scale()
-        assert main(["fig6", "--scale", "0.5", "--partitions", "1"]) == 0
-        assert get_scale() == before
-        capsys.readouterr()
-
     def test_microbench_command(self, capsys):
         from repro.cli import main
 

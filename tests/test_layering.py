@@ -1,0 +1,56 @@
+"""The product does not import its tests.
+
+``src/repro`` is what gets installed: nothing in it may import
+``benchmarks``, ``tests`` or a test-only dependency, and every experiment
+subcommand must run from any directory with only ``src`` on the path.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FORBIDDEN = {"benchmarks", "tests", "pytest", "hypothesis"}
+
+#: every experiment subcommand, at a shape that runs in a few seconds
+COMMANDS = [
+    ["fig1"],
+    ["fig5", "--sizes", "4096"],
+    ["fig6", "--scale", "0.1", "--partitions", "1"],
+    ["fig7", "--apps", "isx", "--nodes", "2", "--procs", "2", "--ops", "16"],
+    ["sweep", "--nodes", "2", "--ops", "8", "--procs", "2"],
+    ["microbench"],
+]
+
+
+def test_src_imports_no_test_code():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                          for name in names
+                          if name.split(".")[0] in FORBIDDEN]
+    assert not offenders, offenders
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_experiment_commands_run_from_anywhere(argv, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.config import ares_like
-from repro.harness.aggbench import _run_app
+from repro.harness.figures import AGG_SHAPES, run_app
 from repro.obs import (
     critpath_analyze,
     install_tracer,
@@ -159,9 +159,9 @@ class TestRealTraces:
             install_tracer(hcl.sim)
 
         spec = ares_like(nodes=2, procs_per_node=2)
-        _ops, _sim_s, verified, _agg = _run_app("kmer", spec, 0.25, 0,
-                                                instrument)
-        assert verified
+        _ops, res = run_app("kmer", "hcl", spec, AGG_SHAPES["kmer"], 0.25,
+                            instrument=instrument)
+        assert res.verified
         return tracer_of(box["sim"])
 
     def test_tiling_residual_zero_on_real_run(self, traced):

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.config import ares_like
-from repro.harness.aggbench import _run_app
+from repro.harness.figures import AGG_SHAPES, run_app
 from repro.obs import (
     STAGE_NAMES,
     install_tracer,
@@ -36,10 +36,10 @@ def _traced_run(app="kmer", aggregation=0, scale=0.25):
         install_tracer(hcl.sim)
 
     spec = ares_like(nodes=2, procs_per_node=2)
-    ops, sim_s, verified, _agg = _run_app(app, spec, scale, aggregation,
-                                          instrument)
-    assert verified
-    return tracer_of(box["sim"]), sim_s
+    _ops, res = run_app(app, "hcl", spec, AGG_SHAPES[app], scale,
+                        aggregation, instrument)
+    assert res.verified
+    return tracer_of(box["sim"]), res.time_seconds
 
 
 def _rpc_roots(tracer):
@@ -117,10 +117,10 @@ class TestHardenedPath:
 class TestPurity:
     def test_traced_run_is_bit_identical(self):
         spec = ares_like(nodes=2, procs_per_node=2)
-        _ops, plain_s, plain_ok, _ = _run_app("kmer", spec, 0.25, 0, None)
+        _ops, plain = run_app("kmer", "hcl", spec, AGG_SHAPES["kmer"], 0.25)
         tracer, traced_s = _traced_run("kmer")
-        assert plain_ok
-        assert traced_s == plain_s  # exact equality, not approx
+        assert plain.verified
+        assert traced_s == plain.time_seconds  # exact equality, not approx
         assert len(tracer) > 0
 
     def test_tracer_off_by_default(self):

@@ -21,7 +21,8 @@ import json
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.harness.asyncbench import emit_async_json, run_async_bench
+from repro.harness.asyncbench import HARNESS, run_async_bench
+from repro.obs import write_json
 
 SMOKE = dict(scale=1.0, nodes=2, procs_per_node=2)
 
@@ -42,7 +43,8 @@ def test_async_pipeline_ab(benchmark, report, tmp_path):
     auto = rep.auto_row()
     assert auto.auto_threshold is not None and auto.auto_threshold >= 4
 
-    path = emit_async_json(rep, str(tmp_path / "BENCH_async.json"))
+    path = write_json(HARNESS.emit(rep)[""],
+                      str(tmp_path / "BENCH_async.json"))
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     assert payload["benchmark"] == "async_pipeline"
@@ -66,7 +68,7 @@ def test_async_bench_deterministic(benchmark, tmp_path):
 
     def emit(path):
         rep = run_async_bench(**SMOKE)
-        return emit_async_json(rep, str(path))
+        return write_json(HARNESS.emit(rep)[""], str(path))
 
     a = run_once(benchmark, lambda: emit(tmp_path / "a.json"))
     b = emit(tmp_path / "b.json")

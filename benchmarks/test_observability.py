@@ -7,7 +7,7 @@ bench report via the unified metrics registry:
   counters (previously summed ad hoc inside the soak harness),
 * the coalescer's flush counters,
 * the Fig-4 telemetry series (NIC utilization, memory, packet rate)
-  produced by the two-pass :mod:`repro.harness.telemetry` sampler.
+  :mod:`repro.harness.telemetry` hangs on the run's flight recorder.
 
 The span-tracing bench asserts the overhead contract: tracing off is the
 default and costs nothing observable (identical simulated results), and
@@ -134,7 +134,8 @@ def test_fig4_telemetry_harness(benchmark, report):
     """The telemetry harness yields all three Fig-4 series per app."""
 
     def run():
-        return run_telemetry(scale=0.5, nodes=2, procs_per_node=2, samples=12)
+        return run_telemetry(scale=0.5, nodes=2, procs_per_node=2,
+                             interval=2e-5)
 
     rep = run_once(benchmark, run)
 
@@ -155,8 +156,12 @@ def test_fig4_telemetry_harness(benchmark, report):
     apps = {r["app"] for r in rep["runs"]}
     assert {"isx", "contig"} <= apps  # one ISx and one contig-gen run
     for run_rec in rep["runs"]:
-        # Two-pass sampling must not have perturbed the measured run.
-        assert run_rec["sim_seconds"] == run_rec["dry_run_seconds"]
-        assert run_rec["samples"] == 12
+        # Sampling must not have perturbed the measured run.
+        _ops, unsampled = run_app(
+            run_rec["app"], "hcl", ares_like(nodes=2, procs_per_node=2),
+            AGG_SHAPES[run_rec["app"]], 0.5, 8)
+        assert run_rec["sim_seconds"] == unsampled.time_seconds
+        # one sample per whole interval of the run, none past its end
+        assert run_rec["samples"] == int(run_rec["sim_seconds"] / 2e-5)
         for name in FIG4_SERIES:
             assert max(run_rec["series"][name]["values"]) > 0.0

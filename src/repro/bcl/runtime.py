@@ -78,18 +78,8 @@ class BCL:
         ranks: Optional[range] = None,
         until: Optional[float] = None,
     ) -> List:
-        """Spawn ``body(rank)`` for all ranks, run the sim, return processes.
-
-        The twin of :meth:`repro.core.HCL.run_ranks`, same contract: raises
-        if any rank failed; the processes' ``result`` carries each rank's
-        return value.
-        """
-        procs = self.cluster.spawn_ranks(body, ranks=ranks)
-        self.cluster.run(until=until)
-        for proc in procs:
-            if proc.done and not proc.ok:
-                raise proc.value
-        return procs
+        """:meth:`repro.fabric.Cluster.run_ranks` on this runtime's cluster."""
+        return self.cluster.run_ranks(body, ranks=ranks, until=until)
 
     # -- container factories -------------------------------------------------------
     def hashmap(self, name: str, capacity_per_partition: int,

@@ -242,17 +242,8 @@ class HCL:
         ranks: Optional[range] = None,
         until: Optional[float] = None,
     ) -> List:
-        """Spawn ``body(rank)`` for all ranks, run the sim, return processes.
-
-        Raises if any rank failed; the processes' ``result`` carries each
-        rank's return value.
-        """
-        procs = self.cluster.spawn_ranks(body, ranks=ranks)
-        self.cluster.run(until=until)
-        for proc in procs:
-            if proc.done and not proc.ok:
-                raise proc.value
-        return procs
+        """:meth:`repro.fabric.Cluster.run_ranks` on this runtime's cluster."""
+        return self.cluster.run_ranks(body, ranks=ranks, until=until)
 
     @property
     def now(self) -> float:

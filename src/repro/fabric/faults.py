@@ -311,15 +311,6 @@ class FaultInjector:
             "partition_drops": int(self.partition_drops.value),
         }
 
-    def probes(self) -> Dict[str, object]:
-        """Zero-arg probes for a :class:`~repro.simnet.trace.Sampler`."""
-        return {
-            "faults/drops": lambda: self.drops.value,
-            "faults/dups": lambda: self.dups.value,
-            "faults/delays": lambda: self.delays.value,
-            "faults/partition_drops": lambda: self.partition_drops.value,
-        }
-
 
 # -- canned plans (the CI fault matrix) ---------------------------------------
 

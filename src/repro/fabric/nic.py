@@ -174,7 +174,7 @@ class Nic:
 
     # -- observability ----------------------------------------------------------
     def utilization_probe(self):
-        """Closure for trace.Sampler: windowed NIC-core utilization in %."""
+        """Probe closure: windowed NIC-core utilization in %."""
         state = {"busy": 0.0, "t": self.sim.now}
 
         def probe() -> float:

@@ -14,7 +14,6 @@ from repro.config import ClusterSpec
 from repro.simnet.core import Simulator
 from repro.simnet.process import Process
 from repro.simnet.rng import RngRegistry
-from repro.simnet.trace import Sampler
 
 from repro.fabric.node import Node
 from repro.fabric.provider import Provider, get_provider
@@ -105,10 +104,25 @@ class Cluster:
         self.sim.run(until=until)
         return self.sim.now
 
-    # -- observability --------------------------------------------------------------
-    def sampler(self, interval: float = 1.0) -> Sampler:
-        return Sampler(self.sim, interval=interval)
+    def run_ranks(
+        self,
+        body: Callable[[int], Generator],
+        ranks: Optional[range] = None,
+        until: Optional[float] = None,
+    ) -> List[Process]:
+        """Spawn ``body(rank)`` for all ranks, run the sim, return processes.
 
+        Raises if any rank failed; the processes' ``result`` carries each
+        rank's return value.
+        """
+        procs = self.spawn_ranks(body, ranks=ranks)
+        self.run(until=until)
+        for proc in procs:
+            if proc.done and not proc.ok:
+                raise proc.value
+        return procs
+
+    # -- observability --------------------------------------------------------------
     def total_packets(self) -> float:
         return sum(n.egress.packets_total.value for n in self.nodes)
 
@@ -119,7 +133,7 @@ class Cluster:
         return sum(n.memory_used.value for n in self.nodes)
 
     def packets_probe(self) -> Callable[[], float]:
-        """Windowed cluster-wide packets-per-second probe for a Sampler."""
+        """Windowed cluster-wide packets-per-second probe."""
         state = {"pk": 0.0, "t": self.sim.now}
 
         def probe() -> float:

@@ -8,7 +8,7 @@ Every table and figure bench in ``benchmarks/`` builds on this package:
   and figure subcommand;
 * :mod:`repro.harness.report` — fixed-width text tables comparing
   paper-reported values against measured ones, and CSV-ish dumps;
-* :mod:`repro.harness.figures` — Figs 1, 5, 6 and 7 as functions of their
+* :mod:`repro.harness.figures` — Figs 1, 4, 5, 6 and 7 as functions of their
   scale, plus ``run_app`` / ``run_phases``, which the harnesses below and
   the asserted benches share;
 * :mod:`repro.harness.microbench` — OSU-style measurements of the
@@ -36,7 +36,6 @@ from repro.harness.serving import (
     DEFAULT_MIX,
     ZipfKeyGenerator,
     check_serving,
-    emit_serving_json,
     render_serving,
     run_serving,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_MIX",
     "ZipfKeyGenerator",
     "check_serving",
-    "emit_serving_json",
     "render_serving",
     "run_serving",
     "AggBenchReport",

@@ -23,13 +23,11 @@ from repro.config import ares_like
 from repro.harness.driver import Harness, flag, positive_float, run_rows
 from repro.harness.figures import AGG_SHAPES, run_app
 from repro.harness.report import render_table
-from repro.obs.exporters import write_json
 
 __all__ = [
     "AggBenchRow",
     "AggBenchReport",
     "run_agg_bench",
-    "emit_agg_json",
     "AGG_SWEEP",
     "BENCH_APPS",
 ]
@@ -170,11 +168,6 @@ def _payload(report: AggBenchReport) -> Dict:
         "speedups": report.speedups(),
         **asdict(report),
     }
-
-
-def emit_agg_json(report: AggBenchReport, path: str = "BENCH_agg.json") -> str:
-    """Write the sweep + speedup summary next to the repo for CI diffing."""
-    return write_json(_payload(report), path)
 
 
 def _render(report: AggBenchReport, args) -> str:

@@ -38,14 +38,12 @@ from repro.config import ares_like
 from repro.harness.driver import Harness, flag, positive_float, run_rows
 from repro.harness.figures import AGG_SHAPES, app_input
 from repro.harness.report import render_table
-from repro.obs.exporters import write_json
 from repro.obs.registry import registry_of
 
 __all__ = [
     "AsyncBenchRow",
     "AsyncBenchReport",
     "run_async_bench",
-    "emit_async_json",
     "ASYNC_STATIC_SWEEP",
     "SYNC_BASELINE_AGG",
 ]
@@ -257,12 +255,6 @@ def _payload(report: AsyncBenchReport) -> Dict:
         "summary": report.summary(),
         **asdict(report),
     }
-
-
-def emit_async_json(report: AsyncBenchReport,
-                    path: str = "BENCH_async.json") -> str:
-    """Write rows + summary (sorted keys, trailing newline: CI-diffable)."""
-    return write_json(_payload(report), path)
 
 
 def _render(report: AsyncBenchReport, args) -> str:

@@ -1,4 +1,4 @@
-"""The paper's Figures 1, 5, 6 and 7, as functions of their scale.
+"""The paper's Figures 1, 4, 5, 6 and 7, as functions of their scale.
 
 Each figure is one plain function that builds the scaled experiment, runs
 it and returns its series (simulated seconds or throughput per sweep
@@ -6,7 +6,7 @@ point) — the single definition behind ``python -m repro.cli fig*``, the
 asserted benches in ``benchmarks/test_fig*.py`` (which add the paper's
 quotes and the shape assertions), ``aggbench``, ``asyncbench``,
 ``telemetry`` and ``cli trace``.  Whatever a figure verifies (app outputs,
-inserts stored, finds that hit) comes back beside the series as a list of
+inserts stored, finds that hit, probes that answered) comes back beside the series as a list of
 failure strings, which the records' always-on ``check`` turns into
 ``CHECK FAILED`` + exit 1.
 
@@ -30,13 +30,14 @@ from repro.fabric import Cluster
 from repro.harness.driver import Harness, flag
 from repro.harness.report import render_series, render_table
 from repro.harness.workload import Blob, key_stream
+from repro.obs.series import FlightRecorder
 from repro.rpc import RpcClient, RpcServer
 from repro.simnet.sync import SimLock
 from repro.structures.stats import OpStats
 
 __all__ = [
     "AGG_SHAPES", "FIG7_APPS", "FIG7_SHAPES", "FIGURES", "app_input", "fig1",
-    "fig5", "fig6_maps", "fig6_queues", "fig6_sets", "fig7", "run_app",
+    "fig4", "fig5", "fig6_maps", "fig6_queues", "fig6_sets", "fig7", "run_app",
     "run_phases", "size_label",
 ]
 
@@ -91,8 +92,7 @@ def _fig1_bcl() -> Tuple[float, Dict[str, float]]:
             stages["write"] += t2 - t1
             stages["ready"] += t3 - t2
 
-    cluster.spawn_ranks(client, ranks=range(FIG1_CLIENTS))
-    cluster.run()
+    cluster.run_ranks(client, ranks=range(FIG1_CLIENTS))
     return cluster.sim.now, {k: v / FIG1_CLIENTS for k, v in stages.items()}
 
 
@@ -125,8 +125,7 @@ def _fig1_rpc(lock_free: bool) -> Tuple[float, int]:
             yield from client.call(1, "insert", ((rank, i), Blob(FIG1_SIZE)),
                                    payload_size=FIG1_SIZE)
 
-    cluster.spawn_ranks(body, ranks=range(FIG1_CLIENTS))
-    cluster.run()
+    cluster.run_ranks(body, ranks=range(FIG1_CLIENTS))
     return cluster.sim.now, len(store)
 
 
@@ -146,6 +145,69 @@ def fig1() -> Tuple[Dict, List[str]]:
             failures.append(f"{name}: server stored {stored} of "
                             f"{FIG1_CLIENTS * FIG1_OPS} inserts")
     return series, failures
+
+
+# -- Figure 4: RPC-over-RDMA profiling (PAT-style time series) -------------------
+FIG4_CLIENTS = 16  # on node 0; the paper runs 40
+FIG4_OPS = 384     # per client at scale 1.0; the paper runs 8192
+FIG4_SIZE = 4096
+#: sampling cadence in sim-seconds at scale 1.0, the same for both backends
+#: as PAT's fixed 1 s was: HCL's run spans ~14 samples, BCL's longer run more
+FIG4_INTERVAL = 1.25e-3
+FIG4_SERIES = ("nic_util", "mem", "packets")
+
+
+def _fig4_profile(runtime, insert, ops: int, interval: float,
+                  failures: List[str], what: str) -> Dict:
+    """Every client inserts its ``ops`` values into the one partition on
+    node 1 while a flight recorder samples that node's NIC-core
+    utilization % and memory bytes and the cluster's packets/s."""
+    cluster = runtime.cluster
+    target = cluster.node(1)
+    recorder = FlightRecorder(cluster.sim, interval).install(cluster)
+    recorder.add_probe("nic_util", target.nic.utilization_probe())
+    recorder.add_probe("mem", lambda: target.memory_used.value)
+    recorder.add_probe("packets", cluster.packets_probe())
+    recorder.tick()  # the t = 0 point: what is allocated before any op
+
+    def body(rank):
+        for i in range(ops):
+            yield from insert(rank, (rank, i), Blob(FIG4_SIZE))
+
+    cluster.run_ranks(body, ranks=range(FIG4_CLIENTS))
+    if recorder.probe_errors:
+        failures.append(f"{what}: {recorder.probe_errors} probe error(s)")
+    return {"elapsed": cluster.sim.now,
+            "times": list(recorder.series["mem"].times),
+            **{name: list(recorder.series[name].values)
+               for name in FIG4_SERIES}}
+
+
+def fig4(scale: float = 1.0) -> Tuple[Dict, List[str]]:
+    """16 clients on one node insert 4 KB values into one partition on the
+    other, BCL (static segment, CAS + WRITE + CAS) then HCL (one RPC, a
+    map that starts small and grows); each is run once and sampled at the
+    same absolute cadence, which stretches with ``scale`` so the sample
+    count does not.  Per backend: ``elapsed`` simulated seconds, the sample
+    ``times`` (the first is t = 0) and the ``nic_util`` / ``mem`` /
+    ``packets`` series."""
+    ops, interval = _scaled(FIG4_OPS, scale), FIG4_INTERVAL * scale
+    spec = ares_like(nodes=2, procs_per_node=FIG4_CLIENTS)
+    failures: List[str] = []
+    bcl = BCL(spec)
+    bmap = bcl.hashmap("part", capacity_per_partition=4 * FIG4_CLIENTS * ops,
+                       entry_size=FIG4_SIZE, partitions=1)
+    bmap._partition_nodes = [1]
+    hcl = HCL(spec)
+    hmap = hcl.unordered_map("part", partitions=1, nodes=[1],
+                             initial_buckets=128)  # starts small, grows
+    return {
+        "interval": interval,
+        "bcl": _fig4_profile(bcl, bmap.insert, ops, interval, failures,
+                             "bcl"),
+        "hcl": _fig4_profile(hcl, hmap.insert, ops, interval, failures,
+                             "hcl"),
+    }, failures
 
 
 # -- Figure 5: hybrid data access model ----------------------------------------
@@ -474,6 +536,25 @@ def _render_fig1(report: Dict, a) -> str:
                             ("RPC lock-free", "rpc_lockfree"))])
 
 
+def _run_fig4(a, _instrument) -> Dict:
+    series, failures = fig4(a.scale)
+    return {**series, "failures": failures}
+
+
+def _render_fig4(report: Dict, a) -> str:
+    bcl, hcl = report["bcl"], report["hcl"]
+    xs = [f"{t * 1e3:.3g}" for t in max(bcl["times"], hcl["times"], key=len)]
+    return "\n\n".join(
+        render_series(f"Fig 4{panel} — {what}", "t (ms)", xs,
+                      {"bcl": bcl[name], "hcl": hcl[name]})
+        for panel, name, what in (
+            ("a", "nic_util", "target NIC-core utilization %"),
+            ("b", "mem", "target-node memory (bytes)"),
+            ("c", "packets", "cluster packet rate (pkt/s)"))
+    ) + (f"\n\nelapsed: BCL {bcl['elapsed']:.4f}s vs HCL "
+         f"{hcl['elapsed']:.4f}s ({bcl['elapsed'] / hcl['elapsed']:.2f}x)")
+
+
 def size_label(size: int) -> str:
     return f"{size // KB}KB" if size < MB else f"{size // MB}MB"
 
@@ -559,6 +640,10 @@ FIGURES = (
         name="fig1", help="motivating test", stem="fig1",
         shared=dict(emit="BENCH_fig1.json"),
         run=_run_fig1, render=_render_fig1),
+    _figure(
+        name="fig4", help="RPC-over-RDMA profiling time series", stem="fig4",
+        shared=dict(scale=1.0, emit="BENCH_fig4.json"),
+        run=_run_fig4, render=_render_fig4),
     _figure(
         name="fig5", help="hybrid access bandwidth sweep", stem="fig5",
         shared=dict(emit="BENCH_fig5.json"),

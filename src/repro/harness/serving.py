@@ -57,7 +57,6 @@ from repro.config import ares_like
 from repro.core.runtime import HCL
 from repro.harness.driver import Harness, flag, positive_float, run_rows
 from repro.harness.report import render_table
-from repro.obs.exporters import write_json
 from repro.obs.registry import SLO_QUANTILES, percentile_summary, registry_of
 from repro.obs.series import FlightRecorder, recorder_of
 from repro.obs.skew import SkewDetector
@@ -67,7 +66,6 @@ from repro.rpc.future import ServerOverloaded
 __all__ = [
     "ZipfKeyGenerator",
     "run_serving",
-    "emit_serving_json",
     "render_serving",
     "check_serving",
     "DEFAULT_MIX",
@@ -474,11 +472,6 @@ def run_serving(
             "p99_ratio": p99_off / p99_on if p99_on > 0 else 0.0,
         }
     return report
-
-
-def emit_serving_json(report: Dict, path: str = "BENCH_serving.json") -> str:
-    """Write the report (sorted keys + trailing newline: byte-reproducible)."""
-    return write_json(report, path)
 
 
 def render_serving(report: Dict) -> str:

@@ -2,8 +2,8 @@
 
 Figure 4 of the paper argues HCL's case with time-series hardware
 telemetry (Intel PAT on the real testbed).  This harness reproduces those
-three series for the simulated cluster: a
-:class:`~repro.simnet.trace.Sampler` records
+three series for the simulated cluster: three probes on the run's
+:class:`~repro.obs.FlightRecorder` record
 
 * ``nic_utilization`` — windowed NIC-core busy %, averaged over nodes
   (Fig 4a),
@@ -11,22 +11,20 @@ three series for the simulated cluster: a
   (Fig 4b),
 * ``packet_rate`` — cluster-wide packets per simulated second (Fig 4c),
 
-while an application kernel runs; ``repro.cli telemetry --emit`` writes
-the series to ``BENCH_telemetry.json``.
+at the recorder's fixed cadence while an application kernel runs;
+``repro.cli telemetry --emit`` writes the series to
+``BENCH_telemetry.json``.
 
-Sampling is **two-pass** so it cannot perturb the measured run: a dry run
-learns the workload's simulated duration, then an identical second run
-arms samples (``Sampler.arm``) at evenly spaced absolute times across
-that duration and routes ``cluster.run`` through ``Sampler.pump``.  The
-pump takes each sample at its exact armed time while real events are
-pending, but only ever advances the clock by processing real events or
-by crossing idle gaps the untraced run would cross anyway — so armed
-samples pause at phase boundaries (a multi-phase app's intermediate
-``run()`` calls drain early) and lapse when the workload truly ends.
-The sampled run's event timeline, results and final sim time are
-therefore *identical* to the dry run; simulator-scheduled sample events
-would instead stretch any phase whose events drain before the last
-sample time.
+Each app is simulated **once**.  The recorder is the one the run's
+``instrument`` installed (``--flight-recorder``: its flight file then
+carries the Fig-4 series beside the registry's), or one this harness
+installs itself.  Either way its pump takes each sample at
+its exact time while real events are pending and only ever advances the
+clock by processing real events or by crossing idle gaps the unsampled
+run would cross anyway — so the cadence pauses at phase boundaries (a
+multi-phase app's intermediate ``run()`` calls drain early) and lapses
+when the workload ends, and the run's event timeline, results and final
+sim time are *identical* to an unsampled run's.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from repro.harness.driver import Harness, flag, run_rows
 from repro.harness.figures import AGG_SHAPES, FIG7_APPS, run_app
 from repro.harness.report import render_table
 from repro.obs.registry import percentile_summary
+from repro.obs.series import FlightRecorder, recorder_of
 
 __all__ = [
     "TELEMETRY_APPS",
@@ -52,81 +51,73 @@ TELEMETRY_APPS: Tuple[str, ...] = ("isx", "contig")
 #: the three Fig-4 series, in figure order
 FIG4_SERIES = ("nic_utilization", "memory_utilization", "packet_rate")
 
+#: default sampling cadence in sim-seconds: 19 samples over ISx and 135
+#: over contig generation at the committed shape
+INTERVAL = 1e-4
 
-def _attach_probes(cluster, sampler) -> None:
+
+def _attach_probes(cluster, recorder) -> None:
     nic_probes = [node.nic.utilization_probe() for node in cluster.nodes]
-    sampler.add_probe(
+    recorder.add_probe(
         "nic_utilization",
         lambda probes=tuple(nic_probes): sum(p() for p in probes) / len(probes),
     )
-    sampler.add_probe("memory_utilization", cluster.memory_probe())
-    sampler.add_probe("packet_rate", cluster.packets_probe())
+    recorder.add_probe("memory_utilization", cluster.memory_probe())
+    recorder.add_probe("packet_rate", cluster.packets_probe())
 
 
 def run_telemetry(
     scale: float = 1.0,
     nodes: int = 4,
     procs_per_node: int = 3,
-    samples: int = 32,
+    interval: float = INTERVAL,
     aggregation: int = 8,
     apps: Sequence[str] = TELEMETRY_APPS,
     instrument=None,
 ) -> Dict:
     """Run the Fig-4 apps with telemetry sampling; returns the report dict.
 
-    ``instrument`` is called on each app's *sampled* run (labelled by the
-    app) after the sampler has taken over ``cluster.run`` — so a second
-    pump (a flight recorder) is refused rather than starving the sampler.
+    ``instrument`` is called on each app's run (labelled by the app).  If
+    it installed a flight recorder the Fig-4 probes hang on that one, at
+    its cadence; otherwise the run gets a recorder sampling every
+    ``interval`` sim-seconds.
     """
-    if samples < 2:
-        raise ValueError("telemetry needs at least 2 samples")
 
     def run_row(app, hook):
-        # Pass 1: dry run — learn the workload's simulated duration.
-        spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
-        _ops, dry = run_app(app, "hcl", spec, AGG_SHAPES[app], scale,
-                            aggregation)
-        duration = dry.time_seconds
-        # Pass 2: identical run, with samples armed across the learned
-        # duration and the cluster's run loop driven by the sampler pump.
         spec = ares_like(nodes=nodes, procs_per_node=procs_per_node)
         box: Dict = {}
 
         def arm(hcl):
-            cluster = hcl.cluster
-            sampler = cluster.sampler()
-            _attach_probes(cluster, sampler)
-            sampler.arm(
-                (i + 1) * duration / samples for i in range(samples)
-            )
-            cluster.run = sampler.pump  # zero-perturbation sample driver
-            box["sampler"] = sampler
             if hook is not None:
                 hook(hcl)
+            recorder = recorder_of(hcl.cluster) or FlightRecorder(
+                hcl.sim, interval).install(hcl.cluster)
+            _attach_probes(hcl.cluster, recorder)
+            box["recorder"] = recorder
 
         ops, res = run_app(app, "hcl", spec, AGG_SHAPES[app], scale,
                            aggregation, arm)
-        sampler = box["sampler"]
+        recorder = box["recorder"]
         # Summary stats ride the shared obs quantile path; ``mean``/``max``
         # keep their historical spellings alongside the summary block.
-        series = {
-            name: {
+        series = {}
+        for name in FIG4_SERIES:
+            ts = recorder.series[name]
+            series[name] = {
                 "times": list(ts.times),
                 "values": list(ts.values),
                 "mean": ts.mean(),
                 "max": ts.max(),
                 "summary": percentile_summary(list(ts.values)),
             }
-            for name, ts in sampler.series.items()
-        }
         return {
             "app": app,
             "ops": ops,
             "sim_seconds": res.time_seconds,
-            "dry_run_seconds": duration,
             "verified": res.verified,
-            "samples": len(sampler.series[FIG4_SERIES[0]]),
-            "probe_errors": sampler.probe_errors,
+            "interval": recorder.interval,
+            "samples": len(recorder.series[FIG4_SERIES[0]]),
+            "probe_errors": recorder.probe_errors,
             "series": series,
         }
 
@@ -137,7 +128,6 @@ def run_telemetry(
         "nodes": nodes,
         "procs_per_node": procs_per_node,
         "aggregation": aggregation,
-        "samples": samples,
         "series_names": list(FIG4_SERIES),
         "runs": runs,
     }
@@ -180,8 +170,6 @@ HARNESS = Harness(
     stem="telemetry",
     shared=dict(scale=1.0, nodes=4, procs=3, emit="BENCH_telemetry.json"),
     flags=(
-        flag("--samples", type=int, default=32,
-             help="sample points across the run (default 32)"),
         flag("--aggregation", type=int, default=8,
              help="write-combining buffer size (0 = off)"),
         flag("--apps", nargs="+", choices=list(FIG7_APPS),
@@ -190,11 +178,12 @@ HARNESS = Harness(
     ),
     run=lambda a, instrument: run_telemetry(
         scale=a.scale, nodes=a.nodes, procs_per_node=a.procs,
-        samples=a.samples, aggregation=a.aggregation, apps=a.apps,
+        interval=a.flight_interval, aggregation=a.aggregation, apps=a.apps,
         instrument=instrument),
     render=_render,
     emit=lambda report: {"": report},
     check=lambda report, a: check_telemetry(report),
-    # the armed Sampler already owns cluster.run: no flight recorder
-    instruments=("trace", "metrics", "profile"),
+    flight_interval=INTERVAL,
+    # beside the probes, what aggbench / asyncbench watch on these apps
+    flight_select=("rpc/", "/ops", "coalesce/", "rpcc*"),
 )

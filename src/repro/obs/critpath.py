@@ -31,7 +31,7 @@ import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.exporters import span_record
-from repro.obs.span import Span, Tracer
+from repro.obs.span import _CLIENT_STAGES, _WAIT_STAGES, Span, Tracer
 
 __all__ = ["analyze", "load_spans", "spans_of", "STAGE_ORDER"]
 
@@ -46,16 +46,11 @@ STAGE_ORDER = (
     "client.settle",
 )
 
-#: root-tiling stage names that wrap the server interval
-_WAIT_STAGES = ("server.wait", "rpc.deliver")
-_CLIENT_STAGES = ("client.marshal", "client.send", "client.pull",
-                  "client.settle")
-
 
 def load_spans(path: str) -> List[Dict]:
     """Load span records from a ``write_span_jsonl`` file."""
     records: List[Dict] = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:

@@ -93,7 +93,7 @@ def span_record(span: Span) -> Dict:
 def write_span_jsonl(spans: Iterable[Span], path: str) -> int:
     """Write finished spans as JSON-lines; returns the number written."""
     n = 0
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for span in spans:
             if not span.finished:
                 continue
@@ -159,7 +159,7 @@ def write_chrome_trace(spans: Iterable[Span], path: str,
     """Write spans as a Chrome/Perfetto trace file; returns event count."""
     events = chrome_trace(spans, pid_base=pid_base,
                           process_prefix=process_prefix)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump({"traceEvents": events,
                    "displayTimeUnit": "ms"}, fh, indent=1)
         fh.write("\n")
@@ -225,7 +225,7 @@ def validate_span_log(path: str) -> List[str]:
     errors: List[str] = []
     span_ids = set()
     parents: List[tuple] = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -276,7 +276,7 @@ def validate_chrome_trace(path: str) -> List[str]:
     """Validate a Chrome trace file; returns a list of error strings."""
     errors: List[str] = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except ValueError as exc:
         return [f"invalid JSON: {exc}"]

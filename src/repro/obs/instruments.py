@@ -101,8 +101,8 @@ class Instruments:
         recorder = None
         if self.flight:
             # The ring bound stays FlightRecorder's default (512 samples
-            # per series).  install() raises if another pump (the
-            # telemetry sampler) already drives cluster.run.
+            # per series).  install() raises if another recorder already
+            # drives cluster.run.
             recorder = FlightRecorder(
                 sim, interval=self.flight_interval,
                 select=self.flight_select,

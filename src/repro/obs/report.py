@@ -656,7 +656,7 @@ def write_dashboard(path: str, flight: Optional[Dict] = None,
     text = render_dashboard(flight=flight, critpath=critpath,
                             metrics=metrics, title=title,
                             compare=compare, diff=diff)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return len(text)
 
@@ -717,7 +717,7 @@ def validate_dashboard(source: str, from_file: bool = True) -> List[str]:
     references (the self-containment guarantee).
     """
     if from_file:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = source

@@ -1,22 +1,21 @@
-"""Flight recorder: continuous zero-perturbation registry sampling.
+"""Flight recorder: continuous zero-perturbation sampling.
 
-The Fig-4 telemetry harness samples a handful of hand-picked probes at
-pre-armed times, which requires a dry run to learn the workload duration.
-The :class:`FlightRecorder` generalizes that into a black-box recorder:
-it snapshots *selected registry metrics* — counter/gauge values and
-histogram quantiles — into sim-time-indexed :class:`TimeSeries` ring
-buffers at a fixed cadence, with no dry run and no knowledge of when the
-workload ends.
+The :class:`FlightRecorder` is the repo's one time-series sampler, a
+black-box recorder: at a fixed sim-time cadence it snapshots *selected
+registry metrics* — counter/gauge values and histogram quantiles — and
+any probes hung on it (:meth:`~FlightRecorder.add_probe`: the Fig-4
+NIC / memory / packet-rate closures) into sim-time-indexed
+:class:`TimeSeries` ring buffers, with no dry run and no knowledge of
+when the workload ends.
 
-It reuses the :meth:`~repro.simnet.trace.Sampler.pump` driving discipline
-(PR 5) for the same **zero-perturbation** guarantee: the clock only
-advances by processing real events, or by jumping across an idle gap the
-unrecorded run would cross anyway.  ``recorder.pump`` is a drop-in
-replacement for ``Cluster.run`` — :meth:`FlightRecorder.install` is the
-one place a recorder takes it over, exactly like the telemetry sampler —
-so a recorded run retires the identical event sequence (identical
-simulated results) as an unrecorded one; only the sampled series differ
-from nothing at all.
+Its run loop is :func:`~repro.simnet.trace.pump_samples`, for the
+**zero-perturbation** guarantee: the clock only advances by processing
+real events, or by jumping across an idle gap the unrecorded run would
+cross anyway.  ``recorder.pump`` is a drop-in replacement for
+``Cluster.run`` — :meth:`FlightRecorder.install` is the one place a
+recorder takes it over — so a recorded run retires the identical event
+sequence (identical simulated results) as an unrecorded one; only the
+sampled series differ from nothing at all.
 
 Per-tick listeners (the skew detector and SLO monitor) hang off
 :meth:`add_listener` and share the recorder's :class:`EventLog`, so one
@@ -107,6 +106,9 @@ class FlightRecorder:
         #: harness-specific payload sections (serving: ``skew``, ``slo``)
         self.extra: Dict[str, Dict] = {}
         self.samples = 0
+        #: probe calls that raised (the sample is skipped, not recorded)
+        self.probe_errors = 0
+        self._probes: Dict[str, Callable[[], float]] = {}
         self._listeners: List[Callable[[float], None]] = []
         self._next: Optional[float] = None
 
@@ -115,11 +117,18 @@ class FlightRecorder:
         """Register a per-tick hook ``fn(now)`` (skew/SLO monitors)."""
         self._listeners.append(fn)
 
+    def add_probe(self, name: str, fn: Callable[[], float]) -> TimeSeries:
+        """Record ``fn()`` into series ``name`` (returned) every tick,
+        whatever ``select`` says (the Fig-4 NIC / memory / packet-rate
+        closures)."""
+        self._probes[name] = fn
+        return self._series(name)
+
     def install(self, cluster) -> "FlightRecorder":
         """Route ``cluster.run`` through :meth:`pump` (instance attr).
 
-        One pump per cluster: a second driver (another recorder, the
-        telemetry sampler) would silently starve the first, so refuse.
+        One pump per cluster: a second recorder would silently starve
+        the first, so refuse.
         """
         if "run" in vars(cluster):
             raise RuntimeError("cluster.run is already driven by a sample pump")
@@ -135,11 +144,15 @@ class FlightRecorder:
         return ts
 
     def tick(self) -> None:
-        """Record one sample of every selected metric at the current time.
+        """Record one sample of every selected metric, then of every
+        probe, at the current time.
 
         Metrics are visited in sorted-name order and series are created
         lazily, so metrics registered mid-run simply start recording at
-        their first post-registration tick — deterministically.
+        their first post-registration tick — deterministically.  A probe
+        that raises is skipped for this tick and counted in
+        ``probe_errors``: one faulty probe must not stop the recorder or
+        silence the others.
         """
         now = self.sim.now
         self.samples += 1
@@ -155,6 +168,13 @@ class FlightRecorder:
                 for q in self.quantiles:
                     self._series(f"{name}/p{100 * q:g}").record(
                         now, metric.quantile(q))
+        for name, probe in self._probes.items():
+            try:
+                value = float(probe())
+            except Exception:
+                self.probe_errors += 1
+                continue
+            self.series[name].record(now, value)
         for fn in self._listeners:
             fn(now)
 

@@ -40,16 +40,14 @@ __all__ = ["Span", "Tracer", "STAGE_NAMES", "install_tracer", "tracer_of"]
 #: attribute the tracer hangs off a Simulator when installed
 _SIM_ATTR = "_obs_tracer"
 
-#: the contiguous client-side stages that tile a root RPC span.  Exactly
-#: one of {client.send + server.wait, rpc.deliver} appears per RPC.
-STAGE_NAMES = frozenset({
-    "client.marshal",
-    "client.send",
-    "server.wait",
-    "rpc.deliver",
-    "client.pull",
-    "client.settle",
-})
+#: the contiguous client-side stages that tile a root RPC span: the
+#: client's own, and the two spellings of the interval it waits on the
+#: server.  Exactly one of {client.send + server.wait, rpc.deliver}
+#: appears per RPC.
+_CLIENT_STAGES = ("client.marshal", "client.send", "client.pull",
+                  "client.settle")
+_WAIT_STAGES = ("server.wait", "rpc.deliver")
+STAGE_NAMES = frozenset(_CLIENT_STAGES + _WAIT_STAGES)
 
 
 class Span:

@@ -24,7 +24,7 @@ from repro.simnet.process import Process
 from repro.simnet.resources import Resource, Store
 from repro.simnet.sync import SimLock, Barrier
 from repro.simnet.rng import RngRegistry
-from repro.simnet.trace import TimeSeries, Sampler, EventLog
+from repro.simnet.trace import TimeSeries, EventLog
 from repro.simnet.stats import Counter, Gauge, Histogram
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "Barrier",
     "RngRegistry",
     "TimeSeries",
-    "Sampler",
     "EventLog",
     "Counter",
     "Gauge",

@@ -1,20 +1,21 @@
 """Tracing and time-series sampling.
 
 Figure 4 of the paper plots NIC-core utilization, memory utilization and
-packet rate *over time* (Intel PAT on the real cluster).  Here a
-:class:`Sampler` process wakes at a fixed interval and records probe values
-into :class:`TimeSeries`; :class:`EventLog` records discrete events with
-timestamps for post-hoc analysis and debugging.
+packet rate *over time* (Intel PAT on the real cluster).  The pieces of
+that live here: :class:`TimeSeries` holds the samples, :func:`pump_samples`
+is the run loop that takes them without perturbing the simulation (its one
+driver is :class:`repro.obs.FlightRecorder`), and :class:`EventLog` records
+discrete events with timestamps for post-hoc analysis and debugging.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simnet.core import Simulator
 
-__all__ = ["TimeSeries", "Sampler", "EventLog", "pump_samples"]
+__all__ = ["TimeSeries", "EventLog", "pump_samples"]
 
 
 def pump_samples(sim: Simulator, until: Optional[float],
@@ -111,89 +112,6 @@ class TimeSeries:
 
     def rows(self) -> List[Tuple[float, float]]:
         return list(zip(self.times, self.values))
-
-
-class Sampler:
-    """Periodic probe runner.
-
-    ``probes`` maps series name -> zero-arg callable returning a float.  The
-    sampler spawns a simulated process that samples every ``interval``
-    sim-seconds until stopped or the sim drains.
-    """
-
-    def __init__(self, sim: Simulator, interval: float = 1.0):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.sim = sim
-        self.interval = interval
-        self.probes: Dict[str, Callable[[], float]] = {}
-        self.series: Dict[str, TimeSeries] = {}
-        self.probe_errors = 0
-        self._running = False
-        self._stopped = False
-        self._armed: "deque[float]" = deque()
-
-    def add_probe(self, name: str, fn: Callable[[], float]) -> TimeSeries:
-        self.probes[name] = fn
-        ts = TimeSeries(name)
-        self.series[name] = ts
-        return ts
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.sim.process(self._run(), name="sampler")
-
-    def arm(self, times) -> None:
-        """Arm one-shot samples at absolute sim times for :meth:`pump`.
-
-        Armed samples are *not* simulator events: they fire only while
-        :meth:`pump` drives the simulation, so they cannot advance the
-        clock past the workload's natural end or stretch a phase whose
-        events drain before the sample times.
-        """
-        self._armed = deque(sorted(float(t) for t in times))
-
-    def pump(self, until: Optional[float] = None) -> float:
-        """Run the simulation, taking armed samples at exact times.
-
-        Drop-in replacement for ``Cluster.run`` / ``Simulator.run`` that
-        interleaves armed sample points with real event processing under
-        the zero-perturbation contract of :func:`pump_samples`.
-        """
-        armed = self._armed
-
-        def fire():
-            armed.popleft()
-            self.sample_once()
-
-        return pump_samples(self.sim, until,
-                            lambda: armed[0] if armed else None, fire)
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def sample_once(self) -> None:
-        """Record every probe at the current sim time.
-
-        A probe that raises is skipped for this sample (counted in
-        ``probe_errors``) rather than killing the sampler process — one
-        faulty probe must not silence the others for the rest of the run.
-        """
-        t = self.sim.now
-        for name, fn in self.probes.items():
-            try:
-                value = float(fn())
-            except Exception:
-                self.probe_errors += 1
-                continue
-            self.series[name].record(t, value)
-
-    def _run(self):
-        while not self._stopped:
-            self.sample_once()
-            yield self.sim.timeout(self.interval)
 
 
 class EventLog:

@@ -44,10 +44,11 @@ TINY = {
     "chaos-soak": (["--plans", "mixed", "calm", "--keys", "8", "--kmers", "8"],
                    ["mixed", "calm"]),
     "telemetry": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
-                   "--samples", "4"],
+                   "--flight-interval", "1e-5"],
                   ["isx", "contig"]),
     # the FIGURES records: one report each, whatever the sweep
     "fig1": ([], [""]),
+    "fig4": (["--scale", "0.1"], [""]),
     "fig5": (["--sizes", "4096"], [""]),
     "fig6": (["--scale", "0.1", "--partitions", "1", "2"], [""]),
     "fig7": (["--apps", "isx", "kmer", "--nodes", "2", "--procs", "2",
@@ -296,16 +297,66 @@ class TestParser:
         capsys.readouterr()
 
     def test_docs_matrix_matches_the_records(self):
-        """docs/OBSERVABILITY.md's harness x instrument table is generated
-        from the records' declarations."""
+        """docs/OBSERVABILITY.md says every bench takes every instrument
+        and names the benches; the records must agree."""
         here = os.path.dirname(os.path.abspath(__file__))
         with open(os.path.join(here, "..", "docs", "OBSERVABILITY.md"),
                   encoding="utf-8") as fh:
             doc = fh.read()
+        line = next(ln for ln in doc.splitlines()
+                    if ln.startswith("Every bench takes every instrument"))
+        assert set(re.findall(r"`([a-z-]+)`", line)) == \
+            {h.name for h in BENCHES}
         for h in BENCHES:
-            cells = " | ".join("yes" if ins in h.instruments else "—"
-                               for ins in INSTRUMENT_FLAGS)
-            assert f"| `{h.name}` | {cells} |" in doc, h.name
+            assert set(h.instruments) == set(INSTRUMENT_FLAGS), h.name
+
+
+class TestTelemetry:
+    """One pump: each app is simulated once, whoever installed the
+    recorder, and sampling it changes nothing."""
+
+    def test_each_app_runs_once_and_unperturbed(self, monkeypatch):
+        """At the committed shape: one ``run_app`` per app, whose simulated
+        seconds are an unsampled run's and ``BENCH_telemetry.json``'s."""
+        from repro.config import ares_like
+        from repro.harness import telemetry
+
+        real, calls = telemetry.run_app, []
+
+        def counting(app, *args, **kwargs):
+            calls.append(app)
+            return real(app, *args, **kwargs)
+
+        monkeypatch.setattr(telemetry, "run_app", counting)
+        report = telemetry.run_telemetry()
+        assert calls == ["isx", "contig"]
+        committed = {"isx": 0.00192613037478796,
+                     "contig": 0.013501165296763798}
+        for run in report["runs"]:
+            app = run["app"]
+            _ops, unsampled = real(
+                app, "hcl", ares_like(nodes=4, procs_per_node=3),
+                telemetry.AGG_SHAPES[app], 1.0, 8)
+            assert run["sim_seconds"] == unsampled.time_seconds \
+                == committed[app]
+            assert run["samples"] == int(committed[app] / run["interval"])
+
+    def test_flight_file_carries_the_fig4_series(self, tmp_path):
+        """``--flight-recorder``: the probes ride the instrument's recorder,
+        so each app's flight file holds the report's three series."""
+        from repro.harness.telemetry import FIG4_SERIES
+
+        files = _run("telemetry", ("flight",), str(tmp_path / "t"))
+        runs = {run["app"]: run
+                for run in json.loads(files["report.json"])["runs"]}
+        for app, run in runs.items():
+            flight = json.loads(files[f"f_{app}.json"])
+            assert len(flight["series"]) > len(FIG4_SERIES)  # + the registry
+            for name in FIG4_SERIES:
+                assert flight["series"][name]["values"] == \
+                    run["series"][name]["values"] != []
+                assert flight["series"][name]["times"] == \
+                    run["series"][name]["times"]
 
 
 class TestSeam:
@@ -319,13 +370,16 @@ class TestSeam:
             "/tmp/run.1/serving_flight_off.json"
 
     def test_second_pump_is_refused(self):
-        """Telemetry's armed sampler owns ``cluster.run``: a flight
-        recorder on top raises instead of silently replacing it."""
-        from repro.harness.telemetry import run_telemetry
+        """One pump per cluster: a second recorder raises instead of
+        silently starving the first (a harness that wants the run's
+        recorder takes it with ``recorder_of``, as telemetry does)."""
+        from repro.config import ares_like
+        from repro.core import HCL
 
+        hcl = HCL(ares_like(nodes=2, procs_per_node=1))
+        Instruments(flight=True)(hcl)
         with pytest.raises(RuntimeError, match="already driven"):
-            run_telemetry(scale=0.1, nodes=2, procs_per_node=2, samples=4,
-                          apps=("isx",), instrument=Instruments(flight=True))
+            Instruments(flight=True)(hcl)
 
     def test_runs_remember_row_labels(self):
         from repro.harness.aggbench import run_agg_bench

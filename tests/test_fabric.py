@@ -309,6 +309,24 @@ class TestTopology:
         cluster.run()
         assert sorted(seen) == list(range(8))
 
+    def test_run_ranks_returns_results_and_reraises(self, cluster):
+        """The one body behind ``HCL.run_ranks`` / ``BCL.run_ranks``."""
+        def body(rank):
+            yield cluster.sim.timeout(0.001 * rank)
+            return rank * 2
+
+        procs = cluster.run_ranks(body, ranks=range(3))
+        assert [p.result for p in procs] == [0, 2, 4]
+        assert cluster.sim.now == pytest.approx(0.002)
+
+        def failing(rank):
+            yield cluster.sim.timeout(0.001)
+            if rank == 1:
+                raise ValueError("rank 1 broke")
+
+        with pytest.raises(ValueError, match="rank 1 broke"):
+            cluster.run_ranks(failing)
+
     def test_probes(self, cluster, drive):
         packets = cluster.packets_probe()
         assert packets() == 0.0

@@ -1,6 +1,6 @@
-"""Figure goldens: every series value of Figs 1/5/6/7, bit for bit.
+"""Figure goldens: every series value of Figs 1/4/5/6/7, bit for bit.
 
-``repro.harness.figures`` is the one definition of the paper's four
+``repro.harness.figures`` is the one definition of the paper's
 experiments.  Before they moved there, each was run at the parent commit
 through its old entry point — the helpers in ``benchmarks/test_fig*.py``,
 the Fig 7 bench loops' ``run_*`` calls, ``aggbench._run_app`` — and the
@@ -11,7 +11,10 @@ partitions 1 and 2 and queues at 8 clients with ``scale=0.25``, Fig 7
 isx / contig / kmer at 2 nodes x 2 procs in the bench's shapes, and
 ``run_app`` at the shape ``aggbench`` runs (kmer, scale 0.1, aggregation
 0 and 8).  The functions must reproduce all of it exactly, and return
-equal values when called twice.
+equal values when called twice.  Fig 4 joined when it became a function:
+its rows (``fig4(0.25)``: both backends' elapsed seconds, sample times and
+three series) were recorded by that PR, which moved the sampling points on
+purpose; the elapsed seconds are the parent bench's unsampled clocks.
 
 BCL partitions k-mer strings by ``hash()``, so Fig 7's contig / kmer
 ``bcl_s`` depend on the hash seed: the golden holds them for
@@ -34,7 +37,8 @@ import pytest
 
 from repro.config import ares_like
 from repro.harness.figures import (
-    AGG_SHAPES, fig1, fig5, fig6_maps, fig6_queues, fig6_sets, fig7, run_app,
+    AGG_SHAPES, fig1, fig4, fig5, fig6_maps, fig6_queues, fig6_sets, fig7,
+    run_app,
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "data"
@@ -57,6 +61,14 @@ def test_fig1():
     series, failures = fig1()
     assert failures == []
     assert _reprs({k: series[k] for k in GOLDEN["fig1"]}) == GOLDEN["fig1"]
+
+
+def test_fig4():
+    golden = dict(GOLDEN["fig4"])
+    series, failures = fig4(golden.pop("scale"))
+    assert failures == []
+    assert _reprs(series) == golden
+    assert fig4(GOLDEN["fig4"]["scale"]) == (series, [])
 
 
 @pytest.mark.parametrize("where,local", [("intra", True), ("inter", False)])

@@ -21,6 +21,7 @@ FORBIDDEN = {"benchmarks", "tests", "pytest", "hypothesis"}
 #: every experiment subcommand, at a shape that runs in a few seconds
 COMMANDS = [
     ["fig1"],
+    ["fig4", "--scale", "0.1"],
     ["fig5", "--sizes", "4096"],
     ["fig6", "--scale", "0.1", "--partitions", "1"],
     ["fig7", "--apps", "isx", "--nodes", "2", "--procs", "2", "--ops", "16"],

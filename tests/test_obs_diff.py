@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.harness.aggbench import emit_agg_json, run_agg_bench
+from repro.harness.aggbench import HARNESS as AGG, run_agg_bench
 from repro.obs import (
     FINGERPRINT_CODES,
     detect_kind,
@@ -23,6 +23,7 @@ from repro.obs import (
     load_artifact,
     render_diff,
     write_diff_json,
+    write_json,
 )
 
 # -- tiny synthetic artifacts -------------------------------------------------
@@ -221,8 +222,8 @@ class TestAggRegressionEndToEnd:
         base = run_agg_bench(scale=0.25, sweep=[0, 512], apps=["kmer"])
         worse = run_agg_bench(scale=0.25, sweep=[0, 1], apps=["kmer"])
         a, b = tmp / "A.json", tmp / "B.json"
-        emit_agg_json(base, str(a))
-        emit_agg_json(worse, str(b))
+        write_json(AGG.emit(base)[""], str(a))
+        write_json(AGG.emit(worse)[""], str(b))
         return diff_paths(str(a), str(b))
 
     def test_fingerprints_coalesce_efficiency(self, agg_diff):

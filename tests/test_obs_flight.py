@@ -1,9 +1,10 @@
 """Tests for the flight recorder (continuous registry sampling).
 
 Covers the selector grammar, the pump's zero-perturbation contract
-(cadence, drain-mode lapse, multi-phase monotonicity), ring-buffer
-bounds, histogram quantile series, per-tick listeners, and payload
-determinism.
+(cadence, ``until``, drain-mode lapse, phases that drain early,
+multi-phase monotonicity), ring-buffer bounds, histogram quantile series,
+probes, per-tick listeners, and payload determinism (a raising probe:
+``tests/test_simnet_trace.py``).
 """
 
 import pytest
@@ -83,6 +84,27 @@ class TestPumpDiscipline:
         assert times == sorted(times)
         assert len(times) == len(set(times))  # re-anchor: no duplicate ticks
 
+    def test_until_bounds_sampling(self, sim):
+        registry_of(sim).counter("work/ops")
+        rec = FlightRecorder(sim, interval=1.0)
+        sim.timeout(3.0)
+        assert rec.pump(until=1.5) == 1.5
+        assert list(rec.series["work/ops"].times) == [1.0]  # 2.0 > until
+        assert rec.pump(until=3.0) == 3.0
+        assert list(rec.series["work/ops"].times) == [1.0, 2.0, 3.0]
+
+    def test_early_draining_phase_pauses_the_cadence(self, sim):
+        """A phase whose events drain between two ticks ends where it
+        would unrecorded; the pending tick waits for the next phase."""
+        registry_of(sim).counter("work/ops")
+        rec = FlightRecorder(sim, interval=1.0)
+        sim.timeout(1.5)
+        assert rec.pump() == 1.5  # NOT stretched to the tick due at 2.0
+        assert list(rec.series["work/ops"].times) == [1.0]
+        sim.timeout(2.0)  # phase 2 spawns after phase 1 returned
+        assert rec.pump() == 3.5
+        assert list(rec.series["work/ops"].times) == [1.0, 2.0, 3.0]
+
     def test_mid_run_metrics_start_recording_at_next_tick(self, sim):
         reg = registry_of(sim)
         reg.counter("early")
@@ -133,6 +155,19 @@ class TestRecorderContents:
         sim.timeout(1.0)
         rec.pump(until=1.0)
         assert list(rec.series) == ["keep/ops"]
+
+    def test_probes_record_whatever_select_says_before_the_listeners(self, sim):
+        registry_of(sim).counter("keep/ops")
+        rec = FlightRecorder(sim, interval=1.0, select=["keep/"])
+        clock = rec.add_probe("clock", lambda: sim.now)
+        seen = []
+        rec.add_listener(lambda now: seen.append(len(clock)))
+        sim.timeout(2.0)
+        rec.pump(until=2.0)
+        assert set(rec.series) == {"keep/ops", "clock"}
+        assert seen == [1, 2]  # listeners run after the probes
+        assert rec.payload()["series"]["clock"] == {
+            "times": [1.0, 2.0], "values": [1.0, 2.0], "dropped": 0}
 
     def test_listeners_called_per_tick_with_now(self, sim):
         registry_of(sim).counter("c")

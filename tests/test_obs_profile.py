@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 
-from repro.harness.aggbench import emit_agg_json, run_agg_bench
+from repro.harness.aggbench import HARNESS as AGG, run_agg_bench
 from repro.obs import (
     WallProfiler,
     classify_function,
     render_profile,
     validate_profile,
     write_folded,
+    write_json,
     write_profile_json,
 )
 from repro.obs.profile import PROFILE_SCHEMA_KIND
@@ -172,8 +173,8 @@ class TestProfilingPurity:
         with prof.profile():
             profiled = run_agg_bench(**kwargs)
         a, b = tmp_path / "plain.json", tmp_path / "profiled.json"
-        emit_agg_json(plain, str(a))
-        emit_agg_json(profiled, str(b))
+        write_json(AGG.emit(plain)[""], str(a))
+        write_json(AGG.emit(profiled)[""], str(b))
         assert a.read_bytes() == b.read_bytes()
         # and the profile itself is well-formed, attributing real time
         payload = prof.report(command="aggbench")

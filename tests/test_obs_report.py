@@ -163,3 +163,37 @@ class TestValidateDashboard:
         errors = validate_dashboard("<div>not a page</div>",
                                     from_file=False)
         assert errors
+
+
+def test_obs_files_are_utf8_whatever_the_locale(tmp_path):
+    """The dashboard joins its summary with "·" and span attributes may be
+    any text: every obs file is written and read back as UTF-8, not in the
+    locale's encoding (ASCII under ``LC_ALL=POSIX`` with UTF-8 mode off)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import locale
+from repro.obs import (
+    Tracer, load_spans, validate_dashboard, validate_span_log,
+    write_dashboard, write_span_jsonl,
+)
+assert locale.getpreferredencoding(False).lower() not in ("utf-8", "utf8")
+write_dashboard("d.html", flight={"series": {}, "events": []},
+                metrics={"a": 1})
+assert validate_dashboard("d.html") == []
+tracer = Tracer(clock=lambda: 0.0)
+key = "cl\\u00e9\\u00b7\\u2713"  # escaped: argv itself is ASCII here
+tracer.record("rpc.put", 0.0, 1.0, attrs={"key": key})
+assert write_span_jsonl(tracer.spans, "s.jsonl") == 1
+assert validate_span_log("s.jsonl") == []
+assert load_spans("s.jsonl")[0]["attrs"] == {"key": key}
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LC_")}
+    env.update(PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="POSIX",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -12,11 +12,10 @@ from repro.harness.serving import HARNESS as SERVING
 from repro.harness.serving import (
     ZipfKeyGenerator,
     check_serving,
-    emit_serving_json,
     render_serving,
     run_serving,
 )
-from repro.obs import FlightRecorder
+from repro.obs import FlightRecorder, write_json
 from repro.rpc import RpcClient, RpcServer, ServerOverloaded
 from repro.rpc.server import RpcRequest
 
@@ -242,8 +241,8 @@ class TestServingReport:
         params = dict(TINY, clients=20, ops_per_client=5.0)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        emit_serving_json(run_serving(**params), str(p1))
-        emit_serving_json(run_serving(**params), str(p2))
+        write_json(SERVING.emit(run_serving(**params))[""], str(p1))
+        write_json(SERVING.emit(run_serving(**params))[""], str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_check_serving_flags_missing_cliff(self, tiny_report):

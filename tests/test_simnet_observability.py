@@ -8,7 +8,6 @@ from repro.simnet import (
     Gauge,
     Histogram,
     RngRegistry,
-    Sampler,
     TimeSeries,
 )
 
@@ -67,27 +66,6 @@ class TestTimeSeries:
     def test_empty(self):
         ts = TimeSeries()
         assert ts.mean() == 0.0 and ts.max() == 0.0 and ts.last() == 0.0
-
-
-class TestSampler:
-    def test_periodic_sampling(self, sim):
-        sampler = Sampler(sim, interval=1.0)
-        clock = sampler.add_probe("clock", lambda: sim.now)
-        sampler.start()
-        sim.timeout(5.0)
-        sim.run(until=5.0)
-        sampler.stop()
-        assert clock.values[:5] == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_interval_validation(self, sim):
-        with pytest.raises(ValueError):
-            Sampler(sim, interval=0)
-
-    def test_sample_once(self, sim):
-        sampler = Sampler(sim, interval=1.0)
-        series = sampler.add_probe("x", lambda: 42.0)
-        sampler.sample_once()
-        assert series.values == [42.0]
 
 
 class TestEventLog:

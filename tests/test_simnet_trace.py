@@ -1,75 +1,58 @@
-"""Tests for the Sampler / TimeSeries / EventLog tracing layer.
+"""Tests for the time-series sampling layer.
 
-Satellite coverage for :mod:`repro.simnet.trace`: interval behavior over
-long runs, probe-exception isolation, one-shot ``arm`` / ``pump`` sampling
-(the telemetry harness's mechanism), empty-series reductions, and the
-EventLog bound.
+:mod:`repro.simnet.trace` holds the pieces — ``pump_samples`` (the
+zero-perturbation run loop), ``TimeSeries`` and ``EventLog`` — and
+:class:`repro.obs.FlightRecorder` is the one sampler built on them.  Here:
+the pump's contract on explicit sample times, cadence drift and
+probe-exception isolation in the recorder, empty-series reductions, and
+the EventLog bound.  The
+recorder's own cadence is covered in ``tests/test_obs_flight.py``.
 """
+
+from collections import deque
 
 import pytest
 
-from repro.simnet import EventLog, Sampler, TimeSeries
+from repro.obs import FlightRecorder
+from repro.simnet import EventLog, TimeSeries
+from repro.simnet.trace import pump_samples
 
 
 class TestSamplerIntervals:
     def test_no_interval_drift(self, sim):
-        """100 samples at interval 0.1 land on exact multiples of 0.1.
+        """100 ticks at interval 0.1 land on exact multiples of 0.1.
 
-        The sampler re-arms with a fresh ``timeout(interval)`` each cycle,
-        so absolute sample times must not accumulate floating-point drift
+        The recorder steps its next tick by ``+ interval`` each time, so
+        absolute sample times must not accumulate floating-point drift
         beyond normal summation error.
         """
-        sampler = Sampler(sim, interval=0.1)
-        clock = sampler.add_probe("t", lambda: sim.now)
-        sampler.start()
+        recorder = FlightRecorder(sim, interval=0.1)
+        clock = recorder.add_probe("t", lambda: sim.now)
         sim.timeout(10.0)
-        sim.run(until=10.0)
-        sampler.stop()
-        assert len(clock) >= 100
-        for i, t in enumerate(clock.times[:100]):
-            assert t == pytest.approx(i * 0.1, abs=1e-9)
-
-    def test_stop_halts_sampling(self, sim):
-        sampler = Sampler(sim, interval=1.0)
-        series = sampler.add_probe("x", lambda: 1.0)
-        sampler.start()
-        sim.timeout(10.0)
-        sim.run(until=3.5)
-        sampler.stop()
-        n = len(series)
-        sim.run(until=10.0)
-        # One more sample can already be scheduled at stop time, no more.
-        assert len(series) <= n + 1
-
-    def test_start_idempotent(self, sim):
-        sampler = Sampler(sim, interval=1.0)
-        series = sampler.add_probe("x", lambda: 1.0)
-        sampler.start()
-        sampler.start()  # second start must not spawn a second process
-        sim.timeout(3.0)
-        sim.run(until=3.0)
-        sampler.stop()
-        assert series.times == [0.0, 1.0, 2.0, 3.0]
+        recorder.pump(until=10.0)
+        assert len(clock) >= 99
+        for i, t in enumerate(clock.times):
+            assert t == pytest.approx((i + 1) * 0.1, abs=1e-9)
 
 
 class TestSamplerProbeErrors:
     def test_probe_exception_isolated(self, sim):
         """A raising probe is counted and skipped; others still record."""
-        sampler = Sampler(sim, interval=1.0)
+        recorder = FlightRecorder(sim, interval=1.0)
 
         def bad():
             raise RuntimeError("probe hardware fell over")
 
-        broken = sampler.add_probe("bad", bad)
-        good = sampler.add_probe("good", lambda: 42.0)
-        sampler.sample_once()
-        sampler.sample_once()
-        assert sampler.probe_errors == 2
-        assert broken.values == []
-        assert good.values == [42.0, 42.0]
+        broken = recorder.add_probe("bad", bad)
+        good = recorder.add_probe("good", lambda: 42.0)
+        recorder.tick()
+        recorder.tick()
+        assert recorder.probe_errors == 2
+        assert list(broken.values) == []
+        assert list(good.values) == [42.0, 42.0]
 
     def test_probe_error_does_not_kill_sampler(self, sim):
-        sampler = Sampler(sim, interval=1.0)
+        recorder = FlightRecorder(sim, interval=1.0)
         calls = []
 
         def flaky():
@@ -78,35 +61,40 @@ class TestSamplerProbeErrors:
                 raise ValueError("transient")
             return float(len(calls))
 
-        series = sampler.add_probe("flaky", flaky)
-        sampler.start()
+        series = recorder.add_probe("flaky", flaky)
         sim.timeout(4.0)
-        sim.run(until=4.0)
-        sampler.stop()
-        assert sampler.probe_errors == 1
-        assert len(series) == len(calls) - 1  # only the raising call skipped
+        recorder.pump(until=4.0)
+        assert calls == [1.0, 2.0, 3.0, 4.0]  # kept ticking past the raise
+        assert recorder.probe_errors == 1
+        assert list(series.times) == [1.0, 3.0, 4.0]
+
+
+def _pump(sim, clock, armed, until=None):
+    """``pump_samples`` over the sample times left in ``armed`` (a deque),
+    recording each firing's sim time into ``clock``."""
+    def fire():
+        armed.popleft()
+        clock.record(sim.now, sim.now)
+
+    return pump_samples(sim, until, lambda: armed[0] if armed else None, fire)
 
 
 class TestPump:
     def test_samples_at_exact_armed_times(self, sim):
-        sampler = Sampler(sim, interval=1.0)
-        clock = sampler.add_probe("t", lambda: sim.now)
-        sampler.arm([0.5, 1.5, 2.5])
+        clock = TimeSeries("t")
         sim.timeout(5.0)  # real work spanning the sample window
-        sampler.pump(until=5.0)
+        _pump(sim, clock, deque([0.5, 1.5, 2.5]), until=5.0)
         assert clock.times == [0.5, 1.5, 2.5]
         assert sim.now == 5.0
 
     def test_never_advances_an_idle_clock(self, sim):
-        """Armed samples past the last real event lapse — zero perturbation."""
-        sampler = Sampler(sim, interval=1.0)
-        clock = sampler.add_probe("t", lambda: sim.now)
-        sampler.arm([0.25, 0.75, 2.0, 3.0])
+        """Samples due past the last real event lapse — zero perturbation."""
+        clock, armed = TimeSeries("t"), deque([0.25, 0.75, 2.0, 3.0])
         sim.timeout(1.0)  # workload ends at t=1.0
-        sampler.pump()
+        _pump(sim, clock, armed)
         assert sim.now == 1.0  # NOT 3.0: samples never drive the clock
         assert clock.times == [0.25, 0.75]
-        assert list(sampler._armed) == [2.0, 3.0]  # paused, not dropped
+        assert list(armed) == [2.0, 3.0]  # paused, not dropped
 
     def test_multi_phase_run_unperturbed(self, sim):
         """Samples pause at a phase boundary and resume in the next pump.
@@ -115,30 +103,26 @@ class TestPump:
         samples would stretch phase 1 to the last sample time before
         phase 2's events were spawned.
         """
-        sampler = Sampler(sim, interval=1.0)
-        clock = sampler.add_probe("t", lambda: sim.now)
-        sampler.arm([0.5, 1.5, 2.5, 3.5])
+        clock, armed = TimeSeries("t"), deque([0.5, 1.5, 2.5, 3.5])
         # Phase 1: events drain at t=1.0; samples at 1.5+ must wait.
         sim.timeout(1.0)
-        assert sampler.pump() == 1.0
+        assert _pump(sim, clock, armed) == 1.0
         assert clock.times == [0.5]
         # Phase 2 spawns *after* phase 1's run call returned, as a
         # multi-phase app does.  Later samples fire during phase 2.
         sim.timeout(3.0)
-        assert sampler.pump() == 4.0
+        assert _pump(sim, clock, armed) == 4.0
         assert clock.times == [0.5, 1.5, 2.5, 3.5]
 
     def test_pump_without_armed_samples_is_plain_run(self, sim):
-        sampler = Sampler(sim, interval=1.0)
         sim.timeout(2.0)
-        assert sampler.pump(until=5.0) == 5.0  # run(until=...) pads the clock
+        # run(until=...) pads the clock
+        assert _pump(sim, TimeSeries("t"), deque(), until=5.0) == 5.0
 
     def test_until_bounds_sampling(self, sim):
-        sampler = Sampler(sim, interval=1.0)
-        clock = sampler.add_probe("t", lambda: sim.now)
-        sampler.arm([0.5, 1.5])
+        clock = TimeSeries("t")
         sim.timeout(3.0)
-        sampler.pump(until=1.0)
+        _pump(sim, clock, deque([0.5, 1.5]), until=1.0)
         assert clock.times == [0.5]  # the 1.5 sample is beyond `until`
         assert sim.now == 1.0
 

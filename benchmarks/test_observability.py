@@ -9,9 +9,11 @@ bench report via the unified metrics registry:
 * the Fig-4 telemetry series (NIC utilization, memory, packet rate)
   :mod:`repro.harness.telemetry` hangs on the run's flight recorder.
 
-The span-tracing bench asserts the overhead contract: tracing off is the
-default and costs nothing observable (identical simulated results), and
-tracing on changes *nothing* about the simulation — only wall clock.
+The span-tracing bench asserts the simulated half of the overhead
+contract: tracing is off by default, and tracing on changes *nothing*
+about the simulation.  What it costs in host time is the ledger's
+``obs.tracer_overhead_x`` (``benchmarks/ledger``, ``--trace 1``), on the
+calibrated clock.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from repro.harness.chaos import run_chaos_soak
 from repro.harness.figures import AGG_SHAPES, run_app
 from repro.harness.telemetry import FIG4_SERIES, check_telemetry, run_telemetry
 from repro.obs import install_tracer, registry_of, tracer_of
-
-#: wall-clock slack for the traced run: spans are two floats + one object
-#: per stage, so even 5x would signal a regression; CI machines are noisy.
-TRACE_WALL_SLACK = 5.0
 
 
 @pytest.mark.benchmark(group="observability")
@@ -82,12 +80,9 @@ def test_registry_surfaces_hidden_counters(benchmark, report):
 
 @pytest.mark.benchmark(group="observability")
 def test_span_tracing_overhead_bound(benchmark, report):
-    """Tracing on: identical simulation, bounded wall cost; off: free."""
-    import time
+    """Tracing on: identical simulation; off: the default."""
 
-    spec = ares_like(nodes=2, procs_per_node=2)
-
-    def timed(traced):
+    def one(traced):
         box = {}
 
         def instrument(hcl):
@@ -95,36 +90,30 @@ def test_span_tracing_overhead_bound(benchmark, report):
             if traced:
                 install_tracer(hcl.sim)
 
-        t0 = time.perf_counter()
         _ops, res = run_app(
             "kmer", "hcl", ares_like(nodes=2, procs_per_node=2),
             AGG_SHAPES["kmer"], 0.5, instrument=instrument,
         )
-        wall = time.perf_counter() - t0
-        return res.time_seconds, res.verified, wall, box["sim"]
+        return res.time_seconds, res.verified, box["sim"]
 
     def run():
-        return timed(False), timed(True)
+        return one(False), one(True)
 
-    (off_sim, off_ok, off_wall, off_simob), \
-        (on_sim, on_ok, on_wall, on_simob) = run_once(benchmark, run)
+    (off_sim, off_ok, off_simob), (on_sim, on_ok, on_simob) = \
+        run_once(benchmark, run)
 
     tracer = tracer_of(on_simob)
     report(render_table(
-        "span tracing overhead (kmer, 2x2 ranks)",
-        ["mode", "sim (s)", "wall (s)", "spans"],
-        [["tracing off", f"{off_sim:.6f}", f"{off_wall:.3f}", 0],
-         ["tracing on", f"{on_sim:.6f}", f"{on_wall:.3f}", len(tracer)]],
+        "span tracing (kmer, 2x2 ranks)",
+        ["mode", "sim (s)", "spans"],
+        [["tracing off", f"{off_sim:.6f}", 0],
+         ["tracing on", f"{on_sim:.6f}", len(tracer)]],
     ))
 
     assert off_ok and on_ok
     assert tracer_of(off_simob) is None, "tracing must be off by default"
     assert on_sim == off_sim, "spans must not perturb the simulation"
     assert len(tracer) > 0
-    assert on_wall < TRACE_WALL_SLACK * max(off_wall, 1e-3), (
-        f"traced wall {on_wall:.3f}s exceeds {TRACE_WALL_SLACK}x "
-        f"untraced {off_wall:.3f}s"
-    )
     # Registry population is construction-time and identical either way.
     assert registry_of(on_simob).names() == registry_of(off_simob).names()
 

@@ -273,19 +273,6 @@ def _instrument_flags(p, harness: Harness) -> None:
                        default=harness.flight_interval,
                        help="flight-recorder cadence in sim seconds "
                             "(default %(default)s)")
-    if "profile" in have:
-        p.add_argument("--profile", action="store_true",
-                       help="profile the bench run's wall time (cProfile) "
-                            "and print per-subsystem shares + top functions")
-        p.add_argument("--profile-out", nargs="?",
-                       const=f"{stem}_profile.json", default=None,
-                       metavar="PATH",
-                       help="write the wall-profile JSON (implies --profile)")
-        p.add_argument("--profile-folded", nargs="?",
-                       const=f"{stem}_profile.folded", default=None,
-                       metavar="PATH",
-                       help="write folded stacks for flame-graph tools "
-                            "(implies --profile)")
 
 
 def _add_bench(sub, harness: Harness) -> None:
@@ -360,15 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     pD = sub.add_parser(
         "obs-diff",
         help="differential run forensics: diff two runs (BENCH JSON, "
-             "flight JSON, span JSONL, metrics, profiles) and fingerprint "
-             "the dominant cause",
+             "flight JSON, span JSONL, metrics) and fingerprint the "
+             "dominant cause",
     )
     pD.add_argument("a", metavar="A", help="reference run (baseline)")
     pD.add_argument("b", metavar="B", help="candidate run (fresh)")
     pD.add_argument("--threshold", type=_positive_float, default=0.10,
                     help="relative-change significance threshold "
-                         "(default 0.10; wall-clock metrics use at least "
-                         "0.50)")
+                         "(default 0.10)")
     pD.add_argument("--top", type=int, default=40,
                     help="rows kept per delta section (default 40)")
     pD.add_argument("--max-rows", type=int, default=20,

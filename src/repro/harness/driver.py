@@ -9,9 +9,8 @@ host time is the ledger's job (``benchmarks/ledger``).
 A :class:`Harness` record declares what one ``repro.cli`` bench
 subcommand is — its name, flags, how to run / render / emit / check a
 report, and which instruments apply — and :func:`run_bench` is the single
-code path that executes one: instruments, profiler scope, rendering,
-``--emit``, every artifact write, and ``--check`` -> ``CHECK FAILED`` ->
-exit code.
+code path that executes one: instruments, rendering, ``--emit``, every
+artifact write, and ``--check`` -> ``CHECK FAILED`` -> exit code.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ def flag(option: str, **kwargs) -> Tuple[str, Dict]:
 
 
 #: every instrument a harness can declare, in artifact order
-INSTRUMENTS: Tuple[str, ...] = ("trace", "metrics", "flight", "profile")
+INSTRUMENTS: Tuple[str, ...] = ("trace", "metrics", "flight")
 
 
 def positive_float(text: str) -> float:
@@ -97,9 +96,6 @@ def _instruments(harness: Harness, args) -> Optional[Instruments]:
         "trace": getattr(args, "trace", None),
         "metrics": getattr(args, "metrics_out", None),
         "flight": getattr(args, "flight_recorder", None),
-        "profile": getattr(args, "profile", False),
-        "profile_out": getattr(args, "profile_out", None),
-        "profile_folded": getattr(args, "profile_folded", None),
     }
     if not any(outputs.values()):
         return None
@@ -111,11 +107,7 @@ def _instruments(harness: Harness, args) -> Optional[Instruments]:
 def run_bench(harness: Harness, args) -> int:
     """Execute one bench subcommand; returns the process exit code."""
     ins = _instruments(harness, args)
-    if ins is None:
-        report = harness.run(args, None)
-    else:
-        with ins.profiling(f"{harness.name}.run"):
-            report = harness.run(args, ins)
+    report = harness.run(args, ins)
     print(harness.render(report, args))
     if args.emit:
         payloads = harness.emit(report)
@@ -123,7 +115,7 @@ def run_bench(harness: Harness, args) -> int:
             path = row_path(args.emit, label, len(payloads))
             print(f"wrote {write_json(payload, path)}")
     if ins is not None:
-        for line in ins.write(harness.name):
+        for line in ins.write():
             print(line)
     failures: List[str] = []
     if harness.check is not None and (

@@ -42,15 +42,6 @@ from repro.obs.skew import SkewDetector, SpaceSavingSketch
 from repro.obs.slo import SLOMonitor, SLORule, counter_sli, latency_sli
 from repro.obs.critpath import analyze as critpath_analyze
 from repro.obs.critpath import load_spans
-from repro.obs.profile import (
-    WallProfiler,
-    WallScope,
-    classify_function,
-    render_profile,
-    validate_profile,
-    write_folded,
-    write_profile_json,
-)
 from repro.obs.diff import (
     FINGERPRINT_CODES,
     detect_kind,
@@ -99,13 +90,6 @@ __all__ = [
     "latency_sli",
     "critpath_analyze",
     "load_spans",
-    "WallProfiler",
-    "WallScope",
-    "classify_function",
-    "render_profile",
-    "validate_profile",
-    "write_folded",
-    "write_profile_json",
     "FINGERPRINT_CODES",
     "detect_kind",
     "diff_paths",

@@ -1,9 +1,8 @@
 """Critical-path analysis over RPC span trees.
 
-ROADMAP item 3's profile-first tool: reduce a span log to *attributions*
-— for every traced RPC, exactly where did its end-to-end simulated
-latency go?  The client-side stage spans tile the root by construction
-(PR 5), so the decomposition is exact:
+Reduce a span log to *attributions* — for every traced RPC, exactly
+where did its end-to-end simulated latency go?  The client-side stage
+spans tile the root by construction (PR 5), so the decomposition is exact:
 
 * ``client.marshal`` / ``client.pull`` / ``client.settle`` — client CPU;
 * ``client.send`` — request serialization onto the NIC (fair-weather);

@@ -8,25 +8,23 @@ Feed it any two observability artifacts the repo produces —
 * flight-recorder payloads (``kind: "flight_recorder"``),
 * span JSON-lines logs,
 * metrics snapshots (``MetricsRegistry.snapshot()`` dumps),
-* wall-profile payloads (``kind: "wall_profile"``),
 * critical-path analyses (``kind: "critpath"``)
 
 — and :func:`diff_runs` emits one structured ``RunDiff``: counter
 deltas, histogram-quantile shifts (with the empty-vs-nonempty case
 reported as a **new signal**, never a divide-by-zero), critpath
-stage-blame deltas, skew top-k set churn, and per-subsystem wall-share
-deltas.  A fingerprint classifier then maps the dominant delta to a
-named cause ("server queue-wait grew", "transport charge grew",
-"coalescer flush efficiency dropped", "interpreter overhead in marshal
-grew", ...) so a failing gate ships its own root-cause hypothesis.
+stage-blame deltas (derived from the spans when both runs are span
+logs) and skew top-k set churn.  A fingerprint classifier then maps the
+dominant delta to a named cause ("server queue-wait grew", "transport
+charge grew", "coalescer flush efficiency dropped", ...) so a failing
+gate ships its own root-cause hypothesis.
 
 Direction convention: **A is the reference (baseline), B the candidate
-(fresh run)** — relative changes are ``(b - a) / |a|``.  Wall-clock
-fields (a wall profile's ``wall_seconds``) are inherently noisy on
-shared machines, so they only count as significant past a much wider
-threshold; everything simulated uses ``rel_threshold`` directly, and a
-same-seed self-diff of any deterministic artifact reports zero
-significant deltas.
+(fresh run)** — relative changes are ``(b - a) / |a|``.  Every artifact
+is on the simulated clock, so every number is compared at
+``rel_threshold`` and a same-seed self-diff reports zero significant
+deltas.  Host time is not an input here: the ledger
+(``benchmarks/ledger``) measures and compares it.
 
 Everything is stdlib-only and deterministic (sorted iteration, no RNG),
 like the rest of :mod:`repro.obs`.
@@ -37,6 +35,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.critpath import analyze as critpath_analyze, load_spans
 from repro.obs.exporters import write_json
 from repro.obs.registry import SLO_QUANTILES, percentile_summary
 
@@ -54,14 +53,8 @@ __all__ = [
 #: default relative-change significance threshold (10%)
 DEFAULT_REL_THRESHOLD = 0.10
 
-#: wall-clock metrics only count as significant past this threshold
-NOISY_REL_THRESHOLD = 0.50
-
-#: absolute share-point threshold for stage/subsystem blame shifts
+#: absolute share-point threshold for stage blame shifts
 SHARE_THRESHOLD = 0.05
-
-#: key fragments marking wall-clock (machine-noisy) metrics
-_NOISY_FRAGMENTS = ("wall", "elapsed")
 
 #: config keys that define workload shape — differing values mean the two
 #: runs measured different experiments, which trumps every other signal.
@@ -108,7 +101,7 @@ def detect_kind(doc) -> str:
             "async_pipeline": "bench_async",
         }.get(bench, "bench")
     kind = doc.get("kind")
-    if kind in ("flight_recorder", "critpath", "wall_profile", "run_diff"):
+    if kind in ("flight_recorder", "critpath", "run_diff"):
         return {"flight_recorder": "flight"}.get(kind, kind)
     if doc.get("records") and detect_kind(doc.get("records")) == "spans":
         return "spans"
@@ -125,13 +118,7 @@ def detect_kind(doc) -> str:
 def load_artifact(path: str) -> Tuple[str, Dict]:
     """Load one artifact file; ``.jsonl`` files parse as span logs."""
     if path.endswith(".jsonl"):
-        records: List[Dict] = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        return "spans", {"kind": "spans", "records": records}
+        return "spans", {"kind": "spans", "records": load_spans(path)}
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     kind = detect_kind(doc)
@@ -180,15 +167,6 @@ def _summarize(kind: str, doc: Dict) -> Dict:
             "events_dropped": doc.get("events_dropped", 0),
             "series": series_out,
             "events": events,
-        }
-    if kind == "wall_profile":
-        return {
-            "wall_seconds": doc.get("wall_seconds", 0.0),
-            "profiled_seconds": doc.get("profiled_seconds", 0.0),
-            "scopes": {s.get("name"): {"wall_seconds": s.get("wall_seconds"),
-                                       "count": s.get("count")}
-                       for s in doc.get("scopes") or []
-                       if isinstance(s, dict)},
         }
     if kind == "critpath":
         return {"traces": doc.get("traces", 0),
@@ -281,31 +259,22 @@ def _flatten_doc(kind: str, doc: Dict):
 
 # -- section diffs ------------------------------------------------------------
 
-def _is_noisy(key: str) -> bool:
-    lowered = key.lower()
-    return any(frag in lowered for frag in _NOISY_FRAGMENTS)
-
-
 def _counter_rows(ca: Dict[str, float], cb: Dict[str, float],
                   rel_threshold: float) -> List[Dict]:
     rows: List[Dict] = []
     for key in sorted(set(ca) | set(cb)):
         a, b = ca.get(key), cb.get(key)
-        noisy = _is_noisy(key)
-        threshold = max(rel_threshold, NOISY_REL_THRESHOLD) if noisy \
-            else rel_threshold
         if a is None or (a == 0 and b not in (None, 0)):
             status, rel = "new_signal", None
-            significant = not noisy and abs(b or 0.0) > 0
+            significant = b != 0
         elif b is None or (b == 0 and a != 0):
-            status, rel = "gone", None
-            significant = not noisy
+            status, rel, significant = "gone", None, True
         elif a == b:
             status, rel, significant = "unchanged", 0.0, False
         else:
             rel = (b - a) / abs(a) if a else 0.0
             status = "changed"
-            significant = abs(rel) >= threshold
+            significant = abs(rel) >= rel_threshold
         if status == "unchanged":
             continue
         rows.append({
@@ -315,7 +284,6 @@ def _counter_rows(ca: Dict[str, float], cb: Dict[str, float],
             "delta": (b - a) if (a is not None and b is not None) else None,
             "rel": rel,
             "status": status,
-            "noisy": noisy,
             "significant": significant,
         })
     rows.sort(key=lambda r: (not r["significant"],
@@ -332,23 +300,20 @@ def _quantile_rows(qa: Dict[str, Dict], qb: Dict[str, Dict],
         a, b = qa.get(key), qb.get(key)
         n_a = int((a or {}).get("n") or 0)
         n_b = int((b or {}).get("n") or 0)
-        row: Dict = {"key": key, "n_a": n_a, "n_b": n_b, "noisy":
-                     _is_noisy(key), "shifts": {}}
+        row: Dict = {"key": key, "n_a": n_a, "n_b": n_b, "shifts": {}}
         if n_a == 0 and n_b == 0:
             continue
         if n_a == 0 and n_b > 0:
             # Empty-vs-nonempty is a *new signal* — quantiles of an empty
             # histogram are all 0.0, so relative shifts are undefined,
             # never a division.
-            row.update(status="new_signal", significant=not row["noisy"])
+            row.update(status="new_signal", significant=True)
             rows.append(row)
             continue
         if n_b == 0 and n_a > 0:
-            row.update(status="gone", significant=not row["noisy"])
+            row.update(status="gone", significant=True)
             rows.append(row)
             continue
-        threshold = max(rel_threshold, NOISY_REL_THRESHOLD) \
-            if row["noisy"] else rel_threshold
         significant = False
         for metric in _QUANTILE_METRICS:
             va, vb = a.get(metric), b.get(metric)
@@ -361,7 +326,7 @@ def _quantile_rows(qa: Dict[str, Dict], qb: Dict[str, Dict],
             else:
                 rel = (vb - va) / abs(va)
                 shift = {"a": va, "b": vb, "rel": rel, "status": "changed"}
-                shift_sig = abs(rel) >= threshold
+                shift_sig = abs(rel) >= rel_threshold
             shift["significant"] = shift_sig
             row["shifts"][metric] = shift
             significant = significant or shift_sig
@@ -400,32 +365,6 @@ def _critpath_section(a: Dict, b: Dict) -> Dict:
     out["rows"].sort(key=lambda r: (not r["significant"],
                                     -abs(r["delta"]), r["blame"],
                                     r["stage"]))
-    return out
-
-
-def _profile_section(a: Dict, b: Dict) -> Dict:
-    def shares(doc):
-        return {s["subsystem"]: float(s.get("share") or 0.0)
-                for s in doc.get("subsystems") or [] if isinstance(s, dict)}
-    sa, sb = shares(a), shares(b)
-    out: Dict = {"rows": [], "significant": False,
-                 "wall_seconds_a": a.get("wall_seconds", 0.0),
-                 "wall_seconds_b": b.get("wall_seconds", 0.0)}
-    for subsystem in sorted(set(sa) | set(sb)):
-        delta = sb.get(subsystem, 0.0) - sa.get(subsystem, 0.0)
-        if abs(delta) < 1e-12:
-            continue
-        significant = abs(delta) >= SHARE_THRESHOLD
-        out["rows"].append({
-            "subsystem": subsystem,
-            "a": sa.get(subsystem, 0.0),
-            "b": sb.get(subsystem, 0.0),
-            "delta": delta,
-            "significant": significant,
-        })
-        out["significant"] = out["significant"] or significant
-    out["rows"].sort(key=lambda r: (not r["significant"],
-                                    -abs(r["delta"]), r["subsystem"]))
     return out
 
 
@@ -491,7 +430,6 @@ FINGERPRINT_CODES: Dict[str, str] = {
     "transport-charge-grew": "transport charge grew",
     "server-execute-grew": "server execute time grew",
     "marshal-overhead-grew": "interpreter overhead in marshal grew",
-    "kernel-overhead-grew": "DES kernel wall overhead grew",
     "load-shedding-increased": "load shedding increased",
     "hot-set-churned": "hot partition/key set churned",
     "latency-tail-grew": "latency tail grew",
@@ -564,16 +502,16 @@ def _quantile_signal(rows: List[Dict], fragments: Sequence[str],
     return best, evidence
 
 
-def _share_signal(section: Optional[Dict], row_key: str,
-                  names: Sequence[str],
+def _share_signal(section: Optional[Dict], stages: Sequence[str],
                   direction: int) -> Tuple[float, Optional[str]]:
+    """Strongest significant critpath blame shift among ``stages``."""
     if not section:
         return 0.0, None
     best, evidence = 0.0, None
     for row in section["rows"]:
         if not row["significant"]:
             continue
-        if row.get(row_key) not in names:
+        if row["stage"] not in stages:
             continue
         delta = row["delta"]
         if (delta > 0) != (direction > 0):
@@ -581,8 +519,8 @@ def _share_signal(section: Optional[Dict], row_key: str,
         magnitude = min(1.0, abs(delta) / 0.25)
         if magnitude > best:
             best = magnitude
-            evidence = (f"{row.get('blame', 'wall')} share of "
-                        f"{row[row_key]}: {row['a']:.1%} -> {row['b']:.1%}")
+            evidence = (f"{row['blame']} share of "
+                        f"{row['stage']}: {row['a']:.1%} -> {row['b']:.1%}")
     return best, evidence
 
 
@@ -598,7 +536,6 @@ def fingerprint(diff: Dict) -> Dict:
     counters = diff["counters"]["rows"]
     quantiles = diff["quantiles"]["rows"]
     critpath = diff.get("critpath")
-    profile = diff.get("profile")
     skew = diff.get("skew")
 
     candidates: List[Tuple[float, str, str]] = []
@@ -622,35 +559,27 @@ def fingerprint(diff: Dict) -> Dict:
     mag2, ev2 = _quantile_signal(quantiles, ("queue_wait", "server.queue",
                                              "server.wait"),
                                  ("p99", "p95", "mean"), +1)
-    mag3, ev3 = _share_signal(critpath, "stage", ("server.queue",
-                                                  "server.wait"), +1)
+    mag3, ev3 = _share_signal(critpath, ("server.queue", "server.wait"), +1)
     best = max(mag, mag2, mag3)
     if best:
         candidates.append((9.0 * best, "server-queue-wait-grew",
                            {mag: ev, mag2: ev2, mag3: ev3}[best]))
 
-    mag, ev = _share_signal(critpath, "stage", ("transport", "client.send",
-                                                "rpc.deliver"), +1)
+    mag, ev = _share_signal(critpath, ("transport", "client.send",
+                                       "rpc.deliver"), +1)
     mag2, ev2 = _counter_signal(counters, ("transport", "charge"), +1)
     best = max(mag, mag2)
     if best:
         candidates.append((9.0 * best, "transport-charge-grew",
                            ev if mag >= mag2 else ev2))
 
-    mag, ev = _share_signal(critpath, "stage", ("server.execute",), +1)
+    mag, ev = _share_signal(critpath, ("server.execute",), +1)
     if mag:
         candidates.append((8.0 * mag, "server-execute-grew", ev))
 
-    mag, ev = _share_signal(profile, "subsystem", ("marshal",), +1)
-    mag2, ev2 = _share_signal(critpath, "stage", ("client.marshal",), +1)
-    best = max(mag, mag2)
-    if best:
-        candidates.append((8.0 * best, "marshal-overhead-grew",
-                           ev if mag >= mag2 else ev2))
-
-    mag, ev = _share_signal(profile, "subsystem", ("kernel",), +1)
+    mag, ev = _share_signal(critpath, ("client.marshal",), +1)
     if mag:
-        candidates.append((7.0 * mag, "kernel-overhead-grew", ev))
+        candidates.append((8.0 * mag, "marshal-overhead-grew", ev))
 
     mag, ev = _counter_signal(counters, ("shed",), +1)
     if mag:
@@ -742,10 +671,12 @@ def diff_runs(a_doc: Dict, b_doc: Dict, a_name: str = "A",
     counter_rows = _counter_rows(ca, cb, rel_threshold)
     quantile_rows = _quantile_rows(qa, qb, rel_threshold)
 
-    critpath = _critpath_section(a_doc, b_doc) \
-        if kind_a == kind_b == "critpath" else None
-    profile = _profile_section(a_doc, b_doc) \
-        if kind_a == kind_b == "wall_profile" else None
+    critpath = None
+    if kind_a == kind_b == "critpath":
+        critpath = _critpath_section(a_doc, b_doc)
+    elif kind_a == kind_b == "spans":
+        critpath = _critpath_section(critpath_analyze(a_doc["records"]),
+                                     critpath_analyze(b_doc["records"]))
     skew = _skew_section(a_doc, b_doc)
 
     n_sig_counters = sum(1 for r in counter_rows if r["significant"])
@@ -768,7 +699,6 @@ def diff_runs(a_doc: Dict, b_doc: Dict, a_name: str = "A",
             "significant": n_sig_quantiles,
         },
         "critpath": critpath,
-        "profile": profile,
         "skew": skew,
     }
     diff["significant"] = bool(
@@ -776,7 +706,6 @@ def diff_runs(a_doc: Dict, b_doc: Dict, a_name: str = "A",
         or n_sig_counters
         or n_sig_quantiles
         or (critpath and critpath["significant"])
-        or (profile and profile["significant"])
         or (skew and skew["significant"])
     )
     diff["fingerprint"] = fingerprint(diff)
@@ -835,7 +764,7 @@ def render_diff(diff: Dict, max_rows: int = 20) -> str:
             lines.append(
                 f"| {flag}`{r['key']}`{flag} | {_fmt_val(r['a'])} | "
                 f"{_fmt_val(r['b'])} | {_fmt_val(r['delta'])} | {rel} | "
-                f"{r['status']}{' (noisy)' if r['noisy'] else ''} |")
+                f"{r['status']} |")
     qrows = diff["quantiles"]["rows"][:max_rows]
     if qrows:
         lines += ["", "### Histogram / quantile shifts "
@@ -864,16 +793,6 @@ def render_diff(diff: Dict, max_rows: int = 20) -> str:
             flag = "**" if r["significant"] else ""
             lines.append(f"| {r['blame']} | {flag}{r['stage']}{flag} | "
                          f"{r['a']:.1%} | {r['b']:.1%} | {r['delta']:+.1%} |")
-    if diff.get("profile") and diff["profile"]["rows"]:
-        lines += ["", "### Wall-clock subsystem shares", "",
-                  f"wall {diff['profile']['wall_seconds_a']:.3f}s -> "
-                  f"{diff['profile']['wall_seconds_b']:.3f}s", "",
-                  "| subsystem | A share | B share | Δ |",
-                  "|---|---|---|---|"]
-        for r in diff["profile"]["rows"][:max_rows]:
-            flag = "**" if r["significant"] else ""
-            lines.append(f"| {flag}{r['subsystem']}{flag} | {r['a']:.1%} | "
-                         f"{r['b']:.1%} | {r['delta']:+.1%} |")
     if diff.get("skew"):
         skew = diff["skew"]
         lines += ["", "### Skew top-k churn", "",

@@ -12,8 +12,8 @@ library is needed:
   process, each RPC trace as a track.
 * **JSON artifact** (``write_json``) — utf-8, ``indent=2``, sorted
   keys, trailing newline.  Every other JSON file in the tree (bench
-  reports, registry ``snapshot()`` dicts, flight payloads, profiles,
-  run diffs) goes through it, so same-seed reruns byte-diff clean.
+  reports, registry ``snapshot()`` dicts, flight payloads, run diffs)
+  goes through it, so same-seed reruns byte-diff clean.
 
 ``SPAN_SCHEMA`` is a JSON-Schema-style description of one span-log line,
 and ``validate_span_log`` / ``validate_chrome_trace`` check real output

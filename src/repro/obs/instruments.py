@@ -9,24 +9,22 @@ event is processed.  It must schedule no event and draw no random number
 retires the identical event sequence as a plain one.
 
 :class:`Instruments` *is* such a callable, built from the outputs asked
-for: span tracing, a metrics snapshot, a flight recorder, a wall-clock
-profile.  It installs the tracer / recorder on the runtime it is handed,
-remembers ``(row label, sim, recorder)`` per run, and :meth:`write` emits
-every artifact under one naming rule: ``PATH_<label>.ext`` per run
-(:func:`suffixed`), plain ``PATH`` when the bench had a single run.
+for: span tracing, a metrics snapshot, a flight recorder — all three on
+the simulated clock; host time is the ledger's job
+(``benchmarks/ledger``).  It installs the tracer / recorder on the
+runtime it is handed, remembers ``(row label, sim, recorder)`` per run,
+and :meth:`write` emits every artifact under one naming rule:
+``PATH_<label>.ext`` per run (:func:`suffixed`), plain ``PATH`` when the
+bench had a single run.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from typing import List, NamedTuple, Optional, Sequence, Union
 
 from repro.obs.exporters import (
     write_chrome_trace, write_json, write_span_jsonl,
-)
-from repro.obs.profile import (
-    WallProfiler, render_profile, write_folded, write_profile_json,
 )
 from repro.obs.registry import publish_scheduler_metrics, registry_of
 from repro.obs.series import FlightRecorder
@@ -66,31 +64,22 @@ class Instruments:
 
     ``trace`` / ``metrics`` / ``flight`` are output paths (``trace`` is a
     prefix: ``PREFIX.jsonl`` + ``PREFIX_chrome.json``), or ``True`` to
-    attach without writing — read :attr:`runs` instead.  ``profile``
-    turns the wall profiler on; ``profile_out`` / ``profile_folded``
-    imply it.  The row loop sets :attr:`label` before each instrumented
-    run.
+    attach without writing — read :attr:`runs` instead.  The row loop
+    sets :attr:`label` before each instrumented run.
     """
 
     def __init__(self, *, trace: Output = None, metrics: Output = None,
-                 flight: Output = None, profile: bool = False,
-                 profile_out: Optional[str] = None,
-                 profile_folded: Optional[str] = None,
-                 flight_interval: float = 1e-3,
+                 flight: Output = None, flight_interval: float = 1e-3,
                  flight_select: Optional[Sequence[str]] = None,
                  pid_stride: int = 0):
         self.trace = trace
         self.metrics = metrics
         self.flight = flight
-        self.profile_out = profile_out
-        self.profile_folded = profile_folded
         self.flight_interval = flight_interval
         self.flight_select = flight_select
         #: Chrome-trace pid offset between consecutive runs, so one
         #: Perfetto session can hold every row side by side
         self.pid_stride = pid_stride
-        self.profiler = (WallProfiler()
-                         if profile or profile_out or profile_folded else None)
         self.label = ""
         self.runs: List[InstrumentedRun] = []
 
@@ -109,28 +98,9 @@ class Instruments:
             ).install(runtime.cluster)
         self.runs.append(InstrumentedRun(self.label, sim, recorder))
 
-    @contextmanager
-    def profiling(self, scope: str):
-        """Run the enclosed block under the wall profiler (no-op when off)."""
-        if self.profiler is None:
-            yield
-            return
-        with self.profiler.profile(), self.profiler.scope(scope):
-            yield
-
-    def write(self, command: str = "") -> List[str]:
+    def write(self) -> List[str]:
         """Write every requested artifact; returns the lines to print."""
         lines: List[str] = []
-        if self.profiler is not None:
-            payload = self.profiler.report(command=command)
-            lines.append(render_profile(payload))
-            if self.profile_out:
-                path = write_profile_json(payload, self.profile_out)
-                lines.append(f"wrote {path}")
-            if self.profile_folded:
-                n = write_folded(payload, self.profile_folded)
-                lines.append(f"wrote {self.profile_folded} "
-                             f"({n} folded stacks)")
         rows = len(self.runs)
         for i, run in enumerate(self.runs):
             if isinstance(self.trace, str):

@@ -518,8 +518,7 @@ def _diff_section(diff: Optional[Dict]) -> str:
                 f"<td>{_num(r['a']) if r['a'] is not None else '-'}</td>"
                 f"<td>{_num(r['b']) if r['b'] is not None else '-'}</td>"
                 f"<td>{_delta_cell(r['rel'], r['delta'])}</td>"
-                f'<td class="name">{_esc(r["status"])}'
-                f"{' (noisy)' if r.get('noisy') else ''}</td></tr>")
+                f'<td class="name">{_esc(r["status"])}</td></tr>')
         parts.append("</table>")
     quantile_rows = (diff.get("quantiles") or {}).get("rows") or []
     if quantile_rows:
@@ -542,19 +541,14 @@ def _diff_section(diff: Optional[Dict]) -> str:
                          f"<td>{_num(r['n_a'])}→{_num(r['n_b'])}</td>"
                          f'<td class="name">{text}</td></tr>')
         parts.append("</table>")
-    for section_key, label, row_key in (("critpath", "Stage-blame deltas",
-                                         "stage"),
-                                        ("profile", "Wall-share deltas",
-                                         "subsystem")):
-        section = diff.get(section_key)
-        if not section or not section.get("rows"):
-            continue
-        parts.append(f"<h2>{label}</h2>")
-        parts.append(f"<table><tr><th>{row_key}</th><th>A</th><th>B</th>"
+    critpath = diff.get("critpath")
+    if critpath and critpath.get("rows"):
+        parts.append("<h2>Stage-blame deltas</h2>")
+        parts.append("<table><tr><th>stage</th><th>A</th><th>B</th>"
                      "<th>Δ</th></tr>")
-        for r in section["rows"][:20]:
+        for r in critpath["rows"][:20]:
             parts.append(
-                f'<tr><td class="name">{_esc(r[row_key])}</td>'
+                f'<tr><td class="name">{_esc(r["stage"])}</td>'
                 f"<td>{100 * r['a']:.1f}%</td>"
                 f"<td>{100 * r['b']:.1f}%</td>"
                 f"<td>{r['delta']:+.1%}</td></tr>")

@@ -26,7 +26,6 @@ from repro.obs import (
     load_artifact,
     suffixed,
     validate_chrome_trace,
-    validate_profile,
     validate_span_log,
 )
 
@@ -62,8 +61,6 @@ INSTRUMENT_FLAGS = {
     "trace": (["--trace", "t"], ["t{}.jsonl", "t{}_chrome.json"]),
     "metrics": (["--metrics-out", "m.json"], ["m{}.json"]),
     "flight": (["--flight-recorder", "f.json"], ["f{}.json"]),
-    "profile": (["--profile-out", "p.json", "--profile-folded", "p.folded"],
-                []),
 }
 
 HARNESSES = {h.name: h for h in BENCHES + FIGURES}
@@ -127,12 +124,10 @@ def test_matrix_cell(name, instruments, plain, tmp_path):
         for pattern in INSTRUMENT_FLAGS[ins][1]:
             expected |= {pattern.format(f"_{label}" if len(labels) > 1
                                         else "") for label in labels}
-    if "profile" in instruments:
-        expected |= {"p.json", "p.folded"}
     assert set(files) == expected
 
     # (b) every artifact is a kind the repo's own tools recognise
-    kinds = {"m": "metrics", "f": "flight", "p": "wall_profile"}
+    kinds = {"m": "metrics", "f": "flight"}
     for fname in sorted(set(files) - set(reports)):
         path = str(tmp_path / "a" / fname)
         if fname.endswith(".jsonl"):
@@ -140,17 +135,12 @@ def test_matrix_cell(name, instruments, plain, tmp_path):
             assert files[fname], "span log is empty"
         elif fname.endswith("_chrome.json"):
             assert validate_chrome_trace(path) == []
-        elif fname.endswith(".folded"):
-            assert re.fullmatch(rb"(\S.* \d+\n)+", files[fname])
         else:
-            kind, doc = load_artifact(path)
+            kind, _doc = load_artifact(path)
             assert kind == kinds[fname[0]], (fname, kind)
-            if kind == "wall_profile":
-                assert validate_profile(doc) == []
 
     # (c) same-seed reruns write byte-identical span and flight files
-    # (checked on the single-instrument cells; cProfile makes the
-    # all-together cell the slow one)
+    # (checked on the single-instrument cells)
     if instruments in (("trace",), ("flight",)):
         again = _run(name, instruments, str(tmp_path / "b"))
         for fname in files:
@@ -282,10 +272,16 @@ class TestParser:
                     build_parser().parse_args([name] + flags)
         capsys.readouterr()
 
-    @pytest.mark.parametrize("flag", ["--flight-maxlen", "--profile-top"])
+    @pytest.mark.parametrize("flag", ["--flight-maxlen", "--profile-top",
+                                      "--profile", "--profile-out",
+                                      "--profile-folded"])
     def test_single_valued_knobs_are_constants(self, flag, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serving", flag, "8"])
+        """Removed flags stay removed on every bench: the ring bound is a
+        constant, and host time is the ledger's (no profile instrument)."""
+        for h in BENCHES:
+            with pytest.raises(SystemExit) as exit_:
+                build_parser().parse_args([h.name, flag, "8"])
+            assert exit_.value.code == 2
         capsys.readouterr()
 
     def test_rows_run_once(self, capsys):
@@ -297,16 +293,18 @@ class TestParser:
         capsys.readouterr()
 
     def test_docs_matrix_matches_the_records(self):
-        """docs/OBSERVABILITY.md says every bench takes every instrument
-        and names the benches; the records must agree."""
+        """docs/OBSERVABILITY.md says every bench takes all three
+        instruments and names the benches; the records must agree."""
         here = os.path.dirname(os.path.abspath(__file__))
         with open(os.path.join(here, "..", "docs", "OBSERVABILITY.md"),
                   encoding="utf-8") as fh:
             doc = fh.read()
         line = next(ln for ln in doc.splitlines()
-                    if ln.startswith("Every bench takes every instrument"))
+                    if ln.startswith("Every bench takes all three "
+                                     "instruments"))
         assert set(re.findall(r"`([a-z-]+)`", line)) == \
             {h.name for h in BENCHES}
+        assert len(INSTRUMENT_FLAGS) == 3
         for h in BENCHES:
             assert set(h.instruments) == set(INSTRUMENT_FLAGS), h.name
 

@@ -1,8 +1,11 @@
-"""The product does not import its tests.
+"""The product does not import its tests, and reads no host clock.
 
 ``src/repro`` is what gets installed: nothing in it may import
 ``benchmarks``, ``tests`` or a test-only dependency, and every experiment
 subcommand must run from any directory with only ``src`` on the path.
+Every instrument and artifact in it is on the simulated clock — host time
+is measured by ``benchmarks/ledger`` alone — so it imports no stopwatch
+and no profiler either.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FORBIDDEN = {"benchmarks", "tests", "pytest", "hypothesis"}
+HOST_CLOCKS = {"time", "timeit", "cProfile", "profile", "pstats"}
 
 #: every experiment subcommand, at a shape that runs in a few seconds
 COMMANDS = [
@@ -30,7 +34,9 @@ COMMANDS = [
 ]
 
 
-def test_src_imports_no_test_code():
+def _imports(forbidden):
+    """``file:line module`` for every absolute import of a forbidden
+    top-level module under ``src/`` (function-level imports included)."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -42,8 +48,16 @@ def test_src_imports_no_test_code():
                 continue
             offenders += [f"{path.relative_to(SRC)}:{node.lineno} {name}"
                           for name in names
-                          if name.split(".")[0] in FORBIDDEN]
-    assert not offenders, offenders
+                          if name.split(".")[0] in forbidden]
+    return offenders
+
+
+def test_src_imports_no_test_code():
+    assert not _imports(FORBIDDEN)
+
+
+def test_src_reads_no_host_clock():
+    assert not _imports(HOST_CLOCKS)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])

@@ -56,24 +56,6 @@ def _critpath_doc(queue_share):
     }
 
 
-def _profile_doc(marshal_share):
-    rest = 1.0 - marshal_share
-    return {
-        "kind": "wall_profile",
-        "wall_seconds": 2.0,
-        "profiled_seconds": 1.8,
-        "subsystems": [
-            {"subsystem": "marshal", "share": marshal_share,
-             "self_seconds": marshal_share, "calls": 10},
-            {"subsystem": "kernel", "share": rest,
-             "self_seconds": rest, "calls": 10},
-        ],
-        "functions": [],
-        "scopes": [],
-        "folded": [],
-    }
-
-
 def _skew_doc(partitions, keys, imbalance):
     return {
         "benchmark": "serving_zipf",
@@ -96,7 +78,6 @@ class TestDetectKind:
     def test_kind_field_artifacts(self):
         assert detect_kind({"kind": "flight_recorder"}) == "flight"
         assert detect_kind({"kind": "critpath"}) == "critpath"
-        assert detect_kind({"kind": "wall_profile"}) == "wall_profile"
         assert detect_kind({"kind": "run_diff"}) == "run_diff"
 
     def test_spans_list_and_wrapped(self):
@@ -177,10 +158,17 @@ class TestFingerprints:
         assert diff["fingerprint"]["code"] == "server-queue-wait-grew"
         assert "server.queue" in diff["fingerprint"]["evidence"]
 
-    def test_marshal_growth_from_wall_profile(self):
-        diff = diff_runs(_profile_doc(0.15), _profile_doc(0.45))
-        assert diff["profile"]["significant"]
+    def test_marshal_growth_from_critpath(self):
+        b = _critpath_doc(0.10)
+        b["overall"]["stages"] = [
+            {"stage": "server.queue", "share": 0.10},
+            {"stage": "client.marshal", "share": 0.30},
+            {"stage": "server.execute", "share": 0.30},
+            {"stage": "client.send", "share": 0.30},
+        ]
+        diff = diff_runs(_critpath_doc(0.10), b)
         assert diff["fingerprint"]["code"] == "marshal-overhead-grew"
+        assert "client.marshal" in diff["fingerprint"]["evidence"]
 
     def test_hot_set_churn(self):
         a = _skew_doc(["p0", "p1", "p2"], ["k0", "k1"], 1.2)
@@ -244,9 +232,10 @@ class TestAggRegressionEndToEnd:
 
 class TestPlumbing:
     def test_cross_kind_diff_is_not_comparable(self):
-        diff = diff_runs(_critpath_doc(0.2), _profile_doc(0.2))
+        flight = {"kind": "flight_recorder", "series": {}, "events": []}
+        diff = diff_runs(_critpath_doc(0.2), flight)
         assert not diff["comparable"]
-        assert diff["critpath"] is None and diff["profile"] is None
+        assert diff["critpath"] is None
 
     def test_load_artifact_jsonl_parses_as_spans(self, tmp_path):
         path = tmp_path / "spans.jsonl"
@@ -269,14 +258,46 @@ class TestPlumbing:
         assert detect_kind(loaded) == "run_diff"
         assert loaded["fingerprint"]["code"] == diff["fingerprint"]["code"]
 
-    def test_noisy_wall_metrics_need_a_wider_move(self):
-        a, b = _profile_doc(0.2), _profile_doc(0.2)
-        b["wall_seconds"] = 1.3 * a["wall_seconds"]
+    def test_simulated_elapsed_is_compared_at_the_threshold(self):
+        """Fig 4's ``--emit`` carries simulated ``elapsed`` seconds: no key
+        is host-noisy, so +40 % is significant at the default 10 %."""
+        a = {"benchmark": "fig4", "bcl": {"elapsed": 0.020},
+             "hcl": {"elapsed": 0.010}}
+        b = {"benchmark": "fig4", "bcl": {"elapsed": 0.020},
+             "hcl": {"elapsed": 0.014}}
         diff = diff_runs(a, b)
         rows = {r["key"]: r for r in diff["counters"]["rows"]}
-        assert rows["wall_seconds"]["noisy"]
-        assert not rows["wall_seconds"]["significant"]
-        b["wall_seconds"] = 2.0 * a["wall_seconds"]  # +100% clears it
-        diff = diff_runs(a, b)
-        rows = {r["key"]: r for r in diff["counters"]["rows"]}
-        assert rows["wall_seconds"]["significant"]
+        assert set(rows) == {"hcl/elapsed"}
+        assert rows["hcl/elapsed"]["significant"]
+        assert diff["significant"]
+
+
+class TestSpanLogCritpath:
+    """Two span logs the CLI writes get the stage-blame section, derived
+    from the spans — no ``kind: "critpath"`` file needed."""
+
+    @pytest.fixture(scope="class")
+    def logs(self, tmp_path_factory):
+        from repro.cli import main
+
+        tmp = tmp_path_factory.mktemp("spanlogs")
+        for agg in (0, 8):
+            assert main(["trace", "--app", "kmer", "--aggregation", str(agg),
+                         "--emit", str(tmp / f"agg{agg}")]) == 0
+        return str(tmp / "agg0.jsonl"), str(tmp / "agg8.jsonl")
+
+    def test_aggregation_ab_names_the_stages(self, logs):
+        diff = diff_paths(*logs)
+        assert diff["critpath"]["significant"]
+        moved = {(r["blame"], r["stage"]) for r in diff["critpath"]["rows"]
+                 if r["significant"]}
+        assert ("overall", "server.execute") in moved
+        codes = [diff["fingerprint"]["code"]] + [
+            r["code"] for r in diff["fingerprint"]["runners_up"]]
+        assert "server-execute-grew" in codes
+        assert "### Critical-path stage blame" in render_diff(diff)
+
+    def test_same_log_self_diff_is_quiet(self, logs):
+        diff = diff_paths(logs[0], logs[0])
+        assert diff["critpath"] == {"rows": [], "significant": False}
+        assert not diff["significant"]

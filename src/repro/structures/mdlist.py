@@ -9,14 +9,16 @@ base-:math:`N` decomposition of the key), arranging nodes into an ordered
 D-dimensional grid: a node's children array has one slot per dimension, and
 coordinate order equals priority order.  Operations:
 
-* ``push`` — compute the coordinate, descend dimension-by-dimension to the
-  predecessor, splice the new node in (one CAS at the attach point).  Cost
-  is O(D + N^(1/D)) hops — logarithmic-ish, matching Table I's
-  ``L·log(N) + W`` for push.
-* ``pop_min`` — the minimum is the leftmost path; nodes are *logically*
-  deleted (marked) and a **purge pass** physically unlinks batches of
-  marked nodes when their count passes a threshold, exactly the paper's
-  background-purge behaviour.  Stats expose hops and purged counts.
+* ``push`` — descend dimension-by-dimension (one integer quotient per
+  dimension) to the predecessor and splice the new node in (one CAS at the
+  attach point).  Cost is O(D + N^(1/D)) hops — logarithmic-ish, matching
+  Table I's ``L·log(N) + W`` for push.
+* ``pop_min`` — the minimum is the first live node in preorder (hops: the
+  marked nodes before it, plus one); nodes are *logically* deleted (marked)
+  and a **purge pass** physically unlinks them once their count passes a
+  threshold, exactly the paper's background-purge behaviour.  The shape is
+  a function of the key set, so the purge rebuilds it linearly from the
+  sorted live nodes.  Stats expose hops and purged counts.
 
 Duplicate priorities are allowed (each node carries a FIFO list of values,
 resolving "conflicts based on arrival time and priority").
@@ -37,11 +39,10 @@ class PriorityQueueEmpty(Exception):
 
 
 class _MNode:
-    __slots__ = ("key", "coord", "values", "children", "marked")
+    __slots__ = ("key", "values", "children", "marked")
 
-    def __init__(self, key: int, coord: Tuple[int, ...], dims: int):
+    def __init__(self, key: int, dims: int):
         self.key = key
-        self.coord = coord
         self.values: List[Any] = []  # FIFO among equal priorities
         self.children: List[Optional[_MNode]] = [None] * dims
         self.marked = False
@@ -63,12 +64,15 @@ class MDListPriorityQueue:
         self.dims = dims
         self.base = base
         self.key_limit = base ** dims
-        head_coord = tuple([-1] * dims)  # strictly below every real coordinate
-        self._head = _MNode(-1, head_coord, dims)  # sentinel below all keys
+        # key // _divs[d] is the coordinate prefix through dimension d
+        self._divs = tuple(base ** (dims - 1 - d) for d in range(dims))
+        # key -1 floors below every real prefix in every dimension
+        self._head = _MNode(-1, dims)  # sentinel below all keys
         self._head.marked = True
         self._count = 0
         self._marked_count = 0
-        self._stamp = 0
+        # the suspended min walk: (last node visited, preorder stack, hops)
+        self._walk: Optional[Tuple[_MNode, List[_MNode], int]] = None
         self._lock = threading.Lock()
         self.purges_total = 0
 
@@ -97,34 +101,28 @@ class MDListPriorityQueue:
                 f"priority {key} outside [0, {self.key_limit}) for "
                 f"dims={self.dims}, base={self.base}"
             )
-        coord = []
-        for d in range(self.dims - 1, -1, -1):
-            coord.append((key // (self.base ** d)) % self.base)
-        return tuple(coord)
+        return tuple(key // div % self.base for div in self._divs)
 
     # -- push -----------------------------------------------------------------------
     def push(self, key: int, value: Any) -> OpStats:
-        stats = OpStats()
-        coord = self.coordinate(key)
+        if not 0 <= key < self.key_limit:
+            self.coordinate(key)  # raises the range error
         with self._lock:
-            node, parent, dim, adopt_dim, hops = self._locate(coord)
-            stats.local_ops += hops
+            node, parent, dim, adopt_dim, hops = self._locate(key)
             if node is not None:
                 # Same priority: append in arrival order.
                 node.values.append(value)
                 if node.marked:
                     node.marked = False
                     self._marked_count -= 1
-                stats.writes += 1
-                stats.cas_ops += 1
             else:
-                fresh = _MNode(key, coord, self.dims)
-                fresh.values.append(value)
-                self._splice(fresh, parent, dim, adopt_dim)
-                stats.writes += 1
-                stats.cas_ops += 1  # the attach-point CAS
+                node = _MNode(key, self.dims)
+                node.values.append(value)
+                self._splice(node, parent, dim, adopt_dim)
+            self._walk = None
             self._count += 1
-        return stats
+        # one write, one CAS: the append, or the attach-point CAS
+        return OpStats(local_ops=hops, writes=1, cas_ops=1)
 
     def _splice(self, fresh: _MNode, pred: _MNode, pred_dim: int,
                 adopt_dim: int) -> None:
@@ -145,11 +143,11 @@ class MDListPriorityQueue:
             fresh.children[adopt_dim] = curr
         pred.children[pred_dim] = fresh
 
-    def _locate(self, coord: Tuple[int, ...]):
+    def _locate(self, key: int):
         """The Zhang-Dechev predecessor search.
 
         Returns ``(exact_node_or_None, pred, pred_dim, adopt_dim, hops)``:
-        a new node for ``coord`` belongs in ``pred.children[pred_dim]``
+        a new node for ``key`` belongs in ``pred.children[pred_dim]``
         (the slot ``curr`` currently occupies), adopting the displaced
         ``curr`` at dimension ``adopt_dim``.
 
@@ -158,35 +156,36 @@ class MDListPriorityQueue:
         tie, *stay on the node* and move to dimension ``d+1`` (the node's
         higher-dimension children cover keys sharing its coordinate
         prefix); when the key is smaller, the insertion point is found.
+        Every node on the walk shares the key's prefix before ``d``, so
+        comparing digit ``d`` is comparing prefixes ``key // _divs[d]``.
         """
-        pred = self._head
+        pred = curr = self._head
         pred_dim = 0
-        curr: Optional[_MNode] = self._head
-        d = 0
         hops = 0
-        while d < self.dims:
-            while curr is not None and coord[d] > curr.coord[d]:
+        for d, div in enumerate(self._divs):
+            q = key // div
+            while curr is not None:
+                cq = curr.key // div
+                if q < cq:
+                    return None, pred, pred_dim, d, hops
+                if q == cq:
+                    break  # equal in dimension d: descend a dimension in place
                 pred, pred_dim = curr, d
                 curr = curr.children[d]
                 hops += 1
-            if curr is None or coord[d] < curr.coord[d]:
+            else:
                 return None, pred, pred_dim, d, hops
-            d += 1  # equal in dimension d: descend a dimension in place
         return curr, pred, pred_dim, self.dims - 1, hops
 
     # -- pop ---------------------------------------------------------------------------
     def pop_min(self) -> Tuple[int, Any, OpStats]:
         """Remove and return ``(priority, value)`` of the minimum."""
-        stats = OpStats()
         with self._lock:
             if self._count == 0:
                 raise PriorityQueueEmpty()
             node, hops = self._find_min()
-            stats.local_ops += hops
-            if node is None:  # pragma: no cover - count said otherwise
-                raise PriorityQueueEmpty()
-            stats.reads += 1
-            stats.cas_ops += 1  # the deletion mark
+            # one read and the deletion mark's CAS
+            stats = OpStats(local_ops=hops, reads=1, cas_ops=1)
             value = node.values.pop(0)
             self._count -= 1
             if not node.values:
@@ -203,57 +202,76 @@ class MDListPriorityQueue:
             node, _hops = self._find_min()
             return node.key, node.values[0]
 
-    def _preorder(self) -> Iterator[_MNode]:
-        """Nodes in *sorted key order*.
+    def _preorder(self) -> List[_MNode]:
+        """Every node in *sorted key order*, the head first.
 
         Pre-order with children visited from the highest dimension down
         enumerates coordinates lexicographically: a node precedes all its
         children, the dimension-``d`` child subtree precedes the
         dimension-``d-1`` one.
         """
+        out = []
         stack = [self._head]
         while stack:
             node = stack.pop()
-            if node is not self._head:
-                yield node
+            out.append(node)
             # Push dim 0 first so the highest dimension pops (visits) first.
-            for child in node.children:
-                if child is not None:
-                    stack.append(child)
+            stack.extend(filter(None, node.children))
+        return out
 
     def _find_min(self) -> Tuple[Optional[_MNode], int]:
-        """First unmarked node in sorted order — skips logically-deleted
-        nodes, whose accumulation the purge pass bounds."""
-        hops = 0
-        for node in self._preorder():
-            hops += 1
+        """First unmarked node in sorted order and the preorder hops to it.
+
+        Skips logically-deleted nodes, whose accumulation the purge pass
+        bounds.  Pops only mark nodes, so the walk resumes from where it
+        last stopped (the hops are what a walk from the head would count);
+        a push or purge drops it and the next call starts from the head.
+        """
+        if self._walk is None:
+            node, stack, hops = self._head, [], 0
+        else:
+            node, stack, hops = self._walk
             if not node.marked:
                 return node, hops
-        return None, hops
+        while True:
+            stack.extend(filter(None, node.children))
+            if not stack:
+                self._walk = None
+                return None, hops
+            node = stack.pop()
+            hops += 1
+            if not node.marked:
+                self._walk = (node, stack, hops)
+                return node, hops
 
     def _purge(self) -> int:
         """Physically unlink marked nodes (the background purge pass).
 
-        Rebuilds the structure from live nodes — O(N) like a real purge's
-        amortized compaction; returns number of nodes removed.
+        Re-links the live nodes, in sorted order, straight into the
+        canonical shape ``check_invariants`` checks — O(D) per node, no
+        descent, the same shape (hence the same later hops) as re-pushing
+        them.  Returns the number of nodes removed.
         """
-        live: List[Tuple[int, List[Any]]] = []
-        removed = 0
-        for node in self._preorder():
-            if node.marked:
-                removed += 1
-            else:
-                live.append((node.key, node.values))
-        self._head.children = [None] * self.dims
+        removed = self._marked_count
+        head, dims, divs = self._head, self.dims, self._divs
+        live = [node for node in self._preorder() if not node.marked]
+        firsts = [head] * dims  # firsts[d]: first node of the current d-block
+        head.children = [None] * dims
+        prev = -1
+        for node in live:
+            key = node.key
+            j = 0
+            for div in divs:
+                if key // div != prev // div:
+                    break
+                j += 1
+            firsts[j].children[j] = node
+            firsts[j:] = [node] * (dims - j)
+            node.children = [None] * dims
+            prev = key
         self._marked_count = 0
+        self._walk = None
         self.purges_total += 1
-        # Re-splice live nodes; sorted order makes every insert O(dims).
-        for key, values in live:
-            coord = self.coordinate(key)
-            _node, pred, pred_dim, adopt_dim, _h = self._locate(coord)
-            fresh = _MNode(key, coord, self.dims)
-            fresh.values = values
-            self._splice(fresh, pred, pred_dim, adopt_dim)
         return removed
 
     # -- introspection ----------------------------------------------------------------
@@ -265,27 +283,36 @@ class MDListPriorityQueue:
                     yield node.key, v
 
     def check_invariants(self) -> None:
-        seen = 0
-        last_key = -1
-        for node in self._preorder():
-            assert self.coordinate(node.key) == node.coord, "coord mismatch"
-            assert node.key > last_key, (
-                f"preorder not sorted: {node.key} after {last_key}"
-            )
-            last_key = node.key
-            if not node.marked:
-                seen += len(node.values)
-        assert seen == self._count, f"live values {seen} != count {self._count}"
-
-        # Structural: every child is adopted at its first-diff dimension.
-        stack = [self._head]
-        while stack:
-            node = stack.pop()
+        """Order, counts, and the canonical shape: the shape is a function
+        of the key set — a node whose coordinate first differs from its
+        sorted predecessor's in dimension ``j`` is ``children[j]`` of the
+        first node of the block it shares with that predecessor."""
+        nodes = self._preorder()
+        parents = {}
+        for node in nodes:
             for d, child in enumerate(node.children):
-                if child is None:
-                    continue
-                stack.append(child)
-                if node is self._head:
-                    continue
-                assert child.coord[:d] == node.coord[:d], "prefix broken"
-                assert child.coord[d] > node.coord[d], "order broken"
+                if child is not None:
+                    assert child not in parents, "node linked twice"
+                    parents[child] = (node, d)
+        live = marked = 0
+        firsts = [self._head] * self.dims
+        prev = tuple([-1] * self.dims)
+        for node in nodes[1:]:
+            coord = self.coordinate(node.key)
+            assert coord > prev, f"preorder not sorted: {coord} after {prev}"
+            j = next(d for d in range(self.dims) if coord[d] != prev[d])
+            parent, dim = parents[node]
+            assert parent is firsts[j] and dim == j, (
+                f"{node.key} hangs at {parent.key}[{dim}], "
+                f"not {firsts[j].key}[{j}]"
+            )
+            firsts[j:] = [node] * (self.dims - j)
+            prev = coord
+            if node.marked:
+                marked += 1
+            else:
+                live += len(node.values)
+        assert live == self._count, f"live values {live} != count {self._count}"
+        assert marked == self._marked_count, (
+            f"marked nodes {marked} != marked count {self._marked_count}"
+        )

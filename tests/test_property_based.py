@@ -207,6 +207,41 @@ class TestMDListProperties:
         assert [k for k, _v in pq.items()] == sorted(keys)
 
 
+    @staticmethod
+    def _shape(pq):
+        return [(n.key, n.marked, [c and c.key for c in n.children])
+                for n in pq._preorder()]
+
+    @given(st.lists(st.integers(0, 4095), min_size=1, max_size=120,
+                    unique=True),
+           st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shape_is_a_function_of_the_key_set(self, keys, rnd, data):
+        """Shuffled pushes, sorted pushes, and push-all -> pop-k -> purge
+        all build one shape — what the purge's direct rebuild relies on."""
+        k = data.draw(st.integers(1, len(keys)))
+        live = sorted(keys)[k:]
+
+        def pushed(order):
+            pq = MDListPriorityQueue(dims=4, base=8)
+            for key in order:
+                pq.push(key, key)
+            return pq
+
+        shuffled = list(live)
+        rnd.shuffle(shuffled)
+        drained = pushed(keys)
+        drained.PURGE_THRESHOLD = k  # the k-th pop purges
+        for _ in range(k):
+            drained.pop_min()
+        assert drained.purges_total == 1
+        queues = (pushed(shuffled), pushed(live), drained)
+        for pq in queues:
+            pq.check_invariants()
+        assert self._shape(queues[0]) == self._shape(queues[1])
+        assert self._shape(queues[0]) == self._shape(queues[2])
+
+
 class TestPersistentLogProperties:
     @given(st.lists(st.binary(min_size=0, max_size=200), max_size=40))
     @settings(max_examples=40, deadline=None)

@@ -16,9 +16,10 @@ coordinate order equals priority order.  Operations:
 * ``pop_min`` — the minimum is the first live node in preorder (hops: the
   marked nodes before it, plus one); nodes are *logically* deleted (marked)
   and a **purge pass** physically unlinks them once their count passes a
-  threshold, exactly the paper's background-purge behaviour.  The shape is
-  a function of the key set, so the purge rebuilds it linearly from the
-  sorted live nodes.  Stats expose hops and purged counts.
+  threshold, exactly the paper's background-purge behaviour.  Each purged
+  node is spliced out Zhang-Dechev style — its successor takes its slot and
+  adopts its children — so a purge costs O(D) relinks per purged node, not
+  a pass over the live ones.  Stats expose hops and purged counts.
 
 Duplicate priorities are allowed (each node carries a FIFO list of values,
 resolving "conflicts based on arrival time and priority").
@@ -70,7 +71,7 @@ class MDListPriorityQueue:
         self._head = _MNode(-1, dims)  # sentinel below all keys
         self._head.marked = True
         self._count = 0
-        self._marked_count = 0
+        self._marked: List[_MNode] = []  # logically deleted, not yet purged
         # the suspended min walk: (last node visited, preorder stack, hops)
         self._walk: Optional[Tuple[_MNode, List[_MNode], int]] = None
         self._lock = threading.Lock()
@@ -114,7 +115,7 @@ class MDListPriorityQueue:
                 node.values.append(value)
                 if node.marked:
                     node.marked = False
-                    self._marked_count -= 1
+                    self._marked.remove(node)
             else:
                 node = _MNode(key, self.dims)
                 node.values.append(value)
@@ -190,8 +191,8 @@ class MDListPriorityQueue:
             self._count -= 1
             if not node.values:
                 node.marked = True
-                self._marked_count += 1
-                if self._marked_count >= self.PURGE_THRESHOLD:
+                self._marked.append(node)
+                if len(self._marked) >= self.PURGE_THRESHOLD:
                     stats.relocations += self._purge()
             return node.key, value, stats
 
@@ -245,31 +246,33 @@ class MDListPriorityQueue:
                 return node, hops
 
     def _purge(self) -> int:
-        """Physically unlink marked nodes (the background purge pass).
+        """Physically unlink the marked nodes (the background purge pass).
 
-        Re-links the live nodes, in sorted order, straight into the
-        canonical shape ``check_invariants`` checks — O(D) per node, no
-        descent, the same shape (hence the same later hops) as re-pushing
-        them.  Returns the number of nodes removed.
+        Zhang-Dechev deletion with child adoption.  A marked node ``N`` at
+        ``pred.children[j]`` whose highest child is in dimension ``k`` is
+        replaced there by that child ``S`` — its sorted successor, sharing
+        its prefix through dimension ``k-1`` — and ``S`` adopts ``N``'s
+        children in dimensions ``[j, k)``; a childless ``N`` just empties
+        its slot.  Every other node keeps its parent and the result is the
+        canonical shape ``check_invariants`` checks, so the nodes go in any
+        order: one descent and O(D) relinks per purged node, whatever the
+        live count.  Returns the number of nodes removed.
         """
-        removed = self._marked_count
-        head, dims, divs = self._head, self.dims, self._divs
-        live = [node for node in self._preorder() if not node.marked]
-        firsts = [head] * dims  # firsts[d]: first node of the current d-block
-        head.children = [None] * dims
-        prev = -1
-        for node in live:
-            key = node.key
-            j = 0
-            for div in divs:
-                if key // div != prev // div:
-                    break
-                j += 1
-            firsts[j].children[j] = node
-            firsts[j:] = [node] * (dims - j)
-            node.children = [None] * dims
-            prev = key
-        self._marked_count = 0
+        top = self.dims - 1
+        for node in self._marked:
+            _node, pred, j, _adopt, _hops = self._locate(node.key)
+            children = node.children
+            k = top
+            while k >= j and children[k] is None:
+                k -= 1
+            if k < j:
+                pred.children[j] = None
+            else:
+                succ = children[k]
+                succ.children[j:k] = children[j:k]
+                pred.children[j] = succ
+        removed = len(self._marked)
+        self._marked = []
         self._walk = None
         self.purges_total += 1
         return removed
@@ -294,7 +297,8 @@ class MDListPriorityQueue:
                 if child is not None:
                     assert child not in parents, "node linked twice"
                     parents[child] = (node, d)
-        live = marked = 0
+        live = 0
+        marked = []
         firsts = [self._head] * self.dims
         prev = tuple([-1] * self.dims)
         for node in nodes[1:]:
@@ -309,10 +313,14 @@ class MDListPriorityQueue:
             firsts[j:] = [node] * (self.dims - j)
             prev = coord
             if node.marked:
-                marked += 1
+                marked.append(node)
             else:
                 live += len(node.values)
         assert live == self._count, f"live values {live} != count {self._count}"
-        assert marked == self._marked_count, (
-            f"marked nodes {marked} != marked count {self._marked_count}"
+        assert len(set(self._marked)) == len(self._marked), (
+            "a node listed as marked twice"
+        )
+        assert set(marked) == set(self._marked), (
+            f"marked nodes {sorted(n.key for n in marked)} != marked list "
+            f"{sorted(n.key for n in self._marked)}"
         )

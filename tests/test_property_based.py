@@ -218,7 +218,7 @@ class TestMDListProperties:
     @settings(max_examples=60, deadline=None)
     def test_shape_is_a_function_of_the_key_set(self, keys, rnd, data):
         """Shuffled pushes, sorted pushes, and push-all -> pop-k -> purge
-        all build one shape — what the purge's direct rebuild relies on."""
+        all build one shape — the canonical shape the purge preserves."""
         k = data.draw(st.integers(1, len(keys)))
         live = sorted(keys)[k:]
 

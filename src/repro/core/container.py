@@ -716,8 +716,8 @@ class DistributedContainer:
         append = results.append
         worst_bytes = 16
         ops = self._ops
-        # Plain-int accumulation: one OpStats at the end instead of an
-        # absorb call per sub-op — this loop runs once per buffered op on
+        # Plain-int accumulation: one OpStats at the end instead of a
+        # merge call per sub-op — this loop runs once per buffered op on
         # every aggregated hot path.
         local_ops = reads = writes = cas = reloc = rentries = 0
         resized = False

@@ -13,30 +13,18 @@ value bytes simply drop out of the charged sizes.
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Callable, Hashable, Iterator, Optional, Tuple
 
 from repro.core.container import OP_TABLES, KeyedContainer, Partition
 from repro.memory.segment import MemorySegment
 from repro.rpc.future import RPCFuture
-from repro.structures.cuckoo import CuckooHash
+from repro.structures.cuckoo import CuckooHash, stable_hash
 from repro.structures.stats import OpStats
 
 __all__ = ["HCLUnorderedMap", "HCLUnorderedSet", "stable_hash"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
-
-
-def stable_hash(key: Hashable) -> int:
-    """Interpreter-stable key hash (crc32 of the repr).
-
-    The default first-level hash: unlike the builtin ``hash``, it does not
-    depend on PYTHONHASHSEED, so partition routing — and therefore every
-    simulated timing — is identical across interpreter invocations.  Pass
-    ``hash_fn`` to override (the ``std::hash<K>`` customization point).
-    """
-    return zlib.crc32(repr(key).encode("utf-8"))
 
 
 class _HashContainerBase(KeyedContainer):

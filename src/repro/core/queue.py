@@ -9,7 +9,8 @@ bypass, remote callers one RoR invocation.
 Dynamic growth: when the queue's estimated footprint exceeds its segment, a
 resize of the hosting partition runs with copy/delete migration semantics —
 **new pushes stall, pops keep being served** (the paper's migration rule),
-modeled by a migration lock that only push handlers take.
+modeled by charging the migration's resize term to the push that triggers
+it; pop handlers never grow.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class HCLQueue(DistributedContainer):
         super().__init__(runtime, name, partitions, policy)
         if len(self.partitions) != 1:
             raise ValueError("HCL::queue is single-partitioned")
-        self._migrating = False
 
     @property
     def home(self) -> Partition:
@@ -46,11 +46,7 @@ class HCLQueue(DistributedContainer):
         q: OptimisticQueue = part.structure
         need = 2 * len(q) * max(64, entry_bytes)
         if need > part.segment.size:
-            self._migrating = True
-            try:
-                part.segment.grow(max(need, 2 * part.segment.size))
-            finally:
-                self._migrating = False
+            part.segment.grow(max(need, 2 * part.segment.size))
             return OpStats(resized=True, resize_entries=len(q))
         return None
 

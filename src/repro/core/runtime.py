@@ -22,11 +22,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 from repro.config import ClusterSpec
 from repro.core.container import Partition
 from repro.core.policy import ContainerPolicy
-from repro.core.hash_container import (
-    HCLUnorderedMap,
-    HCLUnorderedSet,
-    stable_hash,
-)
+from repro.core.hash_container import HCLUnorderedMap, HCLUnorderedSet
 from repro.core.ordered_container import HCLMap, HCLSet
 from repro.core.priority_queue import HCLPriorityQueue
 from repro.core.queue import HCLQueue
@@ -168,9 +164,6 @@ class HCL:
                       initial_buckets: int = CuckooHash.DEFAULT_BUCKETS,
                       recover: bool = False, **policy) -> HCLUnorderedMap:
         """An ``HCL::unordered_map`` distributed over ``partitions`` nodes."""
-        # Resolve the hash default here so BOTH hashing levels (partition
-        # routing and the cuckoo tables) are PYTHONHASHSEED-independent.
-        hash_fn = hash_fn or stable_hash
         return self._build(
             HCLUnorderedMap, name,
             lambda: CuckooHash(initial_buckets, hash_fn=hash_fn),
@@ -182,7 +175,6 @@ class HCL:
                       nodes: Optional[Sequence[int]] = None, hash_fn=None,
                       initial_buckets: int = CuckooHash.DEFAULT_BUCKETS,
                       recover: bool = False, **policy) -> HCLUnorderedSet:
-        hash_fn = hash_fn or stable_hash
         return self._build(
             HCLUnorderedSet, name,
             lambda: CuckooHash(initial_buckets, hash_fn=hash_fn),

@@ -21,7 +21,6 @@ from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.config import RetryPolicy, ares_like
-from repro.core.hash_container import stable_hash
 from repro.core.runtime import HCL
 from repro.fabric.faults import PLAN_NAMES, make_plan
 from repro.fabric.topology import Cluster
@@ -33,10 +32,6 @@ __all__ = ["run_chaos_soak", "SOAK_PLANS"]
 #: plans the CI fault matrix runs (``calm`` is excluded: it injects nothing
 #: by design, so the nonzero-faults assertion would reject it)
 SOAK_PLANS = tuple(p for p in PLAN_NAMES if p != "calm")
-
-#: backwards-compatible alias — the crc32 hash this harness always used is
-#: now the container-level default (``repro.core.hash_container.stable_hash``)
-_stable_hash = stable_hash
 
 
 def _soak_retry_policy() -> RetryPolicy:
@@ -100,13 +95,10 @@ def run_chaos_soak(
     cluster = Cluster(spec)
     injector = cluster.install_faults(make_plan(plan, nodes, horizon=horizon))
     h = HCL(cluster, window=windows)
-    keys = h.unordered_map(
-        "soak_keys", replication=1, write_failover=True, hash_fn=_stable_hash
-    )
+    keys = h.unordered_map("soak_keys", replication=1, write_failover=True)
     counts = h.unordered_map(
         "soak_counts", replication=1, write_failover=True,
-        hash_fn=_stable_hash, aggregation=aggregation,
-        read_cache=bool(aggregation),
+        aggregation=aggregation, read_cache=bool(aggregation),
     )
     if instrument is not None:
         instrument(h)

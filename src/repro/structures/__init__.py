@@ -22,9 +22,10 @@ those counts into simulated time using the Table I cost symbols, so the
 simulated performance tracks the *actual* algorithmic work performed on the
 real data.
 
-Python cannot express true lock-free CAS loops on shared memory, so thread
-safety comes from fine-grained internal locks that preserve each algorithm's
-conflict behaviour (see DESIGN.md, "Deviations").
+Their concurrency lives in simulated time — the charged ``cas_ops``, the
+container layer's RoR path and the NIC's atomic lock — so each structure
+runs on one host thread and has one code path (see DESIGN.md,
+"Deviations").
 """
 
 from repro.structures.stats import OpStats

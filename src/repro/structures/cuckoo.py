@@ -10,22 +10,16 @@ growth.
 
 Per-operation :class:`~repro.structures.stats.OpStats` expose probes,
 relocations and resizes so the simulation charges exactly the work done.
-
-Thread safety: a striped lock array (power-of-two stripes) guards slot
-mutations; lookups are lock-free in the Python sense (a consistent snapshot
-read of one list cell).  The conflict pattern — writers to the same stripe
-serialize, disjoint stripes proceed in parallel — mirrors the lock-free
-algorithm's CAS contention behaviour.
 """
 
 from __future__ import annotations
 
-import threading
+import zlib
 from typing import Any, Hashable, Iterator, List, Optional, Tuple
 
 from repro.structures.stats import OpStats
 
-__all__ = ["CuckooHash"]
+__all__ = ["CuckooHash", "stable_hash"]
 
 _EMPTY = None
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -35,35 +29,34 @@ _MASK64 = (1 << 64) - 1
 # overwhelming majority of an upsert storm, where per-op dataclass
 # construction is measurable wall time.  Callers only ever *read* an
 # OpStats once a structure op has returned it (accumulation goes through
-# merge/absorb into a separate object), which is what makes sharing safe;
-# never mutate one of these.
+# merge into a separate object), which is what makes sharing safe; never
+# mutate one of these.
 _UPSERT_HIT_T0 = OpStats(local_ops=3, reads=2, writes=1, cas_ops=1)
 _UPSERT_HIT_T1 = OpStats(local_ops=6, reads=2, writes=1, cas_ops=1)
 
 
-def _hash1(key: Hashable) -> int:
-    return hash(key) & _MASK64
+def stable_hash(key: Hashable) -> int:
+    """Interpreter-stable key hash (crc32 of the repr).
 
-
-def _hash2(key: Hashable) -> int:
-    h = hash(key) & _MASK64
-    # Fibonacci scramble + xor-shift for an independent second hash.
-    h = (h * _GOLDEN64) & _MASK64
-    h ^= h >> 29
-    return h
+    The default hash at both levels — the containers' partition routing and
+    the table's slots: unlike the builtin ``hash``, it does not depend on
+    PYTHONHASHSEED, so placement — and therefore every simulated timing —
+    is identical across interpreter invocations.  Pass ``hash_fn`` to
+    override (the ``std::hash<K>`` customization point).
+    """
+    return zlib.crc32(repr(key).encode("utf-8"))
 
 
 class CuckooHash:
     """A resizable two-table cuckoo hash map.
 
     ``hash_fn`` overrides the key distribution (the std::hash override of
-    Section III-D1).
+    Section III-D1); the default is :func:`stable_hash`.
     """
 
     DEFAULT_BUCKETS = 128
     LOAD_FACTOR = 0.75
     MAX_RELOCATIONS = 16
-    LOCK_STRIPES = 64
 
     def __init__(self, initial_buckets: int = DEFAULT_BUCKETS, hash_fn=None):
         if initial_buckets < 2:
@@ -73,14 +66,12 @@ class CuckooHash:
         self._t0: List[Optional[Tuple[Hashable, Any]]] = [_EMPTY] * half
         self._t1: List[Optional[Tuple[Hashable, Any]]] = [_EMPTY] * half
         self._count = 0
-        self._hash_fn = hash_fn
-        # Cap-independent hash bases memoized per key: a custom hash_fn
-        # (e.g. the containers' stable_hash) costs real host time per call
-        # and upsert storms rehash the same keys constantly.  Purely a
-        # host-side cache — charged OpStats never count hashing.
-        self._base_memo: Optional[dict] = {} if hash_fn is not None else None
-        self._locks = [threading.Lock() for _ in range(self.LOCK_STRIPES)]
-        self._resize_lock = threading.Lock()
+        self._hash_fn = hash_fn or stable_hash
+        # Cap-independent hash bases memoized per key: hash_fn costs real
+        # host time per call and upsert storms rehash the same keys
+        # constantly.  Purely a host-side cache — charged OpStats never
+        # count hashing.
+        self._base_memo: dict = {}
         self._orphan: Optional[Tuple[Hashable, Any]] = None
         self.resizes = 0
 
@@ -94,15 +85,9 @@ class CuckooHash:
         return base
 
     def _h(self, key: Hashable, table: int) -> int:
-        if self._base_memo is not None:
-            base = self._base(key)
-            h = base if table == 0 else ((base * _GOLDEN64) & _MASK64) ^ (base >> 31)
-        else:
-            h = _hash1(key) if table == 0 else _hash2(key)
+        base = self._base(key)
+        h = base if table == 0 else ((base * _GOLDEN64) & _MASK64) ^ (base >> 31)
         return h % self._cap
-
-    def _stripe(self, table: int, index: int) -> threading.Lock:
-        return self._locks[(table * 31 + index) & (self.LOCK_STRIPES - 1)]
 
     # -- public API -------------------------------------------------------------
     def __len__(self) -> int:
@@ -146,13 +131,9 @@ class CuckooHash:
         never simulated work, so timelines are bit-identical either way.
         """
         cap = self._cap
-        if self._base_memo is not None:
-            base = self._base(key)
-            i0 = base % cap
-            i1 = ((((base * _GOLDEN64) & _MASK64) ^ (base >> 31))) % cap
-        else:
-            i0 = _hash1(key) % cap
-            i1 = _hash2(key) % cap
+        base = self._base(key)
+        i0 = base % cap
+        i1 = (((base * _GOLDEN64) & _MASK64) ^ (base >> 31)) % cap
         t0, t1 = self._t0, self._t1
         slot = t0[i0]
         if slot is not _EMPTY and slot[0] == key:
@@ -214,34 +195,29 @@ class CuckooHash:
             stats.local_ops += 1
             slot = arr[i]
             if slot is not _EMPTY and slot[0] == key:
-                with self._stripe(table, i):
-                    stats.cas_ops += 1
-                    stats.writes += 1
-                    arr[i] = (key, value)
+                stats.cas_ops += 1
+                stats.writes += 1
+                arr[i] = (key, value)
                 return True, False
         # Empty-slot path.
         for table, arr in ((0, self._t0), (1, self._t1)):
             i = self._h(key, table)
             if arr[i] is _EMPTY:
-                with self._stripe(table, i):
-                    if arr[i] is _EMPTY:  # re-check under lock (CAS retry)
-                        stats.cas_ops += 1
-                        stats.writes += 1
-                        arr[i] = (key, value)
-                        return True, True
-                    stats.cas_ops += 1  # failed CAS
+                stats.cas_ops += 1
+                stats.writes += 1
+                arr[i] = (key, value)
+                return True, True
         # Eviction chain: kick the primary occupant.
         cur = (key, value)
         table = 0
         for _ in range(self.MAX_RELOCATIONS):
             arr = self._t0 if table == 0 else self._t1
             i = self._h(cur[0], table)
-            with self._stripe(table, i):
-                victim = arr[i]
-                stats.cas_ops += 1
-                stats.writes += 1
-                stats.relocations += 1
-                arr[i] = cur
+            victim = arr[i]
+            stats.cas_ops += 1
+            stats.writes += 1
+            stats.relocations += 1
+            arr[i] = cur
             if victim is _EMPTY:
                 return True, True
             # Note: victim[0] == key can only mean the chain cycled back and
@@ -255,41 +231,40 @@ class CuckooHash:
         return False, False
 
     def _resize(self, stats: OpStats) -> None:
-        with self._resize_lock:
-            old_items = list(self.items())
-            orphan = getattr(self, "_orphan", None)
-            self._orphan = None
-            if orphan is not None:
-                old_items.append(orphan)
-            self.resizes += 1
-            stats.resized = True
-            stats.resize_entries += len(old_items)
-            sub = OpStats()
-            while True:
-                if self._cap > 512 * max(16, len(old_items)):
-                    # A hash function that cannot spread keys (e.g. a
-                    # constant) makes cuckoo insertion impossible at any
-                    # capacity; fail loudly instead of doubling forever.
-                    raise RuntimeError(
-                        f"cuckoo resize cannot place {len(old_items)} items "
-                        f"even at capacity {self._cap} — degenerate hash "
-                        "function?"
-                    )
-                self._cap *= 2
-                self._t0 = [_EMPTY] * self._cap
-                self._t1 = [_EMPTY] * self._cap
-                self._count = 0
-                ok = True
-                for k, v in old_items:
-                    done, new = self._try_insert(k, v, sub)
-                    if not done:
-                        self._orphan = None
-                        ok = False
-                        break
-                    if new:
-                        self._count += 1
-                if ok:
-                    return
+        old_items = list(self.items())
+        orphan = self._orphan
+        self._orphan = None
+        if orphan is not None:
+            old_items.append(orphan)
+        self.resizes += 1
+        stats.resized = True
+        stats.resize_entries += len(old_items)
+        sub = OpStats()
+        while True:
+            if self._cap > 512 * max(16, len(old_items)):
+                # A hash function that cannot spread keys (e.g. a
+                # constant) makes cuckoo insertion impossible at any
+                # capacity; fail loudly instead of doubling forever.
+                raise RuntimeError(
+                    f"cuckoo resize cannot place {len(old_items)} items "
+                    f"even at capacity {self._cap} — degenerate hash "
+                    "function?"
+                )
+            self._cap *= 2
+            self._t0 = [_EMPTY] * self._cap
+            self._t1 = [_EMPTY] * self._cap
+            self._count = 0
+            ok = True
+            for k, v in old_items:
+                done, new = self._try_insert(k, v, sub)
+                if not done:
+                    self._orphan = None
+                    ok = False
+                    break
+                if new:
+                    self._count += 1
+            if ok:
+                return
 
     def remove(self, key: Hashable) -> Tuple[bool, OpStats]:
         stats = OpStats()
@@ -298,13 +273,11 @@ class CuckooHash:
             stats.local_ops += 1
             slot = arr[i]
             if slot is not _EMPTY and slot[0] == key:
-                with self._stripe(table, i):
-                    if arr[i] is slot:
-                        stats.cas_ops += 1
-                        stats.writes += 1
-                        arr[i] = _EMPTY
-                        self._count -= 1
-                        return True, stats
+                stats.cas_ops += 1
+                stats.writes += 1
+                arr[i] = _EMPTY
+                self._count -= 1
+                return True, stats
         return False, stats
 
     def items(self) -> Iterator[Tuple[Hashable, Any]]:

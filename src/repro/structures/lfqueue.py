@@ -14,8 +14,7 @@ chain, and when it finds them inconsistent (because an enqueuer was
 interrupted between the tail CAS and the prev write) it runs ``fix_list`` —
 a repair pass that rebuilds prev pointers from the authoritative ``next``
 chain.  We reproduce that structure faithfully, including the fix-list pass
-and its operation count, with a lock standing in for each CAS (and counted
-as one ``cas_ops``).
+and its operation count, with each CAS counted as one ``cas_ops``.
 
 To exercise the fix-list machinery deterministically, ``enqueue`` accepts
 ``defer_prev=True`` which simulates an enqueuer stalled before publishing
@@ -24,7 +23,6 @@ its prev pointer.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Iterator, Optional, Tuple
 
 from repro.structures.stats import OpStats
@@ -55,7 +53,6 @@ class OptimisticQueue:
         self._tail = dummy  # enqueue side
         self._count = 0
         self._stamp = 0
-        self._lock = threading.Lock()
         self.fixups_total = 0
 
     def __len__(self) -> int:
@@ -69,19 +66,18 @@ class OptimisticQueue:
     def push(self, value: Any, defer_prev: bool = False) -> OpStats:
         """Append at the tail.  One CAS on the tail + one node write."""
         stats = OpStats()
-        with self._lock:
-            self._stamp += 1
-            node = _QNode(value, self._stamp)
-            stats.writes += 1
-            stats.cas_ops += 1  # the tail CAS
-            old_tail = self._tail
-            node.next = old_tail
-            self._tail = node
-            if not defer_prev:
-                # Optimistic, uns-synchronized prev publication.
-                old_tail.prev = node
-                stats.local_ops += 1
-            self._count += 1
+        self._stamp += 1
+        node = _QNode(value, self._stamp)
+        stats.writes += 1
+        stats.cas_ops += 1  # the tail CAS
+        old_tail = self._tail
+        node.next = old_tail
+        self._tail = node
+        if not defer_prev:
+            # Optimistic, uns-synchronized prev publication.
+            old_tail.prev = node
+            stats.local_ops += 1
+        self._count += 1
         return stats
 
     def push_many(self, values) -> OpStats:
@@ -95,27 +91,26 @@ class OptimisticQueue:
     def pop(self) -> Tuple[Any, OpStats]:
         """Remove from the head.  Runs fix-list when prev chain is broken."""
         stats = OpStats()
-        with self._lock:
-            if self._count == 0:
-                raise QueueEmpty()
-            head = self._head
-            first = head.prev  # the oldest real node
-            if first is None:
-                self._fix_list(stats)
-                first = head.prev
-            if first is None:
-                raise QueueEmpty()  # pragma: no cover - repaired above
-            stats.cas_ops += 1  # the head CAS
-            stats.reads += 1
-            value = first.value
-            first.value = None
-            self._head = first
-            self._count -= 1
-            if self._count == 0:
-                # List empty: head and tail converge on the new dummy.
-                self._tail = first
-                first.prev = None
-            return value, stats
+        if self._count == 0:
+            raise QueueEmpty()
+        head = self._head
+        first = head.prev  # the oldest real node
+        if first is None:
+            self._fix_list(stats)
+            first = head.prev
+        if first is None:
+            raise QueueEmpty()  # pragma: no cover - repaired above
+        stats.cas_ops += 1  # the head CAS
+        stats.reads += 1
+        value = first.value
+        first.value = None
+        self._head = first
+        self._count -= 1
+        if self._count == 0:
+            # List empty: head and tail converge on the new dummy.
+            self._tail = first
+            first.prev = None
+        return value, stats
 
     def pop_many(self, n: int):
         """Vector pop of up to ``n`` elements (Table I: F + L + E*R)."""

@@ -27,7 +27,6 @@ resolving "conflicts based on arrival time and priority").
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.structures.stats import OpStats
@@ -74,7 +73,6 @@ class MDListPriorityQueue:
         self._marked: List[_MNode] = []  # logically deleted, not yet purged
         # the suspended min walk: (last node visited, preorder stack, hops)
         self._walk: Optional[Tuple[_MNode, List[_MNode], int]] = None
-        self._lock = threading.Lock()
         self.purges_total = 0
 
     def __len__(self) -> int:
@@ -108,20 +106,19 @@ class MDListPriorityQueue:
     def push(self, key: int, value: Any) -> OpStats:
         if not 0 <= key < self.key_limit:
             self.coordinate(key)  # raises the range error
-        with self._lock:
-            node, parent, dim, adopt_dim, hops = self._locate(key)
-            if node is not None:
-                # Same priority: append in arrival order.
-                node.values.append(value)
-                if node.marked:
-                    node.marked = False
-                    self._marked.remove(node)
-            else:
-                node = _MNode(key, self.dims)
-                node.values.append(value)
-                self._splice(node, parent, dim, adopt_dim)
-            self._walk = None
-            self._count += 1
+        node, parent, dim, adopt_dim, hops = self._locate(key)
+        if node is not None:
+            # Same priority: append in arrival order.
+            node.values.append(value)
+            if node.marked:
+                node.marked = False
+                self._marked.remove(node)
+        else:
+            node = _MNode(key, self.dims)
+            node.values.append(value)
+            self._splice(node, parent, dim, adopt_dim)
+        self._walk = None
+        self._count += 1
         # one write, one CAS: the append, or the attach-point CAS
         return OpStats(local_ops=hops, writes=1, cas_ops=1)
 
@@ -181,27 +178,25 @@ class MDListPriorityQueue:
     # -- pop ---------------------------------------------------------------------------
     def pop_min(self) -> Tuple[int, Any, OpStats]:
         """Remove and return ``(priority, value)`` of the minimum."""
-        with self._lock:
-            if self._count == 0:
-                raise PriorityQueueEmpty()
-            node, hops = self._find_min()
-            # one read and the deletion mark's CAS
-            stats = OpStats(local_ops=hops, reads=1, cas_ops=1)
-            value = node.values.pop(0)
-            self._count -= 1
-            if not node.values:
-                node.marked = True
-                self._marked.append(node)
-                if len(self._marked) >= self.PURGE_THRESHOLD:
-                    stats.relocations += self._purge()
-            return node.key, value, stats
+        if self._count == 0:
+            raise PriorityQueueEmpty()
+        node, hops = self._find_min()
+        # one read and the deletion mark's CAS
+        stats = OpStats(local_ops=hops, reads=1, cas_ops=1)
+        value = node.values.pop(0)
+        self._count -= 1
+        if not node.values:
+            node.marked = True
+            self._marked.append(node)
+            if len(self._marked) >= self.PURGE_THRESHOLD:
+                stats.relocations += self._purge()
+        return node.key, value, stats
 
     def peek_min(self) -> Tuple[int, Any]:
-        with self._lock:
-            if self._count == 0:
-                raise PriorityQueueEmpty()
-            node, _hops = self._find_min()
-            return node.key, node.values[0]
+        if self._count == 0:
+            raise PriorityQueueEmpty()
+        node, _hops = self._find_min()
+        return node.key, node.values[0]
 
     def _preorder(self) -> List[_MNode]:
         """Every node in *sorted key order*, the head first.

@@ -10,11 +10,6 @@ range iteration) with:
 * per-operation :class:`~repro.structures.stats.OpStats` — ``local_ops``
   counts node visits (the ``log N`` of Table I), ``relocations`` counts
   rotations, so the simulated cost is exactly the work done;
-* a coarse tree lock standing in for the NLP node-lock protocol: writers
-  serialize, readers take a snapshot-consistent path (Python's GIL makes
-  pointer reads atomic) — conflict behaviour at the container layer matches
-  because the *simulated* concurrency happens in the DES, where op costs
-  interleave, and the real tree only needs to be linearizable.
 * conflict handling via per-key overwrite plus a bounded collision list for
   duplicate insertions, mirroring the paper's "linked list ... O(m + log n)"
   description.
@@ -22,7 +17,6 @@ range iteration) with:
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Hashable, Iterator, Optional, Tuple
 
 from repro.structures.stats import OpStats
@@ -52,7 +46,6 @@ class RedBlackTree:
         self._root: Optional[_Node] = None
         self._count = 0
         self._less = less or (lambda a, b: a < b)
-        self._lock = threading.Lock()
         self.rotations_total = 0
 
     def __len__(self) -> int:
@@ -83,31 +76,30 @@ class RedBlackTree:
         """Insert or overwrite; returns ``(inserted_new, stats)``."""
         stats = OpStats()
         less = self._less
-        with self._lock:
-            parent = None
-            node = self._root
-            while node is not None:
-                stats.local_ops += 1
-                parent = node
-                if less(key, node.key):
-                    node = node.left
-                elif less(node.key, key):
-                    node = node.right
-                else:
-                    stats.writes += 1
-                    node.value = value
-                    return False, stats
-            fresh = _Node(key, value, parent)
-            stats.writes += 1
-            if parent is None:
-                self._root = fresh
-            elif less(key, parent.key):
-                parent.left = fresh
+        parent = None
+        node = self._root
+        while node is not None:
+            stats.local_ops += 1
+            parent = node
+            if less(key, node.key):
+                node = node.left
+            elif less(node.key, key):
+                node = node.right
             else:
-                parent.right = fresh
-            self._count += 1
-            self._fix_insert(fresh, stats)
-            return True, stats
+                stats.writes += 1
+                node.value = value
+                return False, stats
+        fresh = _Node(key, value, parent)
+        stats.writes += 1
+        if parent is None:
+            self._root = fresh
+        elif less(key, parent.key):
+            parent.left = fresh
+        else:
+            parent.right = fresh
+        self._count += 1
+        self._fix_insert(fresh, stats)
+        return True, stats
 
     def _rotate_left(self, x: _Node, stats: OpStats) -> None:
         y = x.right
@@ -184,22 +176,21 @@ class RedBlackTree:
     def remove(self, key: Hashable) -> Tuple[bool, OpStats]:
         stats = OpStats()
         less = self._less
-        with self._lock:
-            z = self._root
-            while z is not None:
-                stats.local_ops += 1
-                if less(key, z.key):
-                    z = z.left
-                elif less(z.key, key):
-                    z = z.right
-                else:
-                    break
-            if z is None:
-                return False, stats
-            self._delete_node(z, stats)
-            self._count -= 1
-            stats.writes += 1
-            return True, stats
+        z = self._root
+        while z is not None:
+            stats.local_ops += 1
+            if less(key, z.key):
+                z = z.left
+            elif less(z.key, key):
+                z = z.right
+            else:
+                break
+        if z is None:
+            return False, stats
+        self._delete_node(z, stats)
+        self._count -= 1
+        stats.writes += 1
+        return True, stats
 
     def _transplant(self, u: _Node, v: Optional[_Node]) -> None:
         if u.parent is None:

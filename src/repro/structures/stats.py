@@ -25,16 +25,6 @@ class OpStats:
     resized: bool = False
     resize_entries: int = 0  # entries moved by the resize, if any
 
-    def absorb(self, other: "OpStats") -> None:
-        """In-place :meth:`merge` — for hot accumulation loops."""
-        self.local_ops += other.local_ops
-        self.reads += other.reads
-        self.writes += other.writes
-        self.cas_ops += other.cas_ops
-        self.relocations += other.relocations
-        self.resized = self.resized or other.resized
-        self.resize_entries += other.resize_entries
-
     def merge(self, other: "OpStats") -> "OpStats":
         return OpStats(
             local_ops=self.local_ops + other.local_ops,

@@ -1,11 +1,13 @@
-"""The product does not import its tests, and reads no host clock.
+"""The product does not import its tests, reads no host clock, starts no thread.
 
 ``src/repro`` is what gets installed: nothing in it may import
 ``benchmarks``, ``tests`` or a test-only dependency, and every experiment
 subcommand must run from any directory with only ``src`` on the path.
 Every instrument and artifact in it is on the simulated clock — host time
 is measured by ``benchmarks/ledger`` alone — so it imports no stopwatch
-and no profiler either.
+and no profiler either.  Its concurrency is simulated too (charged CAS
+counts, the NIC's ``SimLock``), so it imports no host-thread, process-pool
+or event-loop module, and the local structures need no host lock.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 FORBIDDEN = {"benchmarks", "tests", "pytest", "hypothesis"}
 HOST_CLOCKS = {"time", "timeit", "cProfile", "profile", "pstats"}
+HOST_THREADS = {"threading", "_thread", "multiprocessing", "concurrent", "asyncio"}
 
 #: every experiment subcommand, at a shape that runs in a few seconds
 COMMANDS = [
@@ -58,6 +61,10 @@ def test_src_imports_no_test_code():
 
 def test_src_reads_no_host_clock():
     assert not _imports(HOST_CLOCKS)
+
+
+def test_src_starts_no_host_thread():
+    assert not _imports(HOST_THREADS)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])

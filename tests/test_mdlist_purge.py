@@ -12,18 +12,11 @@ the marked set something other than a sorted prefix of the keys.
 from __future__ import annotations
 
 import random
-import sys
-import threading
-from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.structures.mdlist import (
-    MDListPriorityQueue,
-    PriorityQueueEmpty,
-    _MNode,
-)
+from repro.structures.mdlist import MDListPriorityQueue, _MNode
 
 GEOMETRIES = [(2, 4), (3, 4), (9, 8), (8, 16)]
 
@@ -151,41 +144,3 @@ def test_unmark_leaves_the_marked_list():
     assert pq.purges_total == 0
     pq.check_invariants()
 
-
-def test_threaded_interleaved_push_pop_with_purges():
-    """Six threads (more than a CI runner's cores) push and pop one queue,
-    purging every four marks; nothing is lost or duplicated."""
-    pq = MDListPriorityQueue(dims=3, base=4)
-    pq.PURGE_THRESHOLD = 4
-    per = 600
-    pushed = [[] for _ in range(6)]
-    popped = [[] for _ in range(6)]
-
-    def worker(t):
-        rng = random.Random(t)
-        for i in range(per):
-            key = rng.randrange(64)
-            pq.push(key, (t, i))
-            pushed[t].append((key, (t, i)))
-            if rng.random() < 0.5:
-                try:
-                    popped[t].append(pq.pop_min()[:2])
-                except PriorityQueueEmpty:
-                    pass
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the threads finely
-    try:
-        threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    out = [kv for pops in popped for kv in pops] + list(pq.items())
-    assert Counter(out) == Counter(kv for pairs in pushed for kv in pairs)
-    assert pq.purges_total > 0
-    pq.check_invariants()

@@ -1,7 +1,6 @@
 """Tests for the lock-free-style cuckoo hash table."""
 
 import random
-import threading
 
 import pytest
 
@@ -157,32 +156,11 @@ class TestDifferential:
         """Regression: a kick chain that cycles back onto the fresh key."""
         c = CuckooHash(initial_buckets=4)
         ref = {}
+        relocations = []
         for i in range(200):
-            c.insert(i, i)
+            relocations.append(c.insert(i, i)[1].relocations)
             ref[i] = i
         assert dict(c.items()) == ref
+        # some chain runs out and resizes — the case the test is named for
+        assert max(relocations) == CuckooHash.MAX_RELOCATIONS
 
-
-class TestConcurrency:
-    def test_parallel_inserts_disjoint_keys(self):
-        c = CuckooHash(initial_buckets=4096)
-        errors = []
-
-        def worker(base):
-            try:
-                for i in range(200):
-                    c.insert(base + i, base + i)
-            except Exception as err:  # noqa: BLE001
-                errors.append(err)
-
-        threads = [threading.Thread(target=worker, args=(t * 1000,))
-                   for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(c) == 800
-        for t in range(4):
-            for i in range(200):
-                assert c.find(t * 1000 + i)[1]

@@ -2,8 +2,6 @@
 
 import heapq
 import random
-import sys
-import threading
 
 import pytest
 
@@ -78,25 +76,6 @@ class TestOptimisticQueue:
             out = [q.pop()[0] for _ in range(10)]
             assert out == [(round_, i) for i in range(10)]
             assert q.empty
-
-    def test_threaded_producers(self):
-        q = OptimisticQueue()
-
-        def producer(base):
-            for i in range(100):
-                q.push(base + i)
-
-        threads = [threading.Thread(target=producer, args=(t * 1000,))
-                   for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(q) == 400
-        seen = set()
-        while not q.empty:
-            seen.add(q.pop()[0])
-        assert len(seen) == 400
 
 
 class TestMDList:
@@ -191,48 +170,6 @@ class TestMDList:
         while ref:
             assert pq.pop_min()[:2] == heapq.heappop(ref)
         pq.check_invariants()
-
-    def test_threaded_push_then_pop(self):
-        """Every op holds ``_lock``, the suspended min walk included: four
-        threads push disjoint key ranges (each key twice), then four pop
-        until empty; every value comes out exactly once."""
-        pq = MDListPriorityQueue(dims=4, base=8)
-        per = 400
-        popped = [[] for _ in range(4)]
-
-        def pusher(t):
-            keys = list(range(t * per, (t + 1) * per))
-            random.Random(t).shuffle(keys)
-            for k in keys:
-                pq.push(k, (k, 0))
-                pq.push(k, (k, 1))
-
-        def popper(t):
-            while True:
-                try:
-                    popped[t].append(pq.pop_min()[:2])
-                except PriorityQueueEmpty:
-                    return
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the threads finely
-        try:
-            for target in (pusher, popper):
-                threads = [threading.Thread(target=target, args=(t,))
-                           for t in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                pq.check_invariants()
-        finally:
-            sys.setswitchinterval(interval)
-        values = [v for out in popped for _k, v in out]
-        assert sorted(values) == [(k, c) for k in range(4 * per)
-                                  for c in (0, 1)]
-        for out in popped:  # each pop took the minimum at that moment
-            assert [k for k, _v in out] == sorted(k for k, _v in out)
-        assert pq.empty and pq.purges_total > 0
 
     def test_push_stats_bounded_by_structure(self):
         """Insert cost is O(D + base) hops, not O(N) — the log-like bound."""

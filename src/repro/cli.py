@@ -120,19 +120,6 @@ def _cmd_obs_report(args) -> int:
     if args.flight:
         with open(args.flight, encoding="utf-8") as fh:
             flight = json.load(fh)
-    compare = None
-    diff = None
-    if args.compare:
-        if flight is None:
-            print("obs-report: --compare needs --flight (run A)",
-                  file=sys.stderr)
-            return 2
-        from repro.obs import diff_runs
-
-        with open(args.compare, encoding="utf-8") as fh:
-            compare = json.load(fh)
-        diff = diff_runs(flight, compare, a_name=args.flight,
-                         b_name=args.compare)
     critpath = None
     if args.spans:
         critpath = critpath_analyze(load_spans(args.spans),
@@ -143,8 +130,7 @@ def _cmd_obs_report(args) -> int:
             metrics = json.load(fh)
 
     size = write_dashboard(args.out, flight=flight, critpath=critpath,
-                           metrics=metrics, compare=compare, diff=diff,
-                           title=args.title)
+                           metrics=metrics, title=args.title)
     if _invalid(args.out, validate_dashboard(args.out), generated=True):
         return 1
     print(f"wrote {args.out} ({size} bytes, valid)")
@@ -180,34 +166,17 @@ def _cmd_obs_report(args) -> int:
 
 
 def _cmd_obs_diff(args) -> int:
-    from repro.obs import diff_paths, load_artifact, render_diff, \
-        write_diff_json
+    from repro.obs import diff_paths, render_diff, write_json
 
     diff = diff_paths(args.a, args.b, rel_threshold=args.threshold,
                       top=args.top)
     print(render_diff(diff, max_rows=args.max_rows))
     if args.json:
-        print(f"wrote {write_diff_json(diff, args.json)}")
+        print(f"wrote {write_json(diff, args.json)}")
     if args.md:
         with open(args.md, "w", encoding="utf-8") as fh:
             fh.write(render_diff(diff, max_rows=args.max_rows))
         print(f"wrote {args.md}")
-    if args.html:
-        from repro.obs import validate_dashboard, write_dashboard
-
-        kind_a, doc_a = load_artifact(args.a)
-        kind_b, doc_b = load_artifact(args.b)
-        flight = doc_a if kind_a == "flight" else None
-        compare = doc_b if (flight is not None and kind_b == "flight") \
-            else None
-        size = write_dashboard(
-            args.html, flight=flight, compare=compare, diff=diff,
-            title=f"A/B: {args.a} vs {args.b}",
-        )
-        if _invalid(args.html, validate_dashboard(args.html),
-                    generated=True):
-            return 1
-        print(f"wrote {args.html} ({size} bytes, valid)")
     if args.fail_on_significant and diff["significant"]:
         print("obs-diff: significant differences found "
               f"({diff['fingerprint']['label']})", file=sys.stderr)
@@ -335,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     pO.add_argument("--title", default="Observability report")
     pO.add_argument("--top-traces", type=int, default=5,
                     help="slowest traces listed in the critical-path table")
-    pO.add_argument("--compare", default=None, metavar="PATH",
-                    help="second flight-recorder JSON: render the A/B "
-                         "comparison dashboard (overlaid sparklines + "
-                         "delta tables; --flight is run A)")
     pO.add_argument("--validate", default=None, metavar="PATH",
                     help="validate an existing dashboard instead of "
                          "rendering one (CI mode)")
@@ -365,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     pD.add_argument("--md", nargs="?", const="run_diff.md",
                     default=None, metavar="PATH",
                     help="write the markdown forensics report")
-    pD.add_argument("--html", nargs="?", const="run_diff.html",
-                    default=None, metavar="PATH",
-                    help="render the A/B dashboard (overlaid sparklines "
-                         "when both runs are flight recordings)")
     pD.add_argument("--fail-on-significant", action="store_true",
                     help="exit 1 when significant differences are found "
                          "(CI self-diff mode)")

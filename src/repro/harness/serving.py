@@ -72,12 +72,9 @@ __all__ = [
     "MONITOR_DEFAULTS",
 ]
 
-#: the skew/SLO rules a recorded serving run hangs on its flight recorder
+#: the SLO rules a recorded serving run hangs on its flight recorder
 #: (windows scale with the recorder's cadence)
 MONITOR_DEFAULTS: Dict = {
-    "hot_factor": 2.0,         # x fair share -> skew.hot_partition
-    "sketch_capacity": 64,
-    "top_k": 5,
     "availability_target": 0.999,
     "burn_threshold": 10.0,    # availability fast-burn multiple
     "latency_slo": 1e-3,       # latency objective (sim s)
@@ -161,11 +158,7 @@ def _arm_monitors(recorder: FlightRecorder, store, queues) -> Tuple:
     sources = [(p.ops.name, p.node_id) for p in store.partitions]
     for q in queues:
         sources.extend((p.ops.name, p.node_id) for p in q.partitions)
-    skew = SkewDetector(
-        registry, sources, hot_factor=cfg["hot_factor"],
-        sketch_capacity=cfg["sketch_capacity"],
-        event_log=recorder.events, top_k=cfg["top_k"],
-    )
+    skew = SkewDetector(registry, sources, event_log=recorder.events)
     slo = SLOMonitor(
         rules=[
             SLORule(
@@ -420,8 +413,9 @@ def run_serving(
     ``instrument`` is called with each config's runtime (labelled ``off``
     / ``b<N>``) once its containers exist.  When it installs a flight
     recorder (``HARNESS.attach(flight=...)``), the run also hangs the
-    skew detector and SLO burn-rate monitor (:data:`MONITOR_DEFAULTS`) on
-    it, and the recorder's payload gains ``skew`` / ``slo`` sections.
+    skew detector and the SLO burn-rate monitor (rules in
+    :data:`MONITOR_DEFAULTS`) on it, and the recorder's payload gains
+    ``skew`` / ``slo`` sections.
     Instruments never change the report — simulated results are identical
     with them on or off."""
     if not 0.999 <= sum(mix) <= 1.001:

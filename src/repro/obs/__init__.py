@@ -49,7 +49,6 @@ from repro.obs.diff import (
     diff_runs,
     load_artifact,
     render_diff,
-    write_diff_json,
 )
 from repro.obs.instruments import Instruments, suffixed
 from repro.obs.report import (
@@ -96,7 +95,6 @@ __all__ = [
     "diff_runs",
     "load_artifact",
     "render_diff",
-    "write_diff_json",
     "render_dashboard",
     "validate_dashboard",
     "write_dashboard",

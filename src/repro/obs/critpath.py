@@ -19,7 +19,7 @@ attributions always sum exactly to the measured end-to-end latency
 
 Outputs: cluster-wide per-stage blame, per-``(dst node, stream)`` blame
 groups, the "where does p99 live" table (stage blame within the slowest
-``1 - slow_quantile`` of traces), and the top-N slowest traces with full
+``1 - SLOW_QUANTILE`` of traces), and the top-N slowest traces with full
 per-stage breakdowns.  Works on live :class:`~repro.obs.span.Tracer`
 objects or span JSON-lines files — same records either way.
 """
@@ -33,6 +33,13 @@ from repro.obs.exporters import span_record
 from repro.obs.span import _CLIENT_STAGES, _WAIT_STAGES, Span, Tracer
 
 __all__ = ["analyze", "load_spans", "spans_of", "STAGE_ORDER"]
+
+#: the "where does p99 live" table blames the traces at or above this
+#: latency quantile
+SLOW_QUANTILE = 0.99
+
+#: per-``(dst node, stream)`` blame groups kept, heaviest first
+MAX_GROUPS = 10
 
 #: attribution-stage display order (every per-trace breakdown sums to e2e)
 STAGE_ORDER = (
@@ -150,15 +157,12 @@ def _blame(breakdowns: List[Dict]) -> Dict:
     }
 
 
-def analyze(source, top_n: int = 5, slow_quantile: float = 0.99,
-            max_groups: int = 10) -> Dict:
+def analyze(source, top_n: int = 5) -> Dict:
     """Full critical-path report over a span source (JSON-ready).
 
     ``source`` is a :class:`Tracer`, a list of :class:`Span` objects, or
     a list of span records (e.g. from :func:`load_spans`).
     """
-    if not 0.0 < slow_quantile < 1.0:
-        raise ValueError("slow_quantile must be in (0, 1)")
     records = spans_of(source)
     by_parent: Dict[int, List[Dict]] = {}
     for rec in records:
@@ -183,7 +187,7 @@ def analyze(source, top_n: int = 5, slow_quantile: float = 0.99,
             "traces": 0,
             "skipped": skipped,
             "overall": _blame([]),
-            "slow": {"quantile": slow_quantile, "threshold": 0.0,
+            "slow": {"quantile": SLOW_QUANTILE, "threshold": 0.0,
                      **_blame([])},
             "groups": [],
             "top_traces": [],
@@ -197,7 +201,7 @@ def analyze(source, top_n: int = 5, slow_quantile: float = 0.99,
     # "Where does p99 live": blame within the slowest tail.
     latencies = sorted(b["e2e"] for b in breakdowns)
     rank = min(len(latencies) - 1,
-               max(0, int(slow_quantile * len(latencies))))
+               max(0, int(SLOW_QUANTILE * len(latencies))))
     threshold = latencies[rank]
     slow = [b for b in breakdowns if b["e2e"] >= threshold]
     slow_blame = _blame(slow)
@@ -243,9 +247,9 @@ def analyze(source, top_n: int = 5, slow_quantile: float = 0.99,
         "traces": len(breakdowns),
         "skipped": skipped,
         "overall": overall,
-        "slow": {"quantile": slow_quantile, "threshold": threshold,
+        "slow": {"quantile": SLOW_QUANTILE, "threshold": threshold,
                  **slow_blame},
-        "groups": groups[:max_groups],
+        "groups": groups[:MAX_GROUPS],
         "top_traces": top,
         "tiling_max_residual": max(abs(b["residual"]) for b in breakdowns),
         "clamped": sum(1 for b in breakdowns if b["clamped"]),

@@ -36,7 +36,6 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.critpath import analyze as critpath_analyze, load_spans
-from repro.obs.exporters import write_json
 from repro.obs.registry import SLO_QUANTILES, percentile_summary
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "fingerprint",
     "load_artifact",
     "render_diff",
-    "write_diff_json",
 ]
 
 #: default relative-change significance threshold (10%)
@@ -264,11 +262,14 @@ def _counter_rows(ca: Dict[str, float], cb: Dict[str, float],
     rows: List[Dict] = []
     for key in sorted(set(ca) | set(cb)):
         a, b = ca.get(key), cb.get(key)
+        # A key that is 0 on one side and absent on the other moved
+        # nothing: quiet in both directions.
         if a is None or (a == 0 and b not in (None, 0)):
             status, rel = "new_signal", None
             significant = b != 0
         elif b is None or (b == 0 and a != 0):
-            status, rel, significant = "gone", None, True
+            status, rel = "gone", None
+            significant = a != 0
         elif a == b:
             status, rel, significant = "unchanged", 0.0, False
         else:
@@ -812,7 +813,3 @@ def render_diff(diff: Dict, max_rows: int = 20) -> str:
                          + (f" — {r['evidence']}" if r["evidence"] else ""))
     lines.append("")
     return "\n".join(lines)
-
-
-def write_diff_json(diff: Dict, path: str) -> str:
-    return write_json(diff, path)

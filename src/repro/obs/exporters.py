@@ -42,6 +42,9 @@ __all__ = [
 #: seconds -> microseconds (Chrome trace_event timestamps are in µs)
 _US = 1e6
 
+#: Chrome-trace process name of simulated node N: ``node<N>``
+PROCESS_PREFIX = "node"
+
 
 def write_json(payload, path: str) -> str:
     """Write one JSON artifact in the repo's diffable form; returns ``path``."""
@@ -105,8 +108,7 @@ def write_span_jsonl(spans: Iterable[Span], path: str) -> int:
 
 # -- Chrome trace_event -------------------------------------------------------
 
-def chrome_trace(spans: Iterable[Span], pid_base: int = 0,
-                 process_prefix: str = "node") -> List[Dict]:
+def chrome_trace(spans: Iterable[Span], pid_base: int = 0) -> List[Dict]:
     """Spans as Chrome ``trace_event`` objects (the JSON-array format).
 
     Each span becomes an ``"X"`` (complete) event with microsecond
@@ -142,7 +144,7 @@ def chrome_trace(spans: Iterable[Span], pid_base: int = 0,
     meta: List[Dict] = []
     for pid in sorted(pids_seen):
         node = pids_seen[pid]
-        label = f"{process_prefix}{node}" if node is not None else f"{process_prefix}?"
+        label = f"{PROCESS_PREFIX}{node if node is not None else '?'}"
         meta.append({
             "name": "process_name",
             "ph": "M",
@@ -154,11 +156,9 @@ def chrome_trace(spans: Iterable[Span], pid_base: int = 0,
 
 
 def write_chrome_trace(spans: Iterable[Span], path: str,
-                       pid_base: int = 0,
-                       process_prefix: str = "node") -> int:
+                       pid_base: int = 0) -> int:
     """Write spans as a Chrome/Perfetto trace file; returns event count."""
-    events = chrome_trace(spans, pid_base=pid_base,
-                          process_prefix=process_prefix)
+    events = chrome_trace(spans, pid_base=pid_base)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"traceEvents": events,
                    "displayTimeUnit": "ms"}, fh, indent=1)

@@ -57,7 +57,6 @@ _CSS = """
   --grid: #e1e0d9; --baseline: #c3c2b7;
   --border: rgba(11,11,11,0.10);
   --series-1: #2a78d6;
-  --series-2: #e07a22;
   --status-good: #0ca30c; --status-warning: #fab219;
   --status-serious: #ec835a; --status-critical: #d03b3b;
 }
@@ -69,7 +68,6 @@ _CSS = """
     --grid: #2c2c2a; --baseline: #383835;
     --border: rgba(255,255,255,0.10);
     --series-1: #3987e5;
-    --series-2: #ef9852;
   }
 }
 body { background: var(--page); color: var(--ink-1); margin: 0;
@@ -121,57 +119,23 @@ def _num(value) -> str:
     return _esc(value)
 
 
-def _polyline_points(times: Sequence[float], values: Sequence[float],
-                     tmin: float, tspan: float, vmin: float,
-                     vspan: float) -> List[str]:
+def _sparkline(name: str, times: Sequence[float],
+               values: Sequence[float]) -> str:
+    """One labelled inline-SVG sparkline (2px line, last-value dot)."""
     w, h, pad = 240, 40, 3
+    vmin = min(values)
+    vmax = max(values)
+    tmin = min(times[0], times[-1])
+    tspan = (max(times[0], times[-1]) - tmin) or 1.0
+    vspan = (vmax - vmin) or 1.0
     pts = []
     for t, v in zip(times, values):
         x = pad + (w - 2 * pad) * (t - tmin) / tspan
         y = h - pad - (h - 2 * pad) * (v - vmin) / vspan
         pts.append(f"{x:.1f},{y:.1f}")
-    return pts
-
-
-def _sparkline(name: str, times: Sequence[float],
-               values: Sequence[float],
-               compare: Optional[Tuple[Sequence[float],
-                                       Sequence[float]]] = None) -> str:
-    """One labelled inline-SVG sparkline (2px line, last-value dot).
-
-    With ``compare`` (run B's ``(times, values)``), both series share one
-    time/value scale and B overlays in the slot-2 orange beneath A, so a
-    divergence is visible at a glance.
-    """
-    w, h, pad = 240, 40, 3
-    all_values = list(values)
-    all_times = [times[0], times[-1]]
-    if compare and len(compare[1]) >= 2:
-        all_values += list(compare[1])
-        all_times += [compare[0][0], compare[0][-1]]
-    vmin = min(all_values)
-    vmax = max(all_values)
-    tmin = min(all_times)
-    tspan = (max(all_times) - tmin) or 1.0
-    vspan = (vmax - vmin) or 1.0
-    pts = _polyline_points(times, values, tmin, tspan, vmin, vspan)
     last = pts[-1].split(",")
     tip = (f"{name}: last {_num(values[-1])}, "
            f"min {_num(vmin)}, max {_num(vmax)}, n={len(values)}")
-    overlay = ""
-    val_extra = ""
-    if compare and len(compare[1]) >= 2:
-        pts_b = _polyline_points(compare[0], compare[1], tmin, tspan,
-                                 vmin, vspan)
-        last_b = pts_b[-1].split(",")
-        overlay = (
-            f'<polyline points="{" ".join(pts_b)}" fill="none" '
-            'stroke="var(--series-2)" stroke-width="2" '
-            'stroke-linejoin="round" stroke-linecap="round"></polyline>'
-            f'<circle cx="{last_b[0]}" cy="{last_b[1]}" r="3" '
-            'fill="var(--series-2)"></circle>')
-        tip += f"; B last {_num(compare[1][-1])}, n={len(compare[1])}"
-        val_extra = f" · B last {_num(compare[1][-1])}"
     return (
         '<div class="spark">'
         f'<div class="label" title="{_esc(name)}">{_esc(name)}</div>'
@@ -179,50 +143,32 @@ def _sparkline(name: str, times: Sequence[float],
         'role="img"><title>' + _esc(tip) + "</title>"
         f'<line x1="{pad}" y1="{h - pad}" x2="{w - pad}" y2="{h - pad}" '
         'stroke="var(--baseline)" stroke-width="1"></line>'
-        + overlay +
         f'<polyline points="{" ".join(pts)}" fill="none" '
         'stroke="var(--series-1)" stroke-width="2" '
         'stroke-linejoin="round" stroke-linecap="round"></polyline>'
         f'<circle cx="{last[0]}" cy="{last[1]}" r="3" '
         'fill="var(--series-1)"></circle></svg>'
         f'<div class="val">last {_num(values[-1])} · '
-        f'min {_num(vmin)} · max {_num(vmax)}{val_extra}</div>'
+        f'min {_num(vmin)} · max {_num(vmax)}</div>'
         "</div>"
     )
 
 
-def _series_section(flight: Optional[Dict],
-                    compare: Optional[Dict] = None) -> str:
+def _series_section(flight: Optional[Dict]) -> str:
     if not flight or not flight.get("series"):
         return '<p class="empty">No flight-recorder series.</p>'
     names = sorted(flight["series"])
-    compare_series = (compare or {}).get("series") or {}
     shown = names[:_MAX_SPARKLINES]
-    parts = []
-    if compare_series:
-        parts.append('<p class="sub">A in <strong style="color:'
-                     'var(--series-1)">blue</strong>, B overlaid in '
-                     '<strong style="color:var(--series-2)">orange'
-                     "</strong> (shared scales).</p>")
-    parts.append('<div class="sparks">')
+    parts = ['<div class="sparks">']
     for name in shown:
         ts = flight["series"][name]
         if len(ts.get("values", [])) < 2:
             continue
-        other = compare_series.get(name)
-        pair = None
-        if other and len(other.get("values", [])) >= 2:
-            pair = (other["times"], other["values"])
-        parts.append(_sparkline(name, ts["times"], ts["values"], pair))
+        parts.append(_sparkline(name, ts["times"], ts["values"]))
     parts.append("</div>")
     if len(names) > len(shown):
         parts.append(f'<p class="empty">Showing {len(shown)} of '
                      f"{len(names)} series (sorted by name).</p>")
-    only_b = sorted(set(compare_series) - set(names))
-    if only_b:
-        parts.append(f'<p class="empty">{len(only_b)} series only in '
-                     f"run B: {_esc(', '.join(only_b[:8]))}"
-                     f"{'…' if len(only_b) > 8 else ''}</p>")
     return "".join(parts)
 
 
@@ -471,99 +417,6 @@ def _metrics_section(metrics: Optional[Dict]) -> str:
     return "".join(parts)
 
 
-def _delta_cell(rel: Optional[float], delta) -> str:
-    if rel is None:
-        return '<span class="status alert">new</span>'
-    cls = "alert" if abs(rel) >= 0.25 else ""
-    badge = f"{rel:+.1%}"
-    if cls:
-        return f'<span class="status {cls}">{_esc(badge)}</span>'
-    return _esc(badge)
-
-
-def _diff_section(diff: Optional[Dict]) -> str:
-    """Run-forensics A/B tables (fingerprint banner + delta tables)."""
-    if not diff:
-        return '<p class="empty">No A/B diff (single-run report).</p>'
-    fp = diff.get("fingerprint") or {}
-    significant = diff.get("significant")
-    state = ('<span class="status alert">▲ significant change</span>'
-             if significant else
-             '<span class="status clear">✓ no significant change</span>')
-    parts = [
-        f"<p>{state} · A = {_esc(diff['a']['name'])} "
-        f"({_esc(diff['a']['artifact'])}) · B = {_esc(diff['b']['name'])} "
-        f"({_esc(diff['b']['artifact'])})</p>",
-        f"<p><strong>fingerprint: {_esc(fp.get('label', '-'))}</strong> "
-        f"<code>{_esc(fp.get('code', ''))}</code>"
-        + (f" · {_esc(fp['evidence'])}" if fp.get("evidence") else "")
-        + "</p>",
-    ]
-    changes = diff.get("config_changes") or []
-    if changes:
-        parts.append("<table><tr><th>config</th><th>A</th><th>B</th></tr>")
-        for c in changes[:20]:
-            parts.append(f'<tr><td class="name">{_esc(c["key"])}</td>'
-                         f'<td class="name">{_esc(c["a"])}</td>'
-                         f'<td class="name">{_esc(c["b"])}</td></tr>')
-        parts.append("</table>")
-    counter_rows = (diff.get("counters") or {}).get("rows") or []
-    if counter_rows:
-        parts.append("<h2>Counter deltas</h2>")
-        parts.append("<table><tr><th>metric</th><th>A</th><th>B</th>"
-                     "<th>Δ</th><th>status</th></tr>")
-        for r in counter_rows[:30]:
-            parts.append(
-                f'<tr><td class="name">{_esc(r["key"])}</td>'
-                f"<td>{_num(r['a']) if r['a'] is not None else '-'}</td>"
-                f"<td>{_num(r['b']) if r['b'] is not None else '-'}</td>"
-                f"<td>{_delta_cell(r['rel'], r['delta'])}</td>"
-                f'<td class="name">{_esc(r["status"])}</td></tr>')
-        parts.append("</table>")
-    quantile_rows = (diff.get("quantiles") or {}).get("rows") or []
-    if quantile_rows:
-        parts.append("<h2>Quantile shifts</h2>")
-        parts.append("<table><tr><th>histogram</th><th>n A→B</th>"
-                     "<th>shifts</th></tr>")
-        for r in quantile_rows[:30]:
-            if r.get("status") in ("new_signal", "gone"):
-                text = (f'<span class="status alert">'
-                        f"{_esc(r['status'].replace('_', ' '))}</span>")
-            else:
-                bits = []
-                for metric, s in (r.get("shifts") or {}).items():
-                    rel = ("new" if s["rel"] is None
-                           else format(s["rel"], "+.0%"))
-                    bits.append(f"{metric} {_num(s['a'])}→{_num(s['b'])} "
-                                f"({rel})")
-                text = _esc(" · ".join(bits))
-            parts.append(f'<tr><td class="name">{_esc(r["key"])}</td>'
-                         f"<td>{_num(r['n_a'])}→{_num(r['n_b'])}</td>"
-                         f'<td class="name">{text}</td></tr>')
-        parts.append("</table>")
-    critpath = diff.get("critpath")
-    if critpath and critpath.get("rows"):
-        parts.append("<h2>Stage-blame deltas</h2>")
-        parts.append("<table><tr><th>stage</th><th>A</th><th>B</th>"
-                     "<th>Δ</th></tr>")
-        for r in critpath["rows"][:20]:
-            parts.append(
-                f'<tr><td class="name">{_esc(r["stage"])}</td>'
-                f"<td>{100 * r['a']:.1f}%</td>"
-                f"<td>{100 * r['b']:.1f}%</td>"
-                f"<td>{r['delta']:+.1%}</td></tr>")
-        parts.append("</table>")
-    skew = diff.get("skew")
-    if skew:
-        parts.append("<h2>Skew churn</h2>")
-        parts.append(
-            f"<p>imbalance {_num(skew['imbalance_a'])} → "
-            f"{_num(skew['imbalance_b'])} · partition top-k jaccard "
-            f"{skew['partitions']['jaccard']:.2f} · key top-k jaccard "
-            f"{skew['keys']['jaccard']:.2f}</p>")
-    return "".join(parts)
-
-
 def _summary_section(flight: Optional[Dict], critpath: Optional[Dict],
                      metrics: Optional[Dict]) -> str:
     cells = []
@@ -592,25 +445,15 @@ def _summary_section(flight: Optional[Dict], critpath: Optional[Dict],
 def render_dashboard(flight: Optional[Dict] = None,
                      critpath: Optional[Dict] = None,
                      metrics: Optional[Dict] = None,
-                     title: str = "Observability report",
-                     compare: Optional[Dict] = None,
-                     diff: Optional[Dict] = None) -> str:
-    """Render the full dashboard HTML (deterministic for fixed inputs).
-
-    A/B comparison mode: pass ``compare`` (run B's flight payload) to
-    overlay its series on run A's sparklines, and/or ``diff`` (a
-    :func:`repro.obs.diff.diff_runs` RunDiff) to add the forensics
-    section with fingerprint banner and delta tables.  Single-run
-    dashboards are unchanged — the ``diff`` section id is additive and
-    not part of :data:`REQUIRED_SECTIONS`.
-    """
+                     title: str = "Observability report") -> str:
+    """Render one run's dashboard HTML (deterministic for fixed inputs)."""
     skew = (flight or {}).get("skew")
     slo = (flight or {}).get("slo")
     sections = [
         ("summary", "Summary",
          _summary_section(flight, critpath, metrics)),
         ("series", "Flight-recorder series",
-         _series_section(flight, compare=compare)),
+         _series_section(flight)),
         ("heatmap", "Partition load heatmap",
          _heatmap_section(flight)),
         ("skew", "Skew detector",
@@ -622,9 +465,6 @@ def render_dashboard(flight: Optional[Dict] = None,
         ("metrics", "Metric rollups",
          _metrics_section(metrics)),
     ]
-    if compare is not None or diff is not None:
-        sections.insert(1, ("diff", "Run forensics (A vs B)",
-                            _diff_section(diff)))
     body = [f"<h1>{_esc(title)}</h1>",
             '<p class="sub">All times are simulated seconds; the report '
             "is self-contained and renders offline.</p>"]
@@ -643,13 +483,10 @@ def render_dashboard(flight: Optional[Dict] = None,
 def write_dashboard(path: str, flight: Optional[Dict] = None,
                     critpath: Optional[Dict] = None,
                     metrics: Optional[Dict] = None,
-                    title: str = "Observability report",
-                    compare: Optional[Dict] = None,
-                    diff: Optional[Dict] = None) -> int:
+                    title: str = "Observability report") -> int:
     """Write the dashboard; returns the byte length written."""
     text = render_dashboard(flight=flight, critpath=critpath,
-                            metrics=metrics, title=title,
-                            compare=compare, diff=diff)
+                            metrics=metrics, title=title)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return len(text)

@@ -33,6 +33,13 @@ from repro.simnet.trace import EventLog, TimeSeries, pump_samples
 
 __all__ = ["FlightRecorder", "recorder_of", "select_matches"]
 
+#: the quantile series recorded per histogram (``{name}/p50``,
+#: ``{name}/p99``), alongside the sample-count series ``{name}/n``
+QUANTILES = (0.5, 0.99)
+
+#: bound on the shared :class:`EventLog` (alerts, skew events)
+EVENT_LIMIT = 4096
+
 
 def select_matches(name: str, selectors: Optional[Sequence[str]]) -> bool:
     """True when a metric name matches any selector (or there are none).
@@ -80,17 +87,10 @@ class FlightRecorder:
     select:
         Metric-name selectors (see :func:`select_matches`); ``None``
         records the entire registry.
-    quantiles:
-        The quantile series recorded per histogram (``{name}/p99`` etc.),
-        alongside the sample-count series ``{name}/n``.
-    event_limit:
-        Bound on the shared :class:`EventLog` (alerts, skew events).
     """
 
     def __init__(self, sim, interval: float, maxlen: int = 512,
-                 select: Optional[Sequence[str]] = None,
-                 quantiles: Sequence[float] = (0.5, 0.99),
-                 event_limit: int = 4096):
+                 select: Optional[Sequence[str]] = None):
         if interval <= 0:
             raise ValueError("interval must be positive")
         if maxlen <= 0:
@@ -100,9 +100,8 @@ class FlightRecorder:
         self.interval = interval
         self.maxlen = maxlen
         self.select = list(select) if select is not None else None
-        self.quantiles = tuple(quantiles)
         self.series: Dict[str, TimeSeries] = {}
-        self.events = EventLog(sim, limit=event_limit)
+        self.events = EventLog(sim, limit=EVENT_LIMIT)
         #: harness-specific payload sections (serving: ``skew``, ``slo``)
         self.extra: Dict[str, Dict] = {}
         self.samples = 0
@@ -165,7 +164,7 @@ class FlightRecorder:
                 self._series(name).record(now, metric.value)
             elif isinstance(metric, Histogram):
                 self._series(f"{name}/n").record(now, float(metric.n))
-                for q in self.quantiles:
+                for q in QUANTILES:
                     self._series(f"{name}/p{100 * q:g}").record(
                         now, metric.quantile(q))
         for name, probe in self._probes.items():
@@ -200,15 +199,7 @@ class FlightRecorder:
 
         return pump_samples(sim, until, lambda: self._next, fire)
 
-    # -- views & export -------------------------------------------------------
-    def rate(self, name: str) -> TimeSeries:
-        """Per-second derivative view of one recorded series."""
-        ts = self.series.get(name)
-        if ts is None:
-            return TimeSeries(f"{name}/rate" if name else "rate",
-                              maxlen=self.maxlen)
-        return ts.rate_series()
-
+    # -- export ---------------------------------------------------------------
     def payload(self) -> Dict:
         """JSON-ready artifact: sorted series + the shared event log.
 
@@ -219,7 +210,7 @@ class FlightRecorder:
             "kind": "flight_recorder",
             "interval": self.interval,
             "maxlen": self.maxlen,
-            "quantiles": list(self.quantiles),
+            "quantiles": list(QUANTILES),
             "samples": self.samples,
             "series": {
                 name: {

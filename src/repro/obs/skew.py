@@ -7,7 +7,7 @@ a partition is hot before it can act.  Two complementary signals:
   (already maintained by every container) are read at each flight-recorder
   tick; per-tick deltas give instantaneous load shares, cumulative totals
   give the run-wide imbalance coefficient (max/mean) and coefficient of
-  variation.  A partition whose per-tick share exceeds ``hot_factor`` x
+  variation.  A partition whose per-tick share exceeds ``HOT_FACTOR`` x
   fair share raises an edge-triggered ``skew.hot_partition`` event.
 * **Key level** — a deterministic space-saving heavy-hitter sketch
   (Metwally et al.'s *SpaceSaving*) fed key-by-key from the workload
@@ -23,12 +23,22 @@ identical simulated results.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.obs.registry import MetricsRegistry
 from repro.simnet.trace import EventLog
 
 __all__ = ["SpaceSavingSketch", "SkewDetector"]
+
+#: a partition is *hot* in a tick when its share of that tick's ops
+#: exceeds this multiple of the fair share
+HOT_FACTOR = 2.0
+
+#: heavy-hitter sketch size for :meth:`SkewDetector.offer_key`
+SKETCH_CAPACITY = 64
+
+#: partitions and keys listed in :meth:`SkewDetector.summary`
+TOP_K = 5
 
 
 class SpaceSavingSketch:
@@ -41,7 +51,7 @@ class SpaceSavingSketch:
     bound and ``count`` an upper bound on its true frequency.
     """
 
-    def __init__(self, capacity: int = 64):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -96,29 +106,18 @@ class SkewDetector:
         ``(counter_name, node_id)`` pairs — one per monitored partition,
         e.g. ``("serving-map.3/ops", 3)``.  Harnesses build this from
         ``partition.ops.name`` / ``partition.node_id``.
-    hot_factor:
-        A partition is *hot* in a tick when its share of that tick's ops
-        exceeds ``hot_factor / len(sources)`` (i.e. ``hot_factor`` x the
-        fair share).  Edge-triggered ``skew.hot_partition`` /
-        ``skew.cooled`` events go to ``event_log``.
-    sketch_capacity:
-        Heavy-hitter sketch size for :meth:`offer_key`.
+    event_log:
+        Where the edge-triggered ``skew.hot_partition`` /
+        ``skew.cooled`` events go (a partition is *hot* above
+        :data:`HOT_FACTOR` x the fair share of a tick's ops).
     """
 
     def __init__(self, registry: MetricsRegistry,
-                 sources: Sequence[Tuple[str, int]],
-                 hot_factor: float = 2.0,
-                 sketch_capacity: int = 64,
-                 event_log: Optional[EventLog] = None,
-                 top_k: int = 5):
-        if hot_factor <= 1.0:
-            raise ValueError("hot_factor must be > 1 (a fair-share multiple)")
+                 sources: Sequence[Tuple[str, int]], event_log: EventLog):
         self.registry = registry
         self.sources = list(sources)
-        self.hot_factor = hot_factor
-        self.top_k = top_k
         self.events = event_log
-        self.sketch = SpaceSavingSketch(sketch_capacity)
+        self.sketch = SpaceSavingSketch(SKETCH_CAPACITY)
         self.ticks = 0
         self.hot_events = 0
         self._last: List[float] = [0.0] * len(self.sources)
@@ -145,28 +144,26 @@ class SkewDetector:
         total = sum(deltas)
         if total <= 0 or not self.sources:
             return
-        hot_share = self.hot_factor / len(self.sources)
+        hot_share = HOT_FACTOR / len(self.sources)
         for i, (name, node) in enumerate(self.sources):
             share = deltas[i] / total
             if share > hot_share:
                 if i not in self._hot:
                     self._hot.add(i)
                     self.hot_events += 1
-                    if self.events is not None:
-                        self.events.log("skew.hot_partition", {
-                            "partition": name,
-                            "node": node,
-                            "share": share,
-                            "fair_share": 1.0 / len(self.sources),
-                        })
-            elif i in self._hot:
-                self._hot.discard(i)
-                if self.events is not None:
-                    self.events.log("skew.cooled", {
+                    self.events.log("skew.hot_partition", {
                         "partition": name,
                         "node": node,
                         "share": share,
+                        "fair_share": 1.0 / len(self.sources),
                     })
+            elif i in self._hot:
+                self._hot.discard(i)
+                self.events.log("skew.cooled", {
+                    "partition": name,
+                    "node": node,
+                    "share": share,
+                })
 
     # -- reporting ------------------------------------------------------------
     def summary(self) -> Dict:
@@ -201,13 +198,13 @@ class SkewDetector:
                     "ops": values[i],
                     "share": values[i] / total if total else 0.0,
                 }
-                for i in ranked[:self.top_k]
+                for i in ranked[:TOP_K]
             ],
             "node_ops": {str(node): per_node[node]
                          for node in sorted(per_node)},
             "top_keys": [
                 {"key": str(key), "count": count, "error": error}
-                for key, count, error in self.sketch.top(self.top_k)
+                for key, count, error in self.sketch.top(TOP_K)
             ],
             "keys_offered": self.sketch.offered,
         }

@@ -29,7 +29,7 @@ alert stream is deterministic across same-seed reruns.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.obs.registry import MetricsRegistry
 from repro.simnet.stats import Histogram
@@ -156,8 +156,7 @@ class SLOMonitor:
     timestamp and both window burns.
     """
 
-    def __init__(self, rules: Sequence[SLORule],
-                 event_log: Optional[EventLog] = None):
+    def __init__(self, rules: Sequence[SLORule], event_log: EventLog):
         self.rules = list(rules)
         self.events = event_log
         self.ticks = 0
@@ -178,17 +177,15 @@ class SLOMonitor:
                     "long_burn": state["long_burn"],
                 }
                 self.alerts.append(alert)
-                if self.events is not None:
-                    self.events.log("slo.alert", alert)
+                self.events.log("slo.alert", alert)
             elif not state["breach"] and rule.firing:
                 rule.firing = False
-                if self.events is not None:
-                    self.events.log("slo.clear", {
-                        "t": now,
-                        "rule": rule.name,
-                        "short_burn": state["short_burn"],
-                        "long_burn": state["long_burn"],
-                    })
+                self.events.log("slo.clear", {
+                    "t": now,
+                    "rule": rule.name,
+                    "short_burn": state["short_burn"],
+                    "long_burn": state["long_burn"],
+                })
 
     def summary(self) -> Dict:
         """Per-rule alert counts and final burn state (JSON-ready)."""

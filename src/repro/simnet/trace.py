@@ -11,7 +11,7 @@ discrete events with timestamps for post-hoc analysis and debugging.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.simnet.core import Simulator
 
@@ -53,29 +53,24 @@ def pump_samples(sim: Simulator, until: Optional[float],
 
 
 class TimeSeries:
-    """Append-only ``(time, value)`` series with simple reductions.
+    """Ring buffer of ``(time, value)`` samples with simple reductions.
 
-    With ``maxlen`` set the series becomes a ring buffer: only the most
-    recent ``maxlen`` samples are retained (older points fall off the
-    front, counted in ``dropped``), so a long-running sampler holds
-    bounded memory no matter how many ticks it takes.
+    Only the most recent ``maxlen`` samples are retained (older points
+    fall off the front, counted in ``dropped``), so a long-running sampler
+    holds bounded memory no matter how many ticks it takes.
     """
 
-    def __init__(self, name: str = "", maxlen: Optional[int] = None):
-        if maxlen is not None and maxlen <= 0:
+    def __init__(self, name: str, maxlen: int):
+        if maxlen <= 0:
             raise ValueError("maxlen must be positive")
         self.name = name
         self.maxlen = maxlen
         self.dropped = 0
-        if maxlen is None:
-            self.times: List[float] = []
-            self.values: List[float] = []
-        else:
-            self.times = deque(maxlen=maxlen)  # type: ignore[assignment]
-            self.values = deque(maxlen=maxlen)  # type: ignore[assignment]
+        self.times: Deque[float] = deque(maxlen=maxlen)
+        self.values: Deque[float] = deque(maxlen=maxlen)
 
     def record(self, t: float, v: float) -> None:
-        if self.maxlen is not None and len(self.times) == self.maxlen:
+        if len(self.times) == self.maxlen:
             self.dropped += 1
         self.times.append(t)
         self.values.append(v)
@@ -91,24 +86,6 @@ class TimeSeries:
 
     def last(self) -> float:
         return self.values[-1] if self.values else 0.0
-
-    def rate_series(self) -> "TimeSeries":
-        """Derivative series: per-second deltas of a cumulative counter.
-
-        The derived series carries a proper name even when chained or when
-        the parent is anonymous (``"nic"`` -> ``"nic/rate"`` ->
-        ``"nic/rate/rate"``; ``""`` -> ``"rate"``, never a bare
-        ``"/rate"``) and inherits the parent's ``maxlen`` bound.
-        """
-        name = f"{self.name}/rate" if self.name else "rate"
-        out = TimeSeries(name, maxlen=self.maxlen)
-        times = list(self.times)
-        values = list(self.values)
-        for i in range(1, len(times)):
-            dt = times[i] - times[i - 1]
-            if dt > 0:
-                out.record(times[i], (values[i] - values[i - 1]) / dt)
-        return out
 
     def rows(self) -> List[Tuple[float, float]]:
         return list(zip(self.times, self.values))

@@ -106,7 +106,7 @@ class TestSyntheticBreakdown:
             scale = 5.0 if i == 9 else 1.0
             spans += _synthetic_trace(trace=i + 1, base=i * 100.0,
                                       scale=scale)
-        result = critpath_analyze(spans, slow_quantile=0.9)
+        result = critpath_analyze(spans)
         slow = result["slow"]
         assert slow["threshold"] == pytest.approx(50.0)
         assert slow["n"] == 1  # only the x5 trace is in the tail
@@ -143,10 +143,6 @@ class TestSyntheticBreakdown:
         result = critpath_analyze([])
         assert result["traces"] == 0
         assert result["groups"] == [] and result["top_traces"] == []
-
-    def test_quantile_validation(self):
-        with pytest.raises(ValueError):
-            critpath_analyze([], slow_quantile=1.0)
 
 
 class TestRealTraces:

@@ -5,7 +5,8 @@ self-diff reports nothing significant), the empty-vs-nonempty histogram
 "new signal" path (never a divide-by-zero), skew top-k churn, and the
 fingerprint classifier — including the end-to-end case the regression
 gate relies on: an aggregation A/B (512 vs 1) fingerprints as a
-coalescer-efficiency drop, not as a workload change.
+coalescer-efficiency drop, not as a workload change — and the
+``obs-diff`` command over that same A/B pair.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 
 import pytest
 
+from repro.cli import build_parser, main
 from repro.harness.aggbench import HARNESS as AGG, run_agg_bench
 from repro.obs import (
     FINGERPRINT_CODES,
@@ -22,7 +24,6 @@ from repro.obs import (
     diff_runs,
     load_artifact,
     render_diff,
-    write_diff_json,
     write_json,
 )
 
@@ -100,6 +101,15 @@ class TestSelfDiffIsQuiet:
     def test_synthetic_metrics_self_diff(self):
         diff = diff_runs(_metrics_doc(100), _metrics_doc(100))
         assert diff["comparable"]
+        assert not diff["significant"]
+        assert diff["fingerprint"]["code"] == "no-significant-change"
+
+    @pytest.mark.parametrize("a, b", [({"x": 0.0, "y": 1.0}, {"y": 1.0}),
+                                      ({"y": 1.0}, {"x": 0.0, "y": 1.0})])
+    def test_zero_vs_absent_counter_is_quiet_both_ways(self, a, b):
+        """A key at 0 on one side and missing on the other moved nothing,
+        so ``--fail-on-significant`` must not trip in either direction."""
+        diff = diff_runs(a, b)
         assert not diff["significant"]
         assert diff["fingerprint"]["code"] == "no-significant-change"
 
@@ -201,18 +211,24 @@ class TestFingerprints:
                    FINGERPRINT_CODES.values())
 
 
+@pytest.fixture(scope="module")
+def agg_ab(tmp_path_factory):
+    """Aggregation sweeps ``0 512`` (A) and the detuned ``0 1`` (B)."""
+    tmp = tmp_path_factory.mktemp("aggdiff")
+    base = run_agg_bench(scale=0.25, sweep=[0, 512], apps=["kmer"])
+    worse = run_agg_bench(scale=0.25, sweep=[0, 1], apps=["kmer"])
+    a, b = tmp / "A.json", tmp / "B.json"
+    write_json(AGG.emit(base)[""], str(a))
+    write_json(AGG.emit(worse)[""], str(b))
+    return str(a), str(b)
+
+
 class TestAggRegressionEndToEnd:
     """The gate's scenario: aggregation 512 vs 1 names the coalescer."""
 
     @pytest.fixture(scope="class")
-    def agg_diff(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("aggdiff")
-        base = run_agg_bench(scale=0.25, sweep=[0, 512], apps=["kmer"])
-        worse = run_agg_bench(scale=0.25, sweep=[0, 1], apps=["kmer"])
-        a, b = tmp / "A.json", tmp / "B.json"
-        write_json(AGG.emit(base)[""], str(a))
-        write_json(AGG.emit(worse)[""], str(b))
-        return diff_paths(str(a), str(b))
+    def agg_diff(self, agg_ab):
+        return diff_paths(*agg_ab)
 
     def test_fingerprints_coalesce_efficiency(self, agg_diff):
         assert agg_diff["significant"]
@@ -228,6 +244,44 @@ class TestAggRegressionEndToEnd:
         text = render_diff(agg_diff)
         assert "coalescer flush efficiency dropped" in text
         assert "### Counter deltas" in text
+
+
+class TestObsDiffCli:
+    """``repro.cli obs-diff`` over the same A/B pair: exit codes and the
+    JSON / markdown artifacts."""
+
+    def test_self_diff_passes_fail_on_significant(self, agg_ab, capsys):
+        a, _b = agg_ab
+        assert main(["obs-diff", a, a, "--fail-on-significant"]) == 0
+        assert "significant differences" not in capsys.readouterr().err
+
+    def test_detuned_diff_fails_on_significant(self, agg_ab, capsys):
+        assert main(["obs-diff", *agg_ab, "--fail-on-significant"]) == 1
+        assert ("coalescer flush efficiency dropped"
+                in capsys.readouterr().err)
+
+    def test_json_and_md_artifacts(self, agg_ab, tmp_path, capsys):
+        out_json, out_md = tmp_path / "d.json", tmp_path / "d.md"
+        assert main(["obs-diff", *agg_ab, "--json", str(out_json),
+                     "--md", str(out_md)]) == 0
+        doc = json.loads(out_json.read_text(encoding="utf-8"))
+        assert detect_kind(doc) == "run_diff"
+        assert doc["fingerprint"]["code"] == "coalesce-efficiency-dropped"
+        label = FINGERPRINT_CODES["coalesce-efficiency-dropped"]
+        assert f"fingerprint: {label}" in out_md.read_text(encoding="utf-8")
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["obs-diff", "A.json", "B.json", "--html", "d.html"],
+        ["obs-report", "--flight", "A.json", "--compare", "B.json"],
+    ])
+    def test_ab_dashboard_flags_are_gone(self, argv, capsys):
+        """A RunDiff renders as markdown (plus its JSON); the dashboard
+        renders one run, so neither A/B dashboard flag parses."""
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(argv)
+        assert exit_.value.code == 2
+        capsys.readouterr()
 
 
 class TestPlumbing:
@@ -250,10 +304,10 @@ class TestPlumbing:
         diff = diff_runs(doc, doc)
         assert not diff["significant"]
 
-    def test_write_diff_json_round_trips(self, tmp_path):
+    def test_run_diff_json_round_trips(self, tmp_path):
         diff = diff_runs(_metrics_doc(0), _metrics_doc(100))
         out = tmp_path / "d.json"
-        write_diff_json(diff, str(out))
+        write_json(diff, str(out))
         loaded = json.loads(out.read_text())
         assert detect_kind(loaded) == "run_diff"
         assert loaded["fingerprint"]["code"] == diff["fingerprint"]["code"]

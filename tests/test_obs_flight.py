@@ -141,10 +141,10 @@ class TestRecorderContents:
         h = registry_of(sim).histogram("lat")
         for v in (1.0, 2.0, 4.0):
             h.observe(v)
-        rec = FlightRecorder(sim, interval=1.0, quantiles=(0.5,))
+        rec = FlightRecorder(sim, interval=1.0)
         sim.timeout(1.0)
         rec.pump(until=1.0)
-        assert set(rec.series) == {"lat/n", "lat/p50"}
+        assert set(rec.series) == {"lat/n", "lat/p50", "lat/p99"}
         assert list(rec.series["lat/n"].values) == [3.0]
 
     def test_select_limits_recorded_series(self, sim):
@@ -177,22 +177,6 @@ class TestRecorderContents:
         sim.timeout(3.0)
         rec.pump(until=3.0)
         assert seen == [1.0, 2.0, 3.0]
-
-    def test_rate_view(self, sim):
-        c = registry_of(sim).counter("c")
-
-        def work():
-            for _ in range(4):
-                c.add(10)
-                yield sim.timeout(1.0)
-
-        sim.process(work())
-        rec = FlightRecorder(sim, interval=1.0)
-        rec.pump()
-        rate = rec.rate("c")
-        assert rate.name == "c/rate"
-        assert rate.rows() == [(2.0, 10.0), (3.0, 10.0), (4.0, 0.0)]
-        assert rec.rate("missing").rows() == []
 
     def test_payload_deterministic_across_identical_runs(self):
         from repro.simnet import Simulator

@@ -165,6 +165,31 @@ class TestValidateDashboard:
         assert errors
 
 
+class TestObsReportCli:
+    """``repro.cli obs-report`` over the flight / span-log / metrics triple
+    of one tiny instrumented serving run."""
+
+    def test_render_then_validate(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["serving", "--nodes", "2", "--procs", "2",
+                     "--clients", "100", "--tenants", "2", "--keys", "64",
+                     "--rate", "2400", "--ops-per-client", "5",
+                     "--bounds", "16", "--trace", "t",
+                     "--metrics-out", "m.json",
+                     "--flight-recorder", "f.json"]) == 0
+        assert main(["obs-report", "--flight", "f.json", "--spans", "t.jsonl",
+                     "--metrics", "m.json", "-o", "dash.html"]) == 0
+        html = (tmp_path / "dash.html").read_text(encoding="utf-8")
+        assert "traced RPCs analyzed" in html and "imbalance" in html
+        assert main(["obs-report", "--validate", "dash.html"]) == 0
+        (tmp_path / "cut.html").write_text(html[:len(html) // 2],
+                                           encoding="utf-8")
+        assert main(["obs-report", "--validate", "cut.html"]) == 1
+        capsys.readouterr()
+
+
 def test_obs_files_are_utf8_whatever_the_locale(tmp_path):
     """The dashboard joins its summary with "·" and span attributes may be
     any text: every obs file is written and read back as UTF-8, not in the

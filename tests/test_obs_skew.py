@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import MetricsRegistry, SkewDetector, SpaceSavingSketch
+from repro.simnet import EventLog, Simulator
 
 
 class TestSpaceSavingSketch:
@@ -61,15 +62,14 @@ def _rig(per_partition):
     return reg, counters, sources
 
 
-class TestSkewDetector:
-    def test_hot_factor_validation(self):
-        reg, _c, sources = _rig([1, 1])
-        with pytest.raises(ValueError):
-            SkewDetector(reg, sources, hot_factor=1.0)
+def _log():
+    return EventLog(Simulator())
 
+
+class TestSkewDetector:
     def test_imbalance_and_top_partitions(self):
         reg, _c, sources = _rig([90, 5, 5, 0])
-        det = SkewDetector(reg, sources)
+        det = SkewDetector(reg, sources, _log())
         s = det.summary()
         assert s["partitions"] == 4
         assert s["total_ops"] == 100.0
@@ -81,18 +81,16 @@ class TestSkewDetector:
 
     def test_uniform_load_is_balanced(self):
         reg, _c, sources = _rig([25, 25, 25, 25])
-        det = SkewDetector(reg, sources)
+        det = SkewDetector(reg, sources, _log())
         s = det.summary()
         assert s["imbalance"] == pytest.approx(1.0)
         assert s["cv"] == pytest.approx(0.0)
         assert s["hot_events"] == 0
 
     def test_hot_event_edge_triggered(self, sim):
-        from repro.simnet import EventLog
-
         reg, counters, sources = _rig([0, 0, 0, 0])
         log = EventLog(sim)
-        det = SkewDetector(reg, sources, hot_factor=2.0, event_log=log)
+        det = SkewDetector(reg, sources, log)
         # Tick 1: partition 0 takes 80% of the delta -> hot (fair share 25%).
         counters[0].add(80)
         counters[1].add(20)
@@ -114,7 +112,7 @@ class TestSkewDetector:
 
     def test_idle_tick_fires_nothing(self):
         reg, _c, sources = _rig([10, 10])
-        det = SkewDetector(reg, sources)
+        det = SkewDetector(reg, sources, _log())
         det.tick(1.0)  # consumes the initial counts
         det.tick(2.0)  # zero delta: no division, no events
         assert det.ticks == 2 and det.hot_events == 0
@@ -129,8 +127,7 @@ class TestSkewDetector:
         # (the serving harness's Zipf popularity law, exact instead of
         # sampled so the ground-truth ranking is unambiguous).
         counts = [max(1, round(w / norm * 50_000)) for w in raw]
-        det = SkewDetector(MetricsRegistry(), [("m.0/ops", 0)],
-                           sketch_capacity=64, top_k=5)
+        det = SkewDetector(MetricsRegistry(), [("m.0/ops", 0)], _log())
         # Interleave round-robin so heavy keys don't just arrive first.
         remaining = list(counts)
         alive = True
@@ -151,7 +148,7 @@ class TestSkewDetector:
     def test_summary_deterministic(self):
         def run():
             reg, counters, sources = _rig([7, 3, 90])
-            det = SkewDetector(reg, sources, top_k=3)
+            det = SkewDetector(reg, sources, _log())
             for k in (1, 2, 2, 3, 3, 3):
                 det.offer_key(k)
             det.tick(0.5)

@@ -47,7 +47,7 @@ class TestRngRegistry:
 
 class TestTimeSeries:
     def test_reductions(self):
-        ts = TimeSeries("t")
+        ts = TimeSeries("t", maxlen=8)
         for t, v in [(0, 1.0), (1, 3.0), (2, 2.0)]:
             ts.record(t, v)
         assert len(ts) == 3
@@ -56,15 +56,8 @@ class TestTimeSeries:
         assert ts.last() == 2.0
         assert ts.rows() == [(0, 1.0), (1, 3.0), (2, 2.0)]
 
-    def test_rate_series(self):
-        ts = TimeSeries("cum")
-        for t, v in [(0, 0), (1, 100), (2, 300)]:
-            ts.record(t, v)
-        rate = ts.rate_series()
-        assert rate.values == [100.0, 200.0]
-
     def test_empty(self):
-        ts = TimeSeries()
+        ts = TimeSeries("t", maxlen=8)
         assert ts.mean() == 0.0 and ts.max() == 0.0 and ts.last() == 0.0
 
 

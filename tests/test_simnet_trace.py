@@ -4,8 +4,8 @@
 zero-perturbation run loop), ``TimeSeries`` and ``EventLog`` — and
 :class:`repro.obs.FlightRecorder` is the one sampler built on them.  Here:
 the pump's contract on explicit sample times, cadence drift and
-probe-exception isolation in the recorder, empty-series reductions, and
-the EventLog bound.  The
+probe-exception isolation in the recorder, the ring bound, and the
+EventLog bound.  The
 recorder's own cadence is covered in ``tests/test_obs_flight.py``.
 """
 
@@ -79,21 +79,25 @@ def _pump(sim, clock, armed, until=None):
     return pump_samples(sim, until, lambda: armed[0] if armed else None, fire)
 
 
+def _clock():
+    return TimeSeries("t", maxlen=64)
+
+
 class TestPump:
     def test_samples_at_exact_armed_times(self, sim):
-        clock = TimeSeries("t")
+        clock = _clock()
         sim.timeout(5.0)  # real work spanning the sample window
         _pump(sim, clock, deque([0.5, 1.5, 2.5]), until=5.0)
-        assert clock.times == [0.5, 1.5, 2.5]
+        assert list(clock.times) == [0.5, 1.5, 2.5]
         assert sim.now == 5.0
 
     def test_never_advances_an_idle_clock(self, sim):
         """Samples due past the last real event lapse — zero perturbation."""
-        clock, armed = TimeSeries("t"), deque([0.25, 0.75, 2.0, 3.0])
+        clock, armed = _clock(), deque([0.25, 0.75, 2.0, 3.0])
         sim.timeout(1.0)  # workload ends at t=1.0
         _pump(sim, clock, armed)
         assert sim.now == 1.0  # NOT 3.0: samples never drive the clock
-        assert clock.times == [0.25, 0.75]
+        assert list(clock.times) == [0.25, 0.75]
         assert list(armed) == [2.0, 3.0]  # paused, not dropped
 
     def test_multi_phase_run_unperturbed(self, sim):
@@ -103,46 +107,28 @@ class TestPump:
         samples would stretch phase 1 to the last sample time before
         phase 2's events were spawned.
         """
-        clock, armed = TimeSeries("t"), deque([0.5, 1.5, 2.5, 3.5])
+        clock, armed = _clock(), deque([0.5, 1.5, 2.5, 3.5])
         # Phase 1: events drain at t=1.0; samples at 1.5+ must wait.
         sim.timeout(1.0)
         assert _pump(sim, clock, armed) == 1.0
-        assert clock.times == [0.5]
+        assert list(clock.times) == [0.5]
         # Phase 2 spawns *after* phase 1's run call returned, as a
         # multi-phase app does.  Later samples fire during phase 2.
         sim.timeout(3.0)
         assert _pump(sim, clock, armed) == 4.0
-        assert clock.times == [0.5, 1.5, 2.5, 3.5]
+        assert list(clock.times) == [0.5, 1.5, 2.5, 3.5]
 
     def test_pump_without_armed_samples_is_plain_run(self, sim):
         sim.timeout(2.0)
         # run(until=...) pads the clock
-        assert _pump(sim, TimeSeries("t"), deque(), until=5.0) == 5.0
+        assert _pump(sim, _clock(), deque(), until=5.0) == 5.0
 
     def test_until_bounds_sampling(self, sim):
-        clock = TimeSeries("t")
+        clock = _clock()
         sim.timeout(3.0)
         _pump(sim, clock, deque([0.5, 1.5]), until=1.0)
-        assert clock.times == [0.5]  # the 1.5 sample is beyond `until`
+        assert list(clock.times) == [0.5]  # the 1.5 sample is beyond `until`
         assert sim.now == 1.0
-
-
-class TestTimeSeriesEdges:
-    def test_empty_rate_series(self):
-        assert TimeSeries().rate_series().rows() == []
-
-    def test_single_point_rate_series(self):
-        ts = TimeSeries()
-        ts.record(1.0, 10.0)
-        assert ts.rate_series().rows() == []
-
-    def test_zero_dt_skipped(self):
-        ts = TimeSeries()
-        ts.record(1.0, 10.0)
-        ts.record(1.0, 20.0)  # same timestamp: no rate point
-        ts.record(2.0, 40.0)
-        rate = ts.rate_series()
-        assert rate.rows() == [(2.0, 20.0)]
 
 
 class TestTimeSeriesRing:
@@ -153,39 +139,13 @@ class TestTimeSeriesRing:
         assert ts.rows() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
         assert ts.dropped == 2
 
-    def test_unbounded_by_default(self):
-        ts = TimeSeries()
-        for i in range(100):
-            ts.record(float(i), 1.0)
-        assert len(ts.rows()) == 100 and ts.dropped == 0
-
     def test_reductions_see_retained_window_only(self):
-        ts = TimeSeries(maxlen=2)
+        ts = TimeSeries("ring", maxlen=2)
         ts.record(0.0, 100.0)  # evicted
         ts.record(1.0, 1.0)
         ts.record(2.0, 3.0)
         assert ts.mean() == 2.0
         assert ts.max() == 3.0
-
-    def test_rate_series_name_and_maxlen(self):
-        ts = TimeSeries("nic/bytes", maxlen=4)
-        for i in range(3):
-            ts.record(float(i), float(i * 8))
-        rate = ts.rate_series()
-        assert rate.name == "nic/bytes/rate"
-        assert rate.maxlen == 4
-        assert rate.rows() == [(1.0, 8.0), (2.0, 8.0)]
-
-    def test_anonymous_rate_series_name(self):
-        assert TimeSeries().rate_series().name == "rate"
-
-    def test_rate_over_ring_window(self):
-        """Rates derive from the retained samples, not the full history."""
-        ts = TimeSeries(maxlen=2)
-        for i in range(6):
-            ts.record(float(i), float(i * i))
-        # Retained: (4, 16), (5, 25) -> one rate point.
-        assert ts.rate_series().rows() == [(5.0, 9.0)]
 
 
 class TestEventLogBound:

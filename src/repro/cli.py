@@ -231,7 +231,7 @@ def _instrument_flags(p, harness: Harness) -> None:
                        const=f"{stem}_metrics.json", default=None,
                        metavar="PATH",
                        help="write the metrics-registry snapshot "
-                            "(scheduler/* gauges included) as JSON")
+                            "(scheduler/queue_depth included) as JSON")
     if "flight" in have:
         p.add_argument("--flight-recorder", nargs="?",
                        const=f"{stem}_flight.json", default=None,

@@ -1,15 +1,16 @@
 """Point-to-point link model with cut-through forwarding.
 
 Each node owns one egress and one ingress :class:`~repro.simnet.resources.Resource`
-(its uplink to / downlink from the switch).  A transfer:
+(its uplink to / downlink from the switch).  A transfer
+(:meth:`repro.fabric.verbs.QueuePair._wire`):
 
 1. acquires the source egress channel,
 2. acquires the destination ingress channel (this is where *incast*
    contention appears — many clients hammering one partition serialize
    here, which is what saturates the single-partition queue in Fig 6c),
-3. holds both for the wire time of the message, plus propagation and
-   switch latency,
-4. releases both.
+3. holds both for the wire time of the message,
+4. releases both, then charges propagation and switch latency outside
+   the hold.
 
 Acquisition order is always egress-then-ingress and the two pools are
 disjoint, so no deadlock cycle can form.
@@ -48,48 +49,3 @@ class Link:
         self.bytes_total.add(msg.wire_size)
         self.packets_total.add(self.packet_count(msg))
         self.messages_total.add(1)
-
-    def wire_time(self, msg: Message) -> float:
-        return self.cost.transfer_time(msg.wire_size)
-
-
-def transfer(egress: Link, ingress: Link, msg: Message, switch=None):
-    """Generator: move ``msg`` across ``egress`` -> switch -> ``ingress``.
-
-    The channels are held for the *serialization* (wire) time only — that
-    is what bounds throughput and produces incast contention at a hot
-    destination.  Propagation and switch latency are added afterwards,
-    outside the hold, so back-to-back messages pipeline as on real links.
-    An oversubscribed ``switch`` additionally bounds how many transfers can
-    stream through the backplane at once.
-
-    The hops are claimed *in sequence* (egress, then ingress, then
-    backplane), one kernel event apart — each
-    :meth:`~repro.simnet.resources.Resource.claim` costs exactly one event
-    whether the hop was free or busy, so contention windows do not depend
-    on which branch a claim took.
-    """
-    cost = egress.cost
-    sim = egress.sim
-    e_ch = egress.channel
-    i_ch = ingress.channel
-    yield e_ch.claim()
-    try:
-        yield i_ch.claim()
-        try:
-            wire = egress.wire_time(msg)
-            if switch is not None and not switch.is_full_bisection:
-                # Oversubscribed backplane: the serialization time is
-                # spent holding one of the limited switch channels.
-                yield from switch.traverse(wire)
-            else:
-                yield sim.timeout(wire)
-                if switch is not None:
-                    switch.transits.add(1)
-            egress.account(msg)
-            ingress.account(msg)
-        finally:
-            i_ch.release_slot()
-    finally:
-        e_ch.release_slot()
-    yield sim.timeout(2 * cost.link_latency + cost.switch_latency)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.fabric.link import transfer
 from repro.fabric.nic import MemoryRegion
 from repro.fabric.packet import Message, Verb
 
@@ -53,20 +52,59 @@ class QueuePair:
         return msg
 
     def _wire(self, src, dst, msg: Message):
-        """Move ``msg`` from node ``src`` to node ``dst`` (either direction)."""
+        """Move ``msg`` from node ``src`` to node ``dst`` (either direction).
+
+        Off-node, the source egress and the destination ingress channels
+        are held for the *serialization* (wire) time only — that is what
+        bounds throughput and produces incast contention at a hot
+        destination.  Propagation and switch latency are added afterwards,
+        outside the hold, so back-to-back messages pipeline as on real
+        links.  An oversubscribed switch additionally bounds how many
+        transfers can stream through the backplane at once.
+
+        The hops are claimed *in sequence* (egress, then ingress, then
+        backplane), one kernel event apart — each
+        :meth:`~repro.simnet.resources.Resource.claim` costs exactly one
+        event whether the hop was free or busy, so contention windows do
+        not depend on which branch a claim took.
+        """
+        cost = self.cost
         if src is dst:
             # NIC loopback: no switch traversal, but the transfer still
             # crosses the NIC's internal path at link-class bandwidth.
-            yield from src.nic_loopback.use(self.cost.transfer_time(msg.wire_size))
+            yield from src.nic_loopback.use(cost.transfer_time(msg.wire_size))
             src.egress.account(msg)
             src.ingress.account(msg)
-        else:
-            faults = self.cluster.faults
-            if faults is not None:
-                # May delay, schedule a duplicate, or raise FabricDropped.
-                yield from faults.outbound(msg)
-            yield from transfer(src.egress, dst.ingress, msg,
-                                switch=self.cluster.switch)
+            return
+        cluster = self.cluster
+        faults = cluster.faults
+        if faults is not None:
+            # May delay, schedule a duplicate, or raise FabricDropped.
+            yield from faults.outbound(msg)
+        switch = cluster.switch
+        egress = src.egress
+        ingress = dst.ingress
+        e_ch = egress.channel
+        i_ch = ingress.channel
+        yield e_ch.claim()
+        try:
+            yield i_ch.claim()
+            try:
+                wire = cost.transfer_time(msg.wire_size)
+                if switch.is_full_bisection:
+                    yield self.sim.timeout(wire)
+                    switch.transits.add(1)
+                else:
+                    # Oversubscribed backplane: the serialization time is
+                    # spent holding one of the limited switch channels.
+                    yield from switch.traverse(wire)
+                egress.account(msg)
+                ingress.account(msg)
+            finally:
+                i_ch.release_slot()
+        finally:
+            e_ch.release_slot()
+        yield self.sim.timeout(2 * cost.link_latency + cost.switch_latency)
 
     def _region(self, dst: int, name: str, offset: int):
         """The target node and its registered region, ``offset`` in bounds."""

@@ -233,21 +233,9 @@ def registry_of(sim) -> MetricsRegistry:
 
 
 def publish_scheduler_metrics(sim) -> MetricsRegistry:
-    """Mirror the kernel's event-core stats into ``scheduler/*`` gauges.
-
-    Lane/far depth and the calendar queue's bucket occupancy and
-    adaptive-width resize/refill counts, so one ``--metrics-out`` snapshot
-    covers the kernel too.
-    """
+    """Mirror the kernel's event-queue depth into ``scheduler/queue_depth``,
+    so one ``--metrics-out`` snapshot covers the kernel too."""
     registry = registry_of(sim)
-    stats = sim.kernel_stats()
-    registry.gauge("scheduler/lane_depth").set(stats["lane_depth"])
-    registry.gauge("scheduler/far_depth").set(stats["far_depth"])
-    cal = stats["calendar"]
-    registry.gauge("scheduler/bucket_width").set(cal["width"])
-    registry.gauge("scheduler/buckets").set(cal["buckets"])
-    registry.gauge("scheduler/bucket_occupancy").set(cal["bucket_occupancy"])
-    registry.gauge("scheduler/max_bucket").set(cal["max_bucket"])
-    registry.gauge("scheduler/refills").set(cal["refills"])
-    registry.gauge("scheduler/resizes").set(cal["resizes"])
+    registry.gauge("scheduler/queue_depth").set(
+        sim.kernel_stats()["queue_depth"])
     return registry

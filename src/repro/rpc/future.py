@@ -10,7 +10,7 @@ fut.wait()`` blocks the calling process; ``fut.done`` polls; ``fut.then(fn)``
 
 The kernel :class:`Event` backing ``wait()`` is materialized lazily: a
 fire-and-forget pipelined op whose caller only ever chains callbacks never
-allocates an Event or pushes a settle entry through the scheduler lanes.
+allocates an Event or pushes a settle entry through the event queue.
 Waiters and ``_event`` consumers see the exact semantics the eager event
 gave them — a pending wait parks on a real pending Event that the settle
 path triggers through the kernel, and a wait attached after settling gets a

@@ -6,20 +6,15 @@ callbacks run when the entry is popped — but the implementation is built
 for throughput, because every figure in the reproduction is bounded by how
 many simulated events the kernel can retire per wall-clock second:
 
-* **Two scheduling lanes.**  The dominant event pattern in this workload is
-  short, regular timeouts (cost charges) whose fire times are monotonically
-  non-decreasing in schedule order.  Those ride a *near-future lane*: an
-  append-only deque that stays sorted by construction, giving O(1) push and
-  pop.  Anything that would break the lane's ordering invariant (an earlier
-  fire time, an out-of-band priority) falls back to the *far lane*.  Pops
-  merge the two lanes by comparing their heads, so the global
-  ``(time, priority, seq)`` order is *identical* to a single-heap kernel.
-* **A calendar-queue far lane.**  The far lane is a :class:`_CalendarQueue`
-  — O(1) amortized push into time-indexed buckets, with an adaptive bucket
-  width — which beats a binary heap once app workloads put thousands of
-  out-of-order entries in flight.  A plain ``heapq`` is its oracle, not a
-  shipped path: the tier-1 suite replays heap-derived golden retire-order
-  traces and drives the queue against ``heapq`` on seeded interleavings.
+* **One binary heap.**  Every scheduled entry is a ``(time, priority,
+  seq, event)`` tuple in one ``heapq`` list; ``seq`` is unique, so ties
+  never reach the event object and the retire order is the exact total
+  order above.  Each push site is a single C call (a
+  ``functools.partial`` of ``heapq.heappush`` bound to the list) and the
+  drain loop pops with ``heappop``.  The tier-1 suite replays retire-order
+  traces recorded from the original heap kernel and checks that random
+  schedules retire in ``(time, priority, seq)`` order, in one ``run()``
+  or in ``run(until=)`` segments.
 * **An inlined waiter slot.**  The overwhelmingly common wait shape is one
   process blocked on one event.  That single waiter lives in the event's
   ``_wait`` slot instead of the callbacks list, and the drain loop resumes
@@ -44,9 +39,8 @@ from __future__ import annotations
 
 import heapq
 import sys
+from functools import partial
 from typing import Any, Callable, Iterable, Optional
-
-from collections import deque
 
 __all__ = [
     "Event",
@@ -76,7 +70,7 @@ class Interrupt(Exception):
 
 # Event states
 _PENDING = 0
-_TRIGGERED = 1  # scheduled on a lane, value decided
+_TRIGGERED = 1  # scheduled on the queue, value decided
 _PROCESSED = 2  # callbacks have run
 
 # Free-list bound: big enough that steady-state hot loops never miss, small
@@ -144,12 +138,7 @@ class Event:
         # locks, and resource grants.
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        t = sim.now + delay
-        lane = sim._lane
-        if not lane or t > lane[-1][0] or (t == lane[-1][0] and lane[-1][1] <= 0):
-            lane.append((t, 0, seq, self))
-        else:
-            sim._far_push((t, 0, seq, self))
+        sim._heappush((sim.now + delay, 0, seq, self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -328,151 +317,6 @@ class AnyOf(Event):
                     pass
 
 
-#: entries at or past this sim time share one top bucket, so ``inf``
-#: deadlines never overflow the bucket-index arithmetic
-_T_CAP = 1e15
-
-
-class _CalendarQueue:
-    """Calendar-queue far lane: total order over ``(time, priority, seq)``.
-
-    Entries within one bucket width of the active *epoch* live in
-    ``current``, a descending-sorted list (min at the end → O(1) pop, and
-    near-min inserts — the common far-push shape — touch the tail).
-    Later entries are appended unsorted to time-indexed buckets
-    (``int(t // width)``); when ``current`` drains, the earliest bucket is
-    popped, sorted once, and becomes the new epoch.  The epoch boundary
-    (``horizon``) only matters for routing pushes: anything earlier is
-    insorted into ``current``, so the pop order is *exactly* the heap's
-    ``(time, priority, seq)`` order (seqs are unique, so ties never reach
-    the event object).
-
-    The bucket width adapts at refill time: an oversized bucket halves the
-    width, a string of near-empty buckets doubles it, keeping refill sorts
-    O(1)-amortized per entry for both dense and sparse event mixes.
-    """
-
-    __slots__ = ("width", "horizon", "current", "buckets", "_bucket_heap",
-                 "future_count", "refills", "resizes", "max_bucket")
-
-    _REFILL_HI = 512   # refilled bucket larger than this -> halve the width
-    _REFILL_LO = 2     # this small (while many buckets remain) -> double it
-    _MIN_WIDTH = 1e-9  # never shrink below a nanosecond of sim time
-
-    def __init__(self, width: float = 64e-6):
-        self.width = width
-        self.horizon = float("-inf")
-        self.current: list[tuple] = []  # descending; min at the end
-        self.buckets: dict[int, list[tuple]] = {}
-        self._bucket_heap: list[int] = []
-        self.future_count = 0  # entries parked in buckets (excludes current)
-        self.refills = 0
-        self.resizes = 0
-        self.max_bucket = 0
-
-    def __len__(self) -> int:
-        return len(self.current) + self.future_count
-
-    def push(self, entry: tuple) -> None:
-        t = entry[0]
-        if t < self.horizon:
-            # Active epoch: descending insort.  Tail check first — most
-            # far pushes are *earlier* than everything already queued.
-            cur = self.current
-            if not cur or entry < cur[-1]:
-                cur.append(entry)
-                return
-            lo, hi = 0, len(cur)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if entry < cur[mid]:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            cur.insert(lo, entry)
-        else:
-            width = self.width
-            b = int(t // width) if t < _T_CAP else int(_T_CAP // width) + 1
-            lst = self.buckets.get(b)
-            if lst is None:
-                self.buckets[b] = [entry]
-                heapq.heappush(self._bucket_heap, b)
-            else:
-                lst.append(entry)
-            self.future_count += 1
-
-    def peek(self) -> Optional[tuple]:
-        cur = self.current
-        if not cur:
-            if not self.future_count:
-                return None
-            self._refill()
-            cur = self.current
-        return cur[-1]
-
-    def pop(self) -> tuple:
-        cur = self.current
-        if not cur:
-            if not self.future_count:
-                raise SimulationError("pop() on an empty calendar queue")
-            self._refill()
-        return cur.pop()
-
-    def _refill(self) -> None:
-        """Promote the earliest bucket to the new epoch (``current``).
-
-        ``current``'s list identity is preserved (filled in place) so the
-        drain loop can cache a reference to it across refills.
-        """
-        b = heapq.heappop(self._bucket_heap)
-        entries = self.buckets.pop(b)
-        n = len(entries)
-        self.future_count -= n
-        if n > self.max_bucket:
-            self.max_bucket = n
-        entries.sort(reverse=True)
-        self.current[:] = entries
-        self.horizon = (b + 1) * self.width
-        self.refills += 1
-        if n > self._REFILL_HI and self.width > self._MIN_WIDTH:
-            self._rebucket(self.width * 0.5)
-        elif n <= self._REFILL_LO and len(self.buckets) > 8:
-            self._rebucket(self.width * 2.0)
-
-    def _rebucket(self, new_width: float) -> None:
-        self.width = new_width
-        entries: list[tuple] = []
-        for lst in self.buckets.values():
-            entries.extend(lst)
-        self.buckets.clear()
-        self._bucket_heap.clear()
-        buckets = self.buckets
-        bucket_heap = self._bucket_heap
-        for e in entries:
-            t = e[0]
-            b = int(t // new_width) if t < _T_CAP else int(_T_CAP // new_width) + 1
-            lst = buckets.get(b)
-            if lst is None:
-                buckets[b] = [e]
-                heapq.heappush(bucket_heap, b)
-            else:
-                lst.append(e)
-        self.resizes += 1
-
-    def stats(self) -> dict:
-        occupied = len(self.buckets)
-        return {
-            "width": self.width,
-            "buckets": occupied,
-            "bucket_occupancy": (
-                self.future_count / occupied if occupied else 0.0
-            ),
-            "max_bucket": self.max_bucket,
-            "refills": self.refills,
-            "resizes": self.resizes,
-        }
-
-
 class Simulator:
     """The event loop.
 
@@ -482,23 +326,20 @@ class Simulator:
         sim.process(my_generator(sim))
         sim.run()
 
-    ``run`` executes events until both lanes are empty or ``until`` is
+    ``run`` executes events until the queue is empty or ``until`` is
     reached.  Processed events are recycled whenever the platform can
     prove them unreferenced (``sys.getrefcount``); there is nothing to
     configure.
     """
 
     def __init__(self):
-        self._cal = _CalendarQueue()
-        # Cached bound method: the inlined hot paths push with one lookup.
-        self._far_push = self._cal.push
-        # Near-future lane: entries appended here are non-decreasing in
-        # (time, priority), so the deque is sorted by construction.
-        self._lane: deque[tuple[float, int, int, Any]] = deque()
+        # The event queue: a binary heap of (time, priority, seq, entry).
+        self._queue: list[tuple[float, int, int, Any]] = []
+        # Bound push: every scheduling site is one C call.
+        self._heappush = partial(heapq.heappush, self._queue)
         self._seq = 0
         self.now: float = 0.0
         self._event_count = 0
-        self._active = True
         self._pooling = _getrefcount is not None
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
@@ -517,7 +358,7 @@ class Simulator:
 
         Yielding it resumes the process immediately (the kernel's
         already-fired kick path) and ``add_callback`` runs synchronously —
-        without ever touching the scheduling lanes.  Lets consumers attach
+        without ever touching the event queue.  Lets consumers attach
         to results that settled in an earlier kernel iteration, or after
         the run has drained, with no extra queue traffic.
         """
@@ -547,16 +388,7 @@ class Simulator:
             to._wait = None
         # Inlined _push (hot path).
         self._seq = seq = self._seq + 1
-        t = self.now + delay
-        lane = self._lane
-        if lane:
-            tail = lane[-1]
-            if t > tail[0] or (t == tail[0] and tail[1] <= 0):
-                lane.append((t, 0, seq, to))
-            else:
-                self._far_push((t, 0, seq, to))
-        else:
-            lane.append((t, 0, seq, to))
+        self._heappush((self.now + delay, 0, seq, to))
         return to
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
@@ -584,12 +416,7 @@ class Simulator:
             to._state = _TRIGGERED
             to._wait = None
         self._seq = seq = self._seq + 1
-        lane = self._lane
-        if not lane or when > lane[-1][0] or (
-                when == lane[-1][0] and lane[-1][1] <= 0):
-            lane.append((when, 0, seq, to))
-        else:
-            self._far_push((when, 0, seq, to))
+        self._heappush((when, 0, seq, to))
         return to
 
     def schedule_callback(self, fn: Callable[[], None], delay: float = 0.0,
@@ -608,13 +435,7 @@ class Simulator:
         else:
             entry = _ScheduledCallback(fn)
         self._seq = seq = self._seq + 1
-        t = self.now + delay
-        lane = self._lane
-        if not lane or t > lane[-1][0] or (
-                t == lane[-1][0] and lane[-1][1] <= priority):
-            lane.append((t, priority, seq, entry))
-        else:
-            self._far_push((t, priority, seq, entry))
+        self._heappush((self.now + delay, priority, seq, entry))
 
     def schedule_callback_at(self, fn: Callable[[], None], when: float,
                              priority: int = 0) -> None:
@@ -634,12 +455,7 @@ class Simulator:
         else:
             entry = _ScheduledCallback(fn)
         self._seq = seq = self._seq + 1
-        lane = self._lane
-        if not lane or when > lane[-1][0] or (
-                when == lane[-1][0] and lane[-1][1] <= priority):
-            lane.append((when, priority, seq, entry))
-        else:
-            self._far_push((when, priority, seq, entry))
+        self._heappush((when, priority, seq, entry))
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -654,35 +470,19 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
     def _push(self, event: Any, delay: float, priority: int = 0) -> None:
-        """Schedule ``event`` (anything with ``_process``) after ``delay``.
-
-        Entries whose ``(time, priority)`` is >= the near-future lane's tail
-        keep the lane sorted and go there (O(1)); everything else goes to
-        the calendar queue.  Pops merge both, preserving exact
-        ``(time, priority, seq)`` order.
-        """
+        """Schedule ``event`` (anything with ``_process``) after ``delay``."""
         self._seq = seq = self._seq + 1
-        t = self.now + delay
-        lane = self._lane
-        if not lane or t > lane[-1][0] or (
-                t == lane[-1][0] and lane[-1][1] <= priority):
-            lane.append((t, priority, seq, event))
-        else:
-            self._far_push((t, priority, seq, event))
+        self._heappush((self.now + delay, priority, seq, event))
 
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
         """Process the single next event."""
-        lane = self._lane
-        far = self._cal.peek()
-        if lane and (far is None or lane[0] < far):
-            t, _prio, _seq, event = lane.popleft()
-        elif far is None:
+        q = self._queue
+        if not q:
             raise SimulationError("step() on an empty event queue")
-        else:
-            t, _prio, _seq, event = self._cal.pop()
-        if t < self.now:  # pragma: no cover - defensive
+        if q[0][0] < self.now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
+        t, _prio, _seq, event = heapq.heappop(q)
         self.now = t
         self._event_count += 1
         event._process()
@@ -722,16 +522,11 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        lane = self._lane
-        far = self._cal.peek()
-        if lane:
-            if far is not None and far[0] < lane[0][0]:
-                return far[0]
-            return lane[0][0]
-        return far[0] if far is not None else _INF
+        q = self._queue
+        return q[0][0] if q else _INF
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until both lanes drain or sim-time passes ``until``."""
+        """Run until the queue drains or sim-time passes ``until``."""
         if until is None:
             self._drain(_INF)
         else:
@@ -754,10 +549,8 @@ class Simulator:
 
     def _drain(self, until: float) -> None:
         """Retire events in ``(time, priority, seq)`` order up to ``until``."""
-        cal = self._cal
-        cur = cal.current  # identity-stable: _refill assigns in place
-        lane = self._lane
-        popleft = lane.popleft
+        q = self._queue
+        heappop = heapq.heappop
         pooling = self._pooling
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
@@ -771,30 +564,15 @@ class Simulator:
         # re-entrant runs: each loop flushes only the events it popped).
         count = 0
         try:
+            # ``while True``, not ``while q``: CPython 3.11 counts only
+            # unconditional back-edges toward a code object's warm-up, so a
+            # conditional one leaves this loop unspecialized (~40 % slower)
+            # until run() has been called eight times.
             while True:
-                if lane:
-                    if cur:
-                        if lane[0] < cur[-1]:
-                            t, _prio, _seq, event = popleft()
-                        else:
-                            t, _prio, _seq, event = cur.pop()
-                    elif cal.future_count:
-                        cal._refill()
-                        continue
-                    else:
-                        t, _prio, _seq, event = popleft()
-                elif cur:
-                    t, _prio, _seq, event = cur.pop()
-                elif cal.future_count:
-                    cal._refill()
-                    continue
-                else:
+                # Peek before popping: an entry past the bound stays queued.
+                if not q or q[0][0] > until:
                     break
-                if t > until:
-                    # First entry past the bound: it is <= everything still
-                    # pending, so the head of the near lane keeps it sorted.
-                    lane.appendleft((t, _prio, _seq, event))
-                    break
+                t, _prio, _seq, event = heappop(q)
                 self.now = t
                 count += 1
                 cls = event.__class__
@@ -889,8 +667,6 @@ class Simulator:
             "timeout_pool": len(self._timeout_pool),
             "event_pool": len(self._event_pool),
             "callback_pool": len(self._cb_pool),
-            "lane_depth": len(self._lane),
-            "far_depth": len(self._cal),
+            "queue_depth": len(self._queue),
             "pooling": self._pooling,
-            "calendar": self._cal.stats(),
         }

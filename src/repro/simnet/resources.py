@@ -40,7 +40,8 @@ class Resource:
         self.name = name
         self.in_use = 0
         self._queue: Deque[Event] = deque()
-        # Busy-time accounting for utilization meters.
+        # Busy-time accounting for utilization meters, from creation on.
+        self._created = sim.now
         self._busy_integral = 0.0
         self._last_change = sim.now
 
@@ -51,13 +52,13 @@ class Resource:
         self._last_change = now
 
     def busy_time(self) -> float:
-        """Integral of in-use servers over time (server-seconds)."""
+        """Integral of in-use servers since creation (server-seconds)."""
         self._note_change()
         return self._busy_integral
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of capacity busy over ``[since, now]``."""
-        span = self.sim.now - since
+    def utilization(self) -> float:
+        """Mean fraction of capacity busy since the resource was created."""
+        span = self.sim.now - self._created
         if span <= 0:
             return 0.0
         return self.busy_time() / (span * self.capacity)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import CostModel
 from repro.fabric import Cluster, Message, Verb
-from repro.fabric.link import transfer
 from repro.fabric.node import OutOfMemoryError
 from repro.fabric.packet import WIRE_HEADER_BYTES
 from repro.fabric.provider import PROVIDERS, get_provider
@@ -59,7 +58,7 @@ class TestLinkTransfer:
         msg = Message(Verb.WRITE, 0, 1, 10_000)
 
         def body():
-            yield from transfer(src.egress, dst.ingress, msg)
+            yield from cluster.qp(0)._wire(src, dst, msg)
 
         cluster.sim.run_process(body())
         assert src.egress.messages_total.value == 1
@@ -75,7 +74,7 @@ class TestLinkTransfer:
 
         def sender():
             msg = Message(Verb.WRITE, 0, 1, size)
-            yield from transfer(cluster.node(0).egress, dst.ingress, msg)
+            yield from cluster.qp(0)._wire(cluster.node(0), dst, msg)
 
         sim = cluster.sim
         sim.process(sender())
@@ -93,8 +92,8 @@ class TestLinkTransfer:
         def sender():
             for _ in range(n):
                 msg = Message(Verb.SEND, 0, 1, 64)
-                yield from transfer(
-                    cluster.node(0).egress, cluster.node(1).ingress, msg
+                yield from cluster.qp(0)._wire(
+                    cluster.node(0), cluster.node(1), msg
                 )
 
         # Two concurrent senders: if propagation were inside the channel

@@ -1,46 +1,43 @@
-"""Calendar-queue far lane: heap-derived goldens and a ``heapq`` oracle.
+"""The event queue: heap-derived goldens and a ``(time, prio, seq)`` property.
 
-The calendar queue is the kernel's only far lane.  Its one contract:
-retire events in exactly the order a binary heap would — same timestamps,
-same priority handling, same FIFO tiebreak on the creation sequence — so
-every simulated result is bit-identical to the heap kernel this repo
-shipped until PR 13.  Two independent checks pin that contract:
+The kernel's one contract: retire entries in exactly the total order
+``(time, priority, seq)`` — same timestamps, same priority handling, same
+FIFO tiebreak on the creation sequence — so every simulated result is
+bit-identical to the heap scheduler the goldens were recorded from.  Two
+independent checks pin that contract:
 
-* **Golden retire-order traces.**  Each scenario below was run at the
-  parent commit with ``Simulator(scheduler="heap")`` and its full trace
-  frozen in ``tests/data/simnet_heap_goldens.json``.  The scenarios cover
-  the edges where a bucketed structure could drift from a heap:
-  same-timestamp bursts, tombstoned (interrupted) entries inside buckets,
-  AnyOf/AllOf settle order, and a seeded randomized workload whose trace
-  is independent of ``PYTHONHASHSEED``.  The heap lane no longer exists,
-  so the file is frozen: never regenerate it from the calendar queue.
-* **A queue-level differential test** that drives :class:`_CalendarQueue`
-  and a plain ``heapq`` list with identical seeded push/pop interleavings.
+* **Golden retire-order traces.**  Each scenario below was run with the
+  original heap scheduler (``Simulator(scheduler="heap")``) and its full
+  trace frozen in ``tests/data/simnet_heap_goldens.json``.  The scenarios
+  cover same-timestamp bursts, tombstoned (interrupted) entries behind
+  later ones, AnyOf/AllOf settle order, and a seeded randomized workload
+  whose trace is independent of ``PYTHONHASHSEED``.  The file is frozen:
+  never regenerate it from the code under test.
+* **A Hypothesis property** over random schedules (zero-delay and
+  equal-time timeouts, ``timeout_at``, prioritized callbacks, events
+  succeeded from callbacks, one interrupt): every retired entry is the
+  ``(time, prio, seq)`` minimum of what is pending, and cutting the run
+  into ``run(until=)`` segments retires the same sequence as one ``run()``.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.simnet.core import (
-    _T_CAP, Interrupt, SimulationError, Simulator, _CalendarQueue,
-)
+from repro.simnet.core import Interrupt, SimulationError, Simulator
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "simnet_heap_goldens.json"
 
 
 def _far(sim, delay, value=None):
-    """Schedule a timeout that lands in the FAR lane (not the near deque).
-
-    The near lane only takes monotone appends; scheduling a later anchor
-    first forces the earlier timeout into the far structure under test.
-    """
+    """Schedule a timeout behind a later anchor (an out-of-order push)."""
     anchor = sim.timeout(delay + 1000.0)
     to = sim.timeout(delay, value=value)
     assert anchor is not to
@@ -58,8 +55,7 @@ def same_timestamp_creation_order(sim):
         yield to
         fired.append(i)
 
-    # A far anchor first, then 50 identical-time timeouts that all land in
-    # one calendar bucket.
+    # A later anchor first, then 50 identical-time timeouts.
     sim.timeout(2000.0)
     for i in range(50):
         sim.process(waiter(i, sim.timeout(7.25)))
@@ -103,8 +99,7 @@ def tombstone_far_entry(sim):
 
     sim.process(interrupter())
     sim.run(until=2000.0)
-    # The tombstoned t=50 wakeup inside the far structure must be skipped
-    # silently when its bucket drains.
+    # The tombstoned t=50 wakeup must be skipped silently when it retires.
     assert log == [("intr", "go"), ("after", 1.5)]
     assert p.done
     return log
@@ -152,8 +147,7 @@ def all_of_across_buckets(sim):
     got = []
 
     def proc():
-        # Reverse-chronological listing, spread far apart so the children
-        # occupy different calendar buckets.
+        # Reverse-chronological listing, spread far apart in time.
         late = _far(sim, 40.0, value="late")
         mid = _far(sim, 2.0, value="mid")
         early = _far(sim, 0.5, value="early")
@@ -239,37 +233,15 @@ class TestHeapGoldens:
         assert run_scenario(name, Simulator()) == golden["traces"][name]
 
 
-class TestAdaptiveWidth:
-    def test_skewed_spacing_forces_resizes_and_stays_ordered(self):
+class TestOneQueue:
+    def test_kernel_stats_report_one_queue_depth(self):
         sim = Simulator()
-        fired = []
-
-        def waiter(i, to):
-            yield to
-            fired.append((sim.now, i))
-
-        # Anchor far out so everything below routes through the calendar.
-        # Then both skew extremes: a sub-bucket-width clump of 600 events
-        # (refill sees > _REFILL_HI -> width halves) and a sparse tail of
-        # one event per bucket across 16 buckets (refills see <= _REFILL_LO
-        # with many buckets pending -> width doubles).
-        sim.timeout(1e6)
-        delays = [1000.0 + j * 1e-7 for j in range(600)]
-        delays.extend(2000.0 + k * 10.0 for k in range(16))
-        for i, d in enumerate(delays):
-            sim.process(waiter(i, sim.timeout(d)))
-        sim.run(until=1e5)
-        assert [i for _t, i in fired] == sorted(
-            range(len(delays)), key=lambda i: (delays[i], i)
-        )
-        cal = sim.kernel_stats()["calendar"]
-        assert cal["resizes"] >= 1, "adaptive width never engaged"
-        assert cal["refills"] >= 1
-
-    def test_kernel_stats_always_carry_the_calendar(self):
-        stats = Simulator().kernel_stats()
-        assert set(stats["calendar"]) >= {"width", "refills", "resizes"}
-        assert "scheduler" not in stats and "heap_depth" not in stats
+        assert sim.kernel_stats()["queue_depth"] == 0
+        sim.timeout(2.0)
+        sim.schedule_callback(lambda: None, 1.0, priority=-1)
+        stats = sim.kernel_stats()
+        assert stats["queue_depth"] == 2
+        assert not {"lane_depth", "far_depth", "calendar"} & set(stats)
 
     def test_simulator_takes_no_options(self):
         with pytest.raises(TypeError):
@@ -278,73 +250,140 @@ class TestAdaptiveWidth:
             Simulator(pooling=False)
 
 
-class TestHeapqOracle:
-    """``_CalendarQueue`` vs a plain ``heapq`` list, op for op."""
+# -- the (time, prio, seq) property ------------------------------------------
+# Every delay and absolute time comes from a small grid of exact binary
+# fractions, so equal-time entries (and sums of them) collide constantly.
 
-    @staticmethod
-    def _drive(seed):
-        rng = random.Random(seed)
-        cal = _CalendarQueue()
-        ref = []
-        seq = 0
-        now = 0.0
-        widths = [cal.width]
+_GRID = (0.0, 0.25, 0.5, 1.0)
 
-        def push(t, prio=0):
-            nonlocal seq
-            seq += 1
-            entry = (t, prio, seq, None)
-            cal.push(entry)
-            heapq.heappush(ref, entry)
+_op = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from(_GRID)),
+    st.tuples(st.just("at"), st.sampled_from(_GRID)),
+    st.tuples(st.just("cb"), st.sampled_from(_GRID),
+              st.sampled_from((-1, 0, 1))),
+    st.tuples(st.just("succeed"), st.sampled_from(_GRID),
+              st.sampled_from((-1, 0, 1)), st.sampled_from(_GRID)),
+)
 
-        def pop():
-            nonlocal now
-            assert cal.peek() == ref[0]
-            got = cal.pop()
-            assert got == heapq.heappop(ref)
-            assert len(cal) == len(ref)
-            now = got[0]
-            if cal.width != widths[-1]:
-                widths.append(cal.width)
 
-        # Dense clump (one bucket > _REFILL_HI -> halve) then a sparse
-        # tail (<= _REFILL_LO per bucket, > 8 buckets pending -> double).
-        for j in range(600):
-            push(1000.0 + j * 1e-7)
-        for k in range(16):
-            push(2000.0 + k * 10.0)
-        # Same-(t, prio) burst: only the sequence number breaks the tie.
-        for _ in range(40):
-            push(1500.0, prio=1)
-        # Deadlines at and past the bucket-index cap share one top bucket.
-        for t in (_T_CAP, 2 * _T_CAP, float("inf"), float("inf")):
-            push(t)
-        # Seeded interleaving: pushes land before, inside and far beyond
-        # the active epoch, at mixed priorities, between pops.
-        for _ in range(4000):
-            if ref and rng.random() < 0.45:
-                pop()
-            else:
-                span = 10 ** rng.randint(-7, 3)
-                push(now + rng.uniform(0.0, 1.0) * span,
-                     prio=rng.choice((0, 0, 0, -1, 1)))
-        while ref:
-            pop()
-        assert len(cal) == 0 and cal.peek() is None
-        return widths, cal.stats()
+@st.composite
+def schedules(draw):
+    ops = draw(st.lists(_op, min_size=1, max_size=30))
+    wait = draw(st.sampled_from(_GRID))  # the interrupted process's timeout
+    hit = (draw(st.sampled_from(_GRID)), draw(st.sampled_from((-1, 0, 1))))
+    times = sorted({op[1] for op in ops} | {wait, hit[0]})
+    bounds = draw(st.lists(
+        st.one_of(st.sampled_from(times),
+                  st.floats(0.0, 2.5, allow_nan=False)),
+        max_size=4))
+    # At least one bound sits exactly on an entry's time.
+    bounds.append(draw(st.sampled_from(times)))
+    return ops, wait, hit, sorted(bounds)
 
-    @pytest.mark.parametrize("seed", [1, 7, 1234])
-    def test_identical_pop_order_under_seeded_interleaving(self, seed):
-        widths, stats = self._drive(seed)
-        steps = list(zip(widths, widths[1:]))
-        assert any(b < a for a, b in steps), "bucket width never halved"
-        assert any(b > a for a, b in steps), "bucket width never doubled"
-        assert stats["resizes"] == len(steps)
 
-    def test_pop_on_empty_raises_simulation_error(self):
-        with pytest.raises(SimulationError, match="empty"):
-            _CalendarQueue().pop()
+def _play(sim, ops, wait, hit):
+    """Schedule ``ops`` on ``sim`` and return ``(log, pending)``.
 
+    Each tracked entry is keyed ``(time, prio, k)`` when scheduled, ``k``
+    counting this function's scheduling calls — the kernel's ``seq`` is
+    assigned in the same call order.  ``log`` collects ``(tag, now)`` per
+    retire; ``pending`` maps tag -> key for entries not yet retired.
+    """
+    log = []
+    pending = {}
+    counter = [0]
+
+    def track(tag, t, prio):
+        counter[0] += 1
+        pending[tag] = (t, prio, counter[0])
+
+    def retire(tag):
+        log.append((tag, sim.now))
+        key = pending.pop(tag)
+        assert key[0] == sim.now
+        assert not pending or key < min(pending.values()), (tag, key)
+
+    def hook(tag):
+        return lambda _ev: retire(tag)
+
+    def succeed_later(tag, delay):
+        def fire():
+            retire(tag)
+            ev = sim.event()
+            ev.succeed(tag, delay=delay)
+            track(tag + "/ev", sim.now + delay, 0)
+            ev.add_callback(hook(tag + "/ev"))
+        return fire
+
+    state = {"waiting": False}
+
+    def sleeper():
+        to = sim.timeout(wait)
+        track("sleep", sim.now + wait, 0)
+        state["waiting"] = True
+        try:
+            yield to
+            state["waiting"] = False
+            retire("sleep")
+        except Interrupt:
+            state["waiting"] = False
+            retire("interrupted")
+
+    proc = sim.process(sleeper())
+
+    def interrupter():
+        retire("interrupter")
+        if state["waiting"]:
+            proc.interrupt()
+            # The sleeper's timeout now retires unobserved; the interrupt
+            # is a fresh entry at ``now``.
+            pending.pop("sleep")
+            track("interrupted", sim.now, 0)
+
+    sim.schedule_callback(interrupter, hit[0], priority=hit[1])
+    track("interrupter", hit[0], hit[1])
+    for i, op in enumerate(ops):
+        tag = f"{i}:{op[0]}"
+        kind = op[0]
+        if kind == "timeout":
+            sim.timeout(op[1]).add_callback(hook(tag))
+            track(tag, op[1], 0)
+        elif kind == "at":
+            sim.timeout_at(op[1]).add_callback(hook(tag))
+            track(tag, op[1], 0)
+        elif kind == "cb":
+            sim.schedule_callback(partial(retire, tag), op[1],
+                                  priority=op[2])
+            track(tag, op[1], op[2])
+        else:
+            sim.schedule_callback(succeed_later(tag, op[3]), op[1],
+                                  priority=op[2])
+            track(tag, op[1], op[2])
+    return log, pending
+
+
+@given(schedules())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_retire_order_is_time_prio_seq_and_segment_invariant(schedule):
+    ops, wait, hit, bounds = schedule
+    sim = Simulator()
+    whole, pending = _play(sim, ops, wait, hit)
+    sim.run()
+    assert not pending
+    assert sim.kernel_stats()["queue_depth"] == 0
+
+    segmented = Simulator()
+    cut, pending = _play(segmented, ops, wait, hit)
+    for bound in bounds:
+        segmented.run(until=bound)
+        assert segmented.now == bound
+        assert all(now <= bound for _tag, now in cut)
+        assert segmented.peek() > bound
+    segmented.run()
+    assert not pending
+    assert cut == whole
+    assert segmented.events_processed == sim.events_processed
 
 class TestEmptyQueue:
     def test_step_on_empty_raises_simulation_error(self):

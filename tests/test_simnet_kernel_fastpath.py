@@ -1,11 +1,12 @@
-"""Kernel fast paths: event pooling, the near-future timeout lane,
+"""Kernel fast paths: event pooling, the event queue's retire order,
 ``schedule_callback``, AnyOf/AllOf detach semantics, tombstone interrupts,
 and the ``Resource.use`` no-contention path.
 
-These are the invariants the perf work in this PR relies on: recycling
-must never leak a stale value or callback across reuses, the two-lane
-scheduler must retire events in exactly the order a pure binary heap
-would, and pooling must be wall-clock-only: a platform without
+These are the invariants the kernel's speed relies on: recycling must
+never leak a stale value or callback across reuses, the event queue must
+retire entries in exactly ``(time, priority, seq)`` order whether they
+were pushed in or out of time order, and pooling must be wall-clock-only:
+a platform without
 ``sys.getrefcount`` never recycles and yields bit-identical simulated
 results (simulated here by patching ``repro.simnet.core._getrefcount``).
 """
@@ -138,15 +139,14 @@ class TestEventPooling:
 
 
 # ---------------------------------------------------------------------------
-# Near-future lane vs binary heap: ordering equivalence
+# Retire order: in-order and out-of-order pushes, equal-time ties
 # ---------------------------------------------------------------------------
 
 
 class TestLaneHeapOrdering:
     def test_monotone_and_regressive_delays_fire_in_heap_order(self):
-        # Schedule a mix that exercises both the lane (monotone appends)
-        # and the heap (out-of-order inserts), then check the firing order
-        # equals a stable sort by (time, insertion seq).
+        # Schedule a mix of in-order and out-of-order pushes, then check
+        # the firing order equals a stable sort by (time, insertion seq).
         sim = Simulator()
         fired = []
         rng = random.Random(7)
@@ -159,7 +159,7 @@ class TestLaneHeapOrdering:
             sim.schedule_callback(cb, d)
 
         def driver():
-            # First half scheduled up front (mixed order -> heap + lane).
+            # First half scheduled up front, in mixed time order.
             for i, d in enumerate(delays[:100]):
                 charge(i, d)
             yield sim.timeout(0.003)
@@ -175,21 +175,21 @@ class TestLaneHeapOrdering:
         )
         assert fired == expected
 
-    def test_equal_time_entries_keep_fifo_order_across_lanes(self):
+    def test_equal_time_entries_keep_fifo_order(self):
         sim = Simulator()
         fired = []
 
         def cb(tag):
             return lambda: fired.append(tag)
 
-        # Force heap traffic: a far event first, then near ones (which go
-        # to the lane), then more at the exact same time as the far one.
-        sim.schedule_callback(cb("far-1"), 1.0)
-        sim.schedule_callback(cb("near"), 0.5)
-        sim.schedule_callback(cb("far-2"), 1.0)
-        sim.schedule_callback(cb("far-3"), 1.0)
+        # A later entry first, an earlier one pushed out of order, then
+        # two more at exactly the first one's time: ties retire by seq.
+        sim.schedule_callback(cb("later-1"), 1.0)
+        sim.schedule_callback(cb("early"), 0.5)
+        sim.schedule_callback(cb("later-2"), 1.0)
+        sim.schedule_callback(cb("later-3"), 1.0)
         sim.run()
-        assert fired == ["near", "far-1", "far-2", "far-3"]
+        assert fired == ["early", "later-1", "later-2", "later-3"]
 
     def test_zero_delay_chain_does_not_starve_later_events(self):
         sim = Simulator()
@@ -209,17 +209,17 @@ class TestLaneHeapOrdering:
         # callback: seq order is preserved exactly as a heap would.
         assert fired == ["tick", "later", "tick", "tick"]
 
-    def test_peek_merges_lane_and_heap(self):
+    def test_peek_reads_the_queue_head(self):
         sim = Simulator()
-        sim.schedule_callback(lambda: None, 2.0)  # lane
-        sim.schedule_callback(lambda: None, 0.25)  # heap (regressive)
+        sim.schedule_callback(lambda: None, 2.0)
+        sim.schedule_callback(lambda: None, 0.25)  # pushed out of order
         assert sim.peek() == 0.25
         sim.run(until=0.25)
         assert sim.peek() == 2.0
 
 
 # ---------------------------------------------------------------------------
-# run(until=): the bounded drain puts the first past-the-bound entry back
+# run(until=): the bounded drain leaves the first past-the-bound entry queued
 # ---------------------------------------------------------------------------
 
 
@@ -237,43 +237,41 @@ class TestRunUntilBound:
         def cb(tag):
             return lambda: fired.append((sim.now, tag))
 
-        # Near lane: 1.0, 4.0, 5.0 (monotone appends).  Calendar: 2.0 and
-        # 3.0, scheduled after the 5.0 tail so they cannot ride the lane.
+        # In time order: 1.0, 4.0, 5.0.  Then 2.0 and 3.0, pushed after
+        # the 5.0 entry, out of time order.
         for t in (1.0, 4.0, 5.0):
-            sim.schedule_callback(cb(f"lane-{t}"), t)
+            sim.schedule_callback(cb(f"in-{t}"), t)
         for t in (2.0, 3.0):
-            sim.schedule_callback(cb(f"far-{t}"), t)
+            sim.schedule_callback(cb(f"out-{t}"), t)
         return cb
 
-    def test_bound_between_calendar_head_and_lane_head(self):
+    def test_bound_between_two_out_of_order_entries(self):
         sim = Simulator()
         fired = []
         self._build(sim, fired)
         sim.run(until=2.5)
-        assert [tag for _t, tag in fired] == ["lane-1.0", "far-2.0"]
+        assert [tag for _t, tag in fired] == ["in-1.0", "out-2.0"]
         assert sim.now == 2.5 and sim.events_processed == 2
-        # far-3.0 was popped from the calendar (it beats lane-4.0), found
-        # past the bound, and put back on the head of the near lane.
-        stats = sim.kernel_stats()
-        assert (stats["lane_depth"], stats["far_depth"]) == (3, 0)
+        # out-3.0 heads the queue (it beats in-4.0) and stays queued.
+        assert sim.kernel_stats()["queue_depth"] == 3
         assert sim.peek() == 3.0
         sim.step()
-        assert fired[-1] == (3.0, "far-3.0")
+        assert fired[-1] == (3.0, "out-3.0")
 
-    def test_bound_between_two_same_lane_events(self):
+    def test_bound_between_two_in_order_entries(self):
         sim = Simulator()
         fired = []
         cb = self._build(sim, fired)
         sim.run(until=4.5)
-        assert fired[-1] == (4.0, "lane-4.0")
+        assert fired[-1] == (4.0, "in-4.0")
         assert sim.now == 4.5 and sim.events_processed == 4
-        assert sim.kernel_stats()["lane_depth"] == 1  # lane-5.0, put back
-        # Pushes after the put-back still merge in (time, prio, seq) order:
-        # one earlier than the put-back entry, one tying with it.
+        assert sim.kernel_stats()["queue_depth"] == 1  # in-5.0, still queued
+        # Pushes after the bounded run still retire in (time, prio, seq)
+        # order: one earlier than the queued entry, one tying with it.
         sim.schedule_callback(cb("early"), 0.25)
         sim.schedule_callback(cb("tie"), 0.5)
         sim.run()
-        assert fired[-3:] == [(4.75, "early"), (5.0, "lane-5.0"),
+        assert fired[-3:] == [(4.75, "early"), (5.0, "in-5.0"),
                               (5.0, "tie")]
 
     def test_matches_peek_step_reference_at_every_bound(self):
@@ -287,7 +285,7 @@ class TestRunUntilBound:
                 drive(sim, bound)
                 seen.append((bound, sim.now, sim.events_processed,
                              sim.peek(), list(fired)))
-                if bound == 2.5:  # re-arm traffic around a put-back entry
+                if bound == 2.5:  # re-arm traffic around a queued entry
                     sim.schedule_callback(cb("mid"), 0.25)
             runs.append(seen)
         assert runs[0] == runs[1]

@@ -134,6 +134,22 @@ class TestResource:
         assert res.utilization() == pytest.approx(0.5)
         assert res.busy_time() == pytest.approx(4.0)
 
+    def test_utilization_spans_from_creation(self, sim):
+        # Built at t=5, busy over [5, 6), read at t=7: half the lifetime,
+        # not 1/7 of the run (the busy integral starts at creation).
+        holder = []
+
+        def late():
+            yield sim.timeout(5.0)
+            res = Resource(sim, capacity=1)
+            holder.append(res)
+            yield from res.use(1.0)
+            yield sim.timeout(1.0)
+
+        sim.run_process(late())
+        assert sim.now == 7.0
+        assert holder[0].utilization() == 0.5
+
 
 class TestStore:
     def test_put_then_get(self, sim):

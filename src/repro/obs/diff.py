@@ -61,7 +61,7 @@ SHARE_THRESHOLD = 0.05
 #: the fingerprinter exists to explain.
 _WORKLOAD_KEYS = (
     "scale", "nodes", "procs_per_node", "procs", "clients", "tenants",
-    "ops_per_client", "keys_per_tenant", "seed", "theta", "scheduler",
+    "ops_per_client", "keys_per_tenant", "seed", "theta",
 )
 
 #: tuning knobs: config keys an A/B experiment deliberately varies.  A
@@ -71,7 +71,7 @@ _WORKLOAD_KEYS = (
 _KNOB_KEYS = ("sweep", "aggregation", "queue_bound", "queue_bounds",
               "rpc_batch_size", "batch", "window", "shed_retries",
               "queue_frac", "retry_backoff", "rate_per_client", "mix",
-              "queue_home", "pooling")
+              "queue_home")
 
 #: fields used to label rows when aligning lists of dicts across runs
 _IDENTITY_FIELDS = ("app", "mode", "queue_bound", "stage", "subsystem",

@@ -237,9 +237,9 @@ class RpcServer:
             msg = yield recv.get()
             # Drain the whole request queue per wake-up: after each batch,
             # pull the next queued request directly off the work queue
-            # instead of re-arming a ``get`` Event on it.  A pooled
-            # zero-delay timeout stands in for the triggered get — it
-            # schedules with the identical ``(time, priority, seq)``, so
+            # instead of re-arming a ``get`` Event on it.  A zero-delay
+            # timeout stands in for the triggered get — it schedules with
+            # the identical ``(time, seq)``, so
             # worker/verb interleaving under contention (and every simulated
             # result) is unchanged; only the per-request Event allocation
             # and Store bookkeeping go away.

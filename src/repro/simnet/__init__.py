@@ -16,7 +16,6 @@ from repro.simnet.core import (
     Timeout,
     AllOf,
     AnyOf,
-    Interrupt,
     Simulator,
     SimulationError,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Timeout",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "Simulator",
     "SimulationError",
     "Process",

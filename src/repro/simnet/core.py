@@ -1,34 +1,29 @@
-"""Event kernel for the discrete-event simulator: queues, events, pooling.
+"""Event kernel for the discrete-event simulator: one queue, one order.
 
 The kernel keeps the classic event-list semantics — a total order over
-``(time, priority, seq)`` entries, each carrying an :class:`Event` whose
-callbacks run when the entry is popped — but the implementation is built
-for throughput, because every figure in the reproduction is bounded by how
-many simulated events the kernel can retire per wall-clock second:
+``(time, seq)`` entries, each carrying an :class:`Event` whose callbacks
+run when the entry is popped — and that order is its one invariant.  The
+implementation is built for throughput, because every figure in the
+reproduction is bounded by how many simulated events the kernel can
+retire per wall-clock second:
 
-* **One binary heap.**  Every scheduled entry is a ``(time, priority,
-  seq, event)`` tuple in one ``heapq`` list; ``seq`` is unique, so ties
-  never reach the event object and the retire order is the exact total
-  order above.  Each push site is a single C call (a
-  ``functools.partial`` of ``heapq.heappush`` bound to the list) and the
-  drain loop pops with ``heappop``.  The tier-1 suite replays retire-order
-  traces recorded from the original heap kernel and checks that random
-  schedules retire in ``(time, priority, seq)`` order, in one ``run()``
-  or in ``run(until=)`` segments.
+* **One binary heap.**  Every scheduled entry is a ``(time, seq, event)``
+  tuple in one ``heapq`` list; ``seq`` is unique, so ties never reach the
+  event object and the retire order is the exact total order above.  Each
+  push site is a single C call (a ``functools.partial`` of
+  ``heapq.heappush`` bound to the list) and the drain loop pops with
+  ``heappop``.  The tier-1 suite replays retire-order traces recorded from
+  the original heap kernel and checks that random schedules retire in
+  ``(time, seq)`` order, in one ``run()`` or in ``run(until=)`` segments.
 * **An inlined waiter slot.**  The overwhelmingly common wait shape is one
   process blocked on one event.  That single waiter lives in the event's
   ``_wait`` slot instead of the callbacks list, and the drain loop resumes
-  it in place — no callback-list append/iterate/clear and no ``_resume``
-  frame per retired event.  Multiple waiters overflow to ``callbacks`` in
+  it in place — no callback-list append/iterate and no ``_resume`` frame
+  per retired event.  Multiple waiters overflow to ``callbacks`` in
   registration order, so firing order is unchanged.
-* **Event pooling.**  ``Timeout`` and plain ``Event`` objects are recycled
-  through per-simulator free lists once processed, *iff* the kernel can
-  prove nothing else references them (a CPython refcount check) — so hot
-  loops stop paying an allocation per simulated charge while user-held
-  events keep working like one-shot latches.
 * **A callback fast path.**  :meth:`Simulator.schedule_callback` schedules
-  a bare ``fn()`` at a future time with no Event allocation at all; the
-  wrapper objects are kernel-owned and recycled unconditionally.
+  a bare ``fn()`` at a future time behind a one-slot wrapper instead of an
+  Event.
 
 Time is a ``float`` in **seconds**.  All substrates (fabric, memory, rpc)
 charge costs in seconds so that benchmark output is directly comparable
@@ -38,7 +33,6 @@ with the numbers reported in the paper.
 from __future__ import annotations
 
 import heapq
-import sys
 from functools import partial
 from typing import Any, Callable, Iterable, Optional
 
@@ -47,7 +41,6 @@ __all__ = [
     "Timeout",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "Simulator",
     "SimulationError",
 ]
@@ -57,32 +50,12 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. yielding a non-event)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    ``cause`` carries an arbitrary payload supplied by the interrupter.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # Event states
 _PENDING = 0
 _TRIGGERED = 1  # scheduled on the queue, value decided
 _PROCESSED = 2  # callbacks have run
 
-# Free-list bound: big enough that steady-state hot loops never miss, small
-# enough that a burst of recycled events cannot pin unbounded memory.
-_POOL_CAP = 4096
-
 _INF = float("inf")
-
-# Recycling needs to prove an event is unreachable from user code; CPython's
-# refcount makes that exact and cheap.  On runtimes without refcounts the
-# kernel simply never recycles (functionally identical, just slower).
-_getrefcount = getattr(sys, "getrefcount", None)
 
 
 class Event:
@@ -138,7 +111,7 @@ class Event:
         # locks, and resource grants.
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        sim._heappush((sim.now + delay, 0, seq, self))
+        sim._heappush((sim.now + delay, seq, self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -185,11 +158,7 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay.  Created via ``sim.timeout``.
-
-    Timeouts the kernel can prove unreferenced are recycled through
-    ``Simulator._timeout_pool`` after processing — see ``Simulator.run``.
-    """
+    """An event that fires after a fixed delay.  Created via ``sim.timeout``."""
 
     __slots__ = ()
 
@@ -202,31 +171,13 @@ class Timeout(Event):
         self._state = _TRIGGERED
         sim._push(self, delay)
 
-    def _process(self) -> None:
-        # A timeout is born triggered, so add_callback() never appends once
-        # we are _PROCESSED — iterating without swapping the list is safe
-        # and lets a recycled timeout reuse its callbacks list allocation.
-        self._state = _PROCESSED
-        w = self._wait
-        if w is not None:
-            self._wait = None
-            w._resume(self)
-        callbacks = self.callbacks
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
-            callbacks.clear()
-
 
 class _ScheduledCallback:
-    """Kernel-owned heap entry that runs ``fn()`` with no Event machinery.
-
-    Never handed to user code, so instances are recycled unconditionally.
-    """
+    """Kernel-owned heap entry that runs ``fn()`` with no Event machinery."""
 
     __slots__ = ("fn",)
 
-    def __init__(self, fn: Optional[Callable[[], None]] = None):
+    def __init__(self, fn: Callable[[], None]):
         self.fn = fn
 
     def _process(self) -> None:
@@ -327,30 +278,20 @@ class Simulator:
         sim.run()
 
     ``run`` executes events until the queue is empty or ``until`` is
-    reached.  Processed events are recycled whenever the platform can
-    prove them unreferenced (``sys.getrefcount``); there is nothing to
-    configure.
+    reached.  There is nothing to configure.
     """
 
     def __init__(self):
-        # The event queue: a binary heap of (time, priority, seq, entry).
-        self._queue: list[tuple[float, int, int, Any]] = []
+        # The event queue: a binary heap of (time, seq, entry).
+        self._queue: list[tuple[float, int, Any]] = []
         # Bound push: every scheduling site is one C call.
         self._heappush = partial(heapq.heappush, self._queue)
         self._seq = 0
         self.now: float = 0.0
         self._event_count = 0
-        self._pooling = _getrefcount is not None
-        self._timeout_pool: list[Timeout] = []
-        self._event_pool: list[Event] = []
-        self._cb_pool: list[_ScheduledCallback] = []
-        self._recycled = 0
 
     # -- event creation helpers ----------------------------------------------
     def event(self) -> Event:
-        pool = self._event_pool
-        if pool:
-            return pool.pop()
         return Event(self)
 
     def completed_event(self, value: Any = None, ok: bool = True) -> Event:
@@ -373,22 +314,16 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        pool = self._timeout_pool
-        if pool:
-            to = pool.pop()
-            to._value = value
-            to._state = _TRIGGERED
-        else:
-            to = Timeout.__new__(Timeout)
-            to.sim = self
-            to.callbacks = []
-            to._value = value
-            to._ok = True
-            to._state = _TRIGGERED
-            to._wait = None
-        # Inlined _push (hot path).
+        # Inlined Timeout.__init__ and _push (hot path).
+        to = Timeout.__new__(Timeout)
+        to.sim = self
+        to.callbacks = []
+        to._value = value
+        to._ok = True
+        to._state = _TRIGGERED
+        to._wait = None
         self._seq = seq = self._seq + 1
-        self._heappush((self.now + delay, 0, seq, to))
+        self._heappush((self.now + delay, seq, to))
         return to
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
@@ -402,25 +337,16 @@ class Simulator:
         """
         if when < self.now:
             raise ValueError(f"timeout_at {when} is in the past (now={self.now})")
-        pool = self._timeout_pool
-        if pool:
-            to = pool.pop()
-            to._value = value
-            to._state = _TRIGGERED
-        else:
-            to = Timeout.__new__(Timeout)
-            to.sim = self
-            to.callbacks = []
-            to._value = value
-            to._ok = True
-            to._state = _TRIGGERED
-            to._wait = None
+        to = Timeout.__new__(Timeout)
+        Event.__init__(to, self)
+        to._value = value
+        to._state = _TRIGGERED
         self._seq = seq = self._seq + 1
-        self._heappush((when, 0, seq, to))
+        self._heappush((when, seq, to))
         return to
 
-    def schedule_callback(self, fn: Callable[[], None], delay: float = 0.0,
-                          priority: int = 0) -> None:
+    def schedule_callback(self, fn: Callable[[], None],
+                          delay: float = 0.0) -> None:
         """Run bare ``fn()`` after ``delay`` sim-seconds (fire-and-forget).
 
         Skips Event allocation entirely; counts as one processed event.
@@ -428,34 +354,8 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative callback delay: {delay}")
-        pool = self._cb_pool
-        if pool:
-            entry = pool.pop()
-            entry.fn = fn
-        else:
-            entry = _ScheduledCallback(fn)
         self._seq = seq = self._seq + 1
-        self._heappush((self.now + delay, priority, seq, entry))
-
-    def schedule_callback_at(self, fn: Callable[[], None], when: float,
-                             priority: int = 0) -> None:
-        """Run bare ``fn()`` at *absolute* sim time ``when``.
-
-        The ``timeout_at`` of callbacks: schedules e.g. a resource release
-        at exactly the floating-point timestamp a sequence of relative
-        charges would have produced.
-        """
-        if when < self.now:
-            raise ValueError(
-                f"schedule_callback_at {when} is in the past (now={self.now})")
-        pool = self._cb_pool
-        if pool:
-            entry = pool.pop()
-            entry.fn = fn
-        else:
-            entry = _ScheduledCallback(fn)
-        self._seq = seq = self._seq + 1
-        self._heappush((when, priority, seq, entry))
+        self._heappush((self.now + delay, seq, _ScheduledCallback(fn)))
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -469,10 +369,10 @@ class Simulator:
         return Process(self, generator, name=name)
 
     # -- scheduling -----------------------------------------------------------
-    def _push(self, event: Any, delay: float, priority: int = 0) -> None:
+    def _push(self, event: Any, delay: float) -> None:
         """Schedule ``event`` (anything with ``_process``) after ``delay``."""
         self._seq = seq = self._seq + 1
-        self._heappush((self.now + delay, priority, seq, event))
+        self._heappush((self.now + delay, seq, event))
 
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
@@ -482,43 +382,10 @@ class Simulator:
             raise SimulationError("step() on an empty event queue")
         if q[0][0] < self.now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
-        t, _prio, _seq, event = heapq.heappop(q)
+        t, _seq, event = heapq.heappop(q)
         self.now = t
         self._event_count += 1
         event._process()
-        if self._pooling:
-            self._recycle(event)
-
-    def _recycle(self, event: Any) -> None:
-        """Return ``event`` to its free list if provably unreferenced.
-
-        Caller must hold exactly one reference (its local variable); the
-        refcount of 3 seen here is that local + our parameter binding +
-        getrefcount's argument.
-        """
-        cls = event.__class__
-        if cls is _ScheduledCallback:
-            event.fn = None
-            if len(self._cb_pool) < _POOL_CAP:
-                self._cb_pool.append(event)
-        elif cls is Timeout:
-            if (not event.callbacks and event._wait is None
-                    and _getrefcount(event) == 3
-                    and len(self._timeout_pool) < _POOL_CAP):
-                event._state = _PENDING
-                event._value = None
-                event._ok = True
-                self._timeout_pool.append(event)
-                self._recycled += 1
-        elif cls is Event:
-            if (not event.callbacks and event._wait is None
-                    and _getrefcount(event) == 3
-                    and len(self._event_pool) < _POOL_CAP):
-                event._state = _PENDING
-                event._value = None
-                event._ok = True
-                self._event_pool.append(event)
-                self._recycled += 1
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -541,21 +408,15 @@ class Simulator:
     # Timeout dispatch also inlines the single-waiter resume: the waiting
     # process parked in ``event._wait`` is stepped right here (generator
     # send + re-registration) instead of through Process._resume — saving a
-    # callback-list append/iterate/clear and one frame per retired event.
+    # callback-list append/iterate and one frame per retired event.
     # Semantics are identical: the slot waiter is always the earliest
-    # registrant, the ``_waiting_on is event`` tombstone guard still drops
-    # interrupted waits, and a StopIteration/exception settles the process
-    # exactly as Process._resume would.
+    # registrant, and a StopIteration/exception settles the process exactly
+    # as Process._resume would.
 
     def _drain(self, until: float) -> None:
-        """Retire events in ``(time, priority, seq)`` order up to ``until``."""
+        """Retire events in ``(time, seq)`` order up to ``until``."""
         q = self._queue
         heappop = heapq.heappop
-        pooling = self._pooling
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        cb_pool = self._cb_pool
-        getrefcount = _getrefcount
         timeout_cls = Timeout
         cb_cls = _ScheduledCallback
         event_cls = Event
@@ -572,73 +433,42 @@ class Simulator:
                 # Peek before popping: an entry past the bound stays queued.
                 if not q or q[0][0] > until:
                     break
-                t, _prio, _seq, event = heappop(q)
+                t, _seq, event = heappop(q)
                 self.now = t
                 count += 1
                 cls = event.__class__
                 if cls is timeout_cls:
-                    # Inlined Timeout._process.
+                    # Inlined Event._process + Process._resume.
                     event._state = processed
                     w = event._wait
                     if w is not None:
                         event._wait = None
-                        if w._waiting_on is event:
-                            w._waiting_on = None
-                            try:
-                                target = w._send(event._value)
-                            except StopIteration as stop:
-                                w.succeed(stop.value)
-                            except BaseException as err:
-                                w.fail(err)
-                            else:
-                                if isinstance(target, event_cls):
-                                    if target._state != processed:
-                                        w._waiting_on = target
-                                        if (target._wait is None
-                                                and not target.callbacks):
-                                            target._wait = w
-                                        else:
-                                            target.callbacks.append(
-                                                w._resume_cb)
+                        try:
+                            target = w._send(event._value)
+                        except StopIteration as stop:
+                            w.succeed(stop.value)
+                        except BaseException as err:
+                            w.fail(err)
+                        else:
+                            if isinstance(target, event_cls):
+                                if target._state != processed:
+                                    if (target._wait is None
+                                            and not target.callbacks):
+                                        target._wait = w
                                     else:
-                                        w._kick(target)
+                                        target.callbacks.append(w._resume_cb)
                                 else:
-                                    w._reject_yield(target)
-                                # Drop our ref so the pooling refcount
-                                # proof holds when `target` is popped.
-                                target = None
+                                    w._kick(target)
+                            else:
+                                w._reject_yield(target)
                     callbacks = event.callbacks
                     if callbacks:
                         for cb in callbacks:
                             cb(event)
-                        callbacks.clear()
-                    # refcount 2 == our local + getrefcount's argument:
-                    # nothing else can observe this event again.
-                    if (pooling and not callbacks and event._wait is None
-                            and getrefcount(event) == 2
-                            and len(timeout_pool) < _POOL_CAP):
-                        event._state = 0
-                        event._value = None
-                        event._ok = True
-                        timeout_pool.append(event)
-                        self._recycled += 1
                 elif cls is cb_cls:
-                    # Inlined _ScheduledCallback._process + recycle.
                     event.fn()
-                    if pooling and len(cb_pool) < _POOL_CAP:
-                        event.fn = None
-                        cb_pool.append(event)
                 else:
                     event._process()
-                    if (pooling and cls is event_cls and not event.callbacks
-                            and event._wait is None
-                            and getrefcount(event) == 2
-                            and len(event_pool) < _POOL_CAP):
-                        event._state = 0
-                        event._value = None
-                        event._ok = True
-                        event_pool.append(event)
-                        self._recycled += 1
         finally:
             self._event_count += count
 
@@ -660,13 +490,8 @@ class Simulator:
         return self._event_count
 
     def kernel_stats(self) -> dict:
-        """Observability snapshot of the kernel fast paths."""
+        """Observability snapshot: events retired and entries queued."""
         return {
             "events_processed": self._event_count,
-            "events_recycled": self._recycled,
-            "timeout_pool": len(self._timeout_pool),
-            "event_pool": len(self._event_pool),
-            "callback_pool": len(self._cb_pool),
             "queue_depth": len(self._queue),
-            "pooling": self._pooling,
         }

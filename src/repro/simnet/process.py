@@ -13,24 +13,15 @@ The resume path is the single hottest code in the simulator (one resume per
 retired event in process-driven workloads), so it is aggressively flattened:
 ``gen.send``/``gen.throw`` are cached as bound methods, the callback object
 is allocated once per process, and the per-event ``_resume`` inlines the
-wait/registration logic instead of delegating.  ``interrupt`` is O(1): it
-*tombstones* the wait (clears ``_waiting_on``) instead of scanning the
-event's callback list; a stale wakeup is recognized and dropped by the
-``_waiting_on is not event`` guard.
+wait/registration logic instead of delegating.  A process is resumed only
+by the one event it waits on, so a resume needs no guard.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.simnet.core import (
-    _PENDING,
-    _PROCESSED,
-    Event,
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.simnet.core import _PROCESSED, Event, SimulationError, Simulator
 
 __all__ = ["Process"]
 
@@ -38,7 +29,7 @@ __all__ = ["Process"]
 class Process(Event):
     """A running coroutine inside the simulator."""
 
-    __slots__ = ("_gen", "_send", "_throw", "_resume_cb", "name", "_waiting_on")
+    __slots__ = ("_gen", "_send", "_throw", "_resume_cb", "name")
 
     _counter = 0
 
@@ -55,15 +46,11 @@ class Process(Event):
         self._throw = generator.throw
         self._resume_cb = self._resume
         self.name = name or f"proc-{Process._counter}"
-        self._waiting_on: Optional[Event] = None
         # Kick off at current sim time via a scheduled callback so that
         # process startup stays ordered with other scheduled work (one seq
         # slot, exactly like the kick-off Event it replaces — but with no
         # Event allocation).
         sim.schedule_callback(self._start)
-
-    def _start(self) -> None:
-        self._step(None, None)
 
     # -- lifecycle -------------------------------------------------------------
     @property
@@ -79,31 +66,10 @@ class Process(Event):
             raise self.value
         return self.value
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current sim time.
-
-        O(1): the registered resume callback is left on the waited event as
-        a tombstone — ``_resume`` drops the wakeup because ``_waiting_on``
-        no longer points at that event.
-        """
-        if self._state != _PENDING:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        if self._waiting_on is None:
-            raise SimulationError(
-                f"process {self.name!r} is not waiting; cannot interrupt"
-            )
-        self._waiting_on = None
-        cause_exc = Interrupt(cause)
-        self.sim.schedule_callback(lambda: self._step(None, cause_exc))
-
     # -- kernel plumbing ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # Stale wakeup from a tombstoned wait (see interrupt)?  Drop it.
-        if self._waiting_on is not event:
-            return
-        self._waiting_on = None
-        # NOTE: this is _step() flattened into the callback — one frame per
-        # retired event instead of three.  Keep the two in sync.
+        # NOTE: _start() is this with ``send(None)`` for the first step —
+        # one frame per retired event.  Keep the two in sync.
         try:
             if event._ok:
                 target = self._send(event._value)
@@ -118,7 +84,6 @@ class Process(Event):
 
         if isinstance(target, Event):
             if target._state != _PROCESSED:
-                self._waiting_on = target
                 # First waiter rides the event's fast slot; later waiters
                 # overflow to the callbacks list (registration order kept).
                 if target._wait is None and not target.callbacks:
@@ -130,12 +95,9 @@ class Process(Event):
         else:
             self._reject_yield(target)
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _start(self) -> None:
         try:
-            if exc is None:
-                target = self._send(value)
-            else:
-                target = self._throw(exc)
+            target = self._send(None)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -145,7 +107,6 @@ class Process(Event):
 
         if isinstance(target, Event):
             if target._state != _PROCESSED:
-                self._waiting_on = target
                 if target._wait is None and not target.callbacks:
                     target._wait = self
                 else:
@@ -157,10 +118,7 @@ class Process(Event):
 
     def _kick(self, target: Event) -> None:
         # Already-fired event: reschedule resume immediately to preserve
-        # cooperative fairness (avoid deep recursion on hot loops).  The
-        # _waiting_on guard in _resume keeps an interleaved interrupt()
-        # from double-resuming.
-        self._waiting_on = target
+        # cooperative fairness (avoid deep recursion on hot loops).
         self.sim.schedule_callback(lambda: self._resume(target))
 
     def _reject_yield(self, target: Any) -> None:

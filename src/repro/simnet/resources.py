@@ -67,19 +67,18 @@ class Resource:
     def claim(self) -> Event:
         """Event that fires once the caller holds a slot.
 
-        A free slot is taken *now*, inline, and a pooled zero-delay timeout
-        is returned; a busy resource queues a pooled plain event FIFO, which
+        A free slot is taken *now*, inline, and a zero-delay timeout is
+        returned; a busy resource queues a plain event FIFO, which
         :meth:`release_slot` triggers when it hands a slot over.  Either way
-        the grant is scheduled with the ``(time, priority, seq)`` of the
-        moment the slot changed hands — the one invariant every hop of the
-        transport relies on: the claim costs exactly one kernel event, at
-        the instant of the grant, whether or not the caller had to wait.
+        the grant is scheduled with the ``(time, seq)`` of the moment the
+        slot changed hands — the one invariant every hop of the transport
+        relies on: the claim costs exactly one kernel event, at the instant
+        of the grant, whether or not the caller had to wait.
 
         Pair every claim with one :meth:`release_slot` in a ``finally``
-        *after* the yield.  A process interrupted while still queued
-        strands its grant (the slot is handed to an event nobody waits on);
-        nothing under ``src/`` interrupts a process, so there is no
-        cancellation path.
+        *after* the yield.  A process queued on a claim can only be woken
+        by its grant, so there is no cancellation path and no grant is
+        ever stranded.
         """
         if self.in_use < self.capacity:
             self._note_change()

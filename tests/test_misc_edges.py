@@ -77,38 +77,6 @@ class TestSimnetEdges:
         assert sim.run_process(failing()) == "handled"
         assert res.in_use == 0  # released despite the exception
 
-    def test_lock_holding_releases_on_interrupt(self, sim):
-        from repro.simnet import Interrupt, SimLock
-
-        lock = SimLock(sim)
-
-        def holder():
-            try:
-                yield lock.acquire()
-                try:
-                    yield sim.timeout(100.0)
-                finally:
-                    lock.release()
-            except Interrupt:
-                return "interrupted"
-
-        def other():
-            yield lock.acquire()
-            lock.release()
-            return "got it"
-
-        h = sim.process(holder())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            h.interrupt()
-
-        sim.process(interrupter())
-        o = sim.process(other())
-        sim.run(until=200.0)
-        assert h.result == "interrupted"
-        assert o.done and o.result == "got it"  # lock was freed
-
     def test_store_get_cancel_not_supported_but_harmless(self, sim):
         """A dangling getter simply never fires; the sim drains clean."""
         from repro.simnet import Store

@@ -1,23 +1,23 @@
-"""The event queue: heap-derived goldens and a ``(time, prio, seq)`` property.
+"""The event queue: heap-derived goldens and a ``(time, seq)`` property.
 
 The kernel's one contract: retire entries in exactly the total order
-``(time, priority, seq)`` — same timestamps, same priority handling, same
-FIFO tiebreak on the creation sequence — so every simulated result is
-bit-identical to the heap scheduler the goldens were recorded from.  Two
-independent checks pin that contract:
+``(time, seq)`` — same timestamps, same FIFO tiebreak on the creation
+sequence — so every simulated result is bit-identical to the heap
+scheduler the goldens were recorded from.  Two independent checks pin
+that contract:
 
 * **Golden retire-order traces.**  Each scenario below was run with the
   original heap scheduler (``Simulator(scheduler="heap")``) and its full
   trace frozen in ``tests/data/simnet_heap_goldens.json``.  The scenarios
-  cover same-timestamp bursts, tombstoned (interrupted) entries behind
-  later ones, AnyOf/AllOf settle order, and a seeded randomized workload
-  whose trace is independent of ``PYTHONHASHSEED``.  The file is frozen:
-  never regenerate it from the code under test.
+  cover same-timestamp bursts, entries pushed behind later ones,
+  AnyOf/AllOf settle order, and a seeded randomized workload whose trace
+  is independent of ``PYTHONHASHSEED``.  The file is frozen: never
+  regenerate it from the code under test.
 * **A Hypothesis property** over random schedules (zero-delay and
-  equal-time timeouts, ``timeout_at``, prioritized callbacks, events
-  succeeded from callbacks, one interrupt): every retired entry is the
-  ``(time, prio, seq)`` minimum of what is pending, and cutting the run
-  into ``run(until=)`` segments retires the same sequence as one ``run()``.
+  equal-time timeouts, ``timeout_at``, callbacks, events succeeded from
+  callbacks, processes sleeping on timeouts): every retired entry is the
+  ``(time, seq)`` minimum of what is pending, and cutting the run into
+  ``run(until=)`` segments retires the same sequence as one ``run()``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.core import Interrupt, SimulationError, Simulator
+from repro.simnet import Process
+from repro.simnet.core import SimulationError, Simulator
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "simnet_heap_goldens.json"
 
@@ -77,56 +78,6 @@ def same_timestamp_interleaved(sim):
         sim.process(waiter(i, sim.timeout(1.0 + (i % 3), value=i)))
     sim.run(until=100.0)
     return trace
-
-
-def tombstone_far_entry(sim):
-    log = []
-
-    def proc():
-        try:
-            yield _far(sim, 50.0, value="late")
-            log.append("value")
-        except Interrupt as intr:
-            log.append(("intr", intr.cause))
-            yield sim.timeout(0.5)
-            log.append(("after", sim.now))
-
-    p = sim.process(proc())
-
-    def interrupter():
-        yield sim.timeout(1.0)
-        p.interrupt("go")
-
-    sim.process(interrupter())
-    sim.run(until=2000.0)
-    # The tombstoned t=50 wakeup must be skipped silently when it retires.
-    assert log == [("intr", "go"), ("after", 1.5)]
-    assert p.done
-    return log
-
-
-def tombstone_bucket(sim):
-    survivors = []
-
-    def waiter(i, to):
-        try:
-            yield to
-            survivors.append((sim.now, i))
-        except Interrupt:
-            pass
-
-    sim.timeout(5000.0)
-    procs = [sim.process(waiter(i, sim.timeout(10.0))) for i in range(20)]
-
-    def killer():
-        yield sim.timeout(1.0)
-        for i in range(0, 20, 2):
-            procs[i].interrupt()
-
-    sim.process(killer())
-    sim.run(until=100.0)
-    assert survivors == [(10.0, i) for i in range(1, 20, 2)]
-    return survivors
 
 
 def any_of_far_children(sim):
@@ -201,8 +152,6 @@ def randomized(sim, seed):
 SCENARIOS = {
     "same_timestamp_creation_order": same_timestamp_creation_order,
     "same_timestamp_interleaved": same_timestamp_interleaved,
-    "tombstone_far_entry": tombstone_far_entry,
-    "tombstone_bucket": tombstone_bucket,
     "any_of_far_children": any_of_far_children,
     "all_of_across_buckets": all_of_across_buckets,
     "randomized_seed_1": partial(randomized, seed=1),
@@ -238,7 +187,7 @@ class TestOneQueue:
         sim = Simulator()
         assert sim.kernel_stats()["queue_depth"] == 0
         sim.timeout(2.0)
-        sim.schedule_callback(lambda: None, 1.0, priority=-1)
+        sim.schedule_callback(lambda: None, 1.0)
         stats = sim.kernel_stats()
         assert stats["queue_depth"] == 2
         assert not {"lane_depth", "far_depth", "calendar"} & set(stats)
@@ -248,9 +197,16 @@ class TestOneQueue:
             Simulator(scheduler="heap")
         with pytest.raises(TypeError):
             Simulator(pooling=False)
+        # No priority, no absolute callback, no interrupt, no pool stats.
+        sim = Simulator()
+        with pytest.raises(TypeError):
+            sim.schedule_callback(lambda: None, 1.0, priority=-1)
+        assert not hasattr(sim, "schedule_callback_at")
+        assert not hasattr(Process, "interrupt")
+        assert set(sim.kernel_stats()) == {"events_processed", "queue_depth"}
 
 
-# -- the (time, prio, seq) property ------------------------------------------
+# -- the (time, seq) property -----------------------------------------------
 # Every delay and absolute time comes from a small grid of exact binary
 # fractions, so equal-time entries (and sums of them) collide constantly.
 
@@ -259,32 +215,31 @@ _GRID = (0.0, 0.25, 0.5, 1.0)
 _op = st.one_of(
     st.tuples(st.just("timeout"), st.sampled_from(_GRID)),
     st.tuples(st.just("at"), st.sampled_from(_GRID)),
-    st.tuples(st.just("cb"), st.sampled_from(_GRID),
-              st.sampled_from((-1, 0, 1))),
+    st.tuples(st.just("cb"), st.sampled_from(_GRID)),
     st.tuples(st.just("succeed"), st.sampled_from(_GRID),
-              st.sampled_from((-1, 0, 1)), st.sampled_from(_GRID)),
+              st.sampled_from(_GRID)),
+    st.tuples(st.just("proc"), st.sampled_from(_GRID),
+              st.sampled_from(_GRID)),
 )
 
 
 @st.composite
 def schedules(draw):
     ops = draw(st.lists(_op, min_size=1, max_size=30))
-    wait = draw(st.sampled_from(_GRID))  # the interrupted process's timeout
-    hit = (draw(st.sampled_from(_GRID)), draw(st.sampled_from((-1, 0, 1))))
-    times = sorted({op[1] for op in ops} | {wait, hit[0]})
+    times = sorted({op[1] for op in ops})
     bounds = draw(st.lists(
         st.one_of(st.sampled_from(times),
                   st.floats(0.0, 2.5, allow_nan=False)),
         max_size=4))
     # At least one bound sits exactly on an entry's time.
     bounds.append(draw(st.sampled_from(times)))
-    return ops, wait, hit, sorted(bounds)
+    return ops, sorted(bounds)
 
 
-def _play(sim, ops, wait, hit):
+def _play(sim, ops):
     """Schedule ``ops`` on ``sim`` and return ``(log, pending)``.
 
-    Each tracked entry is keyed ``(time, prio, k)`` when scheduled, ``k``
+    Each tracked entry is keyed ``(time, k)`` when scheduled, ``k``
     counting this function's scheduling calls — the kernel's ``seq`` is
     assigned in the same call order.  ``log`` collects ``(tag, now)`` per
     retire; ``pending`` maps tag -> key for entries not yet retired.
@@ -293,9 +248,9 @@ def _play(sim, ops, wait, hit):
     pending = {}
     counter = [0]
 
-    def track(tag, t, prio):
+    def track(tag, t):
         counter[0] += 1
-        pending[tag] = (t, prio, counter[0])
+        pending[tag] = (t, counter[0])
 
     def retire(tag):
         log.append((tag, sim.now))
@@ -311,70 +266,54 @@ def _play(sim, ops, wait, hit):
             retire(tag)
             ev = sim.event()
             ev.succeed(tag, delay=delay)
-            track(tag + "/ev", sim.now + delay, 0)
+            track(tag + "/ev", sim.now + delay)
             ev.add_callback(hook(tag + "/ev"))
         return fire
 
-    state = {"waiting": False}
-
-    def sleeper():
-        to = sim.timeout(wait)
-        track("sleep", sim.now + wait, 0)
-        state["waiting"] = True
-        try:
+    def sleeper(tag, waits):
+        # Its kick-off and each timeout it yields are queue entries; the
+        # drain loop resumes it in place from the timeout's waiter slot.
+        retire(tag)
+        for j, wait in enumerate(waits):
+            to = sim.timeout(wait)
+            track(f"{tag}/{j}", sim.now + wait)
             yield to
-            state["waiting"] = False
-            retire("sleep")
-        except Interrupt:
-            state["waiting"] = False
-            retire("interrupted")
+            retire(f"{tag}/{j}")
 
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        retire("interrupter")
-        if state["waiting"]:
-            proc.interrupt()
-            # The sleeper's timeout now retires unobserved; the interrupt
-            # is a fresh entry at ``now``.
-            pending.pop("sleep")
-            track("interrupted", sim.now, 0)
-
-    sim.schedule_callback(interrupter, hit[0], priority=hit[1])
-    track("interrupter", hit[0], hit[1])
     for i, op in enumerate(ops):
         tag = f"{i}:{op[0]}"
         kind = op[0]
         if kind == "timeout":
             sim.timeout(op[1]).add_callback(hook(tag))
-            track(tag, op[1], 0)
+            track(tag, op[1])
         elif kind == "at":
             sim.timeout_at(op[1]).add_callback(hook(tag))
-            track(tag, op[1], 0)
+            track(tag, op[1])
         elif kind == "cb":
-            sim.schedule_callback(partial(retire, tag), op[1],
-                                  priority=op[2])
-            track(tag, op[1], op[2])
+            sim.schedule_callback(partial(retire, tag), op[1])
+            track(tag, op[1])
+        elif kind == "succeed":
+            sim.schedule_callback(succeed_later(tag, op[2]), op[1])
+            track(tag, op[1])
         else:
-            sim.schedule_callback(succeed_later(tag, op[3]), op[1],
-                                  priority=op[2])
-            track(tag, op[1], op[2])
+            sim.process(sleeper(tag, op[1:]))
+            track(tag, sim.now)
     return log, pending
 
 
 @given(schedules())
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_retire_order_is_time_prio_seq_and_segment_invariant(schedule):
-    ops, wait, hit, bounds = schedule
+def test_retire_order_is_time_seq_and_segment_invariant(schedule):
+    ops, bounds = schedule
     sim = Simulator()
-    whole, pending = _play(sim, ops, wait, hit)
+    whole, pending = _play(sim, ops)
     sim.run()
     assert not pending
     assert sim.kernel_stats()["queue_depth"] == 0
 
     segmented = Simulator()
-    cut, pending = _play(segmented, ops, wait, hit)
+    cut, pending = _play(segmented, ops)
     for bound in bounds:
         segmented.run(until=bound)
         assert segmented.now == bound
@@ -384,6 +323,7 @@ def test_retire_order_is_time_prio_seq_and_segment_invariant(schedule):
     assert not pending
     assert cut == whole
     assert segmented.events_processed == sim.events_processed
+
 
 class TestEmptyQueue:
     def test_step_on_empty_raises_simulation_error(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet import Interrupt, Process, SimulationError
+from repro.simnet import Process, SimulationError
 
 
 class TestEvent:
@@ -150,34 +150,6 @@ class TestProcess:
             return value
 
         assert sim.run_process(boss()) == "worker-result"
-
-    def test_interrupt(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-                return "slept"
-            except Interrupt as intr:
-                return f"interrupted:{intr.cause}"
-
-        def interrupter(target):
-            yield sim.timeout(1.0)
-            target.interrupt("wakeup")
-
-        target = sim.process(sleeper())
-        sim.process(interrupter(target))
-        sim.run(until=2.0)  # the abandoned timeout stays scheduled (no
-        # cancellation in this kernel), so bound the drain instead
-        assert target.done
-        assert target.result == "interrupted:wakeup"
-
-    def test_interrupt_finished_process_rejected(self, sim):
-        def body():
-            yield sim.timeout(0.1)
-
-        proc = sim.process(body())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
 
     def test_run_process_detects_deadlock(self, sim):
         ev = sim.event()  # never triggered

@@ -1,14 +1,12 @@
-"""Kernel fast paths: event pooling, the event queue's retire order,
-``schedule_callback``, AnyOf/AllOf detach semantics, tombstone interrupts,
-and the ``Resource.use`` no-contention path.
+"""Kernel fast paths: the event queue's retire order, ``run(until=)``,
+``schedule_callback``, AnyOf/AllOf detach semantics, the ``Resource.use``
+no-contention path and ``timeout_at``.
 
-These are the invariants the kernel's speed relies on: recycling must
-never leak a stale value or callback across reuses, the event queue must
-retire entries in exactly ``(time, priority, seq)`` order whether they
-were pushed in or out of time order, and pooling must be wall-clock-only:
-a platform without
-``sys.getrefcount`` never recycles and yields bit-identical simulated
-results (simulated here by patching ``repro.simnet.core._getrefcount``).
+These are the invariants the kernel's speed relies on: the event queue
+must retire entries in exactly ``(time, seq)`` order whether they were
+pushed in or out of time order, and the inlined paths (bounded drain,
+bare callbacks, inline resource grants) must behave event for event like
+the plain ones they stand in for.
 """
 
 from __future__ import annotations
@@ -17,125 +15,8 @@ import random
 
 import pytest
 
-from repro.simnet import core
-from repro.simnet.core import Event, Interrupt, Simulator
+from repro.simnet.core import Simulator
 from repro.simnet.resources import Resource
-
-
-def _unpooled_sim(monkeypatch):
-    """A Simulator on a 'platform' with no refcounts: the unpooled reference."""
-    monkeypatch.setattr(core, "_getrefcount", None)
-    sim = Simulator()
-    assert sim.kernel_stats()["pooling"] is False
-    return sim
-
-
-# ---------------------------------------------------------------------------
-# Event / timeout pooling
-# ---------------------------------------------------------------------------
-
-
-class TestEventPooling:
-    def test_timeouts_are_recycled(self):
-        sim = Simulator()
-
-        def proc():
-            for _ in range(50):
-                yield sim.timeout(0.001)
-
-        sim.run_process(proc())
-        stats = sim.kernel_stats()
-        assert stats["events_recycled"] > 0
-        assert stats["timeout_pool"] > 0
-
-    def test_recycled_timeout_carries_no_stale_state(self):
-        sim = Simulator()
-        seen = []
-
-        def proc():
-            first = sim.timeout(0.5, value="stale-payload")
-            got = yield first
-            seen.append(got)
-            # With pooling the very same object comes back from the pool;
-            # it must behave as a brand-new (born-triggered) timeout.
-            second = sim.timeout(0.5)
-            assert second.value is None  # no stale payload
-            assert not second.processed
-            assert not second.callbacks  # no leftover waiters
-            got = yield second
-            seen.append(got)
-
-        sim.run_process(proc())
-        assert seen == ["stale-payload", None]
-        assert sim.kernel_stats()["events_recycled"] >= 1
-
-    def test_externally_held_timeout_is_not_recycled(self):
-        sim = Simulator()
-        held = []
-
-        def proc():
-            t = sim.timeout(0.1, value=42)
-            held.append(t)  # external reference outlives _process
-            yield t
-
-        sim.run_process(proc())
-        # The held object must keep its identity and value forever.
-        assert held[0].value == 42
-        assert held[0].processed
-        fresh = sim.timeout(0.1)
-        assert fresh is not held[0]
-
-    def test_request_subclass_never_enters_timeout_pool(self, sim):
-        # Pools recycle exact classes only; Resource Requests (an Event
-        # subclass) must never be handed back by sim.event().
-        res = Resource(sim, capacity=1)
-
-        def proc():
-            yield from res.use(0.1)
-            ev = sim.event()
-            assert type(ev) is Event
-            yield sim.timeout(0.0)
-
-        sim.run_process(proc())
-
-    def test_without_refcounts_nothing_is_recycled(self, monkeypatch):
-        sim = _unpooled_sim(monkeypatch)
-
-        def proc():
-            for _ in range(20):
-                yield sim.timeout(0.001)
-
-        sim.run_process(proc())
-        stats = sim.kernel_stats()
-        assert stats["events_recycled"] == 0
-        assert stats["timeout_pool"] == 0
-        assert stats["event_pool"] == 0
-
-    def test_pooling_is_wall_clock_only(self, monkeypatch):
-        def workload(sim):
-            res = Resource(sim, capacity=2)
-            done = []
-
-            def worker(i):
-                for j in range(5):
-                    yield sim.timeout(0.001 * ((i + j) % 3 + 1))
-                    yield from res.use(0.002)
-                done.append((i, sim.now))
-                return i
-
-            for i in range(8):
-                sim.process(worker(i))
-            sim.run()
-            return sim.now, sim.events_processed, done
-
-        pooled = Simulator()
-        assert pooled.kernel_stats()["pooling"] is True
-        on = workload(pooled)
-        unpooled = _unpooled_sim(monkeypatch)
-        off = workload(unpooled)
-        assert on == off
-        assert pooled.kernel_stats()["events_recycled"] > 0
-        assert unpooled.kernel_stats()["events_recycled"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +147,7 @@ class TestRunUntilBound:
         assert fired[-1] == (4.0, "in-4.0")
         assert sim.now == 4.5 and sim.events_processed == 4
         assert sim.kernel_stats()["queue_depth"] == 1  # in-5.0, still queued
-        # Pushes after the bounded run still retire in (time, prio, seq)
+        # Pushes after the bounded run still retire in (time, seq)
         # order: one earlier than the queued entry, one tying with it.
         sim.schedule_callback(cb("early"), 0.25)
         sim.schedule_callback(cb("tie"), 0.5)
@@ -317,17 +198,6 @@ class TestScheduleCallback:
         sim = Simulator()
         with pytest.raises(Exception):
             sim.schedule_callback(lambda: None, -0.1)
-
-    def test_wrappers_are_recycled_without_leaking_fn(self):
-        sim = Simulator()
-        ran = []
-        sim.schedule_callback(lambda: ran.append(1), 0.1)
-        sim.run()
-        assert ran == [1]
-        stats = sim.kernel_stats()
-        assert stats["callback_pool"] == 1
-        # The pooled wrapper must not pin the old closure alive.
-        assert sim._cb_pool[0].fn is None
 
     def test_interleaves_with_timeouts_in_seq_order(self):
         sim = Simulator()
@@ -405,90 +275,6 @@ class TestConditionDetach:
 
 
 # ---------------------------------------------------------------------------
-# Tombstone interrupt
-# ---------------------------------------------------------------------------
-
-
-class TestTombstoneInterrupt:
-    def test_interrupt_while_waiting_detaches_logically(self, sim):
-        watched = sim.timeout(5.0, value="late")
-        log = []
-
-        def proc():
-            try:
-                got = yield watched
-                log.append(("value", got))
-            except Interrupt as intr:
-                log.append(("interrupt", intr.cause))
-                got = yield sim.timeout(0.1)
-                log.append(("after", sim.now))
-
-        p = sim.process(proc())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            p.interrupt("now")
-
-        sim.process(interrupter())
-        sim.run()
-        # The tombstoned wakeup from `watched` at t=5 must be dropped: the
-        # process sees only the interrupt and its own follow-up timeout.
-        assert log == [("interrupt", "now"), ("after", 1.1)]
-        assert p.done
-
-    def test_interrupt_is_o1_with_many_waiters(self, sim):
-        # One hot event with many waiters: interrupting one process must
-        # not disturb the others (the callback list is left untouched).
-        gate = sim.event()
-        results = []
-
-        def waiter(i):
-            try:
-                yield gate
-                results.append(("woke", i))
-            except Interrupt:
-                results.append(("intr", i))
-
-        procs = [sim.process(waiter(i)) for i in range(20)]
-
-        def driver():
-            yield sim.timeout(1.0)
-            procs[7].interrupt()
-            yield sim.timeout(1.0)
-            gate.succeed()
-
-        sim.process(driver())
-        sim.run()
-        assert ("intr", 7) in results
-        woke = sorted(i for tag, i in results if tag == "woke")
-        assert woke == [i for i in range(20) if i != 7]
-
-    def test_interrupted_process_can_rewait_same_event(self, sim):
-        gate = sim.event()
-        log = []
-
-        def proc():
-            try:
-                yield gate
-            except Interrupt:
-                log.append("intr")
-            got = yield gate  # re-register on the same event
-            log.append(got)
-
-        p = sim.process(proc())
-
-        def driver():
-            yield sim.timeout(1.0)
-            p.interrupt()
-            yield sim.timeout(1.0)
-            gate.succeed("open")
-
-        sim.process(driver())
-        sim.run()
-        assert log == ["intr", "open"]
-
-
-# ---------------------------------------------------------------------------
 # Resource.use on claim(): the inline and the queued branch
 # ---------------------------------------------------------------------------
 
@@ -552,25 +338,6 @@ class TestResourceUseFastPath:
         # in_use stays 1 across the hand-over: no dip another claimant
         # could slip into.
         assert log == [("fast", 1.0, 1), ("queued", 1.0, 1)]
-        assert res.in_use == 0
-
-    def test_interrupt_during_fast_path_hold_releases_slot(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def holder():
-            try:
-                yield from res.use(10.0)
-            except Interrupt:
-                pass
-
-        p = sim.process(holder())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            p.interrupt()
-
-        sim.process(interrupter())
-        sim.run()
         assert res.in_use == 0
 
     def test_busy_accounting_identical_on_both_paths(self, sim):

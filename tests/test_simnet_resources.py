@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet import Interrupt, Resource, Store
+from repro.simnet import Resource, Store
 
 
 class TestResource:
@@ -94,33 +94,6 @@ class TestResource:
             sim.process(worker())
         sim.run()
         assert sim.now == 2.0
-
-    def test_interrupt_while_queued_strands_the_grant(self, sim):
-        """Documented in ``claim``: there is no cancellation path.  The
-        interrupted waiter's event stays queued and the next release hands
-        the slot to it, where nobody is waiting."""
-        res = Resource(sim, capacity=1)
-
-        def holder():
-            yield from res.use(2.0)
-
-        def waiter():
-            try:
-                yield res.claim()
-            except Interrupt:
-                return "interrupted"
-
-        sim.process(holder())
-        w = sim.process(waiter())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            w.interrupt()
-
-        sim.process(interrupter())
-        sim.run()
-        assert w.result == "interrupted"
-        assert res.in_use == 1 and res.queue_length == 0  # stranded
 
     def test_utilization_accounting(self, sim):
         res = Resource(sim, capacity=2)

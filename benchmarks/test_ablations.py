@@ -2,14 +2,16 @@
 
 Not a paper figure: these isolate the *mechanisms* behind the headline
 numbers so the reproduction is explainable rather than just matching.
+CI's ``paper-figures`` job runs them next to the figure benches.
 
 1. hybrid local bypass on/off        (drives Fig 5a)
 2. request aggregation batch size    (RoR innovation #1)
 3. NIC core count sweep              (the offload resource)
 4. replication factor 0/1/2          (durability cost)
-5. serialization backend choice      (DataBox plug point)
-6. persistence strict/relaxed/off    (DataBox persistency)
-7. OFI provider roce/verbs/tcp       (fabric portability)
+5. persistence strict/relaxed/off    (DataBox persistency)
+6. switch oversubscription           (all-to-all container traffic)
+7. concurrency control level         (tunable atomicity)
+8. re-balancing to one more partition (BCL limitation (e))
 """
 
 from __future__ import annotations
@@ -177,37 +179,6 @@ def test_ablation_replication(benchmark, report):
 
 
 @pytest.mark.benchmark(group="ablations")
-def test_ablation_serialization_backends(benchmark, report):
-    """DataBox backends encode the same entries; sizes differ."""
-
-    def run():
-        from repro.serialization import get_codec, record
-
-        @record(rank="i32", seq="i32", score="f64", label="str")
-        class Entry:
-            pass
-
-        sample = {"rank": 3, "seq": 17, "score": 0.5, "label": "x" * 24}
-        msgpack_len = len(get_codec("msgpack").encode(sample))
-        flat_len = len(get_codec("flat").encode(list(sample.values())))
-        cereal_len = len(get_codec("cereal:Entry").encode(
-            Entry(**sample)))
-        return msgpack_len, flat_len, cereal_len
-
-    msgpack_len, flat_len, cereal_len = run_once(benchmark, run)
-    report(render_table(
-        "Ablation 5 — serialization backends (same logical entry)",
-        ["backend", "bytes"],
-        [["msgpack (schema-free)", msgpack_len],
-         ["flat (lazy field access)", flat_len],
-         ["cereal (schema, positional)", cereal_len]],
-    ))
-    # Schema-driven positional packing is the most compact; the flat
-    # offset-table costs extra bytes for its lazy-access indices.
-    assert cereal_len < msgpack_len < flat_len
-
-
-@pytest.mark.benchmark(group="ablations")
 def test_ablation_persistence_modes(benchmark, report, tmp_path):
     def run():
         times = {}
@@ -226,7 +197,7 @@ def test_ablation_persistence_modes(benchmark, report, tmp_path):
 
     times = run_once(benchmark, run)
     report(render_table(
-        "Ablation 6 — DataBox persistence",
+        "Ablation 5 — DataBox persistence",
         ["mode", "time (s)", "vs off"],
         [[m, t, t / times["off"]] for m, t in times.items()],
     ))
@@ -258,7 +229,7 @@ def test_ablation_switch_oversubscription(benchmark, report):
 
     times = run_once(benchmark, run)
     report(render_table(
-        "Ablation 8 — switch oversubscription (4-node all-to-all inserts)",
+        "Ablation 6 — switch oversubscription (4-node all-to-all inserts)",
         ["oversubscription", "time (s)", "vs 1:1"],
         [[o, t, t / times[1.0]] for o, t in sorted(times.items())],
     ))
@@ -290,7 +261,7 @@ def test_ablation_concurrency_control(benchmark, report):
 
     times = run_once(benchmark, run)
     report(render_table(
-        "Ablation 9 — concurrency control (contended async inserts)",
+        "Ablation 7 — concurrency control (contended async inserts)",
         ["level", "time (s)", "vs lockfree"],
         [[c, t, t / times["lockfree"]] for c, t in times.items()],
     ))
@@ -359,7 +330,7 @@ def test_ablation_rebalancing_cost(benchmark, report):
 
     hcl_time, bcl_time, moved = run_once(benchmark, run)
     report(render_table(
-        "Ablation 10 — re-balancing to one more partition "
+        "Ablation 8 — re-balancing to one more partition "
         f"({ENTRIES} entries; HCL migrated only {moved})",
         ["approach", "time (s)", "entries moved"],
         [["HCL add_partition (localized)", hcl_time, moved],
@@ -367,26 +338,3 @@ def test_ablation_rebalancing_cost(benchmark, report):
     ))
     assert moved < ENTRIES / 2  # only the rehashed fraction moves
     assert hcl_time < bcl_time
-
-
-@pytest.mark.benchmark(group="ablations")
-def test_ablation_providers(benchmark, report):
-    """The same container workload across OFI providers."""
-
-    def run_one(provider):
-        spec = ares_like(nodes=2, procs_per_node=PROCS)
-        hcl = HCL(spec, provider=provider)
-        m = hcl.unordered_map("m", partitions=1, nodes=[1],
-                              initial_buckets=8 * PROCS * OPS)
-        return _insert_workload(hcl, m)
-
-    def run():
-        return {p: run_one(p) for p in ("roce", "verbs", "tcp")}
-
-    times = run_once(benchmark, run)
-    report(render_table(
-        "Ablation 7 — OFI provider",
-        ["provider", "time (s)", "vs roce"],
-        [[p, t, t / times["roce"]] for p, t in times.items()],
-    ))
-    assert times["verbs"] < times["roce"] < times["tcp"]

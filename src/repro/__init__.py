@@ -6,7 +6,7 @@ Packages:
 * :mod:`repro.simnet`  - discrete-event simulation kernel
 * :mod:`repro.fabric`  - verbs-level RDMA cluster fabric (the testbed substitute)
 * :mod:`repro.memory`  - allocators, segments, global address space, mmap persistence
-* :mod:`repro.serialization` - the DataBox abstraction and codec backends
+* :mod:`repro.serialization` - the DataBox abstraction and its msgpack backend
 * :mod:`repro.rpc`     - the RPC-over-RDMA framework (contribution 1)
 * :mod:`repro.structures` - lock-free-style local structures (cuckoo, RB-tree,
   optimistic FIFO, MDList)

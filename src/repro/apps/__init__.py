@@ -21,8 +21,6 @@ from repro.apps.genome import GenomeData, synthesize_genome
 from repro.apps.isx import run_isx
 from repro.apps.kmer import run_kmer_counting
 from repro.apps.contig import run_contig_generation
-from repro.apps.scheduler import Task, make_task_graph, run_scheduler
-from repro.apps.bfs import make_graph, run_bfs
 
 __all__ = [
     "GenomeData",
@@ -30,9 +28,4 @@ __all__ = [
     "run_isx",
     "run_kmer_counting",
     "run_contig_generation",
-    "Task",
-    "make_task_graph",
-    "run_scheduler",
-    "make_graph",
-    "run_bfs",
 ]

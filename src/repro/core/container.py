@@ -757,9 +757,10 @@ class DistributedContainer:
         replayed.  Replay happens at time zero — recovery cost is an
         offline property, not part of the measured experiments.
 
-        Keys round-trip through the container's codec: use codec-stable
-        key types (str / int / bytes) for persisted containers — msgpack,
-        like any serialization wire format, decodes tuples as lists.
+        Keys round-trip through the DataBox's msgpack encoding: use
+        encoding-stable key types (str / int / bytes) for persisted
+        containers — msgpack, like any serialization wire format, decodes
+        tuples as lists.
         """
         replayed = 0
         for part in self.partitions:
@@ -767,7 +768,7 @@ class DistributedContainer:
             if log is None:
                 continue
             for record in log.records():
-                op, args = DataBox.decode(record.payload, self.policy.codec).value
+                op, args = DataBox.decode(record.payload).value
                 if op not in self._ops:
                     raise ValueError(
                         f"log for {self.name!r} contains unknown op {op!r}"
@@ -779,7 +780,7 @@ class DistributedContainer:
     def _persist(self, part: Partition, op: str, args: tuple, node):
         if part.segment.log is None:
             return
-        box = DataBox([op, list(args)], codec=self.policy.codec)
+        box = DataBox([op, list(args)])
         payload = box.encode()
         part.segment.persist(payload)
         if not part.segment.log.relaxed:

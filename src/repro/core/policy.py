@@ -22,10 +22,8 @@ CONCURRENCY_LEVELS = ("lockfree", "mutex")
 
 @dataclass(frozen=True)
 class ContainerPolicy:
-    """How one container serializes, replicates, persists and buffers."""
+    """How one container replicates, persists and buffers."""
 
-    #: DataBox serialization backend
-    codec: str = "msgpack"
     #: asynchronous server-side copies on the next N partitions (III-A4)
     replication: int = 0
     #: append every mutation to the partition's mmap-backed log (III-C6)

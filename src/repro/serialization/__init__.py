@@ -3,20 +3,15 @@
 A DataBox "provides mechanisms for defining, serializing, transmitting, and
 storing complex data structures".  This package reproduces that abstraction:
 
-* :class:`~repro.serialization.databox.DataBox` — the envelope: a value,
-  its codec, and fixed/variable-length classification.  Byte-copyable
+* :class:`~repro.serialization.databox.DataBox` — the envelope: a value
+  and its fixed/variable-length classification.  Byte-copyable
   (fixed-size primitive) values skip serialization, as in the paper.
-* Three from-scratch codec backends mirroring HCL's MSGPACK / Cereal /
-  FlatBuffers support:
-
-  - :mod:`repro.serialization.msgpack_like` — a compact tagged binary
-    format compatible in spirit with MessagePack (variable-length, schema
-    free);
-  - :mod:`repro.serialization.cereal_like` — schema-driven struct packing
-    for registered record types (smallest output, fixed layout);
-  - :mod:`repro.serialization.flatbuf_like` — offset-table format allowing
-    field access without full decode (zero-copy flavour).
-
+* :mod:`repro.serialization.msgpack_like` — the one codec backend: a
+  compact tagged binary format byte-compatible with MessagePack
+  (variable-length, schema free).  The paper's HCL also plugs Cereal and
+  FlatBuffers in here; no measured cost depends on the backend (the
+  simulated wire and marshal charge is :func:`estimate_size`), so one is
+  kept.
 * A custom-type registry (:func:`register_custom_type`) resolved at
   runtime, and native support for the standard containers (list, tuple,
   dict, set, frozenset) — HCL's "native support for STL containers".
@@ -24,24 +19,14 @@ storing complex data structures".  This package reproduces that abstraction:
 
 from repro.serialization.databox import (
     DataBox,
-    get_codec,
-    list_codecs,
     register_custom_type,
     SerializationError,
 )
 from repro.serialization.msgpack_like import MsgpackCodec
-from repro.serialization.cereal_like import CerealCodec, record
-from repro.serialization.flatbuf_like import FlatCodec, FlatView
 
 __all__ = [
     "DataBox",
-    "get_codec",
-    "list_codecs",
     "register_custom_type",
     "SerializationError",
     "MsgpackCodec",
-    "CerealCodec",
-    "record",
-    "FlatCodec",
-    "FlatView",
 ]

@@ -2,18 +2,14 @@
 
 A DataBox wraps a value for transmission/storage:
 
-* **byte-copyable fast path** — fixed-size primitives (ints, floats, bools,
-  and @record classes whose schema is fixed) are flagged ``fixed_length``
-  and, per the paper, "DataBoxes do not use serialization for simple
-  byte-copyable data types": their wire size is computed analytically and
-  ``encode`` uses the cheapest layout.
-* **variable-length path** — everything else goes through the selected
-  codec backend (msgpack / cereal / flat).
+* **byte-copyable fast path** — fixed-size primitives (ints, floats, bools)
+  are flagged ``fixed_length`` and, per the paper, "DataBoxes do not use
+  serialization for simple byte-copyable data types": their wire size is
+  computed analytically and ``encode`` uses the cheapest layout.
+* **variable-length path** — everything else goes through the msgpack
+  backend.
 * **custom types** — users register ``(encode, decode)`` hooks for their own
   classes; resolution is dynamic at runtime, as in HCL.
-
-The module also exposes the codec registry used by the RPC layer and the
-containers (``get_codec``).
 """
 
 from __future__ import annotations
@@ -21,15 +17,11 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
-from repro.serialization.cereal_like import CerealCodec
-from repro.serialization.flatbuf_like import FlatCodec
 from repro.serialization.msgpack_like import MsgpackCodec
 
 __all__ = [
     "DataBox",
     "SerializationError",
-    "get_codec",
-    "list_codecs",
     "register_custom_type",
     "clear_custom_types",
     "estimate_size",
@@ -83,38 +75,8 @@ def _custom_decode(tag: str, payload: bytes) -> Any:
     return dec(payload)
 
 
-# -- codec registry ----------------------------------------------------------------
-
-_CODECS: Dict[str, Any] = {}
-
-
-def _build_registry() -> None:
-    _CODECS["msgpack"] = MsgpackCodec(_custom_encode, _custom_decode)
-    _CODECS["flat"] = FlatCodec()
-
-
-_build_registry()
-
-
-def get_codec(name: str):
-    """Look up a backend: ``msgpack`` (default), ``flat``, or ``cereal:<Type>``."""
-    if name in _CODECS:
-        return _CODECS[name]
-    if name.startswith("cereal:"):
-        from repro.serialization.cereal_like import _REGISTRY
-
-        clsname = name.split(":", 1)[1]
-        cls = _REGISTRY.get(clsname)
-        if cls is None:
-            raise SerializationError(f"no @record class named {clsname!r}")
-        codec = CerealCodec(cls)
-        _CODECS[name] = codec
-        return codec
-    raise SerializationError(f"unknown codec {name!r}")
-
-
-def list_codecs() -> list:
-    return sorted(_CODECS) + ["cereal:<RecordType>"]
+#: the one serialization backend; custom types resolve through the registry
+_CODEC = MsgpackCodec(_custom_encode, _custom_decode)
 
 
 # -- size estimation (drives simulated wire cost) ---------------------------------
@@ -140,10 +102,6 @@ def estimate_size(obj: Any) -> int:
         return 4 + sum(estimate_size(x) for x in obj)
     if t is dict:
         return 4 + sum(estimate_size(k) + estimate_size(v) for k, v in obj.items())
-    if hasattr(t, "__cereal_fields__"):
-        return 2 + sum(
-            estimate_size(getattr(obj, f)) for f in t.__cereal_fields__
-        )
     if hasattr(obj, "nbytes"):  # numpy arrays and friends
         return 16 + int(obj.nbytes)
     if type(obj) in _CUSTOM_ENCODERS:
@@ -155,20 +113,16 @@ def estimate_size(obj: Any) -> int:
 class DataBox:
     """The transmissible envelope around one value."""
 
-    __slots__ = ("value", "codec_name", "_encoded")
+    __slots__ = ("value", "_encoded")
 
-    def __init__(self, value: Any, codec: str = "msgpack"):
+    def __init__(self, value: Any):
         self.value = value
-        self.codec_name = codec
         self._encoded: Optional[bytes] = None
 
     # -- classification (the paper's compile-time fixed/variable split) ----
     @property
     def fixed_length(self) -> bool:
-        t = type(self.value)
-        if t in _FIXED_SIZES:
-            return True
-        return bool(getattr(t, "__cereal_fixed__", False))
+        return type(self.value) in _FIXED_SIZES
 
     @property
     def byte_copyable(self) -> bool:
@@ -192,32 +146,31 @@ class DataBox:
                 try:
                     raw = b"I" + struct.pack("<q", v)
                 except struct.error:
-                    raw = b"B" + get_codec(self.codec_name).encode(v)
+                    raw = b"B" + _CODEC.encode(v)
             else:  # float
                 raw = b"D" + struct.pack("<d", v)
             self._encoded = raw
             return raw
-        codec = get_codec(self.codec_name)
-        self._encoded = b"B" + codec.encode(self.value)
+        self._encoded = b"B" + _CODEC.encode(self.value)
         return self._encoded
 
     @classmethod
-    def decode(cls, data: bytes, codec: str = "msgpack") -> "DataBox":
+    def decode(cls, data: bytes) -> "DataBox":
         if not data:
             raise SerializationError("empty DataBox buffer")
         tag, body = data[:1], data[1:]
         if tag == b"N":
-            return cls(None, codec)
+            return cls(None)
         if tag == b"T":
-            return cls(True, codec)
+            return cls(True)
         if tag == b"F":
-            return cls(False, codec)
+            return cls(False)
         if tag == b"I":
-            return cls(struct.unpack("<q", body)[0], codec)
+            return cls(struct.unpack("<q", body)[0])
         if tag == b"D":
-            return cls(struct.unpack("<d", body)[0], codec)
+            return cls(struct.unpack("<d", body)[0])
         if tag == b"B":
-            return cls(get_codec(codec).decode(body), codec)
+            return cls(_CODEC.decode(body))
         raise SerializationError(f"bad DataBox tag {tag!r}")
 
     # -- cost hooks ---------------------------------------------------------------
@@ -228,4 +181,4 @@ class DataBox:
         return 1 + estimate_size(self.value)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"DataBox({self.value!r}, codec={self.codec_name})"
+        return f"DataBox({self.value!r})"

@@ -6,8 +6,7 @@ float64, str, bin, array, map, and one ext slot for registered custom
 types.  The encoding matches real MessagePack byte-for-byte for the
 supported types, so the tests can assert against known vectors.
 
-No external library is used — the offline environment has none, and the
-paper's point is only that DataBox can plug different backends.
+No external library is used: the package depends on numpy alone.
 """
 
 from __future__ import annotations
@@ -261,9 +260,7 @@ def unpack(data: bytes,
 
 
 class MsgpackCodec:
-    """Codec object satisfying the DataBox backend protocol."""
-
-    name = "msgpack"
+    """The DataBox backend: ``pack``/``unpack`` bound to the custom-type hooks."""
 
     def __init__(self, custom_encoder=None, custom_decoder=None):
         self.custom_encoder = custom_encoder

@@ -1,83 +1,10 @@
-"""Tests for the scheduler app, batched container ops, and k-mer filtering."""
+"""Tests for batched container ops and k-mer count filtering."""
 
 import pytest
 
-from repro.apps import make_task_graph, run_scheduler, synthesize_genome
+from repro.apps import synthesize_genome
 from repro.apps.kmer import run_kmer_counting
-from repro.apps.scheduler import Task
 from repro.config import ares_like
-
-
-@pytest.fixture(scope="module")
-def sched_spec():
-    return ares_like(nodes=2, procs_per_node=3, seed=1)
-
-
-class TestTaskGraph:
-    def test_dag_edges_point_backward(self):
-        tasks = make_task_graph(count=50, seed=3)
-        for t in tasks:
-            assert all(d < t.task_id for d in t.deps)
-
-    def test_priorities_dependency_consistent(self):
-        tasks = make_task_graph(count=50, seed=3)
-        by_id = {t.task_id: t for t in tasks}
-        for t in tasks:
-            assert all(by_id[d].priority < t.priority for d in t.deps)
-
-    def test_deterministic(self):
-        assert make_task_graph(seed=5) == make_task_graph(seed=5)
-
-    def test_task_validation(self):
-        with pytest.raises(ValueError):
-            Task(task_id=0, priority=1, duration=-1.0)
-        with pytest.raises(ValueError):
-            Task(task_id=0, priority=-1, duration=1.0)
-
-
-class TestScheduler:
-    def test_priority_policy_runs_all_tasks_once(self, sched_spec):
-        tasks = make_task_graph(count=30, seed=4)
-        result = run_scheduler(sched_spec, tasks, policy="priority")
-        assert result.verified
-        assert set(result.executions) == {t.task_id for t in tasks}
-
-    def test_fifo_policy_correct(self, sched_spec):
-        tasks = make_task_graph(count=30, seed=4)
-        result = run_scheduler(sched_spec, tasks, policy="fifo")
-        assert result.verified
-
-    def test_dependencies_never_violated(self, sched_spec):
-        tasks = make_task_graph(count=40, seed=9, max_deps=4)
-        result = run_scheduler(sched_spec, tasks, policy="priority")
-        assert result.verified
-        by_id = {t.task_id: t for t in tasks}
-        for task_id, (start, _end) in result.executions.items():
-            for dep in by_id[task_id].deps:
-                assert result.executions[dep][1] <= start + 1e-12
-
-    def test_priority_beats_fifo_on_makespan(self, sched_spec):
-        wins = 0
-        for seed in (2, 7, 11):
-            tasks = make_task_graph(count=40, seed=seed)
-            rp = run_scheduler(sched_spec, tasks, policy="priority")
-            rf = run_scheduler(sched_spec, tasks, policy="fifo")
-            assert rp.verified and rf.verified
-            wins += rp.makespan < rf.makespan
-        assert wins >= 2  # priority scheduling wins consistently
-
-    def test_unknown_policy_rejected(self, sched_spec):
-        with pytest.raises(ValueError):
-            run_scheduler(sched_spec, make_task_graph(5), policy="random")
-
-    def test_independent_tasks_parallelize(self):
-        spec = ares_like(nodes=2, procs_per_node=4, seed=1)
-        tasks = [Task(task_id=i, priority=i + 1, duration=100e-6)
-                 for i in range(8)]
-        result = run_scheduler(spec, tasks, policy="priority")
-        assert result.verified
-        # 8 independent 100us tasks on 8 workers: far below 800us serial.
-        assert result.makespan < 500e-6
 
 
 class TestBatchOps:

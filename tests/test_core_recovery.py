@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core import HCL
+from repro.harness import Blob
+from repro.memory import PersistentLog
+from repro.serialization import DataBox
 
 
 def _fill_and_crash(tmp_path, spec):
@@ -112,3 +115,80 @@ class TestRecovery:
         m3 = hcl2.unordered_map("kv", partitions=2, persistence=True)
         # 8 inserts + 8 upserts + insert + erase = 18 mutations replayed.
         assert m3.recover_from_logs() == 18
+
+
+#: One single-partition map's log, record by record: each mutation and the
+#: hex of the DataBox payload it appends.  The bytes are the log format —
+#: logs written by earlier builds (which offered three DataBox backends,
+#: msgpack the default) must keep replaying, so neither side may drift.
+FROZEN_LOG = [
+    (("insert", "alpha", 7),
+     "4292a6696e7365727492a5616c70686107"),
+    (("insert", "big", 2**70),
+     "4292a6696e7365727492a362696781aa5f5f626967696e745f5fb4307834303030"
+     "3030303030303030303030303030"),
+    (("insert", "neg", -1.5),
+     "4292a6696e7365727492a36e6567cbbff8000000000000"),
+    (("insert", "none", None),
+     "4292a6696e7365727492a46e6f6e65c0"),
+    (("insert", "raw", b"\x00\xff"),
+     "4292a6696e7365727492a3726177c40200ff"),
+    (("insert", "nested", [1, "two", {"three": 3.0}, True]),
+     "4292a6696e7365727492a66e65737465649401a374776f81a57468726565cb4008"
+     "000000000000c3"),
+    (("insert", 42, Blob(4096, tag=3)),
+     "4292a6696e73657274922ac71542a4426c6f620010000000000000030000000000"
+     "0000"),
+    (("upsert", "count", 5),
+     "4292a675707365727492a5636f756e7405"),
+    (("insert", "doomed", "x"),
+     "4292a6696e7365727492a6646f6f6d6564a178"),
+    (("erase", "doomed"),
+     "4292a5657261736591a6646f6f6d6564"),
+]
+
+
+def _write_frozen(hcl):
+    m = hcl.unordered_map("kv", partitions=1, persistence=True)
+
+    def body(rank):
+        for (op, *args), _hex in FROZEN_LOG:
+            yield from getattr(m, op)(rank, *args)
+
+    hcl.run_ranks(body, ranks=range(1))
+    m.close()
+
+
+class TestLogFormat:
+    def test_records_decode_as_databoxes(self, small_spec, tmp_path):
+        _write_frozen(HCL(small_spec, persist_dir=str(tmp_path)))
+        with PersistentLog(str(tmp_path / "kv.part0.hcl")) as log:
+            ops = [DataBox.decode(r.payload).value for r in log.records()]
+        assert [op for op, _args in ops] == [
+            call[0] for call, _hex in FROZEN_LOG]
+        assert ops[0] == ["insert", ["alpha", 7]]
+
+    def test_record_bytes_are_frozen(self, small_spec, tmp_path):
+        _write_frozen(HCL(small_spec, persist_dir=str(tmp_path)))
+        with PersistentLog(str(tmp_path / "kv.part0.hcl")) as log:
+            written = [r.payload.hex() for r in log.records()]
+        assert written == [hexed for _call, hexed in FROZEN_LOG]
+
+    def test_frozen_log_replays(self, small_spec, tmp_path):
+        with PersistentLog(str(tmp_path / "kv.part0.hcl")) as log:
+            for _call, hexed in FROZEN_LOG:
+                log.append(bytes.fromhex(hexed))
+        hcl = HCL(small_spec, persist_dir=str(tmp_path))
+        m = hcl.unordered_map("kv", partitions=1, persistence=True,
+                              recover=True)
+        table = m.partitions[0].structure
+        expected = {"alpha": 7, "big": 2**70, "neg": -1.5, "none": None,
+                    "raw": b"\x00\xff",
+                    "nested": [1, "two", {"three": 3.0}, True],
+                    42: Blob(4096, tag=3), "count": 5}
+        for key, value in expected.items():
+            got, found, _stats = table.find(key)
+            assert found and got == value, key
+        assert not table.find("doomed")[1]
+        assert m.total_entries() == len(expected)
+        m.close()

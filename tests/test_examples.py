@@ -33,8 +33,7 @@ class TestExamples:
         expected = {
             "quickstart.py", "genome_assembly.py", "distributed_sort.py",
             "persistent_kv_store.py", "async_and_callbacks.py",
-            "task_scheduler.py", "halo_exchange.py",
-            "graph_traversal.py",
+            "halo_exchange.py",
         }
         assert expected <= present
 
@@ -61,14 +60,6 @@ class TestExamples:
         assert "1 invocation(s)" in out
         assert "moved the function" in out
 
-    def test_task_scheduler(self):
-        out = run_example("task_scheduler.py")
-        assert "verified" in out and "priority" in out
-
     def test_halo_exchange(self):
         out = run_example("halo_exchange.py")
         assert "max |distributed - reference|" in out
-
-    def test_graph_traversal(self):
-        out = run_example("graph_traversal.py")
-        assert "verified against networkx" in out and "speedup" in out

@@ -1,12 +1,9 @@
-"""Additional property-based tests: codecs, DataBox, trees, segments."""
-
-import string
+"""Additional property-based tests: DataBox, trees, segments."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serialization import DataBox, FlatCodec, FlatView
-from repro.serialization.cereal_like import CerealCodec, record
+from repro.serialization import DataBox
 from repro.structures import RedBlackTree
 
 simple_values = (
@@ -17,60 +14,6 @@ simple_values = (
     | st.text(max_size=30)
     | st.binary(max_size=30)
 )
-
-
-class TestFlatCodecProperties:
-    @given(st.lists(simple_values, min_size=1, max_size=12))
-    @settings(max_examples=100, deadline=None)
-    def test_field_table_roundtrip(self, values):
-        codec = FlatCodec()
-        buf = codec.encode(values)
-        view = FlatView(buf)
-        assert len(view) == len(values)
-        for i, expected in enumerate(values):
-            assert view[i] == expected
-
-    @given(st.lists(simple_values, min_size=2, max_size=8),
-           st.integers(min_value=0, max_value=7))
-    @settings(max_examples=60, deadline=None)
-    def test_single_field_access_independent(self, values, index):
-        """Reading one field never requires the others to be decodable."""
-        index = index % len(values)
-        buf = FlatCodec().encode(values)
-        assert FlatView(buf)[index] == values[index]
-
-    @given(st.binary(min_size=0, max_size=200))
-    @settings(max_examples=60, deadline=None)
-    def test_raw_bytes_verbatim(self, raw):
-        buf = FlatCodec().encode([raw])
-        assert FlatView(buf).field_bytes(0) == raw
-
-
-class TestCerealProperties:
-    @given(st.integers(-(2**31), 2**31 - 1),
-           st.floats(allow_nan=False, allow_infinity=False, width=64),
-           st.text(alphabet=string.printable, max_size=40),
-           st.binary(max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_record_roundtrip(self, i, f, s, b):
-        @record(num="i32", val="f64", label="str", blob="bytes")
-        class Rec:
-            pass
-
-        codec = CerealCodec(Rec)
-        original = Rec(num=i, val=f, label=s, blob=b)
-        assert codec.decode(codec.encode(original)) == original
-
-    @given(st.lists(st.integers(0, 255), min_size=3, max_size=3))
-    @settings(max_examples=50, deadline=None)
-    def test_fixed_records_constant_size(self, values):
-        @record(a="u8", b="u8", c="u8")
-        class Triple:
-            pass
-
-        codec = CerealCodec(Triple)
-        encoded = codec.encode(Triple(a=values[0], b=values[1], c=values[2]))
-        assert len(encoded) == 3  # positional, tag-free
 
 
 class TestDataBoxProperties:

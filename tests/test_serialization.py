@@ -1,21 +1,14 @@
-"""Tests for the DataBox abstraction and the three codec backends."""
+"""Tests for the DataBox abstraction and its msgpack backend."""
 
 import struct
 
 import pytest
 
 from repro.serialization import (
-    CerealCodec,
     DataBox,
-    FlatCodec,
-    FlatView,
     SerializationError,
-    get_codec,
-    list_codecs,
-    record,
     register_custom_type,
 )
-from repro.serialization.cereal_like import SchemaError
 from repro.serialization.databox import estimate_size
 from repro.serialization.msgpack_like import pack, unpack
 
@@ -110,138 +103,6 @@ class TestMsgpackRoundtrips:
             pack(object())
 
 
-class TestCereal:
-    def test_fixed_record_roundtrip(self):
-        @record(key="i64", weight="f64", flag="bool")
-        class Entry:
-            pass
-
-        codec = CerealCodec(Entry)
-        e = Entry(key=-5, weight=2.25, flag=True)
-        assert codec.decode(codec.encode(e)) == e
-        assert codec.fixed_size
-
-    def test_variable_record(self):
-        @record(name="str", blob="bytes")
-        class Doc:
-            pass
-
-        codec = CerealCodec(Doc)
-        d = Doc(name="héllo", blob=b"\x00\xff")
-        assert codec.decode(codec.encode(d)) == d
-        assert not codec.fixed_size
-
-    def test_nested_records(self):
-        @record(x="i32", y="i32")
-        class Point:
-            pass
-
-        @record(a=Point, b=Point, label="str")
-        class Segment:
-            pass
-
-        codec = CerealCodec(Segment)
-        s = Segment(a=Point(x=1, y=2), b=Point(x=3, y=4), label="s1")
-        assert codec.decode(codec.encode(s)) == s
-
-    def test_positional_layout_is_compact(self):
-        @record(a="u8", b="u8")
-        class Two:
-            pass
-
-        assert len(CerealCodec(Two).encode(Two(a=1, b=2))) == 2
-
-    def test_schema_validation(self):
-        with pytest.raises(SchemaError):
-            @record(bad="quaternion")
-            class Nope:
-                pass
-
-    def test_missing_field_rejected(self):
-        @record(a="i32")
-        class One:
-            pass
-
-        with pytest.raises(SchemaError):
-            One()
-        with pytest.raises(SchemaError):
-            One(a=1, b=2)
-
-    def test_range_checked(self):
-        @record(a="u8")
-        class Tiny:
-            pass
-
-        codec = CerealCodec(Tiny)
-        with pytest.raises(SchemaError):
-            codec.encode(Tiny(a=300))
-
-    def test_wrong_type_rejected(self):
-        @record(a="i32")
-        class A:
-            pass
-
-        @record(a="i32")
-        class B:
-            pass
-
-        with pytest.raises(SchemaError):
-            CerealCodec(A).encode(B(a=1))
-
-    def test_codec_registry_lookup(self):
-        @record(k="i64")
-        class Keyed:
-            pass
-
-        codec = get_codec("cereal:Keyed")
-        assert codec.decode(codec.encode(Keyed(k=7))) == Keyed(k=7)
-
-    def test_unregistered_class_rejected(self):
-        class Plain:
-            pass
-
-        with pytest.raises(SchemaError):
-            CerealCodec(Plain)
-        with pytest.raises(SerializationError):
-            get_codec("cereal:Plain")
-
-
-class TestFlat:
-    def test_multi_field_roundtrip(self):
-        codec = FlatCodec()
-        value = [1, "two", b"three", [4, 5]]
-        assert codec.decode(codec.encode(value)) == value
-
-    def test_single_value(self):
-        codec = FlatCodec()
-        assert codec.decode(codec.encode("solo")) == "solo"
-
-    def test_lazy_field_access(self):
-        codec = FlatCodec()
-        buf = codec.encode(["key-field", b"A" * 10_000, 42])
-        view = codec.view(buf)
-        assert len(view) == 3
-        # Read field 0 without touching the 10 KB blob.
-        assert view[0] == "key-field"
-        assert view[2] == 42
-        assert view.field_bytes(1) == b"A" * 10_000
-
-    def test_raw_bytes_stored_verbatim(self):
-        codec = FlatCodec()
-        buf = codec.encode([b"raw"])
-        view = FlatView(buf)
-        assert view.field_bytes(0) == b"raw"
-
-    def test_index_bounds(self):
-        view = FlatView(FlatCodec().encode([1]))
-        with pytest.raises(IndexError):
-            _ = view[1]
-
-    def test_short_buffer_rejected(self):
-        with pytest.raises(ValueError):
-            FlatView(b"\x01")
-
-
 class TestDataBox:
     @pytest.mark.parametrize("value", [None, True, False, 7, -7, 3.5])
     def test_byte_copyable_fast_path(self, value):
@@ -261,13 +122,6 @@ class TestDataBox:
             box = DataBox(value)
             assert not box.fixed_length
             assert DataBox.decode(box.encode()).value == value
-
-    def test_fixed_record_classified_fixed(self):
-        @record(a="i64", b="f64")
-        class FixedRec:
-            pass
-
-        assert DataBox(FixedRec(a=1, b=2.0)).fixed_length
 
     def test_custom_type_roundtrip(self):
         class Vec2:
@@ -313,12 +167,6 @@ class TestDataBox:
         box = DataBox("x" * 100)
         assert box.wire_size >= 100
         assert box._encoded is None  # size estimate did not force an encode
-
-    def test_codec_listing(self):
-        names = list_codecs()
-        assert "msgpack" in names and "flat" in names
-        with pytest.raises(SerializationError):
-            get_codec("bogus")
 
 
 class TestEstimateSize:

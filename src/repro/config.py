@@ -30,10 +30,9 @@ GB = 1024 * 1024 * 1024
 @dataclass(frozen=True)
 class RetryPolicy:
     """RPC timeout/retry contract (Mercury-style: part of the RPC layer,
-    not an afterthought).  Used by :class:`repro.rpc.client.RpcClient`
-    whenever a fault plan is installed or the target is known-dead —
-    fair-weather RPC on a healthy fabric never arms a timer, so fault-free
-    runs remain bit-identical to the classic protocol.
+    not an afterthought).  Governs every :class:`repro.rpc.client.RpcClient`
+    attempt; the completion ``timeout`` is armed only while a fault plan
+    is installed, since nothing else drops a message or takes a node down.
 
     ``max_retries`` counts *retransmissions*: a request is attempted at
     most ``1 + max_retries`` times before the client surfaces

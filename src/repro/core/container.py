@@ -349,26 +349,12 @@ class DistributedContainer:
             return result
         self.remote_calls.add(1)
         client = self.runtime.client(caller_node)
-        mutation = self._ops[op][1].write
-        policy = self.policy
-        token = None
-        if (
-            mutation
-            and policy.write_failover
-            and (cluster.faults is not None
-                 or not cluster.node(part.node_id).alive)
-        ):
-            # Pre-assign the idempotency token so a write replayed onto the
-            # restarted primary dedups against a late execution of this
-            # very request (and vice versa).
-            token = client.next_token()
         try:
             result = yield from client.call(
                 part.node_id,
                 f"{self.name}.{op}",
                 (part.index, *args),
                 payload_size=payload_bytes,
-                token=token,
                 trace_parent=trace_parent,
                 stream=part.index,
             )
@@ -377,10 +363,12 @@ class DistributedContainer:
                 # other nodes' writes have made stale.
                 self._cache.observe(caller_node, part.index, part.write_epoch)
             return result
-        except ConnectionError:
+        except ConnectionError as err:
             # Primary down: replicated containers serve reads from the
             # next replica(s) in the hash chain (Section III-A4), and with
             # ``write_failover`` take mutations there too.
+            mutation = self._ops[op][1].write
+            policy = self.policy
             if policy.replication <= 0 or (
                     mutation and not policy.write_failover):
                 raise
@@ -389,12 +377,12 @@ class DistributedContainer:
             )
             if mutation:
                 # Acked to the caller now; replayed onto the primary as
-                # soon as it restarts.  The replay reuses ``token`` — the
-                # *original* request's — so if the primary executed that
-                # request late (completion lost, budget exhausted) the
+                # soon as it restarts.  The replay reuses ``err.token`` —
+                # the *original* request's — so if the primary executed
+                # that request late (completion lost, budget exhausted) the
                 # replay is suppressed server-side, not double-applied.
                 self.failover_writes.add(1)
-                self._queue_replay(part, op, args, token)
+                self._queue_replay(part, op, args, err.token)
             else:
                 self.failover_reads.add(1)
             return result
@@ -922,8 +910,6 @@ class KeyedContainer(DistributedContainer):
         """Future of the raw :meth:`find` result; cached hits complete
         instantly."""
         return self._issue(rank, "find", (key,), self._read_async)
-
-    async_find = find_async
 
     def erase(self, rank: int, key: Hashable):
         return self._issue(rank, "erase", (key,), self._execute)

@@ -157,11 +157,11 @@ class FaultInjector:
                     f"be after crash {t_down}"
                 )
             sim.schedule_callback(
-                lambda n=node_id: self._crash(n), delay=max(0.0, t_down - sim.now)
+                lambda n=node_id: self.crash(n), delay=max(0.0, t_down - sim.now)
             )
             if t_up is not None:
                 sim.schedule_callback(
-                    lambda n=node_id: self._restart(n),
+                    lambda n=node_id: self.restart(n),
                     delay=max(0.0, t_up - sim.now),
                 )
         for t0, t1, groups in self.plan.partitions:
@@ -176,19 +176,21 @@ class FaultInjector:
                 delay=max(0.0, t1 - sim.now),
             )
 
-    def _crash(self, node_id: int) -> None:
+    def crash(self, node_id: int) -> None:
+        """Fail-stop ``node_id`` now (what a plan's crash window does)."""
         if not self.active:
             return
         node = self.cluster.node(node_id)
         if not node.alive:
             return
-        node.fail()
+        node.alive = False
         lost = node.nic.drop_pending()
         self.crashes.add(1)
         self.drops.add(lost)
         self.log.log("crash", {"node": node_id, "inflight_lost": lost})
 
-    def _restart(self, node_id: int) -> None:
+    def restart(self, node_id: int) -> None:
+        """Bring a crashed ``node_id`` back now, firing its recovery hooks."""
         node = self.cluster.node(node_id)
         if node.alive:
             return

@@ -53,19 +53,16 @@ class Node:
         # HCL's shared-memory bypass (Fig 5a).
         self.nic_loopback = Resource(sim, capacity=1, name=f"n{node_id}/loopback")
         self._shm: Dict[str, Any] = {}
-        #: failure-injection flag; RPC/verbs to a dead node raise
-        #: :class:`NodeDownError` at the caller.
+        #: False while a :class:`~repro.fabric.faults.FaultInjector` holds
+        #: the node crashed; the injector drops its traffic, so verbs to or
+        #: from it raise :class:`~repro.fabric.faults.FabricDropped`.
         self.alive = True
         #: zero-arg hooks fired when the node comes back up (containers
         #: register write-replay here; see ``DistributedContainer``)
         self.on_recover: list = []
 
-    # -- failure injection --------------------------------------------------
-    def fail(self) -> None:
-        """Mark the node failed (crash injection for durability tests)."""
-        self.alive = False
-
     def recover(self) -> None:
+        """Back up after a crash: fire the ``on_recover`` hooks."""
         self.alive = True
         for hook in list(self.on_recover):
             hook()

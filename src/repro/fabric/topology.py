@@ -40,9 +40,9 @@ class Cluster:
         self.switch = Switch(self.sim, cost, self.spec.nodes,
                              oversubscription=oversubscription)
         self._qps: Dict[int, QueuePair] = {}
-        #: active fault injector, or None for a fair-weather fabric — the
-        #: RPC layer only arms its timeout/retry machinery when this is set
-        #: (so fault-free runs stay bit-identical to the classic protocol)
+        #: active fault injector, or None — the only thing that drops a
+        #: message or takes a node down; the RPC client arms its completion
+        #: timer and idempotency tokens only while one is installed
         self.faults = None
 
     # -- fault injection ------------------------------------------------------

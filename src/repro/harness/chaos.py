@@ -9,7 +9,7 @@ switch.  Every write a rank process sees *acknowledged* is recorded; after
 the storm the injector heals the cluster, queued write replays drain, and a
 verification pass reads every acked key back from the (restored) primaries.
 
-The invariant under test is the reliability contract of the hardened RPC +
+The invariant under test is the reliability contract of the RPC retry +
 failover stack: **no acknowledged write is ever lost, and no retried or
 duplicated mutation is applied twice** (counts stay exact up to operations
 whose ack was lost, which are tracked separately as *indeterminate*).

@@ -318,7 +318,7 @@ def _run_one_config(
                 skew_det.offer_key(key)
             v = rng.random()
             if v < read_cut:
-                issue(lambda r=rank, k=key: store.async_find(r, k),
+                issue(lambda r=rank, k=key: store.find_async(r, k),
                       tenant, "read")
             elif v < write_cut:
                 issue(lambda r=rank, k=key: store.async_insert(r, k, _VALUE),

@@ -5,11 +5,12 @@ where did its end-to-end simulated latency go?  The client-side stage
 spans tile the root by construction (PR 5), so the decomposition is exact:
 
 * ``client.marshal`` / ``client.pull`` / ``client.settle`` — client CPU;
-* ``client.send`` — request serialization onto the NIC (fair-weather);
+* ``client.send`` — request serialization onto the NIC, up to the first
+  delivered send;
 * ``server.queue`` / ``server.execute`` — server-side detail spans nested
-  inside the ``server.wait`` (or hardened ``rpc.deliver``) interval;
+  inside the ``server.wait`` interval;
 * ``transport`` — the remainder of that interval: network delivery,
-  response return and (on the hardened path) retransmission backoff.
+  response return and (under a fault plan) retransmission backoff.
 
 Retried RPCs can execute more than once server-side (a lost *response*
 re-executes before dedup catches up), so queue/execute sums occasionally
@@ -30,7 +31,7 @@ import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.exporters import span_record
-from repro.obs.span import _CLIENT_STAGES, _WAIT_STAGES, Span, Tracer
+from repro.obs.span import _CLIENT_STAGES, _WAIT_STAGE, Span, Tracer
 
 __all__ = ["analyze", "load_spans", "spans_of", "STAGE_ORDER"]
 
@@ -81,13 +82,12 @@ def spans_of(source) -> List[Dict]:
 
 
 def _is_rpc_root(record: Dict) -> bool:
-    """An RPC pipeline root: ``rpc.<op>`` but not the deliver stage.
+    """An RPC pipeline root: ``rpc.<op>``.
 
     Coalesced batch RPCs hang under a ``coalesce.buffer`` parent, so
     pipeline roots are identified by *name*, not by ``parent_id is None``.
     """
-    name = record.get("name", "")
-    return name.startswith("rpc.") and name != "rpc.deliver"
+    return record.get("name", "").startswith("rpc.")
 
 
 def _breakdown(root: Dict, children: List[Dict]) -> Optional[Dict]:
@@ -103,7 +103,7 @@ def _breakdown(root: Dict, children: List[Dict]) -> Optional[Dict]:
             stages[name] += dur
             tiled += dur
             found = True
-        elif name in _WAIT_STAGES:
+        elif name == _WAIT_STAGE:
             wait += dur
             tiled += dur
             found = True

@@ -566,8 +566,7 @@ def fingerprint(diff: Dict) -> Dict:
         candidates.append((9.0 * best, "server-queue-wait-grew",
                            {mag: ev, mag2: ev2, mag3: ev3}[best]))
 
-    mag, ev = _share_signal(critpath, ("transport", "client.send",
-                                       "rpc.deliver"), +1)
+    mag, ev = _share_signal(critpath, ("transport", "client.send"), +1)
     mag2, ev2 = _counter_signal(counters, ("transport", "charge"), +1)
     best = max(mag, mag2)
     if best:

@@ -6,13 +6,13 @@ stage.  The client-side stages are *contiguous* — each starts exactly
 where the previous one ends — so their durations sum to the op's
 end-to-end latency by construction:
 
-fair-weather path
     ``client.marshal`` -> ``client.send`` -> ``server.wait`` ->
     ``client.pull`` -> ``client.settle``
 
-hardened (retry/backoff) path
-    ``client.marshal`` -> ``rpc.deliver`` (send + retransmissions +
-    completion wait) -> ``client.pull`` -> ``client.settle``
+Under a fault plan ``client.send`` ends at the first send the fabric
+delivered, ``server.wait`` also covers the retransmissions, timeouts and
+backoff until the completion arrives, and ``client.pull`` the retried
+reads.
 
 Server-side detail spans (``server.queue``, the NIC work-queue wait, and
 ``server.execute``, the handler run) nest *inside* the ``server.wait``
@@ -41,13 +41,11 @@ __all__ = ["Span", "Tracer", "STAGE_NAMES", "install_tracer", "tracer_of"]
 _SIM_ATTR = "_obs_tracer"
 
 #: the contiguous client-side stages that tile a root RPC span: the
-#: client's own, and the two spellings of the interval it waits on the
-#: server.  Exactly one of {client.send + server.wait, rpc.deliver}
-#: appears per RPC.
+#: client's own, and the interval it waits on the server
 _CLIENT_STAGES = ("client.marshal", "client.send", "client.pull",
                   "client.settle")
-_WAIT_STAGES = ("server.wait", "rpc.deliver")
-STAGE_NAMES = frozenset(_CLIENT_STAGES + _WAIT_STAGES)
+_WAIT_STAGE = "server.wait"
+STAGE_NAMES = frozenset(_CLIENT_STAGES + (_WAIT_STAGE,))
 
 
 class Span:

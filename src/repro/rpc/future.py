@@ -26,7 +26,7 @@ now the chain settles inline and the error surfaces at ``.result``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.fabric.node import NodeDownError
 from repro.simnet.core import Event, Simulator
@@ -49,7 +49,7 @@ class ServerOverloaded(RemoteError):
     Admission control (``RpcServer(queue_bound=...)``) rejected the request
     at the receive queue, *before* execution — the handler never ran, so
     there are no remote side effects and the caller may safely re-issue
-    (with the same idempotency token on the hardened path).  Deliberately
+    (with the same idempotency token under a fault plan).  Deliberately
     NOT a :class:`~repro.fabric.node.NodeDownError`: the target is alive
     and answering, just saturated, so container failover must not kick in.
     """
@@ -73,10 +73,14 @@ class TargetUnavailable(NodeDownError):
     Surfaced to callers after ``1 + RetryPolicy.max_retries`` attempts all
     failed (dropped on the wire, target crashed, or completion timed out).
     Subclasses :class:`~repro.fabric.node.NodeDownError` (a
-    ``ConnectionError``) so container-level failover catches it.
+    ``ConnectionError``) so container-level failover catches it.  ``token``
+    is the idempotency token every attempt carried: a container replaying
+    the write onto the restarted target reuses it, so a late execution of
+    the original request and the replay dedup against each other.
     """
 
-    def __init__(self, op: str, dst_node: int, attempts: int, phase: str):
+    def __init__(self, op: str, dst_node: int, attempts: int, phase: str,
+                 token: Optional[Tuple[int, int]]):
         super().__init__(
             f"rpc {op!r} to node {dst_node}: target unavailable after "
             f"{attempts} attempts ({phase})"
@@ -85,6 +89,7 @@ class TargetUnavailable(NodeDownError):
         self.dst_node = dst_node
         self.attempts = attempts
         self.phase = phase
+        self.token = token
 
 
 class RPCFuture:

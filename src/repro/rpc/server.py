@@ -52,8 +52,9 @@ class RpcRequest:
         self.slot = slot
         self.response_size_hint = response_size_hint
         self.callbacks = callbacks or []
-        #: idempotency token ``(src_node, seq)`` — set only on hardened
-        #: (retry-capable) invocations; ``None`` on the fair-weather path
+        #: idempotency token ``(src_node, seq)`` — set by the client while
+        #: a fault plan is installed (or pinned by a replaying caller);
+        #: ``None`` otherwise
         self.token = token
         #: root :class:`~repro.obs.span.Span` of the traced invocation, or
         #: ``None`` when tracing is off — this is how the op id rides the
@@ -153,9 +154,6 @@ class RpcServer:
         """Map ``name`` to ``fn`` in the RPC invocation registry."""
         if name in self.registry:
             raise KeyError(f"RPC op {name!r} already bound on node {self.node.node_id}")
-        self.registry[name] = fn
-
-    def rebind(self, name: str, fn: Callable) -> None:
         self.registry[name] = fn
 
     # -- slots / completions ------------------------------------------------------

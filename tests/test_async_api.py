@@ -1,6 +1,6 @@
 """Container-level pipelined async API and the self-tuning coalescer.
 
-``async_insert``/``async_find``/``async_rmw`` return per-op futures that
+``async_insert``/``find_async``/``async_rmw`` return per-op futures that
 ride the write-combining buffers (including same-node partitions), so a
 storm issues without yielding per op; results are bit-identical to the
 synchronous path.  ``aggregation="auto"`` derives the flush threshold from
@@ -39,7 +39,7 @@ class TestAsyncHashOps:
                 if not fut.done:
                     yield fut.wait()
                 _ = fut.result
-            reads = [m.async_find(rank, i) for i in range(12)]
+            reads = [m.find_async(rank, i) for i in range(12)]
             yield from m.flush(rank)
             out = []
             for fut in reads:
@@ -131,7 +131,7 @@ class TestAsyncHashOps:
                 if not fut.done:
                     yield fut.wait()
                 _ = fut.result
-            reads = [m.async_find(rank, i) for i in range(8)]
+            reads = [m.find_async(rank, i) for i in range(8)]
             done = []
             for fut in reads:
                 if not fut.done:

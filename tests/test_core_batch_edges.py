@@ -86,7 +86,7 @@ class TestBatchEdges:
                             write_failover=True)
         part1 = m.partitions[1]
         keys = _keys_on_partition(m, part1, 4)
-        h.cluster.node(part1.node_id).fail()
+        h.cluster.faults.crash(part1.node_id)
 
         def body():
             results = yield from m.batch(
@@ -97,7 +97,7 @@ class TestBatchEdges:
         run_rank0(h, body())
         assert m.failover_writes.value >= 1
         assert not part1.structure  # primary was down for the whole batch
-        h.cluster.node(part1.node_id).recover()
+        h.cluster.faults.restart(part1.node_id)
         h.cluster.run()  # drain the replay
 
         def verify():

@@ -4,6 +4,7 @@ partitions, concurrency control, and failure handling with replica reads."""
 import pytest
 
 from repro.core import HCL, Collectives
+from repro.fabric.faults import FaultPlan
 
 
 class TestCollectives:
@@ -282,10 +283,17 @@ class TestConcurrencyControl:
         assert run("mutex") > run("lockfree")
 
 
+def _crash(runtime, node_id):
+    """Crash ``node_id`` now through a fault-free plan's injector."""
+    injector = runtime.cluster.install_faults(FaultPlan())
+    injector.crash(node_id)
+    return injector
+
+
 class TestFailureHandling:
     def test_rpc_to_dead_node_raises(self, hcl):
         m = hcl.unordered_map("m", partitions=1, nodes=[1])
-        hcl.cluster.node(1).fail()
+        _crash(hcl, 1)
 
         def body(rank):
             yield from m.insert(rank, "k", 1)
@@ -303,7 +311,7 @@ class TestFailureHandling:
         hcl4.cluster.run()  # drain replication
 
         primary = m.partition_for("k5")
-        hcl4.cluster.node(primary.node_id).fail()
+        _crash(hcl4, primary.node_id)
         reader = next(r for r in range(16)
                       if hcl4.cluster.node_of_rank(r) != primary.node_id)
 
@@ -317,7 +325,7 @@ class TestFailureHandling:
     def test_writes_still_fail_without_primary(self, hcl4):
         m = hcl4.unordered_map("m", partitions=4, replication=1)
         part = m.partition_for("key")
-        hcl4.cluster.node(part.node_id).fail()
+        _crash(hcl4, part.node_id)
         writer = next(r for r in range(16)
                       if hcl4.cluster.node_of_rank(r) != part.node_id)
 
@@ -332,7 +340,7 @@ class TestFailureHandling:
     def test_unreplicated_reads_fail(self, hcl4):
         m = hcl4.unordered_map("m", partitions=4, replication=0)
         part = m.partition_for("key")
-        hcl4.cluster.node(part.node_id).fail()
+        _crash(hcl4, part.node_id)
         reader = next(r for r in range(16)
                       if hcl4.cluster.node_of_rank(r) != part.node_id)
 
@@ -347,9 +355,9 @@ class TestFailureHandling:
     def test_recovery_restores_service(self, hcl4):
         m = hcl4.unordered_map("m", partitions=4)
         part = m.partition_for("key")
-        node = hcl4.cluster.node(part.node_id)
-        node.fail()
-        node.recover()
+        injector = _crash(hcl4, part.node_id)
+        injector.restart(part.node_id)
+        assert hcl4.cluster.node(part.node_id).alive
         writer = 0
 
         def write(rank):

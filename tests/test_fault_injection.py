@@ -2,7 +2,7 @@
 
 These tests exercise the chaos stack end to end at small scale:
 ``FaultPlan`` → ``FaultInjector`` (drops / duplicates / crashes /
-partitions) → hardened ``RpcClient`` (timeout, backoff, retry budget,
+partitions) → the ``RpcClient`` retry loop (timeout, backoff, retry budget,
 idempotency tokens) → container write failover and post-restart replay.
 """
 
@@ -149,12 +149,12 @@ class TestExhaustion:
     def test_target_unavailable_after_budget(self):
         """Unreplicated container + dead node => TargetUnavailable, which
         is still a ConnectionError for existing handlers."""
-        h, _injector = _chaos_hcl(
+        h, injector = _chaos_hcl(
             retry=RetryPolicy(timeout=20e-6, max_retries=2,
                               backoff_base=5e-6, backoff_max=20e-6)
         )
         m = h.unordered_map("m", partitions=2)
-        h.cluster.node(1).fail()
+        injector.crash(1)
         part1 = m.partitions[1]
         key = next(
             k for k in range(1000) if m.partition_for(k) is part1
@@ -167,6 +167,8 @@ class TestExhaustion:
             run_rank0(h, body())
         assert isinstance(excinfo.value, ConnectionError)
         assert excinfo.value.attempts == 3
+        # the client's own token rides the error, for a container replay
+        assert excinfo.value.token[0] == 0
         assert h.client(0).exhausted.value > 0
 
 
@@ -186,7 +188,7 @@ class TestCrashFailover:
         m = self._failover_map(h)
         part1 = m.partitions[1]
         keys = [k for k in range(1000) if m.partition_for(k) is part1][:5]
-        h.cluster.node(1).fail()
+        injector.crash(1)
 
         def storm():
             for k in keys:
@@ -197,7 +199,7 @@ class TestCrashFailover:
         assert m.failover_writes.value == len(keys)
         assert not m.partitions[1].structure  # primary missed them
         # restart fires the replay hook; drain the replay processes
-        h.cluster.node(1).recover()
+        injector.restart(1)
         h.cluster.run()
         assert m.replayed_writes.value == len(keys)
 
@@ -223,7 +225,7 @@ class TestCrashFailover:
             yield from m.insert(0, key, 42)
 
         run_rank0(h, seed_phase())
-        h.cluster.node(1).fail()
+        injector.crash(1)
 
         def read_phase():
             value, found = yield from m.find(0, key)

@@ -7,7 +7,9 @@ Every instrument and artifact in it is on the simulated clock — host time
 is measured by ``benchmarks/ledger`` alone — so it imports no stopwatch
 and no profiler either.  Its concurrency is simulated too (charged CAS
 counts, the NIC's ``SimLock``), so it imports no host-thread, process-pool
-or event-loop module, and the local structures need no host lock.
+or event-loop module, and the local structures need no host lock.  A node
+goes down only through the fault injector, so only ``fabric/faults.py``
+marks one dead, and the containers never ask whether a plan is installed.
 """
 
 from __future__ import annotations
@@ -65,6 +67,29 @@ def test_src_reads_no_host_clock():
 
 def test_src_starts_no_host_thread():
     assert not _imports(HOST_THREADS)
+
+
+def _ast_nodes(paths):
+    """``(path relative to src, node)`` for every AST node in ``paths``."""
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield str(path.relative_to(SRC)), node
+
+
+def test_core_reads_no_fault_plan():
+    assert not [f"{path}:{node.lineno}" for path, node
+                in _ast_nodes((SRC / "repro" / "core").rglob("*.py"))
+                if isinstance(node, ast.Attribute) and node.attr == "faults"]
+
+
+def test_only_the_fault_injector_takes_a_node_down():
+    setters = {path for path, node in _ast_nodes(SRC.rglob("*.py"))
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Constant)
+               and node.value.value is False
+               and any(isinstance(t, ast.Attribute) and t.attr == "alive"
+                       for t in node.targets)}
+    assert setters == {"repro/fabric/faults.py"}
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])

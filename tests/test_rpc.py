@@ -32,7 +32,6 @@ class TestBindInvoke:
         servers[0].bind("op", lambda ctx: 1)
         with pytest.raises(KeyError):
             servers[0].bind("op", lambda ctx: 2)
-        servers[0].rebind("op", lambda ctx: 3)  # explicit override allowed
 
     def test_unknown_op_raises_remote_error(self, rig):
         cluster, _s, client = rig
@@ -254,13 +253,3 @@ class TestAggregation:
     def test_batch_size_validation(self, cluster):
         with pytest.raises(ValueError):
             RpcServer(cluster.node(0), batch_size=0)
-
-
-class TestFanOut:
-    def test_invoke_all(self, rig):
-        cluster, servers, client = rig
-        servers[0].bind("node_id", lambda ctx: ctx.node.node_id)
-        servers[1].bind("node_id", lambda ctx: ctx.node.node_id)
-        futures = client.invoke_all([0, 1], "node_id", lambda n: ())
-        cluster.run()
-        assert [f.result for f in futures] == [0, 1]

@@ -16,8 +16,9 @@ module provides that bound as a self-tuning congestion window, TCP-style:
   a burst of sheds from the same overload event does not collapse the
   window to the floor in one step.
 * **Shed retry** — shed operations are re-issued by the window itself after
-  a capped exponential backoff, as fresh attempts (a pinned idempotency
-  token is preserved; an auto-assigned one is re-drawn per attempt).  After
+  a capped exponential backoff, as fresh attempts that all carry the same
+  idempotency token (pinned by the caller, or drawn once per operation
+  while a fault plan is installed).  After
   ``max_shed_retries`` the shed surfaces to the caller.
 
 Windows are keyed per ``(dst_node, stream)``; containers pass the target

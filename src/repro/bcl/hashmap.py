@@ -229,40 +229,6 @@ class BCLHashMap:
             f"BCL hashmap {self.name!r}: probe chain exhausted in atomic_update"
         )
 
-    # -- non-blocking operations + flush -------------------------------------
-    # The asynchronicity BCL *does* offer comes with the obligation to
-    # flush: "low write asynchronicity caused by the necessity of
-    # performing a flush operation, which forces the callers to serialize
-    # updates" (Section I, limitation b).
-    def _async_qp(self, rank: int):
-        from repro.fabric.cq import QueuePairAsync
-
-        if not hasattr(self, "_aqps"):
-            self._aqps = {}
-        aqp = self._aqps.get(rank)
-        if aqp is None:
-            aqp = QueuePairAsync(self.cluster.qp(self.cluster.node_of_rank(rank)))
-            self._aqps[rank] = aqp
-        return aqp
-
-    def insert_nb(self, rank: int, key: Hashable, value: Any):
-        """Post an insert without waiting; pair with :meth:`flush`."""
-        return self._async_qp(rank).post(self.insert(rank, key, value))
-
-    def flush(self, rank: int):
-        """Generator: wait for all of this rank's outstanding operations.
-
-        Returns the completions; raises if any outstanding op failed.
-        """
-        completions = yield from self._async_qp(rank).flush()
-        failed = [c for c in completions if not c.ok]
-        if failed:
-            raise RuntimeError(
-                f"BCL flush: {len(failed)} operations failed "
-                f"(first: {failed[0].error})"
-            )
-        return completions
-
     def find(self, rank: int, key: Hashable):
         """Client-side find: RDMA_READ state+entry, probing on mismatch.
 

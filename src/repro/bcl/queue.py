@@ -112,35 +112,6 @@ class BCLCircularQueue:
         self.pushes.add(1)
         return True
 
-    # -- non-blocking + flush (same pattern as the hashmap) --------------------
-    def _async_qp(self, rank: int):
-        from repro.fabric.cq import QueuePairAsync
-
-        if not hasattr(self, "_aqps"):
-            self._aqps = {}
-        aqp = self._aqps.get(rank)
-        if aqp is None:
-            aqp = QueuePairAsync(
-                self.cluster.qp(self.cluster.node_of_rank(rank))
-            )
-            self._aqps[rank] = aqp
-        return aqp
-
-    def push_nb(self, rank: int, value: Any):
-        """Post a push without waiting; pair with :meth:`flush`."""
-        return self._async_qp(rank).post(self.push(rank, value))
-
-    def flush(self, rank: int):
-        """Generator: wait for this rank's outstanding pushes."""
-        completions = yield from self._async_qp(rank).flush()
-        failed = [c for c in completions if not c.ok]
-        if failed:
-            raise RuntimeError(
-                f"BCL queue flush: {len(failed)} operations failed "
-                f"(first: {failed[0].error})"
-            )
-        return completions
-
     def pop(self, rank: int):
         """Claim head slot (FAA) -> poll until published -> read -> CAS free.
 

@@ -170,12 +170,10 @@ class DistributedContainer:
         }
         if policy.aggregation == "auto":
             self._coalescer: Optional[OpCoalescer] = OpCoalescer(
-                self, AUTO_INITIAL, policy.aggregation_bytes, auto=True
+                self, AUTO_INITIAL, auto=True
             )
         elif policy.aggregation:
-            self._coalescer = OpCoalescer(
-                self, policy.aggregation, policy.aggregation_bytes
-            )
+            self._coalescer = OpCoalescer(self, policy.aggregation)
         else:
             self._coalescer = None
         self._cache = (

@@ -77,8 +77,7 @@ class CostLedger:
                 for sym in ("ops", "F", "L", "R", "W", "CAS")
             }
 
-    def record(self, op: str, stats: Optional[OpStats], remote: bool,
-               elements: int = 1) -> None:
+    def record(self, op: str, stats: Optional[OpStats], remote: bool) -> None:
         row = self._ops[op]
         row["count"] += 1
         row["F"] += 1 if remote else 0

@@ -187,7 +187,6 @@ class _HashContainerBase(KeyedContainer):
         index = len(self.partitions)
         uid = max(p.uid for p in self.partitions) + 1
         seg = MemorySegment(node, 64 * 1024, name=f"{self.name}.u{uid}")
-        self.runtime.gas.register(seg)
         structure = CuckooHash(
             initial_buckets or CuckooHash.DEFAULT_BUCKETS,
             hash_fn=self._hash_fn,
@@ -225,7 +224,6 @@ class _HashContainerBase(KeyedContainer):
             entry = (key, value) if self.STORES_VALUES else (key,)
             yield from self.insert(rank, *entry)
         victim.segment.close()
-        self.runtime.gas.deregister(victim.segment)
         return len(evicted)
 
     def _migrate_misplaced(self, rank: int):

@@ -37,12 +37,11 @@ class ContainerPolicy:
     write_failover: bool = False
     #: request aggregation (Section III-C3 / Table I amortization): N
     #: write-combines buffered ops into per-(node, partition) buffers of up
-    #: to N ops, flushed as ONE ``batch`` invocation; ``"auto"`` starts
-    #: small and self-tunes the threshold from observed flush efficiency
-    #: against the Table-I cost model; 0 keeps one invocation per op.
+    #: to N ops or 32 KiB of payload, flushed as ONE ``batch`` invocation;
+    #: ``"auto"`` starts small and self-tunes the threshold from observed
+    #: flush efficiency against the Table-I cost model; 0 keeps one
+    #: invocation per op.
     aggregation: Union[int, str] = 0
-    #: byte threshold per destination buffer (one flush's payload)
-    aggregation_bytes: int = 32 * 1024
     #: epoch-validated read cache for read-mostly data; a cached read can
     #: never observe a stale value
     read_cache: bool = False

@@ -1,11 +1,11 @@
-"""The HCL runtime: cluster + GAS + RPC servers/clients + container factory.
+"""The HCL runtime: cluster + RPC servers/clients + container factory.
 
 "During initialization, one or more processes in the node can create a
 shared memory segment that other processes (both local and remote) can read
 and write to by invoking functions" (Section III).  The runtime plays that
-role: it owns one RoR server per node, a shared RPC client per node, the
-global address space registry, and constructs containers whose partitions it
-places round-robin (or explicitly) across nodes.
+role: it owns one RoR server per node and a shared RPC client per node, and
+constructs containers whose partitions it places round-robin (or explicitly)
+across nodes, each in a named memory segment on its node.
 
 Container construction needs no coordination: names are the global handle,
 and every rank process uses the same container object against its own
@@ -27,7 +27,6 @@ from repro.core.ordered_container import HCLMap, HCLSet
 from repro.core.priority_queue import HCLPriorityQueue
 from repro.core.queue import HCLQueue
 from repro.fabric.topology import Cluster
-from repro.memory.gas import GlobalAddressSpace
 from repro.memory.segment import MemorySegment
 from repro.rpc.client import RpcClient
 from repro.rpc.server import RpcServer
@@ -62,7 +61,6 @@ class HCL:
         if fault_plan is not None:
             self.cluster.install_faults(fault_plan)
         self.sim = self.cluster.sim
-        self.gas = GlobalAddressSpace()
         # rpc_queue_bound arms admission control: each server sheds requests
         # arriving at a full receive queue instead of queueing them forever
         # (callers see a retriable ServerOverloaded).  None = classic
@@ -149,7 +147,6 @@ class HCL:
                               if policy.persistence else None),
                 relaxed_persistence=policy.relaxed_persistence,
             )
-            self.gas.register(seg)
             parts.append(Partition(index, node_id, structure_factory(), seg))
         container = cls(self, name, parts, policy, **family)
         self.containers[name] = container

@@ -51,9 +51,6 @@ class MemoryRegion:
     def read_word(self, offset: int) -> int:
         return self.words.get(offset, 0)
 
-    def write_word(self, offset: int, value: int) -> None:
-        self.words[offset] = int(value)
-
     def compare_and_swap(self, offset: int, expected: int, desired: int) -> int:
         """Atomically CAS the word at ``offset``; returns the *old* value."""
         self.cas_attempts.add(1)

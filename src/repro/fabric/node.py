@@ -9,8 +9,6 @@ Fig 4(b) memory ramp.
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from repro.config import ClusterSpec
 from repro.obs.registry import registry_of
 from repro.simnet.core import Simulator
@@ -52,7 +50,6 @@ class Node:
         # speed — this is why BCL's intra-node path is so much slower than
         # HCL's shared-memory bypass (Fig 5a).
         self.nic_loopback = Resource(sim, capacity=1, name=f"n{node_id}/loopback")
-        self._shm: Dict[str, Any] = {}
         #: False while a :class:`~repro.fabric.faults.FaultInjector` holds
         #: the node crashed; the injector drops its traffic, so verbs to or
         #: from it raise :class:`~repro.fabric.faults.FabricDropped`.
@@ -107,21 +104,10 @@ class Node:
             self.free(region.size)
             self.nic.deregister_region(name)
 
-    # -- intra-node shared memory ------------------------------------------------
-    def shm_put(self, key: str, value: Any) -> None:
-        self._shm[key] = value
-
-    def shm_get(self, key: str) -> Any:
-        return self._shm.get(key)
-
     # -- local memory timing --------------------------------------------------
     def local_copy(self, nbytes: int):
         """Generator: time a local memory copy through the shared bus."""
         t = self.cost.local_write(nbytes)
-        yield from self.memory_bus.use(t)
-
-    def local_read(self, nbytes: int):
-        t = self.cost.local_read(nbytes)
         yield from self.memory_bus.use(t)
 
     def __repr__(self) -> str:  # pragma: no cover

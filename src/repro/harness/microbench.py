@@ -72,52 +72,27 @@ def run_microbench(spec: ClusterSpec = None,
     read_lat = one(lambda qp: qp.rdma_read(1, "mb", 0, 8))
     cas_lat = one(lambda qp: qp.cas(1, "mb", 0, 0, 1))
 
-    # -- streaming bandwidth ------------------------------------------------
-    cluster = _fresh(spec, provider)
-    qp = cluster.qp(0)
+    # -- pipelined rates: post every op at once, wait for all of them --------
+    def pipelined(count: int, op_builder) -> float:
+        cluster = _fresh(spec, provider)
+        qp, sim = cluster.qp(0), cluster.sim
+
+        def post_all():
+            yield sim.all_of([sim.process(op_builder(qp, i))
+                              for i in range(count)])
+
+        sim.run_process(post_all())
+        return sim.now
+
     n, size = 64, 1 * MB
-
-    def stream():
-        from repro.fabric.cq import QueuePairAsync
-
-        aqp = QueuePairAsync(qp)
-        for i in range(n):
-            aqp.post(qp.rdma_write(1, "mb", 0, None, size))
-        yield from aqp.flush()
-
-    cluster.sim.run_process(stream())
-    bandwidth = n * size / cluster.sim.now / (1 << 30)
-
-    # -- message rate ------------------------------------------------------------
-    cluster = _fresh(spec, provider)
-    qp = cluster.qp(0)
+    bandwidth = n * size / pipelined(
+        n, lambda qp, _i: qp.rdma_write(1, "mb", 0, None, size)) / (1 << 30)
     m = 512
-
-    def pepper():
-        from repro.fabric.cq import QueuePairAsync
-
-        aqp = QueuePairAsync(qp)
-        for i in range(m):
-            aqp.post(qp.rdma_write(1, "mb", i * 8, None, 8))
-        yield from aqp.flush()
-
-    cluster.sim.run_process(pepper())
-    message_rate = m / cluster.sim.now / 1e6
-
-    # -- atomic rate (serializes on the region lock) ------------------------------
-    cluster = _fresh(spec, provider)
-    qp = cluster.qp(0)
-
-    def atomics():
-        from repro.fabric.cq import QueuePairAsync
-
-        aqp = QueuePairAsync(qp)
-        for i in range(m):
-            aqp.post(qp.fetch_add(1, "mb", 0, 1))
-        yield from aqp.flush()
-
-    cluster.sim.run_process(atomics())
-    atomic_rate = m / cluster.sim.now / 1e6
+    message_rate = m / pipelined(
+        m, lambda qp, i: qp.rdma_write(1, "mb", i * 8, None, 8)) / 1e6
+    # the atomic rate serializes on the region lock
+    atomic_rate = m / pipelined(
+        m, lambda qp, _i: qp.fetch_add(1, "mb", 0, 1)) / 1e6
 
     # -- RPC null latency -------------------------------------------------------------
     from repro.rpc import RpcClient, RpcServer

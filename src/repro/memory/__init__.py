@@ -1,25 +1,18 @@
-"""Memory substrate: allocators, segments, global address space, persistence.
+"""Memory substrate: partition segments and persistence.
 
-HCL's containers live in a PGAS-style global address space: each node hosts
-partitions in registered memory segments, addressed cluster-wide by
-:class:`~repro.memory.gas.GlobalPointer`.  Segments are backed by a real
-free-list :class:`~repro.memory.allocator.Allocator` (alloc / free / realloc
-with coalescing) and can optionally be mapped to a *real* ``mmap``-backed
-file (:mod:`repro.memory.persistent`) — the DataBox persistency feature of
-Section III-C6.
+HCL grows a partition's memory as operations arrive.  Each partition lives
+in a :class:`~repro.memory.segment.MemorySegment`: a registered region on
+its hosting node, charged against that node's memory budget and grown in
+place on a structure resize.  A segment can optionally append to a *real*
+``mmap``-backed file (:mod:`repro.memory.persistent`) — the DataBox
+persistency feature of Section III-C6.
 """
 
-from repro.memory.allocator import Allocator, AllocationError
 from repro.memory.segment import MemorySegment
-from repro.memory.gas import GlobalPointer, GlobalAddressSpace
 from repro.memory.persistent import PersistentLog, LogRecord, CorruptRecordError
 
 __all__ = [
-    "Allocator",
-    "AllocationError",
     "MemorySegment",
-    "GlobalPointer",
-    "GlobalAddressSpace",
     "PersistentLog",
     "LogRecord",
     "CorruptRecordError",

@@ -1,24 +1,24 @@
-"""Memory segments: allocator + node accounting + optional persistence.
+"""Memory segments: a registered region plus optional persistence.
 
 A :class:`MemorySegment` is the unit a container partition lives in.  It
-couples three things:
+couples two things:
 
 * a registered RDMA :class:`~repro.fabric.nic.MemoryRegion` on the hosting
-  node (so one-sided verbs can reach it),
-* a real :class:`~repro.memory.allocator.Allocator` managing the byte range,
+  node, whose size is charged against the node's memory budget,
 * optionally a :class:`~repro.memory.persistent.PersistentLog` for DataBox
   persistence.
 
-``grow()`` implements the paper's resize protocol: try ``realloc`` (modeled
-as an in-place region resize), and report whether the caller must rehash.
+``grow()`` is the paper's realloc: the region grows in place through
+:meth:`~repro.fabric.node.Node.resize_region`.  The rehash cost that
+follows a resize is charged by the container from the structure's
+``OpStats`` (Section III-D1), not here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.fabric.node import Node
-from repro.memory.allocator import Allocator
 from repro.memory.persistent import PersistentLog
 
 __all__ = ["MemorySegment"]
@@ -27,85 +27,30 @@ __all__ = ["MemorySegment"]
 class MemorySegment:
     """A partition-backing slab on one node."""
 
-    _counter = 0
-
     def __init__(
         self,
         node: Node,
         size: int,
-        name: Optional[str] = None,
+        name: str,
         backing_path: Optional[str] = None,
         relaxed_persistence: bool = False,
     ):
-        MemorySegment._counter += 1
         self.node = node
-        self.name = name or f"seg-{MemorySegment._counter}"
-        self.region = node.register_region(self.name, size)
-        self.allocator = Allocator(size)
+        self.name = name
+        self.region = node.register_region(name, size)
         self.log: Optional[PersistentLog] = None
         if backing_path is not None:
             self.log = PersistentLog(backing_path, relaxed=relaxed_persistence)
-        self.resize_count = 0
-        self.rehash_count = 0
 
     @property
     def size(self) -> int:
         return self.region.size
 
-    @property
-    def node_id(self) -> int:
-        return self.node.node_id
-
-    # -- allocation -----------------------------------------------------------
-    def alloc(self, nbytes: int) -> int:
-        return self.allocator.alloc(nbytes)
-
-    def free(self, offset: int) -> None:
-        self.allocator.free(offset)
-
-    # -- growth protocol -------------------------------------------------------
-    def grow(self, new_size: int) -> bool:
-        """Grow the segment to ``new_size`` bytes.
-
-        Returns ``True`` if the underlying region grew in place (realloc
-        succeeded); ``False`` when the region had to be re-created, which
-        means the container must re-insert its entries ("rehashed with a new
-        memory allocation", Section III-D1).  Either way the segment ends at
-        ``new_size``.
-        """
+    def grow(self, new_size: int) -> None:
+        """Grow the segment to ``new_size`` bytes (OOM leaves it unchanged)."""
         if new_size <= self.size:
             raise ValueError("grow requires a larger size")
-        self.resize_count += 1
-        delta = new_size - self.size
-        try:
-            self.node.allocate(delta, what=f"segment {self.name} grow")
-        except MemoryError:
-            raise
-        self.region.size = new_size
-        # Mirror into the allocator: extend its range.  In-place extension
-        # succeeds unless the node-level allocator placed something after us;
-        # we model a probabilistic-but-deterministic failure via allocator
-        # fragmentation: if the old slab was fully packed, realloc works,
-        # otherwise a fragmented slab forces a fresh allocation + rehash.
-        in_place = self.allocator.fragmentation < 0.5
-        if in_place:
-            extra = new_size - self.allocator.capacity
-            self.allocator.capacity = new_size
-            self.allocator._insert_free(new_size - extra, extra)
-        else:
-            self.rehash_count += 1
-            live = dict(self.allocator._live)
-            self.allocator = Allocator(new_size)
-            for _off, sz in live.items():
-                self.allocator.alloc(sz)
-        return in_place
-
-    # -- data plane ----------------------------------------------------------------
-    def put(self, offset: int, payload: Any) -> None:
-        self.region.put_object(offset, payload)
-
-    def get(self, offset: int) -> Any:
-        return self.region.get_object(offset)
+        self.node.resize_region(self.name, new_size)
 
     # -- persistence -----------------------------------------------------------------
     def persist(self, payload: bytes) -> None:

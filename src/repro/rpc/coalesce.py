@@ -48,8 +48,8 @@ from repro.rpc.future import RPCFuture
 
 __all__ = ["OpCoalescer", "ReadCache", "MISS"]
 
-#: default byte threshold per destination buffer (one flush's payload)
-DEFAULT_MAX_BYTES = 32 * 1024
+#: byte threshold per destination buffer (one flush's payload)
+MAX_BYTES = 32 * 1024
 
 # -- auto-tune constants (``aggregation="auto"``) ----------------------------
 #: starting flush threshold before any efficiency feedback
@@ -88,21 +88,19 @@ class OpCoalescer:
     """Write-combines container ops into per-destination batch flushes."""
 
     __slots__ = (
-        "container", "sim", "max_ops", "max_bytes", "_buffers", "_inflight",
+        "container", "sim", "max_ops", "_buffers", "_inflight",
         "flushes", "flushed_ops", "flushed_bytes", "threshold_flushes",
         "sync_flushes", "auto", "_fixed_overhead", "_wire_cost",
         "_auto_flushes", "_auto_trips", "_auto_ops", "_auto_bytes",
         "auto_gauge", "_auto_gauge_shared", "_labels",
     )
 
-    def __init__(self, container, max_ops: int,
-                 max_bytes: int = DEFAULT_MAX_BYTES, auto: bool = False):
+    def __init__(self, container, max_ops: int, auto: bool = False):
         if max_ops < 1:
             raise ValueError(f"aggregation buffer needs max_ops >= 1, got {max_ops}")
         self.container = container
         self.sim = container.runtime.sim
         self.max_ops = int(max_ops)
-        self.max_bytes = int(max_bytes)
         #: (node_id, part_index) -> pending buffer
         self._buffers: Dict[Tuple[int, int], _Buffer] = {}
         #: (node_id, part_index) -> in-flight flush futures
@@ -155,7 +153,7 @@ class OpCoalescer:
             buf.futures.append(None)
         buf.payload_bytes += payload_bytes
         if (len(buf.subops) >= self.max_ops
-                or buf.payload_bytes >= self.max_bytes):
+                or buf.payload_bytes >= MAX_BYTES):
             self.threshold_flushes.add(1)
             self._flush_key(key)
 
@@ -187,7 +185,7 @@ class OpCoalescer:
         futures.append(fut)
         total = buf.payload_bytes + payload_bytes
         buf.payload_bytes = total
-        if len(subops) >= self.max_ops or total >= self.max_bytes:
+        if len(subops) >= self.max_ops or total >= MAX_BYTES:
             self.threshold_flushes.add(1)
             self._flush_key(key)
         return fut
@@ -236,7 +234,7 @@ class OpCoalescer:
         if self.auto:
             self._auto_flushes += 1
             if (len(buf.subops) >= self.max_ops
-                    or buf.payload_bytes >= self.max_bytes):
+                    or buf.payload_bytes >= MAX_BYTES):
                 self._auto_trips += 1
             self._auto_ops += len(buf.subops)
             self._auto_bytes += buf.payload_bytes

@@ -79,22 +79,10 @@ class RpcContext:
         self.src_node = src_node
         self.op = op
 
-    # -- cost-charging helpers for generator handlers ------------------------
+    # -- cost-charging helper for generator handlers -------------------------
     def charge_local(self, ops: int = 1):
         """Event: ``ops`` local memory operations (the L of Table I)."""
         return self.sim.timeout(ops * self.cost.local_op)
-
-    def charge_read(self, nbytes: int):
-        """Generator: one local read of ``nbytes`` (the R of Table I)."""
-        yield from self.node.local_read(nbytes)
-
-    def charge_write(self, nbytes: int):
-        """Generator: one local write of ``nbytes`` (the W of Table I)."""
-        yield from self.node.local_copy(nbytes)
-
-    def charge_cas(self, count: int = 1):
-        """Event: ``count`` *local* CAS ops (cheap — the whole point)."""
-        return self.sim.timeout(count * self.cost.cas_local)
 
 
 class RpcServer:

@@ -5,10 +5,49 @@ cost model; these tests pin them (and the derived fabric behaviours) so a
 config change that silently breaks calibration fails loudly.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.config import ares_like
 from repro.harness.microbench import run_microbench
+
+
+#: ``run_microbench()`` per provider, recorded when the pipelined loops
+#: still posted through an ibverbs-style completion queue, and frozen:
+#: every value must stay exact.
+RECORDED = {
+    "roce": dict(
+        verb_latency_us=9.463659397761027,
+        read_latency_us=16.12897448009915,
+        cas_latency_us=16.535597218407528,
+        bandwidth_gbs=3.8188561625548334,
+        message_rate_mops=3.153590236761075,
+        atomic_rate_mops=0.6138090757754046,
+        rpc_null_latency_us=28.416342092785307,
+        stream_gbs=64.91358703294178,
+    ),
+    "verbs": dict(
+        verb_latency_us=5.255587935447693,
+        read_latency_us=8.311853196404197,
+        cas_latency_us=8.614562498439442,
+        bandwidth_gbs=7.664543216224327,
+        message_rate_mops=4.265872086071838,
+        atomic_rate_mops=0.8233966054812141,
+        rpc_null_latency_us=16.679409037957623,
+        stream_gbs=64.91358703294178,
+    ),
+    "tcp": dict(
+        verb_latency_us=50.15587935447693,
+        read_latency_us=87.91853196404197,
+        cas_latency_us=90.94562498439441,
+        bandwidth_gbs=0.815843555398785,
+        message_rate_mops=0.6275097960410397,
+        atomic_rate_mops=0.10916970919075518,
+        rpc_null_latency_us=141.65953037957627,
+        stream_gbs=64.91358703294178,
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +112,9 @@ class TestFig1Consistency:
         # sharing the fabric: per-client wall time is in the 0.1-1 s band.
         per_client = 8192 * report.verb_latency_us * 1e-6
         assert 0.05 < per_client < 1.0
+
+
+class TestRecordedReport:
+    @pytest.mark.parametrize("provider", sorted(RECORDED))
+    def test_report_is_exact(self, provider):
+        assert asdict(run_microbench(provider=provider)) == RECORDED[provider]

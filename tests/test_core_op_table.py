@@ -113,18 +113,18 @@ class TestContainerPolicy:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_unknown_switch_is_a_type_error(self, hcl, family):
-        # codec= is a removed knob: msgpack is the only DataBox backend
-        for unknown in (dict(batch_size=4), dict(codec="msgpack")):
+        # codec= is a removed knob: msgpack is the only DataBox backend;
+        # aggregation_bytes= too: every flush buffer caps at 32 KiB
+        for unknown in (dict(batch_size=4), dict(codec="msgpack"),
+                        dict(aggregation_bytes=4096)):
             with pytest.raises(TypeError):
                 getattr(hcl, family)("c", **unknown)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_keywords_land_in_the_policy(self, hcl, family):
-        c = getattr(hcl, family)("c", aggregation="auto", read_cache=True,
-                                 aggregation_bytes=4096)
+        c = getattr(hcl, family)("c", aggregation="auto", read_cache=True)
         assert c.policy.aggregation == "auto"
-        assert c.policy.aggregation_bytes == 4096
-        assert c._coalescer.auto and c._coalescer.max_bytes == 4096
+        assert c._coalescer.auto
         assert c._cache is not None
 
 

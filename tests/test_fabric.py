@@ -282,6 +282,28 @@ class TestVerbs:
 
         assert drive(cluster, body()) == (0, 3)
 
+    def test_overlapped_posts_faster_than_serial(self, small_spec):
+        def run(overlapped):
+            cluster = Cluster(small_spec)
+            cluster.node(1).register_region("r", 1 << 20)
+            qp = cluster.qp(0)
+            sim = cluster.sim
+
+            def body():
+                if overlapped:
+                    yield sim.all_of([
+                        sim.process(qp.rdma_write(1, "r", i, None, 65536))
+                        for i in range(8)
+                    ])
+                else:
+                    for i in range(8):
+                        yield from qp.rdma_write(1, "r", i, None, 65536)
+
+            sim.run_process(body())
+            return sim.now
+
+        assert run(True) < run(False)
+
 
 class TestTopology:
     def test_rank_placement(self, cluster):

@@ -1,8 +1,7 @@
-"""Tests for the shm provider and BCL queue flush."""
+"""Tests for the shm provider."""
 
 import pytest
 
-from repro.bcl import BCL
 from repro.config import ares_like
 from repro.fabric import Cluster
 
@@ -40,40 +39,3 @@ class TestShmProvider:
             return cluster.sim.now
 
         assert run("shm") < run("roce")
-
-
-class TestBclQueueFlush:
-    def test_push_nb_flush_roundtrip(self, small_spec):
-        bcl = BCL(small_spec)
-        q = bcl.queue("q", capacity=128, entry_size=64, home_node=1)
-
-        def body(rank):
-            for i in range(8):
-                q.push_nb(rank, (rank, i))
-            yield from q.flush(rank)
-            got = []
-            for _ in range(8):
-                value, ok = yield from q.pop(rank)
-                assert ok
-                got.append(tuple(value))
-            # FIFO per producer even with non-blocking posts... the posts
-            # overlap, so only set-equality is guaranteed.
-            assert set(got) == {(rank, i) for i in range(8)}
-
-        proc = bcl.cluster.spawn(body(0))
-        bcl.cluster.run()
-        proc.result
-
-    def test_flush_reports_overflow(self, small_spec):
-        bcl = BCL(small_spec)
-        q = bcl.queue("q", capacity=2, entry_size=64)
-
-        def body(rank):
-            for i in range(6):
-                q.push_nb(rank, i)
-            yield from q.flush(rank)
-
-        proc = bcl.cluster.spawn(body(0))
-        bcl.cluster.run()
-        with pytest.raises(RuntimeError, match="flush"):
-            proc.result

@@ -10,6 +10,8 @@ counts, the NIC's ``SimLock``), so it imports no host-thread, process-pool
 or event-loop module, and the local structures need no host lock.  A node
 goes down only through the fault injector, so only ``fabric/faults.py``
 marks one dead, and the containers never ask whether a plan is installed.
+A region grows only through its node, so only ``fabric/node.py`` resizes
+one.
 """
 
 from __future__ import annotations
@@ -90,6 +92,18 @@ def test_only_the_fault_injector_takes_a_node_down():
                and any(isinstance(t, ast.Attribute) and t.attr == "alive"
                        for t in node.targets)}
     assert setters == {"repro/fabric/faults.py"}
+
+
+def test_only_the_node_resizes_a_region():
+    """A region's ``size`` is written once, by ``Node.resize_region``
+    (objects setting their own ``self.size`` at construction aside)."""
+    writers = {path for path, node in _ast_nodes(SRC.rglob("*.py"))
+               if isinstance(node, (ast.Assign, ast.AugAssign))
+               for t in (node.targets if isinstance(node, ast.Assign)
+                         else [node.target])
+               if isinstance(t, ast.Attribute) and t.attr == "size"
+               and not (isinstance(t.value, ast.Name) and t.value.id == "self")}
+    assert writers == {"repro/fabric/node.py"}
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])

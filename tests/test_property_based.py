@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core invariants.
 
 Each property pins an invariant the paper's machinery depends on:
-allocator coverage, codec round-trips, structure/reference equivalence,
+codec round-trips, structure/reference equivalence,
 FIFO and priority ordering, persistence recoverability.
 """
 
@@ -10,7 +10,7 @@ import heapq
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.memory import Allocator, AllocationError, PersistentLog
+from repro.memory import PersistentLog
 from repro.serialization.msgpack_like import pack, unpack
 from repro.structures import (
     CuckooHash,
@@ -57,47 +57,6 @@ class TestMsgpackProperties:
     @settings(max_examples=50, deadline=None)
     def test_deterministic_encoding(self, values):
         assert pack(values) == pack(list(values))
-
-
-class TestAllocatorProperties:
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from(["alloc", "free", "realloc"]),
-                      st.integers(1, 400)),
-            max_size=120,
-        )
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_invariants_under_random_ops(self, ops):
-        a = Allocator(4096)
-        live = []
-        for kind, size in ops:
-            if kind == "alloc":
-                try:
-                    live.append(a.alloc(size))
-                except AllocationError:
-                    pass
-            elif kind == "free" and live:
-                a.free(live.pop(size % len(live)))
-            elif kind == "realloc" and live:
-                off = live[size % len(live)]
-                a.realloc(off, size)  # None result is fine; must not corrupt
-            a.check_invariants()
-
-    @given(st.lists(st.integers(1, 100), min_size=1, max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_free_all_restores_capacity(self, sizes):
-        a = Allocator(8192)
-        offs = []
-        for s in sizes:
-            try:
-                offs.append(a.alloc(s))
-            except AllocationError:
-                break
-        for off in offs:
-            a.free(off)
-        assert a.free_bytes == 8192
-        assert a.fragmentation == 0.0
 
 
 class TestCuckooProperties:

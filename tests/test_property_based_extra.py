@@ -1,4 +1,4 @@
-"""Additional property-based tests: DataBox, trees, segments."""
+"""Additional property-based tests: DataBox, trees."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,30 +63,3 @@ class TestRBTreeRangeProperties:
             assert tree.max_key() == max(set(keys))
         else:
             assert tree.min_key() is None and tree.max_key() is None
-
-
-class TestSegmentGrowthProperties:
-    @given(st.lists(st.integers(16, 512), min_size=1, max_size=20),
-           st.integers(2, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_grow_preserves_allocations(self, sizes, factor):
-        from repro.config import ares_like
-        from repro.fabric import Cluster
-        from repro.memory import MemorySegment
-        from repro.memory.allocator import AllocationError
-
-        cluster = Cluster(ares_like(nodes=1, procs_per_node=1))
-        seg = MemorySegment(cluster.node(0), 8192)
-        offsets = []
-        for s in sizes:
-            try:
-                off = seg.alloc(s)
-            except AllocationError:
-                break
-            seg.put(off, ("val", s))
-            offsets.append((off, s))
-        seg.grow(8192 * factor)
-        seg.allocator.check_invariants()
-        assert seg.size == 8192 * factor
-        for off, s in offsets:
-            assert seg.get(off) == ("val", s)

@@ -2,6 +2,7 @@
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.serialization import (
@@ -194,3 +195,37 @@ class TestEstimateSize:
         actual = len(pack(value))
         estimate = estimate_size(value)
         assert 0.3 * actual <= estimate <= 3 * actual
+
+
+class TestNumpySerialization:
+    @pytest.mark.parametrize("arr", [
+        np.arange(10, dtype=np.int64),
+        np.linspace(0, 1, 7, dtype=np.float32),
+        np.zeros((3, 4), dtype=np.float64),
+        np.array([], dtype=np.int32),
+        np.arange(24, dtype=np.uint8).reshape(2, 3, 4),
+    ], ids=lambda a: f"{a.dtype}-{a.shape}")
+    def test_roundtrip(self, arr):
+        out = unpack(pack(arr))
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == arr.dtype and out.shape == arr.shape
+        assert np.array_equal(out, arr)
+
+    def test_nested_in_containers(self):
+        value = {"weights": np.ones(5), "meta": [np.int64(3), "x"]}
+        out = unpack(pack(value))
+        assert np.array_equal(out["weights"], np.ones(5))
+
+    def test_databox_carries_arrays(self):
+        from repro.serialization import DataBox
+
+        arr = np.arange(100, dtype=np.float64)
+        box = DataBox(arr)
+        out = DataBox.decode(box.encode()).value
+        assert np.array_equal(out, arr)
+
+    def test_estimate_size_uses_nbytes(self):
+        from repro.serialization.databox import estimate_size
+
+        arr = np.zeros(1000, dtype=np.float64)
+        assert estimate_size(arr) == 16 + 8000

@@ -25,13 +25,12 @@ Containers (Section III-D):
 * :meth:`HCL.priority_queue` — single-partition MDList.
 
 All containers implement the DataBox abstraction: hybrid local/remote
-access, asynchronous futures, callback chaining, optional persistence and
-replication, and custom serialization backends.
+access, asynchronous futures, callback chaining, and optional persistence
+and replication.  :meth:`HCL.barrier` is the one rank synchronization: it
+flushes every container's aggregation buffers, then waits for all ranks.
 """
 
 from repro.core.runtime import HCL
-from repro.core.collectives import Collectives
-from repro.core.p2p import Comm, ANY_SOURCE, ANY_TAG
 from repro.core.container import DistributedContainer, Partition
 from repro.core.costs import CostLedger
 from repro.core.policy import ContainerPolicy
@@ -42,10 +41,6 @@ from repro.core.priority_queue import HCLPriorityQueue
 
 __all__ = [
     "HCL",
-    "Collectives",
-    "Comm",
-    "ANY_SOURCE",
-    "ANY_TAG",
     "DistributedContainer",
     "Partition",
     "ContainerPolicy",

@@ -88,7 +88,7 @@ def _keyed_ops(values: bool, cached: bool, *family: Op) -> Tuple[Op, ...]:
     )
 
 
-_HASH = (Op("upsert", 2, keyed=True), Op("scan", 2, write=False))
+_HASH = (Op("upsert", 2, keyed=True),)
 _ORDERED = (Op("range_find", 3, write=False), Op("min_key", 0, write=False),
             Op("max_key", 0, write=False))
 _QUEUE = (Op("pop", 0), Op("push_many", 1), Op("pop_many", 1),
@@ -790,17 +790,8 @@ class DistributedContainer:
         return max(64 * 1024, 2 * n * max(entry_bytes, 64))
 
     # -- introspection ----------------------------------------------------------------------
-    def partition_of_node(self, node_id: int) -> Optional[Partition]:
-        for part in self.partitions:
-            if part.node_id == node_id:
-                return part
-        return None
-
     def total_entries(self) -> int:
         return sum(len(p.structure) for p in self.partitions)
-
-    def memory_footprint(self) -> int:
-        return sum(p.segment.size for p in self.partitions)
 
     @staticmethod
     def _entry_bytes(*values: Any) -> int:
@@ -825,7 +816,7 @@ class DistributedContainer:
                 raise RuntimeError(
                     f"container {self.name!r} destroyed with {pending} "
                     "buffered operation(s) unflushed; yield from "
-                    "container.flush(rank) (or hit a barrier) before close"
+                    "container.flush(rank) (or HCL.barrier(rank)) before close"
                 )
         for part in self.partitions:
             part.segment.close()

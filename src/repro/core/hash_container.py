@@ -13,7 +13,7 @@ value bytes simply drop out of the charged sizes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterator, Optional, Tuple
+from typing import Any, Callable, Hashable, Optional
 
 from repro.core.container import OP_TABLES, KeyedContainer, Partition
 from repro.memory.segment import MemorySegment
@@ -39,52 +39,6 @@ class _HashContainerBase(KeyedContainer):
         self._route_len: int = -1
         self._route_tail_uid: int = -1
         super().__init__(runtime, name, partitions, policy)
-
-    # -- distributed iteration (STL-like traversal, batched) -----------------
-    def _do_scan(self, part: Partition, cursor: int, count: int):
-        """Read ``count`` entries starting at slot ``cursor``.
-
-        Returns ``(items, next_cursor)`` where ``next_cursor`` is -1 when
-        the partition is exhausted.  The cursor indexes the cuckoo tables'
-        flattened slot array, so a scan is a sequential sweep of the
-        partition memory (cheap reads, no per-item hashing).
-        """
-        table: CuckooHash = part.structure
-        t0, t1 = table._t0, table._t1
-        split = len(t0)
-        total = split + len(t1)
-        items = []
-        pos = cursor
-        while pos < total and len(items) < count:
-            slot = t0[pos] if pos < split else t1[pos - split]
-            if slot is not None:
-                items.append(slot)
-            pos += 1
-        next_cursor = pos if pos < total else -1
-        stats = OpStats(local_ops=pos - cursor, reads=len(items))
-        return (items, next_cursor), stats, 64
-
-    def scan(self, rank: int, partition_id: int, cursor: int = 0,
-             count: int = 64):
-        """Generator: one batched read of a partition's entries."""
-        items, next_cursor = yield from self._issue(
-            rank, "scan", (cursor, count), self._execute,
-            self.partitions[partition_id], 16,
-        )
-        return [tuple(kv) for kv in items], next_cursor
-
-    def collect_all(self, rank: int, batch: int = 64):
-        """Generator: every (key, value) pair in the container, fetched in
-        per-partition batches (the distributed-iteration convenience)."""
-        out = []
-        for part in self.partitions:
-            cursor = 0
-            while cursor != -1:
-                items, cursor = yield from self.scan(
-                    rank, part.index, cursor, batch
-                )
-                out.extend(items)
-        return out
 
     # -- read-modify-write at the target -------------------------------------
     def _do_upsert(self, part: Partition, key, delta):
@@ -247,11 +201,6 @@ class _HashContainerBase(KeyedContainer):
         if ops:
             yield from self.batch(rank, ops)
         return len(ops)
-
-    # -- iteration (debug / test helper; not a paper API) --------------------
-    def _all_items(self) -> Iterator[Tuple[Hashable, Any]]:
-        for part in self.partitions:
-            yield from part.structure.items()
 
 
 class HCLUnorderedMap(_HashContainerBase):

@@ -31,6 +31,7 @@ from repro.memory.segment import MemorySegment
 from repro.rpc.client import RpcClient
 from repro.rpc.server import RpcServer
 from repro.rpc.window import WindowConfig
+from repro.simnet.sync import Barrier
 from repro.structures.cuckoo import CuckooHash
 from repro.structures.lfqueue import OptimisticQueue
 from repro.structures.mdlist import MDListPriorityQueue
@@ -82,6 +83,7 @@ class HCL:
         elif not window:  # False/None both mean "unbounded issue"
             window = None
         self.window_config: Optional[WindowConfig] = window
+        self._barrier = Barrier(self.sim, self.cluster.total_procs)
 
     # -- plumbing accessors ----------------------------------------------------
     def server(self, node_id: int) -> RpcServer:
@@ -223,6 +225,12 @@ class HCL:
             coalescer = getattr(container, "_coalescer", None)
             if coalescer is not None:
                 yield from coalescer.drain(rank)
+
+    def barrier(self, rank: int):
+        """Generator: flush ``rank``'s buffered ops, then wait for every
+        rank, so post-barrier reads observe every pre-barrier write."""
+        yield from self.flush_containers(rank)
+        yield self._barrier.wait()
 
     # -- running ranks -----------------------------------------------------------------
     def run_ranks(

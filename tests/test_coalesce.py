@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ares_like
-from repro.core import HCL, Collectives
+from repro.core import HCL
 
 from tests.conftest import run_rank0
 
@@ -92,12 +92,11 @@ class TestCoalescer:
     def test_barrier_flushes_all_containers(self, small_spec):
         h = HCL(small_spec)
         m = h.unordered_map("t", partitions=2, aggregation=512)
-        coll = Collectives(h)
         total = small_spec.total_procs
 
         def body(rank):
             yield from m.insert_buffered(rank, ("k", rank), rank)
-            yield from coll.barrier(rank)
+            yield from h.barrier(rank)
             # After the barrier every rank's buffered insert is visible.
             value, found = yield from m.find(rank, ("k", (rank + 1) % total))
             assert found and value == (rank + 1) % total

@@ -1,113 +1,42 @@
-"""Tests for the extension features: collectives, range queries, dynamic
+"""Tests for the extension features: the barrier, range queries, dynamic
 partitions, concurrency control, and failure handling with replica reads."""
 
 import pytest
 
-from repro.core import HCL, Collectives
+from repro.core import HCL
 from repro.fabric.faults import FaultPlan
 
 
 class TestCollectives:
+    """``HCL.barrier`` is the one collective the runtime keeps."""
+
     def test_barrier_synchronizes(self, hcl):
-        coll = Collectives(hcl)
         arrivals = []
 
         def body(rank):
             yield hcl.sim.timeout(rank * 1e-6)
-            yield from coll.barrier(rank)
+            yield from hcl.barrier(rank)
             arrivals.append(hcl.now)
 
         hcl.run_ranks(body)
         assert len(set(arrivals)) == 1  # everyone released together
 
-    def test_broadcast(self, hcl):
-        coll = Collectives(hcl)
-        got = {}
+    def test_barrier_reusable_across_rounds(self, hcl):
+        rounds = {}
 
         def body(rank):
-            value = yield from coll.broadcast(
-                rank, value={"cfg": 1} if rank == 0 else None, root=0
-            )
-            got[rank] = value
+            yield hcl.sim.timeout(rank * 1e-6)
+            yield from hcl.barrier(rank)
+            first = hcl.now
+            yield hcl.sim.timeout((7 - rank) * 1e-6)
+            yield from hcl.barrier(rank)
+            rounds[rank] = (first, hcl.now)
 
         hcl.run_ranks(body)
-        assert all(v == {"cfg": 1} for v in got.values())
-
-    def test_gather_root_only(self, hcl):
-        coll = Collectives(hcl)
-        got = {}
-
-        def body(rank):
-            got[rank] = yield from coll.gather(rank, rank * 10, root=2)
-
-        hcl.run_ranks(body)
-        assert got[2] == [r * 10 for r in range(8)]
-        assert all(got[r] is None for r in range(8) if r != 2)
-
-    def test_all_gather_ordered(self, hcl):
-        coll = Collectives(hcl)
-        got = {}
-
-        def body(rank):
-            got[rank] = yield from coll.all_gather(rank, chr(ord("a") + rank))
-
-        hcl.run_ranks(body)
-        expected = [chr(ord("a") + r) for r in range(8)]
-        assert all(v == expected for v in got.values())
-
-    def test_scatter(self, hcl):
-        coll = Collectives(hcl)
-        got = {}
-
-        def body(rank):
-            got[rank] = yield from coll.scatter(
-                rank, values=list(range(100, 108)) if rank == 0 else None
-            )
-
-        hcl.run_ranks(body)
-        assert got == {r: 100 + r for r in range(8)}
-
-    def test_scatter_validates_length(self, hcl):
-        coll = Collectives(hcl)
-
-        def body(rank):
-            yield from coll.scatter(rank, values=[1] if rank == 0 else None)
-
-        with pytest.raises(ValueError):
-            hcl.run_ranks(body)
-
-    def test_reduce_sums_server_side(self, hcl):
-        coll = Collectives(hcl)
-        got = {}
-
-        def body(rank):
-            got[rank] = yield from coll.reduce(rank, rank + 1, root=0)
-
-        hcl.run_ranks(body)
-        assert got[0] == sum(range(1, 9))
-        assert got[1] is None
-
-    def test_all_reduce(self, hcl):
-        coll = Collectives(hcl)
-        got = {}
-
-        def body(rank):
-            got[rank] = yield from coll.all_reduce(rank, 2.5)
-
-        hcl.run_ranks(body)
-        assert all(v == pytest.approx(20.0) for v in got.values())
-
-    def test_collectives_reusable_across_rounds(self, hcl):
-        coll = Collectives(hcl)
-        got = {}
-
-        def body(rank):
-            first = yield from coll.all_reduce(rank, 1)
-            second = yield from coll.all_reduce(rank, 10)
-            got[rank] = (first, second)
-
-        hcl.run_ranks(body)
-        assert all(v == (8, 80) for v in got.values())
+        assert len(rounds) == 8
+        assert len(set(rounds.values())) == 1  # both rounds release together
+        first, second = rounds[0]
+        assert second >= first + 7e-6  # round two waited for the last rank
 
 
 class TestRangeQueries:

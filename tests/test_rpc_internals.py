@@ -191,16 +191,6 @@ class TestContainerMisc:
         assert "insert" not in read_only
         assert "pop" not in read_only
 
-    def test_memory_footprint_reported(self, hcl):
-        m = hcl.unordered_map("m", partitions=2)
-        assert m.memory_footprint() == sum(p.segment.size
-                                           for p in m.partitions)
-
     def test_repr(self, hcl):
         m = hcl.unordered_map("m", partitions=2)
         assert "m" in repr(m) and "partitions=2" in repr(m)
-
-    def test_partition_of_node(self, hcl):
-        m = hcl.unordered_map("m", partitions=2)
-        assert m.partition_of_node(0).node_id == 0
-        assert m.partition_of_node(99) is None

@@ -1,15 +1,15 @@
 """Soak test: a long mixed workload across every container kind.
 
-One deterministic run that interleaves all six containers, collectives,
-p2p messaging, persistence, and replication — then validates global
-consistency.  This is the "does everything compose" test; individual
+One deterministic run that interleaves all six containers, barriers,
+a server-side reduction, persistence, and replication — then validates
+global consistency.  This is the "does everything compose" test; individual
 behaviours are covered by the per-module suites.
 """
 
 import pytest
 
 from repro.config import ares_like
-from repro.core import HCL, Collectives, Comm
+from repro.core import HCL
 from repro.harness import key_stream
 
 
@@ -26,8 +26,6 @@ def soak_result(tmp_path_factory):
     queue = hcl.queue("queue", home_node=1)
     pq = hcl.priority_queue("pq", home_node=2, dims=8, base=8)
     plog = hcl.unordered_map("plog", partitions=2, persistence=True)
-    comm = Comm(hcl)
-    coll = Collectives(hcl)
 
     OPS = 60
     stats = {"popped": [], "pq_popped": [], "sums": {}}
@@ -46,23 +44,19 @@ def soak_result(tmp_path_factory):
             if i % 8 == 0:
                 yield from plog.insert(rank, (rank, i), i)
             yield from umap.upsert(rank, "global-counter", 1)
-        yield from coll.barrier(rank)
+        yield from hcl.barrier(rank)
         # Phase 2: every rank verifies every other rank's data (sampled).
         other = (rank + 7) % spec.total_procs
         other_keys = list(key_stream(other, OPS, seed=9))
         for i in range(0, OPS, 6):
             value, found = yield from umap.find(rank, other_keys[i])
             assert found and tuple(value) == (other, i)
-        # Phase 3: p2p ring handshake.
-        nxt = (rank + 1) % spec.total_procs
-        prev = (rank - 1) % spec.total_procs
-        handle = comm.isend(rank, dest=nxt, tag=1, rank=rank)
-        token = yield from comm.recv(source=prev, tag=1, rank=rank)
-        yield handle
-        assert token == prev
-        # Phase 4: reduce a checksum.
+        # Phase 3: reduce a checksum at the server, then read it back.
         local_sum = sum(keys)
-        total = yield from coll.all_reduce(rank, local_sum)
+        yield from umap.upsert(rank, "checksum", local_sum)
+        yield from hcl.barrier(rank)
+        total, found = yield from umap.find(rank, "checksum")
+        assert found
         stats["sums"][rank] = total
         return local_sum
 

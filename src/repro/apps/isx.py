@@ -72,7 +72,7 @@ def run_isx(
 
     ``instrument`` (HCL only): callable invoked with the :class:`HCL`
     runtime after the containers are built but before the workload runs —
-    the attach point for tracers and telemetry samplers.
+    the attach point for tracers and flight recorders.
     """
     if backend == "hcl":
         return _run_hcl(spec, keys_per_rank, batch, seed, aggregation,

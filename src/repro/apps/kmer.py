@@ -74,8 +74,8 @@ def run_kmer_counting(backend: str, spec: ClusterSpec, data: GenomeData,
     (``async_rmw``) instead of per-op generators.  ``aggregation``
     defaults to ``"auto"`` (the self-tuning coalescer) when left unset.
 
-    ``window`` (HCL only): AIMD congestion-window config for the RPC
-    client (``True`` for defaults, a ``WindowConfig`` to tune).
+    ``window`` (HCL only): truthy arms the RPC client's AIMD congestion
+    windows.
     """
     if backend == "hcl":
         return _run_hcl(spec, data, min_count, aggregation, instrument,

@@ -27,13 +27,13 @@ from typing import List
 from repro.config import ares_like
 from repro.harness import Harness, render_table, run_bench
 from repro.harness import (
-    aggbench, asyncbench, chaos, figures, microbench, serving, telemetry,
+    aggbench, asyncbench, chaos, figures, microbench, serving,
 )
 from repro.harness.driver import positive_float as _positive_float
 
 #: the bench subcommands: one declared record each, all run by run_bench
 BENCHES = (aggbench.HARNESS, asyncbench.HARNESS, chaos.HARNESS,
-           telemetry.HARNESS, serving.HARNESS)
+           serving.HARNESS)
 
 #: the paper-figure and fabric subcommands: records too, with no
 #: instruments and their verification always enforced
@@ -122,8 +122,7 @@ def _cmd_obs_report(args) -> int:
             flight = json.load(fh)
     critpath = None
     if args.spans:
-        critpath = critpath_analyze(load_spans(args.spans),
-                                    top_n=args.top_traces)
+        critpath = critpath_analyze(load_spans(args.spans))
     metrics = None
     if args.metrics:
         with open(args.metrics, encoding="utf-8") as fh:
@@ -168,14 +167,13 @@ def _cmd_obs_report(args) -> int:
 def _cmd_obs_diff(args) -> int:
     from repro.obs import diff_paths, render_diff, write_json
 
-    diff = diff_paths(args.a, args.b, rel_threshold=args.threshold,
-                      top=args.top)
-    print(render_diff(diff, max_rows=args.max_rows))
+    diff = diff_paths(args.a, args.b)
+    print(render_diff(diff))
     if args.json:
         print(f"wrote {write_json(diff, args.json)}")
     if args.md:
         with open(args.md, "w", encoding="utf-8") as fh:
-            fh.write(render_diff(diff, max_rows=args.max_rows))
+            fh.write(render_diff(diff))
         print(f"wrote {args.md}")
     if args.fail_on_significant and diff["significant"]:
         print("obs-diff: significant differences found "
@@ -302,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     pO.add_argument("-o", "--out", default="obs_report.html", metavar="PATH",
                     help="dashboard output path (default obs_report.html)")
     pO.add_argument("--title", default="Observability report")
-    pO.add_argument("--top-traces", type=int, default=5,
-                    help="slowest traces listed in the critical-path table")
     pO.add_argument("--validate", default=None, metavar="PATH",
                     help="validate an existing dashboard instead of "
                          "rendering one (CI mode)")
@@ -317,13 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pD.add_argument("a", metavar="A", help="reference run (baseline)")
     pD.add_argument("b", metavar="B", help="candidate run (fresh)")
-    pD.add_argument("--threshold", type=_positive_float, default=0.10,
-                    help="relative-change significance threshold "
-                         "(default 0.10)")
-    pD.add_argument("--top", type=int, default=40,
-                    help="rows kept per delta section (default 40)")
-    pD.add_argument("--max-rows", type=int, default=20,
-                    help="rows printed per section in the report")
     pD.add_argument("--json", nargs="?", const="run_diff.json",
                     default=None, metavar="PATH",
                     help="write the structured RunDiff as JSON")

@@ -30,7 +30,6 @@ from repro.fabric.topology import Cluster
 from repro.memory.segment import MemorySegment
 from repro.rpc.client import RpcClient
 from repro.rpc.server import RpcServer
-from repro.rpc.window import WindowConfig
 from repro.simnet.sync import Barrier
 from repro.structures.cuckoo import CuckooHash
 from repro.structures.lfqueue import OptimisticQueue
@@ -75,14 +74,9 @@ class HCL:
         self.containers: Dict[str, object] = {}
         self.persist_dir = persist_dir
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        # window arms per-(node, partition) AIMD congestion windows on every
-        # client: True for the defaults, or a WindowConfig.  None = classic
-        # unbounded issue.
-        if window is True:
-            window = WindowConfig()
-        elif not window:  # False/None both mean "unbounded issue"
-            window = None
-        self.window_config: Optional[WindowConfig] = window
+        # a truthy window arms per-(node, partition) AIMD congestion windows
+        # on every client; falsy (None/False) = classic unbounded issue.
+        self._window = bool(window)
         self._barrier = Barrier(self.sim, self.cluster.total_procs)
 
     # -- plumbing accessors ----------------------------------------------------
@@ -93,7 +87,7 @@ class HCL:
         client = self._clients.get(node_id)
         if client is None:
             client = RpcClient(self.cluster, node_id, self._servers,
-                               window=self.window_config)
+                               window=self._window)
             self._clients[node_id] = client
         return client
 

@@ -63,6 +63,9 @@ __all__ = [
     "PLAN_NAMES",
 ]
 
+#: bound on the injector's fault :class:`EventLog`
+LOG_LIMIT = 4096
+
 
 class FabricDropped(ConnectionError):
     """A message was dropped by the fault injector (transport-level NACK)."""
@@ -129,13 +132,13 @@ class FaultPlan:
 class FaultInjector:
     """Runtime that applies a :class:`FaultPlan` to a cluster's fabric."""
 
-    def __init__(self, cluster, plan: FaultPlan, log_limit: int = 4096):
+    def __init__(self, cluster, plan: FaultPlan):
         self.cluster = cluster
         self.sim = cluster.sim
         self.plan = plan
         self.rng = cluster.rngs.stream("fabric/faults")
         self.active = True
-        self.log = EventLog(self.sim, limit=log_limit)
+        self.log = EventLog(self.sim, limit=LOG_LIMIT)
         metrics = registry_of(self.sim)
         self.drops = metrics.counter("faults/drops")
         self.dups = metrics.counter("faults/dups")

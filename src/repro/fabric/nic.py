@@ -16,7 +16,7 @@ functionally correct, not just timed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.config import CostModel
 from repro.obs.registry import registry_of
@@ -132,10 +132,9 @@ class Nic:
         return self.recv_queue.clear()
 
     # -- service-time helpers (generators run by verbs layer) -----------------
-    def serve_verb(self, service_time: Optional[float] = None):
+    def serve_verb(self):
         """Occupy one NIC core for a verb's processing time."""
-        t = self.cost.nic_verb_service if service_time is None else service_time
-        yield from self.cores.use(t)
+        yield from self.cores.use(self.cost.nic_verb_service)
         self.verbs_processed.add(1)
 
     def serve_atomic(self, region: MemoryRegion):

@@ -126,12 +126,6 @@ class Cluster:
     def total_packets(self) -> float:
         return sum(n.egress.packets_total.value for n in self.nodes)
 
-    def total_bytes(self) -> float:
-        return sum(n.egress.bytes_total.value for n in self.nodes)
-
-    def total_memory_used(self) -> float:
-        return sum(n.memory_used.value for n in self.nodes)
-
     def packets_probe(self) -> Callable[[], float]:
         """Windowed cluster-wide packets-per-second probe."""
         state = {"pk": 0.0, "t": self.sim.now}
@@ -146,11 +140,3 @@ class Cluster:
             return rate
 
         return probe
-
-    def memory_probe(self, node_id: Optional[int] = None) -> Callable[[], float]:
-        """Memory-utilization-% probe (one node, or cluster-wide)."""
-        if node_id is not None:
-            node = self.node(node_id)
-            return lambda: 100.0 * node.memory_used.value / node.memory_capacity
-        cap = sum(n.memory_capacity for n in self.nodes)
-        return lambda: 100.0 * self.total_memory_used() / cap

@@ -15,8 +15,6 @@ Every table and figure bench in ``benchmarks/`` builds on this package:
   simulated fabric;
 * :mod:`repro.harness.aggbench` — simulated-time A/B of the transparent
   op-coalescing buffers across the Fig-7 apps;
-* :mod:`repro.harness.telemetry` — Fig-4-style time-series telemetry
-  (NIC utilization, memory, packet rate) sampled over the app kernels;
 * :mod:`repro.harness.chaos` — seeded fault-plan soak with an
   acked-write ledger and a registry-backed metrics report;
 * :mod:`repro.harness.serving` — Zipfian multi-tenant serving bench:
@@ -27,11 +25,6 @@ from repro.harness.workload import Blob, key_stream
 from repro.harness.report import render_table, render_series
 from repro.harness.driver import Harness, run_bench, run_rows
 from repro.harness.aggbench import AggBenchReport, run_agg_bench
-from repro.harness.telemetry import (
-    TELEMETRY_APPS,
-    check_telemetry,
-    run_telemetry,
-)
 from repro.harness.serving import (
     DEFAULT_MIX,
     ZipfKeyGenerator,
@@ -48,9 +41,6 @@ __all__ = [
     "run_serving",
     "AggBenchReport",
     "run_agg_bench",
-    "TELEMETRY_APPS",
-    "run_telemetry",
-    "check_telemetry",
     "Blob",
     "key_stream",
     "Harness",

@@ -32,7 +32,7 @@ Used by ``python -m repro.cli asyncbench`` and the CI async-smoke job.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import ares_like
 from repro.harness.driver import Harness, flag, positive_float, run_rows
@@ -53,6 +53,9 @@ ASYNC_STATIC_SWEEP: Tuple[int, ...] = (64, 512)
 
 #: the sync baseline's hand-tuned threshold (BENCH_agg's largest buffer)
 SYNC_BASELINE_AGG: int = 512
+
+#: how much slower than the best static run the auto-tuned one may be
+AUTO_TOLERANCE = 0.10
 
 
 @dataclass
@@ -130,8 +133,7 @@ class AsyncBenchReport:
             ])
         return out
 
-    def check(self, min_speedup: float = 1.0,
-              auto_tolerance: float = 0.10) -> List[str]:
+    def check(self, min_speedup: float = 1.0) -> List[str]:
         """Failures (empty = pass).
 
         * every row verified, all digests identical (results, not just
@@ -139,7 +141,7 @@ class AsyncBenchReport:
         * async-auto beats the sync baseline by ``min_speedup`` in
           simulated time (by default the pipeline must at least not
           regress the modeled timeline);
-        * the self-tuned threshold lands within ``auto_tolerance`` of the
+        * the self-tuned threshold lands within :data:`AUTO_TOLERANCE` of the
           best hand-tuned static run.
         """
         failures: List[str] = []
@@ -165,10 +167,10 @@ class AsyncBenchReport:
                 f"< required {min_speedup:.2f}x"
             )
         ratio = summary.get("auto_vs_best_static")
-        if ratio is not None and ratio > 1.0 + auto_tolerance:
+        if ratio is not None and ratio > 1.0 + AUTO_TOLERANCE:
             failures.append(
                 f"auto-tuned threshold {ratio:.2f}x slower than best "
-                f"static (allowed {1.0 + auto_tolerance:.2f}x)"
+                f"static (allowed {1.0 + AUTO_TOLERANCE:.2f}x)"
             )
         return failures
 
@@ -204,7 +206,6 @@ def run_async_bench(
     scale: float = 1.0,
     nodes: int = 4,
     procs_per_node: int = 3,
-    static_sweep: Sequence[int] = ASYNC_STATIC_SWEEP,
     instrument=None,
 ) -> AsyncBenchReport:
     """A/B the pipelined async client against the aggregated sync path.
@@ -226,7 +227,7 @@ def run_async_bench(
 
     #: (mode, aggregation, async_api, window)
     plan = [("sync", SYNC_BASELINE_AGG, False, None)]
-    plan += [("async", agg, True, True) for agg in static_sweep]
+    plan += [("async", agg, True, True) for agg in ASYNC_STATIC_SWEEP]
     plan += [("async", "auto", True, True)]
     rows = [(f"{row[0]}-{row[1]}", row) for row in plan]
     results = run_rows(rows, run_row, instrument)

@@ -79,12 +79,11 @@ def run_chaos_soak(
     containers are built but before the storm — the attach point for
     :class:`~repro.obs.Instruments` (tracer, flight recorder, metrics).
 
-    ``windows`` arms per-(node, partition) AIMD congestion windows on every
-    client (``True`` for defaults, or a
-    :class:`~repro.rpc.window.WindowConfig`).  Under a fault storm the
-    windows must *shrink* (multiplicative decrease on failures), never
-    deadlock — the floor of 1 guarantees progress — and the exactly-once
-    ledger checks are unchanged: no acked write may be lost.
+    A truthy ``windows`` arms per-(node, partition) AIMD congestion
+    windows (:mod:`repro.rpc.window`) on every client.  Under a fault
+    storm the windows must *shrink* (multiplicative decrease on failures),
+    never deadlock — the floor of 1 guarantees progress — and the
+    exactly-once ledger checks are unchanged: no acked write may be lost.
     """
     import random
 

@@ -405,10 +405,10 @@ def run_serving(
     """Run the serving bench once per admission-control bound; return the
     report dict (simulated/deterministic fields only — no wall clock).
 
-    ``windows`` arms per-(node, partition) AIMD congestion windows on the
-    issue path (``True`` for defaults, or a
-    :class:`~repro.rpc.window.WindowConfig`); shed ops are then retried by
-    the window itself before the harness-level backoff sees them.
+    A truthy ``windows`` arms per-(node, partition) AIMD congestion
+    windows (:mod:`repro.rpc.window`) on the issue path; shed ops are then
+    retried by the window itself before the harness-level backoff sees
+    them.
 
     ``instrument`` is called with each config's runtime (labelled ``off``
     / ``b<N>``) once its containers exist.  When it installs a flight

@@ -16,9 +16,13 @@ Two durability modes mirror the paper:
 Record format (little-endian)::
 
     magic  u32 = 0x48434C42  ("HCLB")
-    length u32   payload bytes
+    length u32   payload bytes (never 0)
     crc32  u32   of payload
     payload      length bytes
+
+A process that dies mid-append leaves a *torn tail*: a prefix of its last
+record and zeros after it.  Reading stops there, and reopening zero-fills
+it so the next append starts clean; a bad record anywhere else raises.
 """
 
 from __future__ import annotations
@@ -66,11 +70,31 @@ class PersistentLog:
 
     # -- geometry -----------------------------------------------------------
     def _scan_end(self) -> int:
-        """Find the end of the valid record chain on an existing file."""
+        """Find the end of the valid record chain on an existing file,
+        zero-filling a torn tail there."""
         pos = 0
         for rec in self._iter_from(0, stop_on_corrupt=True):
             pos = rec.offset + _HEADER.size + len(rec.payload)
+        end = self._torn_end(pos)
+        if end is not None:
+            self._map[pos:end] = bytes(end - pos)
         return pos
+
+    def _torn_end(self, pos: int) -> Optional[int]:
+        """End of the torn tail starting at ``pos``, or None if it is not one.
+
+        A tear leaves the end of the extent the header claims unwritten, so
+        that extent's last byte and every byte after it are zero.  With a
+        wrong magic or a zero length the claimed extent is the header.
+        """
+        if pos + _HEADER.size > self._size:
+            return None
+        magic, length, _crc = _HEADER.unpack_from(self._map, pos)
+        end = pos + _HEADER.size + (length if magic == _MAGIC else 0)
+        tail = self._map[end - 1:]
+        if not magic or end > self._size or tail.count(0) != len(tail):
+            return None  # a clean end, or not a tear
+        return end
 
     def _ensure(self, nbytes: int) -> None:
         need = self._write_pos + nbytes
@@ -93,6 +117,8 @@ class PersistentLog:
         if not isinstance(payload, (bytes, bytearray, memoryview)):
             raise TypeError("payload must be bytes-like")
         payload = bytes(payload)
+        if not payload:
+            raise ValueError("payload must be non-empty")
         total = _HEADER.size + len(payload)
         self._ensure(total)
         off = self._write_pos
@@ -125,30 +151,32 @@ class PersistentLog:
         self.flush(0, self._write_pos)
 
     def records(self) -> Iterator[LogRecord]:
-        """Iterate all valid records; raises on a corrupt (non-empty) record."""
+        """Iterate all valid records up to a torn tail; raises on any other
+        corrupt record."""
         return self._iter_from(0, stop_on_corrupt=False)
 
     def _iter_from(self, pos: int, stop_on_corrupt: bool) -> Iterator[LogRecord]:
         while pos + _HEADER.size <= self._size:
             magic, length, crc = _HEADER.unpack_from(self._map, pos)
-            if magic != _MAGIC:
-                if magic == 0:
-                    return  # clean end of log
-                if stop_on_corrupt:
-                    return
-                raise CorruptRecordError(f"bad magic {magic:#x} at offset {pos}")
+            if magic == 0:
+                return  # clean end of log
             end = pos + _HEADER.size + length
-            if end > self._size:
-                if stop_on_corrupt:
-                    return
-                raise CorruptRecordError(f"truncated record at offset {pos}")
-            payload = bytes(self._map[pos + _HEADER.size:end])
-            if zlib.crc32(payload) != crc:
-                if stop_on_corrupt:
-                    return
-                raise CorruptRecordError(f"CRC mismatch at offset {pos}")
-            yield LogRecord(pos, payload)
-            pos = end
+            if magic != _MAGIC:
+                why = f"bad magic {magic:#x}"
+            elif not length:
+                why = "empty record"
+            elif end > self._size:
+                why = "truncated record"
+            else:
+                payload = bytes(self._map[pos + _HEADER.size:end])
+                if zlib.crc32(payload) == crc:
+                    yield LogRecord(pos, payload)
+                    pos = end
+                    continue
+                why = "CRC mismatch"
+            if stop_on_corrupt or self._torn_end(pos) is not None:
+                return
+            raise CorruptRecordError(f"{why} at offset {pos}")
 
     @property
     def bytes_used(self) -> int:

@@ -22,7 +22,7 @@ gate ships its own root-cause hypothesis.
 Direction convention: **A is the reference (baseline), B the candidate
 (fresh run)** — relative changes are ``(b - a) / |a|``.  Every artifact
 is on the simulated clock, so every number is compared at
-``rel_threshold`` and a same-seed self-diff reports zero significant
+:data:`REL_THRESHOLD` and a same-seed self-diff reports zero significant
 deltas.  Host time is not an input here: the ledger
 (``benchmarks/ledger``) measures and compares it.
 
@@ -48,8 +48,14 @@ __all__ = [
     "render_diff",
 ]
 
-#: default relative-change significance threshold (10%)
-DEFAULT_REL_THRESHOLD = 0.10
+#: relative-change significance threshold (10%)
+REL_THRESHOLD = 0.10
+
+#: rows kept per delta section of a RunDiff (more when more are significant)
+TOP_ROWS = 40
+
+#: rows printed per section of the markdown report
+MAX_ROWS = 20
 
 #: absolute share-point threshold for stage blame shifts
 SHARE_THRESHOLD = 0.05
@@ -257,8 +263,7 @@ def _flatten_doc(kind: str, doc: Dict):
 
 # -- section diffs ------------------------------------------------------------
 
-def _counter_rows(ca: Dict[str, float], cb: Dict[str, float],
-                  rel_threshold: float) -> List[Dict]:
+def _counter_rows(ca: Dict[str, float], cb: Dict[str, float]) -> List[Dict]:
     rows: List[Dict] = []
     for key in sorted(set(ca) | set(cb)):
         a, b = ca.get(key), cb.get(key)
@@ -275,7 +280,7 @@ def _counter_rows(ca: Dict[str, float], cb: Dict[str, float],
         else:
             rel = (b - a) / abs(a) if a else 0.0
             status = "changed"
-            significant = abs(rel) >= rel_threshold
+            significant = abs(rel) >= REL_THRESHOLD
         if status == "unchanged":
             continue
         rows.append({
@@ -294,8 +299,7 @@ def _counter_rows(ca: Dict[str, float], cb: Dict[str, float],
     return rows
 
 
-def _quantile_rows(qa: Dict[str, Dict], qb: Dict[str, Dict],
-                   rel_threshold: float) -> List[Dict]:
+def _quantile_rows(qa: Dict[str, Dict], qb: Dict[str, Dict]) -> List[Dict]:
     rows: List[Dict] = []
     for key in sorted(set(qa) | set(qb)):
         a, b = qa.get(key), qb.get(key)
@@ -327,7 +331,7 @@ def _quantile_rows(qa: Dict[str, Dict], qb: Dict[str, Dict],
             else:
                 rel = (vb - va) / abs(va)
                 shift = {"a": va, "b": vb, "rel": rel, "status": "changed"}
-                shift_sig = abs(rel) >= rel_threshold
+                shift_sig = abs(rel) >= REL_THRESHOLD
             shift["significant"] = shift_sig
             row["shifts"][metric] = shift
             significant = significant or shift_sig
@@ -625,9 +629,7 @@ def fingerprint(diff: Dict) -> Dict:
 # -- top level ----------------------------------------------------------------
 
 def diff_runs(a_doc: Dict, b_doc: Dict, a_name: str = "A",
-              b_name: str = "B",
-              rel_threshold: float = DEFAULT_REL_THRESHOLD,
-              top: int = 40) -> Dict:
+              b_name: str = "B") -> Dict:
     """Structured RunDiff between two loaded artifacts (A = reference)."""
     kind_a, kind_b = detect_kind(a_doc), detect_kind(b_doc)
     ca, qa, cfg_a = _flatten_doc(kind_a, a_doc)
@@ -668,8 +670,8 @@ def diff_runs(a_doc: Dict, b_doc: Dict, a_name: str = "A",
     ca = {k: v for k, v in ca.items() if k not in workload_keys}
     cb = {k: v for k, v in cb.items() if k not in workload_keys}
 
-    counter_rows = _counter_rows(ca, cb, rel_threshold)
-    quantile_rows = _quantile_rows(qa, qb, rel_threshold)
+    counter_rows = _counter_rows(ca, cb)
+    quantile_rows = _quantile_rows(qa, qb)
 
     critpath = None
     if kind_a == kind_b == "critpath":
@@ -686,15 +688,15 @@ def diff_runs(a_doc: Dict, b_doc: Dict, a_name: str = "A",
         "a": {"name": a_name, "artifact": kind_a},
         "b": {"name": b_name, "artifact": kind_b},
         "comparable": kind_a == kind_b and kind_a != "unknown",
-        "rel_threshold": rel_threshold,
+        "rel_threshold": REL_THRESHOLD,
         "config_changes": config_changes,
         "counters": {
-            "rows": counter_rows[:max(top, n_sig_counters)],
+            "rows": counter_rows[:max(TOP_ROWS, n_sig_counters)],
             "total": len(counter_rows),
             "significant": n_sig_counters,
         },
         "quantiles": {
-            "rows": quantile_rows[:max(top, n_sig_quantiles)],
+            "rows": quantile_rows[:max(TOP_ROWS, n_sig_quantiles)],
             "total": len(quantile_rows),
             "significant": n_sig_quantiles,
         },
@@ -712,14 +714,11 @@ def diff_runs(a_doc: Dict, b_doc: Dict, a_name: str = "A",
     return diff
 
 
-def diff_paths(a_path: str, b_path: str,
-               rel_threshold: float = DEFAULT_REL_THRESHOLD,
-               top: int = 40) -> Dict:
+def diff_paths(a_path: str, b_path: str) -> Dict:
     """Load two artifact files and diff them (A = reference/baseline)."""
     _kind_a, a_doc = load_artifact(a_path)
     _kind_b, b_doc = load_artifact(b_path)
-    return diff_runs(a_doc, b_doc, a_name=a_path, b_name=b_path,
-                     rel_threshold=rel_threshold, top=top)
+    return diff_runs(a_doc, b_doc, a_name=a_path, b_name=b_path)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -732,7 +731,7 @@ def _fmt_val(value) -> str:
     return str(value)
 
 
-def render_diff(diff: Dict, max_rows: int = 20) -> str:
+def render_diff(diff: Dict) -> str:
     """Markdown forensics report for one RunDiff."""
     fp = diff["fingerprint"]
     lines = [
@@ -748,10 +747,10 @@ def render_diff(diff: Dict, max_rows: int = 20) -> str:
     ]
     if diff["config_changes"]:
         lines += ["", "### Workload / config changes", ""]
-        for change in diff["config_changes"][:max_rows]:
+        for change in diff["config_changes"][:MAX_ROWS]:
             lines.append(f"- `{change['key']}`: {change['a']!r} -> "
                          f"{change['b']!r}")
-    rows = [r for r in diff["counters"]["rows"]][:max_rows]
+    rows = [r for r in diff["counters"]["rows"]][:MAX_ROWS]
     if rows:
         lines += ["", "### Counter deltas "
                   f"({diff['counters']['significant']} significant of "
@@ -765,7 +764,7 @@ def render_diff(diff: Dict, max_rows: int = 20) -> str:
                 f"| {flag}`{r['key']}`{flag} | {_fmt_val(r['a'])} | "
                 f"{_fmt_val(r['b'])} | {_fmt_val(r['delta'])} | {rel} | "
                 f"{r['status']} |")
-    qrows = diff["quantiles"]["rows"][:max_rows]
+    qrows = diff["quantiles"]["rows"][:MAX_ROWS]
     if qrows:
         lines += ["", "### Histogram / quantile shifts "
                   f"({diff['quantiles']['significant']} significant of "
@@ -789,7 +788,7 @@ def render_diff(diff: Dict, max_rows: int = 20) -> str:
         lines += ["", "### Critical-path stage blame", "",
                   "| blame | stage | A share | B share | Δ |",
                   "|---|---|---|---|---|"]
-        for r in diff["critpath"]["rows"][:max_rows]:
+        for r in diff["critpath"]["rows"][:MAX_ROWS]:
             flag = "**" if r["significant"] else ""
             lines.append(f"| {r['blame']} | {flag}{r['stage']}{flag} | "
                          f"{r['a']:.1%} | {r['b']:.1%} | {r['delta']:+.1%} |")

@@ -43,7 +43,9 @@ from repro.rpc.future import (
     TargetUnavailable,
 )
 from repro.rpc.server import RpcRequest, RpcServer
-from repro.rpc.window import WindowConfig, WindowSet
+from repro.rpc.window import (
+    MAX_SHED_RETRIES, SHED_BACKOFF, SHED_BACKOFF_MAX, WindowSet,
+)
 from repro.serialization.databox import estimate_size
 
 __all__ = ["RpcClient"]
@@ -61,7 +63,7 @@ class RpcClient:
     )
 
     def __init__(self, cluster, src_node: int, servers: Dict[int, RpcServer],
-                 window: Optional[WindowConfig] = None):
+                 window: bool = False):
         self.cluster = cluster
         self.sim = cluster.sim
         self.cost = cluster.spec.cost
@@ -78,10 +80,7 @@ class RpcClient:
         self.shed_seen = metrics.counter(f"rpcc{src_node}/shed_seen")
         self._token_seq = 0
         #: AIMD congestion windows (None = unbounded issue, classic behavior)
-        self.windows = (
-            WindowSet(self.sim, src_node, window) if window is not None
-            else None
-        )
+        self.windows = WindowSet(self.sim, src_node) if window else None
 
     def next_token(self) -> Tuple[int, int]:
         """A fresh idempotency token (unique per client, stable per run)."""
@@ -146,7 +145,6 @@ class RpcClient:
             token = self.next_token()
         outer = RPCFuture(self.sim, op)
         win = self.windows.window(dst_node, stream)
-        cfg = win.cfg
         shed_tries = [0]
 
         def launch(seq):
@@ -164,12 +162,12 @@ class RpcClient:
                 err = f._value
                 if isinstance(err, ServerOverloaded):
                     win.shed(seq)
-                    if shed_tries[0] < cfg.max_shed_retries:
+                    if shed_tries[0] < MAX_SHED_RETRIES:
                         shed_tries[0] += 1
                         win.retries.add(1)
                         delay = min(
-                            cfg.shed_backoff * (2.0 ** (shed_tries[0] - 1)),
-                            cfg.shed_backoff_max,
+                            SHED_BACKOFF * (2.0 ** (shed_tries[0] - 1)),
+                            SHED_BACKOFF_MAX,
                         )
                         self.sim.schedule_callback(
                             lambda: win.submit(launch), delay

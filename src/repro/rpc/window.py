@@ -11,7 +11,7 @@ module provides that bound as a self-tuning congestion window, TCP-style:
   per window's worth of completions.
 * **Multiplicative decrease** — a :class:`~repro.rpc.future.ServerOverloaded`
   shed, a transport failure, or a completion far above the latency target
-  halves the window (never below ``floor``).  Decreases are guarded by a
+  halves the window (never below ``FLOOR``).  Decreases are guarded by a
   recovery epoch: at most one halving per in-flight window of launches, so
   a burst of sheds from the same overload event does not collapse the
   window to the floor in one step.
@@ -19,7 +19,7 @@ module provides that bound as a self-tuning congestion window, TCP-style:
   a capped exponential backoff, as fresh attempts that all carry the same
   idempotency token (pinned by the caller, or drawn once per operation
   while a fault plan is installed).  After
-  ``max_shed_retries`` the shed surfaces to the caller.
+  ``MAX_SHED_RETRIES`` the shed surfaces to the caller.
 
 Windows are keyed per ``(dst_node, stream)``; containers pass the target
 partition index as the stream so each partition's pipeline adapts
@@ -35,61 +35,45 @@ given seed regardless of ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.registry import registry_of
 
-__all__ = ["WindowConfig", "AIMDWindow", "WindowSet"]
+__all__ = ["AIMDWindow", "WindowSet"]
 
 #: sentinel latency before any completion has been observed
 _INF = float("inf")
 
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """Knobs for the per-(node, stream) AIMD congestion window."""
-
-    #: initial window (ops in flight before any adaptation)
-    initial: int = 4
-    #: hard lower bound — 1 guarantees progress (never deadlocks)
-    floor: int = 1
-    #: hard upper bound on the window
-    cap: int = 256
-    #: additive-increase numerator (ops per window of good completions)
-    additive: float = 1.0
-    #: halve when a completion exceeds ``latency_factor * base_latency``
-    latency_factor: float = 4.0
-    #: first shed-retry backoff (sim seconds), doubled per retry
-    shed_backoff: float = 20e-6
-    #: cap on the shed-retry backoff
-    shed_backoff_max: float = 320e-6
-    #: shed retries absorbed by the window before surfacing to the caller
-    max_shed_retries: int = 64
-
-    def __post_init__(self):
-        if self.floor < 1:
-            raise ValueError(f"window floor must be >= 1, got {self.floor}")
-        if self.initial < self.floor or self.cap < self.initial:
-            raise ValueError(
-                f"need floor <= initial <= cap, got "
-                f"{self.floor}/{self.initial}/{self.cap}"
-            )
+#: initial window (ops in flight before any adaptation)
+INITIAL = 4
+#: hard lower bound — 1 guarantees progress (never deadlocks)
+FLOOR = 1
+#: hard upper bound on the window
+CAP = 256
+#: additive-increase numerator (ops per window of good completions)
+ADDITIVE = 1.0
+#: halve when a completion exceeds ``LATENCY_FACTOR * base_latency``
+LATENCY_FACTOR = 4.0
+#: first shed-retry backoff (sim seconds), doubled per retry
+SHED_BACKOFF = 20e-6
+#: cap on the shed-retry backoff
+SHED_BACKOFF_MAX = 320e-6
+#: shed retries absorbed by the window before surfacing to the caller
+MAX_SHED_RETRIES = 64
 
 
 class AIMDWindow:
     """One congestion window: bounded launches + AIMD adaptation."""
 
     __slots__ = (
-        "sim", "cfg", "cwnd", "outstanding", "base_latency",
+        "sim", "cwnd", "outstanding", "base_latency",
         "_queue", "_launch_seq", "_recover_until",
         "gauge", "stalls", "sheds", "retries",
     )
 
-    def __init__(self, sim, cfg: WindowConfig, gauge, stalls, sheds, retries):
+    def __init__(self, sim, gauge, stalls, sheds, retries):
         self.sim = sim
-        self.cfg = cfg
-        self.cwnd = float(cfg.initial)
+        self.cwnd = float(INITIAL)
         self.outstanding = 0
         self.base_latency = _INF
         #: deferred launch closures, FIFO
@@ -127,12 +111,9 @@ class AIMDWindow:
         if latency < self.base_latency:
             self.base_latency = latency
         if (self.base_latency is _INF
-                or latency <= self.cfg.latency_factor * self.base_latency):
-            if self.cwnd < self.cfg.cap:
-                self.cwnd = min(
-                    self.cfg.cap,
-                    self.cwnd + self.cfg.additive / max(1.0, self.cwnd),
-                )
+                or latency <= LATENCY_FACTOR * self.base_latency):
+            if self.cwnd < CAP:
+                self.cwnd = min(CAP, self.cwnd + ADDITIVE / max(1.0, self.cwnd))
         else:
             self._decrease(seq)
         self.gauge.set(self.cwnd)
@@ -160,7 +141,7 @@ class AIMDWindow:
         if seq <= self._recover_until:
             return
         self._recover_until = self._launch_seq
-        self.cwnd = max(float(self.cfg.floor), self.cwnd / 2.0)
+        self.cwnd = max(float(FLOOR), self.cwnd / 2.0)
 
     @property
     def queued(self) -> int:
@@ -174,12 +155,11 @@ class AIMDWindow:
 class WindowSet:
     """Per-client collection of windows keyed by ``(dst_node, stream)``."""
 
-    __slots__ = ("sim", "cfg", "src_node", "_windows",
+    __slots__ = ("sim", "src_node", "_windows",
                  "stalls", "sheds", "retries", "_metrics")
 
-    def __init__(self, sim, src_node: int, cfg: WindowConfig):
+    def __init__(self, sim, src_node: int):
         self.sim = sim
-        self.cfg = cfg
         self.src_node = src_node
         self._windows: Dict[Tuple[int, Optional[int]], AIMDWindow] = {}
         metrics = registry_of(sim)
@@ -197,8 +177,8 @@ class WindowSet:
             gauge = self._metrics.gauge(
                 f"rpc/cwnd/n{self.src_node}-n{dst_node}s{label}"
             )
-            win = AIMDWindow(self.sim, self.cfg, gauge,
-                             self.stalls, self.sheds, self.retries)
+            win = AIMDWindow(self.sim, gauge, self.stalls, self.sheds,
+                             self.retries)
             self._windows[key] = win
         return win
 

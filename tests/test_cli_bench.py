@@ -31,9 +31,10 @@ from repro.obs import (
 
 #: tiny shape + the row labels it produces, per bench command
 TINY = {
+    # isx: a multi-phase app under every instrument (phases pause the pump)
     "aggbench": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
-                  "--sweep", "0", "8", "--apps", "kmer"],
-                 ["kmer-agg0", "kmer-agg8"]),
+                  "--sweep", "0", "8", "--apps", "kmer", "isx"],
+                 ["kmer-agg0", "kmer-agg8", "isx-agg0", "isx-agg8"]),
     "asyncbench": (["--scale", "0.1", "--nodes", "2", "--procs", "2"],
                    ["sync-512", "async-64", "async-512", "async-auto"]),
     "serving": (["--nodes", "2", "--procs", "2", "--clients", "100",
@@ -42,9 +43,6 @@ TINY = {
                 ["off", "b16"]),
     "chaos-soak": (["--plans", "mixed", "calm", "--keys", "8", "--kmers", "8"],
                    ["mixed", "calm"]),
-    "telemetry": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
-                   "--flight-interval", "1e-5"],
-                  ["isx", "contig"]),
     # the FIGURES records: one report each, whatever the sweep
     "fig1": ([], [""]),
     "fig4": (["--scale", "0.1"], [""]),
@@ -200,12 +198,6 @@ class TestCheck:
         assert main(argv) == 1
         assert "CHECK FAILED: " in capsys.readouterr().err
 
-    def test_telemetry_failure_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr("repro.harness.telemetry.check_telemetry",
-                            lambda report: ["isx: probe failed"])
-        assert main(["telemetry", *TINY["telemetry"][0], "--check"]) == 1
-        assert "CHECK FAILED: isx: probe failed" in capsys.readouterr().err
-
     def test_fig7_failed_verification_exits_1(self, monkeypatch, capsys):
         """A figure's verification is its always-on check, not an
         ``assert`` that ``python -O`` drops."""
@@ -243,7 +235,7 @@ class TestCheck:
         assert ("CHECK FAILED: rpc_lockfree: server stored 7 of 10240 inserts"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("name", ["serving", "telemetry"])
+    @pytest.mark.parametrize("name", ["serving"])
     def test_passing_check_exits_0(self, name, capsys):
         assert main([name, *TINY[name][0], "--check"]) == 0
         assert "CHECK FAILED" not in capsys.readouterr().err
@@ -309,54 +301,6 @@ class TestParser:
             assert set(h.instruments) == set(INSTRUMENT_FLAGS), h.name
 
 
-class TestTelemetry:
-    """One pump: each app is simulated once, whoever installed the
-    recorder, and sampling it changes nothing."""
-
-    def test_each_app_runs_once_and_unperturbed(self, monkeypatch):
-        """At the committed shape: one ``run_app`` per app, whose simulated
-        seconds are an unsampled run's and ``BENCH_telemetry.json``'s."""
-        from repro.config import ares_like
-        from repro.harness import telemetry
-
-        real, calls = telemetry.run_app, []
-
-        def counting(app, *args, **kwargs):
-            calls.append(app)
-            return real(app, *args, **kwargs)
-
-        monkeypatch.setattr(telemetry, "run_app", counting)
-        report = telemetry.run_telemetry()
-        assert calls == ["isx", "contig"]
-        committed = {"isx": 0.00192613037478796,
-                     "contig": 0.013501165296763798}
-        for run in report["runs"]:
-            app = run["app"]
-            _ops, unsampled = real(
-                app, "hcl", ares_like(nodes=4, procs_per_node=3),
-                telemetry.AGG_SHAPES[app], 1.0, 8)
-            assert run["sim_seconds"] == unsampled.time_seconds \
-                == committed[app]
-            assert run["samples"] == int(committed[app] / run["interval"])
-
-    def test_flight_file_carries_the_fig4_series(self, tmp_path):
-        """``--flight-recorder``: the probes ride the instrument's recorder,
-        so each app's flight file holds the report's three series."""
-        from repro.harness.telemetry import FIG4_SERIES
-
-        files = _run("telemetry", ("flight",), str(tmp_path / "t"))
-        runs = {run["app"]: run
-                for run in json.loads(files["report.json"])["runs"]}
-        for app, run in runs.items():
-            flight = json.loads(files[f"f_{app}.json"])
-            assert len(flight["series"]) > len(FIG4_SERIES)  # + the registry
-            for name in FIG4_SERIES:
-                assert flight["series"][name]["values"] == \
-                    run["series"][name]["values"] != []
-                assert flight["series"][name]["times"] == \
-                    run["series"][name]["times"]
-
-
 class TestSeam:
     def test_suffixed_splits_on_the_basename(self):
         assert suffixed("./out/chaos_trace", "mixed") == \
@@ -370,7 +314,7 @@ class TestSeam:
     def test_second_pump_is_refused(self):
         """One pump per cluster: a second recorder raises instead of
         silently starving the first (a harness that wants the run's
-        recorder takes it with ``recorder_of``, as telemetry does)."""
+        recorder takes it with ``recorder_of``, as serving does)."""
         from repro.config import ares_like
         from repro.core import HCL
 

@@ -168,7 +168,7 @@ class TestNic:
         assert probe() == 0.0
 
         def worker():
-            yield from node.nic.serve_verb(1.0)
+            yield from node.nic.serve_verb()
 
         cluster.sim.process(worker())
         cluster.sim.run()
@@ -351,10 +351,6 @@ class TestTopology:
     def test_probes(self, cluster, drive):
         packets = cluster.packets_probe()
         assert packets() == 0.0
-        mem = cluster.memory_probe(node_id=0)
-        assert mem() == 0.0
-        cluster.node(0).allocate(cluster.node(0).memory_capacity // 2)
-        assert mem() == pytest.approx(50.0)
 
 
 class TestProviders:

@@ -125,3 +125,52 @@ class TestGeometry:
             assert log.bytes_used == 0
             log.append(b"12345")
             assert log.bytes_used == 12 + 5
+
+
+class TestTornTail:
+    """A process that dies mid-append leaves a prefix of its last record
+    and zeros after it: reading stops before that record, and reopening
+    zero-fills it so the next append leaves nothing stale behind."""
+
+    PAYLOADS = [b"alpha", b"beta-beta", b"gamma-gamma-gamma"]
+
+    def _write(self, path):
+        with PersistentLog(path) as log:
+            offsets = [log.append(p) for p in self.PAYLOADS]
+        with open(path, "rb") as fh:
+            return offsets, fh.read()
+
+    def test_every_tear_in_the_last_record_recovers(self, log_path):
+        offsets, clean = self._write(log_path)
+        last = offsets[-1]
+        end = last + 12 + len(self.PAYLOADS[-1])
+        kept = self.PAYLOADS[:-1]
+        for k in range(last, end):
+            with open(log_path, "wb") as fh:
+                fh.write(clean[:k] + bytes(end - k) + clean[end:])
+            with PersistentLog(log_path) as log:
+                assert log.bytes_used == last, k
+                assert [r.payload for r in log.records()] == kept, k
+                log.append(b"after")  # shorter than the torn record
+            with PersistentLog(log_path) as log:
+                assert [r.payload for r in log.records()] == \
+                    kept + [b"after"], k
+
+    def test_flipped_byte_in_an_earlier_record_raises(self, log_path):
+        """Magic, CRC or payload: the bytes after the first record are not
+        zero, so it is corruption, not a tear.  (A flipped length field can
+        claim an extent that swallows the rest of the log, and then it is
+        indistinguishable from one.)"""
+        _offsets, clean = self._write(log_path)
+        for k in [0, 1, 2, 3, 8, 9, 10, 11] + list(range(12, 17)):
+            with open(log_path, "wb") as fh:
+                fh.write(clean[:k] + bytes([clean[k] ^ 0xFF]) + clean[k + 1:])
+            with PersistentLog(log_path) as log:
+                with pytest.raises(CorruptRecordError):
+                    list(log.records())
+
+    def test_empty_payload_rejected(self, log_path):
+        """A zero length is what a tear inside the length field leaves."""
+        with PersistentLog(log_path) as log:
+            with pytest.raises(ValueError, match="non-empty"):
+                log.append(b"")

@@ -314,7 +314,7 @@ class TestPlumbing:
 
     def test_simulated_elapsed_is_compared_at_the_threshold(self):
         """Fig 4's ``--emit`` carries simulated ``elapsed`` seconds: no key
-        is host-noisy, so +40 % is significant at the default 10 %."""
+        is host-noisy, so +40 % is significant at the 10 % threshold."""
         a = {"benchmark": "fig4", "bcl": {"elapsed": 0.020},
              "hcl": {"elapsed": 0.010}}
         b = {"benchmark": "fig4", "bcl": {"elapsed": 0.020},

@@ -220,7 +220,6 @@ class TestWindowedPath:
     def windowed_tracer(self):
         from repro.fabric import Cluster
         from repro.rpc import RpcClient, RpcServer
-        from repro.rpc.window import WindowConfig
 
         spec = ares_like(nodes=2, procs_per_node=4, seed=7)
         cluster = Cluster(spec)
@@ -229,8 +228,7 @@ class TestWindowedPath:
             0: RpcServer(cluster.node(0)),
             1: RpcServer(cluster.node(1), workers=1, queue_bound=1),
         }
-        client = RpcClient(cluster, 0, servers,
-                           window=WindowConfig(initial=8))
+        client = RpcClient(cluster, 0, servers, window=True)
 
         def slow(ctx, i):
             yield ctx.sim.timeout(40e-6)

@@ -16,36 +16,27 @@ from repro.fabric.faults import FaultPlan, LinkFaults
 from repro.obs.registry import registry_of
 from repro.rpc import RpcClient, RpcServer
 from repro.rpc.future import ServerOverloaded
-from repro.rpc.window import AIMDWindow, WindowConfig, WindowSet
+from repro.rpc.window import (
+    CAP, FLOOR, INITIAL, LATENCY_FACTOR, MAX_SHED_RETRIES, AIMDWindow,
+    WindowSet,
+)
 from repro.simnet import Simulator
 
 
-def _window(sim, **kw) -> AIMDWindow:
-    cfg = WindowConfig(**kw)
+def _window(sim) -> AIMDWindow:
     metrics = registry_of(sim)
     return AIMDWindow(
-        sim, cfg, metrics.gauge("rpc/cwnd/test"),
+        sim, metrics.gauge("rpc/cwnd/test"),
         metrics.counter("rpc/window_stalls"),
         metrics.counter("rpc/window_sheds"),
         metrics.counter("rpc/window_retries"),
     )
 
 
-class TestWindowConfig:
-    def test_floor_below_one_rejected(self):
-        with pytest.raises(ValueError, match="floor"):
-            WindowConfig(floor=0)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            WindowConfig(initial=2, floor=4)
-        with pytest.raises(ValueError):
-            WindowConfig(initial=16, cap=8)
-
-
 class TestControlLaw:
     def test_additive_increase_under_target(self):
-        win = _window(Simulator(), initial=4)
+        win = _window(Simulator())
+        assert win.cwnd == INITIAL == 4
         for seq in range(1, 9):
             win._launch_seq = seq
             win.outstanding = 1
@@ -55,31 +46,34 @@ class TestControlLaw:
         assert win.cwnd < 4.0 + 8
 
     def test_capped_at_cap(self):
-        win = _window(Simulator(), initial=4, cap=5)
-        for seq in range(1, 50):
+        win = _window(Simulator())
+        win.cwnd = CAP - 1.0
+        for seq in range(1, 2 * CAP):
             win._launch_seq = seq
             win.outstanding = 1
             win.completed(seq, latency=1e-6)
-        assert win.cwnd == 5.0
+        assert win.cwnd == CAP == 256
 
     def test_shed_halves(self):
-        win = _window(Simulator(), initial=16)
+        win = _window(Simulator())
         win._launch_seq = 1
         win.outstanding = 1
         win.shed(1)
-        assert win.cwnd == 8.0
+        assert win.cwnd == INITIAL / 2
 
     def test_latency_spike_halves(self):
-        win = _window(Simulator(), initial=16, latency_factor=4.0)
+        win = _window(Simulator())
         win._launch_seq = 2
         win.outstanding = 2
         win.completed(1, latency=1e-6)   # establishes base latency
-        win.completed(2, latency=1e-3)   # >> 4x base
-        assert win.cwnd < 16.0
+        grown = win.cwnd
+        win.completed(2, latency=LATENCY_FACTOR * 1e-6 * 1.01)
+        assert win.cwnd == grown / 2
 
     def test_sustained_sheds_hit_floor_of_one(self):
         """The floor guarantees progress: never 0, never negative."""
-        win = _window(Simulator(), initial=64, floor=1)
+        win = _window(Simulator())
+        assert FLOOR == 1
         for seq in range(1, 40):
             win._launch_seq = seq  # new launch epoch -> decrease allowed
             win.outstanding = 1
@@ -92,32 +86,33 @@ class TestControlLaw:
 
     def test_recovery_epoch_absorbs_shed_burst(self):
         """Sheds of launches from one in-flight window halve once, not N."""
-        win = _window(Simulator(), initial=16)
-        win._launch_seq = 8          # 8 launches in flight
-        win.outstanding = 8
-        for seq in range(1, 9):      # every one of them sheds
+        win = _window(Simulator())
+        win._launch_seq = 4          # a full window of launches in flight
+        win.outstanding = 4
+        for seq in range(1, 5):      # every one of them sheds
             win.shed(seq)
-        assert win.cwnd == 8.0       # one halving, not 16 / 2**8
+        assert win.cwnd == 2.0       # one halving, not 4 / 2**4
 
 
 class TestSubmitQueue:
     def test_full_window_queues_and_counts_stall(self):
         sim = Simulator()
-        win = _window(sim, initial=1)
+        win = _window(sim)
         order = []
-        win.submit(lambda seq: order.append(("a", seq)))
-        win.submit(lambda seq: order.append(("b", seq)))  # window full
-        assert order == [("a", 1)]
+        for name in "abcde":
+            win.submit(lambda seq, name=name: order.append((name, seq)))
+        # the fifth launch finds the window of INITIAL full
+        assert order == [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
         assert win.queued == 1
         assert registry_of(sim).counter("rpc/window_stalls").value == 1
         win.completed(1, latency=1e-6)  # frees a slot -> pump
-        assert order == [("a", 1), ("b", 2)]
+        assert order[-1] == ("e", 5)
         assert win.queued == 0
 
 
 class TestWindowSet:
     def test_keyed_per_node_and_stream(self, sim):
-        ws = WindowSet(sim, src_node=0, cfg=WindowConfig())
+        ws = WindowSet(sim, src_node=0)
         a = ws.window(1, 0)
         assert ws.window(1, 0) is a
         assert ws.window(1, 1) is not a
@@ -127,22 +122,21 @@ class TestWindowSet:
         assert all(v == 4.0 for v in snap.values())
 
     def test_gauges_exported(self, sim):
-        ws = WindowSet(sim, src_node=3, cfg=WindowConfig())
+        ws = WindowSet(sim, src_node=3)
         ws.window(1, 2).completed(1, 1e-6)
         gauge = registry_of(sim).gauge("rpc/cwnd/n3-n1s2")
         assert gauge.value == ws.window(1, 2).cwnd
 
 
-def _shed_rig(initial=8, queue_bound=1, **cfg_kw):
+def _shed_rig():
     """2 nodes; node 1 serves with one worker and a tiny receive queue."""
     spec = ares_like(nodes=2, procs_per_node=4, seed=7)
     cluster = Cluster(spec)
     servers = {
         0: RpcServer(cluster.node(0)),
-        1: RpcServer(cluster.node(1), workers=1, queue_bound=queue_bound),
+        1: RpcServer(cluster.node(1), workers=1, queue_bound=1),
     }
-    client = RpcClient(cluster, 0, servers,
-                       window=WindowConfig(initial=initial, **cfg_kw))
+    client = RpcClient(cluster, 0, servers, window=True)
 
     def slow(ctx, i):
         yield ctx.sim.timeout(40e-6)
@@ -156,7 +150,7 @@ class TestWindowedInvoke:
     def test_same_result_as_direct(self, small_spec):
         cluster = Cluster(small_spec)
         servers = {i: RpcServer(cluster.node(i)) for i in range(2)}
-        client = RpcClient(cluster, 0, servers, window=WindowConfig())
+        client = RpcClient(cluster, 0, servers, window=True)
         servers[1].bind("echo", lambda ctx, x: x * 2)
         fut = client.invoke(1, "echo", (21,), stream=0)
         cluster.run()
@@ -172,18 +166,27 @@ class TestWindowedInvoke:
         assert metrics.counter("rpc/window_retries").value > 0
         assert metrics.counter("rpc/window_stalls").value > 0
         win = client.windows.window(1, 0)
-        assert win.cwnd < 8.0          # shrank under overload...
+        assert win.cwnd < INITIAL      # shrank under overload...
         assert win.cwnd >= 1.0         # ...but never below the floor
         assert win.outstanding == 0 and win.queued == 0
 
     def test_shed_surfaces_after_retry_budget(self):
-        cluster, _servers, client = _shed_rig(max_shed_retries=1)
-        futs = [client.invoke(1, "slow", (i,), stream=0) for i in range(40)]
+        """One op holds the worker and one the queue slot for far longer
+        than the whole backoff schedule, so the other two (each in its
+        own window) are shed on every retry and surface the shed."""
+        cluster, servers, client = _shed_rig()
+
+        def hog(ctx):
+            yield ctx.sim.timeout(1.0)
+
+        servers[1].bind("hog", hog)
+        futs = [client.invoke(1, "hog", stream=i) for i in range(4)]
         cluster.run()
-        failed = [f for f in futs if not f.ok]
-        assert failed, "retry budget of 1 should leave surfaced sheds"
+        assert [f.ok for f in futs] == [True, True, False, False]
         with pytest.raises(ServerOverloaded):
-            _ = failed[0].result
+            _ = futs[2].result
+        retries = registry_of(cluster.sim).counter("rpc/window_retries")
+        assert retries.value == 2 * MAX_SHED_RETRIES == 128
 
     def test_pinned_token_rides_every_attempt(self, monkeypatch):
         cluster, _servers, client = _shed_rig()

@@ -24,12 +24,14 @@ from repro.rpc.coalesce import OpCoalescer, ReadCache, _Buffer
 from repro.rpc.future import RPCFuture
 from repro.rpc.server import RpcRequest
 from repro.simnet.core import Simulator
+from repro.structures.mdlist import _MNode
+from repro.structures.stats import OpStats
 
 #: Classes allocated on (or near) every remote op.  A class is dict-free
 #: iff no class in its MRO installs a ``__dict__`` descriptor.
 SLOTTED_HOT_CLASSES = [
     Message, RpcRequest, RPCFuture, RpcClient, OpCoalescer, ReadCache,
-    _Buffer,
+    _Buffer, OpStats, _MNode,
 ]
 
 ALLOCS = 200_000

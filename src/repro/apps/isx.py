@@ -54,6 +54,11 @@ def _bucket_of(key: int, nodes: int) -> int:
     return min(nodes - 1, int(key * nodes // MAX_KEY))
 
 
+def _buckets_of(keys: np.ndarray, nodes: int) -> List[int]:
+    """:func:`_bucket_of` of every key, in one vector op."""
+    return np.minimum(nodes - 1, keys * nodes // MAX_KEY).tolist()
+
+
 def run_isx(
     backend: str,
     spec: ClusterSpec,
@@ -110,24 +115,23 @@ def _run_hcl(spec: ClusterSpec, keys_per_rank: int, batch: int,
     all_keys: List[int] = []
 
     def rank_body(rank):
-        keys = _generate_keys(rank, keys_per_rank, seed)
-        all_keys.extend(int(k) for k in keys)
+        key_array = _generate_keys(rank, keys_per_rank, seed)
+        keys = key_array.tolist()
+        bucket_ids = _buckets_of(key_array, nodes)
+        all_keys.extend(keys)
         if aggregation:
             # Scatter through the transparent write buffers: pushes
             # write-combine per destination bucket and flush as single
             # batch invocations — no app-managed grouping needed.
-            for key in keys:
-                bucket_id = _bucket_of(int(key), nodes)
-                yield from buckets[bucket_id].push_buffered(
-                    rank, int(key), None
-                )
+            for key, bucket_id in zip(keys, bucket_ids):
+                yield from buckets[bucket_id].push_buffered(rank, key, None)
             for bucket in buckets:
                 yield from bucket.flush(rank)
             return len(keys)
         # Distribution phase: group keys by destination bucket, vector-push.
         by_bucket: Dict[int, List[int]] = {}
-        for key in keys:
-            by_bucket.setdefault(_bucket_of(int(key), nodes), []).append(int(key))
+        for key, bucket_id in zip(keys, bucket_ids):
+            by_bucket.setdefault(bucket_id, []).append(key)
         for bucket_id, chunk in sorted(by_bucket.items()):
             for start in range(0, len(chunk), batch):
                 entries = [(k, None) for k in chunk[start:start + batch]]

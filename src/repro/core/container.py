@@ -795,16 +795,19 @@ class DistributedContainer:
 
     @staticmethod
     def _entry_bytes(*values: Any) -> int:
-        # Inlined str/int fast paths: this runs twice per op (payload
-        # sizing at the caller, entry sizing at the target) on every
-        # container hot path, and keys are overwhelmingly strings or ints.
+        # Inlined fast paths for estimate_size's commonest cases: this
+        # runs twice per op (payload sizing at the caller, entry sizing at
+        # the target) on every container hot path, keys are overwhelmingly
+        # strings or ints, and valueless entries (ISx keys) carry None.
         total = 0
         for v in values:
             t = type(v)
             if t is str:
                 total += 4 + len(v)
-            elif t is int:
+            elif t is int or t is float:
                 total += 8
+            elif v is None:
+                total += 1
             else:
                 total += estimate_size(v)
         return total

@@ -11,6 +11,7 @@ space); values are arbitrary.  ``push(rank, priority, value)`` /
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.core.container import OP_TABLES, DistributedContainer, Partition
@@ -61,26 +62,16 @@ class HCLPriorityQueue(DistributedContainer):
         return ((priority, value), True), stats, self._entry_bytes(priority, value)
 
     def _do_push_many(self, part: Partition, entries):
-        stats = OpStats()
-        total_bytes = 16
-        for priority, value in entries:
-            stats = stats.merge(part.structure.push(priority, value))
-            total_bytes += self._entry_bytes(priority, value)
-        grow = self._maybe_grow(part, total_bytes // max(1, len(entries)))
+        stats = part.structure.push_many(entries)
+        total_bytes = 16 + self._entry_bytes(*chain.from_iterable(entries))
+        per = total_bytes // max(1, len(entries))
+        grow = self._maybe_grow(part, per)
         if grow is not None:
             stats = stats.merge(grow)
-        return True, stats, max(64, total_bytes // max(1, len(entries)))
+        return True, stats, max(64, per)
 
     def _do_pop_many(self, part: Partition, count):
-        stats = OpStats()
-        out = []
-        for _ in range(count):
-            try:
-                priority, value, s = part.structure.pop_min()
-            except PriorityQueueEmpty:
-                break
-            out.append((priority, value))
-            stats = stats.merge(s)
+        out, stats = part.structure.pop_many(count)
         return out, stats, 64
 
     def _do_peek(self, part: Partition):
@@ -122,7 +113,7 @@ class HCLPriorityQueue(DistributedContainer):
     def push_many(self, rank: int, entries: Sequence[Tuple[int, Any]]):
         """Vector push — Table I: F + L·log(N) + E·W."""
         entries = [tuple(e) for e in entries]
-        payload = sum(self._entry_bytes(p, v) for p, v in entries) or 16
+        payload = self._entry_bytes(*chain.from_iterable(entries)) or 16
         return self._issue(rank, "push_many", (entries,), self._execute,
                            self.home, payload)
 

@@ -82,10 +82,13 @@ class OptimisticQueue:
 
     def push_many(self, values) -> OpStats:
         """Vector push (Table I: F + L + E*W)."""
-        stats = OpStats()
+        local_ops = writes = cas_ops = 0  # the fields push counts
         for v in values:
-            stats = stats.merge(self.push(v))
-        return stats
+            s = self.push(v)
+            local_ops += s.local_ops
+            writes += s.writes
+            cas_ops += s.cas_ops
+        return OpStats(local_ops=local_ops, writes=writes, cas_ops=cas_ops)
 
     # -- dequeue ------------------------------------------------------------------
     def pop(self) -> Tuple[Any, OpStats]:
@@ -114,15 +117,18 @@ class OptimisticQueue:
 
     def pop_many(self, n: int):
         """Vector pop of up to ``n`` elements (Table I: F + L + E*R)."""
-        stats = OpStats()
+        reads = cas_ops = relocations = 0  # the fields pop counts
         out = []
         for _ in range(n):
             if self.empty:
                 break
             v, s = self.pop()
             out.append(v)
-            stats = stats.merge(s)
-        return out, stats
+            reads += s.reads
+            cas_ops += s.cas_ops
+            relocations += s.relocations
+        return out, OpStats(reads=reads, cas_ops=cas_ops,
+                            relocations=relocations)
 
     def _fix_list(self, stats: OpStats) -> None:
         """Rebuild prev pointers tail -> head from the authoritative next chain,

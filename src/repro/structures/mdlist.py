@@ -18,8 +18,12 @@ coordinate order equals priority order.  Operations:
   and a **purge pass** physically unlinks them once their count passes a
   threshold, exactly the paper's background-purge behaviour.  Each purged
   node is spliced out Zhang-Dechev style — its successor takes its slot and
-  adopts its children — so a purge costs O(D) relinks per purged node, not
-  a pass over the live ones.  Stats expose hops and purged counts.
+  adopts its children — and found through its parent link, so a purge
+  costs O(D) relinks per purged node, not a pass over the live ones.  Stats
+  expose hops and purged counts.
+* ``push_many`` / ``pop_many`` — the vector forms, one call and one
+  :class:`OpStats` per batch (the sum of the per-op ones); ``push`` and
+  ``pop_min`` are their one-element case.
 
 Duplicate priorities are allowed (each node carries a FIFO list of values,
 resolving "conflicts based on arrival time and priority").
@@ -27,7 +31,7 @@ resolving "conflicts based on arrival time and priority").
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.structures.stats import OpStats
 
@@ -39,13 +43,16 @@ class PriorityQueueEmpty(Exception):
 
 
 class _MNode:
-    __slots__ = ("key", "values", "children", "marked")
+    __slots__ = ("key", "values", "children", "marked", "parent", "pdim")
 
     def __init__(self, key: int, dims: int):
         self.key = key
         self.values: List[Any] = []  # FIFO among equal priorities
         self.children: List[Optional[_MNode]] = [None] * dims
         self.marked = False
+        # the node this one hangs from, at ``parent.children[pdim]``
+        self.parent: Optional[_MNode] = None
+        self.pdim = 0
 
 
 class MDListPriorityQueue:
@@ -104,23 +111,40 @@ class MDListPriorityQueue:
 
     # -- push -----------------------------------------------------------------------
     def push(self, key: int, value: Any) -> OpStats:
-        if not 0 <= key < self.key_limit:
-            self.coordinate(key)  # raises the range error
-        node, parent, dim, adopt_dim, hops = self._locate(key)
-        if node is not None:
-            # Same priority: append in arrival order.
-            node.values.append(value)
-            if node.marked:
-                node.marked = False
-                self._marked.remove(node)
-        else:
-            node = _MNode(key, self.dims)
-            node.values.append(value)
-            self._splice(node, parent, dim, adopt_dim)
-        self._walk = None
-        self._count += 1
-        # one write, one CAS: the append, or the attach-point CAS
-        return OpStats(local_ops=hops, writes=1, cas_ops=1)
+        return self.push_many(((key, value),))
+
+    def push_many(self, entries: Iterable[Tuple[int, Any]]) -> OpStats:
+        """Push each ``(priority, value)`` in order; one :class:`OpStats`
+        for the batch, the sum of the per-push ones: the descent's hops,
+        and one write and one CAS per push (the append, or the
+        attach-point CAS)."""
+        limit = self.key_limit
+        dims = self.dims
+        locate = self._locate
+        splice = self._splice
+        hops = pushed = 0
+        try:
+            for key, value in entries:
+                if not 0 <= key < limit:
+                    self.coordinate(key)  # raises the range error
+                node, parent, dim, adopt_dim, h = locate(key)
+                hops += h
+                if node is not None:
+                    # Same priority: append in arrival order.
+                    node.values.append(value)
+                    if node.marked:
+                        node.marked = False
+                        self._marked.remove(node)
+                else:
+                    node = _MNode(key, dims)
+                    node.values.append(value)
+                    splice(node, parent, dim, adopt_dim)
+                pushed += 1
+        finally:  # a range error mid-batch keeps the pushed prefix counted
+            if pushed:
+                self._walk = None
+                self._count += pushed
+        return OpStats(local_ops=hops, writes=pushed, cas_ops=pushed)
 
     def _splice(self, fresh: _MNode, pred: _MNode, pred_dim: int,
                 adopt_dim: int) -> None:
@@ -136,10 +160,17 @@ class MDListPriorityQueue:
         curr = pred.children[pred_dim]
         if curr is not None:
             for j in range(pred_dim, adopt_dim):
-                fresh.children[j] = curr.children[j]
-                curr.children[j] = None
+                child = curr.children[j]
+                if child is not None:
+                    fresh.children[j] = child
+                    child.parent = fresh
+                    curr.children[j] = None
             fresh.children[adopt_dim] = curr
+            curr.parent = fresh
+            curr.pdim = adopt_dim
         pred.children[pred_dim] = fresh
+        fresh.parent = pred
+        fresh.pdim = pred_dim
 
     def _locate(self, key: int):
         """The Zhang-Dechev predecessor search.
@@ -180,17 +211,34 @@ class MDListPriorityQueue:
         """Remove and return ``(priority, value)`` of the minimum."""
         if self._count == 0:
             raise PriorityQueueEmpty()
-        node, hops = self._find_min()
-        # one read and the deletion mark's CAS
-        stats = OpStats(local_ops=hops, reads=1, cas_ops=1)
-        value = node.values.pop(0)
-        self._count -= 1
-        if not node.values:
-            node.marked = True
-            self._marked.append(node)
-            if len(self._marked) >= self.PURGE_THRESHOLD:
-                stats.relocations += self._purge()
-        return node.key, value, stats
+        ((key, value),), stats = self.pop_many(1)
+        return key, value, stats
+
+    def pop_many(self, count: int) -> Tuple[List[Tuple[int, Any]], OpStats]:
+        """Pop up to ``count`` minima, in order, as ``(priority, value)``
+        pairs; one :class:`OpStats` for the batch, the sum of the per-pop
+        ones: the walk's hops, one read and one deletion-mark CAS per pop,
+        and the nodes any purge removed."""
+        out: List[Tuple[int, Any]] = []
+        append = out.append
+        find_min = self._find_min
+        marked = self._marked
+        threshold = self.PURGE_THRESHOLD
+        hops = purged = 0
+        for _ in range(min(count, self._count)):
+            node, h = find_min()
+            hops += h
+            values = node.values
+            append((node.key, values.pop(0)))
+            if not values:
+                node.marked = True
+                marked.append(node)
+                if len(marked) >= threshold:
+                    purged += self._purge()
+        popped = len(out)
+        self._count -= popped
+        return out, OpStats(local_ops=hops, reads=popped, cas_ops=popped,
+                            relocations=purged)
 
     def peek_min(self) -> Tuple[int, Any]:
         if self._count == 0:
@@ -250,12 +298,13 @@ class MDListPriorityQueue:
         children in dimensions ``[j, k)``; a childless ``N`` just empties
         its slot.  Every other node keeps its parent and the result is the
         canonical shape ``check_invariants`` checks, so the nodes go in any
-        order: one descent and O(D) relinks per purged node, whatever the
-        live count.  Returns the number of nodes removed.
+        order, each found through its parent link: O(D) relinks per purged
+        node, whatever the live count.  Returns the number of nodes removed.
         """
         top = self.dims - 1
         for node in self._marked:
-            _node, pred, j, _adopt, _hops = self._locate(node.key)
+            pred = node.parent
+            j = node.pdim
             children = node.children
             k = top
             while k >= j and children[k] is None:
@@ -264,10 +313,16 @@ class MDListPriorityQueue:
                 pred.children[j] = None
             else:
                 succ = children[k]
-                succ.children[j:k] = children[j:k]
+                for d in range(j, k):
+                    child = children[d]
+                    if child is not None:
+                        succ.children[d] = child
+                        child.parent = succ
                 pred.children[j] = succ
+                succ.parent = pred
+                succ.pdim = j
         removed = len(self._marked)
-        self._marked = []
+        self._marked.clear()  # in place: pop_many holds this list
         self._walk = None
         self.purges_total += 1
         return removed
@@ -284,7 +339,8 @@ class MDListPriorityQueue:
         """Order, counts, and the canonical shape: the shape is a function
         of the key set — a node whose coordinate first differs from its
         sorted predecessor's in dimension ``j`` is ``children[j]`` of the
-        first node of the block it shares with that predecessor."""
+        first node of the block it shares with that predecessor — and
+        every node's ``parent``/``pdim`` link names that slot."""
         nodes = self._preorder()
         parents = {}
         for node in nodes:
@@ -304,6 +360,11 @@ class MDListPriorityQueue:
             assert parent is firsts[j] and dim == j, (
                 f"{node.key} hangs at {parent.key}[{dim}], "
                 f"not {firsts[j].key}[{j}]"
+            )
+            assert node.parent is parent and node.pdim == dim, (
+                f"{node.key}'s parent link says "
+                f"{getattr(node.parent, 'key', None)}[{node.pdim}], "
+                f"it hangs at {parent.key}[{dim}]"
             )
             firsts[j:] = [node] * (self.dims - j)
             prev = coord

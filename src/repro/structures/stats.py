@@ -13,7 +13,7 @@ from dataclasses import dataclass
 __all__ = ["OpStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class OpStats:
     """Work performed by one structure operation."""
 

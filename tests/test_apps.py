@@ -1,5 +1,6 @@
 """Tests for the application kernels: ISx, genome, k-mer, contig."""
 
+import numpy as np
 import pytest
 
 from repro.apps import (
@@ -10,7 +11,7 @@ from repro.apps import (
 )
 from repro.apps.contig import BOUNDARY, ExtensionPair, _occurrences
 from repro.apps.genome import exact_kmer_counts
-from repro.apps.isx import MAX_KEY, _bucket_of
+from repro.apps.isx import MAX_KEY, _bucket_of, _buckets_of
 from repro.config import ares_like
 
 
@@ -64,6 +65,20 @@ class TestIsx:
     def test_bucket_assignment_covers_range(self):
         assert _bucket_of(0, 8) == 0
         assert _bucket_of(MAX_KEY - 1, 8) == 7
+
+    @pytest.mark.parametrize("nodes", [1, 3, 4, 5, 7])
+    def test_vector_bucket_assignment_matches_scalar(self, nodes):
+        """The rank body's one-call bucket assignment agrees with
+        ``_bucket_of`` at both ends of the key range and on each side of
+        every bucket boundary."""
+        keys = {0, MAX_KEY - 1}
+        for i in range(1, nodes):
+            edge = i * MAX_KEY // nodes
+            keys |= {edge - 1, edge, edge + 1}
+        keys = sorted(keys)
+        got = _buckets_of(np.array(keys, dtype=np.int64), nodes)
+        assert got == [_bucket_of(k, nodes) for k in keys]
+        assert all(type(b) is int for b in got)
 
     def test_hcl_sorts_and_verifies(self, tiny_spec):
         result = run_isx("hcl", tiny_spec, keys_per_rank=40)

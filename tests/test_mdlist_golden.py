@@ -18,6 +18,11 @@ node, head included) and ``purges_total``.  It was recorded from the
 is frozen: a change that *means* to move the queue's costs re-records it
 and says so — never from the code under test.
 
+Each trace is replayed a second time through the vector ops: runs of
+consecutive pushes become one ``push_many`` and runs of consecutive pops one
+``pop_many``, whose ``OpStats`` must be the sum of the per-op records, with
+the same pops and the same final shape.
+
 Re-record with ``PYTHONPATH=src python tests/test_mdlist_golden.py``.
 """
 
@@ -27,6 +32,7 @@ import hashlib
 import json
 import random
 from dataclasses import astuple
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -61,12 +67,18 @@ def _sha(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
-def run_trace(dims, base, seed, threshold):
-    """Play one trace; returns its digests and the events it exercised."""
-    rng = random.Random(seed * 1000 + dims * 10 + base)
+def _queue(dims, base, threshold):
     pq = MDListPriorityQueue(dims=dims, base=base)
     if threshold is not None:
         pq.PURGE_THRESHOLD = threshold
+    return pq
+
+
+def run_trace(dims, base, seed, threshold):
+    """Play one trace; returns its digests, the events it exercised and
+    the per-op record."""
+    rng = random.Random(seed * 1000 + dims * 10 + base)
+    pq = _queue(dims, base, threshold)
     limit = base ** dims
     pool = sorted(rng.sample(range(limit), min(limit, 3 * pq.PURGE_THRESHOLD)))
     live = {}  # key -> live values, for every node in the structure
@@ -116,7 +128,43 @@ def run_trace(dims, base, seed, threshold):
         "ops_sha256": _sha(record),
         "shape_sha256": _sha(_shape(pq)),
         "purges_total": pq.purges_total,
-    }, events
+    }, events, record
+
+
+def replay_vectored(dims, base, threshold, record):
+    """Replay ``record`` with each run of pushes as one ``push_many`` and
+    each run of pops as one ``pop_many``, checking every batch against
+    the per-op records.  Returns the queue and the largest push batch,
+    pop batch and purge count in one batch."""
+    pq = _queue(dims, base, threshold)
+    widest = {"push": 0, "pop": 0, "purged": 0}
+    # "pop-empty" joins a run of pops, "peek-empty" one of peeks
+    for kind, run in groupby(record, key=lambda entry: entry[0].split("-")[0]):
+        run = list(run)
+        if kind == "push":
+            stats = pq.push_many([(key, value) for _op, key, value, *_s
+                                  in run])
+            per_op = [entry[3:] for entry in run]
+        elif kind == "pop":
+            got, stats = pq.pop_many(len(run))
+            done = [entry for entry in run if entry[0] == "pop"]
+            assert got == [(key, value) for _op, key, value, *_s in done]
+            per_op = [entry[3:] for entry in done]
+            widest["purged"] = max(widest["purged"], stats.relocations)
+        else:
+            for entry in run:
+                try:
+                    assert ["peek", *pq.peek_min()] == entry
+                except PriorityQueueEmpty:
+                    assert entry == ["peek-empty"]
+            continue
+        fields = astuple(stats)
+        summed = ([sum(column) for column in zip(*per_op)] if per_op
+                  else [0] * len(fields))
+        assert list(fields) == summed, (kind, len(run))
+        widest[kind] = max(widest[kind], len(run))
+    pq.check_invariants()
+    return pq, widest
 
 
 def _trace_id(trace):
@@ -131,11 +179,26 @@ def golden():
 
 @pytest.mark.parametrize("trace", TRACES, ids=_trace_id)
 def test_trace_reproduces_golden(trace, golden):
-    digests, events = run_trace(*trace)
+    digests, events, _record = run_trace(*trace)
     assert digests == golden[_trace_id(trace)]
     # the trace exercises what it claims to
     assert digests["purges_total"] >= 3
     assert events["empty"] > 0 and events["unmark"] > 0 and events["dup"] > 0
+
+
+@pytest.mark.parametrize("trace", TRACES, ids=_trace_id)
+def test_vector_ops_replay_the_trace(trace, golden):
+    """push_many / pop_many over the trace's runs of pushes and pops: each
+    batch's OpStats is the sum of its per-op records, the pops match, and
+    the final shape and purge count are the golden ones."""
+    dims, base, _seed, threshold = trace
+    _digests, _events, record = run_trace(*trace)
+    pq, widest = replay_vectored(dims, base, threshold, record)
+    want = golden[_trace_id(trace)]
+    assert _sha(_shape(pq)) == want["shape_sha256"]
+    assert pq.purges_total == want["purges_total"]
+    # the batches are real batches, and some pop_many purges mid-batch
+    assert widest["push"] > 1 and widest["pop"] > 1 and widest["purged"] > 0
 
 
 def test_golden_covers_every_trace(golden):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.container import DistributedContainer
 from repro.serialization import (
     DataBox,
     SerializationError,
@@ -189,6 +190,16 @@ class TestEstimateSize:
             nbytes = 4096
 
         assert estimate_size(Sized()) == 16 + 4096
+
+    def test_container_entry_bytes_matches(self):
+        """The containers' inlined sizing agrees with estimate_size on its
+        fast paths and on the fallback alike."""
+        values = ["", "kmer", 0, -7, 1 << 40, 2.5, None, True, False,
+                  b"abc", (1, "x", None), [2.0, [3], "yz"]]
+        for v in values:
+            assert DistributedContainer._entry_bytes(v) == estimate_size(v)
+        assert DistributedContainer._entry_bytes(*values) == sum(
+            estimate_size(v) for v in values)
 
     def test_estimate_close_to_actual_for_typical_entries(self):
         value = {"key": "k" * 20, "count": 3, "items": [1, 2, 3]}

@@ -110,6 +110,12 @@ class TestMDList:
             pq.push(16, None)
         with pytest.raises(ValueError):
             pq.push(-1, None)
+        # a bad key mid-batch: the entries before it stay pushed and counted
+        with pytest.raises(ValueError):
+            pq.push_many([(3, "a"), (16, "b"), (4, "c")])
+        assert len(pq) == 2
+        pq.check_invariants()
+        assert pq.pop_many(5)[0] == [(3, "a"), (15, None)]
 
     def test_coordinate_mapping(self):
         pq = MDListPriorityQueue(dims=3, base=4)

@@ -95,7 +95,7 @@ _QUEUE = (Op("pop", 0), Op("push_many", 1), Op("pop_many", 1),
           Op("size", 0, write=False))
 
 #: family (the ``HCL.<family>`` factory name) -> its operations.  Ordered
-#: ``find`` does not consult the read cache; only its ``batch`` does.
+#: ``find`` does not consult the read cache, and no ``batch`` does.
 OP_TABLES: Dict[str, Tuple[Op, ...]] = {
     "unordered_map": _keyed_ops(True, True, *_HASH),
     "unordered_set": _keyed_ops(False, True, *_HASH),
@@ -288,8 +288,9 @@ class DistributedContainer:
         """Look up, check, route, size and stub ``op``; hand it to ``stage``.
 
         ``stage`` is one of the four issue stages — :meth:`_execute`
-        (drained, synchronous), :meth:`_execute_async` (fold into a pending
-        buffer or invoke directly), :meth:`_pipeline_op` (always buffer),
+        (drained, synchronous), :meth:`_execute_async` (drained behind
+        ops buffered or in flight to the partition, else one direct
+        invocation), :meth:`_pipeline_op` (always buffer),
         :meth:`_buffer_op` (buffer without a future) — or a read-cache
         front for the first two (:meth:`_read`, :meth:`_read_async`).  They
         stay separate because they produce different simulated schedules.
@@ -486,29 +487,25 @@ class DistributedContainer:
         finally:
             self._replaying.discard(node_id)
 
-    # -- stage 2: asynchronous, fold-or-direct -----------------------------------
+    # -- stage 2: asynchronous, drained-or-direct ---------------------------------
     def _execute_async(self, rank: int, part: Partition, op: str, args: tuple,
                        payload_bytes: int) -> RPCFuture:
         """Asynchronous variant: returns a future immediately.
 
         Local operations still complete through a spawned process so that
-        their memory cost lands on the timeline.
+        their memory cost lands on the timeline.  A remote op runs as one
+        direct invocation unless the caller's node has ops buffered or in
+        flight for the partition: then it runs as a drained :meth:`_execute`
+        behind a future, so it cannot overtake them.
         """
         caller_node = self._rank_home[rank]
         if caller_node == part.node_id:
             return self._spawn_call(rank, part, op, args, payload_bytes)
         coal = self._coalescer
         if coal is not None and op != "batch":
-            self._invalidate(caller_node, part, op, args)
-            # Program order vs. buffered ops: fold this op into a pending
-            # buffer (it rides the flush batch, same single invocation)...
-            folded = coal.fold(rank, caller_node, part, op, args, payload_bytes)
-            if folded is not None:
-                return folded
-            # ...or, with a flush still in flight to this partition, run
-            # through a drained _execute so it cannot overtake the flush.
-            if coal.inflight_for(caller_node, part.index):
+            if coal.busy(caller_node, part.index):
                 return self._spawn_call(rank, part, op, args, payload_bytes)
+            self._invalidate(caller_node, part, op, args)
         self.remote_calls.add(1)
         return self.runtime.client(caller_node).invoke(
             part.node_id,
@@ -524,8 +521,8 @@ class DistributedContainer:
         """Pipelined async mutation: always buffer when a coalescer exists.
 
         The workhorse of the ``async_insert``/``async_rmw`` API: unlike
-        :meth:`_execute_async` (which folds into a pending buffer but issues
-        a lone direct invocation otherwise), a pipelined op *always* rides
+        :meth:`_execute_async` (a drained call behind pending ops, a lone
+        direct invocation otherwise), a pipelined op *always* rides
         the write-combining buffer of its destination — including same-node
         partitions, where batching per-op futures into one locally-executed
         flush replaces a spawned process per op.  An upsert storm becomes a
@@ -636,9 +633,7 @@ class DistributedContainer:
             return self._execute_async(rank, part, op, args, payload_bytes)
         key = args[0]
         coal = self._coalescer
-        if (coal is None
-                or not (coal.pending_for(caller_node, part.index)
-                        or coal.inflight_for(caller_node, part.index))):
+        if coal is None or not coal.busy(caller_node, part.index):
             hit = self._cache.lookup(caller_node, part, key)
             if hit is not MISS:
                 fut = RPCFuture(self.runtime.sim, f"{self.name}.{op}")
@@ -837,9 +832,9 @@ class KeyedContainer(DistributedContainer):
     A family supplies ``partition_for(key)`` and the per-partition
     structure (``insert`` / ``find`` / ``contains`` / ``remove``); the
     bound functions and the client API are the same for all four.
-    Client methods take the calling ``rank`` first; the synchronous and
-    ``*_buffered`` spellings are generators, the two async spellings
-    return an :class:`RPCFuture`.
+    Client methods take the calling ``rank`` first; the synchronous
+    spellings are generators, the two async spellings return an
+    :class:`RPCFuture`.
     """
 
     #: maps store ``(key, value)`` entries, sets key-only ones
@@ -868,7 +863,7 @@ class KeyedContainer(DistributedContainer):
         ok, stats = part.structure.remove(key)
         return ok, stats, 16
 
-    # -- client API: one op, four issue modes -----------------------------------
+    # -- client API: synchronous, async and pipelined spellings ----------------
     def insert(self, rank: int, key: Hashable, *value: Any):
         """``bool insert(const K&[, const V&])`` — Table I: F + L + W on the
         hash family, F + L·log(N) + W on the ordered one.  Maps pass the
@@ -881,15 +876,6 @@ class KeyedContainer(DistributedContainer):
     def async_insert(self, rank: int, key: Hashable, *value: Any) -> RPCFuture:
         """Pipelined insert: write-combined, with a per-op result future."""
         return self._issue(rank, "insert", (key, *value), self._pipeline_op)
-
-    def insert_buffered(self, rank: int, key: Hashable, *value: Any):
-        """Generator: insert through the aggregation buffer.
-
-        With ``aggregation=0`` this is exactly :meth:`insert`; otherwise a
-        remote-bound insert is write-combined and applied at the next
-        threshold or sync-point flush (returning None immediately).
-        """
-        return self._issue(rank, "insert", (key, *value), self._buffer_op)
 
     def find(self, rank: int, key: Hashable):
         """``bool find(const K&[, V&])`` — Table I: F + L + R (hash),
@@ -926,46 +912,27 @@ class KeyedContainer(DistributedContainer):
         invocation per partition (the spatial-aggregation win of
         Section III-C3); results come back in the original order.
 
-        With a read cache, ``find`` sub-ops bound for remote partitions are
-        served from cache when the epoch still matches, and misses fill the
-        cache on return.  With ``write_failover``, each per-partition batch
-        runs through the full ``_execute`` semantics so a dead primary
-        fails over to a replica exactly like a single op.
+        No sub-op consults the read cache: the partition epoch each
+        batched write bumps is what keeps a later cached read fresh.  With
+        ``write_failover``, each per-partition batch runs through the full
+        ``_execute`` semantics so a dead primary fails over to a replica
+        exactly like a single op.
         """
-        caller_node = self._rank_home[rank]
         if self._coalescer is not None:
             # A keyed batch is a sync point: buffered ops land first.
             yield from self._coalescer.drain(rank)
         groups = {}
         for idx, (op, *args) in enumerate(ops):
             part = self.partition_for(args[0])
-            groups.setdefault(part.index, (part, []))[1].append(
-                (idx, op, tuple(args))
-            )
+            _part, idxs, subops = groups.setdefault(part.index,
+                                                    (part, [], []))
+            idxs.append(idx)
+            subops.append((op, tuple(args)))
         results = [None] * len(ops)
         futures = []
-        for part, members in groups.values():
-            epoch_before = part.write_epoch
-            if self._cache is not None and caller_node != part.node_id:
-                pending = []
-                for idx, op, args in members:
-                    if op == "find":
-                        hit = self._cache.lookup(caller_node, part, args[0])
-                        if hit is not MISS:
-                            results[idx] = hit
-                            continue
-                    elif op in self.KEYED_MUTATIONS:
-                        self._cache.invalidate_key(
-                            caller_node, part.index, args[0]
-                        )
-                    pending.append((idx, op, args))
-                members = pending
-                if not members:
-                    continue
-            subops = [(op, args) for _idx, op, args in members]
+        for part, idxs, subops in groups.values():
             payload = sum(
-                sum(estimate_size(a) for a in args)
-                for _i, _op, args in members
+                sum(estimate_size(a) for a in args) for _op, args in subops
             )
             if self.policy.write_failover:
                 fut = self._spawn_call(
@@ -975,20 +942,9 @@ class KeyedContainer(DistributedContainer):
                 fut = self._execute_async(
                     rank, part, "batch", (subops,), payload
                 )
-            futures.append((fut, members, part, epoch_before))
-        for fut, members, part, epoch_before in futures:
+            futures.append((fut, idxs))
+        for fut, idxs in futures:
             yield fut.wait()
-            cache_remote = (
-                self._cache is not None and caller_node != part.node_id
-            )
-            for (idx, op, args), result in zip(members, fut.result):
+            for idx, result in zip(idxs, fut.result):
                 results[idx] = result
-                if cache_remote and op == "find":
-                    self._cache.fill(
-                        caller_node, part, args[0], result, epoch_before
-                    )
-            if cache_remote:
-                self._cache.observe(
-                    caller_node, part.index, part.write_epoch
-                )
         return results

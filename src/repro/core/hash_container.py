@@ -59,9 +59,13 @@ class _HashContainerBase(KeyedContainer):
         return self._issue(rank, "upsert", (key, delta), self._execute)
 
     def upsert_buffered(self, rank: int, key: Hashable, delta: Any = 1):
-        """Generator: upsert through the aggregation buffer (the contract
-        of :meth:`insert_buffered`).  The k-mer/contig build storms' hot
-        path."""
+        """Generator: upsert through the aggregation buffer.
+
+        With ``aggregation=0`` this is exactly :meth:`upsert`; otherwise a
+        remote-bound upsert is write-combined and applied at the next
+        threshold or sync-point flush (returning None immediately).  The
+        k-mer/contig build storms' hot path.
+        """
         return self._issue(rank, "upsert", (key, delta), self._buffer_op)
 
     def async_rmw(self, rank: int, key: Hashable, delta: Any = 1) -> RPCFuture:
@@ -69,7 +73,7 @@ class _HashContainerBase(KeyedContainer):
 
         The combination the k-mer storm wants: the op write-combines like
         :meth:`upsert_buffered`, yet the caller still gets *this op's*
-        result through a chainable future — pipelining without giving up
+        result through a per-op future — pipelining without giving up
         per-op completions.  Remote issues ride the AIMD congestion window
         when the runtime has one armed.
         """

@@ -406,9 +406,9 @@ def run_serving(
     report dict (simulated/deterministic fields only — no wall clock).
 
     A truthy ``windows`` arms per-(node, partition) AIMD congestion
-    windows (:mod:`repro.rpc.window`) on the issue path; shed ops are then
-    retried by the window itself before the harness-level backoff sees
-    them.
+    windows (:mod:`repro.rpc.window`) on the issue path; a shed still
+    reaches the harness at once, whose ``shed_retries`` are the only
+    shed retries.
 
     ``instrument`` is called with each config's runtime (labelled ``off``
     / ``b<N>``) once its containers exist.  When it installs a flight

@@ -43,9 +43,7 @@ from repro.rpc.future import (
     TargetUnavailable,
 )
 from repro.rpc.server import RpcRequest, RpcServer
-from repro.rpc.window import (
-    MAX_SHED_RETRIES, SHED_BACKOFF, SHED_BACKOFF_MAX, WindowSet,
-)
+from repro.rpc.window import WindowSet
 from repro.serialization.databox import estimate_size
 
 __all__ = ["RpcClient"]
@@ -132,20 +130,13 @@ class RpcClient:
                          token, trace_parent, stream) -> RPCFuture:
         """Route one invocation through its AIMD window.
 
-        The caller's future settles with the final outcome; individual
-        attempts are plain direct invocations bridged onto it.  Sheds are
-        retried by the window after a capped exponential backoff, and every
-        attempt carries the same idempotency token: the caller's, or one
-        drawn here while a fault plan is installed.  A fault-plan duplicate
-        of a shed SEND skips admission and may still execute; a retry under
-        the same token then dedups against it instead of applying twice
-        (sheds leave the dedup table alone, so reuse is safe).
+        The caller's future settles with the outcome of the one attempt,
+        a plain direct invocation launched when the window has room.  A
+        shed halves the window and surfaces :class:`ServerOverloaded` to
+        the caller at once: the caller's own policy is the only shed retry.
         """
-        if token is None and self.cluster.faults is not None:
-            token = self.next_token()
         outer = RPCFuture(self.sim, op)
         win = self.windows.window(dst_node, stream)
-        shed_tries = [0]
 
         def launch(seq):
             inner = self._invoke_direct(
@@ -154,28 +145,16 @@ class RpcClient:
             )
             issued = self.sim.now
 
-            def settled(f, seq=seq, issued=issued):
+            def settled(f):
                 if f._ok:
                     win.completed(seq, self.sim.now - issued)
                     outer._complete(f._value)
                     return
-                err = f._value
-                if isinstance(err, ServerOverloaded):
+                if isinstance(f._value, ServerOverloaded):
                     win.shed(seq)
-                    if shed_tries[0] < MAX_SHED_RETRIES:
-                        shed_tries[0] += 1
-                        win.retries.add(1)
-                        delay = min(
-                            SHED_BACKOFF * (2.0 ** (shed_tries[0] - 1)),
-                            SHED_BACKOFF_MAX,
-                        )
-                        self.sim.schedule_callback(
-                            lambda: win.submit(launch), delay
-                        )
-                        return
                 else:
                     win.failed(seq)
-                outer._error(err)
+                outer._error(f._value)
 
             inner._on_settle(settled)
 

@@ -164,8 +164,8 @@ class OpCoalescer:
         The pipelined-API sibling of :meth:`append`: the op rides the next
         flush batch exactly as a plain buffered op does, but the caller gets
         a per-op :class:`RPCFuture` settled from its slot of the batch
-        result (a failed flush fails every rider).  Chain it, AllOf it, or
-        let a later ``flush``/``drain`` sync point absorb it.
+        result (a failed flush fails every rider).  Wait on it, or let a
+        later ``flush``/``drain`` sync point absorb it.
         """
         key = (node_id, part.index)
         buffers = self._buffers
@@ -190,42 +190,7 @@ class OpCoalescer:
             self._flush_key(key)
         return fut
 
-    def fold(self, rank: int, node_id: int, part, op: str, args: tuple,
-             payload_bytes: int):
-        """Fold an asynchronous op into a non-empty pending buffer.
-
-        Returns a future for *this op's* result (the tail slot of the flush
-        batch), or None when there is nothing pending — the caller then
-        issues a plain single-op invocation.  Folding keeps program order:
-        the async op lands after every op buffered before it, under the
-        same single invocation charge.
-        """
-        key = (node_id, part.index)
-        buf = self._buffers.get(key)
-        if buf is None or not buf.subops:
-            return None
-        buf.rank = rank
-        buf.subops.append((op, args))
-        if buf.futures is not None:
-            buf.futures.append(None)
-        buf.payload_bytes += payload_bytes
-        fut = self._flush_key(key)
-        # Chain through the flush future's kernel event (not then(), which
-        # now runs at settle time inside the producer step): the tail-slot
-        # extraction keeps running at the settle event's pop, preserving
-        # same-timestamp ordering for the aggregated benches.
-        nxt = RPCFuture(self.sim, f"{fut.op}+tail")
-
-        def _tail(event, nxt=nxt):
-            if event.ok:
-                nxt._complete(event.value[-1])
-            else:
-                nxt._error(event.value)
-
-        fut._event.add_callback(_tail)
-        return nxt
-
-    def _flush_key(self, key: Tuple[int, int]):
+    def _flush_key(self, key: Tuple[int, int]) -> None:
         """Ship one buffer as a single ``batch`` invocation (asynchronous)."""
         buf = self._buffers.pop(key)
         self.flushes.add(1)
@@ -254,7 +219,7 @@ class OpCoalescer:
             trace_parent=trace_parent,
         )
         op_futs = buf.futures
-        if op_futs is not None and any(f is not None for f in op_futs):
+        if op_futs is not None:
 
             def _distribute(bf, futs=op_futs):
                 # Settle each rider from its slot of the batch result — at
@@ -283,7 +248,6 @@ class OpCoalescer:
                     lst.remove(fut)
 
         fut._event.add_callback(_settled)
-        return fut
 
     # -- self-tuning threshold -------------------------------------------------
     def _auto_adjust(self) -> None:
@@ -332,24 +296,14 @@ class OpCoalescer:
             self._auto_gauge_shared.set(new)
 
     # -- sync points ----------------------------------------------------------
-    def pending_for(self, node_id: int, part_index: Optional[int] = None) -> int:
-        """Buffered (not yet shipped) op count for a caller node."""
-        return sum(
-            len(buf.subops)
-            for (nid, pidx), buf in self._buffers.items()
-            if nid == node_id and (part_index is None or pidx == part_index)
-        )
+    def busy(self, node_id: int, part_index: int) -> bool:
+        """Whether the caller node has ops buffered or a flush in flight
+        for the partition — a later op there must wait behind them."""
+        key = (node_id, part_index)
+        return key in self._buffers or bool(self._inflight.get(key))
 
     def pending_total(self) -> int:
         return sum(len(buf.subops) for buf in self._buffers.values())
-
-    def inflight_for(self, node_id: int, part_index: Optional[int] = None) -> int:
-        """Flushes shipped by a caller node but not yet completed."""
-        return sum(
-            len(futs)
-            for (nid, pidx), futs in self._inflight.items()
-            if nid == node_id and (part_index is None or pidx == part_index)
-        )
 
     def drain(self, rank: int, part_index: Optional[int] = None):
         """Generator: mandatory flush for the caller's node.

@@ -5,23 +5,22 @@ wait operations) ... providing synchronous and asynchronous models is a
 matter of timing when the caller waits for the future object."
 
 An :class:`RPCFuture` settles when the response has been pulled.  ``yield
-fut.wait()`` blocks the calling process; ``fut.done`` polls; ``fut.then(fn)``
-/ ``fut.catch(fn)`` chain local continuations promise-style.
+fut.wait()`` blocks the calling process; ``fut.done`` polls; ``fut.result``
+returns the value or re-raises the error.  The paper's callback chaining is
+server-side — the ``callbacks=`` of ``RpcClient.invoke`` — so a future has
+no client-side ``then``.
 
 The kernel :class:`Event` backing ``wait()`` is materialized lazily: a
-fire-and-forget pipelined op whose caller only ever chains callbacks never
-allocates an Event or pushes a settle entry through the event queue.
-Waiters and ``_event`` consumers see the exact semantics the eager event
-gave them — a pending wait parks on a real pending Event that the settle
-path triggers through the kernel, and a wait attached after settling gets a
+fire-and-forget pipelined op that nobody waits on never allocates an Event
+or pushes a settle entry through the event queue.  Waiters and ``_event``
+consumers see the exact semantics the eager event gave them — a pending
+wait parks on a real pending Event that the settle path triggers through
+the kernel, and a wait attached after settling gets a
 ``sim.completed_event`` (immediate resume, synchronous ``add_callback``).
 
-Chained callbacks registered via ``then``/``catch`` run synchronously at
-settle time (or immediately when chaining onto an already-settled future).
-That immediacy is what fixes post-run chains: building ``f.then(a).then(b)``
-after the simulation has drained used to strand ``b``'s future on an event
-the kernel would never process, silently swallowing ``a``'s exception —
-now the chain settles inline and the error surfaces at ``.result``.
+The window layer and the per-op batch distribution hook the settle itself
+through ``_on_settle``: those callbacks run synchronously at settle time
+(or immediately on an already-settled future).
 """
 
 from __future__ import annotations
@@ -47,11 +46,15 @@ class ServerOverloaded(RemoteError):
     """The target's bounded RPC receive queue was full; the op was shed.
 
     Admission control (``RpcServer(queue_bound=...)``) rejected the request
-    at the receive queue, *before* execution — the handler never ran, so
-    there are no remote side effects and the caller may safely re-issue
-    (with the same idempotency token under a fault plan).  Deliberately
-    NOT a :class:`~repro.fabric.node.NodeDownError`: the target is alive
-    and answering, just saturated, so container failover must not kick in.
+    at the receive queue, *before* execution, and no layer re-issues it
+    under its token: a caller that retries sends a fresh op.  One case
+    still applies a shed op: under a fault plan, a duplicate of the shed
+    SEND skips admission (``FaultInjector._deliver_duplicate`` queues it
+    directly) and may execute once, although the caller saw this error
+    (pinned by ``test_rpc_window.py::test_dup_of_shed_send_applies_once``).
+    Deliberately NOT a :class:`~repro.fabric.node.NodeDownError`: the
+    target is alive and answering, just saturated, so container failover
+    must not kick in.
     """
 
     def __init__(self, op: str, dst_node: int, depth: int, bound: int):
@@ -192,45 +195,6 @@ class RPCFuture:
         if self.completed_at is None:
             raise RuntimeError("future not complete")
         return self.completed_at - self.issued_at
-
-    def then(self, fn: Callable[[Any], Any]) -> "RPCFuture":
-        """Chain a local continuation; returns a new future of ``fn(result)``.
-
-        An error — from this future or raised inside ``fn`` — propagates to
-        the returned future (and onward through further ``then`` links) until
-        a ``catch`` handles it or ``.result`` re-raises it.
-        """
-        return self._chain(fn, None, "+then")
-
-    def catch(self, fn: Callable[[BaseException], Any]) -> "RPCFuture":
-        """Chain an error handler; returns a recovered future.
-
-        On failure the returned future settles with ``fn(exc)`` (or fails
-        with whatever ``fn`` raises); on success the value passes through
-        untouched.
-        """
-        return self._chain(None, fn, "+catch")
-
-    def _chain(self, on_value, on_error, suffix: str) -> "RPCFuture":
-        nxt = RPCFuture(self.sim, f"{self.op}{suffix}")
-
-        def deliver(src: "RPCFuture") -> None:
-            if src._ok:
-                fn = on_value
-            else:
-                fn = on_error
-            if fn is None:
-                nxt._settle(src._value, src._ok)
-                return
-            try:
-                out = fn(src._value)
-            except BaseException as err:
-                nxt._settle(err, False)
-            else:
-                nxt._settle(out, True)
-
-        self._on_settle(deliver)
-        return nxt
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self.done else "pending"

@@ -15,11 +15,10 @@ module provides that bound as a self-tuning congestion window, TCP-style:
   recovery epoch: at most one halving per in-flight window of launches, so
   a burst of sheds from the same overload event does not collapse the
   window to the floor in one step.
-* **Shed retry** — shed operations are re-issued by the window itself after
-  a capped exponential backoff, as fresh attempts that all carry the same
-  idempotency token (pinned by the caller, or drawn once per operation
-  while a fault plan is installed).  After
-  ``MAX_SHED_RETRIES`` the shed surfaces to the caller.
+
+The window bounds and adapts; it never re-issues.  A shed surfaces to the
+caller as :class:`~repro.rpc.future.ServerOverloaded` at once, so the
+caller's own policy (serving's ``shed_retries``) is the only shed retry.
 
 Windows are keyed per ``(dst_node, stream)``; containers pass the target
 partition index as the stream so each partition's pipeline adapts
@@ -54,12 +53,6 @@ CAP = 256
 ADDITIVE = 1.0
 #: halve when a completion exceeds ``LATENCY_FACTOR * base_latency``
 LATENCY_FACTOR = 4.0
-#: first shed-retry backoff (sim seconds), doubled per retry
-SHED_BACKOFF = 20e-6
-#: cap on the shed-retry backoff
-SHED_BACKOFF_MAX = 320e-6
-#: shed retries absorbed by the window before surfacing to the caller
-MAX_SHED_RETRIES = 64
 
 
 class AIMDWindow:
@@ -68,10 +61,10 @@ class AIMDWindow:
     __slots__ = (
         "sim", "cwnd", "outstanding", "base_latency",
         "_queue", "_launch_seq", "_recover_until",
-        "gauge", "stalls", "sheds", "retries",
+        "gauge", "stalls", "sheds",
     )
 
-    def __init__(self, sim, gauge, stalls, sheds, retries):
+    def __init__(self, sim, gauge, stalls, sheds):
         self.sim = sim
         self.cwnd = float(INITIAL)
         self.outstanding = 0
@@ -83,7 +76,6 @@ class AIMDWindow:
         self.gauge = gauge
         self.stalls = stalls
         self.sheds = sheds
-        self.retries = retries
         gauge.set(self.cwnd)
 
     # -- launch side ---------------------------------------------------------
@@ -155,8 +147,7 @@ class AIMDWindow:
 class WindowSet:
     """Per-client collection of windows keyed by ``(dst_node, stream)``."""
 
-    __slots__ = ("sim", "src_node", "_windows",
-                 "stalls", "sheds", "retries", "_metrics")
+    __slots__ = ("sim", "src_node", "_windows", "stalls", "sheds", "_metrics")
 
     def __init__(self, sim, src_node: int):
         self.sim = sim
@@ -167,7 +158,6 @@ class WindowSet:
         # Cluster-wide adaptive-state counters (shared across clients).
         self.stalls = metrics.counter("rpc/window_stalls")
         self.sheds = metrics.counter("rpc/window_sheds")
-        self.retries = metrics.counter("rpc/window_retries")
 
     def window(self, dst_node: int, stream: Optional[int]) -> AIMDWindow:
         key = (dst_node, stream)
@@ -177,8 +167,7 @@ class WindowSet:
             gauge = self._metrics.gauge(
                 f"rpc/cwnd/n{self.src_node}-n{dst_node}s{label}"
             )
-            win = AIMDWindow(self.sim, gauge, self.stalls, self.sheds,
-                             self.retries)
+            win = AIMDWindow(self.sim, gauge, self.stalls, self.sheds)
             self._windows[key] = win
         return win
 

@@ -17,6 +17,8 @@ from repro.core import HCL
 from repro.obs.registry import registry_of
 from repro.rpc.coalesce import AUTO_FLOOR, AUTO_INITIAL
 
+from tests.conftest import run_rank0
+
 
 def _contents(m) -> dict:
     return {k: v for part in m.partitions for k, v in part.structure.items()}
@@ -161,6 +163,86 @@ class TestAsyncHashOps:
         assert h.run_ranks(body)[0].result is True
         assert sum(_contents(m).values()) == 9
         h.close()
+
+
+def _remote_key(m, node_id: int = 0):
+    """A key owned by a partition NOT on ``node_id``."""
+    return next(k for k in range(10_000)
+                if m.partition_for(k).node_id != node_id)
+
+
+def _settled(fut):
+    """Generator: the future's result once it has settled."""
+    if not fut.done:
+        yield fut.wait()
+    return fut.result
+
+
+@pytest.mark.parametrize("read_cache", [False, True])
+class TestAsyncOrderBehindBuffers:
+    """An async op to a partition the caller's node has ops buffered or in
+    flight for runs behind them, with the read cache off and on."""
+
+    def test_find_async_sees_buffered_upserts(self, hcl, read_cache):
+        m = hcl.unordered_map("t", partitions=2, aggregation=8,
+                              read_cache=read_cache)
+        key = _remote_key(m)
+
+        def body():
+            # A sync find first: with the cache on, it caches the miss.
+            assert (yield from m.find(0, key)) == (None, False)
+            for _ in range(3):
+                yield from m.upsert_buffered(0, key, 1)
+            assert m._coalescer.pending_total() == 3
+            found = yield from _settled(m.find_async(0, key))
+            return tuple(found)
+
+        assert run_rank0(hcl, body()) == (3, True)
+
+    def test_async_ops_wait_behind_inflight_flush(self, hcl, read_cache):
+        m = hcl.unordered_map("t", partitions=2, aggregation=8,
+                              read_cache=read_cache)
+        key = _remote_key(m)
+        part = m.partition_for(key)
+
+        def body():
+            assert (yield from m.find(0, key)) == (None, False)
+            for _ in range(8):
+                yield from m.upsert_buffered(0, key, 1)
+            # The eighth upsert tripped the threshold: nothing is buffered,
+            # and the flush has not landed yet.
+            assert m._coalescer.pending_total() == 0
+            assert m.aggregation_report()["aggregation"]["flushes"] == 1
+            assert part.structure.find(key)[1] is False
+            found = m.find_async(0, key)
+            inserted = m.insert_async(0, key, 100)
+            found = yield from _settled(found)
+            assert (yield from _settled(inserted)) is True
+            final = yield from m.find(0, key)
+            return tuple(found), tuple(final)
+
+        assert run_rank0(hcl, body()) == ((8, True), (100, True))
+
+
+class TestBatchFreshWithoutCacheFront:
+    """A keyed ``batch`` never touches the read cache; the partition epoch
+    its write bumps keeps a cached read fresh."""
+
+    @pytest.mark.parametrize("writer", [0, 4], ids=["same-node", "other-node"])
+    def test_batched_write_refreshes_cached_find(self, hcl, writer):
+        m = hcl.unordered_map("t", partitions=2, read_cache=True)
+        key = _remote_key(m)
+        assert hcl.cluster.node_of_rank(writer) == (
+            0 if writer == 0 else 1)
+
+        def body():
+            yield from m.insert(0, key, "v1")
+            assert (yield from m.find(0, key)) == ("v1", True)
+            assert m._cache.entries() == 1
+            yield from m.batch(writer, [("insert", key, "v2")])
+            return (yield from m.find(0, key))
+
+        assert run_rank0(hcl, body()) == ("v2", True)
 
 
 class TestAutoTunedCoalescer:

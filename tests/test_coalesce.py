@@ -70,10 +70,10 @@ class TestCoalescer:
         key = _remote_key(m, node_id=0)
 
         def body():
-            yield from m.insert_buffered(0, key, "v")
+            yield from m.upsert_buffered(0, key, 7)
             assert m._coalescer.pending_total() == 1
             value, found = yield from m.find(0, key)
-            assert (value, found) == ("v", True)
+            assert (value, found) == (7, True)
             assert m._coalescer.pending_total() == 0
 
         run_rank0(hcl, body())
@@ -95,7 +95,7 @@ class TestCoalescer:
         total = small_spec.total_procs
 
         def body(rank):
-            yield from m.insert_buffered(rank, ("k", rank), rank)
+            yield from m.upsert_buffered(rank, ("k", rank), rank)
             yield from h.barrier(rank)
             # After the barrier every rank's buffered insert is visible.
             value, found = yield from m.find(rank, ("k", (rank + 1) % total))
@@ -131,10 +131,10 @@ class TestCoalescer:
         )
 
         def body():
-            yield from m.insert_buffered(0, key, "local")
+            yield from m.upsert_buffered(0, key, 3)
             assert m._coalescer.pending_total() == 0
             value, found, _stats = m.partition_for(key).structure.find(key)
-            assert found and value == "local"
+            assert found and value == 3
 
         run_rank0(hcl, body())
 
@@ -144,7 +144,7 @@ class TestCoalescer:
         key = _remote_key(m, node_id=0)
 
         def body():
-            yield from m.insert_buffered(0, key, 1)  # applies immediately
+            yield from m.upsert_buffered(0, key, 1)  # applies immediately
             value, found, _stats = m.partition_for(key).structure.find(key)
             assert found and value == 1
             yield from m.flush(0)  # no-op
@@ -161,7 +161,7 @@ class TestCoalescer:
         key = _remote_key(m, node_id=0)
 
         def body():
-            yield from m.insert_buffered(0, key, 1)
+            yield from m.upsert_buffered(0, key, 1)
 
         run_rank0(h, body())
         with pytest.raises(RuntimeError, match="unflushed"):

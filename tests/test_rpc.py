@@ -145,21 +145,6 @@ class TestAsync:
 
         assert run(overlap=True) < run(overlap=False)
 
-    def test_future_then_chaining(self, rig):
-        cluster, servers, client = rig
-        servers[1].bind("n", lambda ctx: 10)
-        fut = client.invoke(1, "n").then(lambda v: v + 1).then(lambda v: v * 2)
-        cluster.run()
-        assert fut.result == 22
-
-    def test_then_propagates_error(self, rig):
-        cluster, servers, client = rig
-        servers[1].bind("n", lambda ctx: 10)
-        fut = client.invoke(1, "n").then(lambda v: 1 / 0)
-        cluster.run()
-        with pytest.raises(ZeroDivisionError):
-            _ = fut.result
-
     def test_latency_recorded(self, rig):
         cluster, servers, client = rig
         servers[1].bind("f", lambda ctx: None)

@@ -1,11 +1,12 @@
-"""Promise-style future chaining (``then``/``catch``) and its composition
-with the kernel's AnyOf/AllOf combinators.
+"""Futures of callback-chained invocations and their composition with the
+kernel's AnyOf/AllOf combinators, plus the future's settle discipline.
 
-The regression this file pins down: chaining onto an *already-completed*
-future (e.g. after the simulation has drained) used to strand the chained
-future on a kernel event that would never be processed, silently
-swallowing any exception the continuation raised.  Chains now settle
-inline, so the error must surface at ``.result``.
+The paper's callback chaining is server-side: ``invoke(...,
+callbacks=[(op, args), ...])`` runs the follow-on ops in the same
+invocation, and the future settles with ``(value, [callback results])``.
+A future settles exactly once; hooks attached with ``_on_settle`` run at
+the settle instant, and a ``wait()`` attached after the run drained
+resumes at once.
 """
 
 from __future__ import annotations
@@ -27,126 +28,39 @@ def rig(small_spec):
 
 
 class TestPostRunChaining:
-    """Chains built AFTER the producing run completed."""
-
-    def test_raising_then_chain_surfaces_at_result(self, rig):
-        """Satellite regression: an exception raised inside a continuation
-        attached to a completed future must surface at ``.result``."""
-        cluster, servers, client = rig
-        servers[1].bind("n", lambda ctx: 10)
-        fut = client.invoke(1, "n")
-        cluster.run()
-        assert fut.done
-        chained = fut.then(lambda v: v + 1).then(lambda v: 1 // 0)
-        assert chained.done
-        with pytest.raises(ZeroDivisionError):
-            _ = chained.result
-
-    def test_error_skips_later_thens(self, rig):
-        cluster, servers, client = rig
-        servers[1].bind("n", lambda ctx: 10)
-        fut = client.invoke(1, "n")
-        cluster.run()
-        ran = []
-        chained = (fut.then(lambda v: 1 // 0)
-                      .then(lambda v: ran.append(v) or v))
-        assert ran == []
-        with pytest.raises(ZeroDivisionError):
-            _ = chained.result
-
-    def test_post_run_then_returns_value(self, rig):
-        cluster, servers, client = rig
-        servers[1].bind("n", lambda ctx: 10)
-        fut = client.invoke(1, "n")
-        cluster.run()
-        assert fut.then(lambda v: v * 3).result == 30
-
     def test_waiting_on_post_run_chain_resumes(self, rig):
-        """A wait() on a chain built post-settle must still resume —
-        the lazy event materializes as a completed event."""
+        """A wait() on a chained invocation's future attached after the run
+        drained still resumes — the lazy event materializes as a completed
+        event."""
         cluster, servers, client = rig
         servers[1].bind("n", lambda ctx: 7)
-        fut = client.invoke(1, "n")
+        servers[1].bind("inc", lambda ctx, v: v + 1)
+        fut = client.invoke(1, "n", callbacks=[("inc", (7,))])
         cluster.run()
-        chained = fut.then(lambda v: v + 1)
+        assert fut.done
 
         def body():
-            value = yield chained.wait()
+            value = yield fut.wait()
             return value
 
-        assert cluster.sim.run_process(body()) == 8
-
-
-class TestCatch:
-    def test_catch_recovers_remote_error(self, rig):
-        cluster, servers, client = rig
-
-        def bad(ctx):
-            raise ValueError("boom")
-
-        servers[1].bind("bad", bad)
-        fut = client.invoke(1, "bad").catch(lambda err: "recovered")
-        cluster.run()
-        assert fut.result == "recovered"
-
-    def test_catch_passes_success_through(self, rig):
-        cluster, servers, client = rig
-        servers[1].bind("n", lambda ctx: 5)
-        fut = client.invoke(1, "n").catch(lambda err: -1)
-        cluster.run()
-        assert fut.result == 5
-
-    def test_catch_receives_the_exception(self, rig):
-        cluster, servers, client = rig
-
-        def bad(ctx):
-            raise ValueError("boom")
-
-        servers[1].bind("bad", bad)
-        seen = []
-        fut = client.invoke(1, "bad").catch(lambda err: seen.append(err))
-        cluster.run()
-        _ = fut.result
-        assert len(seen) == 1 and isinstance(seen[0], RemoteError)
-
-    def test_raising_catch_fails_the_chain(self, rig):
-        cluster, servers, client = rig
-
-        def bad(ctx):
-            raise ValueError("boom")
-
-        servers[1].bind("bad", bad)
-        fut = client.invoke(1, "bad").catch(lambda err: 1 // 0)
-        cluster.run()
-        with pytest.raises(ZeroDivisionError):
-            _ = fut.result
-
-    def test_then_after_catch_continues(self, rig):
-        cluster, servers, client = rig
-
-        def bad(ctx):
-            raise ValueError("boom")
-
-        servers[1].bind("bad", bad)
-        fut = (client.invoke(1, "bad")
-               .catch(lambda err: 100)
-               .then(lambda v: v + 1))
-        cluster.run()
-        assert fut.result == 101
+        assert cluster.sim.run_process(body()) == (7, [8])
 
 
 class TestCombinatorComposition:
     def test_all_of_over_chained_futures(self, rig):
         cluster, servers, client = rig
         servers[1].bind("n", lambda ctx, i: i)
-        futs = [client.invoke(1, "n", (i,)).then(lambda v: v * 10)
+        servers[1].bind("x10", lambda ctx, i: i * 10)
+        futs = [client.invoke(1, "n", (i,), callbacks=[("x10", (i,))])
                 for i in range(4)]
 
         def body():
             values = yield cluster.sim.all_of([f.wait() for f in futs])
             return values
 
-        assert cluster.sim.run_process(body()) == [0, 10, 20, 30]
+        assert cluster.sim.run_process(body()) == [
+            (i, [i * 10]) for i in range(4)
+        ]
 
     def test_any_of_returns_first_chained_result(self, rig):
         cluster, servers, client = rig
@@ -156,8 +70,9 @@ class TestCombinatorComposition:
             return d
 
         servers[1].bind("slow", slow)
-        fast = client.invoke(1, "slow", (1e-6,)).then(lambda v: "fast")
-        lag = client.invoke(1, "slow", (1e-2,)).then(lambda v: "lag")
+        servers[1].bind("tag", lambda ctx, name: name)
+        fast = client.invoke(1, "slow", (1e-6,), callbacks=[("tag", ("fast",))])
+        lag = client.invoke(1, "slow", (1e-2,), callbacks=[("tag", ("lag",))])
 
         def body():
             index, value = yield cluster.sim.any_of(
@@ -165,18 +80,19 @@ class TestCombinatorComposition:
             )
             return index, value
 
-        assert cluster.sim.run_process(body()) == (0, "fast")
+        assert cluster.sim.run_process(body()) == (0, (1e-6, ["fast"]))
 
     def test_all_of_fails_on_chained_error(self, rig):
         cluster, servers, client = rig
         servers[1].bind("n", lambda ctx, i: i)
+        servers[1].bind("div0", lambda ctx: 1 // 0)
         good = client.invoke(1, "n", (1,))
-        bad = client.invoke(1, "n", (2,)).then(lambda v: 1 // 0)
+        bad = client.invoke(1, "n", (2,), callbacks=[("div0", ())])
 
         def body():
             yield cluster.sim.all_of([good.wait(), bad.wait()])
 
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(RemoteError, match="callback div0"):
             cluster.sim.run_process(body())
 
 
@@ -192,10 +108,12 @@ class TestSettleDiscipline:
         with pytest.raises(RuntimeError, match="not complete"):
             _ = fut.result
 
-    def test_then_on_pending_future_runs_at_settle(self):
-        sim = Simulator()
-        fut = RPCFuture(sim, "x")
-        chained = fut.then(lambda v: v + 1)
-        assert not chained.done
+    def test_on_settle_of_pending_future_runs_at_settle(self):
+        fut = RPCFuture(Simulator(), "x")
+        seen = []
+        fut._on_settle(lambda f: seen.append(f.result))
+        assert seen == []
         fut._complete(41)
-        assert chained.done and chained.result == 42
+        assert seen == [41]
+        fut._on_settle(lambda f: seen.append(f.result + 1))
+        assert seen == [41, 42]  # already settled: runs at once

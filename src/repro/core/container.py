@@ -149,9 +149,6 @@ class DistributedContainer:
         row.name for table in OP_TABLES.values() for row in table
         if not row.write
     )
-    KEYED_MUTATIONS = frozenset(
-        row.name for table in OP_TABLES.values() for row in table if row.keyed
-    )
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -202,9 +199,8 @@ class DistributedContainer:
         for part in self.partitions:
             self._bind(part.node_id)
 
-    def _mutex_of(self, part: "Partition"):
-        if self.policy.concurrency != "mutex":
-            return None
+    def _mutex_of(self, part: "Partition") -> SimLock:
+        """The partition's lock under ``concurrency="mutex"``."""
         lock = self._mutexes.get(part.index)
         if lock is None:
             lock = SimLock(self.runtime.sim, name=f"{self.name}.{part.index}")
@@ -256,7 +252,9 @@ class DistributedContainer:
         fan-out).
         """
         cpu_factor = node.cost.nic_compute_factor if remote else 1.0
-        mutex = None if replica else self._mutex_of(part)
+        mutex = (self._mutex_of(part)
+                 if not replica and self.policy.concurrency == "mutex"
+                 else None)
         if mutex is not None:
             yield mutex.acquire()
             if remote:
@@ -332,12 +330,15 @@ class DistributedContainer:
 
         A synchronous op is a sync point for the aggregation buffers: any
         ops buffered for this partition flush (and complete) first, so
-        program order per rank is preserved.  ``_drain=False`` is reserved
+        program order per rank is preserved.  When the caller's node has
+        nothing buffered or in flight there (not ``busy``), a drain would
+        neither flush nor wait, so it is skipped.  ``_drain=False`` is reserved
         for the coalescer's own flush batches.
         """
         caller_node = self._rank_home[rank]
-        if self._coalescer is not None and _drain:
-            yield from self._coalescer.drain(rank, part.index)
+        coal = self._coalescer
+        if coal is not None and _drain and coal.busy(caller_node, part.index):
+            yield from coal.drain(rank, part.index)
         self._invalidate(caller_node, part, op, args)
         cluster = self.runtime.cluster
         if caller_node == part.node_id:
@@ -614,8 +615,9 @@ class DistributedContainer:
                 rank, part, op, args, payload_bytes
             )
             return result
-        if self._coalescer is not None:
-            yield from self._coalescer.drain(rank, part.index)
+        coal = self._coalescer
+        if coal is not None and coal.busy(caller_node, part.index):
+            yield from coal.drain(rank, part.index)
         key = args[0]
         hit = self._cache.lookup(caller_node, part, key)
         if hit is not MISS:
@@ -702,17 +704,32 @@ class DistributedContainer:
         # every aggregated hot path.
         local_ops = reads = writes = cas = reloc = rentries = 0
         resized = False
-        for op, args in subops:
+        i = 0
+        n = len(subops)
+        while i < n:
+            op, args = subops[i]
             entry = ops.get(op)
             if entry is None:
                 raise KeyError(f"unknown sub-operation {op!r}")
             if op == "batch":
                 raise ValueError("nested batches are not allowed")
-            fn, row = entry
-            result, stats, entry_bytes = fn(part, *args)
-            if row.write:
-                part.write_epoch += 1
-            append(result)
+            if op == "upsert":
+                # A maximal run of upserts is one vector call on the
+                # table (only the hash families have the op).
+                j = i + 1
+                while j < n and subops[j][0] == "upsert":
+                    j += 1
+                stats, entry_bytes = self._upsert_run(
+                    part, [a for _op, a in subops[i:j]], results
+                )
+                i = j
+            else:
+                i += 1
+                fn, row = entry
+                result, stats, entry_bytes = fn(part, *args)
+                if row.write:
+                    part.write_epoch += 1
+                append(result)
             if stats is not None:
                 local_ops += stats.local_ops
                 reads += stats.reads

@@ -54,6 +54,37 @@ class _HashContainerBase(KeyedContainer):
             self._grow_segment_if_resized(part, stats, entry_bytes)
         return new, stats, entry_bytes
 
+    def _upsert_run(self, part: Partition, pairs, results):
+        """A batch's run of upserts as vector calls on the table.
+
+        Appends each op's new value to ``results`` and returns ``(stats,
+        worst_entry_bytes)`` — what ``len(pairs)`` :meth:`_do_upsert` calls
+        charge.  Each call stops right after an op that resized, so the
+        segment grows at that op with that op's entry bytes.
+        """
+        upsert_many = part.structure.upsert_many
+        entry_bytes = self._entry_bytes
+        first = len(results)
+        total = None
+        worst = 0
+        pos = 0
+        n = len(pairs)
+        try:
+            while pos < n:
+                stop, stats = upsert_many(pairs, pos, results)
+                for k in range(pos, stop):
+                    size = entry_bytes(pairs[k][0], results[first + k])
+                    if size > worst:
+                        worst = size
+                if stats.resized:
+                    self._grow_segment_if_resized(part, stats, size)
+                total = stats if total is None else total.merge(stats)
+                pos = stop
+        finally:
+            # One epoch bump per applied op, as per-op calls would leave.
+            part.write_epoch += len(results) - first
+        return total, worst
+
     def upsert(self, rank: int, key: Hashable, delta: Any = 1):
         """Generator: atomic increment-or-insert; returns the new value."""
         return self._issue(rank, "upsert", (key, delta), self._execute)

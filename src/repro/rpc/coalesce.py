@@ -315,28 +315,28 @@ class OpCoalescer:
         this node is durably applied at its target partition.
         """
         node_id = self.container.runtime.cluster.node_of_rank(rank)
-        keys = [
-            k for k in list(self._buffers)
-            if k[0] == node_id and (part_index is None or k[1] == part_index)
-        ]
+        buffers = self._buffers
+        if part_index is None:
+            keys = [k for k in buffers if k[0] == node_id]
+        else:
+            keys = [(node_id, part_index)]
         for key in keys:
-            buf = self._buffers.get(key)
-            if buf is not None and buf.subops:
+            if key in buffers:
                 self.sync_flushes.add(1)
                 self._flush_key(key)
-        waiting = [
-            fut
-            for (nid, pidx), futs in list(self._inflight.items())
-            if nid == node_id and (part_index is None or pidx == part_index)
-            for fut in list(futs)
-        ]
-        for fut in waiting:
+        if part_index is None:
+            waiting = [(key, fut) for key, futs in self._inflight.items()
+                       if key[0] == node_id for fut in futs]
+        else:
+            key = keys[0]
+            waiting = [(key, fut) for fut in self._inflight.get(key, ())]
+        for key, fut in waiting:
             if not fut.done:
                 yield fut.wait()
             # Retire before surfacing so a failed flush raises exactly once.
-            for futs in self._inflight.values():
-                if fut in futs:
-                    futs.remove(fut)
+            futs = self._inflight[key]
+            if fut in futs:
+                futs.remove(fut)
             _ = fut.result  # re-raises a failed flush at the sync point
 
     # -- observability --------------------------------------------------------

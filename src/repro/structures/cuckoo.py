@@ -15,7 +15,7 @@ relocations and resizes so the simulation charges exactly the work done.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.structures.stats import OpStats
 
@@ -24,15 +24,6 @@ __all__ = ["CuckooHash", "stable_hash"]
 _EMPTY = None
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-
-# Preallocated charge profiles for the two upsert hit paths — the
-# overwhelming majority of an upsert storm, where per-op dataclass
-# construction is measurable wall time.  Callers only ever *read* an
-# OpStats once a structure op has returned it (accumulation goes through
-# merge into a separate object), which is what makes sharing safe; never
-# mutate one of these.
-_UPSERT_HIT_T0 = OpStats(local_ops=3, reads=2, writes=1, cas_ops=1)
-_UPSERT_HIT_T1 = OpStats(local_ops=6, reads=2, writes=1, cas_ops=1)
 
 
 def stable_hash(key: Hashable) -> int:
@@ -123,50 +114,99 @@ class CuckooHash:
 
     def upsert(self, key: Hashable, delta: Any) -> Tuple[Any, OpStats]:
         """Fused read-modify-write: add ``delta`` to the stored value (0 when
-        absent) and return ``(new_value, stats)``.
+        absent) and return ``(new_value, stats)`` — the one-element case of
+        :meth:`upsert_many`.
+        """
+        results: List[Any] = []
+        _stop, stats = self.upsert_many(((key, delta),), 0, results)
+        return results[0], stats
 
-        The charged :class:`OpStats` are exactly those of a ``find(key)``
-        followed by ``insert(key, new_value)`` — the fusion only avoids the
-        redundant host-side hashing and probing of the two-call sequence,
-        never simulated work, so timelines are bit-identical either way.
+    def upsert_many(self, pairs: Sequence[Tuple[Hashable, Any]], start: int,
+                    results: List[Any]) -> Tuple[int, OpStats]:
+        """Vector upsert: apply ``pairs[start:]`` in order, appending each
+        op's new value to ``results``.
+
+        Returns ``(stop, stats)``: ``pairs[start:stop]`` were applied and
+        ``stats`` is the sum of their charges.  The call stops right after
+        an op that resized the table (``stats.resized``), so a caller
+        mirroring the growth sees the table as it was at that op; resume
+        with ``start=stop``.
+
+        Each op is charged exactly a ``find(key)`` followed by
+        ``insert(key, new_value)`` — the fusion only avoids the redundant
+        host-side hashing and probing of the two-call sequence, never
+        simulated work, so timelines are bit-identical either way.
         """
         cap = self._cap
-        base = self._base(key)
-        i0 = base % cap
-        i1 = (((base * _GOLDEN64) & _MASK64) ^ (base >> 31)) % cap
         t0, t1 = self._t0, self._t1
-        slot = t0[i0]
-        if slot is not _EMPTY and slot[0] == key:
-            # find: t0 hit (L1 R1); insert's find: t0 hit (L1 R1);
-            # overwrite probe: t0 hit (L1 CAS1 W1).
-            new = slot[1] + delta
-            t0[i0] = (key, new)
-            return new, _UPSERT_HIT_T0
-        slot = t1[i1]
-        if slot is not _EMPTY and slot[0] == key:
-            # find: t0 miss, t1 hit (L2 R1); insert's find: same;
-            # overwrite probes t0 then t1 (L2 CAS1 W1).
-            new = slot[1] + delta
-            t1[i1] = (key, new)
-            return new, _UPSERT_HIT_T1
-        # Absent.  Empty-slot placement inline: find miss (L2) + insert's
-        # find miss (L2) + overwrite probes (L2), then one CAS+W into the
-        # first free slot — the same charges ``_try_insert`` accrues.
-        if t0[i0] is _EMPTY:
-            t0[i0] = (key, delta)
-        elif t1[i1] is _EMPTY:
-            t1[i1] = (key, delta)
-        else:
-            # Both slots taken by other keys: kick chains and resizes stay
-            # on the real insert path (mirroring only the find miss, L2).
-            _new, stats = self.insert(key, delta)
-            stats.local_ops += 2
-            return delta, stats
-        stats = OpStats(local_ops=6, writes=1, cas_ops=1)
-        self._count += 1
-        if self._count / (2 * cap) > self.LOAD_FACTOR:
-            self._resize(stats)
-        return delta, stats
+        memo = self._base_memo
+        append = results.append
+        # Plain-int tallies of the three common outcomes; the rare kick
+        # chain and the resize keep their own OpStats in ``extra``.
+        hits0 = hits1 = placed = 0
+        extra = None
+        i = start
+        n = len(pairs)
+        while i < n:
+            key, delta = pairs[i]
+            i += 1
+            base = memo.get(key)
+            if base is None:
+                base = memo[key] = self._hash_fn(key) & _MASK64
+            i0 = base % cap
+            slot = t0[i0]
+            if slot is not _EMPTY and slot[0] == key:
+                # find: t0 hit (L1 R1); insert's find: t0 hit (L1 R1);
+                # overwrite probe: t0 hit (L1 CAS1 W1).
+                new = slot[1] + delta
+                t0[i0] = (key, new)
+                append(new)
+                hits0 += 1
+                continue
+            i1 = (((base * _GOLDEN64) & _MASK64) ^ (base >> 31)) % cap
+            slot = t1[i1]
+            if slot is not _EMPTY and slot[0] == key:
+                # find: t0 miss, t1 hit (L2 R1); insert's find: same;
+                # overwrite probes t0 then t1 (L2 CAS1 W1).
+                new = slot[1] + delta
+                t1[i1] = (key, new)
+                append(new)
+                hits1 += 1
+                continue
+            # Absent.  Empty-slot placement inline: find miss (L2) +
+            # insert's find miss (L2) + overwrite probes (L2), then one
+            # CAS+W into the first free slot — the charges ``_try_insert``
+            # accrues.
+            append(delta)
+            if t0[i0] is _EMPTY:
+                t0[i0] = (key, delta)
+            elif t1[i1] is _EMPTY:
+                t1[i1] = (key, delta)
+            else:
+                # Both slots taken by other keys: kick chains and resizes
+                # stay on the real insert path (mirroring only the find
+                # miss, L2).
+                _new, stats = self.insert(key, delta)
+                stats.local_ops += 2
+                extra = stats if extra is None else extra.merge(stats)
+                if stats.resized:
+                    break
+                continue
+            placed += 1
+            self._count += 1
+            if self._count / (2 * cap) > self.LOAD_FACTOR:
+                grown = OpStats()
+                self._resize(grown)
+                extra = grown if extra is None else extra.merge(grown)
+                break
+        done = hits0 + hits1 + placed
+        # Positional: (local_ops, reads, writes, cas_ops).  Keyword
+        # construction costs twice as much, and this runs per scalar upsert.
+        stats = OpStats(3 * hits0 + 6 * (hits1 + placed), 2 * (hits0 + hits1),
+                        done, done)
+        if extra is not None:
+            stats = stats.merge(extra)
+        return i, stats
 
     def insert(self, key: Hashable, value: Any) -> Tuple[bool, OpStats]:
         """Insert or overwrite.  Returns ``(inserted_new, stats)``.
@@ -251,19 +291,28 @@ class CuckooHash:
                     "function?"
                 )
             self._cap *= 2
-            self._t0 = [_EMPTY] * self._cap
-            self._t1 = [_EMPTY] * self._cap
-            self._count = 0
-            ok = True
+            cap = self._cap
+            t0 = self._t0 = [_EMPTY] * cap
+            t1 = self._t1 = [_EMPTY] * cap
+            # Old entries are distinct keys, so ``_try_insert``'s overwrite
+            # probe never hits: place each at its t0 slot, else its t1
+            # slot, and fall back to the kick chain only when both are
+            # taken.  Every key in the table went through ``_base``.
+            memo = self._base_memo
             for k, v in old_items:
-                done, new = self._try_insert(k, v, sub)
-                if not done:
+                base = memo[k]
+                i0 = base % cap
+                if t0[i0] is _EMPTY:
+                    t0[i0] = (k, v)
+                    continue
+                i1 = (((base * _GOLDEN64) & _MASK64) ^ (base >> 31)) % cap
+                if t1[i1] is _EMPTY:
+                    t1[i1] = (k, v)
+                elif not self._try_insert(k, v, sub)[0]:
                     self._orphan = None
-                    ok = False
                     break
-                if new:
-                    self._count += 1
-            if ok:
+            else:
+                self._count = len(old_items)
                 return
 
     def remove(self, key: Hashable) -> Tuple[bool, OpStats]:
@@ -281,10 +330,11 @@ class CuckooHash:
         return False, stats
 
     def items(self) -> Iterator[Tuple[Hashable, Any]]:
+        # ``filter(None, ...)`` skips the empty slots in C: an occupied
+        # slot is a 2-tuple, always truthy, and ``_EMPTY`` is None.  Tables
+        # run far below their capacity, so the scan is mostly empty slots.
         for arr in (self._t0, self._t1):
-            for slot in arr:
-                if slot is not _EMPTY:
-                    yield slot
+            yield from filter(None, arr)
 
     def keys(self) -> Iterator[Hashable]:
         for k, _v in self.items():

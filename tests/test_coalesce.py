@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.contig import make_pair
 from repro.config import ares_like
 from repro.core import HCL
+from repro.rpc import RemoteError
 
 from tests.conftest import run_rank0
 
@@ -182,6 +184,51 @@ class TestCoalescer:
             assert [p for p, _v in entries] == [10, 20, 30]
 
         run_rank0(hcl, body())
+
+
+class TestSyncPointDrain:
+    """A synchronous op drains its partition only when the caller's node
+    is ``busy`` there; these pin what that gate must still catch (the
+    uncached find is ``TestCoalescer.test_sync_read_drains_buffer``)."""
+
+    def test_cached_sync_find_sees_buffered_upserts(self, hcl):
+        m = hcl.unordered_map("t", partitions=2, aggregation=64,
+                              read_cache=True)
+        key = _remote_key(m, node_id=0)
+        coal = m._coalescer
+
+        def body():
+            for _ in range(3):
+                yield from m.upsert_buffered(0, key, 2)
+            assert coal.busy(0, m.partition_for(key).index)
+            found = yield from m.find(0, key)
+            return found, coal.pending_total()
+
+        assert run_rank0(hcl, body()) == ((6, True), 0)
+
+    def test_failed_flush_raises_once_at_next_sync_op(self, hcl):
+        m = hcl.unordered_map("t", partitions=2, aggregation=1)
+        key = _remote_key(m, node_id=0)
+        other = _remote_key(m, node_id=0, start=key + 1)
+        part = m.partition_for(key)
+        assert m.partition_for(other) is part
+        coal = m._coalescer
+
+        def body():
+            yield from m.upsert(0, key, 1)
+            # int + ExtensionPair fails at the target: the one-op buffer
+            # flushes at once and its batch comes back failed.
+            yield from m.upsert_buffered(0, key, make_pair("A", "C"))
+            yield hcl.sim.timeout(1.0)
+            assert coal.pending_total() == 0
+            assert coal.busy(0, part.index)  # the failure stays listed
+            with pytest.raises(RemoteError, match="TypeError"):
+                yield from m.upsert(0, other, 1)
+            assert not coal.busy(0, part.index)
+            assert (yield from m.upsert(0, other, 1)) == 1
+            return (yield from m.find(0, key))
+
+        assert run_rank0(hcl, body()) == (1, True)
 
 
 class TestReadCache:

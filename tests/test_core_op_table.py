@@ -27,6 +27,11 @@ FAMILIES = {
     "priority_queue": HCLPriorityQueue,
 }
 KEYED = ("unordered_map", "unordered_set", "map", "set")
+#: whether an op is a keyed mutation is a property of its name across all
+#: families, as whether it writes is
+KEYED_MUTATIONS = frozenset(
+    row.name for table in OP_TABLES.values() for row in table if row.keyed
+)
 
 
 class TestOpTable:
@@ -43,7 +48,7 @@ class TestOpTable:
         for row in table:
             assert callable(getattr(cls, f"_do_{row.name}")), row.name
             assert row.write == (row.name not in cls.READ_ONLY_OPS)
-            assert row.keyed == (row.name in cls.KEYED_MUTATIONS)
+            assert row.keyed == (row.name in KEYED_MUTATIONS)
             if row.keyed:
                 assert row.write and row.arity >= 1
             if row.cached:
@@ -61,8 +66,6 @@ class TestOpTable:
         rows = [row for table in OP_TABLES.values() for row in table]
         assert DistributedContainer.READ_ONLY_OPS == {
             r.name for r in rows if not r.write}
-        assert DistributedContainer.KEYED_MUTATIONS == {
-            r.name for r in rows if r.keyed}
 
     @pytest.mark.parametrize("family", KEYED)
     def test_async_find_spellings_are_one_function(self, family):

@@ -149,10 +149,18 @@ class DistributedContainer:
         row.name for table in OP_TABLES.values() for row in table
         if not row.write
     )
+    #: op name -> the class's ``_run_<name>`` vector form, for the ops that
+    #: have one: ``(self, part, args_list, results) -> (OpStats,
+    #: worst_bytes)``.  Built once per class, not per container.
+    RUNS: Dict[str, Callable] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.OPERATIONS = tuple(row.name for row in cls.OPS)
+        cls.RUNS = {
+            row.name: getattr(cls, f"_run_{row.name}")
+            for row in cls.OPS if hasattr(cls, f"_run_{row.name}")
+        }
 
     def __init__(self, runtime, name: str, partitions: Sequence[Partition],
                  policy: ContainerPolicy):
@@ -292,8 +300,10 @@ class DistributedContainer:
         :meth:`_buffer_op` (buffer without a future) — or a read-cache
         front for the first two (:meth:`_read`, :meth:`_read_async`).  They
         stay separate because they produce different simulated schedules.
-        Returns what the stage returns: a generator or an
-        :class:`RPCFuture`.
+        Returns what the stage returns: a generator, an
+        :class:`RPCFuture`, or — from :meth:`_buffer_op`, for an op it
+        buffered — ``()``, which the caller's ``yield from`` finishes at
+        once.
 
         Keyed ops route on ``args[0]`` and are sized as an entry;
         partition-addressed ops pass ``part`` and a fixed ``payload``.
@@ -543,25 +553,23 @@ class DistributedContainer:
     # -- stage 4: buffer without a future (Section III-C3, Table I) --------------
     def _buffer_op(self, rank: int, part: Partition, op: str, args: tuple,
                    payload_bytes: int):
-        """Generator: write-combine ``op`` when aggregation is on.
+        """Write-combine ``op`` when aggregation is on; the caller ``yield
+        from``-s what this returns.
 
         With aggregation off — or for a same-node partition, where the
-        hybrid access model already bypasses the RPC machinery — this is
-        exactly ``_execute``.  Otherwise the op lands in the destination
-        buffer (returning None immediately); it is applied by the next
+        hybrid access model already bypasses the RPC machinery — this
+        returns the ``_execute`` generator.  Otherwise the op lands in the
+        destination buffer at once and this returns ``()``: nothing to
+        wait for, no generator built.  The op is applied by the next
         threshold or sync-point flush.
         """
         caller_node = self._rank_home[rank]
-        if self._coalescer is None or caller_node == part.node_id:
-            result = yield from self._execute(
-                rank, part, op, args, payload_bytes
-            )
-            return result
+        coal = self._coalescer
+        if coal is None or caller_node == part.node_id:
+            return self._execute(rank, part, op, args, payload_bytes)
         self._invalidate(caller_node, part, op, args)
-        self._coalescer.append(
-            rank, caller_node, part, op, args, payload_bytes
-        )
-        return None
+        coal.append(rank, caller_node, part, op, args, payload_bytes)
+        return ()
 
     def _spawn_call(self, rank: int, part: Partition, op: str, args: tuple,
                     payload_bytes: int, _drain: bool = True,
@@ -693,12 +701,14 @@ class DistributedContainer:
     # aggregate multiple data-local operations together ... mapping several
     # spatially located updates to be performed with one call" (III-C3).
     # ``_do_batch`` executes a list of sub-operations against one partition
-    # under a single invocation.
+    # under a single invocation; each maximal run of an op with a vector
+    # form (``_run_<name>``) is one call of that form.
     def _do_batch(self, part: "Partition", subops):
         results = []
         append = results.append
         worst_bytes = 16
         ops = self._ops
+        runs = self.RUNS
         # Plain-int accumulation: one OpStats at the end instead of a
         # merge call per sub-op — this loop runs once per buffered op on
         # every aggregated hot path.
@@ -713,14 +723,13 @@ class DistributedContainer:
                 raise KeyError(f"unknown sub-operation {op!r}")
             if op == "batch":
                 raise ValueError("nested batches are not allowed")
-            if op == "upsert":
-                # A maximal run of upserts is one vector call on the
-                # table (only the hash families have the op).
+            run = runs.get(op)
+            if run is not None:
                 j = i + 1
-                while j < n and subops[j][0] == "upsert":
+                while j < n and subops[j][0] == op:
                     j += 1
-                stats, entry_bytes = self._upsert_run(
-                    part, [a for _op, a in subops[i:j]], results
+                stats, entry_bytes = run(
+                    self, part, [a for _op, a in subops[i:j]], results
                 )
                 i = j
             else:

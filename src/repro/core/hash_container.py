@@ -54,7 +54,7 @@ class _HashContainerBase(KeyedContainer):
             self._grow_segment_if_resized(part, stats, entry_bytes)
         return new, stats, entry_bytes
 
-    def _upsert_run(self, part: Partition, pairs, results):
+    def _run_upsert(self, part: Partition, pairs, results):
         """A batch's run of upserts as vector calls on the table.
 
         Appends each op's new value to ``results`` and returns ``(stats,

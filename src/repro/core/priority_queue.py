@@ -38,21 +38,53 @@ class HCLPriorityQueue(DistributedContainer):
         return self.partitions[0]
 
     # -- server-side ops --------------------------------------------------------
-    def _maybe_grow(self, part: Partition, entry_bytes: int) -> Optional[OpStats]:
-        pq: MDListPriorityQueue = part.structure
-        need = 2 * len(pq) * max(64, entry_bytes)
+    def _maybe_grow(self, part: Partition, entry_bytes: int,
+                    length: int) -> Optional[OpStats]:
+        """The push grow rule: a queue of ``length`` entries needs twice
+        that many of ``max(64, entry_bytes)`` bytes; short of that, the
+        segment grows to the need, and at least doubles."""
+        need = 2 * length * max(64, entry_bytes)
         if need > part.segment.size:
             part.segment.grow(max(need, 2 * part.segment.size))
-            return OpStats(resized=True, resize_entries=len(pq))
+            return OpStats(resized=True, resize_entries=length)
         return None
 
     def _do_push(self, part: Partition, priority, value):
         entry_bytes = self._entry_bytes(priority, value)
         stats = part.structure.push(priority, value)
-        grow = self._maybe_grow(part, entry_bytes)
+        grow = self._maybe_grow(part, entry_bytes, len(part.structure))
         if grow is not None:
             stats = stats.merge(grow)
         return True, stats, entry_bytes
+
+    def _run_push(self, part: Partition, pairs, results):
+        """A batch's run of pushes as one ``push_many`` call.
+
+        Appends each pushed op's ``True`` to ``results`` and returns
+        ``(stats, worst_entry_bytes)`` — what ``len(pairs)``
+        :meth:`_do_push` calls charge.  Each op bumps the epoch once and
+        meets the grow rule at its own length, so a range error mid-run
+        leaves the pushed prefix as per-op calls would.
+        """
+        pq = part.structure
+        entry_bytes = self._entry_bytes
+        sizes = [entry_bytes(priority, value) for priority, value in pairs]
+        before = len(pq)
+        grown = None
+        try:
+            stats = pq.push_many(pairs)
+        finally:
+            pushed = len(pq) - before
+            part.write_epoch += pushed
+            results.extend([True] * pushed)
+            maybe_grow = self._maybe_grow
+            for k in range(pushed):
+                grow = maybe_grow(part, sizes[k], before + k + 1)
+                if grow is not None:
+                    grown = grow if grown is None else grown.merge(grow)
+        if grown is not None:
+            stats = stats.merge(grown)
+        return stats, max(sizes)
 
     def _do_pop(self, part: Partition):
         try:
@@ -65,7 +97,7 @@ class HCLPriorityQueue(DistributedContainer):
         stats = part.structure.push_many(entries)
         total_bytes = 16 + self._entry_bytes(*chain.from_iterable(entries))
         per = total_bytes // max(1, len(entries))
-        grow = self._maybe_grow(part, per)
+        grow = self._maybe_grow(part, per, len(part.structure))
         if grow is not None:
             stats = stats.merge(grow)
         return True, stats, max(64, per)

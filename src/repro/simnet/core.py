@@ -456,7 +456,7 @@ class Simulator:
                                             and not target.callbacks):
                                         target._wait = w
                                     else:
-                                        target.callbacks.append(w._resume_cb)
+                                        target.callbacks.append(w._resume)
                                 else:
                                     w._kick(target)
                             else:

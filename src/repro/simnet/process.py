@@ -11,10 +11,12 @@ each other by yielding them.
 
 The resume path is the single hottest code in the simulator (one resume per
 retired event in process-driven workloads), so it is aggressively flattened:
-``gen.send``/``gen.throw`` are cached as bound methods, the callback object
-is allocated once per process, and the per-event ``_resume`` inlines the
-wait/registration logic instead of delegating.  A process is resumed only
-by the one event it waits on, so a resume needs no guard.
+``gen.send``/``gen.throw`` are cached as bound methods, and the per-event
+``_resume`` inlines the wait/registration logic instead of delegating.  A
+process is resumed only by the one event it waits on, so a resume needs no
+guard.  A process keeps no bound method of itself (an overflow waiter
+registers a fresh bound ``_resume``), so a finished one is freed by
+reference counting instead of waiting for the cycle collector.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = ["Process"]
 class Process(Event):
     """A running coroutine inside the simulator."""
 
-    __slots__ = ("_gen", "_send", "_throw", "_resume_cb", "name")
+    __slots__ = ("_gen", "_send", "_throw", "name")
 
     _counter = 0
 
@@ -44,7 +46,6 @@ class Process(Event):
         self._gen = generator
         self._send = generator.send
         self._throw = generator.throw
-        self._resume_cb = self._resume
         self.name = name or f"proc-{Process._counter}"
         # Kick off at current sim time via a scheduled callback so that
         # process startup stays ordered with other scheduled work (one seq
@@ -89,7 +90,7 @@ class Process(Event):
                 if target._wait is None and not target.callbacks:
                     target._wait = self
                 else:
-                    target.callbacks.append(self._resume_cb)
+                    target.callbacks.append(self._resume)
             else:
                 self._kick(target)
         else:
@@ -110,7 +111,7 @@ class Process(Event):
                 if target._wait is None and not target.callbacks:
                     target._wait = self
                 else:
-                    target.callbacks.append(self._resume_cb)
+                    target.callbacks.append(self._resume)
             else:
                 self._kick(target)
         else:

@@ -1,8 +1,10 @@
 """Tests for the discrete-event kernel: events, timeouts, processes."""
 
+import gc
+
 import pytest
 
-from repro.simnet import Process, SimulationError
+from repro.simnet import Process, SimulationError, Simulator
 
 
 class TestEvent:
@@ -242,3 +244,55 @@ class TestSimulator:
             sim.timeout(1.0)
         sim.run()
         assert sim.events_processed == 7
+
+
+class TestProcessGarbage:
+    @staticmethod
+    def _short_processes():
+        """Waiters overflow to a callbacks list at all three sites: a
+        process's first step, a resume by a plain event, and the kernel's
+        inlined resume by a timeout."""
+        sim = Simulator()
+        gate = sim.event()
+
+        def short(i):
+            yield sim.timeout(1.0 + i % 3)
+            return i
+
+        def at_start(target):
+            return (yield target)
+
+        def after_event(target):
+            yield gate
+            return (yield target)
+
+        def after_timeout(target):
+            yield sim.timeout(0.5)
+            return (yield target)
+
+        def opener():
+            yield sim.timeout(0.25)
+            gate.succeed()
+
+        targets = [sim.process(short(i)) for i in range(6)]
+        waiters = [sim.process(body(targets[i % 6]))
+                   for i in range(12)
+                   for body in (at_start, after_event, after_timeout)]
+        sim.process(opener())
+        sim.run()
+        return [w.result for w in waiters]
+
+    def test_finished_processes_are_not_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            results = self._short_processes()
+            gc.collect()
+            leaked = sum(isinstance(o, Process) for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert results == [i % 6 for i in range(12) for _ in range(3)]
+        assert leaked == 0

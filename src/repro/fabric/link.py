@@ -1,16 +1,16 @@
 """Point-to-point link model with cut-through forwarding.
 
 Each node owns one egress and one ingress :class:`~repro.simnet.resources.Resource`
-(its uplink to / downlink from the switch).  A transfer
-(:meth:`repro.fabric.verbs.QueuePair._wire`):
+(its uplink to / downlink from the switch).  An off-node crossing, in the
+one hop generator :meth:`repro.fabric.verbs.QueuePair._hop`:
 
 1. acquires the source egress channel,
 2. acquires the destination ingress channel (this is where *incast*
    contention appears — many clients hammering one partition serialize
    here, which is what saturates the single-partition queue in Fig 6c),
 3. holds both for the wire time of the message,
-4. releases both, then charges propagation and switch latency outside
-   the hold.
+4. accounts the message on both links, releases both, then charges
+   propagation and switch latency outside the hold.
 
 Acquisition order is always egress-then-ingress and the two pools are
 disjoint, so no deadlock cycle can form.
@@ -42,10 +42,8 @@ class Link:
         self.packets_total = metrics.counter(name + "/packets")
         self.messages_total = metrics.counter(name + "/messages")
 
-    def packet_count(self, msg: Message) -> int:
-        return max(1, -(-msg.wire_size // self.cost.mtu))
-
     def account(self, msg: Message) -> None:
-        self.bytes_total.add(msg.wire_size)
-        self.packets_total.add(self.packet_count(msg))
-        self.messages_total.add(1)
+        size = msg.wire_size
+        self.bytes_total.value += size
+        self.packets_total.value += max(1, -(-size // self.cost.mtu))
+        self.messages_total.value += 1

@@ -133,9 +133,14 @@ class Nic:
 
     # -- service-time helpers (generators run by verbs layer) -----------------
     def serve_verb(self):
-        """Occupy one NIC core for a verb's processing time."""
-        yield from self.cores.use(self.cost.nic_verb_service)
-        self.verbs_processed.add(1)
+        """Occupy one NIC core for a verb's processing time (target side)."""
+        cores = self.cores
+        yield cores.claim()
+        try:
+            yield self.sim.timeout(self.cost.nic_verb_service)
+        finally:
+            cores.release_slot()
+        self.verbs_processed.value += 1
 
     def serve_atomic(self, region: MemoryRegion):
         """Occupy a NIC core *and* the region's atomic lock for a CAS/FAA.
@@ -166,7 +171,7 @@ class Nic:
                 lock.release()
         finally:
             cores.release_slot()
-        self.verbs_processed.add(1)
+        self.verbs_processed.value += 1
 
     # -- observability ----------------------------------------------------------
     def utilization_probe(self):

@@ -1,15 +1,14 @@
 """Wire-level message descriptors.
 
 A :class:`Message` is the unit handed to a :class:`~repro.fabric.link.Link`;
-its ``size`` drives transfer time and packet counting.  ``Verb`` enumerates
-the RDMA operations the simulated NIC understands.
+its ``wire_size`` drives transfer time and packet counting.  ``Verb``
+enumerates the RDMA operations the simulated NIC understands.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = ["Verb", "Message", "WIRE_HEADER_BYTES"]
@@ -30,35 +29,34 @@ class Verb(enum.Enum):
     FETCH_ADD = "atomic_faa"  # remote fetch-and-add
 
 
-@dataclass(slots=True)
 class Message:
     """A single fabric transfer.
 
-    ``size`` is payload bytes; wire size adds the header per packet-train.
+    ``size`` is payload bytes; ``wire_size`` adds the header, once, here.
     ``payload`` carries the *real* Python data so upper layers stay
-    functional, not just timed.
+    functional, not just timed; ``region`` names a one-sided op's target.
 
     Slotted: one Message is allocated per remote op, so the dict-free
     layout is measurable at full-paper scale —
     see ``benchmarks/test_alloc_micro.py``.
     """
 
-    verb: Verb
-    src_node: int
-    dst_node: int
-    size: int
-    payload: Any = None
-    region: Optional[str] = None  # target memory-region key for one-sided ops
-    offset: int = 0
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    __slots__ = ("verb", "src_node", "dst_node", "size", "payload", "region",
+                 "offset", "msg_id", "wire_size")
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, verb: Verb, src_node: int, dst_node: int, size: int,
+                 payload: Any = None, region: Optional[str] = None, offset: int = 0):
+        self.msg_id = next(_msg_ids)
+        if size < 0:
             raise ValueError("message size must be non-negative")
-
-    @property
-    def wire_size(self) -> int:
-        return self.size + WIRE_HEADER_BYTES
+        self.verb = verb
+        self.src_node = src_node
+        self.dst_node = dst_node
+        self.size = size
+        self.payload = payload
+        self.region = region
+        self.offset = offset
+        self.wire_size = size + WIRE_HEADER_BYTES
 
     @property
     def is_atomic(self) -> bool:

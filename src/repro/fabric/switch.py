@@ -30,14 +30,11 @@ class Switch:
         self.sim = sim
         self.cost = cost
         self.oversubscription = oversubscription
+        self.is_full_bisection = oversubscription <= 1.0
         channels = max(1, int(round(nodes / oversubscription)))
         self.channels = Resource(sim, capacity=channels, name="switch")
         metrics = registry_of(sim)
         self.transits = metrics.counter("switch/transits")
-
-    @property
-    def is_full_bisection(self) -> bool:
-        return self.oversubscription <= 1.0
 
     def traverse(self, wire_time: float):
         """Generator: occupy one backplane channel for the message's
@@ -45,7 +42,7 @@ class Switch:
         full bisection the caller charges the wire time directly (the
         per-link holds already bound throughput)."""
         yield from self.channels.use(wire_time)
-        self.transits.add(1)
+        self.transits.value += 1
 
     def utilization(self) -> float:
         return self.channels.utilization()

@@ -9,6 +9,8 @@ This is the narrow waist both libraries sit on:
 
 All operations are generators to be driven inside a simulated process; each
 returns the semantically-correct result (read payload, old CAS word, ...).
+Each message, request or response, crosses in one generator frame
+(:meth:`QueuePair._hop`), which also posts a request on the source NIC.
 
 Atomic-size messages (CAS/FAA) carry ~28 bytes on the wire.
 """
@@ -39,72 +41,65 @@ class QueuePair:
         self.src_node = src_node
         self.src = cluster.node(src_node)
         self.sim = cluster.sim
-        self.cost = cluster.spec.cost
+        cost = self.cost = cluster.spec.cost
+        #: propagation + switch latency of an off-node crossing
+        self.latency = 2 * cost.link_latency + cost.switch_latency
 
     # -- the traversal, written once ------------------------------------------
-    def _post(self, dst_node, verb: Verb, size: int, **fields):
-        """Post one work request and carry it to ``dst_node``: build the
-        message, ring the doorbell, occupy a source NIC core, cross the wire."""
-        msg = Message(verb, self.src_node, dst_node.node_id, size, **fields)
-        yield self.sim.timeout(self.cost.nic_doorbell)
-        yield from self.src.nic.serve_verb()
-        yield from self._wire(self.src, dst_node, msg)
-        return msg
+    def _hop(self, src, dst, msg: Message, post: bool = False):
+        """Carry ``msg`` from node ``src`` to node ``dst`` in one frame.
 
-    def _wire(self, src, dst, msg: Message):
-        """Move ``msg`` from node ``src`` to node ``dst`` (either direction).
-
-        Off-node, the source egress and the destination ingress channels
-        are held for the *serialization* (wire) time only — that is what
-        bounds throughput and produces incast contention at a hot
-        destination.  Propagation and switch latency are added afterwards,
-        outside the hold, so back-to-back messages pipeline as on real
-        links.  An oversubscribed switch additionally bounds how many
-        transfers can stream through the backplane at once.
-
-        The hops are claimed *in sequence* (egress, then ingress, then
-        backplane), one kernel event apart — each
-        :meth:`~repro.simnet.resources.Resource.claim` costs exactly one
-        event whether the hop was free or busy, so contention windows do
-        not depend on which branch a claim took.
+        A ``post``-ed work request first rings the doorbell and holds a
+        source NIC core for the verb's service time; a response or an ack
+        going back skips both.  Off-node, the egress and then the ingress
+        channel are claimed — one kernel event each, free or busy — and
+        held for the serialization time only (through ``Switch.traverse``
+        when the backplane is oversubscribed): that bounds throughput and
+        makes incast contend at a hot destination.  Propagation and switch
+        latency follow outside the hold, so back-to-back messages pipeline.
         """
+        sim = self.sim
         cost = self.cost
+        if post:
+            yield sim.timeout(cost.nic_doorbell)
+            nic = src.nic
+            yield nic.cores.claim()
+            try:
+                yield sim.timeout(cost.nic_verb_service)
+            finally:
+                nic.cores.release_slot()
+            nic.verbs_processed.value += 1
+        wire = cost.transfer_time(msg.wire_size)
         if src is dst:
             # NIC loopback: no switch traversal, but the transfer still
             # crosses the NIC's internal path at link-class bandwidth.
-            yield from src.nic_loopback.use(cost.transfer_time(msg.wire_size))
+            yield from src.nic_loopback.use(wire)
             src.egress.account(msg)
             src.ingress.account(msg)
             return
-        cluster = self.cluster
-        faults = cluster.faults
+        faults = self.cluster.faults
         if faults is not None:
             # May delay, schedule a duplicate, or raise FabricDropped.
             yield from faults.outbound(msg)
-        switch = cluster.switch
-        egress = src.egress
-        ingress = dst.ingress
-        e_ch = egress.channel
-        i_ch = ingress.channel
+        switch = self.cluster.switch
+        egress, ingress = src.egress, dst.ingress
+        e_ch, i_ch = egress.channel, ingress.channel
         yield e_ch.claim()
+        yield i_ch.claim()
         try:
-            yield i_ch.claim()
-            try:
-                wire = cost.transfer_time(msg.wire_size)
-                if switch.is_full_bisection:
-                    yield self.sim.timeout(wire)
-                    switch.transits.add(1)
-                else:
-                    # Oversubscribed backplane: the serialization time is
-                    # spent holding one of the limited switch channels.
-                    yield from switch.traverse(wire)
-                egress.account(msg)
-                ingress.account(msg)
-            finally:
-                i_ch.release_slot()
+            if switch.is_full_bisection:
+                yield sim.timeout(wire)
+                switch.transits.value += 1
+            else:
+                # Oversubscribed backplane: the serialization time is
+                # spent holding one of the limited switch channels.
+                yield from switch.traverse(wire)
+            egress.account(msg)
+            ingress.account(msg)
         finally:
+            i_ch.release_slot()
             e_ch.release_slot()
-        yield self.sim.timeout(2 * cost.link_latency + cost.switch_latency)
+        yield sim.timeout(self.latency)
 
     def _region(self, dst: int, name: str, offset: int):
         """The target node and its registered region, ``offset`` in bounds."""
@@ -120,12 +115,12 @@ class QueuePair:
         """Remote atomic: request out, ``op(region, offset, *args)`` under
         the region's atomic lock on the target NIC, acknowledgement back."""
         dst_node, region = self._region(dst, name, offset)
-        yield from self._post(dst_node, verb, ATOMIC_WIRE_BYTES,
-                              region=name, offset=offset)
+        msg = Message(verb, self.src_node, dst_node.node_id, ATOMIC_WIRE_BYTES, None, name, offset)
+        yield from self._hop(self.src, dst_node, msg, True)
         yield from dst_node.nic.serve_atomic(region)
         old = op(region, offset, *args)
         ack = Message(verb, dst, self.src_node, ATOMIC_WIRE_BYTES)
-        yield from self._wire(dst_node, self.src, ack)
+        yield from self._hop(dst_node, self.src, ack)
         return old
 
     # -- two-sided -----------------------------------------------------------
@@ -136,7 +131,8 @@ class QueuePair:
         matching of sends to receivers is the upper layer's business.
         """
         dst_node = self.cluster.node(dst)
-        msg = yield from self._post(dst_node, Verb.SEND, size, payload=payload)
+        msg = Message(Verb.SEND, self.src_node, dst_node.node_id, size, payload)
+        yield from self._hop(self.src, dst_node, msg, True)
         # Admission control: a bounded-RPC-queue target may shed the message
         # here instead of accepting it (the hook deposits the rejection).
         if dst_node.nic.admit(msg):
@@ -147,8 +143,8 @@ class QueuePair:
     def rdma_write(self, dst: int, region: str, offset: int, payload: Any, size: int):
         """One-sided write of ``payload`` into ``region`` at ``offset``."""
         dst_node, target = self._region(dst, region, offset)
-        yield from self._post(dst_node, Verb.WRITE, size,
-                              payload=payload, region=region, offset=offset)
+        msg = Message(Verb.WRITE, self.src_node, dst_node.node_id, size, payload, region, offset)
+        yield from self._hop(self.src, dst_node, msg, True)
         yield from dst_node.nic.serve_verb()
         target.put_object(offset, payload)
         return True
@@ -157,12 +153,13 @@ class QueuePair:
         """One-sided read; returns the payload stored at ``offset``."""
         dst_node, target = self._region(dst, region, offset)
         # Request goes out small; the data comes back at ``size``.
-        yield from self._post(dst_node, Verb.READ, ACK_WIRE_BYTES,
-                              region=region, offset=offset)
+        msg = Message(Verb.READ, self.src_node, dst_node.node_id, ACK_WIRE_BYTES,
+                      None, region, offset)
+        yield from self._hop(self.src, dst_node, msg, True)
         yield from dst_node.nic.serve_verb()
         payload = target.get_object(offset)
-        resp = Message(Verb.READ, dst, self.src_node, size, payload=payload)
-        yield from self._wire(dst_node, self.src, resp)
+        resp = Message(Verb.READ, dst, self.src_node, size, payload)
+        yield from self._hop(dst_node, self.src, resp)
         return payload
 
     # -- atomics -------------------------------------------------------------------

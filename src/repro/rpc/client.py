@@ -199,7 +199,7 @@ class RpcClient:
                 f"rpc.{op}", parent=trace_parent, node=self.src_node,
                 attrs=attrs,
             )
-        self.invocations.add(1)
+        self.invocations.value += 1
         self.sim.process(
             self._protocol(dst_node, req, size, completion, fut),
             name=f"rpc-{op}-{self.src_node}->{dst_node}",

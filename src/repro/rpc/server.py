@@ -241,7 +241,7 @@ class RpcServer:
                 try:
                     # One de-marshal/dispatch charge per batch (aggregation win).
                     yield sim.timeout(dispatch)
-                    self.batches.add(1)
+                    self.batches.value += 1
                     for m in batch:
                         yield from self._execute(m.payload)
                 finally:
@@ -314,7 +314,7 @@ class RpcServer:
         }
         # Deposit the response where the client's RDMA_READ will find it.
         self.response_region.put_object(req.slot, envelope)
-        self.requests_served.add(1)
+        self.requests_served.value += 1
         self.exec_time.observe(self.sim.now - t0)
         if req.trace is not None:
             tracer = tracer_of(self.sim)

@@ -81,7 +81,9 @@ class Resource:
         ever stranded.
         """
         if self.in_use < self.capacity:
-            self._note_change()
+            now = self.sim.now  # _note_change, inlined (the transport's hot path)
+            self._busy_integral += self.in_use * (now - self._last_change)
+            self._last_change = now
             self.in_use += 1
             return self.sim.timeout(0.0)
         ev = self.sim.event()
@@ -103,7 +105,9 @@ class Resource:
 
     def release_slot(self) -> None:
         """Give a slot back: hand it to the oldest waiter, else free it."""
-        self._note_change()
+        now = self.sim.now
+        self._busy_integral += self.in_use * (now - self._last_change)
+        self._last_change = now
         if self._queue:
             # in_use unchanged: the slot changes hands without a dip.
             self._queue.popleft().succeed()

@@ -58,7 +58,7 @@ class TestLinkTransfer:
         msg = Message(Verb.WRITE, 0, 1, 10_000)
 
         def body():
-            yield from cluster.qp(0)._wire(src, dst, msg)
+            yield from cluster.qp(0)._hop(src, dst, msg)
 
         cluster.sim.run_process(body())
         assert src.egress.messages_total.value == 1
@@ -74,7 +74,7 @@ class TestLinkTransfer:
 
         def sender():
             msg = Message(Verb.WRITE, 0, 1, size)
-            yield from cluster.qp(0)._wire(cluster.node(0), dst, msg)
+            yield from cluster.qp(0)._hop(cluster.node(0), dst, msg)
 
         sim = cluster.sim
         sim.process(sender())
@@ -92,7 +92,7 @@ class TestLinkTransfer:
         def sender():
             for _ in range(n):
                 msg = Message(Verb.SEND, 0, 1, 64)
-                yield from cluster.qp(0)._wire(
+                yield from cluster.qp(0)._hop(
                     cluster.node(0), cluster.node(1), msg
                 )
 

@@ -1,7 +1,8 @@
 """Allocation microbenchmark for the per-op hot classes.
 
 Full-paper-scale runs allocate one :class:`~repro.fabric.packet.Message`,
-one :class:`~repro.rpc.server.RpcRequest` and one
+one :class:`~repro.rpc.server.RpcRequest`, one
+:class:`~repro.rpc.server.RpcResponse` and one
 :class:`~repro.rpc.future.RPCFuture` per remote operation — millions of
 short-lived instances per bench.  Those classes are slotted so each
 instance skips the per-object ``__dict__``; this bench pins the slotted
@@ -22,7 +23,7 @@ from repro.fabric.packet import Message, Verb
 from repro.rpc.client import RpcClient
 from repro.rpc.coalesce import OpCoalescer, ReadCache, _Buffer
 from repro.rpc.future import RPCFuture
-from repro.rpc.server import RpcRequest
+from repro.rpc.server import RpcRequest, RpcResponse
 from repro.simnet.core import Simulator
 from repro.structures.mdlist import _MNode
 from repro.structures.stats import OpStats
@@ -30,8 +31,8 @@ from repro.structures.stats import OpStats
 #: Classes allocated on (or near) every remote op.  A class is dict-free
 #: iff no class in its MRO installs a ``__dict__`` descriptor.
 SLOTTED_HOT_CLASSES = [
-    Message, RpcRequest, RPCFuture, RpcClient, OpCoalescer, ReadCache,
-    _Buffer, OpStats, _MNode,
+    Message, RpcRequest, RpcResponse, RPCFuture, RpcClient, OpCoalescer,
+    ReadCache, _Buffer, OpStats, _MNode,
 ]
 
 ALLOCS = 200_000
@@ -61,8 +62,7 @@ def test_per_op_allocation_rate(benchmark, report):
         t0 = time.perf_counter()
         for i in range(ALLOCS):
             Message(Verb.SEND, 0, 1, 64)
-            RpcRequest(op="push", args=(i, None), src_node=0, slot=i,
-                       response_size_hint=16)
+            RpcRequest(op="push", args=(i, None), src_node=0, slot=i)
             RPCFuture(sim, "push")
         return time.perf_counter() - t0
 

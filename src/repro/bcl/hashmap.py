@@ -32,11 +32,9 @@ from repro.bcl.runtime import BCL
 from repro.serialization.databox import estimate_size
 from repro.simnet.core import Event
 from repro.obs.registry import registry_of
+from repro.structures.cuckoo import _GOLDEN64, _MASK64
 
 __all__ = ["BCLHashMap"]
-
-_MASK64 = (1 << 64) - 1
-_GOLDEN64 = 0x9E3779B97F4A7C15
 
 # Bucket state words
 EMPTY, RESERVED, READY = 0, 1, 2
@@ -117,6 +115,18 @@ class BCLHashMap:
         nbytes = self.inflight_slots * self.entry_size
         self.bcl.allocate(node, nbytes, what=f"client {rank} RDMA buffers")
 
+    def _route(self, rank: int, key: Hashable):
+        """Every op's prologue: ``(target, qp, region name, region,
+        bucket)`` for ``key``; pins the caller's buffers (may raise
+        ``BCLOutOfMemory``)."""
+        part = self._partition_of(key)
+        target = self._partition_nodes[part]
+        self._ensure_client_buffer(rank, target)
+        qp = self.cluster.qp(self.cluster.node_of_rank(rank))
+        region = self._regions[part]
+        region_obj = self.cluster.node(target).nic.region(region)
+        return target, qp, region, region_obj, self._bucket_of(key)
+
     # -- operations (generators run inside rank processes) -------------------------
     def insert(self, rank: int, key: Hashable, value: Any):
         """Client-side insert: CAS-reserve, write, CAS-ready.
@@ -128,14 +138,7 @@ class BCLHashMap:
         """
         if not self.ready.triggered:
             yield self.ready
-        part = self._partition_of(key)
-        target = self._partition_nodes[part]
-        self._ensure_client_buffer(rank, target)
-        src_node = self.cluster.node_of_rank(rank)
-        qp = self.cluster.qp(src_node)
-        region = self._regions[part]
-        region_obj = self.cluster.node(target).nic.region(region)
-        bucket = self._bucket_of(key)
+        target, qp, region, region_obj, bucket = self._route(rank, key)
         size = max(estimate_size(key) + estimate_size(value), 1)
         for probe in range(self.MAX_PROBES):
             slot = (bucket + probe) % self.capacity
@@ -181,14 +184,7 @@ class BCLHashMap:
         """
         if not self.ready.triggered:
             yield self.ready
-        part = self._partition_of(key)
-        target = self._partition_nodes[part]
-        self._ensure_client_buffer(rank, target)
-        src_node = self.cluster.node_of_rank(rank)
-        qp = self.cluster.qp(src_node)
-        region = self._regions[part]
-        region_obj = self.cluster.node(target).nic.region(region)
-        bucket = self._bucket_of(key)
+        target, qp, region, region_obj, bucket = self._route(rank, key)
         probe = 0
         while probe < self.MAX_PROBES:
             slot = (bucket + probe) % self.capacity
@@ -236,14 +232,7 @@ class BCLHashMap:
         """
         if not self.ready.triggered:
             yield self.ready
-        part = self._partition_of(key)
-        target = self._partition_nodes[part]
-        self._ensure_client_buffer(rank, target)
-        src_node = self.cluster.node_of_rank(rank)
-        qp = self.cluster.qp(src_node)
-        region = self._regions[part]
-        region_obj = self.cluster.node(target).nic.region(region)
-        bucket = self._bucket_of(key)
+        target, qp, region, region_obj, bucket = self._route(rank, key)
         size = max(estimate_size(key), 16)
         for probe in range(self.MAX_PROBES):
             slot = (bucket + probe) % self.capacity

@@ -50,7 +50,7 @@ from repro.simnet.sync import SimLock
 from repro.structures.stats import OpStats
 
 __all__ = ["Op", "OP_TABLES", "Partition", "DistributedContainer",
-           "KeyedContainer"]
+           "KeyedContainer", "QueueContainer"]
 
 
 class Op(NamedTuple):
@@ -173,6 +173,11 @@ class DistributedContainer:
             row.name: (getattr(self, f"_do_{row.name}"), row)
             for row in self.OPS
         }
+        #: op name -> its RPC name, ``<container>.<op>`` — also the label
+        #: of every future the op returns, shared rather than rebuilt
+        self._rpc_names: Dict[str, str] = {
+            op: f"{name}.{op}" for op in self._ops
+        }
         if policy.aggregation == "auto":
             self._coalescer: Optional[OpCoalescer] = OpCoalescer(
                 self, AUTO_INITIAL, auto=True
@@ -227,7 +232,7 @@ class DistributedContainer:
         self._bound.add(node_id)
         server = self.runtime.server(node_id)
         for op, (_fn, row) in self._ops.items():
-            server.bind(f"{self.name}.{op}", self._handler(op))
+            server.bind(self._rpc_names[op], self._handler(op))
             if self.policy.replication and row.write:
                 server.bind(f"{self.name}.{op}:replica",
                             self._handler(op, replica=True))
@@ -362,7 +367,7 @@ class DistributedContainer:
         try:
             result = yield from client.call(
                 part.node_id,
-                f"{self.name}.{op}",
+                self._rpc_names[op],
                 (part.index, *args),
                 payload_size=payload_bytes,
                 trace_parent=trace_parent,
@@ -520,7 +525,7 @@ class DistributedContainer:
         self.remote_calls.add(1)
         return self.runtime.client(caller_node).invoke(
             part.node_id,
-            f"{self.name}.{op}",
+            self._rpc_names[op],
             (part.index, *args),
             payload_size=payload_bytes,
             stream=part.index,
@@ -546,9 +551,9 @@ class DistributedContainer:
             return self._execute_async(rank, part, op, args, payload_bytes)
         caller_node = self._rank_home[rank]
         self._invalidate(caller_node, part, op, args)
-        return coal.append_async(
-            rank, caller_node, part, op, args, payload_bytes
-        )
+        fut = RPCFuture(self.runtime.sim, self._rpc_names[op])
+        coal.append(rank, caller_node, part, op, args, payload_bytes, fut)
+        return fut
 
     # -- stage 4: buffer without a future (Section III-C3, Table I) --------------
     def _buffer_op(self, rank: int, part: Partition, op: str, args: tuple,
@@ -580,7 +585,7 @@ class DistributedContainer:
         ordering-sensitive async ops: the spawned process gets the
         drain/failover/idempotency-token behavior of the synchronous path.
         """
-        fut = RPCFuture(self.runtime.sim, f"{self.name}.{op}")
+        fut = RPCFuture(self.runtime.sim, self._rpc_names[op])
 
         def body():
             try:
@@ -646,7 +651,7 @@ class DistributedContainer:
         if coal is None or not coal.busy(caller_node, part.index):
             hit = self._cache.lookup(caller_node, part, key)
             if hit is not MISS:
-                fut = RPCFuture(self.runtime.sim, f"{self.name}.{op}")
+                fut = RPCFuture(self.runtime.sim, self._rpc_names[op])
                 # Materialize the event first: the settle then occupies a
                 # scheduler slot at the hit instant, keeping same-timestamp
                 # ordering identical to the eager-event design.
@@ -907,11 +912,10 @@ class KeyedContainer(DistributedContainer):
         """``bool find(const K&[, V&])`` — Table I: F + L + R (hash),
         F + L·log(N) + R (ordered).  Maps return ``(value, found)``, sets
         the membership boolean."""
-        result = yield from self._issue(rank, "find", (key,), self._read)
-        return tuple(result) if self.STORES_VALUES else result
+        return self._issue(rank, "find", (key,), self._read)
 
     def find_async(self, rank: int, key: Hashable) -> RPCFuture:
-        """Future of the raw :meth:`find` result; cached hits complete
+        """Future of :meth:`find`'s result; cached hits complete
         instantly."""
         return self._issue(rank, "find", (key,), self._read_async)
 
@@ -974,3 +978,52 @@ class KeyedContainer(DistributedContainer):
             for idx, result in zip(idxs, fut.result):
                 results[idx] = result
         return results
+
+
+class QueueContainer(DistributedContainer):
+    """What the two queue families share — FIFO or priority: one
+    partition, its ``home``, which every op addresses; the grow rule; and
+    the pop / size client API.  A family supplies its pushes and its
+    ``_do_*`` functions."""
+
+    SINGLE_PARTITION = True
+    #: the family's C++ name, for the one-partition error; set by each family
+    CXX_NAME: str
+
+    def __init__(self, runtime, name, partitions, policy):
+        super().__init__(runtime, name, partitions, policy)
+        if len(self.partitions) != 1:
+            raise ValueError(f"{self.CXX_NAME} is single-partitioned")
+
+    @property
+    def home(self) -> Partition:
+        return self.partitions[0]
+
+    def _maybe_grow(self, part: Partition, entry_bytes: int,
+                    length: int) -> Optional[OpStats]:
+        """The push grow rule: a queue of ``length`` entries needs twice
+        that many of ``max(64, entry_bytes)`` bytes; short of that, the
+        segment grows to the need, and at least doubles."""
+        need = 2 * length * max(64, entry_bytes)
+        if need > part.segment.size:
+            part.segment.grow(max(need, 2 * part.segment.size))
+            return OpStats(resized=True, resize_entries=length)
+        return None
+
+    # -- client API: pops and size ---------------------------------------------
+    def pop(self, rank: int):
+        """``bool pop(T&)`` — Table I: F + L + R.  Returns ``(entry, ok)``;
+        ``(None, False)`` when the queue is empty."""
+        return self._issue(rank, "pop", (), self._execute, self.home, 16)
+
+    def pop_async(self, rank: int) -> RPCFuture:
+        return self._issue(rank, "pop", (), self._execute_async, self.home, 16)
+
+    def pop_many(self, rank: int, count: int):
+        """Vector pop — Table I: F + L + E·R.  Returns a list of up to
+        ``count`` entries."""
+        return self._issue(rank, "pop_many", (count,), self._execute,
+                           self.home, 16)
+
+    def size(self, rank: int):
+        return self._issue(rank, "size", (), self._execute, self.home, 8)

@@ -18,13 +18,10 @@ from typing import Any, Callable, Hashable, Optional
 from repro.core.container import OP_TABLES, KeyedContainer, Partition
 from repro.memory.segment import MemorySegment
 from repro.rpc.future import RPCFuture
-from repro.structures.cuckoo import CuckooHash, stable_hash
+from repro.structures.cuckoo import _GOLDEN64, _MASK64, CuckooHash, stable_hash
 from repro.structures.stats import OpStats
 
 __all__ = ["HCLUnorderedMap", "HCLUnorderedSet", "stable_hash"]
-
-_MASK64 = (1 << 64) - 1
-_GOLDEN64 = 0x9E3779B97F4A7C15
 
 
 class _HashContainerBase(KeyedContainer):

@@ -108,7 +108,7 @@ class _OrderedContainerBase(KeyedContainer):
             rank, "range_find", (lo, hi, limit), 32
         )
         merged: List[Tuple[Hashable, Any]] = [
-            tuple(item) for chunk in chunks for item in chunk
+            item for chunk in chunks for item in chunk
         ]
         merged.sort(key=lambda kv: _SortKey(kv[0], self._less))
         if limit is not None:

@@ -12,43 +12,23 @@ space); values are arbitrary.  ``push(rank, priority, value)`` /
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
-from repro.core.container import OP_TABLES, DistributedContainer, Partition
+from repro.core.container import OP_TABLES, Partition, QueueContainer
 from repro.rpc.future import RPCFuture
-from repro.structures.mdlist import MDListPriorityQueue, PriorityQueueEmpty
+from repro.structures.mdlist import PriorityQueueEmpty
 from repro.structures.stats import OpStats
 
 __all__ = ["HCLPriorityQueue"]
 
 
-class HCLPriorityQueue(DistributedContainer):
+class HCLPriorityQueue(QueueContainer):
     """Distributed min-priority queue."""
 
     OPS = OP_TABLES["priority_queue"]
-    SINGLE_PARTITION = True
-
-    def __init__(self, runtime, name, partitions, policy):
-        super().__init__(runtime, name, partitions, policy)
-        if len(self.partitions) != 1:
-            raise ValueError("HCL::priority_queue is single-partitioned")
-
-    @property
-    def home(self) -> Partition:
-        return self.partitions[0]
+    CXX_NAME = "HCL::priority_queue"
 
     # -- server-side ops --------------------------------------------------------
-    def _maybe_grow(self, part: Partition, entry_bytes: int,
-                    length: int) -> Optional[OpStats]:
-        """The push grow rule: a queue of ``length`` entries needs twice
-        that many of ``max(64, entry_bytes)`` bytes; short of that, the
-        segment grows to the need, and at least doubles."""
-        need = 2 * length * max(64, entry_bytes)
-        if need > part.segment.size:
-            part.segment.grow(max(need, 2 * part.segment.size))
-            return OpStats(resized=True, resize_entries=length)
-        return None
-
     def _do_push(self, part: Partition, priority, value):
         entry_bytes = self._entry_bytes(priority, value)
         stats = part.structure.push(priority, value)
@@ -133,15 +113,6 @@ class HCLPriorityQueue(DistributedContainer):
         return self._issue(rank, "push", (priority, value), self._buffer_op,
                            self.home)
 
-    def pop(self, rank: int):
-        """Table I: F + L + R.  Returns ``((priority, value), ok)``."""
-        entry, ok = yield from self._issue(rank, "pop", (), self._execute,
-                                           self.home, 16)
-        return (tuple(entry) if ok else None), ok
-
-    def pop_async(self, rank: int) -> RPCFuture:
-        return self._issue(rank, "pop", (), self._execute_async, self.home, 16)
-
     def push_many(self, rank: int, entries: Sequence[Tuple[int, Any]]):
         """Vector push — Table I: F + L·log(N) + E·W."""
         entries = [tuple(e) for e in entries]
@@ -149,16 +120,6 @@ class HCLPriorityQueue(DistributedContainer):
         return self._issue(rank, "push_many", (entries,), self._execute,
                            self.home, payload)
 
-    def pop_many(self, rank: int, count: int):
-        """Vector pop — Table I: F + L + E·R."""
-        result = yield from self._issue(rank, "pop_many", (count,),
-                                        self._execute, self.home, 16)
-        return [tuple(e) for e in result]
-
     def peek(self, rank: int):
-        entry, ok = yield from self._issue(rank, "peek", (), self._execute,
-                                           self.home, 16)
-        return (tuple(entry) if ok else None), ok
-
-    def size(self, rank: int):
-        return self._issue(rank, "size", (), self._execute, self.home, 8)
+        """Returns ``((priority, value), ok)`` without removing the entry."""
+        return self._issue(rank, "peek", (), self._execute, self.home, 16)

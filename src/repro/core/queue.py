@@ -15,45 +15,28 @@ it; pop handlers never grow.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
-from repro.core.container import OP_TABLES, DistributedContainer, Partition
+from repro.core.container import OP_TABLES, Partition, QueueContainer
 from repro.rpc.future import RPCFuture
-from repro.structures.lfqueue import OptimisticQueue, QueueEmpty
+from repro.structures.lfqueue import QueueEmpty
 from repro.structures.stats import OpStats
 
 __all__ = ["HCLQueue"]
 
 
-class HCLQueue(DistributedContainer):
+class HCLQueue(QueueContainer):
     """Distributed lock-free FIFO queue."""
 
     OPS = OP_TABLES["queue"]
-    SINGLE_PARTITION = True
-
-    def __init__(self, runtime, name, partitions, policy):
-        super().__init__(runtime, name, partitions, policy)
-        if len(self.partitions) != 1:
-            raise ValueError("HCL::queue is single-partitioned")
-
-    @property
-    def home(self) -> Partition:
-        return self.partitions[0]
+    CXX_NAME = "HCL::queue"
 
     # -- server-side ops -----------------------------------------------------
-    def _maybe_grow(self, part: Partition, entry_bytes: int) -> Optional[OpStats]:
-        """Grow the segment when the queue footprint approaches it."""
-        q: OptimisticQueue = part.structure
-        need = 2 * len(q) * max(64, entry_bytes)
-        if need > part.segment.size:
-            part.segment.grow(max(need, 2 * part.segment.size))
-            return OpStats(resized=True, resize_entries=len(q))
-        return None
-
     def _do_push(self, part: Partition, value):
         entry_bytes = self._entry_bytes(value)
-        stats = part.structure.push(value)
-        grow = self._maybe_grow(part, entry_bytes)
+        q = part.structure
+        stats = q.push(value)
+        grow = self._maybe_grow(part, entry_bytes, len(q))
         if grow is not None:
             stats = stats.merge(grow)
         return True, stats, entry_bytes
@@ -67,8 +50,9 @@ class HCLQueue(DistributedContainer):
 
     def _do_push_many(self, part: Partition, values):
         entry_bytes = self._entry_bytes(*values) if values else 16
-        stats = part.structure.push_many(values)
-        grow = self._maybe_grow(part, entry_bytes)
+        q = part.structure
+        stats = q.push_many(values)
+        grow = self._maybe_grow(part, entry_bytes, len(q))
         if grow is not None:
             stats = stats.merge(grow)
         return True, stats, max(64, entry_bytes // max(1, len(values)))
@@ -87,15 +71,6 @@ class HCLQueue(DistributedContainer):
         return self._issue(rank, "push", (value,), self._execute_async,
                            self.home)
 
-    def pop(self, rank: int):
-        """bool pop(T&) — Table I: F + L + R.  Returns ``(value, ok)``."""
-        result = yield from self._issue(rank, "pop", (), self._execute,
-                                        self.home, 16)
-        return tuple(result)
-
-    def pop_async(self, rank: int) -> RPCFuture:
-        return self._issue(rank, "pop", (), self._execute_async, self.home, 16)
-
     def push_many(self, rank: int, values: Sequence[Any]):
         """Vector push — Table I: F + L + E·W (one invocation for E items)."""
         values = list(values)
@@ -103,12 +78,3 @@ class HCLQueue(DistributedContainer):
             rank, "push_many", (values,), self._execute, self.home,
             self._entry_bytes(*values) if values else 16,
         )
-
-    def pop_many(self, rank: int, count: int):
-        """Vector pop — Table I: F + L + E·R.  Returns a list (possibly short)."""
-        result = yield from self._issue(rank, "pop_many", (count,),
-                                        self._execute, self.home, 16)
-        return list(result)
-
-    def size(self, rank: int):
-        return self._issue(rank, "size", (), self._execute, self.home, 8)

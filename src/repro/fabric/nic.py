@@ -93,7 +93,6 @@ class Nic:
         self.regions: Dict[str, MemoryRegion] = {}
         metrics = registry_of(sim)
         self.verbs_processed = metrics.counter(f"nic{node_id}/verbs")
-        self.rpcs_processed = metrics.counter(f"nic{node_id}/rpcs")
 
     # -- memory registration ------------------------------------------------
     def register_region(self, name: str, size: int) -> MemoryRegion:

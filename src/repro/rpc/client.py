@@ -9,7 +9,10 @@ protocol process completes the future:
 2. wait for the server's completion notification (the ``ibv_get_cq_event``
    of the paper),
 3. RDMA_READ of the response buffer slot (client-pull),
-4. decode the envelope and settle the future.
+4. decode the :class:`~repro.rpc.server.RpcResponse` found there and
+   settle the future: its value (with the callback results, when the
+   request chained any), or a fresh :class:`~repro.rpc.future.RemoteError`
+   / :class:`~repro.rpc.future.ServerOverloaded` raised at this pull.
 
 ``call()`` is the synchronous convenience: ``result = yield from
 client.call(...)``.
@@ -31,7 +34,7 @@ a container only builds an RpcClient invocation for *remote* partitions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.fabric.faults import FabricDropped
 from repro.obs.registry import registry_of
@@ -92,7 +95,7 @@ class RpcClient:
         op: str,
         args: Sequence[Any] = (),
         payload_size: Optional[int] = None,
-        callbacks: Optional[List[Tuple[str, Sequence[Any]]]] = None,
+        callbacks: Sequence[Tuple[str, Sequence[Any]]] = (),
         token: Optional[Tuple[int, int]] = None,
         trace_parent=None,
         stream: Optional[int] = None,
@@ -161,17 +164,8 @@ class RpcClient:
         win.submit(launch)
         return outer
 
-    def _invoke_direct(
-        self,
-        dst_node: int,
-        op: str,
-        args: Sequence[Any] = (),
-        payload_size: Optional[int] = None,
-        callbacks: Optional[List[Tuple[str, Sequence[Any]]]] = None,
-        token: Optional[Tuple[int, int]] = None,
-        trace_parent=None,
-        stream: Optional[int] = None,
-    ) -> RPCFuture:
+    def _invoke_direct(self, dst_node, op, args, payload_size, callbacks,
+                       token, trace_parent, stream) -> RPCFuture:
         """One unwindowed attempt (the classic invoke body)."""
         server = self.servers.get(dst_node)
         if server is None:
@@ -183,7 +177,7 @@ class RpcClient:
             args=tuple(args),
             src_node=self.src_node,
             slot=slot,
-            callbacks=list(callbacks or []),
+            callbacks=tuple(callbacks) if callbacks else (),
             token=token,
         )
         size = payload_size if payload_size is not None else sum(
@@ -212,7 +206,7 @@ class RpcClient:
         op: str,
         args: Sequence[Any] = (),
         payload_size: Optional[int] = None,
-        callbacks: Optional[List[Tuple[str, Sequence[Any]]]] = None,
+        callbacks: Sequence[Tuple[str, Sequence[Any]]] = (),
         token: Optional[Tuple[int, int]] = None,
         trace_parent=None,
         stream: Optional[int] = None,
@@ -260,7 +254,7 @@ class RpcClient:
                     continue  # transport-level NACK: retransmit
                 if tracer is not None and "sent" not in trace.attrs:
                     # The client resumes before the server worker does, so
-                    # ``sent`` lands on the envelope ahead of execution.
+                    # ``sent`` lands on the span ahead of execution.
                     trace.attrs["sent"] = self.sim.now
                     mark = tracer.record("client.send", mark, self.sim.now,
                                          parent=trace, node=node).end
@@ -289,7 +283,7 @@ class RpcClient:
                     self.retries.add(1)
                     yield self.sim.timeout(retry.backoff(attempt))
                 try:
-                    envelope = yield from self.qp.rdma_read(
+                    response = yield from self.qp.rdma_read(
                         dst_node, RpcServer.RESPONSE_REGION, req.slot,
                         response_size,
                     )
@@ -303,21 +297,20 @@ class RpcClient:
             if tracer is not None:
                 mark = tracer.record("client.pull", mark, self.sim.now,
                                      parent=trace, node=node).end
-            if envelope is None:
+            if response is None:
                 raise RemoteError(req.op, "response slot empty")
-            if not envelope["ok"]:
-                if envelope.get("shed"):
+            if response.error is not None:
+                if response.shed is not None:
                     # Admission control rejected the op before execution:
                     # retriable, and distinct from a handler failure.
                     self.shed_seen.add(1)
-                    raise ServerOverloaded(req.op, dst_node,
-                                           envelope["depth"], envelope["bound"])
-                raise RemoteError(req.op, envelope["error"])
+                    raise ServerOverloaded(req.op, dst_node, *response.shed)
+                raise RemoteError(req.op, response.error)
             self.latency.observe(self.sim.now - fut.issued_at)
-            if envelope["callbacks"]:
-                fut._complete((envelope["value"], envelope["callbacks"]))
+            if response.callbacks:
+                fut._complete((response.value, response.callbacks))
             else:
-                fut._complete(envelope["value"])
+                fut._complete(response.value)
             if tracer is not None:
                 tracer.record("client.settle", mark, self.sim.now,
                               parent=trace, node=node)

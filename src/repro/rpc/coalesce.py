@@ -80,7 +80,8 @@ class _Buffer:
         #: sim time the first sub-op landed — start of the buffer span
         self.opened_at = opened_at
         #: per-op result futures (pipelined async API); ``None`` until the
-        #: first ``append_async`` so the classic path pays nothing for it
+        #: first ``append`` with a future, so the classic path pays nothing
+        #: for it
         self.futures: Optional[List] = None
 
 
@@ -92,7 +93,7 @@ class OpCoalescer:
         "flushes", "flushed_ops", "flushed_bytes", "threshold_flushes",
         "sync_flushes", "auto", "_fixed_overhead", "_wire_cost",
         "_auto_flushes", "_auto_trips", "_auto_ops", "_auto_bytes",
-        "auto_gauge", "_auto_gauge_shared", "_labels",
+        "auto_gauge", "_auto_gauge_shared",
     )
 
     def __init__(self, container, max_ops: int, auto: bool = False):
@@ -105,8 +106,6 @@ class OpCoalescer:
         self._buffers: Dict[Tuple[int, int], _Buffer] = {}
         #: (node_id, part_index) -> in-flight flush futures
         self._inflight: Dict[Tuple[int, int], List] = {}
-        #: op -> "container.op" future label (hot-path f-string memo)
-        self._labels: Dict[str, str] = {}
         name = container.name
         metrics = registry_of(self.sim)
         self.flushes = metrics.counter(f"{name}/agg_flushes")
@@ -141,54 +140,35 @@ class OpCoalescer:
 
     # -- write combining ------------------------------------------------------
     def append(self, rank: int, node_id: int, part, op: str, args: tuple,
-               payload_bytes: int) -> None:
-        """Buffer one sub-op; flush asynchronously when a threshold trips."""
-        key = (node_id, part.index)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = self._buffers[key] = _Buffer(rank, part, self.sim.now)
-        buf.rank = rank  # flush on behalf of the most recent caller
-        buf.subops.append((op, args))
-        if buf.futures is not None:
-            buf.futures.append(None)
-        buf.payload_bytes += payload_bytes
-        if (len(buf.subops) >= self.max_ops
-                or buf.payload_bytes >= MAX_BYTES):
-            self.threshold_flushes.add(1)
-            self._flush_key(key)
+               payload_bytes: int, fut: Optional[RPCFuture] = None) -> None:
+        """Buffer one sub-op; flush asynchronously when a threshold trips.
 
-    def append_async(self, rank: int, node_id: int, part, op: str,
-                     args: tuple, payload_bytes: int):
-        """Buffer one sub-op and return a future for *its* result.
-
-        The pipelined-API sibling of :meth:`append`: the op rides the next
-        flush batch exactly as a plain buffered op does, but the caller gets
-        a per-op :class:`RPCFuture` settled from its slot of the batch
-        result (a failed flush fails every rider).  Wait on it, or let a
-        later ``flush``/``drain`` sync point absorb it.
+        ``fut`` is the op's own :class:`RPCFuture` on the pipelined API: it
+        is settled from the op's slot of the batch result (a failed flush
+        fails every rider).  Wait on it, or let a later ``flush``/``drain``
+        sync point absorb it.  A buffer's rider list exists from its first
+        such op on, and holds ``None`` for each plain op.
         """
         key = (node_id, part.index)
         buffers = self._buffers
         buf = buffers.get(key)
         if buf is None:
             buf = buffers[key] = _Buffer(rank, part, self.sim.now)
-        buf.rank = rank
-        futures = buf.futures
-        if futures is None:
-            futures = buf.futures = [None] * len(buf.subops)
-        label = self._labels.get(op)
-        if label is None:
-            label = self._labels[op] = f"{self.container.name}.{op}"
-        fut = RPCFuture(self.sim, label)
+        buf.rank = rank  # flush on behalf of the most recent caller
         subops = buf.subops
+        futures = buf.futures
+        if fut is not None:
+            if futures is None:
+                futures = buf.futures = [None] * len(subops)
+            futures.append(fut)
+        elif futures is not None:
+            futures.append(None)
         subops.append((op, args))
-        futures.append(fut)
         total = buf.payload_bytes + payload_bytes
         buf.payload_bytes = total
         if len(subops) >= self.max_ops or total >= MAX_BYTES:
             self.threshold_flushes.add(1)
             self._flush_key(key)
-        return fut
 
     def _flush_key(self, key: Tuple[int, int]) -> None:
         """Ship one buffer as a single ``batch`` invocation (asynchronous)."""

@@ -28,7 +28,7 @@ from repro.obs.span import tracer_of
 from repro.serialization.databox import estimate_size
 from repro.simnet.core import Event
 
-__all__ = ["RpcServer", "RpcContext", "RpcRequest"]
+__all__ = ["RpcServer", "RpcContext", "RpcRequest", "RpcResponse"]
 
 #: sentinel parked in the dedup table while a tokened request executes, so
 #: a duplicate arriving mid-execution is suppressed instead of re-run
@@ -41,28 +41,48 @@ _DEDUP_CAPACITY = 8192
 class RpcRequest:
     """In-flight request, carried as SEND payload through the fabric."""
 
-    __slots__ = ("op", "args", "src_node", "slot", "response_size_hint",
-                 "callbacks", "token", "trace", "arrived_at")
+    __slots__ = ("op", "args", "src_node", "slot", "callbacks", "token",
+                 "trace", "arrived_at")
 
-    def __init__(self, op, args, src_node, slot, response_size_hint=0,
-                 callbacks=None, token=None, trace=None):
+    def __init__(self, op, args, src_node, slot, callbacks=(), token=None,
+                 trace=None):
         self.op = op
         self.args = args
         self.src_node = src_node
         self.slot = slot
-        self.response_size_hint = response_size_hint
-        self.callbacks = callbacks or []
+        #: ``(op, args)`` follow-on ops the server runs after ``op``
+        self.callbacks = callbacks
         #: idempotency token ``(src_node, seq)`` — set by the client while
         #: a fault plan is installed (or pinned by a replaying caller);
         #: ``None`` otherwise
         self.token = token
         #: root :class:`~repro.obs.span.Span` of the traced invocation, or
         #: ``None`` when tracing is off — this is how the op id rides the
-        #: envelope so the server can hang its stage spans off the client's
+        #: request so the server can hang its stage spans off the client's
         self.trace = trace
         #: sim time this request entered the target's receive queue (stamped
         #: by the server's admission hook); feeds the queue-wait histogram
         self.arrived_at: Optional[float] = None
+
+
+class RpcResponse:
+    """What the server deposits in a request's response slot (the response
+    buffer of Fig 2) and the client pulls with one RDMA_READ.
+
+    ``error`` is ``None`` on success.  A request shed at admission carries
+    the receive-queue ``(depth, bound)`` it met in ``shed``.
+    ``completion_size`` is the CQE size the server signalled, which a
+    deduplicated replay signals again.
+    """
+
+    __slots__ = ("value", "callbacks", "error", "shed", "completion_size")
+
+    def __init__(self, value, callbacks, error, completion_size, shed=None):
+        self.value = value
+        self.callbacks = callbacks
+        self.error = error
+        self.completion_size = completion_size
+        self.shed = shed
 
 
 class RpcContext:
@@ -91,7 +111,7 @@ class RpcServer:
     RESPONSE_REGION = "__rpc_responses__"
     RESPONSE_SLOTS = 1 << 16
 
-    #: CQE size signalled for a shed (rejected) request's envelope
+    #: CQE size signalled for a shed (rejected) request's response
     SHED_COMPLETION_BYTES = 128
 
     def __init__(self, node: Node, batch_size: int = 1, workers: Optional[int] = None,
@@ -116,8 +136,8 @@ class RpcServer:
         self.exec_time = metrics.histogram(f"rpc{node.node_id}/exec")
         self.duplicates_suppressed = metrics.counter(
             f"rpc{node.node_id}/dups_suppressed")
-        #: token -> _IN_FLIGHT | (envelope, completion_size); insertion-ordered
-        #: so eviction drops the oldest settled tokens first
+        #: token -> _IN_FLIGHT | its RpcResponse; insertion-ordered so
+        #: eviction drops the oldest settled tokens first
         self._dedup: "OrderedDict[Any, Any]" = OrderedDict()
         # -- admission control (backpressure knob) ---------------------------
         #: max requests waiting in the NIC receive queue; ``None`` = unbounded
@@ -132,7 +152,6 @@ class RpcServer:
         # for the queue-wait histogram, and additionally sheds at the
         # receive-queue bound when one is configured.
         node.nic.admission = self._admit
-        self._stopped = False
         n_workers = workers if workers is not None else 2 * self.cost.nic_cores
         for i in range(n_workers):
             self.sim.process(self._worker_loop(), name=f"rpc-worker-{node.node_id}-{i}")
@@ -168,9 +187,6 @@ class RpcServer:
         ev = pending[slot] = Event(self.sim)
         return slot, ev
 
-    def stop(self) -> None:
-        self._stopped = True
-
     # -- admission control ------------------------------------------------------
     def _admit(self, msg) -> bool:
         """Arrival stamping + bounded-receive-queue load shedding.
@@ -179,7 +195,7 @@ class RpcServer:
         requests get their receive-queue arrival time stamped (the
         queue-wait histogram's start mark).  With ``queue_bound`` set,
         admit while fewer than ``queue_bound`` requests wait; once the queue
-        is exactly full, shed: deposit a retriable ``shed`` envelope in the
+        is exactly full, shed: deposit a retriable shed response in the
         request's response slot and signal its completion immediately —
         without executing the handler, so a shed op has no side effects.
         The dedup table is deliberately untouched: a retry carrying the
@@ -200,15 +216,10 @@ class RpcServer:
             return False
         self.shed.add(1)
         self.shed_total.add(1)
-        self.response_region.put_object(req.slot, {
-            "ok": False,
-            "error": "server overloaded",
-            "value": None,
-            "callbacks": [],
-            "shed": True,
-            "depth": len(self.node.nic.recv_queue),
-            "bound": self.queue_bound,
-        })
+        self.response_region.put_object(req.slot, RpcResponse(
+            None, (), "server overloaded", self.SHED_COMPLETION_BYTES,
+            (len(self.node.nic.recv_queue), self.queue_bound),
+        ))
         completion.succeed(self.SHED_COMPLETION_BYTES)
         return False
 
@@ -219,7 +230,7 @@ class RpcServer:
         cores = nic.cores
         sim = self.sim
         dispatch = self.cost.nic_rpc_dispatch
-        while not self._stopped:
+        while True:
             msg = yield recv.get()
             # Drain the whole request queue per wake-up: after each batch,
             # pull the next queued request directly off the work queue
@@ -260,19 +271,18 @@ class RpcServer:
             cached = self._dedup.get(req.token)
             if cached is _IN_FLIGHT:
                 # Duplicate while the original executes: the original will
-                # deposit the envelope and signal the (shared) completion.
+                # deposit the response and signal the (shared) completion.
                 self.duplicates_suppressed.add(1)
                 return
             if cached is not None:
                 # Retransmit after execution: re-deposit the recorded
-                # envelope and re-signal, without re-running the handler —
+                # response and re-signal, without re-running the handler —
                 # this is what makes retried mutations exactly-once.
-                envelope, completion_size = cached
-                self.response_region.put_object(req.slot, envelope)
+                self.response_region.put_object(req.slot, cached)
                 self.duplicates_suppressed.add(1)
                 completion = self._completions.pop(req.slot, None)
                 if completion is not None:
-                    completion.succeed(completion_size)
+                    completion.succeed(cached.completion_size)
                 return
             self._dedup[req.token] = _IN_FLIGHT
         fn = self.registry.get(req.op)
@@ -291,7 +301,7 @@ class RpcServer:
                 failed = f"{type(err).__name__}: {err}"
                 result = None
         # Callback chaining: run follow-on ops server-side, in order.
-        cb_results = []
+        cb_results = [] if req.callbacks else ()
         if failed is None:
             for cb_op, cb_args in req.callbacks:
                 cb_fn = self.registry.get(cb_op)
@@ -306,14 +316,12 @@ class RpcServer:
                 except Exception as err:  # noqa: BLE001
                     failed = f"callback {cb_op}: {type(err).__name__}: {err}"
                     break
-        envelope = {
-            "ok": failed is None,
-            "error": failed,
-            "value": result,
-            "callbacks": cb_results,
-        }
+        completion_size = max(
+            64, estimate_size(result) + 32 if failed is None else 128
+        )
+        response = RpcResponse(result, cb_results, failed, completion_size)
         # Deposit the response where the client's RDMA_READ will find it.
-        self.response_region.put_object(req.slot, envelope)
+        self.response_region.put_object(req.slot, response)
         self.requests_served.value += 1
         self.exec_time.observe(self.sim.now - t0)
         if req.trace is not None:
@@ -325,11 +333,8 @@ class RpcServer:
                               parent=req.trace, node=node_id)
                 tracer.record("server.execute", t0, self.sim.now,
                               parent=req.trace, node=node_id)
-        completion_size = max(
-            64, estimate_size(result) + 32 if failed is None else 128
-        )
         if req.token is not None:
-            self._dedup[req.token] = (envelope, completion_size)
+            self._dedup[req.token] = response
             while len(self._dedup) > _DEDUP_CAPACITY:
                 self._dedup.popitem(last=False)
         completion = self._completions.pop(req.slot, None)

@@ -23,7 +23,6 @@ __all__ = [
     "DataBox",
     "SerializationError",
     "register_custom_type",
-    "clear_custom_types",
     "estimate_size",
 ]
 
@@ -50,12 +49,6 @@ def register_custom_type(
         raise SerializationError(f"custom type tag {tag!r} already registered")
     _CUSTOM_ENCODERS[cls] = (tag, encode)
     _CUSTOM_DECODERS[tag] = decode
-
-
-def clear_custom_types() -> None:
-    """Forget all registrations (test isolation)."""
-    _CUSTOM_ENCODERS.clear()
-    _CUSTOM_DECODERS.clear()
 
 
 def _custom_encode(obj: Any) -> Tuple[str, bytes]:

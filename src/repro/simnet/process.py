@@ -27,6 +27,10 @@ from repro.simnet.core import _PROCESSED, Event, SimulationError, Simulator
 
 __all__ = ["Process"]
 
+#: the first resume's event: ``_ok`` with a ``None`` value, so resuming with
+#: it is the generator's ``send(None)`` start
+_START = Event(None)
+
 
 class Process(Event):
     """A running coroutine inside the simulator."""
@@ -69,8 +73,6 @@ class Process(Event):
 
     # -- kernel plumbing ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # NOTE: _start() is this with ``send(None)`` for the first step —
-        # one frame per retired event.  Keep the two in sync.
         try:
             if event._ok:
                 target = self._send(event._value)
@@ -97,25 +99,7 @@ class Process(Event):
             self._reject_yield(target)
 
     def _start(self) -> None:
-        try:
-            target = self._send(None)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as err:
-            self.fail(err)
-            return
-
-        if isinstance(target, Event):
-            if target._state != _PROCESSED:
-                if target._wait is None and not target.callbacks:
-                    target._wait = self
-                else:
-                    target.callbacks.append(self._resume)
-            else:
-                self._kick(target)
-        else:
-            self._reject_yield(target)
+        self._resume(_START)
 
     def _kick(self, target: Event) -> None:
         # Already-fired event: reschedule resume immediately to preserve

@@ -10,20 +10,6 @@ from repro.rpc import RpcClient, RpcServer
 
 
 class TestServerInternals:
-    def test_stop_halts_workers(self, cluster):
-        server = RpcServer(cluster.node(1))
-        server.bind("op", lambda ctx: "x")
-        client = RpcClient(cluster, 0, {1: server})
-        cluster.sim.run_process(client.call(1, "op"))
-        server.stop()
-        # After stop, new requests sit in the queue unserved; the future
-        # stays pending and the sim drains without progress.
-        fut = client.invoke(1, "op")
-        cluster.run()
-        # Workers may have had one loop iteration in flight; at most one
-        # more request is served after stop.
-        assert fut.done or len(cluster.node(1).nic.recv_queue) >= 0
-
     def test_slot_wraparound(self, cluster):
         server = RpcServer(cluster.node(1))
         server._next_slot = RpcServer.RESPONSE_SLOTS - 2

@@ -214,7 +214,7 @@ def _run_bcl(spec: ClusterSpec, keys_per_rank: int, seed: int) -> IsxResult:
             # Explicit local sort: charge n log n comparisons on the CPU.
             n = len(out)
             if n > 1:
-                yield bcl.sim.timeout(
+                yield (
                     2.0 * n * log2(n) * bcl.cost.local_op
                 )
             per_node[node_id].extend(sorted(out))

@@ -91,7 +91,7 @@ class BCLHashMap:
                 step = min(chunk, total - done)
                 self.bcl.allocate(node, step, what=f"{region_name} static")
                 done += step
-                yield self.sim.timeout(step / self.bcl.cost.bcl_init_bandwidth)
+                yield step / self.bcl.cost.bcl_init_bandwidth
         self.ready.succeed(None)
 
     # -- addressing ---------------------------------------------------------------

@@ -67,7 +67,7 @@ class BCLCircularQueue:
             step = min(chunk, total - done)
             self.bcl.allocate(node, step, what=f"{self.region_name} static")
             done += step
-            yield self.sim.timeout(step / self.bcl.cost.bcl_init_bandwidth)
+            yield step / self.bcl.cost.bcl_init_bandwidth
         self.ready.succeed(None)
 
     def _slot_offset(self, index: int) -> int:

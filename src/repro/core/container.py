@@ -272,7 +272,7 @@ class DistributedContainer:
             yield mutex.acquire()
             if remote:
                 # lock/unlock themselves are atomic RMWs on the NIC core
-                yield node.sim.timeout(2 * node.cost.cas_local * cpu_factor)
+                yield 2 * node.cost.cas_local * cpu_factor
         try:
             result, stats, entry_bytes = self._run(part, op, args)
             if stats is not None:
@@ -796,7 +796,7 @@ class DistributedContainer:
         payload = box.encode()
         part.segment.persist(payload)
         if not part.segment.log.relaxed:
-            yield node.sim.timeout(node.cost.persist(len(payload)))
+            yield node.cost.persist(len(payload))
         # Relaxed mode: the kernel flushes in the background; no foreground
         # cost is charged (Section III-C6's tunable synchronization).
 

@@ -262,7 +262,7 @@ class FaultInjector:
             self.log.log(
                 "delay", {"src": src, "dst": dst, "extra": extra}
             )
-            yield self.sim.timeout(extra)
+            yield extra
 
     def _burn_and_drop(self, msg: Message, why: str, counter: Counter):
         """Charge the wire time the doomed message spent, then drop it."""
@@ -273,14 +273,14 @@ class FaultInjector:
              "verb": msg.verb.value, "why": why},
         )
         cost = self.cluster.spec.cost
-        yield self.sim.timeout(
+        yield (
             cost.transfer_time(msg.wire_size) + cost.link_latency
         )
         raise FabricDropped(msg, why)
 
     def _deliver_duplicate(self, msg: Message, delay: float):
         """Detached process: re-enqueue a SEND copy at the destination."""
-        yield self.sim.timeout(delay)
+        yield delay
         dst = self.cluster.node(msg.dst_node)
         if not dst.alive:
             return

@@ -136,7 +136,7 @@ class Nic:
         cores = self.cores
         yield cores.claim()
         try:
-            yield self.sim.timeout(self.cost.nic_verb_service)
+            yield self.cost.nic_verb_service
         finally:
             cores.release_slot()
         self.verbs_processed.value += 1
@@ -165,7 +165,7 @@ class Nic:
             if not fused:
                 yield lock.acquire()
             try:
-                yield self.sim.timeout(self.cost.nic_atomic_service)
+                yield self.cost.nic_atomic_service
             finally:
                 lock.release()
         finally:

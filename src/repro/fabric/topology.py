@@ -12,7 +12,7 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from repro.config import ClusterSpec
 from repro.simnet.core import Simulator
-from repro.simnet.process import Process
+from repro.simnet.core import Process
 from repro.simnet.rng import RngRegistry
 
 from repro.fabric.node import Node

@@ -58,14 +58,13 @@ class QueuePair:
         makes incast contend at a hot destination.  Propagation and switch
         latency follow outside the hold, so back-to-back messages pipeline.
         """
-        sim = self.sim
         cost = self.cost
         if post:
-            yield sim.timeout(cost.nic_doorbell)
+            yield cost.nic_doorbell
             nic = src.nic
             yield nic.cores.claim()
             try:
-                yield sim.timeout(cost.nic_verb_service)
+                yield cost.nic_verb_service
             finally:
                 nic.cores.release_slot()
             nic.verbs_processed.value += 1
@@ -88,7 +87,7 @@ class QueuePair:
         yield i_ch.claim()
         try:
             if switch.is_full_bisection:
-                yield sim.timeout(wire)
+                yield wire
                 switch.transits.value += 1
             else:
                 # Oversubscribed backplane: the serialization time is
@@ -99,7 +98,7 @@ class QueuePair:
         finally:
             i_ch.release_slot()
             e_ch.release_slot()
-        yield sim.timeout(self.latency)
+        yield self.latency
 
     def _region(self, dst: int, name: str, offset: int):
         """The target node and its registered region, ``offset`` in bounds."""

@@ -110,7 +110,7 @@ def _fig1_rpc(lock_free: bool) -> Tuple[float, int]:
             # reserve + ready CAS, serialized on the shared bucket line.
             yield bucket_lock.acquire()
             try:
-                yield ctx.sim.timeout(2 * CAS_LOCKED_COST)
+                yield 2 * CAS_LOCKED_COST
             finally:
                 bucket_lock.release()
         yield from charge(ctx.node, OpStats(local_ops=2, writes=1),

@@ -277,7 +277,7 @@ def _run_one_config(
                 delay = retry_backoff * (2 ** (state["attempt"] - 1))
 
                 def backoff_then_retry():
-                    yield sim.timeout(delay)
+                    yield delay
                     factory()._event.add_callback(on_done)
 
                 sim.process(backoff_then_retry(), name="serving-retry")
@@ -300,7 +300,7 @@ def _run_one_config(
         rng = random.Random((seed << 20) ^ (rank * 0x9E3779B1))
         merged_rate = n_clients * rate  # Poisson superposition
         for seq in range(n_ops):
-            yield sim.timeout(rng.expovariate(merged_rate))
+            yield rng.expovariate(merged_rate)
             tenant = rng.randrange(tenants)
             u = rng.random()
             if u < queue_frac:

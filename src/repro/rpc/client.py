@@ -228,7 +228,7 @@ class RpcClient:
         mark = fut.issued_at
         try:
             # Client stub bookkeeping (marshalling handled as size charge).
-            yield self.sim.timeout(
+            yield (
                 self.cost.rpc_client_overhead + self.cost.serialize(size)
             )
             if tracer is not None:
@@ -244,7 +244,7 @@ class RpcClient:
             for attempt in range(retry.max_retries + 1):
                 if attempt:
                     self.retries.add(1)
-                    yield self.sim.timeout(retry.backoff(attempt))
+                    yield retry.backoff(attempt)
                     if completion.triggered:
                         response_size = completion.value
                         break
@@ -281,7 +281,7 @@ class RpcClient:
             for attempt in range(retry.max_retries + 1):
                 if attempt:
                     self.retries.add(1)
-                    yield self.sim.timeout(retry.backoff(attempt))
+                    yield retry.backoff(attempt)
                 try:
                     response = yield from self.qp.rdma_read(
                         dst_node, RpcServer.RESPONSE_REGION, req.slot,

@@ -12,8 +12,8 @@ them under a single dispatch charge, amortizing de-marshal overhead; this is
 the "opportunity to aggregate multiple instructions before execution".
 
 Handlers can be plain callables or generators; generators may yield
-simulation events (e.g. ``ctx.charge_local(...)``) to model their local
-memory cost, and receive an :class:`RpcContext` first argument.
+simulation events or delays (e.g. ``ctx.charge_local(...)``) to model
+their local memory cost, and receive an :class:`RpcContext` first argument.
 """
 
 from __future__ import annotations
@@ -100,9 +100,10 @@ class RpcContext:
         self.op = op
 
     # -- cost-charging helper for generator handlers -------------------------
-    def charge_local(self, ops: int = 1):
-        """Event: ``ops`` local memory operations (the L of Table I)."""
-        return self.sim.timeout(ops * self.cost.local_op)
+    def charge_local(self, ops: int = 1) -> float:
+        """Delay of ``ops`` local memory operations (the L of Table I):
+        a handler sleeps it with ``yield ctx.charge_local(n)``."""
+        return ops * self.cost.local_op
 
 
 class RpcServer:
@@ -228,15 +229,14 @@ class RpcServer:
         nic = self.node.nic
         recv = nic.recv_queue
         cores = nic.cores
-        sim = self.sim
         dispatch = self.cost.nic_rpc_dispatch
         while True:
             msg = yield recv.get()
             # Drain the whole request queue per wake-up: after each batch,
             # pull the next queued request directly off the work queue
-            # instead of re-arming a ``get`` Event on it.  A zero-delay
-            # timeout stands in for the triggered get — it schedules with
-            # the identical ``(time, seq)``, so
+            # instead of re-arming a ``get`` Event on it.  A zero delay
+            # stands in for the triggered get — it schedules with the
+            # identical ``(time, seq)``, so
             # worker/verb interleaving under contention (and every simulated
             # result) is unchanged; only the per-request Event allocation
             # and Store bookkeeping go away.
@@ -251,7 +251,7 @@ class RpcServer:
                 yield cores.claim()
                 try:
                     # One de-marshal/dispatch charge per batch (aggregation win).
-                    yield sim.timeout(dispatch)
+                    yield dispatch
                     self.batches.value += 1
                     for m in batch:
                         yield from self._execute(m.payload)
@@ -260,7 +260,7 @@ class RpcServer:
                 ok, msg = recv.try_get()
                 if not ok:
                     break
-                yield sim.timeout(0.0)
+                yield 0.0
 
     def _execute(self, req: RpcRequest):
         t0 = self.sim.now

@@ -3,7 +3,8 @@
 ``repro.simnet`` is a small, fast, SimPy-flavoured discrete-event simulator:
 coroutine *processes* (Python generators) yield :class:`~repro.simnet.core.Event`
 objects to the :class:`~repro.simnet.core.Simulator`, which resumes them when
-the event fires.  On top of the kernel sit counted resources, stores,
+the event fires, or yield a ``float`` delay ``>= 0`` to sleep that many
+sim-seconds (the sleeping process is its own queue entry, no Event).  On top of the kernel sit counted resources, stores,
 synchronization primitives, deterministic random-number streams, tracing and
 utilization statistics.
 
@@ -16,10 +17,10 @@ from repro.simnet.core import (
     Timeout,
     AllOf,
     AnyOf,
+    Process,
     Simulator,
     SimulationError,
 )
-from repro.simnet.process import Process
 from repro.simnet.resources import Resource, Store
 from repro.simnet.sync import SimLock, Barrier
 from repro.simnet.rng import RngRegistry

@@ -21,6 +21,14 @@ retire per wall-clock second:
   it in place — no callback-list append/iterate and no ``_resume`` frame
   per retired event.  Multiple waiters overflow to ``callbacks`` in
   registration order, so firing order is unchanged.
+* **A sleeping process is its own entry.**  A process that yields a
+  ``float`` ``d >= 0`` sleeps for ``d`` sim-seconds: the kernel pushes
+  ``(now + d, seq, process)`` — the key ``sim.timeout(d)`` would have
+  taken — and resumes it with ``None`` when the entry pops: one retired
+  event and no :class:`Timeout` object.  A process starts the same way,
+  as an entry at its creation instant.  Anything else that is not an
+  Event (a negative or NaN delay, an ``int``, a ``bool``) is thrown back
+  into the generator as :class:`SimulationError`.
 * **A callback fast path.**  :meth:`Simulator.schedule_callback` schedules
   a bare ``fn()`` at a future time behind a one-slot wrapper instead of an
   Event.
@@ -34,13 +42,14 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Event",
     "Timeout",
     "AllOf",
     "AnyOf",
+    "Process",
     "Simulator",
     "SimulationError",
 ]
@@ -268,6 +277,130 @@ class AnyOf(Event):
                     pass
 
 
+#: what a sleeping process is resumed with on the ``step()`` path: ``_ok``
+#: with a ``None`` value, so resuming with it is the generator's
+#: ``send(None)``
+_WAKE = Event(None)
+
+
+class Process(Event):
+    """A running coroutine inside the simulator.
+
+    A process wraps a Python generator.  The generator ``yield``-s an
+    :class:`Event` to wait for it — the process is resumed with the
+    event's value, or the event's exception is thrown into the generator —
+    or a ``float`` number of sim-seconds ``>= 0`` to sleep (see the module
+    docstring).  Sub-generators compose with ``yield from``.  A process is
+    itself an :class:`Event` that fires when the generator returns,
+    carrying its return value, so processes can wait on each other.
+
+    The resume path is the single hottest code in the simulator (one
+    resume per retired event in process-driven workloads), so it is
+    flattened: ``gen.send``/``gen.throw`` are cached as bound methods, and
+    ``_resume`` inlines the wait/registration logic instead of delegating.
+    A process is resumed only by the one event it waits on, or by its own
+    entry while it sleeps, so a resume needs no guard.  A process keeps no
+    bound method of itself (an overflow waiter registers a fresh bound
+    ``_resume``), so a finished one is freed by reference counting instead
+    of waiting for the cycle collector.
+    """
+
+    __slots__ = ("_gen", "_send", "_throw", "name")
+
+    _counter = 0
+
+    def __init__(self, sim: "Simulator", generator: Generator,
+                 name: Optional[str] = None):
+        if not hasattr(generator, "send"):
+            raise SimulationError(
+                f"Process requires a generator, got {type(generator).__name__}; "
+                "did you call the function instead of passing its generator?"
+            )
+        super().__init__(sim)
+        Process._counter += 1
+        self._gen = generator
+        self._send = generator.send
+        self._throw = generator.throw
+        self.name = name or f"proc-{Process._counter}"
+        # Start at the current instant as the process's own entry: its
+        # first wake is the generator's first step.
+        sim._push(self, 0.0)
+
+    # -- lifecycle -------------------------------------------------------------
+    @property
+    def done(self) -> bool:
+        return self.triggered
+
+    @property
+    def result(self) -> Any:
+        """Return value of the generator; raises its exception if it failed."""
+        if not self.triggered:
+            raise SimulationError(f"process {self.name!r} still running")
+        if not self.ok:
+            raise self.value
+        return self.value
+
+    # -- kernel plumbing ---------------------------------------------------------
+    def _process(self) -> None:
+        # Popped by step(): a pending process is a sleeper (or a start)
+        # waking; a finished one retires its completion like any Event.
+        if self._state == _PENDING:
+            self._resume(_WAKE)
+        else:
+            Event._process(self)
+
+    def _resume(self, event: Event) -> None:
+        try:
+            if event._ok:
+                target = self._send(event._value)
+            else:
+                target = self._throw(event._value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        except BaseException as err:
+            self.fail(err)
+            return
+
+        if isinstance(target, Event):
+            if target._state != _PROCESSED:
+                # First waiter rides the event's fast slot; later waiters
+                # overflow to the callbacks list (registration order kept).
+                if target._wait is None and not target.callbacks:
+                    target._wait = self
+                else:
+                    target.callbacks.append(self._resume)
+            else:
+                self._kick(target)
+        elif isinstance(target, float) and target >= 0.0:
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            sim._heappush((sim.now + target, seq, self))
+        else:
+            self._reject_yield(target)
+
+    def _kick(self, target: Event) -> None:
+        # Already-fired event: reschedule resume immediately to preserve
+        # cooperative fairness (avoid deep recursion on hot loops).
+        self.sim.schedule_callback(lambda: self._resume(target))
+
+    def _reject_yield(self, target: Any) -> None:
+        error = SimulationError(
+            f"process {self.name!r} yielded {type(target).__name__} "
+            f"{target!r:.40}, expected an Event or a delay (a float >= 0)"
+        )
+        try:
+            self._throw(error)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+        except BaseException as err:
+            self.fail(err)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "done" if self.triggered else "running"
+        return f"<Process {self.name} {state}>"
+
+
 class Simulator:
     """The event loop.
 
@@ -363,9 +496,7 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def process(self, generator, name: Optional[str] = None) -> "Process":
-        from repro.simnet.process import Process
-
+    def process(self, generator, name: Optional[str] = None) -> Process:
         return Process(self, generator, name=name)
 
     # -- scheduling -----------------------------------------------------------
@@ -411,16 +542,22 @@ class Simulator:
     # callback-list append/iterate and one frame per retired event.
     # Semantics are identical: the slot waiter is always the earliest
     # registrant, and a StopIteration/exception settles the process exactly
-    # as Process._resume would.
+    # as Process._resume would.  A popped Process that is still pending is
+    # a sleeper (or a start) waking, stepped in place the same way; a
+    # finished one retires its completion through Event._process.
 
     def _drain(self, until: float) -> None:
         """Retire events in ``(time, seq)`` order up to ``until``."""
         q = self._queue
         heappop = heapq.heappop
+        heappush = self._heappush
         timeout_cls = Timeout
+        process_cls = Process
         cb_cls = _ScheduledCallback
         event_cls = Event
+        event_process = Event._process
         processed = _PROCESSED
+        float_cls = float
         # Event-count is accumulated locally and flushed on exit (including
         # re-entrant runs: each loop flushes only the events it popped).
         count = 0
@@ -459,12 +596,43 @@ class Simulator:
                                         target.callbacks.append(w._resume)
                                 else:
                                     w._kick(target)
+                            elif (isinstance(target, float_cls)
+                                    and target >= 0.0):
+                                self._seq = seq = self._seq + 1
+                                heappush((self.now + target, seq, w))
                             else:
                                 w._reject_yield(target)
                     callbacks = event.callbacks
                     if callbacks:
                         for cb in callbacks:
                             cb(event)
+                elif cls is process_cls:
+                    if event._state:
+                        event_process(event)
+                        continue
+                    # Inlined Process._resume(_WAKE).
+                    try:
+                        target = event._send(None)
+                    except StopIteration as stop:
+                        event.succeed(stop.value)
+                    except BaseException as err:
+                        event.fail(err)
+                    else:
+                        if isinstance(target, event_cls):
+                            if target._state != processed:
+                                if (target._wait is None
+                                        and not target.callbacks):
+                                    target._wait = event
+                                else:
+                                    target.callbacks.append(event._resume)
+                            else:
+                                event._kick(target)
+                        elif (isinstance(target, float_cls)
+                                and target >= 0.0):
+                            self._seq = seq = self._seq + 1
+                            heappush((self.now + target, seq, event))
+                        else:
+                            event._reject_yield(target)
                 elif cls is cb_cls:
                     event.fn()
                 else:

@@ -8,11 +8,13 @@ These model contention points in the simulated cluster:
 * :class:`Store` — an unbounded FIFO of Python objects with blocking
   ``get``.  The NIC receive work queue and completion queues are Stores.
 
-Usage from a process::
+Usage from a process — ``claim()`` returns ``0.0`` (a zero delay) when a
+slot is free and a pending Event when the caller must queue, and either
+is yielded the same way; a float yield sleeps that many sim-seconds::
 
     yield resource.claim()
     try:
-        yield sim.timeout(service_time)
+        yield service_time
     finally:
         resource.release_slot()
 
@@ -22,7 +24,7 @@ or the one-liner ``yield from resource.use(service_time)``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Deque, Union
 
 from repro.simnet.core import Event, Simulator
 
@@ -64,16 +66,18 @@ class Resource:
         return self.busy_time() / (span * self.capacity)
 
     # -- the one acquire, the one release ---------------------------------------
-    def claim(self) -> Event:
-        """Event that fires once the caller holds a slot.
+    def claim(self) -> Union[float, Event]:
+        """What to yield to hold a slot: ``0.0`` or a pending Event.
 
-        A free slot is taken *now*, inline, and a zero-delay timeout is
-        returned; a busy resource queues a plain event FIFO, which
-        :meth:`release_slot` triggers when it hands a slot over.  Either way
-        the grant is scheduled with the ``(time, seq)`` of the moment the
-        slot changed hands — the one invariant every hop of the transport
-        relies on: the claim costs exactly one kernel event, at the instant
-        of the grant, whether or not the caller had to wait.
+        A free slot is taken *now*, inline, and ``0.0`` is returned: the
+        caller's own zero-delay wake is the grant.  A busy resource queues
+        a plain event FIFO, which :meth:`release_slot` triggers when it
+        hands a slot over.  Either way the grant is scheduled with the
+        ``(time, seq)`` of the moment the slot changed hands — the one
+        invariant every hop of the transport relies on: the claim costs
+        exactly one kernel event, at the instant of the grant, whether or
+        not the caller had to wait.  Yield the result at once: the free
+        grant's ``seq`` is drawn at the yield.
 
         Pair every claim with one :meth:`release_slot` in a ``finally``
         *after* the yield.  A process queued on a claim can only be woken
@@ -85,7 +89,7 @@ class Resource:
             self._busy_integral += self.in_use * (now - self._last_change)
             self._last_change = now
             self.in_use += 1
-            return self.sim.timeout(0.0)
+            return 0.0
         ev = self.sim.event()
         self._queue.append(ev)
         return ev
@@ -118,7 +122,7 @@ class Resource:
         """Generator helper: claim, hold for ``duration``, release."""
         yield self.claim()
         try:
-            yield self.sim.timeout(duration)
+            yield duration
         finally:
             self.release_slot()
 

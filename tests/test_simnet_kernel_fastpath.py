@@ -1,6 +1,7 @@
 """Kernel fast paths: the event queue's retire order, ``run(until=)``,
 ``schedule_callback``, AnyOf/AllOf detach semantics, the ``Resource.use``
-no-contention path and ``timeout_at``.
+no-contention path, ``timeout_at`` and a process sleeping on a yielded
+delay.
 
 These are the invariants the kernel's speed relies on: the event queue
 must retire entries in exactly ``(time, seq)`` order whether they were
@@ -11,12 +12,14 @@ the plain ones they stand in for.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from repro.simnet.core import Simulator
-from repro.simnet.resources import Resource
+from repro.simnet.core import SimulationError, Simulator
+from repro.simnet.resources import Resource, Store
+from repro.simnet.trace import pump_samples
 
 
 # ---------------------------------------------------------------------------
@@ -399,3 +402,160 @@ class TestTimeoutAt:
         sim.process(b())
         sim.run()
         assert order == ["rel-1", "abs", "rel-2.5"]
+
+
+# ---------------------------------------------------------------------------
+# A yielded delay: the sleeping process is its own entry
+# ---------------------------------------------------------------------------
+
+
+def _mixed_program(sim, spelling, seed=5, workers=6, steps=30):
+    """A seeded program of several processes: sleeps, claims on a
+    capacity-2 Resource, Store put/get, an ``any_of`` watchdog and waits on
+    child processes.  ``spelling`` "timeout" spells every sleep
+    ``sim.timeout(d)`` (and a free claim's zero delay as a Timeout),
+    "delay" yields ``d`` itself, and "mixed" alternates the two, so a
+    sleep also follows a Timeout's wake.  Delays come from a small grid,
+    so same-instant ties — the case ``seq`` decides — are common.  Returns
+    the ``(sim.now, pid, step)`` resume trace, filled as it runs, and the
+    worker processes."""
+    res = Resource(sim, capacity=2)
+    store = Store(sim)
+    trace = []
+    naps = [0]
+
+    def nap(d):
+        if not isinstance(d, float) or spelling == "delay":
+            return d
+        naps[0] += 1
+        return d if spelling == "mixed" and naps[0] % 2 else sim.timeout(d)
+
+    def child(pid, rng):
+        yield nap(rng.choice([0.0, 0.05, 0.1]))
+        trace.append((sim.now, pid, "child"))
+        yield nap(0.01)
+        return pid
+
+    def worker(pid):
+        rng = random.Random(seed * 1000 + pid)
+        for step in range(steps):
+            kind = rng.randrange(5)
+            if kind == 0:
+                yield nap(rng.choice([0.0, 0.1, 0.25, 0.5]))
+            elif kind == 1:
+                yield nap(res.claim())
+                try:
+                    yield nap(rng.choice([0.0, 0.1, 0.25]))
+                finally:
+                    res.release_slot()
+            elif kind == 2:
+                yield store.put((pid, step))
+            elif kind == 3:
+                # the watchdog stays a kept Timeout in both spellings
+                yield sim.any_of([store.get(), sim.timeout(0.2)])
+            else:
+                yield sim.process(child(pid, rng), name=f"child-{pid}")
+            trace.append((sim.now, pid, step))
+        return pid
+
+    procs = [sim.process(worker(pid), name=f"w{pid}")
+             for pid in range(workers)]
+    return trace, procs
+
+
+def _drive(runner, spelling):
+    sim = Simulator()
+    trace, procs = _mixed_program(sim, spelling)
+    if runner == "run":
+        sim.run()
+    elif runner == "segments":
+        for bound in (0.3, 0.3, 1.0, 2.05, 3.0):  # all before the end
+            sim.run(until=bound)
+        sim.run()
+    else:  # pump_samples: the step() path, with samples between entries
+        due = [i * 0.17 for i in range(60)]
+        samples = []
+
+        def fire():
+            samples.append((due.pop(0), sim.now))
+
+        pump_samples(sim, None, lambda: due[0] if due else None, fire)
+        assert samples and all(t == now for t, now in samples)
+    assert [p.result for p in procs] == list(range(len(procs)))
+    return trace, sim.events_processed, sim.now
+
+
+class TestYieldedDelay:
+    @pytest.mark.parametrize("runner", ["run", "segments", "pump"])
+    def test_delay_and_timeout_spellings_resume_identically(self, runner):
+        legacy = _drive(runner, "timeout")
+        delay = _drive(runner, "delay")
+        assert len(delay[0]) > 150
+        assert delay == legacy
+        assert _drive(runner, "mixed") == legacy
+        # and every runner retires the same schedule
+        assert delay == _drive("run", "delay")
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, True, 1])
+    def test_bad_delay_fails_the_process(self, sim, bad):
+        def body():
+            yield 0.5
+            yield bad
+
+        proc = sim.process(body())
+        sim.run()
+        assert not proc.ok and sim.now == 0.5
+        with pytest.raises(SimulationError, match="expected an Event or a delay"):
+            _ = proc.result
+
+    def test_rejected_delay_is_thrown_into_the_generator(self, sim):
+        def body():
+            try:
+                yield -1.0
+            except SimulationError:
+                return "caught"
+
+        assert sim.run_process(body()) == "caught"
+
+    def test_float_subclass_delay_sleeps(self, sim):
+        class Seconds(float):
+            pass
+
+        def body():
+            yield Seconds(0.75)
+            return sim.now
+
+        assert sim.run_process(body()) == 0.75
+
+    def test_sleeper_resumes_with_none_and_is_one_event(self, sim):
+        got = []
+
+        def body():
+            got.append((yield 0.25))
+            got.append((yield 0.0))
+
+        sim.run_process(body())
+        assert got == [None, None] and sim.now == 0.25
+        # start, two wakes, completion
+        assert sim.events_processed == 4
+
+    def test_processes_start_in_creation_order_around_a_callback(self, sim):
+        order = []
+
+        def body(tag):
+            order.append(tag)
+            yield 0.0
+            order.append(tag + "'")
+
+        def spawn_mid_run():
+            sim.process(body("c"))
+            sim.schedule_callback(lambda: order.append("cb2"))
+            sim.process(body("d"))
+
+        sim.process(body("a"))
+        sim.schedule_callback(lambda: order.append("cb1"))
+        sim.process(body("b"))
+        sim.schedule_callback(spawn_mid_run, 1.0)
+        sim.run()
+        assert order == ["a", "cb1", "b", "a'", "b'",
+                         "c", "cb2", "d", "c'", "d'"]

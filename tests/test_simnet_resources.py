@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet import Resource, Store
+from repro.simnet import Event, Resource, Store
 
 
 class TestResource:
@@ -11,23 +11,57 @@ class TestResource:
             Resource(sim, capacity=0)
 
     def test_immediate_grant_within_capacity(self, sim):
+        # A free slot is taken inline: claim() returns a zero delay, counts
+        # the slot and schedules nothing until the caller yields it.
         res = Resource(sim, capacity=2)
         c1, c2 = res.claim(), res.claim()
-        assert c1.triggered and c2.triggered
-        assert res.in_use == 2
+        assert c1 == 0.0 and type(c1) is float
+        assert c2 == 0.0 and type(c2) is float
+        assert res.in_use == 2 and res.queue_length == 0
+        assert sim.kernel_stats()["queue_depth"] == 0
 
     def test_queueing_and_handover(self, sim):
         res = Resource(sim, capacity=1)
         c1 = res.claim()
         c2 = res.claim()
-        assert c1.triggered and not c2.triggered
-        assert res.queue_length == 1
+        assert c1 == 0.0 and type(c1) is float
+        assert isinstance(c2, Event) and not c2.triggered
+        assert res.in_use == 1 and res.queue_length == 1
         res.release_slot()
         assert c2.triggered
         assert res.in_use == 1  # handed over: no dip
         assert res.queue_length == 0
         res.release_slot()
         assert res.in_use == 0
+
+    def test_free_grant_is_one_event_at_the_claim_instant(self, sim):
+        """A free claim yielded by a process retires exactly one kernel
+        event, at the instant of the claim, and the process resumes there."""
+        res = Resource(sim, capacity=1)
+        seen = []
+
+        def body(claim):
+            yield 0.5
+            if claim:
+                yield res.claim()
+                seen.append((sim.now, res.in_use))
+                res.release_slot()
+
+        retired = {}
+        for claim in (False, True):
+            proc = sim.process(body(claim))
+            times = []
+            while sim.peek() != float("inf"):
+                sim.step()
+                times.append(sim.now)
+            assert proc.ok
+            retired[claim] = times
+        # start, wake and completion; the claim adds one grant, retired at
+        # the claim instant (the second run starts at 0.5 and claims at 1.0)
+        assert retired[False] == [0.0, 0.5, 0.5]
+        assert retired[True] == [0.5, 1.0, 1.0, 1.0]
+        assert seen == [(1.0, 1)] and res.in_use == 0
+        assert sim.events_processed == 7
 
     def test_fifo_order(self, sim):
         res = Resource(sim, capacity=1)

@@ -43,6 +43,3 @@ class Switch:
         per-link holds already bound throughput)."""
         yield from self.channels.use(wire_time)
         self.transits.value += 1
-
-    def utilization(self) -> float:
-        return self.channels.utilization()

@@ -180,9 +180,10 @@ class FlightRecorder:
     def pump(self, until: Optional[float] = None) -> float:
         """Run the simulation, sampling every ``interval`` sim-seconds.
 
-        Same zero-perturbation contract as
-        :func:`~repro.simnet.trace.pump_samples`, with a continuous
-        cadence instead of a pre-armed sample list.  After a long
+        Same zero-perturbation contract and sample boundary as
+        :func:`~repro.simnet.trace.pump_samples` (one bounded drain per
+        tick; a tick due at ``t`` sees every entry at ``t``), with a
+        continuous cadence instead of a pre-armed sample list.  After a long
         inter-phase gap the cadence re-anchors at the current time rather
         than replaying every missed nominal tick.
         """

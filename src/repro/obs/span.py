@@ -145,9 +145,6 @@ class Tracer:
         return span
 
     # -- queries --------------------------------------------------------------
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
-
     def children_of(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 

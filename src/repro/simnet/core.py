@@ -28,7 +28,13 @@ retire per wall-clock second:
   event and no :class:`Timeout` object.  A process starts the same way,
   as an entry at its creation instant.  Anything else that is not an
   Event (a negative or NaN delay, an ``int``, a ``bool``) is thrown back
-  into the generator as :class:`SimulationError`.
+  into the generator as :class:`SimulationError`, and whatever it yields
+  next is handled like any other yield.
+* **One drive loop.**  :meth:`Simulator._drain` is the only code that
+  pops an entry; ``run()``, ``run(until=)`` and the sample pump
+  (:func:`repro.simnet.trace.pump_samples`) all ride it.  Every push
+  draws one ``seq``, so ``events_processed`` is ``seq`` minus the queue
+  depth, exact at any instant.
 * **A callback fast path.**  :meth:`Simulator.schedule_callback` schedules
   a bare ``fn()`` at a future time behind a one-slot wrapper instead of an
   Event.
@@ -171,15 +177,6 @@ class Timeout(Event):
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self._value = value
-        self._ok = True
-        self._state = _TRIGGERED
-        sim._push(self, delay)
-
 
 class _ScheduledCallback:
     """Kernel-owned heap entry that runs ``fn()`` with no Event machinery."""
@@ -277,12 +274,6 @@ class AnyOf(Event):
                     pass
 
 
-#: what a sleeping process is resumed with on the ``step()`` path: ``_ok``
-#: with a ``None`` value, so resuming with it is the generator's
-#: ``send(None)``
-_WAKE = Event(None)
-
-
 class Process(Event):
     """A running coroutine inside the simulator.
 
@@ -341,14 +332,6 @@ class Process(Event):
         return self.value
 
     # -- kernel plumbing ---------------------------------------------------------
-    def _process(self) -> None:
-        # Popped by step(): a pending process is a sleeper (or a start)
-        # waking; a finished one retires its completion like any Event.
-        if self._state == _PENDING:
-            self._resume(_WAKE)
-        else:
-            Event._process(self)
-
     def _resume(self, event: Event) -> None:
         try:
             if event._ok:
@@ -385,16 +368,13 @@ class Process(Event):
         self.sim.schedule_callback(lambda: self._resume(target))
 
     def _reject_yield(self, target: Any) -> None:
+        # Resume with a failed, already-processed event: the error is
+        # thrown in and the next yield takes the path of any other.
         error = SimulationError(
             f"process {self.name!r} yielded {type(target).__name__} "
             f"{target!r:.40}, expected an Event or a delay (a float >= 0)"
         )
-        try:
-            self._throw(error)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-        except BaseException as err:
-            self.fail(err)
+        self._resume(self.sim.completed_event(error, ok=False))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "running"
@@ -419,9 +399,8 @@ class Simulator:
         self._queue: list[tuple[float, int, Any]] = []
         # Bound push: every scheduling site is one C call.
         self._heappush = partial(heapq.heappush, self._queue)
-        self._seq = 0
+        self._seq = 0  # one per push; only _drain pops (events_processed)
         self.now: float = 0.0
-        self._event_count = 0
 
     # -- event creation helpers ----------------------------------------------
     def event(self) -> Event:
@@ -447,7 +426,7 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # Inlined Timeout.__init__ and _push (hot path).
+        # Inlined Event.__init__ and _push (hot path).
         to = Timeout.__new__(Timeout)
         to.sim = self
         to.callbacks = []
@@ -506,18 +485,6 @@ class Simulator:
         self._heappush((self.now + delay, seq, event))
 
     # -- execution ------------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event."""
-        q = self._queue
-        if not q:
-            raise SimulationError("step() on an empty event queue")
-        if q[0][0] < self.now:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-        t, _seq, event = heapq.heappop(q)
-        self.now = t
-        self._event_count += 1
-        event._process()
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         q = self._queue
@@ -532,9 +499,9 @@ class Simulator:
             if self.now < until:
                 self.now = until
 
-    # The drain loop below is fully inlined, with per-class dispatch for
-    # the dominant entry kinds: at paper scale it retires millions of
-    # events, and every avoided frame counts.
+    # The drain loop below, the only code that pops an entry, is fully
+    # inlined with per-class dispatch for the dominant entry kinds: at paper
+    # scale it retires millions of events, and every avoided frame counts.
     #
     # Timeout dispatch also inlines the single-waiter resume: the waiting
     # process parked in ``event._wait`` is stepped right here (generator
@@ -558,87 +525,80 @@ class Simulator:
         event_process = Event._process
         processed = _PROCESSED
         float_cls = float
-        # Event-count is accumulated locally and flushed on exit (including
-        # re-entrant runs: each loop flushes only the events it popped).
-        count = 0
-        try:
-            # ``while True``, not ``while q``: CPython 3.11 counts only
-            # unconditional back-edges toward a code object's warm-up, so a
-            # conditional one leaves this loop unspecialized (~40 % slower)
-            # until run() has been called eight times.
-            while True:
-                # Peek before popping: an entry past the bound stays queued.
-                if not q or q[0][0] > until:
-                    break
-                t, _seq, event = heappop(q)
-                self.now = t
-                count += 1
-                cls = event.__class__
-                if cls is timeout_cls:
-                    # Inlined Event._process + Process._resume.
-                    event._state = processed
-                    w = event._wait
-                    if w is not None:
-                        event._wait = None
-                        try:
-                            target = w._send(event._value)
-                        except StopIteration as stop:
-                            w.succeed(stop.value)
-                        except BaseException as err:
-                            w.fail(err)
-                        else:
-                            if isinstance(target, event_cls):
-                                if target._state != processed:
-                                    if (target._wait is None
-                                            and not target.callbacks):
-                                        target._wait = w
-                                    else:
-                                        target.callbacks.append(w._resume)
-                                else:
-                                    w._kick(target)
-                            elif (isinstance(target, float_cls)
-                                    and target >= 0.0):
-                                self._seq = seq = self._seq + 1
-                                heappush((self.now + target, seq, w))
-                            else:
-                                w._reject_yield(target)
-                    callbacks = event.callbacks
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                elif cls is process_cls:
-                    if event._state:
-                        event_process(event)
-                        continue
-                    # Inlined Process._resume(_WAKE).
+        # ``while True``, not ``while q``: CPython 3.11 counts only
+        # unconditional back-edges toward a code object's warm-up, so a
+        # conditional one leaves this loop unspecialized (~40 % slower)
+        # until run() has been called eight times.
+        while True:
+            # Peek before popping: an entry past the bound stays queued.
+            if not q or q[0][0] > until:
+                break
+            t, _seq, event = heappop(q)
+            self.now = t
+            cls = event.__class__
+            if cls is timeout_cls:
+                # Inlined Event._process + Process._resume.
+                event._state = processed
+                w = event._wait
+                if w is not None:
+                    event._wait = None
                     try:
-                        target = event._send(None)
+                        target = w._send(event._value)
                     except StopIteration as stop:
-                        event.succeed(stop.value)
+                        w.succeed(stop.value)
                     except BaseException as err:
-                        event.fail(err)
+                        w.fail(err)
                     else:
                         if isinstance(target, event_cls):
                             if target._state != processed:
                                 if (target._wait is None
                                         and not target.callbacks):
-                                    target._wait = event
+                                    target._wait = w
                                 else:
-                                    target.callbacks.append(event._resume)
+                                    target.callbacks.append(w._resume)
                             else:
-                                event._kick(target)
+                                w._kick(target)
                         elif (isinstance(target, float_cls)
                                 and target >= 0.0):
                             self._seq = seq = self._seq + 1
-                            heappush((self.now + target, seq, event))
+                            heappush((self.now + target, seq, w))
                         else:
-                            event._reject_yield(target)
-                elif cls is cb_cls:
-                    event.fn()
+                            w._reject_yield(target)
+                callbacks = event.callbacks
+                if callbacks:
+                    for cb in callbacks:
+                        cb(event)
+            elif cls is process_cls:
+                if event._state:
+                    event_process(event)
+                    continue
+                # A sleeper (or a start) waking: send(None).
+                try:
+                    target = event._send(None)
+                except StopIteration as stop:
+                    event.succeed(stop.value)
+                except BaseException as err:
+                    event.fail(err)
                 else:
-                    event._process()
-        finally:
-            self._event_count += count
+                    if isinstance(target, event_cls):
+                        if target._state != processed:
+                            if (target._wait is None
+                                    and not target.callbacks):
+                                target._wait = event
+                            else:
+                                target.callbacks.append(event._resume)
+                        else:
+                            event._kick(target)
+                    elif (isinstance(target, float_cls)
+                            and target >= 0.0):
+                        self._seq = seq = self._seq + 1
+                        heappush((self.now + target, seq, event))
+                    else:
+                        event._reject_yield(target)
+            elif cls is cb_cls:
+                event.fn()
+            else:
+                event._process()
 
     def run_process(self, generator, name: Optional[str] = None) -> Any:
         """Convenience: spawn ``generator`` and run the sim to completion.
@@ -655,11 +615,13 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        return self._event_count
+        """Entries retired so far, exact at any instant (mid-run too):
+        every push draws one ``seq`` and only :meth:`_drain` pops."""
+        return self._seq - len(self._queue)
 
     def kernel_stats(self) -> dict:
         """Observability snapshot: events retired and entries queued."""
         return {
-            "events_processed": self._event_count,
+            "events_processed": self.events_processed,
             "queue_depth": len(self._queue),
         }

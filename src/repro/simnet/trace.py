@@ -24,30 +24,27 @@ def pump_samples(sim: Simulator, until: Optional[float],
     """Run ``sim`` like ``sim.run(until)``, firing samples at exact times.
 
     ``next_due()`` returns the sim time of the next pending sample (or
-    ``None`` when there is none) and ``fire()`` takes it once the clock
-    has reached that time.  The contract is **zero perturbation**: the
-    clock only advances by processing real events, or by jumping across an
-    idle gap the unsampled run would cross anyway (a later real event
-    exists, or ``until`` pads the clock past it).  In drain mode a sample
-    with no real event pending is left for a later call (multi-phase
-    workloads) or lapses when the workload ends — it never keeps the
-    simulation alive.
+    ``None`` when there is none) and ``fire()`` takes it.  Each sample is
+    one bounded drain up to its time, then the firing: a sample due at
+    ``t`` sees every entry at ``t``, including those pushed at ``t``
+    during that drain.  The contract is **zero perturbation**: the clock
+    only advances by processing real events, or by jumping across an idle
+    gap the unsampled run would cross anyway (a later real event exists,
+    or ``until`` pads the clock past it).  In drain mode a sample with no
+    real event pending is left for a later call (multi-phase workloads)
+    or lapses when the workload ends — it never keeps the simulation
+    alive.
     """
-    inf = float("inf")
     while True:
         nxt = next_due()
         if nxt is None or (until is not None and nxt > until):
             break
-        if sim.now >= nxt:
-            fire()
-            continue
-        p = sim.peek()
-        if p <= nxt:
-            sim.step()
-        elif p != inf or until is not None:
-            sim.run(until=nxt)  # idle gap: jump to the sample point
-        else:
-            break  # drain mode, nothing pending: never advance an idle clock
+        sim._drain(nxt)
+        if sim.now < nxt:
+            if until is None and sim.peek() == float("inf"):
+                break  # drain mode, nothing pending: never advance an idle clock
+            sim.now = nxt  # idle gap: jump to the sample point
+        fire()
     sim.run(until=until)
     return sim.now
 

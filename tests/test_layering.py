@@ -11,7 +11,8 @@ or event-loop module, and the local structures need no host lock.  A node
 goes down only through the fault injector, so only ``fabric/faults.py``
 marks one dead, and the containers never ask whether a plan is installed.
 A region grows only through its node, so only ``fabric/node.py`` resizes
-one.
+one.  Only the kernel pushes onto a simulator's event queue, and only
+``repro.simnet`` drains it.
 """
 
 from __future__ import annotations
@@ -104,6 +105,24 @@ def test_only_the_node_resizes_a_region():
                if isinstance(t, ast.Attribute) and t.attr == "size"
                and not (isinstance(t.value, ast.Name) and t.value.id == "self")}
     assert writers == {"repro/fabric/node.py"}
+
+
+def test_only_the_kernel_pushes_and_only_simnet_drains():
+    """Every push draws one ``seq`` and only ``Simulator._drain`` pops, so
+    ``events_processed`` is ``seq`` minus the queue depth.  A push that
+    skipped ``seq`` would break that silently: outside ``simnet/core.py``
+    nothing touches a simulator's ``_queue``, ``_seq``, ``_heappush`` or
+    ``_push`` (an object's own ``self._queue`` aside), and only
+    ``repro.simnet`` drives ``_drain``."""
+    nodes = [(path, node) for path, node in _ast_nodes(SRC.rglob("*.py"))
+             if isinstance(node, ast.Attribute)]
+    pushers = {path for path, node in nodes
+               if node.attr in {"_queue", "_seq", "_heappush", "_push"}
+               and not (isinstance(node.value, ast.Name)
+                        and node.value.id == "self")}
+    assert pushers == {"repro/simnet/core.py"}
+    drivers = {path for path, node in nodes if node.attr == "_drain"}
+    assert drivers and all(p.startswith("repro/simnet/") for p in drivers)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])

@@ -32,7 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.simnet import Process
-from repro.simnet.core import SimulationError, Simulator
+from repro.simnet.core import Simulator
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "simnet_heap_goldens.json"
 
@@ -324,16 +324,3 @@ def test_retire_order_is_time_seq_and_segment_invariant(schedule):
     assert cut == whole
     assert segmented.events_processed == sim.events_processed
 
-
-class TestEmptyQueue:
-    def test_step_on_empty_raises_simulation_error(self):
-        with pytest.raises(SimulationError,
-                           match=r"step\(\) on an empty event queue"):
-            Simulator().step()
-
-    def test_step_after_drain_raises_simulation_error(self):
-        sim = Simulator()
-        _far(sim, 1.0)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.step()

@@ -17,9 +17,10 @@ import random
 
 import pytest
 
-from repro.simnet.core import SimulationError, Simulator
+from repro.simnet.core import SimulationError, Simulator, Timeout
 from repro.simnet.resources import Resource, Store
 from repro.simnet.trace import pump_samples
+from tests.ref_kernel import RefSim
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +108,6 @@ class TestLaneHeapOrdering:
 # ---------------------------------------------------------------------------
 
 
-def _reference_run_until(sim, until):
-    """``run(until=)`` spelled with the public one-event primitives."""
-    while sim.peek() <= until:
-        sim.step()
-    if sim.now < until:
-        sim.now = until
-
-
 class TestRunUntilBound:
     @staticmethod
     def _build(sim, fired):
@@ -139,8 +132,8 @@ class TestRunUntilBound:
         # out-3.0 heads the queue (it beats in-4.0) and stays queued.
         assert sim.kernel_stats()["queue_depth"] == 3
         assert sim.peek() == 3.0
-        sim.step()
-        assert fired[-1] == (3.0, "out-3.0")
+        sim.run(until=sim.peek())
+        assert fired[-1] == (3.0, "out-3.0") and sim.events_processed == 3
 
     def test_bound_between_two_in_order_entries(self):
         sim = Simulator()
@@ -158,15 +151,15 @@ class TestRunUntilBound:
         assert fired[-3:] == [(4.75, "early"), (5.0, "in-5.0"),
                               (5.0, "tie")]
 
-    def test_matches_peek_step_reference_at_every_bound(self):
+    def test_matches_reference_kernel_at_every_bound(self):
         runs = []
-        for drive in (lambda sim, u: sim.run(until=u), _reference_run_until):
-            sim = Simulator()
+        for kernel in (Simulator, RefSim):
+            sim = kernel()
             fired = []
             cb = self._build(sim, fired)
             seen = []
             for bound in (0.5, 1.0, 2.5, 2.5, 3.5, 4.5, 9.0):
-                drive(sim, bound)
+                sim.run(until=bound)
                 seen.append((bound, sim.now, sim.events_processed,
                              sim.peek(), list(fired)))
                 if bound == 2.5:  # re-arm traffic around a queued entry
@@ -472,7 +465,7 @@ def _drive(runner, spelling):
         for bound in (0.3, 0.3, 1.0, 2.05, 3.0):  # all before the end
             sim.run(until=bound)
         sim.run()
-    else:  # pump_samples: the step() path, with samples between entries
+    else:  # pump_samples: one bounded drain per sample
         due = [i * 0.17 for i in range(60)]
         samples = []
 
@@ -516,6 +509,38 @@ class TestYieldedDelay:
                 return "caught"
 
         assert sim.run_process(body()) == "caught"
+
+    def test_yield_after_a_caught_rejection_is_handled_like_any_other(self, sim):
+        def body():
+            try:
+                yield -1.0
+            except SimulationError:
+                pass
+            yield 0.5
+            return "slept"
+
+        proc = sim.process(body())
+        sim.run()
+        assert proc.done and proc.result == "slept" and sim.now == 0.5
+
+    def test_events_processed_is_exact_mid_run(self, sim):
+        seen = []
+
+        def body():
+            seen.append(sim.events_processed)  # the start entry
+            yield 0.5
+            seen.append(sim.events_processed)
+            yield sim.timeout(0.5)
+            seen.append(sim.events_processed)
+
+        sim.run_process(body())
+        assert seen == [1, 2, 3]
+        assert sim.events_processed == 4  # and the completion
+
+    def test_a_timeout_is_built_only_by_the_simulator(self, sim):
+        with pytest.raises(TypeError):
+            Timeout(sim, 1.0)
+        assert sim.timeout(1.0).triggered
 
     def test_float_subclass_delay_sleeps(self, sim):
         class Seconds(float):

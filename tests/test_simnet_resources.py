@@ -42,25 +42,21 @@ class TestResource:
 
         def body(claim):
             yield 0.5
+            before = sim.events_processed
             if claim:
                 yield res.claim()
-                seen.append((sim.now, res.in_use))
+                seen.append((sim.now, sim.events_processed - before,
+                             res.in_use))
                 res.release_slot()
 
-        retired = {}
         for claim in (False, True):
             proc = sim.process(body(claim))
-            times = []
-            while sim.peek() != float("inf"):
-                sim.step()
-                times.append(sim.now)
+            sim.run()
             assert proc.ok
-            retired[claim] = times
-        # start, wake and completion; the claim adds one grant, retired at
-        # the claim instant (the second run starts at 0.5 and claims at 1.0)
-        assert retired[False] == [0.0, 0.5, 0.5]
-        assert retired[True] == [0.5, 1.0, 1.0, 1.0]
-        assert seen == [(1.0, 1)] and res.in_use == 0
+        # the grant is the one entry retired between the claim and the
+        # resume, at the claim instant (the second run claims at 1.0)
+        assert seen == [(1.0, 1, 1)] and res.in_use == 0
+        # start, wake and completion per run, plus the one grant
         assert sim.events_processed == 7
 
     def test_fifo_order(self, sim):

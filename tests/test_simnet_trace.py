@@ -118,6 +118,28 @@ class TestPump:
         assert _pump(sim, clock, armed) == 4.0
         assert list(clock.times) == [0.5, 1.5, 2.5, 3.5]
 
+    def test_a_sample_sees_every_entry_at_its_time(self, sim):
+        """A sample due at ``t`` fires after every entry at ``t``, those
+        pushed at ``t`` while the pump drained up to it included."""
+        fired, seen, armed = [], [], deque([1.0])
+
+        def at_one(tag):
+            fired.append(tag)
+            if tag == "a":
+                sim.schedule_callback(lambda: fired.append("pushed"))
+
+        for tag in "abc":
+            sim.schedule_callback(lambda tag=tag: at_one(tag), 1.0)
+        sim.timeout(2.0)
+
+        def fire():
+            armed.popleft()
+            seen.append((sim.now, list(fired)))
+
+        pump_samples(sim, None, lambda: armed[0] if armed else None, fire)
+        assert seen == [(1.0, ["a", "b", "c", "pushed"])]
+        assert sim.now == 2.0
+
     def test_pump_without_armed_samples_is_plain_run(self, sim):
         sim.timeout(2.0)
         # run(until=...) pads the clock

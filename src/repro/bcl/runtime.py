@@ -12,7 +12,7 @@ from typing import Callable, Dict, Generator, List, Optional, Union
 from repro.config import ClusterSpec
 from repro.fabric.node import Node, OutOfMemoryError
 from repro.fabric.topology import Cluster
-from repro.simnet.sync import Barrier
+from repro.simnet.resources import Barrier
 
 __all__ = ["BCL", "BCLOutOfMemory"]
 

@@ -46,7 +46,7 @@ from repro.obs.registry import registry_of
 from repro.rpc.coalesce import AUTO_INITIAL, MISS, OpCoalescer, ReadCache
 from repro.rpc.future import RPCFuture
 from repro.serialization.databox import DataBox, estimate_size
-from repro.simnet.sync import SimLock
+from repro.simnet.resources import Resource
 from repro.structures.stats import OpStats
 
 __all__ = ["Op", "OP_TABLES", "Partition", "DistributedContainer",
@@ -206,17 +206,19 @@ class DistributedContainer:
         self._replay: Dict[int, Deque[tuple]] = {}
         self._replay_hooked: set = set()
         self._replaying: set = set()
-        #: part.index -> SimLock, created on first use (``mutex`` only)
-        self._mutexes: Dict[int, SimLock] = {}
+        #: part.index -> capacity-1 Resource, created on first use
+        #: (``mutex`` only)
+        self._mutexes: Dict[int, Resource] = {}
         self._bound: set = set()
         for part in self.partitions:
             self._bind(part.node_id)
 
-    def _mutex_of(self, part: "Partition") -> SimLock:
+    def _mutex_of(self, part: "Partition") -> Resource:
         """The partition's lock under ``concurrency="mutex"``."""
         lock = self._mutexes.get(part.index)
         if lock is None:
-            lock = SimLock(self.runtime.sim, name=f"{self.name}.{part.index}")
+            lock = Resource(self.runtime.sim, 1,
+                            name=f"{self.name}.{part.index}")
             self._mutexes[part.index] = lock
         return lock
 
@@ -269,7 +271,7 @@ class DistributedContainer:
                  if not replica and self.policy.concurrency == "mutex"
                  else None)
         if mutex is not None:
-            yield mutex.acquire()
+            yield mutex.claim()
             if remote:
                 # lock/unlock themselves are atomic RMWs on the NIC core
                 yield 2 * node.cost.cas_local * cpu_factor
@@ -280,7 +282,7 @@ class DistributedContainer:
                                   cpu_factor=cpu_factor)
         finally:
             if mutex is not None:
-                mutex.release()
+                mutex.release_slot()
         if replica:
             return result
         self.ledger.record(op, stats, remote=remote)

@@ -30,7 +30,7 @@ from repro.fabric.topology import Cluster
 from repro.memory.segment import MemorySegment
 from repro.rpc.client import RpcClient
 from repro.rpc.server import RpcServer
-from repro.simnet.sync import Barrier
+from repro.simnet.resources import Barrier
 from repro.structures.cuckoo import CuckooHash
 from repro.structures.lfqueue import OptimisticQueue
 from repro.structures.mdlist import MDListPriorityQueue

@@ -4,7 +4,8 @@ The NIC is where the paper's two designs differ:
 
 * **BCL** drives every data-structure mutation with one-sided verbs; remote
   atomics (CAS) execute on the *target* NIC and serialize per memory region
-  (``MemoryRegion.atomic_lock``), which is limitation (c)/(d) in Section I.
+  (``MemoryRegion.atomic_lock``, a capacity-1 ``Resource``), which is
+  limitation (c)/(d) in Section I.
 * **HCL** posts a single SEND carrying an RPC DataBox; the request lands in
   the NIC's receive work queue (``recv_queue``) and is executed by one of the
   ``nic_cores`` NIC cores (Fig 2) without involving the host CPU.
@@ -22,7 +23,6 @@ from repro.config import CostModel
 from repro.obs.registry import registry_of
 from repro.simnet.core import Simulator
 from repro.simnet.resources import Resource, Store
-from repro.simnet.sync import SimLock
 
 __all__ = ["MemoryRegion", "Nic"]
 
@@ -43,7 +43,7 @@ class MemoryRegion:
         self.objects: Dict[int, Any] = {}
         self.words: Dict[int, int] = {}
         # Remote atomics to the same region serialize here (paper Sec. I(c)).
-        self.atomic_lock = SimLock(sim, name=f"{name}/atomics")
+        self.atomic_lock = Resource(sim, 1, name=f"{name}/atomics")
         metrics = registry_of(sim)
         self.cas_attempts = metrics.counter(f"{name}/cas_attempts")
         self.cas_failures = metrics.counter(f"{name}/cas_failures")
@@ -147,7 +147,7 @@ class Nic:
         Holding the region lock while the atomic executes is the
         serialization effect the paper's motivating test quantifies.
 
-        The general sequence is core claim, lock acquire, service time:
+        The general sequence is core claim, lock claim, service time:
         three kernel events.  The one fused exception in the transport:
         when the code observes *both* free at entry it takes them inline
         (``try_acquire``: no event) and the whole atomic rides the service
@@ -157,17 +157,17 @@ class Nic:
         """
         cores = self.cores
         lock = region.atomic_lock
-        fused = (not lock.locked and cores.try_acquire()
+        fused = (not lock.in_use and cores.try_acquire()
                  and lock.try_acquire())
         if not fused:
             yield cores.claim()
         try:
             if not fused:
-                yield lock.acquire()
+                yield lock.claim()
             try:
                 yield self.cost.nic_atomic_service
             finally:
-                lock.release()
+                lock.release_slot()
         finally:
             cores.release_slot()
         self.verbs_processed.value += 1

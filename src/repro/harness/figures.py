@@ -32,7 +32,7 @@ from repro.harness.report import render_series, render_table
 from repro.harness.workload import Blob, key_stream
 from repro.obs.series import FlightRecorder
 from repro.rpc import RpcClient, RpcServer
-from repro.simnet.sync import SimLock
+from repro.simnet.resources import Resource
 from repro.structures.stats import OpStats
 
 __all__ = [
@@ -103,16 +103,16 @@ def _fig1_rpc(lock_free: bool) -> Tuple[float, int]:
     servers = {i: RpcServer(cluster.node(i)) for i in range(2)}
     client = RpcClient(cluster, 0, servers)
     store = {}
-    bucket_lock = SimLock(cluster.sim, name="bucket-line")
+    bucket_lock = Resource(cluster.sim, 1, name="bucket-line")
 
     def handler(ctx, key, value):
         if not lock_free:
             # reserve + ready CAS, serialized on the shared bucket line.
-            yield bucket_lock.acquire()
+            yield bucket_lock.claim()
             try:
                 yield 2 * CAS_LOCKED_COST
             finally:
-                bucket_lock.release()
+                bucket_lock.release_slot()
         yield from charge(ctx.node, OpStats(local_ops=2, writes=1),
                           FIG1_SIZE, cpu_factor=ctx.cost.nic_compute_factor)
         store[key] = value

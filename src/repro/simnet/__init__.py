@@ -4,9 +4,10 @@
 coroutine *processes* (Python generators) yield :class:`~repro.simnet.core.Event`
 objects to the :class:`~repro.simnet.core.Simulator`, which resumes them when
 the event fires, or yield a ``float`` delay ``>= 0`` to sleep that many
-sim-seconds (the sleeping process is its own queue entry, no Event).  On top of the kernel sit counted resources, stores,
-synchronization primitives, deterministic random-number streams, tracing and
-utilization statistics.
+sim-seconds (the sleeping process is its own queue entry, no Event); a
+timeout is a plain, already-triggered Event.  On top of the kernel sit
+counted resources (a mutex is a capacity-1 ``Resource``), stores, barriers,
+deterministic random-number streams, tracing and utilization statistics.
 
 The simulator models *time*; the data manipulated by the higher layers (HCL
 containers, BCL baseline, applications) is real.
@@ -14,22 +15,19 @@ containers, BCL baseline, applications) is real.
 
 from repro.simnet.core import (
     Event,
-    Timeout,
     AllOf,
     AnyOf,
     Process,
     Simulator,
     SimulationError,
 )
-from repro.simnet.resources import Resource, Store
-from repro.simnet.sync import SimLock, Barrier
+from repro.simnet.resources import Barrier, Resource, Store
 from repro.simnet.rng import RngRegistry
 from repro.simnet.trace import TimeSeries, EventLog
 from repro.simnet.stats import Counter, Gauge, Histogram
 
 __all__ = [
     "Event",
-    "Timeout",
     "AllOf",
     "AnyOf",
     "Simulator",
@@ -37,7 +35,6 @@ __all__ = [
     "Process",
     "Resource",
     "Store",
-    "SimLock",
     "Barrier",
     "RngRegistry",
     "TimeSeries",

@@ -20,21 +20,29 @@ retire per wall-clock second:
   ``_wait`` slot instead of the callbacks list, and the drain loop resumes
   it in place — no callback-list append/iterate and no ``_resume`` frame
   per retired event.  Multiple waiters overflow to ``callbacks`` in
-  registration order, so firing order is unchanged.
-* **A sleeping process is its own entry.**  A process that yields a
+  registration order, so firing order is unchanged.  A timeout is a
+  plain :class:`Event`, triggered when ``sim.timeout`` builds it.
+* **A waking process is its own entry.**  A process that yields a
   ``float`` ``d >= 0`` sleeps for ``d`` sim-seconds: the kernel pushes
   ``(now + d, seq, process)`` — the key ``sim.timeout(d)`` would have
   taken — and resumes it with ``None`` when the entry pops: one retired
-  event and no :class:`Timeout` object.  A process starts the same way,
-  as an entry at its creation instant.  Anything else that is not an
-  Event (a negative or NaN delay, an ``int``, a ``bool``) is thrown back
-  into the generator as :class:`SimulationError`, and whatever it yields
-  next is handled like any other yield.
-* **One drive loop.**  :meth:`Simulator._drain` is the only code that
-  pops an entry; ``run()``, ``run(until=)`` and the sample pump
-  (:func:`repro.simnet.trace.pump_samples`) all ride it.  Every push
+  event and no Event object.  A process starts the same way, as an entry
+  at its creation instant, and so does a process that yields an
+  already-processed event (a *kick*): the event waits in the process's
+  ``_pending`` slot and the entry, at the current instant, resumes the
+  process with its outcome.  Anything else that is not an Event (a
+  negative or NaN delay, an ``int``, a ``bool``) is thrown back into the
+  generator as :class:`SimulationError`, and whatever it yields next is
+  handled like any other yield.
+* **One drive loop, one wake block.**  :meth:`Simulator._drain` is the
+  only code that pops an entry; ``run()``, ``run(until=)`` and the sample
+  pump (:func:`repro.simnet.trace.pump_samples`) all ride it.  Every push
   draws one ``seq``, so ``events_processed`` is ``seq`` minus the queue
-  depth, exact at any instant.
+  depth, exact at any instant.  The yield rule above lives in exactly two
+  places: ``_drain``'s one wake block, which steps the slot waiter of a
+  plain Event entry and a waking Process entry alike (heap wakes), and
+  :meth:`Process._resume` (callback wakes: overflow waiters, waiters on
+  an ``AllOf``/``AnyOf``/process, rejected yields).
 * **A callback fast path.**  :meth:`Simulator.schedule_callback` schedules
   a bare ``fn()`` at a future time behind a one-slot wrapper instead of an
   Event.
@@ -52,7 +60,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Event",
-    "Timeout",
     "AllOf",
     "AnyOf",
     "Process",
@@ -172,22 +179,13 @@ class Event:
         return f"<{type(self).__name__} {state} at t={self.sim.now:.9f}>"
 
 
-class Timeout(Event):
-    """An event that fires after a fixed delay.  Created via ``sim.timeout``."""
-
-    __slots__ = ()
-
-
 class _ScheduledCallback:
-    """Kernel-owned heap entry that runs ``fn()`` with no Event machinery."""
+    """Kernel-owned heap entry: ``_drain`` calls its ``fn()``, no Event."""
 
     __slots__ = ("fn",)
 
     def __init__(self, fn: Callable[[], None]):
         self.fn = fn
-
-    def _process(self) -> None:
-        self.fn()
 
 
 class AllOf(Event):
@@ -290,13 +288,13 @@ class Process(Event):
     flattened: ``gen.send``/``gen.throw`` are cached as bound methods, and
     ``_resume`` inlines the wait/registration logic instead of delegating.
     A process is resumed only by the one event it waits on, or by its own
-    entry while it sleeps, so a resume needs no guard.  A process keeps no
-    bound method of itself (an overflow waiter registers a fresh bound
-    ``_resume``), so a finished one is freed by reference counting instead
-    of waiting for the cycle collector.
+    entry (a start, a sleep or a kick), so a resume needs no guard.  A
+    process keeps no bound method of itself (an overflow waiter registers
+    a fresh bound ``_resume``), so a finished one is freed by reference
+    counting instead of waiting for the cycle collector.
     """
 
-    __slots__ = ("_gen", "_send", "_throw", "name")
+    __slots__ = ("_gen", "_send", "_throw", "name", "_pending")
 
     _counter = 0
 
@@ -313,6 +311,7 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self.name = name or f"proc-{Process._counter}"
+        self._pending: Optional[Event] = None  # a kick's event, until it wakes
         # Start at the current instant as the process's own entry: its
         # first wake is the generator's first step.
         sim._push(self, 0.0)
@@ -363,9 +362,11 @@ class Process(Event):
             self._reject_yield(target)
 
     def _kick(self, target: Event) -> None:
-        # Already-fired event: reschedule resume immediately to preserve
-        # cooperative fairness (avoid deep recursion on hot loops).
-        self.sim.schedule_callback(lambda: self._resume(target))
+        # Already-processed event: wake as the process's own entry at the
+        # current instant, ``target`` parked in ``_pending`` — cooperative
+        # fairness, and no recursion on hot loops.
+        self._pending = target
+        self.sim._push(self, 0.0)
 
     def _reject_yield(self, target: Any) -> None:
         # Resume with a failed, already-processed event: the error is
@@ -423,11 +424,12 @@ class Simulator:
         ev._state = _PROCESSED
         return ev
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float, value: Any = None) -> Event:
+        """A plain Event, triggered with ``value``, firing after ``delay``."""
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         # Inlined Event.__init__ and _push (hot path).
-        to = Timeout.__new__(Timeout)
+        to = Event.__new__(Event)
         to.sim = self
         to.callbacks = []
         to._value = value
@@ -438,8 +440,8 @@ class Simulator:
         self._heappush((self.now + delay, seq, to))
         return to
 
-    def timeout_at(self, when: float, value: Any = None) -> Timeout:
-        """Timeout firing at *absolute* sim time ``when``.
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """A timeout firing at *absolute* sim time ``when``.
 
         Exists so a closed-form charge can reproduce the exact
         floating-point timestamps of the sequential charges it replaces
@@ -449,8 +451,7 @@ class Simulator:
         """
         if when < self.now:
             raise ValueError(f"timeout_at {when} is in the past (now={self.now})")
-        to = Timeout.__new__(Timeout)
-        Event.__init__(to, self)
+        to = Event(self)
         to._value = value
         to._state = _TRIGGERED
         self._seq = seq = self._seq + 1
@@ -480,7 +481,7 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
     def _push(self, event: Any, delay: float) -> None:
-        """Schedule ``event`` (anything with ``_process``) after ``delay``."""
+        """Schedule ``event`` (an Event or a waking Process) after ``delay``."""
         self._seq = seq = self._seq + 1
         self._heappush((self.now + delay, seq, event))
 
@@ -503,25 +504,25 @@ class Simulator:
     # inlined with per-class dispatch for the dominant entry kinds: at paper
     # scale it retires millions of events, and every avoided frame counts.
     #
-    # Timeout dispatch also inlines the single-waiter resume: the waiting
-    # process parked in ``event._wait`` is stepped right here (generator
-    # send + re-registration) instead of through Process._resume — saving a
-    # callback-list append/iterate and one frame per retired event.
-    # Semantics are identical: the slot waiter is always the earliest
-    # registrant, and a StopIteration/exception settles the process exactly
-    # as Process._resume would.  A popped Process that is still pending is
-    # a sleeper (or a start) waking, stepped in place the same way; a
-    # finished one retires its completion through Event._process.
+    # Two entry kinds wake a process, and both end in the one wake block at
+    # the bottom of the loop: a plain Event (a timeout, a grant, a store
+    # item) whose ``_wait`` slot holds a process, which is sent the event's
+    # value or thrown its error, and a pending Process entry — a start, a
+    # sleep (sent ``None``) or a kick (sent its ``_pending`` event's
+    # outcome).  The block steps the generator and applies the yield rule,
+    # as Process._resume does for callback wakes: the slot waiter is always
+    # the earliest registrant, so it steps before the overflow callbacks,
+    # and a StopIteration/exception settles the process the same way.  A
+    # finished Process retires its completion through Event._process.
 
     def _drain(self, until: float) -> None:
         """Retire events in ``(time, seq)`` order up to ``until``."""
         q = self._queue
         heappop = heapq.heappop
         heappush = self._heappush
-        timeout_cls = Timeout
+        event_cls = Event
         process_cls = Process
         cb_cls = _ScheduledCallback
-        event_cls = Event
         event_process = Event._process
         processed = _PROCESSED
         float_cls = float
@@ -533,72 +534,71 @@ class Simulator:
             # Peek before popping: an entry past the bound stays queued.
             if not q or q[0][0] > until:
                 break
-            t, _seq, event = heappop(q)
+            t, _seq, entry = heappop(q)
             self.now = t
-            cls = event.__class__
-            if cls is timeout_cls:
-                # Inlined Event._process + Process._resume.
-                event._state = processed
-                w = event._wait
-                if w is not None:
-                    event._wait = None
-                    try:
-                        target = w._send(event._value)
-                    except StopIteration as stop:
-                        w.succeed(stop.value)
-                    except BaseException as err:
-                        w.fail(err)
-                    else:
-                        if isinstance(target, event_cls):
-                            if target._state != processed:
-                                if (target._wait is None
-                                        and not target.callbacks):
-                                    target._wait = w
-                                else:
-                                    target.callbacks.append(w._resume)
-                            else:
-                                w._kick(target)
-                        elif (isinstance(target, float_cls)
-                                and target >= 0.0):
-                            self._seq = seq = self._seq + 1
-                            heappush((self.now + target, seq, w))
-                        else:
-                            w._reject_yield(target)
-                callbacks = event.callbacks
-                if callbacks:
-                    for cb in callbacks:
-                        cb(event)
-            elif cls is process_cls:
-                if event._state:
-                    event_process(event)
+            cls = entry.__class__
+            if cls is event_cls:
+                # Inlined Event._process; the slot waiter steps below.
+                entry._state = processed
+                callbacks = entry.callbacks
+                w = entry._wait
+                if w is None:
+                    if callbacks:
+                        for cb in callbacks:
+                            cb(entry)
+                        callbacks.clear()
                     continue
-                # A sleeper (or a start) waking: send(None).
-                try:
-                    target = event._send(None)
-                except StopIteration as stop:
-                    event.succeed(stop.value)
-                except BaseException as err:
-                    event.fail(err)
+                entry._wait = None
+                ok = entry._ok
+                value = entry._value
+            elif cls is process_cls:
+                if entry._state:
+                    event_process(entry)
+                    continue
+                w = entry
+                callbacks = None
+                kicked = entry._pending
+                if kicked is None:
+                    ok = True
+                    value = None
                 else:
-                    if isinstance(target, event_cls):
-                        if target._state != processed:
-                            if (target._wait is None
-                                    and not target.callbacks):
-                                target._wait = event
-                            else:
-                                target.callbacks.append(event._resume)
-                        else:
-                            event._kick(target)
-                    elif (isinstance(target, float_cls)
-                            and target >= 0.0):
-                        self._seq = seq = self._seq + 1
-                        heappush((self.now + target, seq, event))
-                    else:
-                        event._reject_yield(target)
+                    entry._pending = None
+                    ok = kicked._ok
+                    value = kicked._value
             elif cls is cb_cls:
-                event.fn()
+                entry.fn()
+                continue
             else:
-                event._process()
+                entry._process()
+                continue
+            # The wake block: step ``w`` and apply the yield rule.
+            try:
+                if ok:
+                    target = w._send(value)
+                else:
+                    target = w._throw(value)
+            except StopIteration as stop:
+                w.succeed(stop.value)
+            except BaseException as err:
+                w.fail(err)
+            else:
+                if isinstance(target, event_cls):
+                    if target._state != processed:
+                        if target._wait is None and not target.callbacks:
+                            target._wait = w
+                        else:
+                            target.callbacks.append(w._resume)
+                    else:
+                        w._kick(target)
+                elif isinstance(target, float_cls) and target >= 0.0:
+                    self._seq = seq = self._seq + 1
+                    heappush((t + target, seq, w))
+                else:
+                    w._reject_yield(target)
+            if callbacks:
+                for cb in callbacks:
+                    cb(entry)
+                callbacks.clear()
 
     def run_process(self, generator, name: Optional[str] = None) -> Any:
         """Convenience: spawn ``generator`` and run the sim to completion.

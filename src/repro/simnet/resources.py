@@ -1,12 +1,16 @@
-"""Counted resources and stores.
+"""Counted resources, stores and barriers.
 
-These model contention points in the simulated cluster:
+These model contention points and coordination in the simulated cluster:
 
 * :class:`Resource` — ``capacity`` identical servers with a FIFO queue.  NIC
   cores, link channels, the switch backplane and the memory bus are
-  Resources.
+  Resources, and so is every mutex: a region's RDMA-atomic lock, a
+  ``concurrency="mutex"`` partition lock, Fig 1's bucket line — each a
+  ``Resource(sim, 1)``.
 * :class:`Store` — an unbounded FIFO of Python objects with blocking
   ``get``.  The NIC receive work queue and completion queues are Stores.
+* :class:`Barrier` — a reusable barrier for a fixed party count: the
+  bulk-synchronous step the BCL baseline needs and HCL avoids.
 
 Usage from a process — ``claim()`` returns ``0.0`` (a zero delay) when a
 slot is free and a pending Event when the caller must queue, and either
@@ -26,9 +30,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Union
 
-from repro.simnet.core import Event, Simulator
+from repro.simnet.core import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource", "Store", "Barrier"]
 
 
 class Resource:
@@ -98,8 +102,9 @@ class Resource:
         """Take a free slot with no event at all, or return False.
 
         For the one caller that fuses two grants into a single charge (the
-        uncontended remote atomic, ``Nic.serve_atomic``); everything else
-        goes through :meth:`claim`.
+        uncontended remote atomic, ``Nic.serve_atomic``, which takes a NIC
+        core and the region's lock this way); everything else goes through
+        :meth:`claim`.
         """
         if self.in_use < self.capacity:
             self._note_change()
@@ -108,15 +113,23 @@ class Resource:
         return False
 
     def release_slot(self) -> None:
-        """Give a slot back: hand it to the oldest waiter, else free it."""
+        """Give a slot back: hand it to the oldest waiter, else free it.
+
+        Raises :class:`SimulationError` if no slot is held: an unpaired
+        release would otherwise drive ``in_use`` below zero and let two
+        later claimers hold a capacity-1 resource at once.
+        """
         now = self.sim.now
         self._busy_integral += self.in_use * (now - self._last_change)
         self._last_change = now
         if self._queue:
             # in_use unchanged: the slot changes hands without a dip.
             self._queue.popleft().succeed()
-        else:
+        elif self.in_use:
             self.in_use -= 1
+        else:
+            raise SimulationError(
+                f"release of idle resource {self.name or id(self)!r}")
 
     def use(self, duration: float):
         """Generator helper: claim, hold for ``duration``, release."""
@@ -183,3 +196,31 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
+
+
+class Barrier:
+    """Reusable barrier for a fixed party count.
+
+    ``wait()`` returns an event that fires when all parties have arrived.
+    The barrier resets automatically for the next round.
+    """
+
+    def __init__(self, sim: Simulator, parties: int, name: str = ""):
+        if parties < 1:
+            raise ValueError("parties must be >= 1")
+        self.sim = sim
+        self.parties = parties
+        self.name = name
+        self._arrived: list[Event] = []
+        self.generation = 0
+
+    def wait(self) -> Event:
+        ev = self.sim.event()
+        self._arrived.append(ev)
+        if len(self._arrived) == self.parties:
+            batch, self._arrived = self._arrived, []
+            self.generation += 1
+            gen = self.generation
+            for waiter in batch:
+                waiter.succeed(gen)
+        return ev

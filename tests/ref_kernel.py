@@ -14,8 +14,9 @@ A process starts as an entry at its creation instant, sleeps on a
 yielded ``float >= 0`` as one entry at ``now + d``, resumes on an
 already-processed event through a zero-delay entry, and has any other
 yield thrown back into it as :class:`SimulationError`.  ``RefSim`` has
-the part of ``Simulator``'s API that ``Resource``, ``Store`` and
-``pump_samples`` use, so those run on it unchanged.
+``completed_event`` and the part of ``Simulator``'s API that
+``Resource``, ``Store`` and ``pump_samples`` use, so those run on it
+unchanged.
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ class RefSim:
 
     def event(self):
         return RefEvent(self)
+
+    def completed_event(self, value=None, ok=True):
+        ev = RefEvent(self)
+        ev.ok, ev.value, ev.state = ok, value, PROCESSED
+        return ev
 
     def timeout(self, delay, value=None):
         return RefEvent(self).succeed(value, delay)

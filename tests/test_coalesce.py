@@ -314,6 +314,36 @@ class TestReadCache:
 
         run_rank0(hcl, body())
 
+    @pytest.mark.parametrize("change", ["add", "remove"])
+    def test_partition_change_clears_cache(self, hcl, change):
+        """Adding or removing a partition renumbers partitions and moves
+        keys, so the cache drops every entry: the next find of a cached
+        key is a miss, served over the wire with the right value."""
+        m = hcl.unordered_map("c", partitions=3, read_cache=True)
+        key = _remote_key(m, node_id=0)
+        victim = next(p.index for p in m.partitions if p.node_id == 0)
+
+        def body():
+            yield from m.insert(0, key, 42)
+            assert (yield from m.find(0, key)) == (42, True)
+            assert m._cache.entries() == 1
+            if change == "add":
+                yield from m.add_partition(0, node_id=1)
+            else:
+                yield from m.remove_partition(0, victim)
+            assert m._cache.entries() == 0
+            assert m.partition_for(key).node_id == 1  # still remote
+            before = m.aggregation_report()["read_cache"]
+            calls = _total_invocations(hcl)
+            found = yield from m.find(0, key)
+            after = m.aggregation_report()["read_cache"]
+            assert after["hits"] == before["hits"]
+            assert after["misses"] == before["misses"] + 1
+            assert _total_invocations(hcl) == calls + 1
+            return found
+
+        assert run_rank0(hcl, body()) == (42, True)
+
     def test_erase_invalidates(self, hcl):
         m = self._cached_map(hcl)
         key = _remote_key(m, node_id=0)

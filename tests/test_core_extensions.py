@@ -211,6 +211,40 @@ class TestConcurrencyControl:
 
         assert run("mutex") > run("lockfree")
 
+    def test_mutex_run_is_pinned(self, small_spec):
+        """A contended ``mutex`` run, pinned exactly: ranks on both nodes
+        (local and remote callers) insert, upsert and find on one
+        partition, then pipeline a burst of inserts — 103 of the 145
+        lock grants queue.  Clock and event count were recorded before
+        the partition lock became a capacity-1 ``Resource``; any change to
+        when a grant lands moves them."""
+        hcl = HCL(small_spec)
+        m = hcl.unordered_map("m", partitions=1, nodes=[1],
+                              concurrency="mutex", initial_buckets=64)
+        found = []
+
+        def body(rank):
+            for i in range(4):
+                yield from m.insert(rank, (rank, i), i)
+                yield from m.upsert(rank, "hot", 1)
+                found.append((yield from m.find(rank, (rank, i))))
+            futures = [m.insert_async(rank, (rank, "a", i), i)
+                       for i in range(6)]
+            for fut in futures:
+                yield fut.wait()
+
+        hcl.run_ranks(body)
+        assert repr(hcl.now) == "0.0004594569144452763"
+        assert hcl.sim.events_processed == 2624
+        assert sorted(found) == sorted([(i, True) for i in range(4)] * 8)
+
+        def read(rank):
+            return (yield from m.find(rank, "hot"))
+
+        proc = hcl.cluster.spawn(read(0))
+        hcl.cluster.run()
+        assert proc.result == (32, True)
+
 
 def _crash(runtime, node_id):
     """Crash ``node_id`` now through a fault-free plan's injector."""

@@ -6,7 +6,7 @@ subcommand must run from any directory with only ``src`` on the path.
 Every instrument and artifact in it is on the simulated clock — host time
 is measured by ``benchmarks/ledger`` alone — so it imports no stopwatch
 and no profiler either.  Its concurrency is simulated too (charged CAS
-counts, the NIC's ``SimLock``), so it imports no host-thread, process-pool
+counts, the NIC's per-region lock), so it imports no host-thread, process-pool
 or event-loop module, and the local structures need no host lock.  A node
 goes down only through the fault injector, so only ``fabric/faults.py``
 marks one dead, and the containers never ask whether a plan is installed.

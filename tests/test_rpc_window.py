@@ -14,7 +14,7 @@ from repro.config import ares_like
 from repro.fabric import Cluster
 from repro.fabric.faults import FaultPlan, LinkFaults
 from repro.obs.registry import registry_of
-from repro.rpc import RpcClient, RpcServer
+from repro.rpc import RemoteError, RpcClient, RpcServer
 from repro.rpc.future import ServerOverloaded
 from repro.rpc.window import (
     CAP, FLOOR, INITIAL, LATENCY_FACTOR, AIMDWindow, WindowSet,
@@ -172,6 +172,31 @@ class TestWindowedInvoke:
         assert win.cwnd < INITIAL      # shrank under overload...
         assert win.cwnd >= 1.0         # ...but never below the floor
         assert win.outstanding == 0 and win.queued == 0
+
+    def test_failed_attempts_halve_once_and_surface(self, small_spec):
+        """A handler that raises is a non-shed failure: each caller gets
+        the ``RemoteError``, the window drains to 0 outstanding, a burst
+        of failures from one in-flight window halves ``cwnd`` once (the
+        recovery epoch), and nothing counts as a shed."""
+        cluster = Cluster(small_spec)
+        servers = {i: RpcServer(cluster.node(i)) for i in range(2)}
+        client = RpcClient(cluster, 0, servers, window=True)
+
+        def boom(ctx, i):
+            raise ValueError(f"boom {i}")
+
+        servers[1].bind("boom", boom)
+        futs = [client.invoke(1, "boom", (i,), stream=0)
+                for i in range(INITIAL)]
+        cluster.run()
+        for i, fut in enumerate(futs):
+            with pytest.raises(RemoteError, match=f"boom {i}"):
+                _ = fut.result
+        win = client.windows.window(1, 0)
+        assert win.outstanding == 0 and win.queued == 0
+        assert win.cwnd == INITIAL / 2
+        assert registry_of(cluster.sim).counter(
+            "rpc/window_sheds").value == 0
 
     def test_shed_surfaces_at_once(self):
         """One op holds the worker and one the queue slot for a simulated

@@ -251,9 +251,15 @@ class TestProcessGarbage:
     def _short_processes():
         """Waiters overflow to a callbacks list at all three sites: a
         process's first step, a resume by a plain event, and the kernel's
-        inlined resume by a timeout."""
+        inlined resume by a timeout.  Keepers, whose result is the event
+        they waited on, share a plain event and a timeout with other
+        waiters: if the kernel kept a retired event's callbacks list,
+        event, list and keeper would form a cycle.  Returns the results
+        and the simulator, by which the test tells these processes from
+        any other test's leftovers."""
         sim = Simulator()
         gate = sim.event()
+        nap = sim.timeout(0.5)
 
         def short(i):
             yield sim.timeout(1.0 + i % 3)
@@ -270,6 +276,10 @@ class TestProcessGarbage:
             yield sim.timeout(0.5)
             return (yield target)
 
+        def keeper(event):
+            yield event
+            return event
+
         def opener():
             yield sim.timeout(0.25)
             gate.succeed()
@@ -278,18 +288,24 @@ class TestProcessGarbage:
         waiters = [sim.process(body(targets[i % 6]))
                    for i in range(12)
                    for body in (at_start, after_event, after_timeout)]
+        keepers = [sim.process(keeper(ev)) for ev in (gate, nap) * 3]
         sim.process(opener())
         sim.run()
-        return [w.result for w in waiters]
+        assert [k.result for k in keepers] == [gate, nap] * 3
+        return [w.result for w in waiters], sim
 
     def test_finished_processes_are_not_cyclic_garbage(self):
+        # Only this program's processes count: cyclic garbage an earlier
+        # test left (a generated program's processes, say) may land in
+        # ``gc.garbage`` too.
         gc.collect()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            results = self._short_processes()
+            results, sim = self._short_processes()
             gc.collect()
-            leaked = sum(isinstance(o, Process) for o in gc.garbage)
+            leaked = sum(isinstance(o, Process) and o.sim is sim
+                         for o in gc.garbage)
         finally:
             gc.set_debug(0)
             gc.garbage.clear()

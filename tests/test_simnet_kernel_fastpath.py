@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.simnet.core import SimulationError, Simulator, Timeout
+from repro.simnet.core import Event, SimulationError, Simulator
 from repro.simnet.resources import Resource, Store
 from repro.simnet.trace import pump_samples
 from tests.ref_kernel import RefSim
@@ -406,9 +406,9 @@ def _mixed_program(sim, spelling, seed=5, workers=6, steps=30):
     """A seeded program of several processes: sleeps, claims on a
     capacity-2 Resource, Store put/get, an ``any_of`` watchdog and waits on
     child processes.  ``spelling`` "timeout" spells every sleep
-    ``sim.timeout(d)`` (and a free claim's zero delay as a Timeout),
+    ``sim.timeout(d)`` (and a free claim's zero delay as a timeout),
     "delay" yields ``d`` itself, and "mixed" alternates the two, so a
-    sleep also follows a Timeout's wake.  Delays come from a small grid,
+    sleep also follows a timeout's wake.  Delays come from a small grid,
     so same-instant ties — the case ``seq`` decides — are common.  Returns
     the ``(sim.now, pid, step)`` resume trace, filled as it runs, and the
     worker processes."""
@@ -444,7 +444,7 @@ def _mixed_program(sim, spelling, seed=5, workers=6, steps=30):
             elif kind == 2:
                 yield store.put((pid, step))
             elif kind == 3:
-                # the watchdog stays a kept Timeout in both spellings
+                # the watchdog stays a kept timeout in both spellings
                 yield sim.any_of([store.get(), sim.timeout(0.2)])
             else:
                 yield sim.process(child(pid, rng), name=f"child-{pid}")
@@ -538,9 +538,12 @@ class TestYieldedDelay:
         assert sim.events_processed == 4  # and the completion
 
     def test_a_timeout_is_built_only_by_the_simulator(self, sim):
-        with pytest.raises(TypeError):
-            Timeout(sim, 1.0)
-        assert sim.timeout(1.0).triggered
+        """``sim.timeout`` builds a plain Event, already triggered; there
+        is no timeout class to construct by hand."""
+        to = sim.timeout(1.0, value="v")
+        assert type(to) is Event
+        assert to.triggered and not to.processed and to.value == "v"
+        assert type(sim.timeout_at(2.0)) is Event
 
     def test_float_subclass_delay_sleeps(self, sim):
         class Seconds(float):

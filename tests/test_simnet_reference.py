@@ -2,9 +2,12 @@
 
 Hypothesis writes small programs of a few processes; each op is a sleep
 (zero sleeps included, yielded or as a ``timeout``), a claim on a small
-:class:`Resource`, a :class:`Store` put or get, an ``any_of`` watchdog, an
-``all_of`` over a timeout and a child process, a wait on another process,
-an event failed on purpose, a raise, or a caught rejected yield.  Each
+:class:`Resource`, a critical section on a capacity-1 ``Resource`` used as
+a mutex (claimed, or taken inline by ``try_acquire`` when free), a
+:class:`Store` put or get, an ``any_of`` watchdog, an ``all_of`` over a
+timeout and a child process, a wait on another process, an event failed on
+purpose, a yield of an already-processed event (a ``completed_event``
+carrying a value or an error), a raise, or a caught rejected yield.  Each
 program runs on :class:`repro.simnet.core.Simulator` and on
 :class:`tests.ref_kernel.RefSim` (no fast paths) under ``run()``,
 ``run(until=)`` segments and ``pump_samples``, and the two must give the
@@ -36,12 +39,14 @@ OPS = st.one_of(
     st.tuples(st.just("sleep"), DELAYS),
     st.tuples(st.just("timeout"), DELAYS),
     st.tuples(st.just("claim"), SLOTS, DELAYS),
+    st.tuples(st.just("mutex"), DELAYS, st.booleans()),
     st.tuples(st.just("put"), SLOTS),
     st.tuples(st.just("get"), SLOTS),
     st.tuples(st.just("any"), SLOTS, DELAYS),
     st.tuples(st.just("all"), DELAYS, DELAYS, st.booleans()),
     st.tuples(st.just("wait"), st.integers(0, 5)),
     st.tuples(st.just("fail"), DELAYS),
+    st.tuples(st.just("done"), st.booleans()),
     st.tuples(st.just("reject"), st.sampled_from([-1.0, math.nan, 1, True])),
     st.tuples(st.just("raise")),
 )
@@ -63,6 +68,7 @@ def _load(sim, program):
     """Start ``program`` (one op list per process) on ``sim``; returns
     the trace, filled as it runs, and the processes."""
     resources = [Resource(sim, capacity=1), Resource(sim, capacity=2)]
+    mutex, holders = Resource(sim, capacity=1), []
     stores = [Store(sim), Store(sim)]
     trace, procs = [], []
 
@@ -86,6 +92,16 @@ def _load(sim, program):
                     yield op[2]
                 finally:
                     res.release_slot()
+            elif kind == "mutex":
+                if not (op[2] and mutex.try_acquire()):
+                    yield mutex.claim()
+                holders.append(pid)
+                got = ("holders", len(holders))
+                try:
+                    yield op[1]
+                finally:
+                    holders.remove(pid)
+                    mutex.release_slot()
             elif kind == "put":
                 yield stores[op[1]].put((pid, step))
             elif kind == "get":
@@ -112,6 +128,12 @@ def _load(sim, program):
                     yield sim.event().fail(Boom("event"), delay=op[1])
                 except Boom as err:
                     got = err
+            elif kind == "done":
+                try:
+                    got = yield (sim.completed_event(step) if op[1] else
+                                 sim.completed_event(Boom("done"), ok=False))
+                except Boom:
+                    got = "thrown"  # not sent: a sent Boom reads "Boom"
             elif kind == "reject":
                 try:
                     yield op[1]
@@ -158,3 +180,5 @@ def test_kernel_matches_the_reference_kernel(program, bounds, interval):
     for runner in ("run", "segments", "pump"):
         ran = _drive(Simulator, program, runner, bounds, interval)
         assert ran == _drive(RefSim, program, runner, bounds, interval)
+        trace = ran[0]
+        assert ("holders", 2) not in [got for _t, _p, _s, got, _n in trace]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet import Event, Resource, Store
+from repro.simnet import Event, Resource, SimulationError, Store
 
 
 class TestResource:
@@ -102,6 +102,33 @@ class TestResource:
         assert res.in_use == 0
         sim.run()
         assert sim.events_processed == 0
+
+    def test_release_with_nothing_held_raises(self, sim):
+        """An unpaired release is refused: it would leave ``in_use`` at -1,
+        and two later claimers would then both hold a capacity-1
+        resource at once."""
+        res = Resource(sim, capacity=1, name="line")
+
+        def once():
+            yield res.claim()
+            res.release_slot()
+
+        sim.run_process(once())
+        with pytest.raises(SimulationError, match="idle resource 'line'"):
+            res.release_slot()
+        assert res.in_use == 0
+        held = []
+
+        def holder(i):
+            yield res.claim()
+            held.append((i, sim.now, res.in_use))
+            yield 1.0
+            res.release_slot()
+
+        sim.process(holder(0))
+        sim.process(holder(1))
+        sim.run()
+        assert held == [(0, 0.0, 1), (1, 1.0, 1)]
 
     def test_use_helper_serializes(self, sim):
         res = Resource(sim, capacity=1)

@@ -1,22 +1,29 @@
-"""Tests for SimLock and Barrier."""
+"""Tests for mutual exclusion and Barrier.
+
+The kernel has no lock class: a mutex is a capacity-1 :class:`Resource`
+(``claim`` / ``release_slot`` / ``try_acquire`` / ``in_use``), as the NIC's
+per-region atomic lock, a ``concurrency="mutex"`` partition lock and
+Fig 1's bucket line use it.  ``TestSimLock`` keeps the lock contract the
+retired ``SimLock`` class was tested on.
+"""
 
 import pytest
 
-from repro.simnet import Barrier, SimLock
+from repro.simnet import Barrier, Resource
 from repro.simnet.core import SimulationError
 
 
 class TestSimLock:
     def test_mutual_exclusion(self, sim):
-        lock = SimLock(sim)
+        lock = Resource(sim, 1)
         inside = []
 
         def worker(i):
-            yield lock.acquire()
+            yield lock.claim()
             inside.append(("enter", i, sim.now))
             yield sim.timeout(1.0)
             inside.append(("exit", i, sim.now))
-            lock.release()
+            lock.release_slot()
 
         for i in range(3):
             sim.process(worker(i))
@@ -27,34 +34,38 @@ class TestSimLock:
             assert e1 <= s2
 
     def test_release_unlocked_raises(self, sim):
-        lock = SimLock(sim)
+        lock = Resource(sim, 1)
         with pytest.raises(SimulationError):
-            lock.release()
+            lock.release_slot()
 
     def test_contention_counters(self, sim):
-        lock = SimLock(sim)
+        lock = Resource(sim, 1)
+        queued = []
 
         def worker():
-            yield lock.acquire()
+            yield lock.claim()
+            queued.append(lock.queue_length)
             yield sim.timeout(1.0)
-            lock.release()
+            lock.release_slot()
 
         for _ in range(4):
             sim.process(worker())
         sim.run()
-        assert lock.total_acquires == 4
-        assert lock.contended_acquires == 3
-        assert not lock.locked
+        # The first holder saw all three others queued behind it; each
+        # later grant leaves one fewer.
+        assert queued == [3, 2, 1, 0]
+        assert lock.in_use == 0 and lock.queue_length == 0
+        assert sim.now == 4.0
 
     def test_fifo_fairness(self, sim):
-        lock = SimLock(sim)
+        lock = Resource(sim, 1)
         order = []
 
         def worker(i):
-            yield lock.acquire()
+            yield lock.claim()
             order.append(i)
             yield sim.timeout(0.5)
-            lock.release()
+            lock.release_slot()
 
         for i in range(5):
             sim.process(worker(i))

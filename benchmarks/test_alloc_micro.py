@@ -62,7 +62,7 @@ def test_per_op_allocation_rate(benchmark, report):
         t0 = time.perf_counter()
         for i in range(ALLOCS):
             Message(Verb.SEND, 0, 1, 64)
-            RpcRequest(op="push", args=(i, None), src_node=0, slot=i)
+            RpcRequest(op="push", args=(i, None), src_node=0, token=(0, i))
             RPCFuture(sim, "push")
         return time.perf_counter() - t0
 

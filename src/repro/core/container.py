@@ -204,7 +204,6 @@ class DistributedContainer:
         self.replayed_writes = metrics.counter(f"{name}/replayed_writes")
         #: node_id -> (part_index, op, args, token) records awaiting replay
         self._replay: Dict[int, Deque[tuple]] = {}
-        self._replay_hooked: set = set()
         self._replaying: set = set()
         #: part.index -> capacity-1 Resource, created on first use
         #: (``mutex`` only)
@@ -366,12 +365,18 @@ class DistributedContainer:
             return result
         self.remote_calls.add(1)
         client = self.runtime.client(caller_node)
+        policy = self.policy
+        # A write that may fail over is replayed under its original token,
+        # so the container draws it and holds it until nothing can replay.
+        token = (client.next_token()
+                 if policy.write_failover and self._ops[op][1].write else None)
         try:
             result = yield from client.call(
                 part.node_id,
                 self._rpc_names[op],
                 (part.index, *args),
                 payload_size=payload_bytes,
+                token=token,
                 trace_parent=trace_parent,
                 stream=part.index,
             )
@@ -380,12 +385,11 @@ class DistributedContainer:
                 # other nodes' writes have made stale.
                 self._cache.observe(caller_node, part.index, part.write_epoch)
             return result
-        except ConnectionError as err:
+        except ConnectionError:
             # Primary down: replicated containers serve reads from the
             # next replica(s) in the hash chain (Section III-A4), and with
             # ``write_failover`` take mutations there too.
             mutation = self._ops[op][1].write
-            policy = self.policy
             if policy.replication <= 0 or (
                     mutation and not policy.write_failover):
                 raise
@@ -394,15 +398,19 @@ class DistributedContainer:
             )
             if mutation:
                 # Acked to the caller now; replayed onto the primary as
-                # soon as it restarts.  The replay reuses ``err.token`` —
-                # the *original* request's — so if the primary executed
-                # that request late (completion lost, budget exhausted) the
-                # replay is suppressed server-side, not double-applied.
+                # soon as it restarts, under the *original* token, so if
+                # the primary executed that request late (completion lost,
+                # budget exhausted) the replay is suppressed server-side,
+                # not double-applied.  The replay's settle retires it.
                 self.failover_writes.add(1)
-                self._queue_replay(part, op, args, err.token)
+                self._queue_replay(part, op, args, token)
+                token = None
             else:
                 self.failover_reads.add(1)
             return result
+        finally:
+            if token is not None:
+                client.retire(token)
 
     # -- replication and failover ------------------------------------------------
     def _replicas_of(self, part: Partition) -> Iterator[Partition]:
@@ -462,13 +470,11 @@ class DistributedContainer:
     def _queue_replay(self, part, op, args, token) -> None:
         """Remember an acked-on-replica write for replay onto the primary."""
         node_id = part.node_id
-        self._replay.setdefault(node_id, deque()).append(
-            (part.index, op, args, token)
-        )
-        if node_id not in self._replay_hooked:
-            self._replay_hooked.add(node_id)
+        if node_id not in self._replay:
+            self._replay[node_id] = deque()
             node = self.runtime.cluster.node(node_id)
             node.on_recover.append(lambda: self._spawn_replay(node_id))
+        self._replay[node_id].append((part.index, op, args, token))
         if self.runtime.cluster.node(node_id).alive:
             # Primary came back between the failed call and the ack (or was
             # merely unreachable, not crashed): replay immediately.
@@ -501,6 +507,7 @@ class DistributedContainer:
                     # queued and the next recovery hook resumes the drain.
                     return
                 records.popleft()
+                self.runtime.client(token[0]).retire(token)
                 self.replayed_writes.add(1)
         finally:
             self._replaying.discard(node_id)

@@ -244,3 +244,5 @@ class HCL:
         for container in self.containers.values():
             container.close()
         self.containers.clear()
+        for server in self._servers.values():
+            server.close()

@@ -28,8 +28,11 @@ Fault semantics:
 * **duplicate** — applies to two-sided SENDs only (the verbs where a
   replayed delivery re-executes server logic); the original is delivered
   normally and a copy is re-enqueued at the destination after a short
-  deterministic delay.  Idempotency tokens on the RPC server make the
-  duplicate apply-once.
+  deterministic delay, skipping admission control.  The RPC server's
+  completion records make the duplicate apply-once: a copy of an
+  executed request is suppressed (or, if it arrives after its client's
+  watermark passed it, dropped as stale), and a copy of a shed request
+  is dropped, so a shed op is never applied.
 * **delay** — the message is held for a sampled extra latency before
   entering the wire.
 * **crash** — fail-stop of the node's *network presence*: in-flight

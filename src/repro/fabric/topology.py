@@ -42,7 +42,7 @@ class Cluster:
         self._qps: Dict[int, QueuePair] = {}
         #: active fault injector, or None — the only thing that drops a
         #: message or takes a node down; the RPC client arms its completion
-        #: timer and idempotency tokens only while one is installed
+        #: timer only while one is installed
         self.faults = None
 
     # -- fault injection ------------------------------------------------------

@@ -63,7 +63,9 @@ def run_chaos_soak(
     """Run one seeded chaos soak; returns the metrics/verdict report dict.
 
     ``report["ok"]`` is True iff no acked write was lost, no mutation was
-    double-applied, and the injector actually injected something.
+    double-applied, every server was quiescent after the drain (no
+    response slot held, no request in flight), and the injector actually
+    injected something.
 
     ``aggregation`` > 0 routes the upsert phase through the transparent
     write-combining buffers (flushed at phase end) and enables the
@@ -175,6 +177,9 @@ def run_chaos_soak(
     # queued write replays drain onto the restarted primaries.
     injector.heal()
     cluster.run()
+    # Every invocation has settled, so no server may still hold a response
+    # slot or a request in flight.
+    quiescent = all(server.idle() for server in h._servers.values())
 
     # -- verification pass: read every acked key back from the primary -----
     lost = []
@@ -283,6 +288,7 @@ def run_chaos_soak(
         not lost
         and not overcounted
         and not stale_reads
+        and quiescent
         and acked_total > 0
         # the calm plan is the armed-but-quiet control: zero injections is
         # its expected outcome, not a failed experiment

@@ -252,42 +252,52 @@ def _run_one_config(
 
     read_cut, write_cut = mix[0], mix[0] + mix[1]
 
-    def issue(factory, tenant: int, klass: str) -> None:
-        """Fire one op open-loop; record client-visible completion latency.
+    class ServedOp:
+        """One op fired open-loop; records client-visible completion latency.
 
         Shed ops retry with exponential backoff (up to ``shed_retries``),
         keeping the original issue timestamp — the latency a real client
-        would observe across the reject/retry cycle.
+        would observe across the reject/retry cycle.  An object rather
+        than a closure that names itself for the retry, so a settled op is
+        freed by reference counting.
         """
-        t0 = sim.now
-        state = {"attempt": 0}
 
-        def on_done(ev) -> None:
+        __slots__ = ("factory", "tenant", "klass", "t0", "attempt")
+
+        def __init__(self, factory, tenant: int, klass: str):
+            self.factory = factory
+            self.tenant = tenant
+            self.klass = klass
+            self.t0 = sim.now
+            self.attempt = 0
+
+        def done(self, ev) -> None:
             if ev.ok:
-                lat = sim.now - t0
+                lat = sim.now - self.t0
                 latency.observe(lat)
-                class_hist[klass].observe(lat)
-                tenant_hist[tenant].observe(lat)
+                class_hist[self.klass].observe(lat)
+                tenant_hist[self.tenant].observe(lat)
                 completed.add(1)
-                tenant_done[tenant].add(1)
+                tenant_done[self.tenant].add(1)
             elif (isinstance(ev.value, ServerOverloaded)
-                    and state["attempt"] < shed_retries):
-                state["attempt"] += 1
+                    and self.attempt < shed_retries):
+                self.attempt += 1
                 retried.add(1)
-                delay = retry_backoff * (2 ** (state["attempt"] - 1))
-
-                def backoff_then_retry():
-                    yield delay
-                    factory()._event.add_callback(on_done)
-
-                sim.process(backoff_then_retry(), name="serving-retry")
+                delay = retry_backoff * (2 ** (self.attempt - 1))
+                sim.process(self.retry(delay), name="serving-retry")
             elif isinstance(ev.value, ServerOverloaded):
                 gaveup.add(1)
             else:
                 errors.add(1)
 
+        def retry(self, delay: float):
+            yield delay
+            self.factory()._event.add_callback(self.done)
+
+    def issue(factory, tenant: int, klass: str) -> None:
+        op = ServedOp(factory, tenant, klass)
         issued.add(1)
-        factory()._event.add_callback(on_done)
+        factory()._event.add_callback(op.done)
 
     total_ranks = spec.total_procs
     base, extra = divmod(clients, total_ranks)

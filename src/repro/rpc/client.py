@@ -23,10 +23,13 @@ retransmitted after exponential backoff up to the bounded retry budget of
 :class:`~repro.config.RetryPolicy` (``cost.retry``), after which the caller
 sees :class:`~repro.rpc.future.TargetUnavailable`.  Only a
 :class:`~repro.fabric.faults.FaultInjector` drops traffic or takes a node
-down, so the completion timer and the idempotency token (which makes a
-retransmitted mutation apply once at the server) are armed only while one
-is installed; without one the first attempt always succeeds and runs no
-timer.
+down, so the completion timer is armed only while one is installed;
+without one the first attempt always succeeds and runs no timer.
+
+Every request carries an idempotency token ``(src_node, seq)`` and the
+client's watermark, the lowest seq it has not retired, so a retransmit is
+answered from the server's completion record.  An invocation retires the
+token it drew, and releases its response slot, when it settles.
 
 The hybrid data access model lives one layer up (``repro.core.container``):
 a container only builds an RpcClient invocation for *remote* partitions.
@@ -51,7 +54,7 @@ from repro.serialization.databox import estimate_size
 
 __all__ = ["RpcClient"]
 
-_REQUEST_HEADER_BYTES = 48  # op name, slot, caller id, framing
+_REQUEST_HEADER_BYTES = 48  # op name, slot, caller id, token, watermark, framing
 
 
 class RpcClient:
@@ -60,7 +63,7 @@ class RpcClient:
     __slots__ = (
         "cluster", "sim", "cost", "src_node", "servers", "qp",
         "invocations", "latency", "retries", "timeouts", "exhausted",
-        "shed_seen", "_token_seq", "windows",
+        "shed_seen", "_token_seq", "_held", "_watermark", "windows",
     )
 
     def __init__(self, cluster, src_node: int, servers: Dict[int, RpcServer],
@@ -79,14 +82,30 @@ class RpcClient:
         self.timeouts = metrics.counter(f"rpcc{src_node}/timeouts")
         self.exhausted = metrics.counter(f"rpcc{src_node}/exhausted")
         self.shed_seen = metrics.counter(f"rpcc{src_node}/shed_seen")
+        #: last seq drawn; seqs not yet retired; the lowest of those (or
+        #: the next one to draw)
         self._token_seq = 0
+        self._held: set = set()
+        self._watermark = 1
         #: AIMD congestion windows (None = unbounded issue, classic behavior)
         self.windows = WindowSet(self.sim, src_node) if window else None
 
     def next_token(self) -> Tuple[int, int]:
-        """A fresh idempotency token (unique per client, stable per run)."""
-        self._token_seq += 1
-        return (self.src_node, self._token_seq)
+        """A fresh idempotency token, held — the watermark stays at or
+        below it, so servers keep its record — until :meth:`retire`."""
+        self._token_seq = seq = self._token_seq + 1
+        self._held.add(seq)
+        return (self.src_node, seq)
+
+    def retire(self, token: Tuple[int, int]) -> None:
+        """Release a token of this client's: the watermark may pass it."""
+        held = self._held
+        held.discard(token[1])
+        watermark = self._watermark
+        top = self._token_seq
+        while watermark <= top and watermark not in held:
+            watermark += 1
+        self._watermark = watermark
 
     # -- core API -----------------------------------------------------------
     def invoke(
@@ -109,7 +128,9 @@ class RpcClient:
         ``token`` pins the idempotency token; callers that may re-issue the
         same logical mutation through a *different* invocation (container
         write replay after a crash) pass the original token so the server
-        dedups across both.
+        dedups across both.  A pinned token is not retired by the
+        invocation: whoever drew it retires it.  Without one, the
+        invocation draws its own and retires it when it settles.
 
         ``trace_parent`` (a :class:`~repro.obs.span.Span`) makes the traced
         invocation a child of an enclosing span (e.g. the coalescer's
@@ -117,27 +138,17 @@ class RpcClient:
 
         ``stream`` selects the congestion window when the client was built
         with one (containers pass the target partition index, giving the
-        per-(node, partition) window); ignored when windows are off.
+        per-(node, partition) window); ignored when windows are off.  The
+        caller's future then settles with the outcome of one direct
+        invocation, launched when the window has room; a shed halves the
+        window and surfaces :class:`ServerOverloaded` at once, so the
+        caller's own policy is the only shed retry.
         """
-        if self.windows is not None:
-            return self._invoke_windowed(
+        if self.windows is None:
+            return self._invoke_direct(
                 dst_node, op, args, payload_size, callbacks, token,
                 trace_parent, stream,
             )
-        return self._invoke_direct(
-            dst_node, op, args, payload_size, callbacks, token,
-            trace_parent, stream,
-        )
-
-    def _invoke_windowed(self, dst_node, op, args, payload_size, callbacks,
-                         token, trace_parent, stream) -> RPCFuture:
-        """Route one invocation through its AIMD window.
-
-        The caller's future settles with the outcome of the one attempt,
-        a plain direct invocation launched when the window has room.  A
-        shed halves the window and surfaces :class:`ServerOverloaded` to
-        the caller at once: the caller's own policy is the only shed retry.
-        """
         outer = RPCFuture(self.sim, op)
         win = self.windows.window(dst_node, stream)
 
@@ -171,15 +182,16 @@ class RpcClient:
         if server is None:
             raise KeyError(f"no RPC server on node {dst_node}")
         fut = RPCFuture(self.sim, op)
-        slot, completion = server.allocate_slot()
+        owned = token is None
+        if owned:
+            token = self.next_token()
+        src = self.src_node
         req = RpcRequest(
-            op=op,
-            args=tuple(args),
-            src_node=self.src_node,
-            slot=slot,
-            callbacks=tuple(callbacks) if callbacks else (),
-            token=token,
+            op, tuple(args), src, token,
+            self._watermark if token[0] == src else 0,
+            tuple(callbacks) if callbacks else (),
         )
+        server.allocate_slot(req)
         size = payload_size if payload_size is not None else sum(
             estimate_size(a) for a in args
         )
@@ -195,7 +207,7 @@ class RpcClient:
             )
         self.invocations.value += 1
         self.sim.process(
-            self._protocol(dst_node, req, size, completion, fut),
+            self._protocol(dst_node, server, req, size, fut, owned),
             name=f"rpc-{op}-{self.src_node}->{dst_node}",
         )
         return fut
@@ -218,14 +230,16 @@ class RpcClient:
         return fut.result
 
     # -- the wire protocol ---------------------------------------------------
-    def _protocol(self, dst_node, req, size, completion, fut):
+    def _protocol(self, dst_node, server, req, size, fut, owned):
         # Tracing is pure observation: ``mark`` captures ``sim.now`` at each
         # stage boundary and the spans are recorded after the fact, so the
         # yielded event sequence is identical with tracing on or off.
         trace = req.trace
         tracer = tracer_of(self.sim) if trace is not None else None
         node = self.src_node
+        completion = req.completion
         mark = fut.issued_at
+        error = None
         try:
             # Client stub bookkeeping (marshalling handled as size charge).
             yield (
@@ -235,8 +249,6 @@ class RpcClient:
                 mark = tracer.record("client.marshal", mark, self.sim.now,
                                      parent=trace, node=node).end
             faults = self.cluster.faults
-            if faults is not None and req.token is None:
-                req.token = self.next_token()
             retry = self.cost.retry
             # 1-6. RDMA_SEND, then the server's completion (its CQE carries
             # the response size), shared by every attempt: the first
@@ -297,8 +309,6 @@ class RpcClient:
             if tracer is not None:
                 mark = tracer.record("client.pull", mark, self.sim.now,
                                      parent=trace, node=node).end
-            if response is None:
-                raise RemoteError(req.op, "response slot empty")
             if response.error is not None:
                 if response.shed is not None:
                     # Admission control rejected the op before execution:
@@ -306,17 +316,29 @@ class RpcClient:
                     self.shed_seen.add(1)
                     raise ServerOverloaded(req.op, dst_node, *response.shed)
                 raise RemoteError(req.op, response.error)
-            self.latency.observe(self.sim.now - fut.issued_at)
-            if response.callbacks:
-                fut._complete((response.value, response.callbacks))
-            else:
-                fut._complete(response.value)
-            if tracer is not None:
-                tracer.record("client.settle", mark, self.sim.now,
-                              parent=trace, node=node)
-                tracer.finish(trace, self.sim.now)
         except BaseException as err:  # noqa: BLE001 - settle the future
-            fut._error(err)
+            error = err
+            if isinstance(err, (RemoteError, TargetUnavailable)):
+                # Its traceback would hold this frame, and so the future
+                # that holds the error: a cycle per failed call.
+                err.__traceback__ = None
+        # Settled: free the slot and retire the drawn token before the
+        # future's callbacks can issue the next invocation.
+        server.release_slot(req)
+        if owned:
+            self.retire(req.token)
+        if error is not None:
+            fut._error(error)
             if tracer is not None:
-                trace.attrs["error"] = f"{type(err).__name__}: {err}"
+                trace.attrs["error"] = f"{type(error).__name__}: {error}"
                 tracer.finish(trace, self.sim.now)
+            return
+        self.latency.observe(self.sim.now - fut.issued_at)
+        if response.callbacks:
+            fut._complete((response.value, response.callbacks))
+        else:
+            fut._complete(response.value)
+        if tracer is not None:
+            tracer.record("client.settle", mark, self.sim.now,
+                          parent=trace, node=node)
+            tracer.finish(trace, self.sim.now)

@@ -47,11 +47,10 @@ class ServerOverloaded(RemoteError):
 
     Admission control (``RpcServer(queue_bound=...)``) rejected the request
     at the receive queue, *before* execution, and no layer re-issues it
-    under its token: a caller that retries sends a fresh op.  One case
-    still applies a shed op: under a fault plan, a duplicate of the shed
-    SEND skips admission (``FaultInjector._deliver_duplicate`` queues it
-    directly) and may execute once, although the caller saw this error
-    (pinned by ``test_rpc_window.py::test_dup_of_shed_send_applies_once``).
+    under its token: a caller that retries sends a fresh op.  The op is
+    never applied: the shed is recorded under the request's token, so a
+    fault-plan duplicate of the shed SEND, which skips admission, is
+    dropped (pinned by ``test_rpc_window.py::test_dup_of_shed_send_applies_once``).
     Deliberately NOT a :class:`~repro.fabric.node.NodeDownError`: the
     target is alive and answering, just saturated, so container failover
     must not kick in.
@@ -77,9 +76,10 @@ class TargetUnavailable(NodeDownError):
     failed (dropped on the wire, target crashed, or completion timed out).
     Subclasses :class:`~repro.fabric.node.NodeDownError` (a
     ``ConnectionError``) so container-level failover catches it.  ``token``
-    is the idempotency token every attempt carried: a container replaying
-    the write onto the restarted target reuses it, so a late execution of
-    the original request and the replay dedup against each other.
+    is the idempotency token every attempt carried.  A container that may
+    replay the write onto the restarted target pins that token itself and
+    holds it until the replay settles, so a late execution of the original
+    request and the replay dedup against each other.
     """
 
     def __init__(self, op: str, dst_node: int, attempts: int, phase: str,

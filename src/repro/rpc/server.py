@@ -14,13 +14,19 @@ the "opportunity to aggregate multiple instructions before execution".
 Handlers can be plain callables or generators; generators may yield
 simulation events or delays (e.g. ``ctx.charge_local(...)``) to model
 their local memory cost, and receive an :class:`RpcContext` first argument.
+
+Exactly-once (RIFL, Lee et al., SOSP 2015; ``docs/RELIABILITY.md``): every
+request carries a token ``(client node, seq)`` and its client's watermark,
+the lowest seq it has not retired.  The server keeps one completion
+record per token — ``None`` while it executes, then its
+:class:`RpcResponse` — and drops a client's records below its watermark.
 """
 
 from __future__ import annotations
 
 import inspect
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional
+from collections import defaultdict
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.fabric.node import Node
 from repro.obs.registry import registry_of
@@ -30,32 +36,28 @@ from repro.simnet.core import Event
 
 __all__ = ["RpcServer", "RpcContext", "RpcRequest", "RpcResponse"]
 
-#: sentinel parked in the dedup table while a tokened request executes, so
-#: a duplicate arriving mid-execution is suppressed instead of re-run
-_IN_FLIGHT = object()
-
-#: bound on remembered idempotency tokens (oldest evicted first)
-_DEDUP_CAPACITY = 8192
-
 
 class RpcRequest:
-    """In-flight request, carried as SEND payload through the fabric."""
+    """In-flight request, carried as SEND payload through the fabric; its
+    retransmits and fabric duplicates are this same object."""
 
-    __slots__ = ("op", "args", "src_node", "slot", "callbacks", "token",
-                 "trace", "arrived_at")
+    __slots__ = ("op", "args", "src_node", "token", "watermark", "callbacks",
+                 "slot", "completion", "trace", "arrived_at")
 
-    def __init__(self, op, args, src_node, slot, callbacks=(), token=None,
+    def __init__(self, op, args, src_node, token, watermark=0, callbacks=(),
                  trace=None):
         self.op = op
         self.args = args
         self.src_node = src_node
-        self.slot = slot
+        #: idempotency token ``(client node, seq)``, and that client's
+        #: watermark (0 when another node sends the token, as a replay does)
+        self.token = token
+        self.watermark = watermark
         #: ``(op, args)`` follow-on ops the server runs after ``op``
         self.callbacks = callbacks
-        #: idempotency token ``(src_node, seq)`` — set by the client while
-        #: a fault plan is installed (or pinned by a replaying caller);
-        #: ``None`` otherwise
-        self.token = token
+        #: set by :meth:`RpcServer.allocate_slot`
+        self.slot: Optional[int] = None
+        self.completion: Optional[Event] = None
         #: root :class:`~repro.obs.span.Span` of the traced invocation, or
         #: ``None`` when tracing is off — this is how the op id rides the
         #: request so the server can hang its stage spans off the client's
@@ -67,7 +69,8 @@ class RpcRequest:
 
 class RpcResponse:
     """What the server deposits in a request's response slot (the response
-    buffer of Fig 2) and the client pulls with one RDMA_READ.
+    buffer of Fig 2) and the client pulls with one RDMA_READ; also the
+    server's completion record of that request.
 
     ``error`` is ``None`` on success.  A request shed at admission carries
     the receive-queue ``(depth, bound)`` it met in ``shed``.
@@ -129,17 +132,21 @@ class RpcServer:
         self.response_region = node.register_region(
             self.RESPONSE_REGION, self.RESPONSE_SLOTS
         )
-        self._completions: Dict[int, Any] = {}  # slot -> completion Event
-        self._next_slot = 0
+        #: held slot -> the request awaiting its answer there (None once
+        #: answered, until the caller releases it); released slots
+        self._slots: Dict[int, Optional[RpcRequest]] = {}
+        self._free: List[int] = []
+        #: client node -> {seq: None while executing, else its RpcResponse},
+        #: and client node -> the highest watermark it has sent
+        self._records: Dict[int, Dict[int, Optional[RpcResponse]]] = (
+            defaultdict(dict))
+        self._floors: Dict[int, int] = defaultdict(int)
         metrics = registry_of(self.sim)
         self.requests_served = metrics.counter(f"rpc{node.node_id}/served")
         self.batches = metrics.counter(f"rpc{node.node_id}/batches")
         self.exec_time = metrics.histogram(f"rpc{node.node_id}/exec")
         self.duplicates_suppressed = metrics.counter(
             f"rpc{node.node_id}/dups_suppressed")
-        #: token -> _IN_FLIGHT | its RpcResponse; insertion-ordered so
-        #: eviction drops the oldest settled tokens first
-        self._dedup: "OrderedDict[Any, Any]" = OrderedDict()
         # -- admission control (backpressure knob) ---------------------------
         #: max requests waiting in the NIC receive queue; ``None`` = unbounded
         self.queue_bound = queue_bound
@@ -164,29 +171,90 @@ class RpcServer:
             raise KeyError(f"RPC op {name!r} already bound on node {self.node.node_id}")
         self.registry[name] = fn
 
-    # -- slots / completions ------------------------------------------------------
-    def allocate_slot(self):
-        """Reserve a response slot; returns ``(slot, completion_event)``.
+    # -- slots and completion records ---------------------------------------------
+    def allocate_slot(self, req: RpcRequest) -> Event:
+        """Give ``req`` a response slot and return its completion event.
 
-        Slots whose completion is still pending are skipped, so a wrapped
-        counter never overwrites an older caller's completion; it is an
-        error only when every slot is pending.  (A client that gives up —
-        ``TargetUnavailable`` — never returns its slot, so long chaos runs
-        carry a few leaked pending slots; skipping absorbs them.)
+        The slot is held until the caller settles ``req``
+        (:meth:`release_slot`): a held slot is never handed out, and only a
+        server with every slot held refuses.
         """
-        slots = self.RESPONSE_SLOTS
-        pending = self._completions
-        if len(pending) >= slots:
+        slots = self._slots
+        if self._free:
+            slot = self._free.pop()
+        elif len(slots) < self.RESPONSE_SLOTS:
+            slot = len(slots)  # nothing released: every lower slot is held
+        else:
             raise RuntimeError(
-                f"RPC server on node {self.node.node_id}: all {slots} "
-                f"response slots have a pending invocation"
+                f"RPC server on node {self.node.node_id}: all "
+                f"{self.RESPONSE_SLOTS} response slots are held"
             )
-        slot = self._next_slot
-        while slot in pending:
-            slot = (slot + 1) % slots
-        self._next_slot = (slot + 1) % slots
-        ev = pending[slot] = Event(self.sim)
-        return slot, ev
+        req.slot = slot
+        slots[slot] = req
+        req.completion = completion = Event(self.sim)
+        return completion
+
+    def release_slot(self, req: RpcRequest) -> None:
+        """The caller pulled ``req``'s response or gave up: free the slot."""
+        del self._slots[req.slot]
+        self.response_region.objects.pop(req.slot, None)
+        self._free.append(req.slot)
+
+    def _answer(self, req: RpcRequest, response: RpcResponse) -> None:
+        """Deposit ``response`` in ``req``'s slot and signal its completion,
+        if ``req`` awaits it: nothing else writes into a slot."""
+        slots = self._slots
+        if slots.get(req.slot) is req:
+            slots[req.slot] = None
+            self.response_region.put_object(req.slot, response)
+            req.completion.succeed(response.completion_size)
+
+    def _runs(self, req: RpcRequest) -> Optional[Dict]:
+        """The record table of ``req``'s client if ``req`` may run; None,
+        counted as a duplicate, if its client settled it (it is below the
+        watermark) or its token has a record.
+
+        A replay awaiting its answer in its own slot gets an executed
+        record's response.  Under a shed record a same-token retry
+        (awaiting in a slot of its own) runs; a copy of the shed SEND does
+        not.
+        """
+        owner, seq = req.token
+        records = self._records[owner]
+        floor = self._floors[owner]
+        if req.watermark > floor:
+            self._floors[owner] = floor = req.watermark
+            # Retire oldest first, each record once: amortised O(1).  A
+            # record that arrived after a higher seq waits for that one.
+            while records:
+                oldest = next(iter(records))
+                if oldest >= floor:
+                    break
+                del records[oldest]
+        record = None
+        if seq >= floor:
+            if seq not in records:
+                return records
+            record = records[seq]
+            if (record is not None and record.shed is not None
+                    and self._slots.get(req.slot) is req):
+                return records
+        self.duplicates_suppressed.add(1)
+        if record is not None and record.shed is None:
+            self._answer(req, record)
+        return None
+
+    def idle(self) -> bool:
+        """No slot is held and no request is executing."""
+        return not self._slots and all(
+            None not in records.values() for records in self._records.values()
+        )
+
+    def close(self) -> None:
+        """Drop the records: their clients send no more requests to retire
+        them."""
+        self._records.clear()
+        self._floors.clear()
 
     # -- admission control ------------------------------------------------------
     def _admit(self, msg) -> bool:
@@ -196,12 +264,10 @@ class RpcServer:
         requests get their receive-queue arrival time stamped (the
         queue-wait histogram's start mark).  With ``queue_bound`` set,
         admit while fewer than ``queue_bound`` requests wait; once the queue
-        is exactly full, shed: deposit a retriable shed response in the
-        request's response slot and signal its completion immediately —
-        without executing the handler, so a shed op has no side effects.
-        The dedup table is deliberately untouched: a retry carrying the
-        same idempotency token is a fresh request, not a replay, and
-        executes normally once the queue has room.
+        is exactly full, shed: answer with a retriable shed response at
+        once, without executing the handler, so a shed op has no side
+        effects.  The shed response is the token's record, so a fabric
+        duplicate of the shed SEND (which skips admission) never runs.
         """
         req = msg.payload
         if not isinstance(req, RpcRequest):
@@ -210,18 +276,17 @@ class RpcServer:
                 or len(self.node.nic.recv_queue) < self.queue_bound):
             req.arrived_at = self.sim.now
             return True
-        completion = self._completions.pop(req.slot, None)
-        if completion is None:
-            # A duplicated delivery of an already-settled invocation (fault
-            # plans may clone packets): nothing to answer, just drop it.
-            return False
+        records = self._runs(req) if self._slots.get(req.slot) is req else None
+        if records is None:
+            return False  # answered, or its token is known: never shed it
         self.shed.add(1)
         self.shed_total.add(1)
-        self.response_region.put_object(req.slot, RpcResponse(
+        response = RpcResponse(
             None, (), "server overloaded", self.SHED_COMPLETION_BYTES,
             (len(self.node.nic.recv_queue), self.queue_bound),
-        ))
-        completion.succeed(self.SHED_COMPLETION_BYTES)
+        )
+        records[req.token[1]] = response
+        self._answer(req, response)
         return False
 
     # -- the NIC-core worker ---------------------------------------------------------
@@ -267,24 +332,11 @@ class RpcServer:
         if req.arrived_at is not None:
             self.queue_wait.observe(t0 - req.arrived_at)
             req.arrived_at = None  # duplicates re-stamp on their own arrival
-        if req.token is not None:
-            cached = self._dedup.get(req.token)
-            if cached is _IN_FLIGHT:
-                # Duplicate while the original executes: the original will
-                # deposit the response and signal the (shared) completion.
-                self.duplicates_suppressed.add(1)
-                return
-            if cached is not None:
-                # Retransmit after execution: re-deposit the recorded
-                # response and re-signal, without re-running the handler —
-                # this is what makes retried mutations exactly-once.
-                self.response_region.put_object(req.slot, cached)
-                self.duplicates_suppressed.add(1)
-                completion = self._completions.pop(req.slot, None)
-                if completion is not None:
-                    completion.succeed(cached.completion_size)
-                return
-            self._dedup[req.token] = _IN_FLIGHT
+        records = self._runs(req)
+        if records is None:
+            return
+        seq = req.token[1]
+        records[seq] = None
         fn = self.registry.get(req.op)
         ctx = RpcContext(self, req.src_node, req.op)
         result: Any
@@ -320,8 +372,8 @@ class RpcServer:
             64, estimate_size(result) + 32 if failed is None else 128
         )
         response = RpcResponse(result, cb_results, failed, completion_size)
-        # Deposit the response where the client's RDMA_READ will find it.
-        self.response_region.put_object(req.slot, response)
+        if seq in records:  # not retired while it ran (its client gave up)
+            records[seq] = response
         self.requests_served.value += 1
         self.exec_time.observe(self.sim.now - t0)
         if req.trace is not None:
@@ -333,10 +385,4 @@ class RpcServer:
                               parent=req.trace, node=node_id)
                 tracer.record("server.execute", t0, self.sim.now,
                               parent=req.trace, node=node_id)
-        if req.token is not None:
-            self._dedup[req.token] = response
-            while len(self._dedup) > _DEDUP_CAPACITY:
-                self._dedup.popitem(last=False)
-        completion = self._completions.pop(req.slot, None)
-        if completion is not None:
-            completion.succeed(completion_size)
+        self._answer(req, response)

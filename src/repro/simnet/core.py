@@ -235,8 +235,9 @@ class AnyOf(Event):
     """Fires when the first child event fires; value is ``(index, value)``.
 
     On settling (first success or failure) the losers' callbacks are
-    detached, so waiting on a fast event plus a long watchdog timeout does
-    not leak a callback per wait.
+    detached and the child and callback lists dropped, so waiting on a
+    fast event plus a long watchdog timeout neither leaks a callback per
+    wait nor leaves the AnyOf to the cycle collector.
     """
 
     __slots__ = ("_children", "_cbs")
@@ -270,6 +271,9 @@ class AnyOf(Event):
                     child.callbacks.remove(cb)
                 except ValueError:
                     pass
+        # Each callback names this AnyOf: dropping them once settled breaks
+        # the cycle, so a settled AnyOf is freed by reference counting.
+        self._children = self._cbs = ()
 
 
 class Process(Event):

@@ -1,0 +1,180 @@
+"""Exactly-once RoR by completion records the client retires.
+
+Every request carries a token ``(client node, seq)`` and its client's
+watermark, the lowest seq it has not retired; the server keeps one record
+per token and drops those below the watermark.  These tests pin what that
+buys: a token replayed arbitrarily late still applies once, a given-up
+invocation leaks no slot or record, settled responses are not kept, a
+late duplicate never writes into a slot another call holds, and a
+failed-over write replayed after a restart applies once.
+"""
+
+from __future__ import annotations
+
+import gc
+from dataclasses import replace
+
+from repro.config import RetryPolicy, ares_like
+from repro.core import HCL
+from repro.fabric import Cluster
+from repro.fabric.faults import FaultPlan, LinkFaults
+from repro.rpc import RpcClient, RpcServer
+from repro.rpc.future import TargetUnavailable
+from repro.rpc.server import RpcResponse
+
+
+def _cluster(nodes=2, plan=None, retry=None):
+    spec = ares_like(nodes=nodes, procs_per_node=1, seed=7)
+    if retry is not None:
+        spec = spec.scaled(cost=replace(spec.cost, retry=retry))
+    cluster = Cluster(spec)
+    # A fault plan arms the completion timers; with no faults in it, it
+    # shows that tokens and records do not depend on faults happening.
+    return cluster, cluster.install_faults(plan or FaultPlan(name="quiet"))
+
+
+def _rig(plan=None):
+    cluster, injector = _cluster(plan=plan)
+    servers = {i: RpcServer(cluster.node(i)) for i in range(2)}
+    for server in servers.values():
+        server.bind("noop", lambda ctx: None)
+    return cluster, injector, servers, RpcClient(cluster, 0, servers)
+
+
+def _calls(client, dst, n, op="noop", width=8):
+    """Generator: ``n`` calls, ``width`` in flight at a time (few enough
+    that none outlives its completion timer)."""
+    for _ in range(0, n, width):
+        futs = [client.invoke(dst, op) for _ in range(width)]
+        for fut in futs:
+            yield fut.wait()
+            assert fut.ok
+
+
+def _live_responses() -> int:
+    gc.collect()
+    return sum(isinstance(o, RpcResponse) for o in gc.get_objects())
+
+
+class TestCompletionRecords:
+    def test_token_sent_again_after_8192_newer_ones_applies_once(self):
+        cluster, _injector, servers, client = _rig()
+        applied = []
+        servers[1].bind("bump",
+                        lambda ctx, x: applied.append(x) or len(applied))
+        token = client.next_token()
+
+        def body():
+            first = yield from client.call(1, "bump", ("a",), token=token)
+            yield from _calls(client, 1, 8192)
+            again = yield from client.call(1, "bump", ("a",), token=token)
+            return first, again
+
+        assert cluster.sim.run_process(body()) == (1, 1)
+        assert applied == ["a"]
+        assert servers[1].duplicates_suppressed.value == 1
+
+    def test_give_ups_leave_no_slot_or_record(self):
+        cluster, injector, servers, client = _rig()
+        injector.crash(1)  # down for good
+        futs = [client.invoke(1, "noop") for _ in range(5)]
+        cluster.run()
+        assert all(isinstance(f._event.value, TargetUnavailable)
+                   for f in futs)
+        assert not servers[1]._slots
+        assert servers[1].idle()
+        assert client._watermark == 6  # every drawn token retired
+
+    def test_settled_responses_are_not_kept(self):
+        before = _live_responses()
+        cluster, _injector, servers, client = _rig()
+        futs = [client.invoke(1, "noop") for _ in range(1000)]
+        cluster.run()
+        assert all(f.ok for f in futs)
+        last = client.invoke(1, "noop")
+        cluster.run()
+        assert last.ok
+        # The one more call's watermark retired the 1000 records, and every
+        # settled slot was emptied: at most that call's own record is left.
+        assert _live_responses() - before <= 1
+        assert not servers[1].response_region.objects
+
+    def test_late_duplicate_never_writes_into_a_reused_slot(self,
+                                                           monkeypatch):
+        """Two slots, every SEND duplicated 200 us late: the copy of a
+        settled call arrives while a later call holds its old slot."""
+        monkeypatch.setattr(RpcServer, "RESPONSE_SLOTS", 2)
+        plan = FaultPlan(name="dup-late", links={
+            (0, 1): LinkFaults(dup=1.0, dup_delay=200e-6)})
+        cluster, injector, servers, client = _rig(plan=plan)
+
+        def echo(ctx, x, delay):
+            yield delay
+            return x
+
+        servers[1].bind("echo", echo)
+
+        def body():
+            out = []
+            for x, delay in (("A", 0.0), ("B", 0.0), ("C", 500e-6)):
+                out.append((yield from client.call(1, "echo", (x, delay))))
+            return out
+
+        assert cluster.sim.run_process(body()) == ["A", "B", "C"]
+        assert injector.dups.value >= 3
+        assert servers[1].requests_served.value == 3
+
+    def test_replayed_failover_write_applies_once(self):
+        """A write executes on its primary but its answer is lost; while
+        the client keeps pulling, 8192 newer requests execute there; then
+        the primary crashes, the write fails over, the client's later
+        requests move its watermark, and the primary restarts.  The
+        replay under the original token must not apply it again."""
+        retry = RetryPolicy(timeout=60e-6, max_retries=6,
+                            backoff_base=2e-3, backoff_factor=2.0,
+                            backoff_max=40e-3)
+        # Node 1 -> node 0 loses everything for the first 50 ms, so the
+        # client's pulls of the write's response fail.
+        plan = FaultPlan(name="lost-answer",
+                         links={(1, 0): LinkFaults(drop=1.0)},
+                         window=(0.0, 50e-3))
+        cluster, injector = _cluster(nodes=3, plan=plan, retry=retry)
+        h = HCL(cluster)
+        m = h.unordered_map("m", partitions=3, replication=1,
+                            write_failover=True)
+        key = next(k for k in range(1000)
+                   if m.partition_for(k).node_id == 1)
+        writer = h.client(0)
+        flooder = h.client(2)
+        for server in h._servers.values():
+            server.bind("noop", lambda ctx: None)
+        seen = {}
+
+        def write():
+            yield from m.upsert(0, key, 1)  # rank 0 lives on node 0
+
+        def storm():
+            yield 1e-3  # the write has executed; its pulls are failing
+            yield from _calls(flooder, 1, 8192)
+            seen["flood_done"] = cluster.sim.now
+            injector.crash(1)
+            yield 150e-3  # the write exhausts its budget and fails over
+            seen["failed_over"] = m.failover_writes.value
+            for _ in range(5):
+                yield from writer.call(2, "noop")
+            # The replay still holds the write's token: the watermark
+            # moved up to it and no further.
+            (held,) = writer._held
+            seen["watermark_at_token"] = writer._watermark == held
+            injector.restart(1)
+
+        cluster.spawn(write())
+        cluster.spawn(storm())
+        cluster.run()
+        assert seen["flood_done"] < 50e-3
+        assert seen["failed_over"] == 1
+        assert seen["watermark_at_token"]
+        assert m.replayed_writes.value == 1
+        value, found, _stats = m.partitions[1].structure.find(key)
+        assert found and value == 1
+        assert all(server.idle() for server in h._servers.values())

@@ -7,29 +7,39 @@ from repro.core import HCL
 from repro.fabric import Cluster
 from repro.harness import Blob
 from repro.rpc import RpcClient, RpcServer
+from repro.rpc.server import RpcRequest
 
 
 class TestServerInternals:
-    def test_slot_wraparound(self, cluster):
+    def test_slot_wraparound(self, cluster, monkeypatch):
+        """Once every slot has been handed out, calls keep going on the
+        slots their predecessors released."""
+        monkeypatch.setattr(RpcServer, "RESPONSE_SLOTS", 2)
         server = RpcServer(cluster.node(1))
-        server._next_slot = RpcServer.RESPONSE_SLOTS - 2
         server.bind("op", lambda ctx, i: i)
         client = RpcClient(cluster, 0, {1: server})
+        used = set()
 
         def body():
             out = []
-            for i in range(5):  # crosses the slot-counter wrap
-                out.append((yield from client.call(1, "op", (i,))))
+            for i in range(0, 6, 2):  # three rounds of two concurrent calls
+                futs = [client.invoke(1, "op", (j,)) for j in (i, i + 1)]
+                used.update(server._slots)
+                for fut in futs:
+                    yield fut.wait()
+                    out.append(fut.result)
             return out
 
-        assert cluster.sim.run_process(body()) == [0, 1, 2, 3, 4]
+        assert cluster.sim.run_process(body()) == [0, 1, 2, 3, 4, 5]
+        assert used == {0, 1}
+        assert not server._slots
+        assert not server.response_region.objects
 
-    def test_pending_slots_are_skipped_not_overwritten(self, cluster,
-                                                       monkeypatch):
-        """A wrapped slot counter must not hand out a slot whose invocation
-        is still outstanding (the older caller's future would never
-        settle): pending slots are skipped, and only a server with every
-        slot pending refuses."""
+    def test_held_slots_are_never_handed_out(self, cluster, monkeypatch):
+        """A slot is held until its caller settles the invocation, so it is
+        never handed to a second caller (whose write would overwrite the
+        first caller's response); only a server with every slot held
+        refuses, and a released slot is the next one handed out."""
         monkeypatch.setattr(RpcServer, "RESPONSE_SLOTS", 4)
         server = RpcServer(cluster.node(1))
         gates = [cluster.sim.event() for _ in range(4)]
@@ -41,15 +51,18 @@ class TestServerInternals:
         server.bind("held", held)
         client = RpcClient(cluster, 0, {1: server})
         futs = [client.invoke(1, "held", (i,)) for i in range(4)]
-        assert sorted(server._completions) == [0, 1, 2, 3]
-        with pytest.raises(RuntimeError, match="node 1: all 4 response slots"):
+        assert sorted(server._slots) == [0, 1, 2, 3]
+        with pytest.raises(RuntimeError,
+                           match="node 1: all 4 response slots are held"):
             client.invoke(1, "held", (4,))
         gates[1].succeed()
         cluster.run()
         assert [f.done for f in futs] == [False, True, False, False]
         assert futs[1].result == 1
-        slot, _completion = server.allocate_slot()
-        assert slot == 1  # counter wrapped to 0, still pending: skipped
+        assert sorted(server._slots) == [0, 2, 3]
+        req = RpcRequest("held", (4,), 0, client.next_token())
+        server.allocate_slot(req)
+        assert req.slot == 1
 
     def test_exec_histogram_populated(self, cluster):
         server = RpcServer(cluster.node(1))

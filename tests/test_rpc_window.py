@@ -237,9 +237,9 @@ class TestWindowedInvoke:
         assert sorted(seen) == [(0, 100 + i) for i in range(20)]
 
     def test_dup_of_shed_send_applies_once(self):
-        """A duplicated SEND skips admission, so the copy of a shed SEND
-        can still execute although the caller saw the shed: at most one
-        application per op, exactly one per acked op."""
+        """A duplicated SEND skips admission, but the shed left a record
+        under its token, so the copy of a shed SEND is dropped: exactly
+        one application per acked op, none per shed op."""
         cluster, servers, client = _shed_rig()
         cluster.install_faults(FaultPlan(
             name="dup-all", links={(0, 1): LinkFaults(dup=0.5)},
@@ -260,19 +260,22 @@ class TestWindowedInvoke:
         assert [futs[i].result for i in acked] == acked
         assert all(applied.get(i) == 1 for i in acked)
         assert all(n == 1 for n in applied.values())
-        # The known gap: some shed ops were applied by their duplicate.
-        shed_applied = [i for i, f in enumerate(futs)
-                        if not f.ok and applied.get(i)]
-        assert shed_applied
+        shed = [i for i, f in enumerate(futs) if not f.ok]
+        assert shed, "the rig must shed"
+        assert not [i for i in shed if applied.get(i)]
+        # some shed SEND was duplicated, and its copy suppressed
+        assert servers[1].duplicates_suppressed.value > 0
 
     def test_auto_tokens_never_reused_across_attempts(self, monkeypatch):
         """The window passes the caller's token through and draws none of
-        its own: under a plan, the protocol draws a fresh one for each
-        invocation, so no two executed requests share a token."""
+        its own: the invocation draws a fresh one, so no two executed
+        requests share a token."""
         cluster, servers, client = _shed_rig()
         cluster.install_faults(FaultPlan(name="quiet"))
         seen = []
+        executed = []
         direct = RpcClient._invoke_direct
+        execute = RpcServer._execute
 
         def spy(self, dst, op, args=(), payload_size=None, callbacks=None,
                 token=None, trace_parent=None, stream=None):
@@ -280,14 +283,20 @@ class TestWindowedInvoke:
             return direct(self, dst, op, args, payload_size, callbacks,
                           token, trace_parent, stream)
 
+        def spy_execute(self, req):
+            served = self.requests_served.value
+            yield from execute(self, req)
+            if self.requests_served.value > served:  # the handler ran
+                executed.append(req.token)
+
         monkeypatch.setattr(RpcClient, "_invoke_direct", spy)
+        monkeypatch.setattr(RpcServer, "_execute", spy_execute)
         futs = [client.invoke(1, "slow", (i,), stream=0) for i in range(20)]
         cluster.run()
         assert seen == [None] * 20
-        # Every executed request was tokened, each with its own token
-        # (sheds record none).
-        tokens = list(servers[1]._dedup)
-        assert len(set(tokens)) == len(tokens) == sum(f.ok for f in futs)
+        # Every executed request was tokened, each with its own token.
+        assert None not in executed
+        assert len(set(executed)) == len(executed) == sum(f.ok for f in futs)
 
 
 class TestDeterminism:

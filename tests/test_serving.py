@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import types
+from collections import Counter
 
 import pytest
 
@@ -136,8 +139,9 @@ class TestLoadShedding:
         assert servers[1].shed.value == 1  # the retry was not shed
 
     def test_idempotency_token_preserved_across_shed(self, shed_rig):
-        """A shed op leaves no dedup residue: the same-token retry executes
-        fresh exactly once, and only then is the token replay-protected."""
+        """A shed op leaves only a shed record: the same-token retry
+        executes fresh exactly once, and only then is the token
+        replay-protected."""
         cluster, servers, client = shed_rig
         calls = []
         servers[1].bind("record", lambda ctx, x: calls.append(x) or len(calls))
@@ -156,14 +160,17 @@ class TestLoadShedding:
         shed_fut = box["fut"]
         assert all(f._event.ok for f in fill)
         assert isinstance(shed_fut._event.value, ServerOverloaded)
-        assert token not in servers[1]._dedup  # no residue from the shed
+        owner, seq = token
+        # the shed's record holds the shed response, not an executed one
+        assert servers[1]._records[owner][seq].shed is not None
         assert calls == []  # handler never ran
 
         retry = client.invoke(1, "record", ("a",), token=token)
         cluster.run()
         assert retry.result == 1
         assert calls == ["a"]
-        assert token in servers[1]._dedup  # now replay-protected
+        record = servers[1]._records[owner][seq]  # now replay-protected
+        assert record.shed is None and record.value == 1
 
         dup = client.invoke(1, "record", ("a",), token=token)
         cluster.run()
@@ -181,7 +188,7 @@ class TestLoadShedding:
         assert cluster.node(0).nic.admission is not None
 
         class _Msg:
-            payload = RpcRequest("op", (), 0, 0)
+            payload = RpcRequest("op", (), 0, (0, 1))
 
         assert cluster.node(0).nic.admit(_Msg()) is True
         assert _Msg.payload.arrived_at == cluster.sim.now
@@ -259,6 +266,34 @@ class TestServingReport:
             run_serving(clients=4, queue_home="stacked")
         with pytest.raises(ValueError, match="positive"):
             run_serving(clients=4, rate=0.0)
+
+
+class TestServingGarbage:
+    def test_settled_ops_are_not_cyclic_garbage(self):
+        """A settled op, a shed retried or failed included, is freed by
+        reference counting: its callback does not name itself, a failed
+        RPC's error holds no traceback, and closing the runtime drops
+        the servers' completion records."""
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            report = run_serving(**TINY)
+            gc.collect()
+            types_ = Counter(type(o).__name__ for o in gc.garbage)
+            funcs = Counter(o.__name__ for o in gc.garbage
+                            if isinstance(o, types.FunctionType))
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        ops = sum(cfg["issued"] for cfg in report["configs"])
+        assert sum(cfg["shed"] for cfg in report["configs"]) > 0
+        assert types_["ServerOverloaded"] == 0
+        assert types_["traceback"] == 0
+        assert types_["RpcResponse"] == 0
+        assert types_["ServedOp"] == 0
+        assert funcs["<lambda>"] < 0.05 * ops  # no per-op factory
 
 
 class TestServingRuntimeWiring:

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.simnet import Process, SimulationError, Simulator
+from repro.simnet import AnyOf, Process, SimulationError, Simulator
 
 
 class TestEvent:
@@ -311,4 +311,30 @@ class TestProcessGarbage:
             gc.garbage.clear()
             gc.enable()
         assert results == [i % 6 for i in range(12) for _ in range(3)]
+        assert leaked == 0
+
+    def test_settled_any_of_is_not_cyclic_garbage(self):
+        """Each child callback of an AnyOf names the AnyOf; once it
+        settles it drops them, so it is freed by reference counting."""
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            sim = Simulator()
+
+            def waiter():
+                return (yield sim.any_of([sim.timeout(1.0), sim.timeout(2.0)]))
+
+            procs = [sim.process(waiter()) for _ in range(10)]
+            sim.run()
+            results = [p.result for p in procs]
+            del procs
+            gc.collect()
+            leaked = sum(isinstance(o, AnyOf) and o.sim is sim
+                         for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert results == [(0, None)] * 10
         assert leaked == 0

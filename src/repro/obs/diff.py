@@ -4,7 +4,7 @@ CI's baseline gates (``cmp <fresh> BENCH_<x>.json``) can say a report
 moved; this module answers the next question.
 Feed it any two observability artifacts the repo produces —
 
-* BENCH JSON (agg / serving / async reports),
+* BENCH JSON (agg / serving reports),
 * flight-recorder payloads (``kind: "flight_recorder"``),
 * span JSON-lines logs,
 * metrics snapshots (``MetricsRegistry.snapshot()`` dumps),
@@ -102,7 +102,6 @@ def detect_kind(doc) -> str:
         return {
             "aggregation_sweep": "bench_agg",
             "serving_zipf": "bench_serving",
-            "async_pipeline": "bench_async",
         }.get(bench, "bench")
     kind = doc.get("kind")
     if kind in ("flight_recorder", "critpath", "run_diff"):

@@ -29,7 +29,8 @@ without one the first attempt always succeeds and runs no timer.
 Every request carries an idempotency token ``(src_node, seq)`` and the
 client's watermark, the lowest seq it has not retired, so a retransmit is
 answered from the server's completion record.  An invocation retires the
-token it drew, and releases its response slot, when it settles.
+token it drew, then releases its response slot with the advanced
+watermark, when it settles.
 
 The hybrid data access model lives one layer up (``repro.core.container``):
 a container only builds an RpcClient invocation for *remote* partitions.
@@ -223,11 +224,14 @@ class RpcClient:
         trace_parent=None,
         stream: Optional[int] = None,
     ):
-        """Generator: synchronous invoke — yields until the result arrives."""
-        fut = self.invoke(dst_node, op, args, payload_size, callbacks, token,
-                          trace_parent, stream)
-        yield fut.wait()
-        return fut.result
+        """Generator: synchronous invoke — yields until the result arrives.
+
+        No local holds the future: an error thrown in here carries this
+        frame on its traceback, and a future held by the frame would hold
+        the error back, a cycle per failed call.
+        """
+        return (yield self.invoke(dst_node, op, args, payload_size, callbacks,
+                                  token, trace_parent, stream).wait())
 
     # -- the wire protocol ---------------------------------------------------
     def _protocol(self, dst_node, server, req, size, fut, owned):
@@ -322,11 +326,12 @@ class RpcClient:
                 # Its traceback would hold this frame, and so the future
                 # that holds the error: a cycle per failed call.
                 err.__traceback__ = None
-        # Settled: free the slot and retire the drawn token before the
-        # future's callbacks can issue the next invocation.
-        server.release_slot(req)
+        # Settled: retire the drawn token, then free the slot and hand the
+        # server the watermark, before the future's callbacks can issue the
+        # next invocation.
         if owned:
             self.retire(req.token)
+        server.release_slot(req, self._watermark)
         if error is not None:
             fut._error(error)
             if tracer is not None:

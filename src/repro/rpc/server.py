@@ -194,11 +194,13 @@ class RpcServer:
         req.completion = completion = Event(self.sim)
         return completion
 
-    def release_slot(self, req: RpcRequest) -> None:
-        """The caller pulled ``req``'s response or gave up: free the slot."""
+    def release_slot(self, req: RpcRequest, watermark: int) -> None:
+        """The caller pulled ``req``'s response or gave up: free the slot,
+        and retire the caller's records below its ``watermark``."""
         del self._slots[req.slot]
         self.response_region.objects.pop(req.slot, None)
         self._free.append(req.slot)
+        self._retire(req.src_node, watermark)
 
     def _answer(self, req: RpcRequest, response: RpcResponse) -> None:
         """Deposit ``response`` in ``req``'s slot and signal its completion,
@@ -221,16 +223,7 @@ class RpcServer:
         """
         owner, seq = req.token
         records = self._records[owner]
-        floor = self._floors[owner]
-        if req.watermark > floor:
-            self._floors[owner] = floor = req.watermark
-            # Retire oldest first, each record once: amortised O(1).  A
-            # record that arrived after a higher seq waits for that one.
-            while records:
-                oldest = next(iter(records))
-                if oldest >= floor:
-                    break
-                del records[oldest]
+        floor = self._retire(owner, req.watermark)
         record = None
         if seq >= floor:
             if seq not in records:
@@ -243,6 +236,22 @@ class RpcServer:
         if record is not None and record.shed is None:
             self._answer(req, record)
         return None
+
+    def _retire(self, owner: int, watermark: int) -> int:
+        """Raise ``owner``'s floor to ``watermark`` and drop its records
+        below it; the floor."""
+        floor = self._floors[owner]
+        if watermark > floor:
+            self._floors[owner] = floor = watermark
+            records = self._records[owner]
+            # Retire oldest first, each record once: amortised O(1).  A
+            # record that arrived after a higher seq waits for that one.
+            while records:
+                oldest = next(iter(records))
+                if oldest >= floor:
+                    break
+                del records[oldest]
+        return floor
 
     def idle(self) -> bool:
         """No slot is held and no request is executing."""

@@ -9,11 +9,18 @@ observed flush efficiency instead of a hand-tuned knob.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps import run_kmer_counting, synthesize_genome
 from repro.config import ares_like
 from repro.core import HCL
+from repro.harness.figures import AGG_SHAPES, app_input
 from repro.obs.registry import registry_of
 from repro.rpc.coalesce import AUTO_FLOOR, AUTO_INITIAL
 
@@ -336,6 +343,43 @@ class TestKmerSyncAsyncIdentity:
         spec = ares_like(nodes=2, procs_per_node=2)
         res = run_kmer_counting("hcl", spec, data, async_api=True)
         assert res.agg_report["aggregation"]["auto"] is True
+
+
+def _async_kmer_rows() -> str:
+    """The async k-mer storm at ``AGG_SHAPES`` on 4 x 3 ranks, windows
+    on, at threshold 512 and self-tuned: each row's simulated seconds,
+    digest and coalescer report, as JSON."""
+    data = app_input("kmer", AGG_SHAPES["kmer"], 4, 1.0)
+    rows = {}
+    for aggregation in (512, "auto"):
+        res = run_kmer_counting(
+            "hcl", ares_like(nodes=4, procs_per_node=3), data,
+            aggregation=aggregation, async_api=True, window=True)
+        assert res.verified
+        rows[str(aggregation)] = [repr(res.time_seconds), res.digest,
+                                  res.agg_report["aggregation"]]
+    return json.dumps(rows, sort_keys=True)
+
+
+def test_async_kmer_rows_do_not_move_with_the_hash_seed():
+    """Futures, windows and the self-tuning coalescer route by seeded
+    streams and stable hashes, never by ``hash()`` of a string: the same
+    run under two hash seeds reports the same bytes."""
+    root = Path(__file__).resolve().parent.parent
+    code = "import tests.test_async_api as t; print(t._async_kmer_rows())"
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", code], cwd=root, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONHASHSEED": seed,
+             "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])})
+        for seed in ("0", "1")]
+    outs = []
+    for run in runs:
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert set(json.loads(outs[0])) == {"512", "auto"}
 
 
 class TestAdaptiveMetricsVisibility:

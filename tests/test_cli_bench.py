@@ -35,8 +35,6 @@ TINY = {
     "aggbench": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
                   "--sweep", "0", "8", "--apps", "kmer", "isx"],
                  ["kmer-agg0", "kmer-agg8", "isx-agg0", "isx-agg8"]),
-    "asyncbench": (["--scale", "0.1", "--nodes", "2", "--procs", "2"],
-                   ["sync-512", "async-64", "async-512", "async-auto"]),
     "serving": (["--nodes", "2", "--procs", "2", "--clients", "100",
                  "--tenants", "2", "--keys", "64", "--rate", "2400",
                  "--ops-per-client", "5", "--bounds", "off", "16"],
@@ -183,8 +181,6 @@ class TestCheck:
 
     FAILING = [
         ["aggbench", *TINY["aggbench"][0], "--check", "--min-speedup", "1e6"],
-        ["asyncbench", *TINY["asyncbench"][0], "--check",
-         "--min-speedup", "1e6"],
         # --require-cliff gates on its own, without --check
         ["serving", *TINY["serving"][0], "--require-cliff",
          "--cliff-factor", "1e6"],

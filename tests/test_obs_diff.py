@@ -74,7 +74,6 @@ class TestDetectKind:
     def test_bench_discriminators(self):
         assert detect_kind({"benchmark": "aggregation_sweep"}) == "bench_agg"
         assert detect_kind({"benchmark": "serving_zipf"}) == "bench_serving"
-        assert detect_kind({"benchmark": "async_pipeline"}) == "bench_async"
 
     def test_kind_field_artifacts(self):
         assert detect_kind({"kind": "flight_recorder"}) == "flight"
@@ -113,8 +112,7 @@ class TestSelfDiffIsQuiet:
         assert not diff["significant"]
         assert diff["fingerprint"]["code"] == "no-significant-change"
 
-    @pytest.mark.parametrize("name", ["BENCH_serving.json", "BENCH_agg.json",
-                                      "BENCH_async.json"])
+    @pytest.mark.parametrize("name", ["BENCH_serving.json", "BENCH_agg.json"])
     def test_committed_bench_self_diff(self, name):
         import pathlib
         path = pathlib.Path(__file__).resolve().parent.parent / name

@@ -1,19 +1,23 @@
 """What the repo keeps is reached: every bench file, committed baseline
-and bench subcommand has a CI runner, and importing the package loads no
-dependency it does not declare.
+and bench subcommand has a CI runner, importing the package loads no
+dependency it does not declare, and the docs name only paths and
+``repro.cli`` subcommands that exist.
 
 A ``benchmarks/test_*.py`` file outside tier-1's testpaths runs only if a
 CI job names it; one that no job names can break unnoticed.  Likewise a
 ``BENCH_*.json`` baseline no CI ``cmp`` checks pins nothing, and a
 ``repro.cli`` bench no CI step runs is a harness nobody exercises.
 ``networkx`` served an app that is gone, so nothing may pull it back into
-the import graph.
+the import graph.  A doc that names a deleted file or command sends its
+reader nowhere.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import os
 import re
+from itertools import product
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +63,93 @@ def test_networkx_is_neither_declared_nor_imported():
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+#: the prose the docs rule covers (``benchmarks/ledger/README.md`` belongs
+#: to the ledger and is left to it)
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
+
+
+def _code_spans(text: str):
+    """Every fenced block and inline backtick span of a markdown file."""
+    fenced = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+    yield from (m.group(1) for m in fenced.finditer(text))
+    yield from re.findall(r"`([^`\n]+)`", fenced.sub("", text))
+
+
+def _docs():
+    for pattern in DOCS:
+        for path in sorted(ROOT.glob(pattern)):
+            yield path.relative_to(ROOT).as_posix(), path.read_text(
+                encoding="utf-8")
+
+
+def _braces(word: str):
+    """``BENCH_{agg,serving}.json`` -> each alternative, nesting-free."""
+    m = re.search(r"\{([^{}]*)\}", word)
+    if m is None:
+        return [word]
+    head, tail = word[:m.start()], word[m.end():]
+    return [head + alt + rest for alt, rest in product(
+        m.group(1).split(","), _braces(tail))]
+
+
+def _repo_path(word: str):
+    """The repository location ``word`` names, or None if it names none.
+
+    A word naming a path starts at a top-level directory
+    (``tests/test_reach.py``), is a ``.py`` file of a ``src/repro``
+    package (``rpc/server.py``), is a ``BENCH*.json`` or an upper-case
+    ``.json`` / ``.md`` file (``README.md``), or is a bare
+    ``test_*.py``.  Metric names (``rpc/window_stalls``) and artifact
+    names (``agg_trace.jsonl``) are neither.
+    """
+    word = word.strip("\"'()[],;:").split("::")[0]
+    if "<" in word or "://" in word:
+        return None
+    head = word.split("/")[0]
+    if "/" in word:
+        if head and (ROOT / head).is_dir():
+            return word
+        if word.endswith(".py") and (ROOT / "src" / "repro" / head).is_dir():
+            return f"src/repro/{word}"
+        return None
+    if re.fullmatch(r"BENCH[A-Za-z0-9_*{},]*\.json|[A-Z]+\.(json|md)", word):
+        return word
+    if re.fullmatch(r"test_[a-z0-9_*{},]*\.py", word):
+        return f"*/{word}"
+    return None
+
+
+def test_docs_name_only_paths_that_exist():
+    missing = []
+    for doc, text in _docs():
+        for span in _code_spans(text):
+            for word in span.split():
+                path = _repo_path(word)
+                if path is None:
+                    continue
+                for alt in _braces(path):
+                    found = (any(ROOT.glob(alt)) if "*" in alt
+                             else (ROOT / alt).exists())
+                    if not found and "/" not in alt:
+                        found = (ROOT / "docs" / alt).exists()
+                    if not found:
+                        missing.append((doc, word))
+    assert sorted(set(missing)) == []
+
+
+def test_docs_name_only_cli_subcommands_that_exist():
+    from repro.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.choices)
+    unknown = []
+    for doc, text in _docs():
+        for span in _code_spans(text):
+            for m in re.finditer(r"repro\.cli\s+(\{[^}]*\}|[a-z][a-z0-9*-]*)",
+                                 span):
+                for name in m.group(1).strip("{}").split(","):
+                    name = name.strip().rstrip("…").strip()
+                    if name and not fnmatch.filter(sub.choices, name):
+                        unknown.append((doc, name))
+    assert sorted(set(unknown)) == []

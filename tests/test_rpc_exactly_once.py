@@ -2,16 +2,19 @@
 
 Every request carries a token ``(client node, seq)`` and its client's
 watermark, the lowest seq it has not retired; the server keeps one record
-per token and drops those below the watermark.  These tests pin what that
-buys: a token replayed arbitrarily late still applies once, a given-up
-invocation leaks no slot or record, settled responses are not kept, a
-late duplicate never writes into a slot another call holds, and a
-failed-over write replayed after a restart applies once.
+per token and drops those below the watermark, which every request and
+every settle hands it.  These tests pin what that buys: a token replayed
+arbitrarily late still applies once, a given-up invocation leaks no slot,
+record or reference cycle, settled responses are not kept, a settle
+retires records without a later request, a late duplicate never writes
+into a slot another call holds, and a failed-over write replayed after a
+restart applies once.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from dataclasses import replace
 
 from repro.config import RetryPolicy, ares_like
@@ -94,10 +97,26 @@ class TestCompletionRecords:
         last = client.invoke(1, "noop")
         cluster.run()
         assert last.ok
-        # The one more call's watermark retired the 1000 records, and every
-        # settled slot was emptied: at most that call's own record is left.
+        # Each settle handed the server the watermark, retiring the
+        # records, and every settled slot was emptied.
         assert _live_responses() - before <= 1
         assert not servers[1].response_region.objects
+
+    def test_settles_retire_records_without_a_later_request(self):
+        """The settle hands the server the client's watermark, so no later
+        request is needed to retire a settled call's record; a token the
+        client still pins holds its record and every one above it."""
+        cluster, _injector, servers, client = _rig()
+        futs = [client.invoke(1, "noop") for _ in range(100)]
+        cluster.run()
+        assert all(f.ok for f in futs)
+        assert not servers[1]._records[0]
+        token = client.next_token()
+        futs = [client.invoke(1, "noop", token=token)]
+        futs += [client.invoke(1, "noop") for _ in range(5)]
+        cluster.run()
+        assert all(f.ok for f in futs)
+        assert sorted(servers[1]._records[0]) == list(range(101, 107))
 
     def test_late_duplicate_never_writes_into_a_reused_slot(self,
                                                            monkeypatch):
@@ -178,3 +197,35 @@ class TestCompletionRecords:
         value, found, _stats = m.partitions[1].structure.find(key)
         assert found and value == 1
         assert all(server.idle() for server in h._servers.values())
+
+
+class TestGiveUpGarbage:
+    def test_give_up_through_call_is_not_cyclic_garbage(self):
+        """A ``TargetUnavailable`` thrown into ``client.call`` carries its
+        frame on the traceback; the frame must not hold the future that
+        holds the error, or every give-up is one reference cycle."""
+        cluster, injector, _servers, client = _rig()
+        injector.crash(1)  # down for good
+
+        def body():
+            for _ in range(3):
+                try:
+                    yield from client.call(1, "noop")
+                except TargetUnavailable:
+                    pass
+
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            cluster.sim.run_process(body())
+            gc.collect()
+            types_ = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert client.exhausted.value == 3
+        assert types_["TargetUnavailable"] == 0
+        assert types_["RPCFuture"] == 0
+        assert types_["traceback"] == 0

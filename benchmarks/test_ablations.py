@@ -6,6 +6,7 @@ CI's ``paper-figures`` job runs them next to the figure benches.
 
 1. hybrid local bypass on/off        (drives Fig 5a)
 2. request aggregation batch size    (RoR innovation #1)
+2b. client op coalescing buffers     (the Fig 7 kernels' aggregation)
 3. NIC core count sweep              (the offload resource)
 4. replication factor 0/1/2          (durability cost)
 5. persistence strict/relaxed/off    (DataBox persistency)
@@ -24,6 +25,7 @@ from benchmarks.conftest import run_once
 from repro.config import KB, ares_like
 from repro.core import HCL
 from repro.harness import Blob, render_table
+from repro.harness.figures import AGG_SHAPES, run_app
 
 PROCS = 8
 OPS = 64
@@ -113,6 +115,35 @@ def test_ablation_request_aggregation(benchmark, report):
         [[b, t, times[1] / t] for b, t in sorted(times.items())],
     ))
     assert times[16] < times[1]  # aggregation helps under load
+
+
+@pytest.mark.benchmark(group="ablations")
+def test_ablation_op_coalescing(benchmark, report):
+    """Client-side coalescing: N buffered ops to one destination ride one
+    batch invocation instead of N (ablation 2 batches on the server)."""
+    apps, buffers = ("kmer", "contig", "isx"), (0, 8, 512)
+
+    def run():
+        return {(app, buffer): run_app(
+                    app, "hcl", ares_like(nodes=4, procs_per_node=3),
+                    AGG_SHAPES[app], 0.25, buffer)[1]
+                for app in apps for buffer in buffers}
+
+    runs = run_once(benchmark, run)
+    off = {app: runs[app, 0].time_seconds for app in apps}
+    report(render_table(
+        "Ablation 2b — op coalescing buffers (Fig 7 kernels, 4x3 ranks, "
+        "scale 0.25; isx is the control)",
+        ["app", "buffer", "time (s)", "vs off"],
+        [[app, buffer or "off", res.time_seconds,
+          off[app] / res.time_seconds]
+         for (app, buffer), res in runs.items()],
+    ))
+    assert all(res.verified for res in runs.values())
+    # the many-small-ops kernels gain; ISx's few large pushes need not
+    for app in ("kmer", "contig"):
+        best = min(runs[app, buffer].time_seconds for buffer in buffers[1:])
+        assert best < off[app], app
 
 
 @pytest.mark.benchmark(group="ablations")

@@ -26,13 +26,11 @@ from typing import List
 
 from repro.config import ares_like
 from repro.harness import Harness, render_table, run_bench
-from repro.harness import (
-    aggbench, chaos, figures, microbench, serving,
-)
+from repro.harness import chaos, figures, microbench, serving
 from repro.harness.driver import positive_float as _positive_float
 
 #: the bench subcommands: one declared record each, all run by run_bench
-BENCHES = (aggbench.HARNESS, chaos.HARNESS, serving.HARNESS)
+BENCHES = (chaos.HARNESS, serving.HARNESS)
 
 #: the paper-figure and fabric subcommands: records too, with no
 #: instruments and their verification always enforced

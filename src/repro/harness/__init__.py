@@ -9,12 +9,10 @@ Every table and figure bench in ``benchmarks/`` builds on this package:
 * :mod:`repro.harness.report` — fixed-width text tables comparing
   paper-reported values against measured ones, and CSV-ish dumps;
 * :mod:`repro.harness.figures` — Figs 1, 4, 5, 6 and 7 as functions of their
-  scale, plus ``run_app`` / ``run_phases``, which the harnesses below and
-  the asserted benches share;
+  scale, plus ``run_app`` / ``run_phases``, which ``cli trace``, the
+  asserted benches and the op-coalescing ablation share;
 * :mod:`repro.harness.microbench` — OSU-style measurements of the
   simulated fabric;
-* :mod:`repro.harness.aggbench` — simulated-time A/B of the transparent
-  op-coalescing buffers across the Fig-7 apps;
 * :mod:`repro.harness.chaos` — seeded fault-plan soak with an
   acked-write ledger and a registry-backed metrics report;
 * :mod:`repro.harness.serving` — Zipfian multi-tenant serving bench:
@@ -24,7 +22,6 @@ Every table and figure bench in ``benchmarks/`` builds on this package:
 from repro.harness.workload import Blob, key_stream
 from repro.harness.report import render_table, render_series
 from repro.harness.driver import Harness, run_bench, run_rows
-from repro.harness.aggbench import AggBenchReport, run_agg_bench
 from repro.harness.serving import (
     DEFAULT_MIX,
     ZipfKeyGenerator,
@@ -39,8 +36,6 @@ __all__ = [
     "check_serving",
     "render_serving",
     "run_serving",
-    "AggBenchReport",
-    "run_agg_bench",
     "Blob",
     "key_stream",
     "Harness",

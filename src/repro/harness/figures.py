@@ -4,7 +4,7 @@ Each figure is one plain function that builds the scaled experiment, runs
 it and returns its series (simulated seconds or throughput per sweep
 point) — the single definition behind ``python -m repro.cli fig*``, the
 asserted benches in ``benchmarks/test_fig*.py`` (which add the paper's
-quotes and the shape assertions), ``aggbench`` and ``cli trace``.
+quotes and the shape assertions) and ``cli trace``.
 Whatever a figure verifies (app outputs, inserts stored, finds that hit,
 probes that answered) comes back beside the series as a list of failure
 strings, which the records' always-on ``check`` turns into
@@ -435,7 +435,10 @@ FIG7_SHAPES: Dict[str, Dict] = {  # what benchmarks/test_fig7_* asserts on
     "contig": dict(genome=(0, 300), reads=24, read_length=60, k=15, seed=0),
     "kmer": dict(genome=(400, 120), reads=20, read_length=50, k=13, seed=10),
 }
-AGG_SHAPES: Dict[str, Dict] = {  # what BENCH_agg.json pins
+#: the larger inputs of the op-coalescing A/B: ``cli trace``, the
+#: coalescing ablation in ``benchmarks/test_ablations.py`` and the
+#: ``run_app`` figure golden run these
+AGG_SHAPES: Dict[str, Dict] = {
     "isx": dict(keys=192),
     "contig": dict(genome=(0, 600), reads=48, read_length=60, k=15, seed=0),
     "kmer": dict(genome=(0, 600), reads=48, read_length=60, k=15, seed=0),

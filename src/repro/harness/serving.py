@@ -24,7 +24,7 @@ constructing process runs, so a popular shared queue service *is* a node
 hotspot: ``queue_home="packed"`` (the default) pins every tenant queue to
 node 0, concentrating ``queue_frac`` of all traffic there while the rest
 of the cluster keeps headroom.  Serving ops are issued singly
-(``rpc_batch_size=1`` — request aggregation is ``aggbench``'s subject),
+(``rpc_batch_size=1`` — this bench measures admission, not aggregation),
 which makes per-request dispatch the hot node's dominant cost: overload
 accumulates in its *receive work queue* — exactly the queue admission
 control governs — rather than in the shared NIC-core pipeline.

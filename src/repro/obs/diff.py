@@ -4,7 +4,7 @@ CI's baseline gates (``cmp <fresh> BENCH_<x>.json``) can say a report
 moved; this module answers the next question.
 Feed it any two observability artifacts the repo produces —
 
-* BENCH JSON (agg / serving reports),
+* BENCH JSON (serving reports),
 * flight-recorder payloads (``kind: "flight_recorder"``),
 * span JSON-lines logs,
 * metrics snapshots (``MetricsRegistry.snapshot()`` dumps),
@@ -62,7 +62,7 @@ SHARE_THRESHOLD = 0.05
 
 #: config keys that define workload shape — differing values mean the two
 #: runs measured different experiments, which trumps every other signal.
-#: Tuning knobs (``sweep``, ``aggregation``, ``queue_bound``, window
+#: Tuning knobs (``aggregation``, ``queue_bound``, window
 #: sizes) are deliberately *not* here: an A/B over a knob is exactly what
 #: the fingerprinter exists to explain.
 _WORKLOAD_KEYS = (
@@ -74,7 +74,7 @@ _WORKLOAD_KEYS = (
 #: differing knob is listed under config changes but does *not* trigger
 #: the workload-shape fingerprint — the interesting question is what the
 #: knob change did, which the other rules answer.
-_KNOB_KEYS = ("sweep", "aggregation", "queue_bound", "queue_bounds",
+_KNOB_KEYS = ("aggregation", "queue_bound", "queue_bounds",
               "rpc_batch_size", "batch", "window", "shed_retries",
               "queue_frac", "retry_backoff", "rate_per_client", "mix",
               "queue_home")
@@ -99,10 +99,7 @@ def detect_kind(doc) -> str:
         return "unknown"
     bench = doc.get("benchmark")
     if isinstance(bench, str):
-        return {
-            "aggregation_sweep": "bench_agg",
-            "serving_zipf": "bench_serving",
-        }.get(bench, "bench")
+        return {"serving_zipf": "bench_serving"}.get(bench, "bench")
     kind = doc.get("kind")
     if kind in ("flight_recorder", "critpath", "run_diff"):
         return {"flight_recorder": "flight"}.get(kind, kind)
@@ -193,33 +190,18 @@ def _is_quantile_group(value) -> bool:
 def _row_labels(rows: Sequence[Dict]) -> Optional[Tuple[List[str], str]]:
     """Stable labels for a list of dict rows, aligned across runs.
 
-    Prefers a coarse identity (``app``, ``mode``, ...) so an A/B over a
-    knob (e.g. ``aggregation`` 512 vs 1) still aligns row-for-row.  When
-    one identity owns several rows (a sweep), rows within the group are
-    ranked by their knob value and labelled ``identity#rank`` — the
-    baseline row of run A aligns with the baseline row of run B even
-    when the swept values differ.  Returns ``(labels, field)`` — the
-    identity field is folded into the label, so the caller drops it from
-    the row body (a churned top-k list must not read as a workload
-    change) — or None (positional labels) when no identity field covers
-    every row.
+    Uses the first identity field (``app``, ``mode``, ...) that labels
+    every row uniquely, so an A/B over a knob still aligns row-for-row.
+    Returns ``(labels, field)`` — the identity field is folded into the
+    label, so the caller drops it from the row body (a churned top-k list
+    must not read as a workload change) — or None (positional labels) when
+    no identity field labels every row uniquely.
     """
     for field in _IDENTITY_FIELDS:
         if all(field in r for r in rows):
             labels = [str(r[field]) for r in rows]
             if len(set(labels)) == len(labels):
                 return labels, field
-            if all("aggregation" in r for r in rows):
-                order = sorted(
-                    range(len(rows)),
-                    key=lambda i: (labels[i], rows[i]["aggregation"], i))
-                ranked = [""] * len(rows)
-                rank_of: Dict[str, int] = {}
-                for i in order:
-                    rank = rank_of.get(labels[i], 0)
-                    rank_of[labels[i]] = rank + 1
-                    ranked[i] = f"{labels[i]}#{rank}"
-                return ranked, field
     return None
 
 

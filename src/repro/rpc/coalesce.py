@@ -33,9 +33,11 @@ Two pieces live here:
     and epochs observed on RPC responses (piggybacked at completion time)
     prune entries other nodes' writes made stale.
 
-Both are observable: flush counts, ops-per-flush, flushed bytes, cache
-hit/miss/invalidation counters all feed the Fig-4-style profiling report
-(``repro.cli aggbench`` / ``BENCH_agg.json``).
+Both are observable: flush counts, coalesced ops, flushed bytes and cache
+hit/miss/invalidation counters all land in the metrics snapshot
+(``--metrics-out``); what coalescing buys in simulated time is the
+op-coalescing ablation in ``benchmarks/test_ablations.py`` and the ledger's
+``smallops_agg`` / ``isx_sort`` rows.
 """
 
 from __future__ import annotations

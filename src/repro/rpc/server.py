@@ -260,10 +260,14 @@ class RpcServer:
         )
 
     def close(self) -> None:
-        """Drop the records: their clients send no more requests to retire
-        them."""
+        """Drop the records, whose clients send no more requests to retire
+        them, and end the worker loops.  An idle worker waits in a receive
+        queue ``get`` that nothing will fire; the queue lives inside the
+        cluster's reference cycles, so without this every worker's process
+        and generator would wait for the cycle collector too."""
         self._records.clear()
         self._floors.clear()
+        self.node.nic.recv_queue.close()
 
     # -- admission control ------------------------------------------------------
     def _admit(self, msg) -> bool:

@@ -194,6 +194,12 @@ class Store:
         self._items.clear()
         return dropped
 
+    def close(self) -> None:
+        """Discard every queued item and waiting ``get``: a process parked
+        in one is freed with its event (its generator closes as it goes)."""
+        self._items.clear()
+        self._getters.clear()
+
     def __len__(self) -> int:
         return len(self._items)
 

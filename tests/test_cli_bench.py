@@ -31,15 +31,14 @@ from repro.obs import (
 
 #: tiny shape + the row labels it produces, per bench command
 TINY = {
-    # isx: a multi-phase app under every instrument (phases pause the pump)
-    "aggbench": (["--scale", "0.1", "--nodes", "2", "--procs", "2",
-                  "--sweep", "0", "8", "--apps", "kmer", "isx"],
-                 ["kmer-agg0", "kmer-agg8", "isx-agg0", "isx-agg8"]),
     "serving": (["--nodes", "2", "--procs", "2", "--clients", "100",
                  "--tenants", "2", "--keys", "64", "--rate", "2400",
                  "--ops-per-client", "5", "--bounds", "off", "16"],
                 ["off", "b16"]),
-    "chaos-soak": (["--plans", "mixed", "calm", "--keys", "8", "--kmers", "8"],
+    # --aggregation 8: a multi-phase run (upserts, then reads through the
+    # read cache) whose coalescers flush under every instrument
+    "chaos-soak": (["--plans", "mixed", "calm", "--keys", "8", "--kmers", "8",
+                    "--aggregation", "8"],
                    ["mixed", "calm"]),
     # the FIGURES records: one report each, whatever the sweep
     "fig1": ([], [""]),
@@ -180,7 +179,6 @@ class TestCheck:
     """(d) one place turns check failures into CHECK FAILED + exit 1."""
 
     FAILING = [
-        ["aggbench", *TINY["aggbench"][0], "--check", "--min-speedup", "1e6"],
         # --require-cliff gates on its own, without --check
         ["serving", *TINY["serving"][0], "--require-cliff",
          "--cliff-factor", "1e6"],
@@ -237,7 +235,7 @@ class TestCheck:
         assert "CHECK FAILED" not in capsys.readouterr().err
 
     def test_unchecked_run_ignores_failures(self, capsys):
-        argv = [a for a in self.FAILING[0] if a != "--check"]
+        argv = [a for a in self.FAILING[0] if a != "--require-cliff"]
         assert main(argv) == 0
         assert "CHECK FAILED" not in capsys.readouterr().err
 
@@ -320,9 +318,8 @@ class TestSeam:
             Instruments(flight=True)(hcl)
 
     def test_runs_remember_row_labels(self):
-        from repro.harness.aggbench import run_agg_bench
-
         ins = Instruments(metrics=True)
-        run_agg_bench(scale=0.1, nodes=2, procs_per_node=2, sweep=(0, 8),
-                      apps=("kmer",), instrument=ins)
-        assert [run.label for run in ins.runs] == ["kmer-agg0", "kmer-agg8"]
+        args = build_parser().parse_args(["chaos-soak",
+                                          *TINY["chaos-soak"][0]])
+        HARNESSES["chaos-soak"].run(args, ins)
+        assert [run.label for run in ins.runs] == TINY["chaos-soak"][1]

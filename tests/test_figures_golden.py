@@ -3,15 +3,18 @@
 ``repro.harness.figures`` is the one definition of the paper's
 experiments.  Before they moved there, each was run at the parent commit
 through its old entry point — the helpers in ``benchmarks/test_fig*.py``,
-the Fig 7 bench loops' ``run_*`` calls, ``aggbench._run_app`` — and the
-``repr()`` of every series value frozen in
+the Fig 7 bench loops' ``run_*`` calls, the aggregation sweep's
+``run_app`` — and the ``repr()`` of every series value frozen in
 ``tests/data/figure_goldens.json``: Fig 1's three times and stage split,
 Fig 5 at 4 KiB / 64 KiB for both localities, Fig 6 maps and sets at
 partitions 1 and 2 and queues at 8 clients with ``scale=0.25``, Fig 7
 isx / contig / kmer at 2 nodes x 2 procs in the bench's shapes, and
-``run_app`` at the shape ``aggbench`` runs (kmer, scale 0.1, aggregation
-0 and 8).  The functions must reproduce all of it exactly, and return
-equal values when called twice.  Fig 4 joined when it became a function:
+``run_app`` at ``AGG_SHAPES`` (2 nodes x 2 procs, scale 0.1): kmer at
+aggregation 0 and 8 then; kmer at 64 and 512 and contig and isx at 0, 8,
+64 and 512 were added, recorded the same way, when the aggregation sweep
+command was deleted and this golden became their one pin.  The functions
+must reproduce all of it exactly, and return equal values when called
+twice.  Fig 4 joined when it became a function:
 its rows (``fig4(0.25)``: both backends' elapsed seconds, sample times and
 three series) were recorded by that PR, which moved the sampling points on
 purpose; the elapsed seconds are the parent bench's unsampled clocks.
@@ -125,18 +128,20 @@ def test_fig7_second_call(app):
         assert series["bcl_s"] == golden["bcl_s"]
 
 
-@pytest.mark.parametrize("aggregation", [0, 8])
-def test_run_app_at_the_aggbench_shape(aggregation):
+@pytest.mark.parametrize("app", FIG7_APPS)
+@pytest.mark.parametrize("aggregation", [0, 8, 64, 512])
+def test_run_app_at_agg_shapes(app, aggregation):
     golden = GOLDEN["run_app"]
+    # the first-recorded app's points sit at the entry's top level
+    points = golden if app == golden["app"] else golden[app]
 
     def once():
         spec = ares_like(nodes=golden["nodes"],
                          procs_per_node=golden["procs"])
-        ops, res = run_app(golden["app"], "hcl", spec,
-                           AGG_SHAPES[golden["app"]], golden["scale"],
-                           aggregation)
+        ops, res = run_app(app, "hcl", spec, AGG_SHAPES[app],
+                           golden["scale"], aggregation)
         return {"ops": ops, "sim_seconds": repr(res.time_seconds),
                 "verified": res.verified}
 
-    assert once() == golden[f"agg{aggregation}"]
-    assert once() == golden[f"agg{aggregation}"]
+    assert once() == points[f"agg{aggregation}"]
+    assert once() == points[f"agg{aggregation}"]

@@ -3,10 +3,10 @@
 Covers artifact-kind detection, the determinism pin (a same-seed
 self-diff reports nothing significant), the empty-vs-nonempty histogram
 "new signal" path (never a divide-by-zero), skew top-k churn, and the
-fingerprint classifier — including the end-to-end case the regression
-gate relies on: an aggregation A/B (512 vs 1) fingerprints as a
-coalescer-efficiency drop, not as a workload change — and the
-``obs-diff`` command over that same A/B pair.
+fingerprint classifier — including the end-to-end case: the metrics
+snapshots of an aggregation A/B (buffer 512 vs 1 on the k-mer kernel)
+fingerprint as a coalescer-efficiency drop, not as a workload change —
+and the ``obs-diff`` command over that same A/B pair.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.harness.aggbench import HARNESS as AGG, run_agg_bench
+from repro.config import ares_like
+from repro.harness.figures import AGG_SHAPES, run_app
 from repro.obs import (
     FINGERPRINT_CODES,
+    Instruments,
     detect_kind,
     diff_paths,
     diff_runs,
@@ -72,7 +74,6 @@ def _skew_doc(partitions, keys, imbalance):
 
 class TestDetectKind:
     def test_bench_discriminators(self):
-        assert detect_kind({"benchmark": "aggregation_sweep"}) == "bench_agg"
         assert detect_kind({"benchmark": "serving_zipf"}) == "bench_serving"
 
     def test_kind_field_artifacts(self):
@@ -112,12 +113,10 @@ class TestSelfDiffIsQuiet:
         assert not diff["significant"]
         assert diff["fingerprint"]["code"] == "no-significant-change"
 
-    @pytest.mark.parametrize("name", ["BENCH_serving.json", "BENCH_agg.json"])
+    @pytest.mark.parametrize("name", ["BENCH_serving.json"])
     def test_committed_bench_self_diff(self, name):
         import pathlib
         path = pathlib.Path(__file__).resolve().parent.parent / name
-        if not path.exists():
-            pytest.skip(f"{name} not committed")
         diff = diff_paths(str(path), str(path))
         assert not diff["significant"], \
             [r for r in diff["counters"]["rows"] if r["significant"]]
@@ -211,18 +210,22 @@ class TestFingerprints:
 
 @pytest.fixture(scope="module")
 def agg_ab(tmp_path_factory):
-    """Aggregation sweeps ``0 512`` (A) and the detuned ``0 1`` (B)."""
+    """``--metrics-out`` snapshots of the k-mer kernel at ``AGG_SHAPES``
+    (4x3 ranks, scale 0.25) with buffer 512 (A) and the detuned 1 (B)."""
     tmp = tmp_path_factory.mktemp("aggdiff")
-    base = run_agg_bench(scale=0.25, sweep=[0, 512], apps=["kmer"])
-    worse = run_agg_bench(scale=0.25, sweep=[0, 1], apps=["kmer"])
-    a, b = tmp / "A.json", tmp / "B.json"
-    write_json(AGG.emit(base)[""], str(a))
-    write_json(AGG.emit(worse)[""], str(b))
-    return str(a), str(b)
+    paths = []
+    for buffer in (512, 1):
+        path = str(tmp / f"agg{buffer}.json")
+        ins = Instruments(metrics=path)
+        run_app("kmer", "hcl", ares_like(nodes=4, procs_per_node=3),
+                AGG_SHAPES["kmer"], 0.25, buffer, ins)
+        ins.write()
+        paths.append(path)
+    return tuple(paths)
 
 
 class TestAggRegressionEndToEnd:
-    """The gate's scenario: aggregation 512 vs 1 names the coalescer."""
+    """Aggregation 512 vs 1 names the coalescer."""
 
     @pytest.fixture(scope="class")
     def agg_diff(self, agg_ab):
@@ -231,12 +234,8 @@ class TestAggRegressionEndToEnd:
     def test_fingerprints_coalesce_efficiency(self, agg_diff):
         assert agg_diff["significant"]
         assert agg_diff["fingerprint"]["code"] == "coalesce-efficiency-dropped"
-
-    def test_sweep_listed_as_knob_not_workload(self, agg_diff):
-        changes = {c["key"]: c for c in agg_diff["config_changes"]}
-        sweep_changes = [c for k, c in changes.items() if "sweep" in k]
-        assert sweep_changes and all(c["knob"] for c in sweep_changes)
-        assert all(c["knob"] for c in agg_diff["config_changes"])
+        assert agg_diff["fingerprint"]["evidence"].startswith(
+            "kmers/agg_threshold_flushes new signal")
 
     def test_render_carries_the_fingerprint(self, agg_diff):
         text = render_diff(agg_diff)

@@ -1,7 +1,7 @@
 """What the repo keeps is reached: every bench file, committed baseline
 and bench subcommand has a CI runner, importing the package loads no
-dependency it does not declare, and the docs name only paths and
-``repro.cli`` subcommands that exist.
+dependency it does not declare, and the docs name only paths,
+``repro.cli`` subcommands and ``run_*`` functions that exist.
 
 A ``benchmarks/test_*.py`` file outside tier-1's testpaths runs only if a
 CI job names it; one that no job names can break unnoticed.  Likewise a
@@ -15,7 +15,9 @@ reader nowhere.
 from __future__ import annotations
 
 import fnmatch
+import importlib
 import os
+import pkgutil
 import re
 from itertools import product
 import subprocess
@@ -102,7 +104,7 @@ def _repo_path(word: str):
     package (``rpc/server.py``), is a ``BENCH*.json`` or an upper-case
     ``.json`` / ``.md`` file (``README.md``), or is a bare
     ``test_*.py``.  Metric names (``rpc/window_stalls``) and artifact
-    names (``agg_trace.jsonl``) are neither.
+    names (``chaos_trace.jsonl``) are neither.
     """
     word = word.strip("\"'()[],;:").split("::")[0]
     if "<" in word or "://" in word:
@@ -152,4 +154,20 @@ def test_docs_name_only_cli_subcommands_that_exist():
                     name = name.strip().rstrip("…").strip()
                     if name and not fnmatch.filter(sub.choices, name):
                         unknown.append((doc, name))
+    assert sorted(set(unknown)) == []
+
+
+def test_docs_name_only_run_functions_that_exist():
+    """A span that is exactly one ``run_<name>`` identifier names a
+    function; a span with a call, a dotted path or a quote (the
+    ``run_row(row, instrument)`` parameter, say) is left alone."""
+    import repro
+
+    names = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        names |= set(vars(importlib.import_module(info.name)))
+    unknown = [(doc, span) for doc, text in _docs()
+               for span in _code_spans(text)
+               if re.fullmatch(r"run_[A-Za-z0-9_]+", span)
+               and span not in names]
     assert sorted(set(unknown)) == []

@@ -7,8 +7,8 @@ every settle hands it.  These tests pin what that buys: a token replayed
 arbitrarily late still applies once, a given-up invocation leaks no slot,
 record or reference cycle, settled responses are not kept, a settle
 retires records without a later request, a late duplicate never writes
-into a slot another call holds, and a failed-over write replayed after a
-restart applies once.
+into a slot another call holds, a failed-over write replayed after a
+restart applies once, and a closed server leaves no worker behind.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.fabric.faults import FaultPlan, LinkFaults
 from repro.rpc import RpcClient, RpcServer
 from repro.rpc.future import TargetUnavailable
 from repro.rpc.server import RpcResponse
+from repro.simnet import Process
 
 
 def _cluster(nodes=2, plan=None, retry=None):
@@ -229,3 +230,28 @@ class TestGiveUpGarbage:
         assert types_["TargetUnavailable"] == 0
         assert types_["RPCFuture"] == 0
         assert types_["traceback"] == 0
+
+
+class TestWorkerGarbage:
+    def test_closed_servers_leave_no_worker_behind(self):
+        """An idle worker waits on its receive queue forever, so ``close()``
+        must end it: else every worker's process and generator outlive the
+        run as cyclic garbage."""
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            cluster, _injector, servers, client = _rig()
+            cluster.sim.run_process(_calls(client, 1, 16))
+            for server in servers.values():
+                server.close()
+            del cluster, _injector, servers, client
+            gc.collect()
+            workers = sum(isinstance(o, Process)
+                          and o.name.startswith("rpc-worker-")
+                          for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert workers == 0

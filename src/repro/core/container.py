@@ -368,7 +368,7 @@ class DistributedContainer:
         policy = self.policy
         # A write that may fail over is replayed under its original token,
         # so the container draws it and holds it until nothing can replay.
-        token = (client.next_token()
+        token = (client.next_token(part.node_id)
                  if policy.write_failover and self._ops[op][1].write else None)
         try:
             result = yield from client.call(
@@ -410,7 +410,7 @@ class DistributedContainer:
             return result
         finally:
             if token is not None:
-                client.retire(token)
+                client.retire(part.node_id, token)
 
     # -- replication and failover ------------------------------------------------
     def _replicas_of(self, part: Partition) -> Iterator[Partition]:
@@ -507,7 +507,7 @@ class DistributedContainer:
                     # queued and the next recovery hook resumes the drain.
                     return
                 records.popleft()
-                self.runtime.client(token[0]).retire(token)
+                self.runtime.client(token[0]).retire(node_id, token)
                 self.replayed_writes.add(1)
         finally:
             self._replaying.discard(node_id)

@@ -156,31 +156,25 @@ class FaultInjector:
     # -- schedule installation ------------------------------------------------
     def _schedule_plan(self) -> None:
         sim = self.sim
+
+        def at(when, fn, arg) -> None:
+            sim.timeout(max(0.0, when - sim.now)).add_callback(
+                lambda _ev: fn(arg))
+
         for node_id, t_down, t_up in self.plan.crashes:
             if t_up is not None and t_up <= t_down:
                 raise ValueError(
                     f"crash window for node {node_id}: restart {t_up} must "
                     f"be after crash {t_down}"
                 )
-            sim.schedule_callback(
-                lambda n=node_id: self.crash(n), delay=max(0.0, t_down - sim.now)
-            )
+            at(t_down, self.crash, node_id)
             if t_up is not None:
-                sim.schedule_callback(
-                    lambda n=node_id: self.restart(n),
-                    delay=max(0.0, t_up - sim.now),
-                )
+                at(t_up, self.restart, node_id)
         for t0, t1, groups in self.plan.partitions:
             if t1 <= t0:
                 raise ValueError("partition window must have t_end > t_start")
-            sim.schedule_callback(
-                lambda g=groups: self._partition_start(g),
-                delay=max(0.0, t0 - sim.now),
-            )
-            sim.schedule_callback(
-                lambda g=groups: self._partition_end(g),
-                delay=max(0.0, t1 - sim.now),
-            )
+            at(t0, self._partition_start, groups)
+            at(t1, self._partition_end, groups)
 
     def crash(self, node_id: int) -> None:
         """Fail-stop ``node_id`` now (what a plan's crash window does)."""

@@ -27,10 +27,11 @@ down, so the completion timer is armed only while one is installed;
 without one the first attempt always succeeds and runs no timer.
 
 Every request carries an idempotency token ``(src_node, seq)`` and the
-client's watermark, the lowest seq it has not retired, so a retransmit is
-answered from the server's completion record.  An invocation retires the
-token it drew, then releases its response slot with the advanced
-watermark, when it settles.
+client's watermark, the lowest seq it has not retired, both per
+destination: a retransmit is answered from the server's completion record,
+and a call pending at one server holds back no record at another.  An
+invocation retires the token it drew, then releases its response slot
+with the advanced watermark, when it settles.
 
 The hybrid data access model lives one layer up (``repro.core.container``):
 a container only builds an RpcClient invocation for *remote* partitions.
@@ -38,6 +39,7 @@ a container only builds an RpcClient invocation for *remote* partitions.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.fabric.faults import FabricDropped
@@ -64,7 +66,7 @@ class RpcClient:
     __slots__ = (
         "cluster", "sim", "cost", "src_node", "servers", "qp",
         "invocations", "latency", "retries", "timeouts", "exhausted",
-        "shed_seen", "_token_seq", "_held", "_watermark", "windows",
+        "shed_seen", "_seqs", "_held", "_watermarks", "windows",
     )
 
     def __init__(self, cluster, src_node: int, servers: Dict[int, RpcServer],
@@ -83,30 +85,28 @@ class RpcClient:
         self.timeouts = metrics.counter(f"rpcc{src_node}/timeouts")
         self.exhausted = metrics.counter(f"rpcc{src_node}/exhausted")
         self.shed_seen = metrics.counter(f"rpcc{src_node}/shed_seen")
-        #: last seq drawn; seqs not yet retired; the lowest of those (or
-        #: the next one to draw)
-        self._token_seq = 0
-        self._held: set = set()
-        self._watermark = 1
+        #: per destination: last seq drawn, seqs held, lowest held (or next)
+        self._seqs: Dict[int, int] = {}
+        self._held: Dict[int, set] = defaultdict(set)
+        self._watermarks: Dict[int, int] = {}
         #: AIMD congestion windows (None = unbounded issue, classic behavior)
         self.windows = WindowSet(self.sim, src_node) if window else None
 
-    def next_token(self) -> Tuple[int, int]:
-        """A fresh idempotency token, held — the watermark stays at or
-        below it, so servers keep its record — until :meth:`retire`."""
-        self._token_seq = seq = self._token_seq + 1
-        self._held.add(seq)
+    def next_token(self, dst: int) -> Tuple[int, int]:
+        """A fresh token for a request to ``dst``, held (the watermark there
+        stays at or below it, so ``dst`` keeps its record) until retired."""
+        self._seqs[dst] = seq = self._seqs.get(dst, 0) + 1
+        self._held[dst].add(seq)
         return (self.src_node, seq)
 
-    def retire(self, token: Tuple[int, int]) -> None:
-        """Release a token of this client's: the watermark may pass it."""
-        held = self._held
+    def retire(self, dst: int, token: Tuple[int, int]) -> None:
+        """Release a token drawn for ``dst``: its watermark may pass it."""
+        held = self._held[dst]
         held.discard(token[1])
-        watermark = self._watermark
-        top = self._token_seq
+        watermark, top = self._watermarks.get(dst, 1), self._seqs[dst]
         while watermark <= top and watermark not in held:
             watermark += 1
-        self._watermark = watermark
+        self._watermarks[dst] = watermark
 
     # -- core API -----------------------------------------------------------
     def invoke(
@@ -185,11 +185,11 @@ class RpcClient:
         fut = RPCFuture(self.sim, op)
         owned = token is None
         if owned:
-            token = self.next_token()
+            token = self.next_token(dst_node)
         src = self.src_node
         req = RpcRequest(
             op, tuple(args), src, token,
-            self._watermark if token[0] == src else 0,
+            self._watermarks.get(dst_node, 1) if token[0] == src else 0,
             tuple(callbacks) if callbacks else (),
         )
         server.allocate_slot(req)
@@ -330,8 +330,8 @@ class RpcClient:
         # server the watermark, before the future's callbacks can issue the
         # next invocation.
         if owned:
-            self.retire(req.token)
-        server.release_slot(req, self._watermark)
+            self.retire(dst_node, req.token)
+        server.release_slot(req, self._watermarks.get(dst_node, 1))
         if error is not None:
             fut._error(error)
             if tracer is not None:

@@ -16,10 +16,10 @@ simulation events or delays (e.g. ``ctx.charge_local(...)``) to model
 their local memory cost, and receive an :class:`RpcContext` first argument.
 
 Exactly-once (RIFL, Lee et al., SOSP 2015; ``docs/RELIABILITY.md``): every
-request carries a token ``(client node, seq)`` and its client's watermark,
-the lowest seq it has not retired.  The server keeps one completion
-record per token — ``None`` while it executes, then its
-:class:`RpcResponse` — and drops a client's records below its watermark.
+request carries a token ``(client node, seq)`` from its client's sequence
+for this server, and that sequence's watermark (its lowest unretired seq).
+The server keeps one record per token (``None`` while it executes, then
+its :class:`RpcResponse`) and drops a client's records below the watermark.
 """
 
 from __future__ import annotations

@@ -43,9 +43,6 @@ retire per wall-clock second:
   plain Event entry and a waking Process entry alike (heap wakes), and
   :meth:`Process._resume` (callback wakes: overflow waiters, waiters on
   an ``AllOf``/``AnyOf``/process, rejected yields).
-* **A callback fast path.**  :meth:`Simulator.schedule_callback` schedules
-  a bare ``fn()`` at a future time behind a one-slot wrapper instead of an
-  Event.
 
 Time is a ``float`` in **seconds**.  All substrates (fabric, memory, rpc)
 charge costs in seconds so that benchmark output is directly comparable
@@ -177,15 +174,6 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {0: "pending", 1: "triggered", 2: "processed"}[self._state]
         return f"<{type(self).__name__} {state} at t={self.sim.now:.9f}>"
-
-
-class _ScheduledCallback:
-    """Kernel-owned heap entry: ``_drain`` calls its ``fn()``, no Event."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
 
 
 class AllOf(Event):
@@ -462,18 +450,6 @@ class Simulator:
         self._heappush((when, seq, to))
         return to
 
-    def schedule_callback(self, fn: Callable[[], None],
-                          delay: float = 0.0) -> None:
-        """Run bare ``fn()`` after ``delay`` sim-seconds (fire-and-forget).
-
-        Skips Event allocation entirely; counts as one processed event.
-        Use for cost charges and kernel plumbing that nothing waits on.
-        """
-        if delay < 0:
-            raise ValueError(f"negative callback delay: {delay}")
-        self._seq = seq = self._seq + 1
-        self._heappush((self.now + delay, seq, _ScheduledCallback(fn)))
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -526,7 +502,6 @@ class Simulator:
         heappush = self._heappush
         event_cls = Event
         process_cls = Process
-        cb_cls = _ScheduledCallback
         event_process = Event._process
         processed = _PROCESSED
         float_cls = float
@@ -569,9 +544,6 @@ class Simulator:
                     entry._pending = None
                     ok = kicked._ok
                     value = kicked._value
-            elif cls is cb_cls:
-                entry.fn()
-                continue
             else:
                 entry._process()
                 continue

@@ -116,9 +116,6 @@ class RefSim:
     def timeout(self, delay, value=None):
         return RefEvent(self).succeed(value, delay)
 
-    def schedule_callback(self, fn, delay=0.0):
-        self._schedule(delay, fn)
-
     def process(self, gen):
         return RefProcess(self, gen)
 

@@ -1,7 +1,8 @@
 """What the repo keeps is reached: every bench file, committed baseline
 and bench subcommand has a CI runner, importing the package loads no
-dependency it does not declare, and the docs name only paths,
-``repro.cli`` subcommands and ``run_*`` functions that exist.
+dependency it does not declare, the docs name only paths, ``repro.cli``
+subcommands, ``run_*`` functions and ``repro.…`` names that exist, and
+every qualified cross-reference in a ``src/`` docstring resolves.
 
 A ``benchmarks/test_*.py`` file outside tier-1's testpaths runs only if a
 CI job names it; one that no job names can break unnoticed.  Likewise a
@@ -171,3 +172,61 @@ def test_docs_name_only_run_functions_that_exist():
                if re.fullmatch(r"run_[A-Za-z0-9_]+", span)
                and span not in names]
     assert sorted(set(unknown)) == []
+
+
+def _resolve(dotted: str, module: str = "repro"):
+    """The object ``dotted`` names: a ``repro.…`` path, else a name in
+    ``module`` or, as Sphinx looks it up, in any ``repro`` module."""
+    import repro
+
+    parts = dotted.split(".")
+    if parts[0] == "repro":
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            parts = parts[cut:]
+            break
+    else:
+        homes = [importlib.import_module(module)] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+        obj = next((home for home in homes if hasattr(home, parts[0])), None)
+        if obj is None:
+            raise AttributeError(f"no repro module defines {parts[0]!r}")
+    for name in parts:
+        obj = getattr(obj, name)
+    return obj
+
+
+def _unresolved(names):
+    missing = []
+    for where, name, module in names:
+        try:
+            _resolve(name, module)
+        except (ImportError, AttributeError) as err:
+            missing.append((where, name, str(err)))
+    return sorted(set(missing))
+
+
+def test_docs_name_only_repro_objects_that_exist():
+    names = {(doc, name, "repro") for doc, text in _docs()
+             for name in re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text)}
+    assert len(names) > 50
+    assert _unresolved(names) == []
+
+
+def test_qualified_docstring_references_resolve():
+    """``:class:`` / ``:func:`` / ``:meth:`` / ``:mod:`` targets with a dot,
+    in the module they are written in."""
+    names = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for ref in re.findall(r":(?:class|func|meth|mod):`~?([\w.]+)`",
+                              path.read_text(encoding="utf-8")):
+            if "." in ref:
+                names.add((path.relative_to(ROOT).as_posix(), ref, module))
+    assert len(names) > 50
+    assert _unresolved(names) == []

@@ -1,14 +1,15 @@
 """Exactly-once RoR by completion records the client retires.
 
 Every request carries a token ``(client node, seq)`` and its client's
-watermark, the lowest seq it has not retired; the server keeps one record
-per token and drops those below the watermark, which every request and
-every settle hands it.  These tests pin what that buys: a token replayed
-arbitrarily late still applies once, a given-up invocation leaks no slot,
-record or reference cycle, settled responses are not kept, a settle
-retires records without a later request, a late duplicate never writes
-into a slot another call holds, a failed-over write replayed after a
-restart applies once, and a closed server leaves no worker behind.
+watermark, the lowest seq it has not retired, both kept per destination;
+the server keeps one record per token and drops those below the
+watermark, which every request and every settle hands it.  These tests pin
+what that buys: a token replayed arbitrarily late still applies once, a
+given-up invocation leaks no slot, record or reference cycle, settled
+responses are not kept, a settle retires records without a later request,
+a late duplicate never writes into a slot another call holds, a
+failed-over write replayed after a restart applies once, a closed server
+leaves no worker behind, and a serving run leaves no record at any server.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class TestCompletionRecords:
         applied = []
         servers[1].bind("bump",
                         lambda ctx, x: applied.append(x) or len(applied))
-        token = client.next_token()
+        token = client.next_token(1)
 
         def body():
             first = yield from client.call(1, "bump", ("a",), token=token)
@@ -87,7 +88,7 @@ class TestCompletionRecords:
                    for f in futs)
         assert not servers[1]._slots
         assert servers[1].idle()
-        assert client._watermark == 6  # every drawn token retired
+        assert client._watermarks[1] == 6  # every drawn token retired
 
     def test_settled_responses_are_not_kept(self):
         before = _live_responses()
@@ -112,7 +113,7 @@ class TestCompletionRecords:
         cluster.run()
         assert all(f.ok for f in futs)
         assert not servers[1]._records[0]
-        token = client.next_token()
+        token = client.next_token(1)
         futs = [client.invoke(1, "noop", token=token)]
         futs += [client.invoke(1, "noop") for _ in range(5)]
         cluster.run()
@@ -182,10 +183,10 @@ class TestCompletionRecords:
             seen["failed_over"] = m.failover_writes.value
             for _ in range(5):
                 yield from writer.call(2, "noop")
-            # The replay still holds the write's token: the watermark
-            # moved up to it and no further.
-            (held,) = writer._held
-            seen["watermark_at_token"] = writer._watermark == held
+            # The replay still holds the write's token: the watermark at
+            # its server stays at it, whatever the writer sends elsewhere.
+            (held,) = writer._held[1]
+            seen["watermark_at_token"] = writer._watermarks.get(1, 1) == held
             injector.restart(1)
 
         cluster.spawn(write())
@@ -255,3 +256,39 @@ class TestWorkerGarbage:
             gc.garbage.clear()
             gc.enable()
         assert workers == 0
+
+
+class TestRecordsPerDestination:
+    """Each client keeps one seq counter and one watermark per server, so
+    a call pending at one server holds back no record at another: the
+    serving rows leave no record for ``close()`` to drop."""
+
+    @staticmethod
+    def _left_at_close(monkeypatch, bound):
+        from repro.harness.serving import run_serving
+
+        left = {}
+        close = RpcServer.close
+
+        def counting_close(server):
+            left[server.node.node_id] = sum(
+                len(records) for records in server._records.values())
+            close(server)
+
+        monkeypatch.setattr(RpcServer, "close", counting_close)
+        report = run_serving(
+            nodes=4, procs_per_node=4, clients=500, tenants=4, theta=0.99,
+            keys=512, mix=(0.70, 0.20, 0.10), queue_frac=0.5,
+            queue_home="packed", rate=4800.0, ops_per_client=15, seed=7,
+            bounds=(bound,), shed_retries=0, retry_backoff=1e-3,
+            rpc_batch_size=1)
+        assert report["configs"][0]["completed"] > 0
+        return left
+
+    def test_unbounded_serving_row_leaves_no_record(self, monkeypatch):
+        assert self._left_at_close(monkeypatch, None) == dict.fromkeys(
+            range(4), 0)
+
+    def test_bound16_serving_row_leaves_no_record(self, monkeypatch):
+        assert self._left_at_close(monkeypatch, 16) == dict.fromkeys(
+            range(4), 0)

@@ -60,7 +60,7 @@ class TestServerInternals:
         assert [f.done for f in futs] == [False, True, False, False]
         assert futs[1].result == 1
         assert sorted(server._slots) == [0, 2, 3]
-        req = RpcRequest("held", (4,), 0, client.next_token())
+        req = RpcRequest("held", (4,), 0, client.next_token(1))
         server.allocate_slot(req)
         assert req.slot == 1
 

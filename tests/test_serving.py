@@ -145,7 +145,7 @@ class TestLoadShedding:
         cluster, servers, client = shed_rig
         calls = []
         servers[1].bind("record", lambda ctx, x: calls.append(x) or len(calls))
-        token = client.next_token()
+        token = client.next_token(1)
         fill = [client.invoke(1, "slow", (1e-3,)) for _ in range(3)]
         box = {}
 

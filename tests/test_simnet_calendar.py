@@ -128,11 +128,9 @@ def randomized(sim, seed):
     def body(pid, plan):
         for step, (kind, delay) in enumerate(plan):
             if kind == "cb":
-                sim.schedule_callback(
-                    lambda pid=pid, step=step:
-                        trace.append((sim.now, "cb", pid, step)),
-                    delay,
-                )
+                sim.timeout(delay).add_callback(
+                    lambda _ev, pid=pid, step=step:
+                        trace.append((sim.now, "cb", pid, step)))
             elif kind == "at":
                 yield sim.timeout_at(sim.now + delay)
                 trace.append((sim.now, "at", pid, step))
@@ -187,7 +185,7 @@ class TestOneQueue:
         sim = Simulator()
         assert sim.kernel_stats()["queue_depth"] == 0
         sim.timeout(2.0)
-        sim.schedule_callback(lambda: None, 1.0)
+        sim.timeout(1.0).add_callback(lambda _ev: None)
         stats = sim.kernel_stats()
         assert stats["queue_depth"] == 2
         assert not {"lane_depth", "far_depth", "calendar"} & set(stats)
@@ -197,10 +195,9 @@ class TestOneQueue:
             Simulator(scheduler="heap")
         with pytest.raises(TypeError):
             Simulator(pooling=False)
-        # No priority, no absolute callback, no interrupt, no pool stats.
+        # No bare-callback entry, no interrupt, no pool stats.
         sim = Simulator()
-        with pytest.raises(TypeError):
-            sim.schedule_callback(lambda: None, 1.0, priority=-1)
+        assert not hasattr(sim, "schedule_callback")
         assert not hasattr(sim, "schedule_callback_at")
         assert not hasattr(Process, "interrupt")
         assert set(sim.kernel_stats()) == {"events_processed", "queue_depth"}
@@ -290,10 +287,11 @@ def _play(sim, ops):
             sim.timeout_at(op[1]).add_callback(hook(tag))
             track(tag, op[1])
         elif kind == "cb":
-            sim.schedule_callback(partial(retire, tag), op[1])
+            sim.timeout(op[1]).add_callback(lambda _ev, tag=tag: retire(tag))
             track(tag, op[1])
         elif kind == "succeed":
-            sim.schedule_callback(succeed_later(tag, op[2]), op[1])
+            sim.timeout(op[1]).add_callback(
+                lambda _ev, fn=succeed_later(tag, op[2]): fn())
             track(tag, op[1])
         else:
             sim.process(sleeper(tag, op[1:]))

@@ -1,5 +1,5 @@
 """Kernel fast paths: the event queue's retire order, ``run(until=)``,
-``schedule_callback``, AnyOf/AllOf detach semantics, the ``Resource.use``
+timeout callbacks, AnyOf/AllOf detach semantics, the ``Resource.use
 no-contention path, ``timeout_at`` and a process sleeping on a yielded
 delay.
 
@@ -23,6 +23,12 @@ from repro.simnet.trace import pump_samples
 from tests.ref_kernel import RefSim
 
 
+def _call_at(sim, fn, delay=0.0):
+    """Run bare ``fn()`` after ``delay``: a timeout with one callback, one
+    retired entry (how the fault plan schedules its windows)."""
+    sim.timeout(delay).add_callback(lambda _ev: fn())
+
+
 # ---------------------------------------------------------------------------
 # Retire order: in-order and out-of-order pushes, equal-time ties
 # ---------------------------------------------------------------------------
@@ -41,7 +47,7 @@ class TestLaneHeapOrdering:
         def charge(i, d):
             def cb():
                 fired.append(i)
-            sim.schedule_callback(cb, d)
+            _call_at(sim, cb, d)
 
         def driver():
             # First half scheduled up front, in mixed time order.
@@ -69,10 +75,10 @@ class TestLaneHeapOrdering:
 
         # A later entry first, an earlier one pushed out of order, then
         # two more at exactly the first one's time: ties retire by seq.
-        sim.schedule_callback(cb("later-1"), 1.0)
-        sim.schedule_callback(cb("early"), 0.5)
-        sim.schedule_callback(cb("later-2"), 1.0)
-        sim.schedule_callback(cb("later-3"), 1.0)
+        _call_at(sim, cb("later-1"), 1.0)
+        _call_at(sim, cb("early"), 0.5)
+        _call_at(sim, cb("later-2"), 1.0)
+        _call_at(sim, cb("later-3"), 1.0)
         sim.run()
         assert fired == ["early", "later-1", "later-2", "later-3"]
 
@@ -85,10 +91,10 @@ class TestLaneHeapOrdering:
             fired.append("tick")
             counter[0] += 1
             if counter[0] < 3:
-                sim.schedule_callback(reschedule, 0.0)
+                _call_at(sim, reschedule, 0.0)
 
-        sim.schedule_callback(reschedule, 0.0)
-        sim.schedule_callback(lambda: fired.append("later"), 0.0)
+        _call_at(sim, reschedule, 0.0)
+        _call_at(sim, lambda: fired.append("later"), 0.0)
         sim.run()
         # The first reschedule lands *after* the already-queued same-time
         # callback: seq order is preserved exactly as a heap would.
@@ -96,8 +102,8 @@ class TestLaneHeapOrdering:
 
     def test_peek_reads_the_queue_head(self):
         sim = Simulator()
-        sim.schedule_callback(lambda: None, 2.0)
-        sim.schedule_callback(lambda: None, 0.25)  # pushed out of order
+        _call_at(sim, lambda: None, 2.0)
+        _call_at(sim, lambda: None, 0.25)  # pushed out of order
         assert sim.peek() == 0.25
         sim.run(until=0.25)
         assert sim.peek() == 2.0
@@ -117,9 +123,9 @@ class TestRunUntilBound:
         # In time order: 1.0, 4.0, 5.0.  Then 2.0 and 3.0, pushed after
         # the 5.0 entry, out of time order.
         for t in (1.0, 4.0, 5.0):
-            sim.schedule_callback(cb(f"in-{t}"), t)
+            _call_at(sim, cb(f"in-{t}"), t)
         for t in (2.0, 3.0):
-            sim.schedule_callback(cb(f"out-{t}"), t)
+            _call_at(sim, cb(f"out-{t}"), t)
         return cb
 
     def test_bound_between_two_out_of_order_entries(self):
@@ -145,8 +151,8 @@ class TestRunUntilBound:
         assert sim.kernel_stats()["queue_depth"] == 1  # in-5.0, still queued
         # Pushes after the bounded run still retire in (time, seq)
         # order: one earlier than the queued entry, one tying with it.
-        sim.schedule_callback(cb("early"), 0.25)
-        sim.schedule_callback(cb("tie"), 0.5)
+        _call_at(sim, cb("early"), 0.25)
+        _call_at(sim, cb("tie"), 0.5)
         sim.run()
         assert fired[-3:] == [(4.75, "early"), (5.0, "in-5.0"),
                               (5.0, "tie")]
@@ -163,49 +169,10 @@ class TestRunUntilBound:
                 seen.append((bound, sim.now, sim.events_processed,
                              sim.peek(), list(fired)))
                 if bound == 2.5:  # re-arm traffic around a queued entry
-                    sim.schedule_callback(cb("mid"), 0.25)
+                    _call_at(sim, cb("mid"), 0.25)
             runs.append(seen)
         assert runs[0] == runs[1]
         assert runs[0][-1][2] == 7  # five built + two "mid" callbacks
-
-
-# ---------------------------------------------------------------------------
-# schedule_callback
-# ---------------------------------------------------------------------------
-
-
-class TestScheduleCallback:
-    def test_fires_at_the_right_time(self):
-        sim = Simulator()
-        at = []
-        sim.schedule_callback(lambda: at.append(sim.now), 0.75)
-        sim.run()
-        assert at == [0.75]
-
-    def test_counts_as_one_processed_event(self):
-        sim = Simulator()
-        before = sim.events_processed
-        for _ in range(10):
-            sim.schedule_callback(lambda: None, 0.1)
-        sim.run()
-        assert sim.events_processed == before + 10
-
-    def test_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(Exception):
-            sim.schedule_callback(lambda: None, -0.1)
-
-    def test_interleaves_with_timeouts_in_seq_order(self):
-        sim = Simulator()
-        order = []
-
-        def proc():
-            sim.schedule_callback(lambda: order.append("cb"), 0.5)
-            yield sim.timeout(0.5)
-            order.append("proc")
-
-        sim.run_process(proc())
-        assert order == ["cb", "proc"]
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +544,13 @@ class TestYieldedDelay:
 
         def spawn_mid_run():
             sim.process(body("c"))
-            sim.schedule_callback(lambda: order.append("cb2"))
+            _call_at(sim, lambda: order.append("cb2"))
             sim.process(body("d"))
 
         sim.process(body("a"))
-        sim.schedule_callback(lambda: order.append("cb1"))
+        _call_at(sim, lambda: order.append("cb1"))
         sim.process(body("b"))
-        sim.schedule_callback(spawn_mid_run, 1.0)
+        _call_at(sim, spawn_mid_run, 1.0)
         sim.run()
         assert order == ["a", "cb1", "b", "a'", "b'",
                          "c", "cb2", "d", "c'", "d'"]

@@ -126,10 +126,11 @@ class TestPump:
         def at_one(tag):
             fired.append(tag)
             if tag == "a":
-                sim.schedule_callback(lambda: fired.append("pushed"))
+                sim.timeout(0.0).add_callback(
+                    lambda _ev: fired.append("pushed"))
 
         for tag in "abc":
-            sim.schedule_callback(lambda tag=tag: at_one(tag), 1.0)
+            sim.timeout(1.0).add_callback(lambda _ev, tag=tag: at_one(tag))
         sim.timeout(2.0)
 
         def fire():

@@ -4,9 +4,16 @@ Runs every entry point below in its own subprocess under a function-level
 ``sys.setprofile`` hook and prints the ``src/repro`` functions that none of
 them called, with their line counts::
 
-    python benchmarks/reach.py              # every entry point (~3 min)
+    python benchmarks/reach.py              # every entry point (~4 min)
+    python benchmarks/reach.py --check      # ... and hold them to the list
     python benchmarks/reach.py --list       # their names
     python benchmarks/reach.py --only examples ledger:isx_sort
+
+A function no entry point reaches stays only with a reason:
+``benchmarks/reach_allow.txt`` holds one line per such function,
+``src/repro/<path>::<qualname>  <reason>  <note>``, the reason one of
+:data:`REASONS`.  ``--check`` exits 1, printing each offender, when an
+unreached function is not on the list or a listed one is reached.
 
 The hook is a ``sitecustomize`` module on ``PYTHONPATH``, so it is
 installed before anything imports ``repro`` (import-time functions count)
@@ -62,6 +69,18 @@ SERVING_SMOKE = ("--nodes 4 --procs 4 --clients 1000 --tenants 4 --keys 512 "
                  "--bounds off 16 --shed-retries 0").split()
 EVERY = ["--trace", "--metrics-out", "--flight-recorder"]
 PLANS = ["drop-heavy", "crash-heavy", "partition", "mixed"]
+ALLOW_LIST = ROOT / "benchmarks" / "reach_allow.txt"
+#: why a function no entry point reaches may stay (the one vocabulary of
+#: the allow-list)
+REASONS = {
+    "paper-api": "an operation PAPER.md or Table I names",
+    "oracle": "an invariant checker tests compare against",
+    "error-path": "runs only when an operation fails, is retried or races",
+    "input-check": "rejects malformed input",
+    "format": "reads a branch of a wire or file format no run produces",
+    "debug": "a __repr__",
+    "roadmap": "kept for a named ROADMAP step",
+}
 #: a leg that runs longer than this is stuck (the slowest takes ~1 min)
 LEG_TIMEOUT_S = 1800
 
@@ -127,6 +146,10 @@ def entry_points() -> Dict[str, List[List[str]]]:
              "serving_fresh.json", "--md", "forensics.md"),
         _cli("list"),
     ]
+    points["cli:paper-figures"] = [
+        _cli("fig1"), _cli("fig4", "--scale", "0.25"),
+        _cli("fig5", "--sizes", "4096"), _cli("microbench"),
+    ]
     points["examples"] = [[sys.executable, str(p)]
                           for p in sorted((ROOT / "examples").glob("*.py"))]
     return points
@@ -156,6 +179,35 @@ def functions() -> Dict[Tuple[str, int], Tuple[str, int]]:
 
         walk(tree, "")
     return found
+
+
+def name_of(path: str, qualname: str) -> str:
+    """A function's allow-list name: ``src/repro/<path>::<qualname>``."""
+    return f"{Path(path).relative_to(ROOT).as_posix()}::{qualname}"
+
+
+def allow_list() -> List[Tuple[str, str]]:
+    """``(name, reason)`` per line of :data:`ALLOW_LIST`, in file order
+    (``#`` comments and blank lines skipped)."""
+    entries = []
+    for line in ALLOW_LIST.read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, reason = (line.split() + [""])[:2]
+            entries.append((name, reason))
+    return entries
+
+
+def check(unreached: Set[str], reached: Set[str]) -> List[str]:
+    """The allow-list's offenders: unreached functions it does not name,
+    and names it lists that are reached or name no function.  A name
+    defined twice in one scope is unreached if either definition is."""
+    listed = {name for name, _reason in allow_list()}
+    return ([f"unreached, not on the list: {n}"
+             for n in sorted(unreached - listed)]
+            + [f"listed, but reached: {n}"
+               for n in sorted(listed & reached)]
+            + [f"listed, no such function: {n}"
+               for n in sorted(listed - unreached - reached)])
 
 
 def run(names: List[str], points: Dict[str, List[List[str]]]) -> Set[str]:
@@ -193,7 +245,12 @@ def main(argv=None) -> int:
                         help="run these entry points (or name prefixes)")
     parser.add_argument("--list", action="store_true",
                         help="list the entry points and exit")
+    parser.add_argument("--check", action="store_true",
+                        help=f"exit 1 unless {ALLOW_LIST.name} names "
+                             "exactly the unreached functions")
     args = parser.parse_args(argv)
+    if args.check and args.only:
+        parser.error("--check runs every entry point; drop --only")
     points = entry_points()
     if args.list:
         print("\n".join(points))
@@ -212,7 +269,17 @@ def main(argv=None) -> int:
     total = sum(count for _name, count in table.values())
     print(f"unreached: {len(unreached)} of {len(table)} functions, "
           f"{lines} of {total} function lines ({', '.join(names)})")
-    return 0
+    if not args.check:
+        return 0
+    missed = {name_of(path, table[(path, line)][0])
+              for path, line in unreached}
+    hit = {name_of(path, name) for (path, _line), (name, _count)
+           in table.items()} - missed
+    offenders = check(missed, hit)
+    for offender in offenders:
+        print(offender)
+    print(f"check: {len(offenders)} offender(s) against {ALLOW_LIST.name}")
+    return 1 if offenders else 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ Demonstrates the DataBox persistency and replication features:
    to a *real* mmap-backed log on "NVMe" (one file per partition);
 2. replication=1 keeps an asynchronous second copy on the next partition;
 3. the process "crashes" (we discard the runtime), and a fresh runtime
-   *recovers the full store by replaying the logs*;
+   *recovers the full store by replaying the logs* (``recover=True``);
 4. a corrupted log tail is detected by CRC and cleanly ignored.
 """
 
@@ -19,27 +19,6 @@ import tempfile
 from repro.config import ares_like
 from repro.core import HCL
 from repro.memory import PersistentLog
-from repro.serialization import DataBox
-
-
-def replay(persist_dir, name, partitions):
-    """Rebuild container contents from the per-partition DataBox logs."""
-    recovered = {}
-    for index in range(partitions):
-        path = os.path.join(persist_dir, f"{name}.part{index}.hcl")
-        if not os.path.exists(path):
-            continue
-        with PersistentLog(path) as log:
-            for record in log.records():
-                op, args = DataBox.decode(record.payload).value
-                if op in ("insert", "upsert"):
-                    key, value = args
-                    if op == "upsert":
-                        value = recovered.get(key, 0) + value
-                    recovered[key] = value
-                elif op == "erase":
-                    recovered.pop(args[0], None)
-    return recovered
 
 
 def main():
@@ -75,10 +54,17 @@ def main():
         del hcl, store
 
         # ---- recovery -------------------------------------------------
-        recovered = replay(persist_dir, "store", partitions=2)
+        # A fresh runtime replays each partition's log into its table;
+        # replica copies are not logged, so the tables hold the primaries.
+        revived = HCL(spec, persist_dir=persist_dir).unordered_map(
+            "store", partitions=2, persistence=True, recover=True,
+        )
+        recovered = {key: value for part in revived.partitions
+                     for key, value in part.structure.items()}
         assert recovered == expected, (recovered, expected)
         print(f"recovered {len(recovered)} keys from the mmap logs "
               "after the crash — contents exact (erased key stayed gone)")
+        revived.close()
 
         # ---- corruption ------------------------------------------------
         victim = os.path.join(persist_dir, "store.part0.hcl")
@@ -86,9 +72,8 @@ def main():
         with open(victim, "r+b") as fh:
             fh.seek(200)
             fh.write(b"\xde\xad")
-        log = PersistentLog(victim)
-        intact = sum(1 for _ in log._iter_from(0, stop_on_corrupt=True))
-        log.close()
+        with PersistentLog(victim) as log:
+            intact = sum(1 for _ in log._iter_from(0, stop_on_corrupt=True))
         print(f"after corrupting 2 bytes: CRC scan keeps the {intact} "
               "records before the damage and discards the rest")
 

@@ -54,11 +54,6 @@ class ExtensionPair:
         return ExtensionPair(self.lefts | other.lefts,
                              self.rights | other.rights)
 
-    def __radd__(self, other):
-        if other == 0:  # the upsert "absent" base
-            return self
-        return NotImplemented
-
     def __eq__(self, other):
         return (
             isinstance(other, ExtensionPair)

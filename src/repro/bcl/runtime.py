@@ -61,9 +61,6 @@ class BCL:
         node.allocate(nbytes, what=what)
         self._bcl_bytes[node.node_id] += nbytes
 
-    def bcl_bytes(self, node_id: int) -> int:
-        return self._bcl_bytes[node_id]
-
     # -- collectives ------------------------------------------------------------
     def barrier(self) -> Barrier:
         """The all-ranks barrier BCL's bulk-synchronous phases need."""

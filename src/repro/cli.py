@@ -7,7 +7,6 @@
     python -m repro.cli fig4 --scale 0.5     # BCL vs HCL, PAT-style series
     python -m repro.cli fig5 --sizes 4096 1048576
     python -m repro.cli fig7 --apps isx kmer --nodes 2 4
-    python -m repro.cli sweep --nodes 2 4 8 --ops 64 --size 65536
 
 Each command builds the same scaled experiment as the corresponding bench
 in ``benchmarks/`` and prints the paper-style table — both call the one

@@ -98,7 +98,7 @@ _QUEUE = (Op("pop", 0), Op("push_many", 1), Op("pop_many", 1),
 #: ``find`` does not consult the read cache, and no ``batch`` does.
 OP_TABLES: Dict[str, Tuple[Op, ...]] = {
     "unordered_map": _keyed_ops(True, True, *_HASH),
-    "unordered_set": _keyed_ops(False, True, *_HASH),
+    "unordered_set": _keyed_ops(False, True),
     "map": _keyed_ops(True, False, *_ORDERED),
     "set": _keyed_ops(False, False, *_ORDERED),
     "queue": (Op("push", 1), *_QUEUE),
@@ -880,9 +880,6 @@ class KeyedContainer(DistributedContainer):
     #: maps store ``(key, value)`` entries, sets key-only ones
     STORES_VALUES = True
 
-    def partition_for(self, key: Hashable) -> Partition:
-        raise NotImplementedError
-
     # -- bound functions: (result, stats, entry_bytes) -------------------------
     def _do_insert(self, part: Partition, key, value=True):
         entry_bytes = (self._entry_bytes(key, value) if self.STORES_VALUES
@@ -946,7 +943,8 @@ class KeyedContainer(DistributedContainer):
         """Generator: execute many keyed operations in few invocations.
 
         ``ops`` is a sequence of tuples — ``("insert", key, value)``,
-        ``("find", key)``, ``("erase", key)``, ``("upsert", key, delta)``.
+        ``("find", key)``, ``("erase", key)`` and, on a map,
+        ``("upsert", key, delta)``.
         Operations are grouped by target partition and shipped as ONE
         invocation per partition (the spatial-aggregation win of
         Section III-C3); results come back in the original order.

@@ -117,6 +117,3 @@ class CostLedger:
             "count": n,
             **{sym: row[sym] / n for sym in ("F", "L", "R", "W", "CAS")},
         }
-
-    def ops(self):
-        return sorted(self._ops)

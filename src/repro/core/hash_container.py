@@ -37,76 +37,6 @@ class _HashContainerBase(KeyedContainer):
         self._route_tail_uid: int = -1
         super().__init__(runtime, name, partitions, policy)
 
-    # -- read-modify-write at the target -------------------------------------
-    def _do_upsert(self, part: Partition, key, delta):
-        """Read-modify-write executed *at the target* — one invocation.
-
-        The procedural-programming showcase: a client-side library (BCL)
-        needs a find round trip plus an insert round trip (plus their CAS
-        traffic) for the same effect.  Used by the k-mer counting kernel.
-        """
-        new, stats = part.structure.upsert(key, delta)
-        entry_bytes = self._entry_bytes(key, new)
-        if stats.resized:
-            self._grow_segment_if_resized(part, stats, entry_bytes)
-        return new, stats, entry_bytes
-
-    def _run_upsert(self, part: Partition, pairs, results):
-        """A batch's run of upserts as vector calls on the table.
-
-        Appends each op's new value to ``results`` and returns ``(stats,
-        worst_entry_bytes)`` — what ``len(pairs)`` :meth:`_do_upsert` calls
-        charge.  Each call stops right after an op that resized, so the
-        segment grows at that op with that op's entry bytes.
-        """
-        upsert_many = part.structure.upsert_many
-        entry_bytes = self._entry_bytes
-        first = len(results)
-        total = None
-        worst = 0
-        pos = 0
-        n = len(pairs)
-        try:
-            while pos < n:
-                stop, stats = upsert_many(pairs, pos, results)
-                for k in range(pos, stop):
-                    size = entry_bytes(pairs[k][0], results[first + k])
-                    if size > worst:
-                        worst = size
-                if stats.resized:
-                    self._grow_segment_if_resized(part, stats, size)
-                total = stats if total is None else total.merge(stats)
-                pos = stop
-        finally:
-            # One epoch bump per applied op, as per-op calls would leave.
-            part.write_epoch += len(results) - first
-        return total, worst
-
-    def upsert(self, rank: int, key: Hashable, delta: Any = 1):
-        """Generator: atomic increment-or-insert; returns the new value."""
-        return self._issue(rank, "upsert", (key, delta), self._execute)
-
-    def upsert_buffered(self, rank: int, key: Hashable, delta: Any = 1):
-        """Generator: upsert through the aggregation buffer.
-
-        With ``aggregation=0`` this is exactly :meth:`upsert`; otherwise a
-        remote-bound upsert is write-combined and applied at the next
-        threshold or sync-point flush (returning None immediately).  The
-        k-mer/contig build storms' hot path.
-        """
-        return self._issue(rank, "upsert", (key, delta), self._buffer_op)
-
-    def async_rmw(self, rank: int, key: Hashable, delta: Any = 1) -> RPCFuture:
-        """Pipelined atomic increment-or-insert; future of the new value.
-
-        The combination the k-mer storm wants: the op write-combines like
-        :meth:`upsert_buffered`, yet the caller still gets *this op's*
-        result through a per-op future — pipelining without giving up
-        per-op completions.  Remote issues ride the AIMD congestion window
-        when the runtime has one armed.
-        """
-        return self._issue(rank, "upsert", (key, delta), self._pipeline_op)
-
     # -- level-1 hash: key -> partition ------------------------------------
     # Rendezvous (highest-random-weight) hashing: each key scores every
     # partition by mixing the key hash with the partition's stable uid and
@@ -239,6 +169,76 @@ class HCLUnorderedMap(_HashContainerBase):
     """Distributed hash map: ``insert(k, v)``, ``find(k)``, ``erase(k)``."""
 
     OPS = OP_TABLES["unordered_map"]
+
+    # -- read-modify-write at the target -------------------------------------
+    def _do_upsert(self, part: Partition, key, delta):
+        """Read-modify-write executed *at the target* — one invocation.
+
+        The procedural-programming showcase: a client-side library (BCL)
+        needs a find round trip plus an insert round trip (plus their CAS
+        traffic) for the same effect.  Used by the k-mer counting kernel.
+        """
+        new, stats = part.structure.upsert(key, delta)
+        entry_bytes = self._entry_bytes(key, new)
+        if stats.resized:
+            self._grow_segment_if_resized(part, stats, entry_bytes)
+        return new, stats, entry_bytes
+
+    def _run_upsert(self, part: Partition, pairs, results):
+        """A batch's run of upserts as vector calls on the table.
+
+        Appends each op's new value to ``results`` and returns ``(stats,
+        worst_entry_bytes)`` — what ``len(pairs)`` :meth:`_do_upsert` calls
+        charge.  Each call stops right after an op that resized, so the
+        segment grows at that op with that op's entry bytes.
+        """
+        upsert_many = part.structure.upsert_many
+        entry_bytes = self._entry_bytes
+        first = len(results)
+        total = None
+        worst = 0
+        pos = 0
+        n = len(pairs)
+        try:
+            while pos < n:
+                stop, stats = upsert_many(pairs, pos, results)
+                for k in range(pos, stop):
+                    size = entry_bytes(pairs[k][0], results[first + k])
+                    if size > worst:
+                        worst = size
+                if stats.resized:
+                    self._grow_segment_if_resized(part, stats, size)
+                total = stats if total is None else total.merge(stats)
+                pos = stop
+        finally:
+            # One epoch bump per applied op, as per-op calls would leave.
+            part.write_epoch += len(results) - first
+        return total, worst
+
+    def upsert(self, rank: int, key: Hashable, delta: Any = 1):
+        """Generator: atomic increment-or-insert; returns the new value."""
+        return self._issue(rank, "upsert", (key, delta), self._execute)
+
+    def upsert_buffered(self, rank: int, key: Hashable, delta: Any = 1):
+        """Generator: upsert through the aggregation buffer.
+
+        With ``aggregation=0`` this is exactly :meth:`upsert`; otherwise a
+        remote-bound upsert is write-combined and applied at the next
+        threshold or sync-point flush (returning None immediately).  The
+        k-mer/contig build storms' hot path.
+        """
+        return self._issue(rank, "upsert", (key, delta), self._buffer_op)
+
+    def async_rmw(self, rank: int, key: Hashable, delta: Any = 1) -> RPCFuture:
+        """Pipelined atomic increment-or-insert; future of the new value.
+
+        The combination the k-mer storm wants: the op write-combines like
+        :meth:`upsert_buffered`, yet the caller still gets *this op's*
+        result through a per-op future — pipelining without giving up
+        per-op completions.  Remote issues ride the AIMD congestion window
+        when the runtime has one armed.
+        """
+        return self._issue(rank, "upsert", (key, delta), self._pipeline_op)
 
 
 class HCLUnorderedSet(_HashContainerBase):

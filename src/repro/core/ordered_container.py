@@ -14,7 +14,7 @@ fashion based on the key length".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Hashable, List, Optional, Tuple
 
 from repro.core.container import OP_TABLES, KeyedContainer, Partition
 from repro.structures.rbtree import RedBlackTree
@@ -130,17 +130,6 @@ class _OrderedContainerBase(KeyedContainer):
             if k is not None and (best is None or self._less(best, k)):
                 best = k
         return best
-
-    # -- ordered iteration across partitions (tests/apps helper) ----------------
-    def _all_items_sorted(self) -> Iterator[Tuple[Hashable, Any]]:
-        """In-order across the whole container.
-
-        Correct global order requires an order-preserving partitioner
-        (e.g. :func:`range_partitioner`); with the default key-length
-        round-robin it is per-partition order only, like the paper's.
-        """
-        for part in self.partitions:
-            yield from part.structure.items()
 
 
 class _SortKey:

@@ -51,15 +51,12 @@ class HCL:
         rpc_batch_size: int = 1,
         rpc_queue_bound: Optional[int] = None,
         persist_dir: Optional[str] = None,
-        fault_plan=None,
         window=None,
     ):
         if isinstance(spec_or_cluster, Cluster):
             self.cluster = spec_or_cluster
         else:
             self.cluster = Cluster(spec_or_cluster, provider=provider)
-        if fault_plan is not None:
-            self.cluster.install_faults(fault_plan)
         self.sim = self.cluster.sim
         # rpc_queue_bound arms admission control: each server sheds requests
         # arriving at a full receive queue instead of queueing them forever
@@ -90,10 +87,6 @@ class HCL:
                                window=self._window)
             self._clients[node_id] = client
         return client
-
-    @property
-    def spec(self) -> ClusterSpec:
-        return self.cluster.spec
 
     @property
     def num_nodes(self) -> int:

@@ -6,8 +6,8 @@ the *verbs* level: queue pairs, work queues served by NIC cores, one-sided
 READ/WRITE, SEND/RECV, and remote atomics (CAS) with per-region
 serialization — exactly the operations whose counts and placement drive the
 paper's HCL-vs-BCL argument.  A verb completes when its generator returns;
-to keep several in flight, run each as a ``sim.process`` and wait on
-``sim.all_of``.
+to keep several in flight, run each as a ``sim.process`` and wait on each
+process in turn.
 
 Layering::
 

@@ -12,8 +12,7 @@ This module supplies the weather:
   cluster's seeded RNG registry so runs are bit-reproducible).
 * :class:`FaultPlan` — a declarative schedule: a default/per-link fault
   spec with an active window, node crash/restart windows, and switch
-  partition windows.  Installed via :meth:`Cluster.install_faults` (or
-  ``HCL(spec, fault_plan=...)``).
+  partition windows.  Installed via :meth:`Cluster.install_faults`.
 * :class:`FaultInjector` — the runtime: intercepts every inter-node
   message (:meth:`outbound`), schedules crashes/restarts/partition
   toggles on the simulator timeline, and counts everything it does

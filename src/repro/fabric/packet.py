@@ -57,7 +57,3 @@ class Message:
         self.region = region
         self.offset = offset
         self.wire_size = size + WIRE_HEADER_BYTES
-
-    @property
-    def is_atomic(self) -> bool:
-        return self.verb in (Verb.CAS, Verb.FETCH_ADD)

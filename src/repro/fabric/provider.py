@@ -9,13 +9,12 @@ the same verbs API runs over any provider; only constants change.
 * ``verbs`` — native InfiniBand EDR-class: more bandwidth, lower latency.
 * ``tcp``   — sockets provider: no NIC offload (atomics emulated on host,
   much higher per-op latency), the fallback OFI always has.
-* ``shm``   — intra-node only; bandwidth = memory bandwidth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass, field, replace
+from typing import Dict, Mapping
 
 from repro.config import CostModel, GB
 
@@ -28,54 +27,31 @@ class Provider:
 
     name: str
     supports_rdma_atomics: bool
-    supports_nic_offload: bool
-    description: str
+    #: the :class:`CostModel` fields this provider sets; none keeps the
+    #: base model itself
+    overrides: Mapping[str, float] = field(default_factory=dict)
 
     def apply(self, base: CostModel) -> CostModel:
         """Return a CostModel adjusted for this provider."""
-        if self.name == "roce":
-            return base
-        if self.name == "verbs":
-            return replace(
-                base,
-                link_bandwidth=11.0 * GB,
-                link_latency=1.2e-6,
-                nic_verb_service=0.9e-6,
-                nic_atomic_service=1.2e-6,
-            )
-        if self.name == "tcp":
-            return replace(
-                base,
-                link_bandwidth=1.1 * GB,
-                link_latency=18.0e-6,
-                per_packet_overhead=1.2e-6,
-                nic_verb_service=6.0e-6,  # host kernel path, no offload
-                nic_atomic_service=9.0e-6,  # emulated atomics round-trip
-                nic_rpc_dispatch=8.0e-6,
-            )
-        if self.name == "shm":
-            return replace(
-                base,
-                link_bandwidth=base.memory_bandwidth,
-                link_latency=0.2e-6,
-                per_packet_overhead=0.02e-6,
-            )
-        raise ValueError(f"unknown provider {self.name!r}")
+        return replace(base, **self.overrides) if self.overrides else base
 
 
 PROVIDERS: Dict[str, Provider] = {
-    "roce": Provider(
-        "roce", True, True,
-        "RDMA over Converged Ethernet, 40GbE (paper testbed)"),
-    "verbs": Provider(
-        "verbs", True, True,
-        "native InfiniBand verbs, EDR-class"),
-    "tcp": Provider(
-        "tcp", False, False,
-        "sockets provider; no NIC offload, software atomics"),
-    "shm": Provider(
-        "shm", True, True,
-        "intra-node shared memory"),
+    "roce": Provider("roce", True),
+    "verbs": Provider("verbs", True, dict(
+        link_bandwidth=11.0 * GB,
+        link_latency=1.2e-6,
+        nic_verb_service=0.9e-6,
+        nic_atomic_service=1.2e-6,
+    )),
+    "tcp": Provider("tcp", False, dict(
+        link_bandwidth=1.1 * GB,
+        link_latency=18.0e-6,
+        per_packet_overhead=1.2e-6,
+        nic_verb_service=6.0e-6,  # host kernel path, no offload
+        nic_atomic_service=9.0e-6,  # emulated atomics round-trip
+        nic_rpc_dispatch=8.0e-6,
+    )),
 }
 
 

@@ -74,10 +74,6 @@ class Cluster:
             raise IndexError(f"rank {rank} out of range [0, {self.total_procs})")
         return rank // self.spec.procs_per_node
 
-    def ranks_on_node(self, node_id: int) -> range:
-        p = self.spec.procs_per_node
-        return range(node_id * p, (node_id + 1) * p)
-
     def qp(self, node_id: int) -> QueuePair:
         """The (shared, reusable) queue pair originating at ``node_id``."""
         qp = self._qps.get(node_id)

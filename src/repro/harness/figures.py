@@ -610,34 +610,6 @@ def _render_fig7(report: Dict, a) -> str:
     return "\n".join(tables)
 
 
-def _run_sweep(a, _instrument) -> Dict:
-    """Free-form sweep: insert throughput of one HCL unordered_map per node
-    count."""
-    rows = []
-    for nodes in a.nodes:
-        spec = ares_like(nodes=nodes, procs_per_node=a.procs)
-        hcl = HCL(spec, provider=a.provider)
-        m = hcl.unordered_map("m", partitions=nodes,
-                              initial_buckets=8 * a.procs * a.ops)
-
-        def body(rank):
-            for i in range(a.ops):
-                yield from m.insert(rank, (rank, i), Blob(a.size))
-
-        hcl.run_ranks(body)
-        total = spec.total_procs * a.ops
-        rows.append([nodes, spec.total_procs, hcl.now, total / hcl.now,
-                     total * a.size / hcl.now / MB])
-    return {"rows": rows}
-
-
-def _render_sweep(report: Dict, a) -> str:
-    return render_table(
-        f"unordered_map insert sweep ({a.size} B ops, "
-        f"provider={a.provider})",
-        ["nodes", "clients", "sim time (s)", "op/s", "MB/s"], report["rows"])
-
-
 FIGURES = (
     _figure(
         name="fig1", help="motivating test", stem="fig1",
@@ -679,15 +651,4 @@ FIGURES = (
                       "prohibitive)"),
         ),
         run=_run_fig7, render=_render_fig7),
-    _figure(
-        name="sweep", help="free-form throughput sweep", stem="sweep",
-        shared=dict(procs=6, emit="BENCH_sweep.json"),
-        flags=(
-            flag("--nodes", nargs="+", type=int, default=[2, 4, 8]),
-            flag("--ops", type=int, default=32),
-            flag("--size", type=int, default=4 * KB),
-            flag("--provider", default="roce",
-                 choices=["roce", "verbs", "tcp"]),
-        ),
-        run=_run_sweep, render=_render_sweep, check=None),
 )

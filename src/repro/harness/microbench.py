@@ -72,14 +72,14 @@ def run_microbench(spec: ClusterSpec = None,
     read_lat = one(lambda qp: qp.rdma_read(1, "mb", 0, 8))
     cas_lat = one(lambda qp: qp.cas(1, "mb", 0, 0, 1))
 
-    # -- pipelined rates: post every op at once, wait for all of them --------
+    # -- pipelined rates: post every op at once, wait for each in turn -------
     def pipelined(count: int, op_builder) -> float:
         cluster = _fresh(spec, provider)
         qp, sim = cluster.qp(0), cluster.sim
 
         def post_all():
-            yield sim.all_of([sim.process(op_builder(qp, i))
-                              for i in range(count)])
+            for op in [sim.process(op_builder(qp, i)) for i in range(count)]:
+                yield op
 
         sim.run_process(post_all())
         return sim.now

@@ -178,10 +178,6 @@ class PersistentLog:
                 return
             raise CorruptRecordError(f"{why} at offset {pos}")
 
-    @property
-    def bytes_used(self) -> int:
-        return self._write_pos
-
     def close(self) -> None:
         if self._closed:
             return

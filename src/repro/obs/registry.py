@@ -145,12 +145,6 @@ class MetricsRegistry:
         """Registered metric names (sorted), optionally prefix-filtered."""
         return sorted(n for n in self._metrics if n.startswith(prefix))
 
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
     # -- aggregation ----------------------------------------------------------
     def sum_matching(self, suffix: str, prefix: str = "") -> float:
         """Sum counter/gauge values whose name matches ``prefix``/``suffix``.

@@ -88,12 +88,6 @@ class SpaceSavingSketch:
                         key=lambda kv: (-kv[1][0], kv[1][2]))
         return [(key, int(c), int(e)) for key, (c, e, _s) in ranked[:k]]
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
 
 class SkewDetector:
     """Per-partition load-share monitor + hot-key sketch.

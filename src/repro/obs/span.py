@@ -145,13 +145,6 @@ class Tracer:
         return span
 
     # -- queries --------------------------------------------------------------
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def stage_children(self, root: Span) -> List[Span]:
-        """The tiling client-side stage spans of one RPC root."""
-        return [s for s in self.children_of(root) if s.name in STAGE_NAMES]
-
     def stage_breakdown(self) -> Dict[str, Dict[str, float]]:
         """Per-stage totals across all finished spans: n / total / mean."""
         out: Dict[str, Dict[str, float]] = {}

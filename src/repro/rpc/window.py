@@ -135,10 +135,6 @@ class AIMDWindow:
         self._recover_until = self._launch_seq
         self.cwnd = max(float(FLOOR), self.cwnd / 2.0)
 
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<AIMDWindow cwnd={self.cwnd:.2f} out={self.outstanding} "
                 f"queued={len(self._queue)}>")

@@ -166,12 +166,5 @@ class DataBox:
             return cls(_CODEC.decode(body))
         raise SerializationError(f"bad DataBox tag {tag!r}")
 
-    # -- cost hooks ---------------------------------------------------------------
-    @property
-    def wire_size(self) -> int:
-        if self._encoded is not None:
-            return len(self._encoded)
-        return 1 + estimate_size(self.value)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"DataBox({self.value!r})"

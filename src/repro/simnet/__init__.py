@@ -15,7 +15,6 @@ containers, BCL baseline, applications) is real.
 
 from repro.simnet.core import (
     Event,
-    AllOf,
     AnyOf,
     Process,
     Simulator,
@@ -28,7 +27,6 @@ from repro.simnet.stats import Counter, Gauge, Histogram
 
 __all__ = [
     "Event",
-    "AllOf",
     "AnyOf",
     "Simulator",
     "SimulationError",

@@ -42,7 +42,7 @@ retire per wall-clock second:
   places: ``_drain``'s one wake block, which steps the slot waiter of a
   plain Event entry and a waking Process entry alike (heap wakes), and
   :meth:`Process._resume` (callback wakes: overflow waiters, waiters on
-  an ``AllOf``/``AnyOf``/process, rejected yields).
+  an ``AnyOf``/process, rejected yields).
 
 Time is a ``float`` in **seconds**.  All substrates (fabric, memory, rpc)
 charge costs in seconds so that benchmark output is directly comparable
@@ -57,7 +57,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Event",
-    "AllOf",
     "AnyOf",
     "Process",
     "Simulator",
@@ -102,10 +101,6 @@ class Event:
     @property
     def triggered(self) -> bool:
         return self._state >= _TRIGGERED
-
-    @property
-    def processed(self) -> bool:
-        return self._state >= _PROCESSED
 
     @property
     def ok(self) -> bool:
@@ -174,49 +169,6 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {0: "pending", 1: "triggered", 2: "processed"}[self._state]
         return f"<{type(self).__name__} {state} at t={self.sim.now:.9f}>"
-
-
-class AllOf(Event):
-    """Fires when every child event has fired; value is the list of values.
-
-    If any child fails, this fails with the first failure and *detaches*
-    its callback from the still-pending children so long-running sims do
-    not accumulate dead callbacks.
-    """
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._children = list(events)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for ev in self._children:
-            if self._state != _PENDING:
-                break  # settled early (an already-failed child); stop attaching
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if not ev.ok:
-            self.fail(ev.value)
-            self._detach()
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([c._value for c in self._children])
-
-    def _detach(self) -> None:
-        cb = self._on_child
-        for child in self._children:
-            if child._state != _PROCESSED:
-                try:
-                    child.callbacks.remove(cb)
-                except ValueError:
-                    pass
 
 
 class AnyOf(Event):
@@ -449,9 +401,6 @@ class Simulator:
         self._seq = seq = self._seq + 1
         self._heappush((when, seq, to))
         return to
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -47,7 +47,6 @@ class Resource:
         self.in_use = 0
         self._queue: Deque[Event] = deque()
         # Busy-time accounting for utilization meters, from creation on.
-        self._created = sim.now
         self._busy_integral = 0.0
         self._last_change = sim.now
 
@@ -61,13 +60,6 @@ class Resource:
         """Integral of in-use servers since creation (server-seconds)."""
         self._note_change()
         return self._busy_integral
-
-    def utilization(self) -> float:
-        """Mean fraction of capacity busy since the resource was created."""
-        span = self.sim.now - self._created
-        if span <= 0:
-            return 0.0
-        return self.busy_time() / (span * self.capacity)
 
     # -- the one acquire, the one release ---------------------------------------
     def claim(self) -> Union[float, Event]:
@@ -139,10 +131,6 @@ class Resource:
         finally:
             self.release_slot()
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<Resource {self.name or id(self)} {self.in_use}/{self.capacity}"
@@ -159,11 +147,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
-    def put(self, item: Any) -> Event:
-        """Deposit ``item``; the returned event fires in the same instant."""
-        self.try_put(item)
-        return self.sim.event().succeed(None)
-
     def get(self) -> Event:
         ev = self.sim.event()
         if self._items:
@@ -173,8 +156,7 @@ class Store:
         return ev
 
     def try_put(self, item: Any) -> None:
-        """:meth:`put` without the acknowledgement event: hand ``item`` to
-        the oldest waiting getter, else enqueue it.  Never fails — the
+        """Hand ``item`` to the oldest waiting getter, else enqueue it.  Never fails — the
         store is unbounded; admission control lives above it
         (``RpcServer._admit``)."""
         if self._getters:

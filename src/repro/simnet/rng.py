@@ -44,10 +44,3 @@ class RngRegistry:
             gen = np.random.default_rng(seq)
             self._streams[name] = gen
         return gen
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """A registry with a derived seed — for per-trial reseeding."""
-        return RngRegistry(seed=(self.seed * 1_000_003 + salt) & 0x7FFFFFFF)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams

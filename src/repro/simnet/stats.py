@@ -26,9 +26,6 @@ class Counter:
             raise ValueError("Counter.add requires non-negative amount")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0.0
-
 
 class Gauge:
     """Instantaneous value with peak tracking."""

@@ -72,21 +72,6 @@ class TimeSeries:
         self.times.append(t)
         self.values.append(v)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else 0.0
-
-    def max(self) -> float:
-        return max(self.values) if self.values else 0.0
-
-    def last(self) -> float:
-        return self.values[-1] if self.values else 0.0
-
-    def rows(self) -> List[Tuple[float, float]]:
-        return list(zip(self.times, self.values))
-
 
 class EventLog:
     """A bounded structured log of simulation events."""
@@ -102,12 +87,3 @@ class EventLog:
             self.dropped += 1
             return
         self.entries.append((self.sim.now, kind, payload))
-
-    def of_kind(self, kind: str) -> List[Tuple[float, Any]]:
-        return [(t, p) for (t, k, p) in self.entries if k == kind]
-
-    def count(self, kind: str) -> int:
-        return sum(1 for (_t, k, _p) in self.entries if k == kind)
-
-    def __len__(self) -> int:
-        return len(self.entries)

@@ -88,10 +88,6 @@ class CuckooHash:
     def bucket_count(self) -> int:
         return 2 * self._cap
 
-    @property
-    def load_factor(self) -> float:
-        return self._count / self.bucket_count
-
     def find(self, key: Hashable) -> Tuple[Optional[Any], bool, OpStats]:
         """Returns ``(value, found, stats)``; at most two probes.
 
@@ -335,10 +331,6 @@ class CuckooHash:
         # run far below their capacity, so the scan is mostly empty slots.
         for arr in (self._t0, self._t1):
             yield from filter(None, arr)
-
-    def keys(self) -> Iterator[Hashable]:
-        for k, _v in self.items():
-            yield k
 
     def check_invariants(self) -> None:
         """Every key sits at one of its two hash slots; count matches."""

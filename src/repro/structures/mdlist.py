@@ -85,20 +85,6 @@ class MDListPriorityQueue:
     def __len__(self) -> int:
         return self._count
 
-    @classmethod
-    def for_key_space(cls, max_key: int, base: int = 16) -> "MDListPriorityQueue":
-        """Build a queue whose coordinate space covers ``[0, max_key]``."""
-        if max_key < 0:
-            raise ValueError("max_key must be non-negative")
-        dims = 1
-        while base ** dims <= max_key:
-            dims += 1
-        return cls(dims=dims, base=base)
-
-    @property
-    def empty(self) -> bool:
-        return self._count == 0
-
     # -- coordinates ------------------------------------------------------------
     def coordinate(self, key: int) -> Tuple[int, ...]:
         """Base-N decomposition, most-significant dimension first."""

@@ -314,10 +314,6 @@ class RedBlackTree:
             yield node.key, node.value
             node = node.right
 
-    def keys(self) -> Iterator[Hashable]:
-        for k, _v in self.items():
-            yield k
-
     def range_items(self, lo, hi) -> Iterator[Tuple[Hashable, Any]]:
         """Items with lo <= key < hi, in order."""
         less = self._less

@@ -119,25 +119,6 @@ class RefSim:
     def process(self, gen):
         return RefProcess(self, gen)
 
-    def all_of(self, events):
-        events, done = list(events), RefEvent(self)
-        left = [len(events)]
-
-        def on_child(ev):
-            if done.state == PENDING:
-                left[0] -= 1
-                if not ev.ok:
-                    done.fail(ev.value)
-                elif not left[0]:
-                    done.succeed([e.value for e in events])
-
-        if not events:
-            return done.succeed([])
-        for ev in events:
-            if done.state == PENDING:
-                ev.add_callback(on_child)
-        return done
-
     def any_of(self, events):
         done = RefEvent(self)
 

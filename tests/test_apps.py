@@ -125,10 +125,6 @@ class TestExtensionPair:
         merged = a + b
         assert merged.lefts == {"A", "G"} and merged.rights == {"C"}
 
-    def test_radd_zero(self):
-        pair = ExtensionPair({"A"}, {"T"})
-        assert 0 + pair == pair
-
     def test_uu_detection(self):
         assert ExtensionPair({"A"}, {"T"}).is_uu
         assert not ExtensionPair({"A", "C"}, {"T"}).is_uu

@@ -105,7 +105,7 @@ class TestHashMapProtocol:
         """BCL allocates the whole partition at init (Fig 4b ramp)."""
         m = bcl.hashmap("m", capacity_per_partition=4096, entry_size=4096)
         bcl.cluster.run()
-        total = sum(bcl.bcl_bytes(n) for n in range(2))
+        total = sum(bcl._bcl_bytes[n] for n in range(2))
         # Full static footprint despite zero inserts.
         assert total >= 2 * 4096 * 4096
 

@@ -47,7 +47,6 @@ TINY = {
     "fig6": (["--scale", "0.1", "--partitions", "1", "2"], [""]),
     "fig7": (["--apps", "isx", "kmer", "--nodes", "2", "--procs", "2",
               "--ops", "16", "--scale", "0.25"], [""]),
-    "sweep": (["--nodes", "2", "--ops", "8", "--procs", "2"], [""]),
     "microbench": ([], [""]),
 }
 

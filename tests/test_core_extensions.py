@@ -122,7 +122,7 @@ class TestDynamicPartitions:
         assert len(m.partitions[2].structure) > 0
 
         def readback(rank):
-            for r in range(hcl4.spec.total_procs):
+            for r in range(hcl4.cluster.spec.total_procs):
                 for i in range(8):
                     value, found = yield from m.find(rank, (r, i))
                     assert found and value == i
@@ -170,7 +170,7 @@ class TestDynamicPartitions:
         proc = hcl4.cluster.spawn(grow(0))
         hcl4.cluster.run()
         proc.result
-        assert s.total_entries() == hcl4.spec.total_procs
+        assert s.total_entries() == hcl4.cluster.spec.total_procs
 
 
 class TestConcurrencyControl:

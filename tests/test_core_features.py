@@ -18,7 +18,7 @@ class TestReplication:
 
         hcl4.run_ranks(body)
         hcl4.cluster.run()  # drain async replication traffic
-        for rank in range(hcl4.spec.total_procs):
+        for rank in range(hcl4.cluster.spec.total_procs):
             key = f"key-{rank}"
             primary = m.partition_for(key)
             replica = m.partitions[(primary.index + 1) % 4]
@@ -29,7 +29,7 @@ class TestReplication:
         """The caller does not wait for replicas: time ~ non-replicated."""
 
         def run(replication):
-            runtime = HCL(hcl4.spec)
+            runtime = HCL(hcl4.cluster.spec)
             m = runtime.unordered_map("m", partitions=4,
                                       replication=replication)
 

@@ -227,3 +227,11 @@ class TestUnorderedSet:
             return s.total_entries()
 
         assert drive(hcl, body()) == 1
+
+    def test_a_set_holds_no_value_to_upsert(self, hcl):
+        """A set stores keys only, so it has no read-modify-write."""
+        s = hcl.unordered_set("s")
+        assert "upsert" not in s.OPERATIONS
+        for name in ("upsert", "upsert_buffered", "async_rmw", "_do_upsert",
+                     "_run_upsert"):
+            assert not hasattr(s, name), name

@@ -76,7 +76,7 @@ class TestRendezvousHashing:
         # All data still reachable through the new layout.
 
         def readback(rank):
-            for r in range(hcl4.spec.total_procs):
+            for r in range(hcl4.cluster.spec.total_procs):
                 for i in range(10):
                     _v, found = yield from m.find(rank, (r, i))
                     assert found
@@ -107,7 +107,7 @@ class TestRendezvousHashing:
         assert len(m.partitions) == 3
 
         def readback(rank):
-            for r in range(hcl4.spec.total_procs):
+            for r in range(hcl4.cluster.spec.total_procs):
                 for i in range(12):
                     value, found = yield from m.find(rank, (r, i))
                     assert found and value == i * 5

@@ -62,7 +62,8 @@ class TestOrderedMap:
                 yield from m.insert(0, k, str(k))
 
         drive(hcl, body())
-        assert [k for k, _v in m._all_items_sorted()] == [10, 30, 50, 70, 90]
+        assert [k for part in m.partitions
+                for k, _v in part.structure.items()] == [10, 30, 50, 70, 90]
 
     def test_custom_comparator(self, hcl, drive):
         m = hcl.map("om", partitions=1, less=lambda a, b: a > b)

@@ -78,21 +78,13 @@ class TestCli:
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "fig1" in out and "sweep" in out
+        assert "fig1" in out and "microbench" in out
 
-    def test_sweep_runs(self, capsys):
-        from repro.cli import main
-
-        assert main(["sweep", "--nodes", "2", "--ops", "8",
-                     "--procs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "op/s" in out and "MB/s" in out
-
-    def test_sweep_provider_choice_enforced(self):
+    def test_microbench_provider_choice_enforced(self):
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["sweep", "--provider", "carrier-pigeon"])
+            main(["microbench", "--provider", "carrier-pigeon"])
 
     def test_fig7_single_app(self, capsys):
         from repro.cli import main

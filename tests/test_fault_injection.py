@@ -67,11 +67,11 @@ class TestDropRetry:
 
         def body():
             for i in range(40):
-                ok = yield from m.insert(1 * h.spec.procs_per_node, (1, i), i)
+                ok = yield from m.insert(1 * h.cluster.spec.procs_per_node, (1, i), i)
                 assert ok
             found = 0
             for i in range(40):
-                value, hit = yield from m.find(h.spec.procs_per_node, (1, i))
+                value, hit = yield from m.find(h.cluster.spec.procs_per_node, (1, i))
                 found += bool(hit and value == i)
             return found
 
@@ -109,7 +109,7 @@ class TestIdempotency:
         m = h.unordered_map("m")
         # caller on the node that does NOT own the key => remote traffic
         home = m.partition_for("hot-key").node_id
-        remote_rank = (1 - home) * h.spec.procs_per_node
+        remote_rank = (1 - home) * h.cluster.spec.procs_per_node
 
         def body():
             for _ in range(30):
@@ -133,7 +133,7 @@ class TestIdempotency:
         h, _injector = _chaos_hcl(plan=plan, seed=11)
         m = h.unordered_map("m")
         home = m.partition_for("counter").node_id
-        remote_rank = (1 - home) * h.spec.procs_per_node
+        remote_rank = (1 - home) * h.cluster.spec.procs_per_node
 
         def body():
             for _ in range(25):

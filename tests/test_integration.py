@@ -117,7 +117,7 @@ class TestMixedWorkload:
 
         def reader(rank):
             ok = 0
-            for other in range(hcl4.spec.total_procs):
+            for other in range(hcl4.cluster.spec.total_procs):
                 for i in range(10):
                     _v, found = yield from m.find(rank, (other, i))
                     ok += found

@@ -37,7 +37,6 @@ COMMANDS = [
     ["fig5", "--sizes", "4096"],
     ["fig6", "--scale", "0.1", "--partitions", "1"],
     ["fig7", "--apps", "isx", "--nodes", "2", "--procs", "2", "--ops", "16"],
-    ["sweep", "--nodes", "2", "--ops", "8", "--procs", "2"],
     ["microbench"],
 ]
 

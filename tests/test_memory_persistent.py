@@ -122,9 +122,9 @@ class TestCorruption:
 class TestGeometry:
     def test_bytes_used(self, log_path):
         with PersistentLog(log_path) as log:
-            assert log.bytes_used == 0
+            assert log._write_pos == 0
             log.append(b"12345")
-            assert log.bytes_used == 12 + 5
+            assert log._write_pos == 12 + 5
 
 
 class TestTornTail:
@@ -149,7 +149,7 @@ class TestTornTail:
             with open(log_path, "wb") as fh:
                 fh.write(clean[:k] + bytes(end - k) + clean[end:])
             with PersistentLog(log_path) as log:
-                assert log.bytes_used == last, k
+                assert log._write_pos == last, k
                 assert [r.payload for r in log.records()] == kept, k
                 log.append(b"after")  # shorter than the torn record
             with PersistentLog(log_path) as log:

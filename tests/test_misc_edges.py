@@ -42,19 +42,23 @@ class TestContainerCount:
 
 
 class TestMDListSizing:
+    """``dims`` base-16 digits cover a key space: the fewest that hold
+    ``max_key`` take it as a priority, one fewer cannot."""
+
     @pytest.mark.parametrize("max_key,expect_dims", [
         (0, 1), (15, 1), (16, 2), (255, 2), (256, 3), (1 << 32, 9),
     ])
     def test_for_key_space(self, max_key, expect_dims):
-        pq = MDListPriorityQueue.for_key_space(max_key)
-        assert pq.dims == expect_dims
+        pq = MDListPriorityQueue(dims=expect_dims)
         assert pq.key_limit > max_key
+        if expect_dims > 1:
+            assert MDListPriorityQueue(dims=expect_dims - 1).key_limit <= max_key
         pq.push(max_key, "edge")
         assert pq.pop_min()[:2] == (max_key, "edge")
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            MDListPriorityQueue.for_key_space(-1)
+            MDListPriorityQueue().push(-1, "below")
 
 
 class TestSimnetEdges:

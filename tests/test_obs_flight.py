@@ -62,7 +62,8 @@ class TestPumpDiscipline:
         sim.timeout(5.0)
         assert rec.pump(until=5.0) == 5.0
         ts = rec.series["work/ops"]
-        assert ts.rows() == [(t, 3.0) for t in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        assert list(zip(ts.times, ts.values)) == [
+            (t, 3.0) for t in (1.0, 2.0, 3.0, 4.0, 5.0)]
         assert rec.samples == 5
 
     def test_drain_mode_never_advances_idle_clock(self, sim):
@@ -161,7 +162,7 @@ class TestRecorderContents:
         rec = FlightRecorder(sim, interval=1.0, select=["keep/"])
         clock = rec.add_probe("clock", lambda: sim.now)
         seen = []
-        rec.add_listener(lambda now: seen.append(len(clock)))
+        rec.add_listener(lambda now: seen.append(len(clock.values)))
         sim.timeout(2.0)
         rec.pump(until=2.0)
         assert set(rec.series) == {"keep/ops", "clock"}

@@ -14,7 +14,8 @@ class TestSpaceSavingSketch:
                 sk.offer(key)
         assert sk.top(3) == [("a", 5, 0), ("b", 3, 0), ("c", 1, 0)]
         assert sk.offered == 9
-        assert len(sk) == 3 and "a" in sk and "z" not in sk
+        assert len(sk._entries) == 3
+        assert "a" in sk._entries and "z" not in sk._entries
 
     def test_eviction_inherits_floor_as_error(self):
         sk = SpaceSavingSketch(capacity=2)
@@ -23,7 +24,7 @@ class TestSpaceSavingSketch:
         sk.offer("b")
         sk.offer("c")  # evicts b (count 1): c = count 2, error 1
         assert ("c", 2, 1) in sk.top(2)
-        assert "b" not in sk
+        assert "b" not in sk._entries
 
     def test_fifo_tie_break_is_deterministic(self):
         def run():

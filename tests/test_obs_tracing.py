@@ -28,6 +28,15 @@ from repro.obs import (
 )
 
 
+def _children(tracer, span):
+    return [s for s in tracer.spans if s.parent_id == span.span_id]
+
+
+def _stages(tracer, root):
+    """The tiling client-side stage spans of one RPC root."""
+    return [s for s in _children(tracer, root) if s.name in STAGE_NAMES]
+
+
 def _traced_run(app="kmer", aggregation=0, scale=0.25):
     box = {}
 
@@ -58,14 +67,14 @@ class TestStageTiling:
         rpcs = _rpc_roots(kmer_tracer)
         assert len(rpcs) > 10
         for root in rpcs:
-            stages = kmer_tracer.stage_children(root)
+            stages = _stages(kmer_tracer, root)
             assert stages, f"rpc {root.name} has no stage spans"
             total = sum(s.duration for s in stages)
             assert total == pytest.approx(root.duration, rel=1e-9, abs=1e-15)
 
     def test_stages_are_contiguous(self, kmer_tracer):
         for root in _rpc_roots(kmer_tracer):
-            stages = sorted(kmer_tracer.stage_children(root),
+            stages = sorted(_stages(kmer_tracer, root),
                             key=lambda s: s.start)
             assert stages[0].start == root.start
             assert stages[-1].end == root.end
@@ -74,13 +83,13 @@ class TestStageTiling:
 
     def test_fair_weather_stage_names(self, kmer_tracer):
         root = _rpc_roots(kmer_tracer)[0]
-        names = [s.name for s in kmer_tracer.stage_children(root)]
+        names = [s.name for s in _stages(kmer_tracer, root)]
         assert names == ["client.marshal", "client.send", "server.wait",
                          "client.pull", "client.settle"]
 
     def test_server_detail_nests_in_wait(self, kmer_tracer):
         root = _rpc_roots(kmer_tracer)[0]
-        children = {s.name: s for s in kmer_tracer.children_of(root)}
+        children = {s.name: s for s in _children(kmer_tracer, root)}
         wait = children["server.wait"]
         queue = children["server.queue"]
         execute = children["server.execute"]
@@ -112,7 +121,7 @@ class TestHardenedPath:
         rpcs = [r for r in _rpc_roots(tracer) if "error" not in r.attrs]
         assert rpcs
         for root in rpcs:
-            stages = tracer.stage_children(root)
+            stages = _stages(tracer, root)
             assert [s.name for s in stages] == [
                 "client.marshal", "client.send", "server.wait",
                 "client.pull", "client.settle"]
@@ -147,7 +156,7 @@ class TestCoalesceSpans:
         buffers = [s for s in tracer.spans if s.name == "coalesce.buffer"]
         assert buffers
         for buf in buffers:
-            children = tracer.children_of(buf)
+            children = _children(tracer, buf)
             assert any(c.name.startswith("rpc.") for c in children)
             assert buf.attrs["ops"] >= 1
             # The buffer opens at first append, before the flush RPC fires.
@@ -157,7 +166,7 @@ class TestCoalesceSpans:
     def test_batch_tiling_still_holds(self):
         tracer, _ = _traced_run("kmer", aggregation=8)
         for root in _rpc_roots(tracer):
-            total = sum(s.duration for s in tracer.stage_children(root))
+            total = sum(s.duration for s in _stages(tracer, root))
             assert total == pytest.approx(root.duration, rel=1e-9, abs=1e-15)
 
 
@@ -249,7 +258,7 @@ class TestWindowedPath:
         # One attempt per logical op: the window re-issues nothing.
         assert len(roots) == 24
         for root in roots:
-            stages = windowed_tracer.stage_children(root)
+            stages = _stages(windowed_tracer, root)
             assert stages, f"root {root.name} has no stage spans"
             total = sum(s.duration for s in stages)
             assert total == pytest.approx(root.duration, rel=1e-9,
@@ -301,6 +310,6 @@ class TestAsyncCoalescedPath:
         assert roots
         assert any(s.name == "coalesce.buffer" for s in tracer.spans)
         for root in roots:
-            total = sum(s.duration for s in tracer.stage_children(root))
+            total = sum(s.duration for s in _stages(tracer, root))
             assert total == pytest.approx(root.duration, rel=1e-9,
                                           abs=1e-15)

@@ -29,15 +29,6 @@ class TestDataBoxProperties:
         assert box.byte_copyable
         assert len(box.encode()) == 9  # tag + 8 bytes
 
-    @given(st.lists(simple_values, max_size=6))
-    @settings(max_examples=60, deadline=None)
-    def test_wire_size_positive_and_stable(self, values):
-        box = DataBox(values)
-        first = box.wire_size
-        assert first > 0
-        encoded = box.encode()
-        assert box.wire_size == len(encoded)
-
 
 class TestRBTreeRangeProperties:
     @given(st.lists(st.integers(0, 500), max_size=80),

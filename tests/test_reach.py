@@ -1,8 +1,10 @@
 """What the repo keeps is reached: every bench file, committed baseline
-and bench subcommand has a CI runner, importing the package loads no
-dependency it does not declare, the docs name only paths, ``repro.cli``
-subcommands, ``run_*`` functions and ``repro.…`` names that exist, and
-every qualified cross-reference in a ``src/`` docstring resolves.
+and ``repro.cli`` bench or figure subcommand has a CI runner, every line
+of the reach census's allow-list names a function with a reason,
+importing the package loads no dependency it does not declare, the docs
+name only paths, ``repro.cli`` subcommands, ``run_*`` functions and
+``repro.…`` names that exist, and every qualified cross-reference in a
+``src/`` docstring resolves.
 
 A ``benchmarks/test_*.py`` file outside tier-1's testpaths runs only if a
 CI job names it; one that no job names can break unnoticed.  Likewise a
@@ -49,10 +51,25 @@ def test_every_baseline_is_the_reference_of_a_ci_cmp():
 
 
 def test_every_bench_subcommand_is_run_by_a_ci_step():
-    from repro.cli import BENCHES
+    from repro.cli import BENCHES, FIGURES
 
     invoked = set(re.findall(r"repro\.cli\s+([a-z][a-z0-9-]*)", _workflow()))
-    assert [h.name for h in BENCHES if h.name not in invoked] == []
+    assert [h.name for h in BENCHES + FIGURES if h.name not in invoked] == []
+
+
+def test_every_allow_list_line_names_a_function_with_a_reason():
+    """Each line of ``benchmarks/reach_allow.txt`` names a ``src/repro``
+    function the census knows, once, with a reason from its vocabulary."""
+    from benchmarks import reach
+
+    known = {reach.name_of(path, name)
+             for (path, _line), (name, _count) in reach.functions().items()}
+    entries = reach.allow_list()
+    names = [name for name, _reason in entries]
+    assert entries
+    assert [n for n in names if n not in known] == []
+    assert [(n, r) for n, r in entries if r not in reach.REASONS] == []
+    assert sorted({n for n in names if names.count(n) > 1}) == []
 
 
 def test_networkx_is_neither_declared_nor_imported():

@@ -1,5 +1,5 @@
 """Futures of callback-chained invocations and their composition with the
-kernel's AnyOf/AllOf combinators, plus the future's settle discipline.
+kernel's AnyOf combinator, plus the future's settle discipline.
 
 The paper's callback chaining is server-side: ``invoke(...,
 callbacks=[(op, args), ...])`` runs the follow-on ops in the same
@@ -15,7 +15,7 @@ import pytest
 
 from repro.fabric import Cluster
 from repro.rpc import RpcClient, RpcServer
-from repro.rpc.future import RemoteError, RPCFuture
+from repro.rpc.future import RPCFuture
 from repro.simnet import Simulator
 
 
@@ -47,21 +47,6 @@ class TestPostRunChaining:
 
 
 class TestCombinatorComposition:
-    def test_all_of_over_chained_futures(self, rig):
-        cluster, servers, client = rig
-        servers[1].bind("n", lambda ctx, i: i)
-        servers[1].bind("x10", lambda ctx, i: i * 10)
-        futs = [client.invoke(1, "n", (i,), callbacks=[("x10", (i,))])
-                for i in range(4)]
-
-        def body():
-            values = yield cluster.sim.all_of([f.wait() for f in futs])
-            return values
-
-        assert cluster.sim.run_process(body()) == [
-            (i, [i * 10]) for i in range(4)
-        ]
-
     def test_any_of_returns_first_chained_result(self, rig):
         cluster, servers, client = rig
 
@@ -81,19 +66,6 @@ class TestCombinatorComposition:
             return index, value
 
         assert cluster.sim.run_process(body()) == (0, (1e-6, ["fast"]))
-
-    def test_all_of_fails_on_chained_error(self, rig):
-        cluster, servers, client = rig
-        servers[1].bind("n", lambda ctx, i: i)
-        servers[1].bind("div0", lambda ctx: 1 // 0)
-        good = client.invoke(1, "n", (1,))
-        bad = client.invoke(1, "n", (2,), callbacks=[("div0", ())])
-
-        def body():
-            yield cluster.sim.all_of([good.wait(), bad.wait()])
-
-        with pytest.raises(RemoteError, match="callback div0"):
-            cluster.sim.run_process(body())
 
 
 class TestSettleDiscipline:

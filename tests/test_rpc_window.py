@@ -101,11 +101,11 @@ class TestSubmitQueue:
             win.submit(lambda seq, name=name: order.append((name, seq)))
         # the fifth launch finds the window of INITIAL full
         assert order == [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
-        assert win.queued == 1
+        assert len(win._queue) == 1
         assert registry_of(sim).counter("rpc/window_stalls").value == 1
         win.completed(1, latency=1e-6)  # frees a slot -> pump
         assert order[-1] == ("e", 5)
-        assert win.queued == 0
+        assert not win._queue
 
 
 class TestWindowSet:
@@ -171,7 +171,7 @@ class TestWindowedInvoke:
         win = client.windows.window(1, 0)
         assert win.cwnd < INITIAL      # shrank under overload...
         assert win.cwnd >= 1.0         # ...but never below the floor
-        assert win.outstanding == 0 and win.queued == 0
+        assert win.outstanding == 0 and not win._queue
 
     def test_failed_attempts_halve_once_and_surface(self, small_spec):
         """A handler that raises is a non-shed failure: each caller gets
@@ -193,7 +193,7 @@ class TestWindowedInvoke:
             with pytest.raises(RemoteError, match=f"boom {i}"):
                 _ = fut.result
         win = client.windows.window(1, 0)
-        assert win.outstanding == 0 and win.queued == 0
+        assert win.outstanding == 0 and not win._queue
         assert win.cwnd == INITIAL / 2
         assert registry_of(cluster.sim).counter(
             "rpc/window_sheds").value == 0

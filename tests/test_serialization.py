@@ -165,11 +165,6 @@ class TestDataBox:
         with pytest.raises(SerializationError):
             DataBox.decode(b"Zjunk")
 
-    def test_wire_size_without_encoding(self):
-        box = DataBox("x" * 100)
-        assert box.wire_size >= 100
-        assert box._encoded is None  # size estimate did not force an encode
-
 
 class TestEstimateSize:
     def test_scalars(self):

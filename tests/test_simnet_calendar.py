@@ -10,7 +10,7 @@ that contract:
   original heap scheduler (``Simulator(scheduler="heap")``) and its full
   trace frozen in ``tests/data/simnet_heap_goldens.json``.  The scenarios
   cover same-timestamp bursts, entries pushed behind later ones,
-  AnyOf/AllOf settle order, and a seeded randomized workload whose trace
+  AnyOf settle order, and a seeded randomized workload whose trace
   is independent of ``PYTHONHASHSEED``.  The file is frozen: never
   regenerate it from the code under test.
 * **A Hypothesis property** over random schedules (zero-delay and
@@ -94,23 +94,6 @@ def any_of_far_children(sim):
     return got
 
 
-def all_of_across_buckets(sim):
-    got = []
-
-    def proc():
-        # Reverse-chronological listing, spread far apart in time.
-        late = _far(sim, 40.0, value="late")
-        mid = _far(sim, 2.0, value="mid")
-        early = _far(sim, 0.5, value="early")
-        got.append((yield sim.all_of([late, mid, early])))
-        got.append(sim.now)
-
-    sim.run_process(proc())
-    # AllOf value order follows the listed order, not firing order.
-    assert got[0] == ["late", "mid", "early"]
-    return got
-
-
 def randomized(sim, seed):
     """Seeded random workload; everything observable is keyed on
     deterministic ints/floats and list order — no set/dict iteration."""
@@ -151,7 +134,6 @@ SCENARIOS = {
     "same_timestamp_creation_order": same_timestamp_creation_order,
     "same_timestamp_interleaved": same_timestamp_interleaved,
     "any_of_far_children": any_of_far_children,
-    "all_of_across_buckets": all_of_across_buckets,
     "randomized_seed_1": partial(randomized, seed=1),
     "randomized_seed_7": partial(randomized, seed=7),
     "randomized_seed_1234": partial(randomized, seed=1234),

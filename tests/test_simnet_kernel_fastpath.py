@@ -1,5 +1,5 @@
 """Kernel fast paths: the event queue's retire order, ``run(until=)``,
-timeout callbacks, AnyOf/AllOf detach semantics, the ``Resource.use
+timeout callbacks, AnyOf detach semantics, the ``Resource.use
 no-contention path, ``timeout_at`` and a process sleeping on a yielded
 delay.
 
@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.simnet.core import Event, SimulationError, Simulator
+from repro.simnet.core import _PROCESSED, Event, SimulationError, Simulator
 from repro.simnet.resources import Resource, Store
 from repro.simnet.trace import pump_samples
 from tests.ref_kernel import RefSim
@@ -176,7 +176,7 @@ class TestRunUntilBound:
 
 
 # ---------------------------------------------------------------------------
-# AnyOf / AllOf detach semantics
+# AnyOf detach semantics
 # ---------------------------------------------------------------------------
 
 
@@ -184,11 +184,6 @@ class TestConditionDetach:
     def test_any_of_empty_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.any_of([])
-
-    def test_all_of_empty_succeeds_immediately(self, sim):
-        combined = sim.all_of([])
-        assert combined.triggered
-        assert combined.value == []
 
     def test_any_of_detaches_losers(self, sim):
         fast = sim.timeout(0.1, value="fast")
@@ -204,24 +199,6 @@ class TestConditionDetach:
         assert results == [(0, "fast")]
         # The loser must carry no leftover callback from the AnyOf.
         assert slow.callbacks == []
-
-    def test_all_of_failure_first_detaches_survivors(self, sim):
-        bad = sim.event()
-        pending = sim.timeout(9.0)
-        combined = sim.all_of([bad, pending])
-        bad.fail(RuntimeError("boom"))
-        failures = []
-
-        def proc():
-            try:
-                yield combined
-            except RuntimeError as err:
-                failures.append(str(err))
-
-        sim.process(proc())
-        sim.run(until=1.0)
-        assert failures == ["boom"]
-        assert pending.callbacks == []
 
     def test_any_of_with_already_processed_child(self, sim):
         done = sim.event()
@@ -279,7 +256,7 @@ class TestResourceUseFastPath:
             sim.process(worker(i))
         sim.run()
         assert order == [(0, 1.0), (1, 2.0), (2, 3.0)]
-        assert res.in_use == 0 and res.queue_length == 0
+        assert res.in_use == 0 and not res._queue
 
     def test_fast_path_release_wakes_queued_requester(self, sim):
         res = Resource(sim, capacity=1)
@@ -409,7 +386,8 @@ def _mixed_program(sim, spelling, seed=5, workers=6, steps=30):
                 finally:
                     res.release_slot()
             elif kind == 2:
-                yield store.put((pid, step))
+                store.try_put((pid, step))
+                yield sim.event().succeed(None)
             elif kind == 3:
                 # the watchdog stays a kept timeout in both spellings
                 yield sim.any_of([store.get(), sim.timeout(0.2)])
@@ -509,7 +487,7 @@ class TestYieldedDelay:
         is no timeout class to construct by hand."""
         to = sim.timeout(1.0, value="v")
         assert type(to) is Event
-        assert to.triggered and not to.processed and to.value == "v"
+        assert to.triggered and to._state != _PROCESSED and to.value == "v"
         assert type(sim.timeout_at(2.0)) is Event
 
     def test_float_subclass_delay_sleeps(self, sim):

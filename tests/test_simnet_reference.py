@@ -4,8 +4,8 @@ Hypothesis writes small programs of a few processes; each op is a sleep
 (zero sleeps included, yielded or as a ``timeout``), a claim on a small
 :class:`Resource`, a critical section on a capacity-1 ``Resource`` used as
 a mutex (claimed, or taken inline by ``try_acquire`` when free), a
-:class:`Store` put or get, an ``any_of`` watchdog, an ``all_of`` over a
-timeout and a child process, a wait on another process, an event failed on
+:class:`Store` put or get, an ``any_of`` watchdog, a wait on another
+process, an event failed on
 purpose, a yield of an already-processed event (a ``completed_event``
 carrying a value or an error), a raise, or a caught rejected yield.  Each
 program runs on :class:`repro.simnet.core.Simulator` and on
@@ -43,7 +43,6 @@ OPS = st.one_of(
     st.tuples(st.just("put"), SLOTS),
     st.tuples(st.just("get"), SLOTS),
     st.tuples(st.just("any"), SLOTS, DELAYS),
-    st.tuples(st.just("all"), DELAYS, DELAYS, st.booleans()),
     st.tuples(st.just("wait"), st.integers(0, 5)),
     st.tuples(st.just("fail"), DELAYS),
     st.tuples(st.just("done"), st.booleans()),
@@ -72,12 +71,6 @@ def _load(sim, program):
     stores = [Store(sim), Store(sim)]
     trace, procs = [], []
 
-    def child(d, fails):
-        yield d
-        if fails:
-            raise Boom("child")
-        return d
-
     def body(pid, ops):
         for step, op in enumerate(ops):
             kind, got = op[0], None
@@ -103,18 +96,13 @@ def _load(sim, program):
                     holders.remove(pid)
                     mutex.release_slot()
             elif kind == "put":
-                yield stores[op[1]].put((pid, step))
+                stores[op[1]].try_put((pid, step))
+                yield sim.event().succeed(None)
             elif kind == "get":
                 got = yield stores[op[1]].get()
             elif kind == "any":
                 got = yield sim.any_of([stores[op[1]].get(),
                                         sim.timeout(op[2], value="late")])
-            elif kind == "all":
-                try:
-                    got = yield sim.all_of([sim.timeout(op[1], value="t"),
-                                            sim.process(child(op[2], op[3]))])
-                except Boom as err:
-                    got = err
             elif kind == "wait":
                 other = procs[op[1] % len(procs)]
                 if other is procs[pid]:

@@ -17,7 +17,7 @@ class TestResource:
         c1, c2 = res.claim(), res.claim()
         assert c1 == 0.0 and type(c1) is float
         assert c2 == 0.0 and type(c2) is float
-        assert res.in_use == 2 and res.queue_length == 0
+        assert res.in_use == 2 and not res._queue
         assert sim.kernel_stats()["queue_depth"] == 0
 
     def test_queueing_and_handover(self, sim):
@@ -26,11 +26,11 @@ class TestResource:
         c2 = res.claim()
         assert c1 == 0.0 and type(c1) is float
         assert isinstance(c2, Event) and not c2.triggered
-        assert res.in_use == 1 and res.queue_length == 1
+        assert res.in_use == 1 and len(res._queue) == 1
         res.release_slot()
         assert c2.triggered
         assert res.in_use == 1  # handed over: no dip
-        assert res.queue_length == 0
+        assert not res._queue
         res.release_slot()
         assert res.in_use == 0
 
@@ -161,12 +161,11 @@ class TestResource:
         sim.process(worker())
         sim.run()
         # one of two servers busy for the whole window
-        assert res.utilization() == pytest.approx(0.5)
         assert res.busy_time() == pytest.approx(4.0)
 
     def test_utilization_spans_from_creation(self, sim):
-        # Built at t=5, busy over [5, 6), read at t=7: half the lifetime,
-        # not 1/7 of the run (the busy integral starts at creation).
+        # Built at t=5, busy over [5, 6), read at t=7: one busy second,
+        # integrated from creation on.
         holder = []
 
         def late():
@@ -178,7 +177,7 @@ class TestResource:
 
         sim.run_process(late())
         assert sim.now == 7.0
-        assert holder[0].utilization() == 0.5
+        assert holder[0].busy_time() == 1.0
 
 
 class TestStore:
@@ -186,8 +185,8 @@ class TestStore:
         store = Store(sim)
 
         def body():
-            yield store.put("a")
-            yield store.put("b")
+            store.try_put("a")
+            store.try_put("b")
             x = yield store.get()
             y = yield store.get()
             return x, y
@@ -204,7 +203,7 @@ class TestStore:
 
         def producer():
             yield sim.timeout(5.0)
-            yield store.put("late")
+            store.try_put("late")
 
         sim.process(consumer())
         sim.process(producer())
@@ -215,7 +214,7 @@ class TestStore:
         store = Store(sim)
         ok, item = store.try_get()
         assert not ok and item is None
-        store.put("x")
+        store.try_put("x")
         ok, item = store.try_get()
         assert ok and item == "x"
         assert len(store) == 0

@@ -44,7 +44,7 @@ class TestSimLock:
 
         def worker():
             yield lock.claim()
-            queued.append(lock.queue_length)
+            queued.append(len(lock._queue))
             yield sim.timeout(1.0)
             lock.release_slot()
 
@@ -54,7 +54,7 @@ class TestSimLock:
         # The first holder saw all three others queued behind it; each
         # later grant leaves one fewer.
         assert queued == [3, 2, 1, 0]
-        assert lock.in_use == 0 and lock.queue_length == 0
+        assert lock.in_use == 0 and not lock._queue
         assert sim.now == 4.0
 
     def test_fifo_fairness(self, sim):

@@ -119,7 +119,8 @@ class TestSoak:
 
     def test_ordered_map_globally_sorted(self, soak_result):
         omap = soak_result["omap"]
-        keys = [k for k, _v in omap._all_items_sorted()]
+        keys = [k for part in omap.partitions
+                for k, _v in part.structure.items()]
         assert keys == sorted(keys)
 
     def test_queue_fifo_per_producer(self, soak_result):

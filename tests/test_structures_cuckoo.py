@@ -92,7 +92,8 @@ class TestResize:
         c = CuckooHash(initial_buckets=128)
         for i in range(32):
             c.insert(i, i)
-        assert c.load_factor == pytest.approx(32 / c.bucket_count)
+        # load 32 / 128 = 0.25, below LOAD_FACTOR: no doubling
+        assert len(c) / c.bucket_count == pytest.approx(0.25)
 
 
 class TestHashOverride:
@@ -149,7 +150,7 @@ class TestDifferential:
                 ref.pop(key, None)
         assert len(c) == len(ref)
         assert dict(c.items()) == ref
-        assert set(c.keys()) == set(ref)
+        assert {k for k, _v in c.items()} == set(ref)
         c.check_invariants()
 
     def test_eviction_cycle_does_not_lose_keys(self):

@@ -127,7 +127,7 @@ class TestMDList:
         pq = MDListPriorityQueue(dims=2, base=4)
         pq.push(0, "zero")
         assert pq.pop_min()[:2] == (0, "zero")
-        assert pq.empty
+        assert len(pq) == 0
 
     def test_purge_compacts_marked_nodes(self):
         pq = MDListPriorityQueue(dims=4, base=8)
@@ -137,7 +137,7 @@ class TestMDList:
         for _ in range(n):
             pq.pop_min()
         assert pq.purges_total >= 1
-        assert pq.empty
+        assert len(pq) == 0
         pq.check_invariants()
 
     def test_peek_does_not_remove(self):

@@ -163,7 +163,11 @@ def _cmd_obs_report(args) -> int:
 def _cmd_obs_diff(args) -> int:
     from repro.obs import diff_paths, render_diff, write_json
 
-    diff = diff_paths(args.a, args.b)
+    try:
+        diff = diff_paths(args.a, args.b)
+    except (OSError, ValueError) as exc:
+        print(f"obs-diff: {exc}", file=sys.stderr)
+        return 2
     print(render_diff(diff))
     if args.json:
         print(f"wrote {write_json(diff, args.json)}")
@@ -303,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pD = sub.add_parser(
         "obs-diff",
-        help="differential run forensics: diff two runs (BENCH JSON, "
-             "flight JSON, span JSONL, metrics) and fingerprint the "
-             "dominant cause",
+        help="differential run forensics: diff two JSON reports "
+             "(--emit) or metrics snapshots (--metrics-out) and "
+             "fingerprint the dominant cause",
     )
     pD.add_argument("a", metavar="A", help="reference run (baseline)")
     pD.add_argument("b", metavar="B", help="candidate run (fresh)")

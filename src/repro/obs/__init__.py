@@ -44,7 +44,6 @@ from repro.obs.critpath import analyze as critpath_analyze
 from repro.obs.critpath import load_spans
 from repro.obs.diff import (
     FINGERPRINT_CODES,
-    detect_kind,
     diff_paths,
     diff_runs,
     load_artifact,
@@ -90,7 +89,6 @@ __all__ = [
     "critpath_analyze",
     "load_spans",
     "FINGERPRINT_CODES",
-    "detect_kind",
     "diff_paths",
     "diff_runs",
     "load_artifact",

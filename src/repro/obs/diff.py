@@ -1,23 +1,18 @@
 """Differential run forensics: *what changed between two runs, and why?*
 
-CI's baseline gates (``cmp <fresh> BENCH_<x>.json``) can say a report
-moved; this module answers the next question.
-Feed it any two observability artifacts the repo produces —
-
-* BENCH JSON (serving reports),
-* flight-recorder payloads (``kind: "flight_recorder"``),
-* span JSON-lines logs,
-* metrics snapshots (``MetricsRegistry.snapshot()`` dumps),
-* critical-path analyses (``kind: "critpath"``)
-
-— and :func:`diff_runs` emits one structured ``RunDiff``: counter
-deltas, histogram-quantile shifts (with the empty-vs-nonempty case
-reported as a **new signal**, never a divide-by-zero), critpath
-stage-blame deltas (derived from the spans when both runs are span
-logs) and skew top-k set churn.  A fingerprint classifier then maps the
-dominant delta to a named cause ("server queue-wait grew", "transport
-charge grew", "coalescer flush efficiency dropped", ...) so a failing
-gate ships its own root-cause hypothesis.
+CI's baseline gate (``cmp <fresh> BENCH_serving.json``) can say a report
+moved; this module answers the next question.  It compares two JSON
+objects the repo writes — the bench and figure reports (``--emit``) and
+the metrics snapshots (``--metrics-out``, ``MetricsRegistry.snapshot()``
+dumps) — by one flatten: every number is a counter (a figure's measured
+series compares point by point), every histogram summary a quantile
+group, every other value a config value.  :func:`diff_runs` emits one
+structured ``RunDiff``: counter deltas, histogram-quantile shifts (with
+the empty-vs-nonempty case reported as a **new signal**, never a
+divide-by-zero) and config changes.  A fingerprint classifier then maps
+the dominant delta to a named cause ("server queue-wait grew",
+"coalescer flush efficiency dropped", ...) so a failing gate ships its
+own root-cause hypothesis.
 
 Direction convention: **A is the reference (baseline), B the candidate
 (fresh run)** — relative changes are ``(b - a) / |a|``.  Every artifact
@@ -35,12 +30,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.critpath import analyze as critpath_analyze, load_spans
-from repro.obs.registry import SLO_QUANTILES, percentile_summary
-
 __all__ = [
     "FINGERPRINT_CODES",
-    "detect_kind",
     "diff_paths",
     "diff_runs",
     "fingerprint",
@@ -57,120 +48,48 @@ TOP_ROWS = 40
 #: rows printed per section of the markdown report
 MAX_ROWS = 20
 
-#: absolute share-point threshold for stage blame shifts
-SHARE_THRESHOLD = 0.05
-
 #: config keys that define workload shape — differing values mean the two
 #: runs measured different experiments, which trumps every other signal.
-#: Tuning knobs (``aggregation``, ``queue_bound``, window
-#: sizes) are deliberately *not* here: an A/B over a knob is exactly what
-#: the fingerprinter exists to explain.
+#: A list of numbers under one of these keys is a sweep axis (a figure's
+#: ``partitions`` / ``sizes`` / ``nodes``), compared as one config value.
+#: Tuning knobs (``aggregation``, ``queue_bound``, ``windows``) are
+#: deliberately *not* here: an A/B over a knob is exactly what the
+#: fingerprinter exists to explain.
 _WORKLOAD_KEYS = (
     "scale", "nodes", "procs_per_node", "procs", "clients", "tenants",
-    "ops_per_client", "keys_per_tenant", "seed", "theta",
+    "ops_per_client", "keys_per_tenant", "seed", "theta", "partitions",
+    "sizes",
 )
 
 #: tuning knobs: config keys an A/B experiment deliberately varies.  A
 #: differing knob is listed under config changes but does *not* trigger
 #: the workload-shape fingerprint — the interesting question is what the
 #: knob change did, which the other rules answer.
-_KNOB_KEYS = ("aggregation", "queue_bound", "queue_bounds",
-              "rpc_batch_size", "batch", "window", "shed_retries",
-              "queue_frac", "retry_backoff", "rate_per_client", "mix",
-              "queue_home")
+_KNOB_KEYS = ("aggregation", "queue_bound", "rpc_batch_size", "windows",
+              "shed_retries", "queue_frac", "retry_backoff",
+              "rate_per_client", "mix", "queue_home")
 
 #: fields used to label rows when aligning lists of dicts across runs
-_IDENTITY_FIELDS = ("app", "mode", "queue_bound", "stage", "subsystem",
-                    "name", "partition", "key", "tenant", "cls")
+#: (serving's ``configs`` rows); other rows are labelled by position
+_IDENTITY_FIELDS = ("queue_bound",)
 
 #: quantile-ish keys compared inside a histogram-summary group
 _QUANTILE_METRICS = ("mean", "p50", "p90", "p95", "p99", "p99.9", "max")
 
 
-# -- artifact loading ---------------------------------------------------------
+def load_artifact(path: str) -> Dict:
+    """Load one report or snapshot file: it must hold one JSON object.
 
-def detect_kind(doc) -> str:
-    """Classify one loaded artifact (best-effort, never raises)."""
-    if isinstance(doc, list):
-        if all(isinstance(r, dict) and "span_id" in r for r in doc) and doc:
-            return "spans"
-        return "unknown"
-    if not isinstance(doc, dict):
-        return "unknown"
-    bench = doc.get("benchmark")
-    if isinstance(bench, str):
-        return {"serving_zipf": "bench_serving"}.get(bench, "bench")
-    kind = doc.get("kind")
-    if kind in ("flight_recorder", "critpath", "run_diff"):
-        return {"flight_recorder": "flight"}.get(kind, kind)
-    if doc.get("records") and detect_kind(doc.get("records")) == "spans":
-        return "spans"
-    if doc and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool)
-        or (isinstance(v, dict)
-            and ("n" in v or {"value", "peak"} <= set(v)))
-        for v in doc.values()
-    ):
-        return "metrics"
-    return "unknown"
-
-
-def load_artifact(path: str) -> Tuple[str, Dict]:
-    """Load one artifact file; ``.jsonl`` files parse as span logs."""
-    if path.endswith(".jsonl"):
-        return "spans", {"kind": "spans", "records": load_spans(path)}
+    Raises ``ValueError`` naming the file otherwise (a span log, a list).
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    kind = detect_kind(doc)
-    if kind == "spans" and isinstance(doc, list):
-        doc = {"kind": "spans", "records": doc}
-    return kind, doc
-
-
-# -- per-kind summarization (keeps the generic flatten tractable) -------------
-
-def _summarize(kind: str, doc: Dict) -> Dict:
-    """Reduce bulky artifacts to their comparable surface."""
-    if kind == "spans":
-        by_stage: Dict[str, List[float]] = {}
-        for rec in doc.get("records", []):
-            if isinstance(rec, dict) and isinstance(rec.get("dur"),
-                                                    (int, float)):
-                by_stage.setdefault(str(rec.get("name")), []).append(
-                    float(rec["dur"]))
-        return {
-            "spans_total": sum(len(v) for v in by_stage.values()),
-            "stage": {
-                name: percentile_summary(durs, SLO_QUANTILES)
-                for name, durs in sorted(by_stage.items())
-            },
-        }
-    if kind == "flight":
-        series_out: Dict[str, Dict] = {}
-        for name, series in sorted((doc.get("series") or {}).items()):
-            values = series.get("values") or []
-            numeric = [v for v in values
-                       if isinstance(v, (int, float))
-                       and not isinstance(v, bool)]
-            series_out[name] = {
-                "points": len(values),
-                "dropped": series.get("dropped", 0),
-                "last": numeric[-1] if numeric else 0.0,
-                "mean": (sum(numeric) / len(numeric)) if numeric else 0.0,
-            }
-        events: Dict[str, int] = {}
-        for ev in doc.get("events") or []:
-            if isinstance(ev, (list, tuple)) and len(ev) >= 2:
-                events[str(ev[1])] = events.get(str(ev[1]), 0) + 1
-        return {
-            "samples": doc.get("samples", 0),
-            "events_dropped": doc.get("events_dropped", 0),
-            "series": series_out,
-            "events": events,
-        }
-    if kind == "critpath":
-        return {"traces": doc.get("traces", 0),
-                "skipped": doc.get("skipped", 0)}
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not one JSON object ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not one JSON object "
+                         f"(a {type(doc).__name__})")
     return doc
 
 
@@ -190,12 +109,11 @@ def _is_quantile_group(value) -> bool:
 def _row_labels(rows: Sequence[Dict]) -> Optional[Tuple[List[str], str]]:
     """Stable labels for a list of dict rows, aligned across runs.
 
-    Uses the first identity field (``app``, ``mode``, ...) that labels
-    every row uniquely, so an A/B over a knob still aligns row-for-row.
-    Returns ``(labels, field)`` — the identity field is folded into the
-    label, so the caller drops it from the row body (a churned top-k list
-    must not read as a workload change) — or None (positional labels) when
-    no identity field labels every row uniquely.
+    Uses the first identity field that labels every row uniquely, so an
+    A/B over a knob still aligns row-for-row.  Returns ``(labels, field)``
+    — the identity field is folded into the label, so the caller drops it
+    from the row body — or None (positional labels) when no identity field
+    labels every row uniquely.
     """
     for field in _IDENTITY_FIELDS:
         if all(field in r for r in rows):
@@ -225,6 +143,11 @@ def _flatten(node, prefix: str, counters: Dict[str, float],
                     row = {k: v for k, v in row.items() if k != field}
                 _flatten(row, f"{prefix}[{label}]", counters, quantiles,
                          configs)
+        elif (node and all(_is_number(v) for v in node)
+              and prefix.rsplit("/", 1)[-1] not in _WORKLOAD_KEYS):
+            # a measured series: compared point by point
+            for i, value in enumerate(node):
+                counters[f"{prefix}[{i}]"] = float(value)
         else:
             configs[prefix] = json.dumps(node, sort_keys=True)
         return
@@ -234,11 +157,11 @@ def _flatten(node, prefix: str, counters: Dict[str, float],
         configs[prefix] = node
 
 
-def _flatten_doc(kind: str, doc: Dict):
+def _flatten_doc(doc: Dict):
     counters: Dict[str, float] = {}
     quantiles: Dict[str, Dict] = {}
     configs: Dict[str, object] = {}
-    _flatten(_summarize(kind, doc), "", counters, quantiles, configs)
+    _flatten(doc, "", counters, quantiles, configs)
     return counters, quantiles, configs
 
 
@@ -324,88 +247,6 @@ def _quantile_rows(qa: Dict[str, Dict], qb: Dict[str, Dict]) -> List[Dict]:
     return rows
 
 
-def _stage_shares(doc: Dict, which: str) -> Dict[str, float]:
-    blame = doc.get(which) or {}
-    return {s["stage"]: float(s.get("share") or 0.0)
-            for s in blame.get("stages") or [] if isinstance(s, dict)}
-
-
-def _critpath_section(a: Dict, b: Dict) -> Dict:
-    out: Dict = {"rows": [], "significant": False}
-    for which in ("overall", "slow"):
-        sa, sb = _stage_shares(a, which), _stage_shares(b, which)
-        for stage in sorted(set(sa) | set(sb)):
-            delta = sb.get(stage, 0.0) - sa.get(stage, 0.0)
-            if abs(delta) < 1e-12:
-                continue
-            significant = abs(delta) >= SHARE_THRESHOLD
-            out["rows"].append({
-                "blame": which,
-                "stage": stage,
-                "a": sa.get(stage, 0.0),
-                "b": sb.get(stage, 0.0),
-                "delta": delta,
-                "significant": significant,
-            })
-            out["significant"] = out["significant"] or significant
-    out["rows"].sort(key=lambda r: (not r["significant"],
-                                    -abs(r["delta"]), r["blame"],
-                                    r["stage"]))
-    return out
-
-
-def _find_skew(doc) -> Optional[Dict]:
-    """First skew summary embedded anywhere in the document."""
-    if isinstance(doc, dict):
-        if "top_partitions" in doc or "top_keys" in doc:
-            return doc
-        for key in sorted(doc, key=str):
-            found = _find_skew(doc[key])
-            if found is not None:
-                return found
-    elif isinstance(doc, list):
-        for item in doc:
-            found = _find_skew(item)
-            if found is not None:
-                return found
-    return None
-
-
-def _topk_churn(a_rows: List[Dict], b_rows: List[Dict],
-                field: str) -> Dict:
-    sa = {str(r.get(field)) for r in a_rows or [] if isinstance(r, dict)}
-    sb = {str(r.get(field)) for r in b_rows or [] if isinstance(r, dict)}
-    union = sa | sb
-    jaccard = (len(sa & sb) / len(union)) if union else 1.0
-    return {
-        "entered": sorted(sb - sa),
-        "left": sorted(sa - sb),
-        "jaccard": jaccard,
-    }
-
-
-def _skew_section(a: Dict, b: Dict) -> Optional[Dict]:
-    skew_a, skew_b = _find_skew(a), _find_skew(b)
-    if skew_a is None or skew_b is None:
-        return None
-    partitions = _topk_churn(skew_a.get("top_partitions"),
-                             skew_b.get("top_partitions"), "partition")
-    keys = _topk_churn(skew_a.get("top_keys"), skew_b.get("top_keys"),
-                       "key")
-    imb_a = float(skew_a.get("imbalance") or 0.0)
-    imb_b = float(skew_b.get("imbalance") or 0.0)
-    churned = min(partitions["jaccard"], keys["jaccard"]) < 0.7
-    return {
-        "partitions": partitions,
-        "keys": keys,
-        "imbalance_a": imb_a,
-        "imbalance_b": imb_b,
-        "imbalance_delta": imb_b - imb_a,
-        "significant": churned or abs(imb_b - imb_a) >=
-        max(0.25, 0.1 * max(imb_a, 1.0)),
-    }
-
-
 # -- fingerprint classifier ---------------------------------------------------
 
 #: every cause the classifier can emit, with its human-readable label
@@ -414,10 +255,7 @@ FINGERPRINT_CODES: Dict[str, str] = {
     "coalesce-efficiency-dropped": "coalescer flush efficiency dropped",
     "server-queue-wait-grew": "server queue-wait grew",
     "transport-charge-grew": "transport charge grew",
-    "server-execute-grew": "server execute time grew",
-    "marshal-overhead-grew": "interpreter overhead in marshal grew",
     "load-shedding-increased": "load shedding increased",
-    "hot-set-churned": "hot partition/key set churned",
     "latency-tail-grew": "latency tail grew",
     "throughput-dropped": "throughput dropped",
     "no-significant-change": "no significant change",
@@ -488,41 +326,17 @@ def _quantile_signal(rows: List[Dict], fragments: Sequence[str],
     return best, evidence
 
 
-def _share_signal(section: Optional[Dict], stages: Sequence[str],
-                  direction: int) -> Tuple[float, Optional[str]]:
-    """Strongest significant critpath blame shift among ``stages``."""
-    if not section:
-        return 0.0, None
-    best, evidence = 0.0, None
-    for row in section["rows"]:
-        if not row["significant"]:
-            continue
-        if row["stage"] not in stages:
-            continue
-        delta = row["delta"]
-        if (delta > 0) != (direction > 0):
-            continue
-        magnitude = min(1.0, abs(delta) / 0.25)
-        if magnitude > best:
-            best = magnitude
-            evidence = (f"{row['blame']} share of "
-                        f"{row['stage']}: {row['a']:.1%} -> {row['b']:.1%}")
-    return best, evidence
-
-
 def fingerprint(diff: Dict) -> Dict:
     """Name the dominant cause behind a RunDiff.
 
     Each candidate cause scores ``weight x magnitude`` from the section
     deltas that support it; the best-scoring cause wins.  Specific causes
-    (coalescer efficiency, queue wait, transport charge, marshal
-    overhead) outweigh the generic ones (tail grew, throughput dropped),
+    (coalescer efficiency, queue wait, transport charge, shedding)
+    outweigh the generic ones (tail grew, throughput dropped),
     so the report names a mechanism whenever the data supports one.
     """
     counters = diff["counters"]["rows"]
     quantiles = diff["quantiles"]["rows"]
-    critpath = diff.get("critpath")
-    skew = diff.get("skew")
 
     candidates: List[Tuple[float, str, str]] = []
 
@@ -545,39 +359,17 @@ def fingerprint(diff: Dict) -> Dict:
     mag2, ev2 = _quantile_signal(quantiles, ("queue_wait", "server.queue",
                                              "server.wait"),
                                  ("p99", "p95", "mean"), +1)
-    mag3, ev3 = _share_signal(critpath, ("server.queue", "server.wait"), +1)
-    best = max(mag, mag2, mag3)
-    if best:
-        candidates.append((9.0 * best, "server-queue-wait-grew",
-                           {mag: ev, mag2: ev2, mag3: ev3}[best]))
+    if mag or mag2:
+        candidates.append((9.0 * max(mag, mag2), "server-queue-wait-grew",
+                           ev if mag > mag2 else ev2))
 
-    mag, ev = _share_signal(critpath, ("transport", "client.send"), +1)
-    mag2, ev2 = _counter_signal(counters, ("transport", "charge"), +1)
-    best = max(mag, mag2)
-    if best:
-        candidates.append((9.0 * best, "transport-charge-grew",
-                           ev if mag >= mag2 else ev2))
-
-    mag, ev = _share_signal(critpath, ("server.execute",), +1)
+    mag, ev = _counter_signal(counters, ("transport", "charge"), +1)
     if mag:
-        candidates.append((8.0 * mag, "server-execute-grew", ev))
-
-    mag, ev = _share_signal(critpath, ("client.marshal",), +1)
-    if mag:
-        candidates.append((8.0 * mag, "marshal-overhead-grew", ev))
+        candidates.append((9.0 * mag, "transport-charge-grew", ev))
 
     mag, ev = _counter_signal(counters, ("shed",), +1)
     if mag:
         candidates.append((8.0 * mag, "load-shedding-increased", ev))
-
-    if skew and skew["significant"]:
-        churn = 1.0 - min(skew["partitions"]["jaccard"],
-                          skew["keys"]["jaccard"])
-        candidates.append((
-            6.0 * max(churn, 0.2), "hot-set-churned",
-            f"top-k jaccard partitions {skew['partitions']['jaccard']:.2f} "
-            f"keys {skew['keys']['jaccard']:.2f}, imbalance "
-            f"{skew['imbalance_a']:.2f} -> {skew['imbalance_b']:.2f}"))
 
     mag, ev = _quantile_signal(quantiles, ("",), ("p99.9", "p99", "p95"), +1)
     if mag:
@@ -611,10 +403,9 @@ def fingerprint(diff: Dict) -> Dict:
 
 def diff_runs(a_doc: Dict, b_doc: Dict, a_name: str = "A",
               b_name: str = "B") -> Dict:
-    """Structured RunDiff between two loaded artifacts (A = reference)."""
-    kind_a, kind_b = detect_kind(a_doc), detect_kind(b_doc)
-    ca, qa, cfg_a = _flatten_doc(kind_a, a_doc)
-    cb, qb, cfg_b = _flatten_doc(kind_b, b_doc)
+    """Structured RunDiff between two loaded JSON objects (A = reference)."""
+    ca, qa, cfg_a = _flatten_doc(a_doc)
+    cb, qb, cfg_b = _flatten_doc(b_doc)
 
     def _is_knob(key: str) -> bool:
         tail = key.rsplit("/", 1)[-1]
@@ -654,21 +445,12 @@ def diff_runs(a_doc: Dict, b_doc: Dict, a_name: str = "A",
     counter_rows = _counter_rows(ca, cb)
     quantile_rows = _quantile_rows(qa, qb)
 
-    critpath = None
-    if kind_a == kind_b == "critpath":
-        critpath = _critpath_section(a_doc, b_doc)
-    elif kind_a == kind_b == "spans":
-        critpath = _critpath_section(critpath_analyze(a_doc["records"]),
-                                     critpath_analyze(b_doc["records"]))
-    skew = _skew_section(a_doc, b_doc)
-
     n_sig_counters = sum(1 for r in counter_rows if r["significant"])
     n_sig_quantiles = sum(1 for r in quantile_rows if r["significant"])
     diff: Dict = {
         "kind": "run_diff",
-        "a": {"name": a_name, "artifact": kind_a},
-        "b": {"name": b_name, "artifact": kind_b},
-        "comparable": kind_a == kind_b and kind_a != "unknown",
+        "a": {"name": a_name, "benchmark": a_doc.get("benchmark")},
+        "b": {"name": b_name, "benchmark": b_doc.get("benchmark")},
         "rel_threshold": REL_THRESHOLD,
         "config_changes": config_changes,
         "counters": {
@@ -681,25 +463,17 @@ def diff_runs(a_doc: Dict, b_doc: Dict, a_name: str = "A",
             "total": len(quantile_rows),
             "significant": n_sig_quantiles,
         },
-        "critpath": critpath,
-        "skew": skew,
     }
-    diff["significant"] = bool(
-        config_changes
-        or n_sig_counters
-        or n_sig_quantiles
-        or (critpath and critpath["significant"])
-        or (skew and skew["significant"])
-    )
+    diff["significant"] = bool(config_changes or n_sig_counters
+                               or n_sig_quantiles)
     diff["fingerprint"] = fingerprint(diff)
     return diff
 
 
 def diff_paths(a_path: str, b_path: str) -> Dict:
-    """Load two artifact files and diff them (A = reference/baseline)."""
-    _kind_a, a_doc = load_artifact(a_path)
-    _kind_b, b_doc = load_artifact(b_path)
-    return diff_runs(a_doc, b_doc, a_name=a_path, b_name=b_path)
+    """Load two report or snapshot files and diff them (A = reference)."""
+    return diff_runs(load_artifact(a_path), load_artifact(b_path),
+                     a_name=a_path, b_name=b_path)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -718,9 +492,8 @@ def render_diff(diff: Dict) -> str:
     lines = [
         f"## Run forensics: {diff['a']['name']} vs {diff['b']['name']}",
         "",
-        f"- artifacts: `{diff['a']['artifact']}` vs "
-        f"`{diff['b']['artifact']}`"
-        + ("" if diff["comparable"] else " — **not directly comparable**"),
+        f"- benchmarks: `{_fmt_val(diff['a']['benchmark'])}` vs "
+        f"`{_fmt_val(diff['b']['benchmark'])}`",
         f"- significant change: **{'yes' if diff['significant'] else 'no'}**"
         f" (threshold {diff['rel_threshold']:.0%})",
         f"- **fingerprint: {fp['label']}** (`{fp['code']}`)"
@@ -765,25 +538,6 @@ def render_diff(diff: Dict) -> str:
             ) or ", ".join(_shift_txt(m, s)
                            for m, s in list(r["shifts"].items())[:3])
             lines.append(f"- `{r['key']}` (n {r['n_a']}->{r['n_b']}): {shifts}")
-    if diff.get("critpath") and diff["critpath"]["rows"]:
-        lines += ["", "### Critical-path stage blame", "",
-                  "| blame | stage | A share | B share | Δ |",
-                  "|---|---|---|---|---|"]
-        for r in diff["critpath"]["rows"][:MAX_ROWS]:
-            flag = "**" if r["significant"] else ""
-            lines.append(f"| {r['blame']} | {flag}{r['stage']}{flag} | "
-                         f"{r['a']:.1%} | {r['b']:.1%} | {r['delta']:+.1%} |")
-    if diff.get("skew"):
-        skew = diff["skew"]
-        lines += ["", "### Skew top-k churn", "",
-                  f"- imbalance {skew['imbalance_a']:.2f} -> "
-                  f"{skew['imbalance_b']:.2f}",
-                  f"- partitions jaccard {skew['partitions']['jaccard']:.2f}"
-                  f" (entered: {', '.join(skew['partitions']['entered']) or '-'};"
-                  f" left: {', '.join(skew['partitions']['left']) or '-'})",
-                  f"- keys jaccard {skew['keys']['jaccard']:.2f}"
-                  f" (entered: {', '.join(skew['keys']['entered']) or '-'};"
-                  f" left: {', '.join(skew['keys']['left']) or '-'})"]
     if fp.get("runners_up"):
         lines += ["", "### Runner-up causes", ""]
         for r in fp["runners_up"]:

@@ -1,8 +1,8 @@
 """Tests for the differential run-forensics engine (repro.obs.diff).
 
-Covers artifact-kind detection, the determinism pin (a same-seed
-self-diff reports nothing significant), the empty-vs-nonempty histogram
-"new signal" path (never a divide-by-zero), skew top-k churn, and the
+Covers the determinism pin (a same-seed self-diff reports nothing
+significant), the empty-vs-nonempty histogram "new signal" path (never a
+divide-by-zero), figure series compared point by point, and the
 fingerprint classifier — including the end-to-end case: the metrics
 snapshots of an aggregation A/B (buffer 512 vs 1 on the k-mer kernel)
 fingerprint as a coalescer-efficiency drop, not as a workload change —
@@ -21,10 +21,8 @@ from repro.harness.figures import AGG_SHAPES, run_app
 from repro.obs import (
     FINGERPRINT_CODES,
     Instruments,
-    detect_kind,
     diff_paths,
     diff_runs,
-    load_artifact,
     render_diff,
     write_json,
 )
@@ -44,55 +42,14 @@ def _metrics_doc(lat_n, lat_scale=1.0, ops=5000.0):
     return {"rpc/ops": ops, "rpc/latency": lat}
 
 
-def _critpath_doc(queue_share):
-    rest = 1.0 - queue_share
+def _fig6_doc(hcl_umap_ins=(68280.7, 115294.8, 194826.9, 251385.1)):
+    """A ``fig6 --emit``-shaped report: a sweep axis and measured series."""
     return {
-        "kind": "critpath",
-        "traces": 100,
-        "skipped": 0,
-        "overall": {"stages": [
-            {"stage": "server.queue", "share": queue_share},
-            {"stage": "server.execute", "share": rest * 0.5},
-            {"stage": "client.send", "share": rest * 0.5},
-        ]},
-        "slow": {"stages": []},
+        "failures": [],
+        "partitions": [1, 2, 4, 8],
+        "series": {"bcl_umap_ins": [38815.1, 46249.3, 53748.2, 57720.5],
+                   "hcl_umap_ins": list(hcl_umap_ins)},
     }
-
-
-def _skew_doc(partitions, keys, imbalance):
-    return {
-        "benchmark": "serving_zipf",
-        "skew": {
-            "imbalance": imbalance,
-            "top_partitions": [{"partition": p, "ops": 100 - i}
-                               for i, p in enumerate(partitions)],
-            "top_keys": [{"key": k, "count": 50 - i}
-                         for i, k in enumerate(keys)],
-        },
-    }
-
-
-class TestDetectKind:
-    def test_bench_discriminators(self):
-        assert detect_kind({"benchmark": "serving_zipf"}) == "bench_serving"
-
-    def test_kind_field_artifacts(self):
-        assert detect_kind({"kind": "flight_recorder"}) == "flight"
-        assert detect_kind({"kind": "critpath"}) == "critpath"
-        assert detect_kind({"kind": "run_diff"}) == "run_diff"
-
-    def test_spans_list_and_wrapped(self):
-        recs = [{"span_id": 1, "name": "client.send", "dur": 0.5}]
-        assert detect_kind(recs) == "spans"
-        assert detect_kind({"records": recs}) == "spans"
-
-    def test_metrics_snapshot(self):
-        assert detect_kind(_metrics_doc(10)) == "metrics"
-
-    def test_unknown_never_raises(self):
-        assert detect_kind(None) == "unknown"
-        assert detect_kind([1, 2, 3]) == "unknown"
-        assert detect_kind({"stuff": object}) == "unknown"
 
 
 class TestSelfDiffIsQuiet:
@@ -100,7 +57,6 @@ class TestSelfDiffIsQuiet:
 
     def test_synthetic_metrics_self_diff(self):
         diff = diff_runs(_metrics_doc(100), _metrics_doc(100))
-        assert diff["comparable"]
         assert not diff["significant"]
         assert diff["fingerprint"]["code"] == "no-significant-change"
 
@@ -159,31 +115,14 @@ class TestEmptyHistogramPaths:
 
 
 class TestFingerprints:
-    def test_queue_wait_growth_from_critpath(self):
-        diff = diff_runs(_critpath_doc(0.10), _critpath_doc(0.45))
-        assert diff["critpath"]["significant"]
-        assert diff["fingerprint"]["code"] == "server-queue-wait-grew"
-        assert "server.queue" in diff["fingerprint"]["evidence"]
-
-    def test_marshal_growth_from_critpath(self):
-        b = _critpath_doc(0.10)
-        b["overall"]["stages"] = [
-            {"stage": "server.queue", "share": 0.10},
-            {"stage": "client.marshal", "share": 0.30},
-            {"stage": "server.execute", "share": 0.30},
-            {"stage": "client.send", "share": 0.30},
-        ]
-        diff = diff_runs(_critpath_doc(0.10), b)
-        assert diff["fingerprint"]["code"] == "marshal-overhead-grew"
-        assert "client.marshal" in diff["fingerprint"]["evidence"]
-
-    def test_hot_set_churn(self):
-        a = _skew_doc(["p0", "p1", "p2"], ["k0", "k1"], 1.2)
-        b = _skew_doc(["p7", "p8", "p9"], ["k7", "k8"], 1.3)
+    def test_queue_wait_growth_from_a_metrics_snapshot(self):
+        a, b = _metrics_doc(100), _metrics_doc(100)
+        a["rpc0/queue_wait"] = {"n": 100, "mean": 1.0, "p50": 1.0,
+                                "p95": 2.0, "p99": 3.0, "max": 4.0}
+        b["rpc0/queue_wait"] = dict(a["rpc0/queue_wait"], p99=6.0)
         diff = diff_runs(a, b)
-        assert diff["skew"]["significant"]
-        assert diff["skew"]["partitions"]["jaccard"] == 0.0
-        assert diff["fingerprint"]["code"] == "hot-set-churned"
+        assert diff["fingerprint"]["code"] == "server-queue-wait-grew"
+        assert diff["fingerprint"]["evidence"] == "rpc0/queue_wait.p99 +100%"
 
     def test_workload_shape_trumps_everything(self):
         a = {"benchmark": "serving_zipf", "nodes": 4, "ops_per_sim_sec": 100.0}
@@ -200,6 +139,16 @@ class TestFingerprints:
         diff = diff_runs(a, b)
         knobs = {c["key"]: c for c in diff["config_changes"]}
         assert knobs["rpc_batch_size"]["knob"]
+        assert diff["fingerprint"]["code"] != "workload-shape-changed"
+
+    def test_windows_ab_is_a_knob_change(self):
+        """A ``--windows`` A/B flips the soak report's ``windows`` flag:
+        an experiment over a knob, not a different workload."""
+        a = {"benchmark": "chaos_soak", "windows": False, "seed": 0,
+             "acked_writes": 239}
+        diff = diff_runs(a, dict(a, windows=True))
+        assert diff["config_changes"] == [
+            {"key": "windows", "a": False, "b": True, "knob": True}]
         assert diff["fingerprint"]["code"] != "workload-shape-changed"
 
     def test_all_codes_have_labels(self):
@@ -262,11 +211,26 @@ class TestObsDiffCli:
         assert main(["obs-diff", *agg_ab, "--json", str(out_json),
                      "--md", str(out_md)]) == 0
         doc = json.loads(out_json.read_text(encoding="utf-8"))
-        assert detect_kind(doc) == "run_diff"
+        assert doc["kind"] == "run_diff"
         assert doc["fingerprint"]["code"] == "coalesce-efficiency-dropped"
         label = FINGERPRINT_CODES["coalesce-efficiency-dropped"]
         assert f"fingerprint: {label}" in out_md.read_text(encoding="utf-8")
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", [
+        '{"span_id": 1, "name": "client.send"}\n'
+        '{"span_id": 2, "name": "client.send"}\n',
+        "[1, 2, 3]",
+        None,
+    ], ids=["span-log", "json-list", "missing"])
+    def test_a_file_that_is_not_one_json_object_exits_2(self, agg_ab, text,
+                                                        tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        if text is not None:
+            bad.write_text(text, encoding="utf-8")
+        assert main(["obs-diff", agg_ab[0], str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err
 
     @pytest.mark.parametrize("argv", [
         ["obs-diff", "A.json", "B.json", "--html", "d.html"],
@@ -282,31 +246,12 @@ class TestObsDiffCli:
 
 
 class TestPlumbing:
-    def test_cross_kind_diff_is_not_comparable(self):
-        flight = {"kind": "flight_recorder", "series": {}, "events": []}
-        diff = diff_runs(_critpath_doc(0.2), flight)
-        assert not diff["comparable"]
-        assert diff["critpath"] is None
-
-    def test_load_artifact_jsonl_parses_as_spans(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        recs = [{"trace_id": 1, "span_id": i, "parent_id": None,
-                 "name": "client.send", "node": 0, "start": 0.0,
-                 "end": 0.5, "dur": 0.5} for i in (1, 2)]
-        path.write_text("\n".join(json.dumps(r) for r in recs) + "\n")
-        kind, doc = load_artifact(str(path))
-        assert kind == "spans"
-        assert len(doc["records"]) == 2
-        # span-log self-diff is quiet too
-        diff = diff_runs(doc, doc)
-        assert not diff["significant"]
-
     def test_run_diff_json_round_trips(self, tmp_path):
         diff = diff_runs(_metrics_doc(0), _metrics_doc(100))
         out = tmp_path / "d.json"
         write_json(diff, str(out))
         loaded = json.loads(out.read_text())
-        assert detect_kind(loaded) == "run_diff"
+        assert loaded["kind"] == "run_diff"
         assert loaded["fingerprint"]["code"] == diff["fingerprint"]["code"]
 
     def test_simulated_elapsed_is_compared_at_the_threshold(self):
@@ -323,32 +268,23 @@ class TestPlumbing:
         assert diff["significant"]
 
 
-class TestSpanLogCritpath:
-    """Two span logs the CLI writes get the stage-blame section, derived
-    from the spans — no ``kind: "critpath"`` file needed."""
+class TestFigureSeries:
+    """A figure report's measured series compare point by point; its
+    sweep axis stays one workload-shape value."""
 
-    @pytest.fixture(scope="class")
-    def logs(self, tmp_path_factory):
-        from repro.cli import main
+    def test_halved_point_is_a_significant_counter_row(self):
+        halved = _fig6_doc((68280.7, 115294.8, 97413.45, 251385.1))
+        diff = diff_runs(_fig6_doc(), halved)
+        assert diff["config_changes"] == []
+        (row,) = diff["counters"]["rows"]
+        assert row["key"] == "series/hcl_umap_ins[2]"
+        assert row["rel"] == pytest.approx(-0.5)
+        assert row["significant"] and diff["significant"]
+        assert diff["fingerprint"]["code"] != "workload-shape-changed"
 
-        tmp = tmp_path_factory.mktemp("spanlogs")
-        for agg in (0, 8):
-            assert main(["trace", "--app", "kmer", "--aggregation", str(agg),
-                         "--emit", str(tmp / f"agg{agg}")]) == 0
-        return str(tmp / "agg0.jsonl"), str(tmp / "agg8.jsonl")
-
-    def test_aggregation_ab_names_the_stages(self, logs):
-        diff = diff_paths(*logs)
-        assert diff["critpath"]["significant"]
-        moved = {(r["blame"], r["stage"]) for r in diff["critpath"]["rows"]
-                 if r["significant"]}
-        assert ("overall", "server.execute") in moved
-        codes = [diff["fingerprint"]["code"]] + [
-            r["code"] for r in diff["fingerprint"]["runners_up"]]
-        assert "server-execute-grew" in codes
-        assert "### Critical-path stage blame" in render_diff(diff)
-
-    def test_same_log_self_diff_is_quiet(self, logs):
-        diff = diff_paths(logs[0], logs[0])
-        assert diff["critpath"] == {"rows": [], "significant": False}
-        assert not diff["significant"]
+    def test_sweep_axis_change_is_a_workload_change(self):
+        b = _fig6_doc()
+        b["partitions"] = [1, 2, 4, 16]
+        diff = diff_runs(_fig6_doc(), b)
+        assert [c["key"] for c in diff["config_changes"]] == ["partitions"]
+        assert diff["fingerprint"]["code"] == "workload-shape-changed"

@@ -49,6 +49,27 @@ def _invalid(path: str, errors: List[str], generated: bool = False) -> bool:
     return bool(errors)
 
 
+def _print_critpath(critpath) -> None:
+    """The overall stage table of a :func:`repro.obs.critpath.analyze`
+    report, and the stage its slow tail is dominated by."""
+    overall = critpath["overall"]
+    rows = [[s["stage"], f"{s['total'] * 1e6:.1f}",
+             f"{100 * s['share']:.1f}%"]
+            for s in overall["stages"]]
+    print(render_table(
+        f"Critical path — {overall['n']} traces, "
+        f"{overall['e2e_total'] * 1e6:.1f}us total e2e",
+        ["stage", "total (us)", "share"], rows,
+    ))
+    slow = critpath["slow"]
+    if slow["n"]:
+        dominant = max(slow["stages"], key=lambda s: s["total"])
+        print(f"  p{100 * slow['quantile']:g} tail ({slow['n']} traces "
+              f">= {slow['threshold'] * 1e6:.1f}us): dominated by "
+              f"{dominant['stage']} "
+              f"({100 * dominant['share']:.1f}% of tail e2e)")
+
+
 def _cmd_trace(args) -> int:
     from repro.obs import validate_chrome_trace, validate_span_log
 
@@ -73,17 +94,12 @@ def _cmd_trace(args) -> int:
         args.aggregation, instrument
     )
     tracer = tracer_of(instrument.runs[0].sim)
-    rows = [[name, int(row["n"]), f"{row['total'] * 1e6:.1f}",
-             f"{row['mean'] * 1e9:.0f}"]
-            for name, row in sorted(tracer.stage_breakdown().items())]
-    print(render_table(
-        f"traced {args.app} (scale={args.scale}, "
-        f"{args.nodes}x{args.procs} ranks, agg={args.aggregation})",
-        ["span", "n", "total (us)", "mean (ns)"], rows,
-    ))
-    tiling = critpath_analyze(tracer)
-    rpcs = tiling["traces"] + tiling["skipped"]  # skipped: no stage spans
-    worst = tiling["tiling_max_residual"]
+    critpath = critpath_analyze(tracer)
+    print(f"traced {args.app} (scale={args.scale}, "
+          f"{args.nodes}x{args.procs} ranks, agg={args.aggregation})")
+    _print_critpath(critpath)
+    rpcs = critpath["traces"] + critpath["skipped"]  # skipped: no stage spans
+    worst = critpath["tiling_max_residual"]
     print(f"  {len(tracer)} spans over {rpcs} rpcs; "
           f"sim time {res.time_seconds:.6f}s, {ops} app ops, "
           f"verified={res.verified}")
@@ -91,7 +107,7 @@ def _cmd_trace(args) -> int:
     for line in instrument.write():
         print(line)
     return 0 if (res.verified and worst < 1e-9
-                 and not tiling["skipped"]) else 1
+                 and not critpath["skipped"]) else 1
 
 
 def _cmd_obs_report(args) -> int:
@@ -131,22 +147,7 @@ def _cmd_obs_report(args) -> int:
     print(f"wrote {args.out} ({size} bytes, valid)")
 
     if critpath and critpath.get("traces"):
-        overall = critpath["overall"]
-        rows = [[s["stage"], f"{s['total'] * 1e6:.1f}",
-                 f"{100 * s['share']:.1f}%"]
-                for s in overall["stages"]]
-        print(render_table(
-            f"Critical path — {overall['n']} traces, "
-            f"{overall['e2e_total'] * 1e6:.1f}us total e2e",
-            ["stage", "total (us)", "share"], rows,
-        ))
-        slow = critpath.get("slow")
-        if slow and slow.get("n"):
-            dominant = max(slow["stages"], key=lambda s: s["total"])
-            print(f"  p{100 * slow['quantile']:g} tail ({slow['n']} traces "
-                  f">= {slow['threshold'] * 1e6:.1f}us): dominated by "
-                  f"{dominant['stage']} "
-                  f"({100 * dominant['share']:.1f}% of tail e2e)")
+        _print_critpath(critpath)
     if flight:
         skew = flight.get("skew")
         if skew:

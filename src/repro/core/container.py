@@ -371,7 +371,7 @@ class DistributedContainer:
         token = (client.next_token(part.node_id)
                  if policy.write_failover and self._ops[op][1].write else None)
         try:
-            result = yield from client.call(
+            return (yield from client.call(
                 part.node_id,
                 self._rpc_names[op],
                 (part.index, *args),
@@ -379,12 +379,7 @@ class DistributedContainer:
                 token=token,
                 trace_parent=trace_parent,
                 stream=part.index,
-            )
-            if self._cache is not None:
-                # Epoch piggybacked on the response: prune entries that
-                # other nodes' writes have made stale.
-                self._cache.observe(caller_node, part.index, part.write_epoch)
-            return result
+            ))
         except ConnectionError:
             # Primary down: replicated containers serve reads from the
             # next replica(s) in the hash chain (Section III-A4), and with

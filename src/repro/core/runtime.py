@@ -209,9 +209,7 @@ class HCL:
         barriers call this so buffered ops always land before ranks
         synchronize."""
         for container in self.containers.values():
-            coalescer = getattr(container, "_coalescer", None)
-            if coalescer is not None:
-                yield from coalescer.drain(rank)
+            yield from container.flush(rank)
 
     def barrier(self, rank: int):
         """Generator: flush ``rank``'s buffered ops, then wait for every

@@ -145,12 +145,14 @@ def _jain_fairness(xs: Sequence[float]) -> float:
     return (total * total) / (len(xs) * sum(x * x for x in xs))
 
 
-def _arm_monitors(recorder: FlightRecorder, store, queues) -> Tuple:
+def _arm_monitors(recorder: FlightRecorder, store, queues,
+                  key_counts: Dict[str, int]) -> Tuple:
     """Hang the skew detector + SLO monitor on a run's flight recorder.
 
     Pure observation: the per-tick skew/SLO hooks only read registry
-    metrics — a monitored run keeps identical simulated results, which
-    the obs benchmarks assert field-by-field.  Returns ``(skew, slo)``.
+    metrics, and the skew summary the run's own ``key_counts`` — a
+    monitored run keeps identical simulated results, which the obs
+    benchmarks assert field-by-field.  Returns ``(skew, slo)``.
     """
     cfg = MONITOR_DEFAULTS
     registry = recorder.registry
@@ -158,7 +160,8 @@ def _arm_monitors(recorder: FlightRecorder, store, queues) -> Tuple:
     sources = [(p.ops.name, p.node_id) for p in store.partitions]
     for q in queues:
         sources.extend((p.ops.name, p.node_id) for p in q.partitions)
-    skew = SkewDetector(registry, sources, event_log=recorder.events)
+    skew = SkewDetector(registry, sources, event_log=recorder.events,
+                        key_counts=key_counts)
     slo = SLOMonitor(
         rules=[
             SLORule(
@@ -243,12 +246,13 @@ def _run_one_config(
 
     # A flight recorder the instrument installed also carries the serving
     # skew/SLO rules; any other instrument is just attached.
-    recorder = skew_det = None
+    recorder = None
     if instrument is not None:
         instrument(h)
         recorder = recorder_of(h.cluster)
         if recorder is not None:
-            skew_det, slo_mon = _arm_monitors(recorder, store, queues)
+            skew_det, slo_mon = _arm_monitors(recorder, store, queues,
+                                              key_counts)
 
     read_cut, write_cut = mix[0], mix[0] + mix[1]
 
@@ -324,8 +328,6 @@ def _run_one_config(
                 continue
             key = gens[tenant].sample()
             key_counts[key] = key_counts.get(key, 0) + 1
-            if skew_det is not None:  # heap-only bookkeeping, no sim events
-                skew_det.offer_key(key)
             v = rng.random()
             if v < read_cut:
                 issue(lambda r=rank, k=key: store.find_async(r, k),

@@ -38,7 +38,7 @@ from repro.obs.exporters import (
     write_span_jsonl,
 )
 from repro.obs.series import FlightRecorder, recorder_of, select_matches
-from repro.obs.skew import SkewDetector, SpaceSavingSketch
+from repro.obs.skew import SkewDetector
 from repro.obs.slo import SLOMonitor, SLORule, counter_sli, latency_sli
 from repro.obs.critpath import analyze as critpath_analyze
 from repro.obs.critpath import load_spans
@@ -81,7 +81,6 @@ __all__ = [
     "Instruments",
     "suffixed",
     "SkewDetector",
-    "SpaceSavingSketch",
     "SLOMonitor",
     "SLORule",
     "counter_sli",

@@ -258,6 +258,7 @@ FINGERPRINT_CODES: Dict[str, str] = {
     "load-shedding-increased": "load shedding increased",
     "latency-tail-grew": "latency tail grew",
     "throughput-dropped": "throughput dropped",
+    "unclassified-change": "significant change, no rule names its cause",
     "no-significant-change": "no significant change",
 }
 
@@ -326,6 +327,18 @@ def _quantile_signal(rows: List[Dict], fragments: Sequence[str],
     return best, evidence
 
 
+def _largest_move(diff: Dict) -> str:
+    """Evidence for a significant RunDiff that no rule explains: its
+    largest significant row (counter rows sort the largest move first)."""
+    for row in diff["counters"]["rows"] + diff["quantiles"]["rows"]:
+        if row["significant"]:
+            rel = row.get("rel")
+            return f"{row['key']} " + (row["status"].replace("_", " ")
+                                        if rel is None else f"{rel:+.0%}")
+    change = diff["config_changes"][0]
+    return f"{change['key']}: {change['a']!r} -> {change['b']!r}"
+
+
 def fingerprint(diff: Dict) -> Dict:
     """Name the dominant cause behind a RunDiff.
 
@@ -333,7 +346,8 @@ def fingerprint(diff: Dict) -> Dict:
     deltas that support it; the best-scoring cause wins.  Specific causes
     (coalescer efficiency, queue wait, transport charge, shedding)
     outweigh the generic ones (tail grew, throughput dropped),
-    so the report names a mechanism whenever the data supports one.
+    so the report names a mechanism whenever the data supports one; a
+    significant diff that no rule matches is ``unclassified-change``.
     """
     counters = diff["counters"]["rows"]
     quantiles = diff["quantiles"]["rows"]
@@ -381,9 +395,13 @@ def fingerprint(diff: Dict) -> Dict:
         candidates.append((4.0 * mag, "throughput-dropped", ev))
 
     if not candidates:
-        return {"code": "no-significant-change",
-                "label": FINGERPRINT_CODES["no-significant-change"],
-                "evidence": "", "score": 0.0}
+        if not diff["significant"]:
+            return {"code": "no-significant-change",
+                    "label": FINGERPRINT_CODES["no-significant-change"],
+                    "evidence": "", "score": 0.0}
+        return {"code": "unclassified-change",
+                "label": FINGERPRINT_CODES["unclassified-change"],
+                "evidence": _largest_move(diff), "score": 0.0}
     candidates.sort(key=lambda c: (-c[0], c[1]))
     score, code, evidence = candidates[0]
     return {

@@ -86,7 +86,7 @@ def span_record(span: Span) -> Dict:
         "node": span.node,
         "start": span.start,
         "end": span.end,
-        "dur": span.end - span.start,
+        "dur": span.duration,
     }
     if span.attrs:
         rec["attrs"] = {k: span.attrs[k] for k in sorted(span.attrs)}
@@ -130,7 +130,7 @@ def chrome_trace(spans: Iterable[Span], pid_base: int = 0) -> List[Dict]:
             "cat": "rpc" if span.parent_id is None else "stage",
             "ph": "X",
             "ts": span.start * _US,
-            "dur": (span.end - span.start) * _US,
+            "dur": span.duration * _US,
             "pid": pid,
             "tid": span.trace_id,
         }

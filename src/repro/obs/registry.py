@@ -21,10 +21,7 @@ registry is bit-identical to one without it.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-from typing import Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.simnet.stats import Counter, Gauge, Histogram
 
@@ -44,43 +41,22 @@ _SNAPSHOT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
 def percentile_summary(
-    source: Union[Histogram, Sequence[float]],
-    qs: Sequence[float] = _SNAPSHOT_QUANTILES,
+    source: Histogram, qs: Sequence[float] = _SNAPSHOT_QUANTILES,
 ) -> Dict[str, float]:
-    """One ``{n, mean, min, max, p50, ...}`` dict for any latency source.
+    """One ``{n, mean, min, max, p50, ...}`` dict for a latency histogram.
 
     The single quantile-extraction path every harness summary goes
-    through: pass a :class:`~repro.simnet.stats.Histogram` (bucketed
-    estimates via :meth:`~repro.simnet.stats.Histogram.percentiles`) or a
-    plain value sequence (exact nearest-rank quantiles).  Keys follow the
+    through (bucketed estimates via
+    :meth:`~repro.simnet.stats.Histogram.percentiles`).  Keys follow the
     histogram convention — ``0.999`` becomes ``"p99.9"``.
     """
-    if isinstance(source, Histogram):
-        return {
-            "n": source.n,
-            "mean": source.mean(),
-            "min": source.min or 0.0,
-            "max": source.max or 0.0,
-            **source.percentiles(qs),
-        }
-    values = sorted(source)
-    n = len(values)
-    out = {
-        "n": n,
-        "mean": sum(values) / n if n else 0.0,
-        "min": values[0] if n else 0.0,
-        "max": values[-1] if n else 0.0,
+    return {
+        "n": source.n,
+        "mean": source.mean(),
+        "min": source.min or 0.0,
+        "max": source.max or 0.0,
+        **source.percentiles(qs),
     }
-    for q in qs:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantiles must be in [0,1]")
-        if n == 0:
-            out[f"p{100 * q:g}"] = 0.0
-        else:
-            # Nearest-rank: the smallest value with cumulative share >= q.
-            rank = max(0, min(n - 1, math.ceil(q * n) - 1))
-            out[f"p{100 * q:g}"] = values[rank]
-    return out
 
 #: attribute the registry hangs off a Simulator (created lazily)
 _SIM_ATTR = "_obs_metrics"

@@ -250,13 +250,11 @@ def _skew_section(skew: Optional[Dict]) -> str:
         parts.append("</table>")
     keys = skew.get("top_keys") or []
     if keys:
-        parts.append("<table><tr><th>hot key</th><th>count</th>"
-                     "<th>max error</th></tr>")
+        parts.append("<table><tr><th>hot key</th><th>count</th></tr>")
         for row in keys:
             parts.append(
                 f'<tr><td class="name">{_esc(row.get("key"))}</td>'
-                f'<td>{_num(row.get("count"))}</td>'
-                f'<td>{_num(row.get("error"))}</td></tr>')
+                f'<td>{_num(row.get("count"))}</td></tr>')
         parts.append("</table>")
     return "".join(parts)
 

@@ -1,7 +1,7 @@
 """Hot-partition / hot-key skew detection.
 
-ROADMAP item 1's sensing half: the auto-split controller needs to *know*
-a partition is hot before it can act.  Two complementary signals:
+Which partitions and keys carry more than their share of a run's ops.
+Two complementary signals:
 
 * **Partition level** — per-partition ``<container>.<i>/ops`` counters
   (already maintained by every container) are read at each flight-recorder
@@ -9,12 +9,9 @@ a partition is hot before it can act.  Two complementary signals:
   give the run-wide imbalance coefficient (max/mean) and coefficient of
   variation.  A partition whose per-tick share exceeds ``HOT_FACTOR`` x
   fair share raises an edge-triggered ``skew.hot_partition`` event.
-* **Key level** — a deterministic space-saving heavy-hitter sketch
-  (Metwally et al.'s *SpaceSaving*) fed key-by-key from the workload
-  driver.  Capacity-bounded, no RNG, FIFO tie-breaking on eviction, so
-  same-seed runs produce identical top-k tables; the guarantee that any
-  key with true count > N/capacity is retained makes Zipf hot keys
-  rank first with even small capacities.
+* **Key level** — the workload driver's exact per-key access counts
+  (the dict the run keeps anyway): the :data:`TOP_K` largest are the hot
+  keys, ties in first-seen order, so same-seed runs list them alike.
 
 Everything here is pure bookkeeping on the Python heap: no simulator
 events, no RNG draws, no resource acquisition — a monitored run keeps
@@ -23,74 +20,25 @@ identical simulated results.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import heapq
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import MetricsRegistry
 from repro.simnet.trace import EventLog
 
-__all__ = ["SpaceSavingSketch", "SkewDetector"]
+__all__ = ["SkewDetector"]
 
 #: a partition is *hot* in a tick when its share of that tick's ops
 #: exceeds this multiple of the fair share
 HOT_FACTOR = 2.0
 
-#: heavy-hitter sketch size for :meth:`SkewDetector.offer_key`
-SKETCH_CAPACITY = 64
-
 #: partitions and keys listed in :meth:`SkewDetector.summary`
 TOP_K = 5
 
 
-class SpaceSavingSketch:
-    """Deterministic space-saving heavy-hitter sketch.
-
-    Tracks at most ``capacity`` keys; offering an untracked key when full
-    evicts the minimum-count entry (FIFO among ties — the entry tracked
-    longest goes first) and the newcomer inherits that count as its
-    over-estimation ``error``.  For any key, ``count - error`` is a lower
-    bound and ``count`` an upper bound on its true frequency.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.offered = 0
-        # key -> [count, error, seq]; seq is a monotonic tracking stamp
-        # so eviction and top-k ordering are fully deterministic.
-        self._entries: Dict[object, List[float]] = {}
-        self._seq = 0
-
-    def offer(self, key, inc: int = 1) -> None:
-        self.offered += inc
-        entry = self._entries.get(key)
-        if entry is not None:
-            entry[0] += inc
-            return
-        self._seq += 1
-        if len(self._entries) < self.capacity:
-            self._entries[key] = [inc, 0, self._seq]
-            return
-        victim_key = min(self._entries,
-                         key=lambda k: (self._entries[k][0],
-                                        self._entries[k][2]))
-        floor = self._entries.pop(victim_key)[0]
-        self._entries[key] = [floor + inc, floor, self._seq]
-
-    def top(self, k: int = 10) -> List[Tuple[object, int, int]]:
-        """The ``k`` heaviest tracked keys as ``(key, count, error)``.
-
-        Ordered by count descending, oldest-tracked first on ties —
-        a long-tracked exact count outranks a same-count newcomer whose
-        total may be inherited error.
-        """
-        ranked = sorted(self._entries.items(),
-                        key=lambda kv: (-kv[1][0], kv[1][2]))
-        return [(key, int(c), int(e)) for key, (c, e, _s) in ranked[:k]]
-
-
 class SkewDetector:
-    """Per-partition load-share monitor + hot-key sketch.
+    """Per-partition load-share monitor + hot-key ranking.
 
     Parameters
     ----------
@@ -104,24 +52,24 @@ class SkewDetector:
         Where the edge-triggered ``skew.hot_partition`` /
         ``skew.cooled`` events go (a partition is *hot* above
         :data:`HOT_FACTOR` x the fair share of a tick's ops).
+    key_counts:
+        key -> accesses so far, filled by the workload driver; read only
+        by :meth:`summary`.
     """
 
     def __init__(self, registry: MetricsRegistry,
-                 sources: Sequence[Tuple[str, int]], event_log: EventLog):
+                 sources: Sequence[Tuple[str, int]], event_log: EventLog,
+                 key_counts: Optional[Dict[object, int]] = None):
         self.registry = registry
         self.sources = list(sources)
         self.events = event_log
-        self.sketch = SpaceSavingSketch(SKETCH_CAPACITY)
+        self.key_counts = {} if key_counts is None else key_counts
         self.ticks = 0
         self.hot_events = 0
         self._last: List[float] = [0.0] * len(self.sources)
         self._hot: set = set()
 
-    # -- feeds ----------------------------------------------------------------
-    def offer_key(self, key) -> None:
-        """Feed one key access into the heavy-hitter sketch."""
-        self.sketch.offer(key)
-
+    # -- ticks ----------------------------------------------------------------
     def _read(self) -> List[float]:
         values = []
         for name, _node in self.sources:
@@ -196,9 +144,11 @@ class SkewDetector:
             ],
             "node_ops": {str(node): per_node[node]
                          for node in sorted(per_node)},
+            # nlargest is stable: equal counts keep first-seen order
             "top_keys": [
-                {"key": str(key), "count": count, "error": error}
-                for key, count, error in self.sketch.top(TOP_K)
+                {"key": str(key), "count": count}
+                for key, count in heapq.nlargest(
+                    TOP_K, self.key_counts.items(), key=itemgetter(1))
             ],
-            "keys_offered": self.sketch.offered,
+            "keys_offered": sum(self.key_counts.values()),
         }

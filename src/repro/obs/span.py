@@ -96,39 +96,26 @@ class Tracer:
     def begin(self, name: str, parent: Optional[Span] = None,
               node: Optional[int] = None,
               attrs: Optional[Dict] = None) -> Span:
-        """Open a span starting now; finish it with :meth:`finish`.
-
-        Without ``parent`` the span roots a new trace; with one it joins
-        the parent's trace (this is how op ids thread through the RPC
-        envelope: the request carries the root span, and every stage hangs
-        off it).
-        """
-        self._next_span += 1
-        if parent is None:
-            self._next_trace += 1
-            trace_id = self._next_trace
-            parent_id = None
-        else:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-        span = Span(trace_id, self._next_span, parent_id, name, node,
-                    self.clock(), attrs)
-        self.spans.append(span)
-        return span
+        """Open a span starting now; finish it with :meth:`finish`."""
+        return self.record(name, self.clock(), None, parent, node, attrs)
 
     def finish(self, span: Span, end: Optional[float] = None) -> Span:
         if span.end is None:
             span.end = self.clock() if end is None else end
         return span
 
-    def record(self, name: str, start: float, end: float,
+    def record(self, name: str, start: float, end: Optional[float],
                parent: Optional[Span] = None, node: Optional[int] = None,
                attrs: Optional[Dict] = None) -> Span:
-        """Record an already-elapsed interval as a complete span.
+        """Record an already-elapsed interval as a complete span (an open
+        one when ``end`` is None).
 
         The RPC stage hooks use this: the stage boundary times are read
         off ``sim.now`` as the protocol runs, and the span is recorded in
-        one shot when the stage closes.
+        one shot when the stage closes.  Without ``parent`` the span roots
+        a new trace; with one it joins the parent's trace (this is how op
+        ids thread through the RPC envelope: the request carries the root
+        span, and every stage hangs off it).
         """
         self._next_span += 1
         if parent is None:
@@ -143,20 +130,6 @@ class Tracer:
         span.end = end
         self.spans.append(span)
         return span
-
-    # -- queries --------------------------------------------------------------
-    def stage_breakdown(self) -> Dict[str, Dict[str, float]]:
-        """Per-stage totals across all finished spans: n / total / mean."""
-        out: Dict[str, Dict[str, float]] = {}
-        for span in self.spans:
-            if not span.finished:
-                continue
-            row = out.setdefault(span.name, {"n": 0, "total": 0.0})
-            row["n"] += 1
-            row["total"] += span.duration
-        for row in out.values():
-            row["mean"] = row["total"] / row["n"] if row["n"] else 0.0
-        return out
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -28,10 +28,9 @@ Two pieces live here:
     mutation, a cached entry remembers the epoch of the state it read, and
     a hit is served **only while the partition epoch still equals the
     entry's epoch** — so a cached read can never observe a stale value.
-    Invalidation is two-tier: writes issued or buffered by the local node
-    invalidate the key immediately (write-through on the local buffer),
-    and epochs observed on RPC responses (piggybacked at completion time)
-    prune entries other nodes' writes made stale.
+    Writes issued or buffered by the local node invalidate the key at once
+    (write-through on the local buffer); an entry other nodes' writes made
+    stale is dropped by the lookup that finds it.
 
 Both are observable: flush counts, coalesced ops, flushed bytes and cache
 hit/miss/invalidation counters all land in the metrics snapshot
@@ -354,14 +353,12 @@ MISS = _Miss()
 class ReadCache:
     """Epoch-validated per-caller-node cache for keyed read results."""
 
-    __slots__ = ("_entries", "_observed", "hits", "misses",
-                 "invalidations", "stale_drops")
+    __slots__ = ("_entries", "hits", "misses", "invalidations",
+                 "stale_drops")
 
     def __init__(self, sim, name: str):
         #: (node_id, part_index) -> {key: (result, epoch)}
         self._entries: Dict[Tuple[int, int], Dict[Any, Tuple[Any, int]]] = {}
-        #: (node_id, part_index) -> newest epoch seen on an RPC response
-        self._observed: Dict[Tuple[int, int], int] = {}
         metrics = registry_of(sim)
         self.hits = metrics.counter(f"{name}/cache_hits")
         self.misses = metrics.counter(f"{name}/cache_misses")
@@ -406,30 +403,9 @@ class ReadCache:
         if bucket is not None and bucket.pop(key, None) is not None:
             self.invalidations.add(1)
 
-    def observe(self, node_id: int, part_index: int, epoch: int) -> None:
-        """Fold an epoch piggybacked on an RPC response into the cache.
-
-        Epochs only grow, so pruning everything older than the observed
-        epoch is safe; the authoritative equality check in :meth:`lookup`
-        remains the correctness gate.
-        """
-        key = (node_id, part_index)
-        last = self._observed.get(key, -1)
-        if epoch <= last:
-            return
-        self._observed[key] = epoch
-        bucket = self._entries.get(key)
-        if bucket:
-            stale = [k for k, (_res, e) in bucket.items() if e < epoch]
-            for k in stale:
-                del bucket[k]
-            if stale:
-                self.invalidations.add(len(stale))
-
     def clear(self) -> None:
         """Drop everything — used when partition membership changes."""
         self._entries.clear()
-        self._observed.clear()
 
     def entries(self) -> int:
         return sum(len(b) for b in self._entries.values())

@@ -132,9 +132,10 @@ class RpcServer:
         self.response_region = node.register_region(
             self.RESPONSE_REGION, self.RESPONSE_SLOTS
         )
-        #: held slot -> the request awaiting its answer there (None once
-        #: answered, until the caller releases it); released slots
-        self._slots: Dict[int, Optional[RpcRequest]] = {}
+        #: the response buffer itself: held slot -> the request awaiting
+        #: its answer there, then its RpcResponse until the caller releases
+        #: it (and pulls it with one RDMA_READ first); released slots
+        self._slots: Dict[int, Any] = self.response_region.objects
         self._free: List[int] = []
         #: client node -> {seq: None while executing, else its RpcResponse},
         #: and client node -> the highest watermark it has sent
@@ -198,7 +199,6 @@ class RpcServer:
         """The caller pulled ``req``'s response or gave up: free the slot,
         and retire the caller's records below its ``watermark``."""
         del self._slots[req.slot]
-        self.response_region.objects.pop(req.slot, None)
         self._free.append(req.slot)
         self._retire(req.src_node, watermark)
 
@@ -207,8 +207,7 @@ class RpcServer:
         if ``req`` awaits it: nothing else writes into a slot."""
         slots = self._slots
         if slots.get(req.slot) is req:
-            slots[req.slot] = None
-            self.response_region.put_object(req.slot, response)
+            slots[req.slot] = response
             req.completion.succeed(response.completion_size)
 
     def _runs(self, req: RpcRequest) -> Optional[Dict]:

@@ -280,7 +280,11 @@ class TestFigureSeries:
         assert row["key"] == "series/hcl_umap_ins[2]"
         assert row["rel"] == pytest.approx(-0.5)
         assert row["significant"] and diff["significant"]
-        assert diff["fingerprint"]["code"] != "workload-shape-changed"
+        fp = diff["fingerprint"]
+        assert fp["code"] not in ("workload-shape-changed",
+                                  "no-significant-change")
+        assert fp["code"] == "unclassified-change"
+        assert fp["evidence"].startswith("series/hcl_umap_ins[2] -50%")
 
     def test_sweep_axis_change_is_a_workload_change(self):
         b = _fig6_doc()

@@ -1,7 +1,5 @@
 """Tests for the self-contained HTML dashboard renderer/validator."""
 
-import pytest
-
 from repro.obs import render_dashboard, validate_dashboard, write_dashboard
 from repro.obs.report import REQUIRED_SECTIONS
 
@@ -54,7 +52,7 @@ def _flight():
                  "share": 0.2},
             ],
             "node_ops": {"0": 64.0, "1": 16.0},
-            "top_keys": [{"key": "t0:k7", "count": 31, "error": 0}],
+            "top_keys": [{"key": "t0:k7", "count": 31}],
             "keys_offered": 80,
         },
         "slo": {

@@ -2,55 +2,8 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, SkewDetector, SpaceSavingSketch
+from repro.obs import MetricsRegistry, SkewDetector
 from repro.simnet import EventLog, Simulator
-
-
-class TestSpaceSavingSketch:
-    def test_exact_below_capacity(self):
-        sk = SpaceSavingSketch(capacity=8)
-        for key, n in (("a", 5), ("b", 3), ("c", 1)):
-            for _ in range(n):
-                sk.offer(key)
-        assert sk.top(3) == [("a", 5, 0), ("b", 3, 0), ("c", 1, 0)]
-        assert sk.offered == 9
-        assert len(sk._entries) == 3
-        assert "a" in sk._entries and "z" not in sk._entries
-
-    def test_eviction_inherits_floor_as_error(self):
-        sk = SpaceSavingSketch(capacity=2)
-        sk.offer("a")
-        sk.offer("a")
-        sk.offer("b")
-        sk.offer("c")  # evicts b (count 1): c = count 2, error 1
-        assert ("c", 2, 1) in sk.top(2)
-        assert "b" not in sk._entries
-
-    def test_fifo_tie_break_is_deterministic(self):
-        def run():
-            sk = SpaceSavingSketch(capacity=3)
-            for key in "a b c a d b e".split():
-                sk.offer(key)
-            return sk.top(3)
-
-        assert run() == run()
-
-    def test_heavy_key_survives_churn(self):
-        """A key with true count > N/capacity is always retained."""
-        sk = SpaceSavingSketch(capacity=4)
-        stream = []
-        for i in range(60):
-            stream.append("hot")
-            stream.append(f"cold{i}")
-        for key in stream:
-            sk.offer(key)
-        top = sk.top(1)
-        assert top[0][0] == "hot"
-        assert top[0][1] >= 60  # upper bound never undercounts
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            SpaceSavingSketch(capacity=0)
 
 
 def _rig(per_partition):
@@ -119,7 +72,8 @@ class TestSkewDetector:
         assert det.ticks == 2 and det.hot_events == 0
 
     def test_zipf_hot_keys_rank_first(self):
-        """Acceptance: the sketch ranks known Zipf hot keys first."""
+        """Acceptance: the detector ranks known Zipf hot keys first, with
+        their exact counts."""
         n_keys = 512
         theta = 0.99
         raw = [(r + 1) ** -theta for r in range(n_keys)]
@@ -128,7 +82,9 @@ class TestSkewDetector:
         # (the serving harness's Zipf popularity law, exact instead of
         # sampled so the ground-truth ranking is unambiguous).
         counts = [max(1, round(w / norm * 50_000)) for w in raw]
-        det = SkewDetector(MetricsRegistry(), [("m.0/ops", 0)], _log())
+        key_counts = {}
+        det = SkewDetector(MetricsRegistry(), [("m.0/ops", 0)], _log(),
+                           key_counts=key_counts)
         # Interleave round-robin so heavy keys don't just arrive first.
         remaining = list(counts)
         alive = True
@@ -136,22 +92,29 @@ class TestSkewDetector:
             alive = False
             for i in range(n_keys):
                 if remaining[i] > 0:
-                    det.offer_key(i)
+                    key_counts[i] = key_counts.get(i, 0) + 1
                     remaining[i] -= 1
                     alive = True
         truth = sorted(range(n_keys), key=lambda i: (-counts[i], i))[:5]
-        top = [entry["key"] for entry in det.summary()["top_keys"]]
-        assert top == [str(i) for i in truth]
-        # Counts are exact upper bounds >= the true frequency.
-        for entry, i in zip(det.summary()["top_keys"], truth):
-            assert entry["count"] >= counts[i]
+        summary = det.summary()
+        assert summary["top_keys"] == [
+            {"key": str(i), "count": counts[i]} for i in truth]
+        assert summary["keys_offered"] == sum(counts)
+
+    def test_tied_keys_rank_in_first_seen_order(self):
+        key_counts = {"b": 2, "a": 3, "d": 2, "c": 2}
+        det = SkewDetector(MetricsRegistry(), [], _log(),
+                           key_counts=key_counts)
+        assert [e["key"] for e in det.summary()["top_keys"]] == [
+            "a", "b", "d", "c"]
 
     def test_summary_deterministic(self):
         def run():
             reg, counters, sources = _rig([7, 3, 90])
-            det = SkewDetector(reg, sources, _log())
+            key_counts = {}
+            det = SkewDetector(reg, sources, _log(), key_counts=key_counts)
             for k in (1, 2, 2, 3, 3, 3):
-                det.offer_key(k)
+                key_counts[k] = key_counts.get(k, 0) + 1
             det.tick(0.5)
             return det.summary()
 

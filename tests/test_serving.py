@@ -353,14 +353,29 @@ class TestServingMonitors:
         assert skew["imbalance"] >= 1.0
 
     def test_hot_keys_match_workload_ground_truth(self, monitored):
-        """The sketch's #1 key share equals the report's exact
+        """The flight's #1 key share equals the report's exact
         ``top_key_share`` (computed from full per-key counts)."""
         report, sink = monitored
         skew = sink[0][1]["skew"]
         top = skew["top_keys"][0]
-        assert top["error"] == 0  # namespace fits: counts are exact
         assert top["count"] / skew["keys_offered"] == pytest.approx(
             report["configs"][0]["top_key_share"])
+
+    def test_hot_keys_are_exact_at_the_ci_smoke_shape(self):
+        """At the serving smoke shape (512 keys per tenant, 4 tenants)
+        the flight's hot keys are the run's exact counts, so its top key
+        share is the report's ``top_key_share``, and no row carries an
+        error bound."""
+        recorded = SERVING.attach(flight=True)
+        report = run_serving(
+            nodes=4, procs_per_node=4, clients=1000, tenants=4, keys=512,
+            queue_frac=0.5, rate=2400.0, ops_per_client=30.0, seed=3,
+            bounds=(None,), shed_retries=0, instrument=recorded)
+        skew = recorded.runs[0].recorder.payload()["skew"]
+        top = skew["top_keys"][0]
+        assert top["count"] / skew["keys_offered"] == \
+            report["configs"][0]["top_key_share"]
+        assert all(set(row) == {"key", "count"} for row in skew["top_keys"])
 
     def test_monitor_option_overrides(self):
         """Any instrument that installs a recorder gets the serving rules:

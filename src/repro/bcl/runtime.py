@@ -28,12 +28,11 @@ class BCL:
     #: total node memory to ensure successful completion" (Section IV-B2).
     MEMORY_FRACTION = 0.6
 
-    def __init__(self, spec_or_cluster: Union[ClusterSpec, Cluster],
-                 provider: str = "roce"):
+    def __init__(self, spec_or_cluster: Union[ClusterSpec, Cluster]):
         if isinstance(spec_or_cluster, Cluster):
             self.cluster = spec_or_cluster
         else:
-            self.cluster = Cluster(spec_or_cluster, provider=provider)
+            self.cluster = Cluster(spec_or_cluster)
         if not self.cluster.provider.supports_rdma_atomics:
             # "At its core, BCL requires the support of remote memory
             # operations and atomics (CAS) from the network hardware ...

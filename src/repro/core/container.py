@@ -67,10 +67,6 @@ class Op(NamedTuple):
     #: mutates the partition: bumps its write epoch and is persisted,
     #: replicated and failed over.  Reads skip all four.
     write: bool = True
-    #: single-key mutation whose ``args[0]`` is the key — eligible for
-    #: write-through read-cache invalidation (epoch checks remain the
-    #: correctness authority; this is eager cleanup)
-    keyed: bool = False
     #: a single remote read of ``args[0]`` may be served from the read cache
     cached: bool = False
 
@@ -78,9 +74,9 @@ class Op(NamedTuple):
 def _keyed_ops(values: bool, cached: bool, *family: Op) -> Tuple[Op, ...]:
     """The rows every keyed container has; maps carry a value, sets do not."""
     return (
-        Op("insert", 2 if values else 1, keyed=True),
+        Op("insert", 2 if values else 1),
         Op("find", 1, write=False, cached=cached),
-        Op("erase", 1, keyed=True),
+        Op("erase", 1),
         Op("resize", 1),
         Op("batch", 1),
         Op("size", 0, write=False),
@@ -88,7 +84,7 @@ def _keyed_ops(values: bool, cached: bool, *family: Op) -> Tuple[Op, ...]:
     )
 
 
-_HASH = (Op("upsert", 2, keyed=True),)
+_HASH = (Op("upsert", 2),)
 _ORDERED = (Op("range_find", 3, write=False), Op("min_key", 0, write=False),
             Op("max_key", 0, write=False))
 _QUEUE = (Op("pop", 0), Op("push_many", 1), Op("pop_many", 1),
@@ -326,15 +322,6 @@ class DistributedContainer:
             payload = self._entry_bytes(*args)
         return stage(rank, part, op, args, payload)
 
-    def _invalidate(self, caller_node: int, part: Partition, op: str,
-                    args: tuple) -> None:
-        """Write-through read-cache cleanup for a keyed mutation."""
-        cache = self._cache
-        # ``_entries`` empty means nothing can need invalidating — write
-        # storms skip the per-op tuple build + lookup entirely.
-        if cache is not None and cache._entries and self._ops[op][1].keyed:
-            cache.invalidate_key(caller_node, part.index, args[0])
-
     # -- stage 1: the hybrid access core ---------------------------------------
     def _execute(self, rank: int, part: Partition, op: str, args: tuple,
                  payload_bytes: int, _drain: bool = True, trace_parent=None):
@@ -355,7 +342,6 @@ class DistributedContainer:
         coal = self._coalescer
         if coal is not None and _drain and coal.busy(caller_node, part.index):
             yield from coal.drain(rank, part.index)
-        self._invalidate(caller_node, part, op, args)
         cluster = self.runtime.cluster
         if caller_node == part.node_id:
             self.local_hits.add(1)
@@ -397,6 +383,9 @@ class DistributedContainer:
                 # the primary executed that request late (completion lost,
                 # budget exhausted) the replay is suppressed server-side,
                 # not double-applied.  The replay's settle retires it.
+                # The primary's logical state changed here, so its epoch
+                # moves now: no node's cached read of it outlives the ack.
+                part.write_epoch += 1
                 self.failover_writes.add(1)
                 self._queue_replay(part, op, args, token)
                 token = None
@@ -522,10 +511,9 @@ class DistributedContainer:
         if caller_node == part.node_id:
             return self._spawn_call(rank, part, op, args, payload_bytes)
         coal = self._coalescer
-        if coal is not None and op != "batch":
-            if coal.busy(caller_node, part.index):
-                return self._spawn_call(rank, part, op, args, payload_bytes)
-            self._invalidate(caller_node, part, op, args)
+        if (coal is not None and op != "batch"
+                and coal.busy(caller_node, part.index)):
+            return self._spawn_call(rank, part, op, args, payload_bytes)
         self.remote_calls.add(1)
         return self.runtime.client(caller_node).invoke(
             part.node_id,
@@ -553,10 +541,9 @@ class DistributedContainer:
         coal = self._coalescer
         if coal is None:
             return self._execute_async(rank, part, op, args, payload_bytes)
-        caller_node = self._rank_home[rank]
-        self._invalidate(caller_node, part, op, args)
         fut = RPCFuture(self.runtime.sim, self._rpc_names[op])
-        coal.append(rank, caller_node, part, op, args, payload_bytes, fut)
+        coal.append(rank, self._rank_home[rank], part, op, args,
+                    payload_bytes, fut)
         return fut
 
     # -- stage 4: buffer without a future (Section III-C3, Table I) --------------
@@ -576,7 +563,6 @@ class DistributedContainer:
         coal = self._coalescer
         if coal is None or caller_node == part.node_id:
             return self._execute(rank, part, op, args, payload_bytes)
-        self._invalidate(caller_node, part, op, args)
         coal.append(rank, caller_node, part, op, args, payload_bytes)
         return ()
 

@@ -30,11 +30,10 @@ class _HashContainerBase(KeyedContainer):
     def __init__(self, runtime, name, partitions, policy, hash_fn=None):
         self._hash_fn: Callable[[Any], int] = hash_fn or stable_hash
         #: key -> winning Partition, memoizing the HRW sweep (pure host-side
-        #: work, so caching cannot perturb simulated time); cleared whenever
-        #: partition membership changes.
+        #: work, so caching cannot perturb simulated time); cleared by
+        #: ``add_partition`` and ``remove_partition``, the only membership
+        #: changes.
         self._route_cache: dict = {}
-        self._route_len: int = -1
-        self._route_tail_uid: int = -1
         super().__init__(runtime, name, partitions, policy)
 
     # -- level-1 hash: key -> partition ------------------------------------
@@ -54,15 +53,6 @@ class _HashContainerBase(KeyedContainer):
         return x ^ (x >> 32)
 
     def partition_for(self, key: Hashable) -> Partition:
-        # Guard against membership edits that bypass add/remove_partition
-        # (tests poke ``partitions`` directly): any length or tail-uid
-        # change voids every memoized winner.
-        parts = self.partitions
-        if (len(parts) != self._route_len
-                or parts[-1].uid != self._route_tail_uid):
-            self._route_len = len(parts)
-            self._route_tail_uid = parts[-1].uid
-            self._route_cache.clear()
         part = self._route_cache.get(key)
         if part is not None:
             return part

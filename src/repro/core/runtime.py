@@ -16,7 +16,6 @@ the paper (Fig 3).
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 
 from repro.config import ClusterSpec
@@ -47,7 +46,6 @@ class HCL:
     def __init__(
         self,
         spec_or_cluster: Union[ClusterSpec, Cluster],
-        provider: str = "roce",
         rpc_batch_size: int = 1,
         rpc_queue_bound: Optional[int] = None,
         persist_dir: Optional[str] = None,
@@ -56,7 +54,7 @@ class HCL:
         if isinstance(spec_or_cluster, Cluster):
             self.cluster = spec_or_cluster
         else:
-            self.cluster = Cluster(spec_or_cluster, provider=provider)
+            self.cluster = Cluster(spec_or_cluster)
         self.sim = self.cluster.sim
         # rpc_queue_bound arms admission control: each server sheds requests
         # arriving at a full receive queue instead of queueing them forever
@@ -70,7 +68,6 @@ class HCL:
         self._clients: Dict[int, RpcClient] = {}
         self.containers: Dict[str, object] = {}
         self.persist_dir = persist_dir
-        self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         # a truthy window arms per-(node, partition) AIMD congestion windows
         # on every client; falsy (None/False) = classic unbounded issue.
         self._window = bool(window)

@@ -8,15 +8,16 @@ This module supplies the weather:
 
 * :class:`LinkFaults` — per-link message fault probabilities (drop,
   duplicate, delay).  Faults are applied at *message* granularity (a
-  message is a packet train; the probability is per train, driven by the
-  cluster's seeded RNG registry so runs are bit-reproducible).
+  message is a packet train; the probability is per train, drawn from
+  the injector's own generator, seeded from the cluster seed, so runs are
+  bit-reproducible).
 * :class:`FaultPlan` — a declarative schedule: a default/per-link fault
   spec with an active window, node crash/restart windows, and switch
   partition windows.  Installed via :meth:`Cluster.install_faults`.
 * :class:`FaultInjector` — the runtime: intercepts every inter-node
   message (:meth:`outbound`), schedules crashes/restarts/partition
-  toggles on the simulator timeline, and counts everything it does
-  (Counters + a bounded :class:`~repro.simnet.trace.EventLog`).
+  toggles on the simulator timeline, and counts everything it does in
+  the metrics registry (``faults/*`` counters).
 
 Fault semantics:
 
@@ -48,13 +49,15 @@ Fault semantics:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.fabric.packet import Message, Verb
 from repro.obs.registry import registry_of
 from repro.simnet.stats import Counter
-from repro.simnet.trace import EventLog
 
 __all__ = [
     "FabricDropped",
@@ -64,9 +67,6 @@ __all__ = [
     "make_plan",
     "PLAN_NAMES",
 ]
-
-#: bound on the injector's fault :class:`EventLog`
-LOG_LIMIT = 4096
 
 
 class FabricDropped(ConnectionError):
@@ -138,9 +138,9 @@ class FaultInjector:
         self.cluster = cluster
         self.sim = cluster.sim
         self.plan = plan
-        self.rng = cluster.rngs.stream("fabric/faults")
+        self.rng = np.random.default_rng(np.random.SeedSequence(
+            [cluster.spec.seed, zlib.crc32(b"fabric/faults")]))
         self.active = True
-        self.log = EventLog(self.sim, limit=LOG_LIMIT)
         metrics = registry_of(self.sim)
         self.drops = metrics.counter("faults/drops")
         self.dups = metrics.counter("faults/dups")
@@ -186,7 +186,6 @@ class FaultInjector:
         lost = node.nic.drop_pending()
         self.crashes.add(1)
         self.drops.add(lost)
-        self.log.log("crash", {"node": node_id, "inflight_lost": lost})
 
     def restart(self, node_id: int) -> None:
         """Bring a crashed ``node_id`` back now, firing its recovery hooks."""
@@ -194,7 +193,6 @@ class FaultInjector:
         if node.alive:
             return
         self.restarts.add(1)
-        self.log.log("restart", {"node": node_id})
         node.recover()
 
     def _partition_start(self, groups) -> None:
@@ -203,13 +201,11 @@ class FaultInjector:
         for gi, members in enumerate(groups):
             for node_id in members:
                 self._group[node_id] = gi
-        self.log.log("partition", {"groups": [list(g) for g in groups]})
 
     def _partition_end(self, groups) -> None:
         for members in groups:
             for node_id in members:
                 self._group.pop(node_id, None)
-        self.log.log("heal", {"groups": [list(g) for g in groups]})
 
     # -- the per-message hook --------------------------------------------------
     def _window_open(self) -> bool:
@@ -244,7 +240,6 @@ class FaultInjector:
         elif r < spec.drop + spec.dup:
             if msg.verb is Verb.SEND:
                 self.dups.add(1)
-                self.log.log("dup", {"src": src, "dst": dst, "id": msg.msg_id})
                 self.sim.process(
                     self._deliver_duplicate(msg, spec.dup_delay),
                     name=f"fault-dup-{msg.msg_id}",
@@ -255,19 +250,11 @@ class FaultInjector:
             lo, hi = spec.delay_range
             extra = float(self.rng.uniform(lo, hi))
             self.delays.add(1)
-            self.log.log(
-                "delay", {"src": src, "dst": dst, "extra": extra}
-            )
             yield extra
 
     def _burn_and_drop(self, msg: Message, why: str, counter: Counter):
         """Charge the wire time the doomed message spent, then drop it."""
         counter.add(1)
-        self.log.log(
-            "drop",
-            {"src": msg.src_node, "dst": msg.dst_node,
-             "verb": msg.verb.value, "why": why},
-        )
         cost = self.cluster.spec.cost
         yield (
             cost.transfer_time(msg.wire_size) + cost.link_latency
@@ -293,7 +280,6 @@ class FaultInjector:
         for node in self.cluster.nodes:
             if not node.alive:
                 self.restarts.add(1)
-                self.log.log("heal-restart", {"node": node.node_id})
                 node.recover()
 
     def injected_total(self) -> int:

@@ -85,10 +85,11 @@ class Nic:
         # Receive work queue for two-sided SENDs (the RoR request buffer feed).
         self.recv_queue = Store(sim, name=f"nic{node_id}/recv")
         #: admission-control hook for inbound SENDs: ``hook(msg) -> bool``.
-        #: ``None`` (the default) admits everything.  When a hook returns
+        #: Every ``RpcServer`` installs one (it stamps arrival times and,
+        #: with ``queue_bound``, sheds); ``None`` — a node with no server,
+        #: as under BCL alone — admits everything.  When a hook returns
         #: False the message must NOT be enqueued — the hook has already
         #: disposed of it (e.g. deposited a load-shed rejection envelope).
-        #: Installed by ``RpcServer(queue_bound=...)``.
         self.admission = None
         self.regions: Dict[str, MemoryRegion] = {}
         metrics = registry_of(sim)

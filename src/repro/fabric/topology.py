@@ -1,6 +1,6 @@
 """Cluster topology: the collection of simulated nodes plus shared services.
 
-A :class:`Cluster` owns the simulator, the nodes, the RNG registry and
+A :class:`Cluster` owns the simulator, the nodes, the switch and
 aggregate observability.  Process placement follows the MPI convention used
 in the paper's experiments: ranks are laid out block-wise,
 ``rank -> node = rank // procs_per_node``.
@@ -13,7 +13,6 @@ from typing import Callable, Dict, Generator, List, Optional
 from repro.config import ClusterSpec
 from repro.simnet.core import Simulator
 from repro.simnet.core import Process
-from repro.simnet.rng import RngRegistry
 
 from repro.fabric.node import Node
 from repro.fabric.provider import Provider, get_provider
@@ -33,7 +32,6 @@ class Cluster:
         cost = self.provider.apply(spec.cost)
         self.spec = spec.scaled(cost=cost)
         self.sim = Simulator()
-        self.rngs = RngRegistry(seed=spec.seed)
         self.nodes: List[Node] = [
             Node(self.sim, i, self.spec) for i in range(self.spec.nodes)
         ]

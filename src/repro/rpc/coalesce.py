@@ -27,13 +27,17 @@ Two pieces live here:
     epoch-based: every partition carries a ``write_epoch`` bumped by each
     mutation, a cached entry remembers the epoch of the state it read, and
     a hit is served **only while the partition epoch still equals the
-    entry's epoch** — so a cached read can never observe a stale value.
-    Writes issued or buffered by the local node invalidate the key at once
-    (write-through on the local buffer); an entry other nodes' writes made
-    stale is dropped by the lookup that finds it.
+    entry's epoch** — so a cached read never observes a write that has
+    landed.  The epoch is the only rule: any write, from this node or
+    another, makes the entry stale when it is applied at the partition
+    (a write acked on a replica, when it is acked), and the lookup that
+    finds a stale entry drops it.  Buffered writes
+    drain before the lookup; a direct ``*_async`` write still in flight
+    has not bumped the epoch yet, so a read issued meanwhile may see the
+    pre-write value.
 
 Both are observable: flush counts, coalesced ops, flushed bytes and cache
-hit/miss/invalidation counters all land in the metrics snapshot
+hit/miss/stale-drop counters all land in the metrics snapshot
 (``--metrics-out``); what coalescing buys in simulated time is the
 op-coalescing ablation in ``benchmarks/test_ablations.py`` and the ledger's
 ``smallops_agg`` / ``isx_sort`` rows.
@@ -353,8 +357,7 @@ MISS = _Miss()
 class ReadCache:
     """Epoch-validated per-caller-node cache for keyed read results."""
 
-    __slots__ = ("_entries", "hits", "misses", "invalidations",
-                 "stale_drops")
+    __slots__ = ("_entries", "hits", "misses", "stale_drops")
 
     def __init__(self, sim, name: str):
         #: (node_id, part_index) -> {key: (result, epoch)}
@@ -362,7 +365,6 @@ class ReadCache:
         metrics = registry_of(sim)
         self.hits = metrics.counter(f"{name}/cache_hits")
         self.misses = metrics.counter(f"{name}/cache_misses")
-        self.invalidations = metrics.counter(f"{name}/cache_invalidations")
         self.stale_drops = metrics.counter(f"{name}/cache_stale_drops")
 
     def lookup(self, node_id: int, part, key):
@@ -397,12 +399,6 @@ class ReadCache:
             result, epoch_before
         )
 
-    def invalidate_key(self, node_id: int, part_index: int, key) -> None:
-        """Write-through invalidation for a locally issued/buffered write."""
-        bucket = self._entries.get((node_id, part_index))
-        if bucket is not None and bucket.pop(key, None) is not None:
-            self.invalidations.add(1)
-
     def clear(self) -> None:
         """Drop everything — used when partition membership changes."""
         self._entries.clear()
@@ -418,7 +414,6 @@ class ReadCache:
             "hits": int(hits),
             "misses": int(misses),
             "hit_rate": (hits / total) if total else 0.0,
-            "invalidations": int(self.invalidations.value),
             "stale_drops": int(self.stale_drops.value),
             "entries": self.entries(),
         }

@@ -7,7 +7,7 @@ the event fires, or yield a ``float`` delay ``>= 0`` to sleep that many
 sim-seconds (the sleeping process is its own queue entry, no Event); a
 timeout is a plain, already-triggered Event.  On top of the kernel sit
 counted resources (a mutex is a capacity-1 ``Resource``), stores, barriers,
-deterministic random-number streams, tracing and utilization statistics.
+tracing and utilization statistics.
 
 The simulator models *time*; the data manipulated by the higher layers (HCL
 containers, BCL baseline, applications) is real.
@@ -21,7 +21,6 @@ from repro.simnet.core import (
     SimulationError,
 )
 from repro.simnet.resources import Barrier, Resource, Store
-from repro.simnet.rng import RngRegistry
 from repro.simnet.trace import TimeSeries, EventLog
 from repro.simnet.stats import Counter, Gauge, Histogram
 
@@ -34,7 +33,6 @@ __all__ = [
     "Resource",
     "Store",
     "Barrier",
-    "RngRegistry",
     "TimeSeries",
     "EventLog",
     "Counter",

@@ -168,7 +168,7 @@ def retry_policy() -> List[str]:
 def op_tables() -> List[str]:
     from repro.core.container import OP_TABLES, Op
 
-    flags = ("write", "keyed", "cached")
+    flags = ("write", "cached")
 
     def spell(op) -> str:
         notes = [str(op.arity)] + [f for f in flags[1:] if getattr(op, f)]

@@ -295,8 +295,9 @@ class TestEnvironment:
         from repro.core import HCL
 
         with pytest.raises(RuntimeError, match="atomics"):
-            BCL(small_spec, provider="tcp")
-        hcl = HCL(small_spec, provider="tcp")  # HCL is fabric-agnostic
+            BCL(Cluster(small_spec, provider="tcp"))
+        # HCL is fabric-agnostic
+        hcl = HCL(Cluster(small_spec, provider="tcp"))
         m = hcl.unordered_map("m")
 
         def body(rank):

@@ -253,15 +253,16 @@ class TestReadCache:
         assert report["misses"] >= 1
 
     def test_never_stale_after_remote_write(self, hcl):
-        """A write from any rank invalidates/expires the cached entry: the
-        next read returns the new value, not the cached one."""
+        """A write from any rank bumps the partition epoch, which expires
+        the cached entry: the next read returns the new value, not the
+        cached one."""
         m = self._cached_map(hcl)
         key = _remote_key(m, node_id=0)
 
         def body():
             yield from m.insert(0, key, "old")
             _ = yield from m.find(0, key)  # prime the cache
-            yield from m.insert(0, key, "new")  # write-through invalidation
+            yield from m.insert(0, key, "new")  # the epoch expires the entry
             value, found = yield from m.find(0, key)
             assert (value, found) == ("new", True)
 
@@ -357,6 +358,105 @@ class TestReadCache:
             assert (value, found) == (None, False)
 
         run_rank0(hcl, body())
+
+
+#: every write spelling of a keyed hash-family op; each one leaves ``key``
+#: holding 5 after the cache was primed at 1
+_WRITES = {
+    "insert": lambda m, key: m.insert(0, key, 5),
+    "insert_async": lambda m, key: m.insert_async(0, key, 5),
+    "async_insert": lambda m, key: m.async_insert(0, key, 5),
+    "upsert_buffered": lambda m, key: m.upsert_buffered(0, key, 4),
+    "batch": lambda m, key: m.batch(0, [("insert", key, 5)]),
+}
+
+
+def _read(m, reader, key):
+    """Generator: ``find`` or a settled ``find_async`` of ``key``."""
+    if reader == "find":
+        return tuple((yield from m.find(0, key)))
+    fut = m.find_async(0, key)
+    if not fut.done:
+        yield fut.wait()
+    return tuple(fut.result)
+
+
+#: (spelling, aggregation, reader); insert then ``find`` at aggregation 0
+#: is ``TestReadCache::test_never_stale_after_remote_write``
+_SETTLE_CASES = [
+    (spelling, aggregation, reader)
+    for spelling in sorted(_WRITES) for aggregation in (0, 8)
+    for reader in ("find", "find_async")
+    if (spelling, aggregation, reader) != ("insert", 0, "find")
+]
+
+
+class TestOneReadCacheRule:
+    """The partition epoch is the read cache's only rule, for every write
+    spelling and every ``aggregation`` setting."""
+
+    def _cached_map(self, h, aggregation):
+        m = h.unordered_map("c", partitions=2, read_cache=True,
+                            aggregation=aggregation)
+        return m, _remote_key(m, node_id=0)
+
+    def _prime(self, m, key):
+        yield from m.insert(0, key, 1)
+        assert (yield from m.find(0, key)) == (1, True)
+        assert m._cache.entries() == 1
+
+    @pytest.mark.parametrize("spelling,aggregation,reader", _SETTLE_CASES)
+    def test_read_after_settle_sees_the_write(self, hcl, aggregation,
+                                              reader, spelling):
+        m, key = self._cached_map(hcl, aggregation)
+
+        def body():
+            yield from self._prime(m, key)
+            issued = _WRITES[spelling](m, key)
+            fut = None
+            if hasattr(issued, "wait"):
+                fut = issued
+            else:
+                yield from issued
+            # ``flush`` is the sync point of a buffered write; the future
+            # settles a direct one.
+            yield from m.flush(0)
+            if fut is not None and not fut.done:
+                yield fut.wait()
+            return (yield from _read(m, reader, key))
+
+        assert run_rank0(hcl, body()) == (5, True)
+        # the lookup found the primed entry behind the partition's epoch
+        assert m.aggregation_report()["read_cache"]["stale_drops"] == 1
+
+    @pytest.mark.parametrize("reader", ["find", "find_async"])
+    def test_read_beside_inflight_write_ignores_aggregation(
+            self, small_spec, reader):
+        """A read issued while the caller's own direct ``insert_async`` is
+        in flight gets the same answer, from cache or not alike, with
+        aggregation on as off; once the write settles, a read sees it."""
+
+        def answer(aggregation):
+            h = HCL(small_spec)
+            m, key = self._cached_map(h, aggregation)
+
+            def body():
+                yield from self._prime(m, key)
+                hits = m.aggregation_report()["read_cache"]["hits"]
+                write = m.insert_async(0, key, 5)
+                assert not write.done
+                seen = yield from _read(m, reader, key)
+                hit = m.aggregation_report()["read_cache"]["hits"] - hits
+                yield write.wait()
+                return seen, hit, (yield from m.find(0, key))
+
+            out = run_rank0(h, body())
+            h.close()
+            return out
+
+        off = answer(0)
+        assert off == answer(8)
+        assert off[2] == (5, True)
 
 
 class TestAppEquivalence:

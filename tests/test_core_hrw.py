@@ -35,6 +35,7 @@ class TestRendezvousHashing:
     def test_minimal_disruption_on_growth(self, hcl4, container):
         before = {k: container.partition_for(k).uid for k in range(5000)}
         container.partitions.append(_extra_partition(hcl4, container, uid=4))
+        container._route_cache.clear()  # as add_partition does
         after = {k: container.partition_for(k).uid for k in range(5000)}
         moved = sum(1 for k in before if before[k] != after[k])
         # Expected 1/5 move; modulo hashing would move ~3/4.
@@ -48,6 +49,7 @@ class TestRendezvousHashing:
         before = {k: container.partition_for(k).uid for k in range(5000)}
         victim_uid = container.partitions[2].uid
         del container.partitions[2]
+        container._route_cache.clear()  # as remove_partition does
         after = {k: container.partition_for(k).uid for k in range(5000)}
         for k in before:
             if before[k] == victim_uid:

@@ -27,11 +27,6 @@ FAMILIES = {
     "priority_queue": HCLPriorityQueue,
 }
 KEYED = ("unordered_map", "unordered_set", "map", "set")
-#: whether an op is a keyed mutation is a property of its name across all
-#: families, as whether it writes is
-KEYED_MUTATIONS = frozenset(
-    row.name for table in OP_TABLES.values() for row in table if row.keyed
-)
 
 
 class TestOpTable:
@@ -48,9 +43,6 @@ class TestOpTable:
         for row in table:
             assert callable(getattr(cls, f"_do_{row.name}")), row.name
             assert row.write == (row.name not in cls.READ_ONLY_OPS)
-            assert row.keyed == (row.name in KEYED_MUTATIONS)
-            if row.keyed:
-                assert row.write and row.arity >= 1
             if row.cached:
                 assert not row.write and row.arity >= 1
 

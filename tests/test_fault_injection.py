@@ -234,6 +234,51 @@ class TestCrashFailover:
         assert run_rank0(h, read_phase()) == (42, True)
         assert m.failover_reads.value == 1
 
+    @pytest.mark.parametrize("aggregation", [0, 8])
+    @pytest.mark.parametrize("spelling", ["insert", "upsert_buffered"])
+    def test_cached_read_sees_write_acked_on_replica(self, aggregation,
+                                                    spelling):
+        """A write acked on the replica moves the primary's epoch, so no
+        node's cached read of the old value is served while the primary
+        is down: not the writer's, nor a third node's."""
+        h, injector = _chaos_hcl(
+            nodes=3,
+            retry=RetryPolicy(timeout=20e-6, max_retries=1,
+                              backoff_base=5e-6, backoff_max=10e-6),
+        )
+        m = h.unordered_map("m", partitions=2, replication=1,
+                            write_failover=True, read_cache=True,
+                            aggregation=aggregation)
+        part1 = m.partitions[1]
+        key = next(k for k in range(1000) if m.partition_for(k) is part1)
+        third = next(r for r in range(h.cluster.spec.total_procs)
+                     if h.cluster.node_of_rank(r) not in (0, part1.node_id))
+        readers = (0, third)
+
+        def prime():
+            yield from m.insert(0, key, 1)
+            for rank in readers:
+                assert (yield from m.find(rank, key)) == (1, True)
+
+        run_rank0(h, prime())
+        injector.crash(part1.node_id)
+
+        def write_then_read():
+            if spelling == "insert":
+                yield from m.insert(0, key, 5)
+            else:
+                yield from m.upsert_buffered(0, key, 4)
+                yield from m.flush(0)
+            seen = []
+            for rank in readers:
+                seen.append(tuple((yield from m.find(rank, key))))
+            return seen
+
+        assert run_rank0(h, write_then_read()) == [(5, True), (5, True)]
+        assert m.failover_writes.value == 1
+        assert m.aggregation_report()["read_cache"]["hits"] == 0
+        h.close()
+
     def test_scheduled_crash_and_restart(self):
         """A FaultPlan crash window takes the node down on the timeline and
         the injector restarts it, firing recovery hooks."""

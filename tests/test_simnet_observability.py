@@ -1,4 +1,4 @@
-"""Tests for RNG streams, tracing, and statistics primitives."""
+"""Tests for the event log and statistics primitives."""
 
 import pytest
 
@@ -7,34 +7,7 @@ from repro.simnet import (
     EventLog,
     Gauge,
     Histogram,
-    RngRegistry,
 )
-
-
-class TestRngRegistry:
-    def test_same_seed_same_stream(self):
-        a = RngRegistry(seed=5).stream("x").integers(0, 1000, 10)
-        b = RngRegistry(seed=5).stream("x").integers(0, 1000, 10)
-        assert list(a) == list(b)
-
-    def test_different_names_independent(self):
-        reg = RngRegistry(seed=5)
-        a = reg.stream("a").integers(0, 1000, 10)
-        b = reg.stream("b").integers(0, 1000, 10)
-        assert list(a) != list(b)
-
-    def test_creation_order_irrelevant(self):
-        r1 = RngRegistry(seed=9)
-        r1.stream("first")
-        x1 = r1.stream("target").integers(0, 1 << 30, 5)
-        r2 = RngRegistry(seed=9)
-        x2 = r2.stream("target").integers(0, 1 << 30, 5)
-        assert list(x1) == list(x2)
-
-    def test_stream_cached(self):
-        reg = RngRegistry(seed=1)
-        assert reg.stream("s") is reg.stream("s")
-        assert "s" in reg._streams
 
 
 class TestEventLog:
